@@ -29,7 +29,7 @@ and zeta as formal symbols.
 
 from .linalg import KRing, UPoly
 from .rings import Poly, RatFunc, poly_is_irreducible
-from .series import KSeriesRing, SymPoly, SymRing, USeries
+from .series import SymPoly, SymRing, USeries
 
 
 class AdditivePoly:
@@ -234,7 +234,7 @@ def verify_coeff_scaling(m, imax, precision):
 
     # (3) u(mz) = u^{q^r} / (1 + c_{r-1} u^{q^r-q^{r-1}} + ... + m u^{q^r-1})
     phi = carlitz_phi(m)
-    ring = KSeriesRing(fq)
+    ring = KRing(fq)
     den = USeries.one(ring, precision)
     qr = q ** r
     for j in range(0, r):

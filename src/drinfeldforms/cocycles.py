@@ -23,11 +23,8 @@ h_{(c,d)} J e_0 and 0 at the others.
 """
 
 from .errors import DimensionMismatchError, ReachError, StabilityError
-from .fq import FqElem
-from .linalg import FqRing, KRing, Matrix, sparse_kernel
-from .mat2 import Mat2
-from .rings import Poly, RatFunc
-from .tree import Edge, QuotientGraph, apply_edge
+from .linalg import FqRing, KRing, Matrix, _reduce, inverse, sparse_kernel
+from .tree import Edge, QuotientGraph
 
 
 def depth_default(n, k):
@@ -226,8 +223,6 @@ class CocycleSpace:
             self.graph.seed_keys[(c.coeffs, d.coeffs)] for c, d in ctx.label_pairs()
         ]
         d = self.expected_dim
-        from .linalg import inverse
-
         eval_matrix = Matrix(
             ring,
             [
@@ -324,24 +319,6 @@ class CocycleSpace:
     def dim(self):
         return len(self.basis)
 
-    def basis_json(self):
-        """Basis export: per cocycle, a map from orbit key to the value
-        vector, with K elements as {num, den} pairs."""
-        from .linalg import KRing
-
-        kring = KRing(self.ctx.fq)
-        out = []
-        for cocycle in self.basis:
-            entry = []
-            for key in sorted(cocycle):
-                vec = [
-                    {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
-                    for x in (kring.embed(v) for v in cocycle[key])
-                ]
-                entry.append({"orbit": {"i": key[0], "row": [list(key[1][0]), list(key[1][1])]}, "value": vec})
-            out.append(entry)
-        return out
-
 
 class Coordinates:
     """Coordinates of value-dicts in the solved basis, with consistency.
@@ -374,14 +351,15 @@ class Coordinates:
             for key, s in self.row_keys
         ]
         self.matrix_rows = rows
-        pivots = _independent_rows(ring, rows, d)
+        # the pivot columns of the transposed rows are the first d
+        # independent rows, in order
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(d)]
+        pivots = sorted(_reduce(columns, range(len(rows)), ring))
         if len(pivots) < d:
             raise DimensionMismatchError(
                 f"evaluation rows at depth <= {safe_depth} have rank {len(pivots)} < {d}"
             )
         self.pivot_indices = pivots
-        from .linalg import inverse
-
         self.pivot_inverse = inverse(Matrix(ring, [rows[i] for i in pivots]))
         self.keys_needed = stable_keys + other
 
@@ -408,26 +386,3 @@ class Coordinates:
                 )
         return x
 
-
-def _independent_rows(ring, rows, d):
-    """Indices of the first d linearly independent rows, greedily."""
-    picked = []
-    ech = []
-    pivot_cols = []
-    for idx, row in enumerate(rows):
-        work = [ring.embed(x) for x in row]
-        for erow, pc in zip(ech, pivot_cols):
-            f = work[pc]
-            if f:
-                work = [a - f * b for a, b in zip(work, erow)]
-        pc = next((i for i, x in enumerate(work) if x), None)
-        if pc is None:
-            continue
-        inv = ring.one / work[pc]
-        work = [x * inv for x in work]
-        ech.append(work)
-        pivot_cols.append(pc)
-        picked.append(idx)
-        if len(picked) == d:
-            break
-    return picked

@@ -61,44 +61,6 @@ def _fp_poly_mulmod(a, b, modulus, p):
     return tuple(prod[:e])
 
 
-def _fp_poly_is_irreducible(coeffs, p):
-    """Naive irreducibility test for a monic polynomial over F_p."""
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    # no roots
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
-    # trial division by monic polynomials of degree 2..deg/2
-    for d in range(2, deg // 2 + 1):
-        for code in range(p ** d):
-            div = _decode(code, p, d) + (1,)
-            if _fp_poly_divides(div, coeffs, p):
-                return False
-    return True
-
-
-def _fp_poly_divides(d, f, p):
-    f = list(f)
-    degd = len(d) - 1
-    while len(f) - 1 >= degd:
-        lead = f[-1]
-        if lead:
-            shift = len(f) - 1 - degd
-            for j in range(degd + 1):
-                f[shift + j] = (f[shift + j] - lead * d[j]) % p
-        f.pop()
-    return all(c == 0 for c in f)
-
-
 def _decode(code, p, e):
     digits = []
     for _ in range(e):
@@ -133,10 +95,13 @@ class Fq:
         self.one = 1
 
     def _find_modulus(self):
+        from .rings import Poly, poly_is_irreducible  # rings imports this module
+
         p, e = self.p, self.e
+        fp = field(p)
         for code in range(p ** e):
             coeffs = _decode(code, p, e) + (1,)
-            if _fp_poly_is_irreducible(coeffs, p):
+            if poly_is_irreducible(Poly(fp, coeffs, normalize=False)):
                 return coeffs
         raise AssertionError("no irreducible modulus found")
 

@@ -14,12 +14,10 @@ from .fq import field
 from .mat2 import Mat2
 from .rings import (
     Poly,
-    RatFunc,
     Residue,
+    graded_polys,
     poly_gcd,
-    poly_is_irreducible,
     poly_xgcd,
-    polys_of_degree_less_than,
 )
 
 
@@ -75,7 +73,7 @@ def lift_sl2(gbar):
         c, d = c0, d0
     else:
         c = None
-        for z in _graded_polys(fq):
+        for z in graded_polys(fq):
             cand = c0 + tn * z
             if not cand.is_zero() and poly_gcd(cand, d0).is_one():
                 c, d = cand, d0
@@ -102,26 +100,6 @@ def lift_sl2(gbar):
     return out
 
 
-def _graded_polys(fq):
-    """0, then all polynomials by increasing degree, lexicographic within."""
-    yield Poly.zero(fq)
-    deg = 0
-    while True:
-        for codes in _lex_tuples(fq.q, deg):
-            for lead in range(1, fq.q):
-                yield Poly(fq, codes + (lead,), normalize=False)
-        deg += 1
-
-
-def _lex_tuples(q, length):
-    if length == 0:
-        yield ()
-        return
-    for rest in _lex_tuples(q, length - 1):
-        for c in range(q):
-            yield rest + (c,)
-
-
 class GroupContext:
     """Shared data for one (q, n): enumerations, h-matrices, Hecke matrices."""
 
@@ -133,7 +111,7 @@ class GroupContext:
         self.fq = field(q)
         self.t = Poly.t(self.fq)
         self.one = Poly.one(self.fq)
-        self.labels = polys_of_degree_less_than(self.fq, n - 1)  # A_{n-1}
+        self.labels = list(graded_polys(self.fq, n - 1))  # A_{n-1}
         self.theta = [
             Residue(n, self.one + self.t * a) for a in self.labels
         ]  # 1 + t*A_n, order q^(n-1)
@@ -141,13 +119,6 @@ class GroupContext:
         self._eta_cache = {}
 
     # -- labels ------------------------------------------------------------
-    def label_index(self):
-        """(c, d) -> position, in the canonical lexicographic label order."""
-        return {
-            (c.coeffs, d.coeffs): i
-            for i, (c, d) in enumerate(self.label_pairs())
-        }
-
     def label_pairs(self):
         return [(c, d) for c in self.labels for d in self.labels]
 
@@ -217,7 +188,7 @@ class GroupContext:
         for c in self.labels:
             m = Residue(nm1, c).bar_vt() if nm1 > 0 else 0
             # classes of d modulo c*A_{n-1} = t^m * A_{n-1}: reps of degree < m
-            for d in polys_of_degree_less_than(self.fq, m):
+            for d in graded_polys(self.fq, m):
                 out.append(CuspRecord("infinity", (c, d), nm1 - m))
         for d in self.labels:
             out.append(CuspRecord("zero", (d,), self.n))

@@ -24,8 +24,7 @@ the scalar exhibited rather than silently rescaling.
 from .cocycles import Coordinates
 from .errors import UsageError
 from .linalg import KRing, Matrix, UPoly, charpoly, kernel_basis, newton_slope_zero_count
-from .mat2 import Mat2
-from .rings import Poly, RatFunc, Residue, poly_is_irreducible
+from .rings import Poly, Residue, graded_polys, poly_is_irreducible
 from .tree import apply_edge
 
 
@@ -43,9 +42,6 @@ class OperatorMatrix:
     @property
     def size(self):
         return self.matrix.nrows
-
-    def identity_like(self):
-        return OperatorMatrix("Id", self.ctx, self.k, Matrix.identity(self.matrix.ring, self.size))
 
     def __mul__(self, other):
         return OperatorMatrix(
@@ -131,12 +127,7 @@ class HeckeEngine:
             pass
         else:
             raise UsageError(f"T_m needs a monic irreducible m prime to t, got {m}")
-        from .rings import polys_of_degree_less_than
-
-        transports = [
-            ctx.xi_beta(m, beta).to_k()
-            for beta in polys_of_degree_less_than(ctx.fq, int(m.degree))
-        ]
+        transports = [ctx.xi_beta(m, beta).to_k() for beta in graded_polys(ctx.fq, int(m.degree))]
         transports.append(ctx.xi_diamond(m).to_k())
         return self._assemble(f"Tm({m})", transports)
 
@@ -353,11 +344,12 @@ def nilpotency_diagnostics(ut):
     The square-vanishing subspace of cuspforms is not modeled directly
     (that would need cusp expansions); the nilpotent block of U_t
     computed here is the indirect witness that U_t kills it eventually.
+    The status holds when that block has dimension d - r and nilpotency
+    index at most d - r.
     """
     ctx = ut.ctx
     d = ut.size
     r = ctx.ordinary_rank()
-    ring = ut.matrix.ring
     power = ut.matrix ** max(d - r, 0)
     basis = kernel_basis(power) if d - r > 0 else []
     dim_nilp = len(basis)
@@ -371,7 +363,7 @@ def nilpotency_diagnostics(ut):
     return {
         "lemma": "nonordinary-nilpotency",
         "params": {"q": ctx.q, "n": ctx.n, "k": ut.k},
-        "status": True,
+        "status": dim_nilp == d - r and index <= d - r,
         "nilpotent_dimension": dim_nilp,
         "nilpotency_index": index,
         "note": (

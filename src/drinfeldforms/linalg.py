@@ -2,14 +2,17 @@
 
 Dense matrices are generic over a small ring adapter exposing ``zero`` and
 ``one`` elements; the elements themselves carry the arithmetic through
-operator overloading (FqElem, RatFunc, Poly all qualify).  Echelon forms go
-through fraction-free Bareiss elimination (denominators are cleared first
-for K), so intermediate entries are minors and never grow denominators.
-Characteristic polynomials use the division-free Berkowitz algorithm.
+operator overloading (FqElem, RatFunc, Poly all qualify).
 
-The sparse kernel routine is what the cocycle solver calls: constraint
+Every elimination over a field goes through one sparse Gauss-Jordan
+routine, :func:`_reduce`: the kernel the cocycle solver calls (constraint
 systems over quotient graphs are tree-shaped, and ordered sparse
-elimination keeps them that way.
+elimination keeps them that way), the inverse, and the choice of
+independent evaluation rows in ``cocycles.Coordinates``.  Rank and kernel
+over an integral domain go through fraction-free Bareiss elimination
+(denominators are cleared first for K), so intermediate entries are minors
+and never grow denominators.  Characteristic polynomials use the
+division-free Berkowitz algorithm.
 """
 
 from .fq import FqElem
@@ -276,37 +279,20 @@ def _normalize_vector(ring, v):
     return [x * inv if not _is_zero(x) else x for x in v]
 
 
-def image_basis(matrix):
-    """Columns of the matrix forming a basis of its column space."""
-    cleared = _clear_denominators(matrix)
-    _, pivots = bareiss_echelon(cleared)
-    cols = list(zip(*matrix.rows)) if matrix.rows else []
-    return [list(cols[c]) for c in pivots]
-
-
 def inverse(matrix):
-    """Inverse over the field, via Gauss-Jordan; raises if singular."""
+    """Inverse over the field, by reducing (M | I); raises if singular."""
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
     ring = matrix.ring
-    aug = [list(row) + [ring.one if i == j else ring.zero for j in range(n)] for i, row in enumerate(matrix.rows)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not _is_zero(aug[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            raise ArithmeticError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv_p = ring.one / aug[c][c]
-        aug[c] = [x * inv_p for x in aug[c]]
-        for i in range(n):
-            if i != c and not _is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return Matrix(ring, [row[n:] for row in aug])
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.rows]
+    for i, row in enumerate(rows):
+        row[n + i] = ring.one
+    pivots = _reduce(rows, range(n), ring)
+    if len(pivots) < n:
+        raise ArithmeticError("matrix is singular")
+    z = ring.zero
+    return Matrix(ring, [[rows[pivots[c]].get(n + j, z) for j in range(n)] for c in range(n)])
 
 
 class UPoly:
@@ -508,22 +494,22 @@ def newton_slope_zero_count(f):
     return f.degree - mult
 
 
-def sparse_kernel(rows, ncols, ring, col_order=None):
-    """Kernel basis of a sparse system; rows are dicts {col: nonzero elem}.
+def _reduce(rows, col_order, ring):
+    """Gauss-Jordan elimination of sparse rows over a field, in place.
 
-    Elimination visits columns in ``col_order`` (default 0..ncols-1) and
-    keeps a full reduced form, so kernel vectors read off directly.  Pivot
-    rows are chosen sparsest-first.
+    ``rows`` are dicts {col: nonzero elem}.  Columns are visited in
+    ``col_order``; the pivot for a column is the sparsest row holding it
+    that is not yet a pivot row.  It is scaled to a leading 1 and cleared
+    from every other row, so the rows end in reduced echelon form.
+    Returns {pivot col: row index}.
     """
-    rows = [dict(r) for r in rows if r]
     col_rows = {}
     for idx, r in enumerate(rows):
         for c in r:
             col_rows.setdefault(c, set()).add(idx)
-    order = list(col_order) if col_order is not None else list(range(ncols))
     pivots = {}
     pivot_rows = set()
-    for col in order:
+    for col in col_order:
         holders = col_rows.get(col)
         if not holders:
             continue
@@ -554,6 +540,18 @@ def sparse_kernel(rows, ncols, ring, col_order=None):
                     srow[c] = nv
         pivots[col] = p
         pivot_rows.add(p)
+    return pivots
+
+
+def sparse_kernel(rows, ncols, ring, col_order=None):
+    """Kernel basis of a sparse system; rows are dicts {col: nonzero elem}.
+
+    Elimination (:func:`_reduce`) visits columns in ``col_order`` (default
+    0..ncols-1) and keeps a full reduced form, so kernel vectors read off
+    directly.
+    """
+    rows = [dict(r) for r in rows if r]
+    pivots = _reduce(rows, range(ncols) if col_order is None else col_order, ring)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free_cols:

@@ -9,7 +9,7 @@ finite precision is exact, and v_infinity itself is read off from degrees
 without expanding.
 """
 
-from .fq import field
+from itertools import product
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -50,10 +50,6 @@ class Poly:
     @staticmethod
     def t_power(fq, k):
         return Poly(fq, (0,) * k + (1,), normalize=False)
-
-    @staticmethod
-    def from_ints(fq, ints):
-        return Poly(fq, tuple(fq.from_int(n) for n in ints))
 
     # -- structure --------------------------------------------------------
     @property
@@ -254,55 +250,25 @@ def poly_is_irreducible(m):
     for x in fq.elements():
         if m.eval_code(x) == 0:
             return False
-    if d <= 3:
-        return True
-    for dd in range(2, d // 2 + 1):
-        for div in iter_polys(fq, dd + 1):
-            if div.degree == dd and div.is_monic() and (m % div).is_zero():
-                return False
+    for div in graded_polys(fq, d // 2 + 1):
+        if div.degree >= 2 and div.is_monic() and (m % div).is_zero():
+            return False
     return True
 
 
-def iter_polys(fq, length):
-    """All polynomials with deg < length, in graded-lexicographic code order."""
-    q = fq.q
+def graded_polys(fq, bound=None):
+    """Polynomials of degree < ``bound`` (all of them if ``bound`` is None).
 
-    def rec(prefix, rem):
-        if rem == 0:
-            yield Poly(fq, prefix)
-            return
-        for c in range(q):
-            yield from rec(prefix + [c], rem - 1)
-
-    # enumerate by increasing degree so earlier items have smaller degree
-    seen = set()
-    for deglen in range(length + 1):
-        for p in rec([], deglen):
-            if p.coeffs not in seen:
-                seen.add(p.coeffs)
-                yield p
-
-
-def polys_of_degree_less_than(fq, k):
-    """Deterministically ordered list of all polynomials of degree < k."""
-    out = [Poly.zero(fq)]
-    seen = {()}
-    for deglen in range(1, k + 1):
-        for codes in _code_tuples(fq.q, deglen):
-            p = Poly(fq, codes)
-            if p.coeffs not in seen:
-                seen.add(p.coeffs)
-                out.append(p)
-    return out
-
-
-def _code_tuples(q, length):
-    if length == 0:
-        yield ()
-        return
-    for rest in _code_tuples(q, length - 1):
-        for c in range(q):
-            yield rest + (c,)
+    The order is the key (len(coeffs), coeffs): graded by degree, starting
+    with 0, and lexicographic within a degree with c_0 most significant.
+    """
+    yield Poly(fq, (), normalize=False)
+    length = 1
+    while bound is None or length <= bound:
+        for low in product(range(fq.q), repeat=length - 1):
+            for lead in range(1, fq.q):
+                yield Poly(fq, low + (lead,), normalize=False)
+        length += 1
 
 
 class Residue:

@@ -7,7 +7,7 @@ uniformizer-pullback expansion.  All arithmetic is exact up to the stated
 precision.
 """
 
-from .rings import Poly, RatFunc
+from .rings import Poly
 
 
 class USeries:
@@ -210,12 +210,3 @@ class SymRing:
         self.fq = fq
         self.zero = SymPoly(fq)
         self.one = SymPoly.from_poly(Poly.one(fq))
-
-
-class KSeriesRing:
-    """Adapter for USeries coefficients in K."""
-
-    def __init__(self, fq):
-        self.fq = fq
-        self.zero = RatFunc.zero(fq)
-        self.one = RatFunc.one(fq)

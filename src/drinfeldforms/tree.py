@@ -20,15 +20,14 @@ its reversal, and orientation is carried as an explicit sign.
 """
 
 from .errors import ResourceBoundError
-from .fq import field
 from .mat2 import Mat2
 from .rings import (
     Poly,
     RatFunc,
     Residue,
+    graded_polys,
     laurent_tail,
     poly_gcd,
-    polys_of_degree_less_than,
     tail_to_ratfunc,
 )
 
@@ -231,19 +230,8 @@ class ApartmentStabilizer:
         for a in fq.nonzero():
             ap = Poly.constant(fq, a)
             ainv = Poly.constant(fq, fq.inv(a))
-            for b in polys_of_degree_less_than(fq, self.i + 1):
+            for b in graded_polys(fq, self.i + 1):
                 yield Mat2(ap, b, zero, ainv)
-
-    def generators(self):
-        fq = self.fq
-        zero = Poly.zero(fq)
-        gens = []
-        if fq.q > 2:
-            a = min(c for c in fq.nonzero() if c != 1)
-            gens.append(Mat2(Poly.constant(fq, a), zero, zero, Poly.constant(fq, fq.inv(a))))
-        for j in range(self.i + 1):
-            gens.append(Mat2.translation(Poly.t_power(fq, j)))
-        return gens
 
 
 def vertex_zero_stabilizer(fq):
@@ -386,7 +374,7 @@ class TreeContext:
             for a in fq.nonzero():
                 ap = Poly.constant(fq, a)
                 ainv = Poly.constant(fq, fq.inv(a))
-                for b in polys_of_degree_less_than(fq, cap + 1):
+                for b in graded_polys(fq, cap + 1):
                     lift = Mat2(ap, b, zero, ainv)
                     out.append((lift.mod_tn(n), lift))
             self._sbar_cache[cap] = out
@@ -641,9 +629,6 @@ class QuotientGraph:
         delta = self.tree.edge_witness(w, orbit)
         return orbit, key, sign, delta
 
-    def stable_orbits(self):
-        return [self.edge_orbits[self.seed_keys[(c.coeffs, d.coeffs)]] for c, d in self.ctx.label_pairs()]
-
     def in_edges(self, vorbit):
         """The q+1 literal tree edges with terminus at the orbit representative."""
         v = vorbit.rep
@@ -762,17 +747,3 @@ def classify_edge(ctx, e, graph=None):
             break
     return EdgeClass(False, None, orbit.i, sign, delta, end)
 
-
-def _apply_moebius(g, point, fq):
-    if point == "infinity":
-        x, y = Poly.one(fq), Poly.zero(fq)
-    else:
-        x, y = point
-    nx = g.a * x + g.b * y
-    ny = g.c * x + g.d * y
-    if ny.is_zero():
-        return "infinity"
-    gd = poly_gcd(nx, ny)
-    nx, ny = nx.divexact(gd), ny.divexact(gd)
-    lead = fq.inv(ny.leading())
-    return (nx.scale(lead), ny.scale(lead))

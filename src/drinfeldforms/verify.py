@@ -40,7 +40,7 @@ from .hecke import (
 from .linalg import KRing
 from .mat2 import Mat2
 from .rings import Poly, RatFunc, poly_is_irreducible
-from .tree import Edge, QuotientGraph, apply_edge
+from .tree import QuotientGraph, apply_edge
 
 
 def goss_m_list(fq):
@@ -433,18 +433,7 @@ def _space_item(q, n, k, seed, hecke_ms):
                 "status": match_ok,
             }
         )
-        diag = nilpotency_diagnostics(ut)
-        records.append(
-            {
-                "id": f"{base}/nilpotency",
-                "lemma": diag["lemma"],
-                "params": diag["params"],
-                "status": True,
-                "nilpotent_dimension": diag["nilpotent_dimension"],
-                "nilpotency_index": diag["nilpotency_index"],
-                "note": diag["note"],
-            }
-        )
+        records.append({"id": f"{base}/nilpotency", **nilpotency_diagnostics(ut)})
     # diagnostic only: [U_t, T_m] is reported, never asserted
     for tm in heckes:
         records.append(

@@ -186,20 +186,3 @@ def test_stabilizer_fixed_space(cache):
                 vec = [kring.embed(x) for x in stored]
                 assert act.apply(vec) == vec
 
-
-def test_basis_json_export(cache):
-    import json
-
-    space = cache.space(2, 2, 2)
-    data = space.basis_json()
-    assert len(data) == 4
-    json.dumps(data)  # serializable
-    # the delta basis: each cocycle takes value 1 at its own stable orbit
-    ring = space.ring
-    ones = sum(
-        1
-        for entry in data
-        for rec in entry
-        if rec["value"] == [{"num": [1], "den": [1]}]
-    )
-    assert ones >= 4

@@ -21,6 +21,13 @@ def test_modulus_is_deterministic_and_standard():
     assert field(4).modulus == (1, 1, 1)
     assert field(9).modulus == (1, 0, 1)
     assert field(8).modulus == (1, 1, 0, 1)
+    # degree >= 4 moduli need the trial-division branch of the test
+    assert field(16).modulus == (1, 1, 0, 0, 1)
+    assert field(81).modulus == (2, 1, 0, 0, 1)
+    assert field(32).modulus == (1, 0, 1, 0, 0, 1)
+    assert field(64).modulus == (1, 1, 0, 0, 0, 0, 1)
+    assert field(25).modulus == (2, 0, 1)
+    assert field(27).modulus == (1, 2, 0, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

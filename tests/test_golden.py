@@ -1,0 +1,44 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each case runs ``drinfeldforms.cli.main`` with ``--out`` and compares the
+written file with the checked-in copy under ``tests/golden/``.  The files
+were recorded once and are never regenerated by the test suite: a change
+to any of them is a deliberate change of output and is explained where it
+is made.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from drinfeldforms.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _hecke_case(q, n, k):
+    ops = ["--op", "Ut", "--op", "Tm:t+1"]
+    if n == 2:
+        ops += ["--op", "Diamond:t+1"]
+    argv = ["hecke", "--q", str(q), "--n", str(n), "--k", str(k), *ops, "--certify", "--format", "json"]
+    return f"hecke_q{q}n{n}k{k}.json", argv
+
+
+HECKE_CONFIGS = (
+    [(2, 1, k) for k in (2, 3, 4)]
+    + [(2, 2, k) for k in (2, 3, 4)]
+    + [(3, 1, k) for k in (2, 3)]
+    + [(3, 2, 2), (4, 1, 2)]
+)
+
+CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
+    ("graph_q2n2d5.json", ["graph", "--q", "2", "--n", "2", "--depth", "5", "--format", "json"]),
+    ("verify_goss_q2q3.json", ["verify", "--suite", "goss", "--q", "2", "--q", "3"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_output(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

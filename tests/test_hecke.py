@@ -159,9 +159,20 @@ def test_scalar_detection():
 def test_nilpotency_diagnostics(cache):
     diag1 = nilpotency_diagnostics(cache.engine(2, 1, 2).u_t())
     assert diag1["nilpotent_dimension"] == 0 and diag1["nilpotency_index"] == 0
+    assert diag1["status"] is True
     diag2 = nilpotency_diagnostics(cache.engine(2, 2, 2).u_t())
     assert diag2["nilpotent_dimension"] == 2 and diag2["nilpotency_index"] <= 2
+    assert diag2["status"] is True
     assert "not computed" in diag2["note"]
+    # U_t = identity at d = 4 > r = 2 has no nilpotent part at all
+    from drinfeldforms.hecke import OperatorMatrix
+    from drinfeldforms.linalg import Matrix
+
+    ctx = group_context(2, 2)
+    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(KRing(ctx.fq), 4))
+    diag3 = nilpotency_diagnostics(ident)
+    assert diag3["nilpotent_dimension"] == 0 and diag3["nilpotency_index"] == 0
+    assert diag3["status"] is False
 
 
 def test_diamonds_act_nontrivially_on_ordinary_part(cache):

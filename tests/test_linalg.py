@@ -9,7 +9,6 @@ from drinfeldforms.linalg import (
     Matrix,
     UPoly,
     charpoly,
-    image_basis,
     inverse,
     kernel_basis,
     newton_slope_zero_count,
@@ -111,7 +110,17 @@ def test_kernel_rank_image_random_consistency():
         assert r + len(kb) == 4
         for v in kb:
             assert all(x.is_zero() for x in m.apply(v))
-        assert len(image_basis(m)) == r
+
+
+def rand_k_matrix(fq, rng, nrows, ncols):
+    """Random K entries with small numerators and denominators."""
+
+    def entry():
+        num = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(3))])
+        den = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(2))] + [1])
+        return RatFunc(num, den)
+
+    return Matrix(KRing(fq), [[entry() for _ in range(ncols)] for _ in range(nrows)])
 
 
 def test_inverse():
@@ -121,8 +130,29 @@ def test_inverse():
     for _ in range(10):
         m = Matrix(FR, [[FqElem(fq, rng.randrange(5)) for _ in range(3)] for _ in range(3)])
         if rank(m) < 3:
+            with pytest.raises(ArithmeticError):
+                inverse(m)
             continue
         assert inverse(m) * m == Matrix.identity(FR, 3)
+    fq3 = field(3)
+    K = KRing(fq3)
+    inverted = 0
+    for _ in range(10):
+        m = rand_k_matrix(fq3, rng, 3, 3)
+        if rank(m) < 3:
+            with pytest.raises(ArithmeticError):
+                inverse(m)
+            continue
+        inverted += 1
+        assert inverse(m) * m == Matrix.identity(K, 3)
+        assert m * inverse(m) == Matrix.identity(K, 3)
+    assert inverted
+    t = RatFunc.from_poly(Poly.t(fq3))
+    singular = Matrix(K, [[K.one, t], [t, t * t]])
+    with pytest.raises(ArithmeticError):
+        inverse(singular)
+    with pytest.raises(ArithmeticError):
+        inverse(Matrix.zeros(FqRing(fq3), 2, 2))
 
 
 def test_newton_slope_zero_count_examples():
@@ -202,6 +232,17 @@ def test_sparse_kernel_matches_dense():
         kb_sparse = sparse_kernel(sparse_rows, ncols, FR)
         kb_dense = kernel_basis(m)
         assert len(kb_sparse) == len(kb_dense)
+        for v in kb_sparse:
+            assert all(x.is_zero() for x in m.apply(v))
+    fq3 = field(3)
+    for _ in range(15):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+        m = rand_k_matrix(fq3, rng, nrows, ncols)
+        sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+        order = list(range(ncols))
+        rng.shuffle(order)
+        kb_sparse = sparse_kernel(sparse_rows, ncols, m.ring, col_order=order)
+        assert len(kb_sparse) == len(kernel_basis(m)) == ncols - rank(m)
         for v in kb_sparse:
             assert all(x.is_zero() for x in m.apply(v))
 

@@ -11,12 +11,12 @@ from drinfeldforms.rings import (
     RatFunc,
     Residue,
     bar_vt,
+    graded_polys,
     laurent_expand,
     laurent_tail,
     poly_gcd,
     poly_is_irreducible,
     poly_xgcd,
-    polys_of_degree_less_than,
     tail_to_ratfunc,
     vt,
 )
@@ -161,10 +161,16 @@ def test_irreducibility():
 
 
 def test_enumeration_order():
-    fq = field(2)
-    polys = polys_of_degree_less_than(fq, 2)
-    assert [p.coeffs for p in polys] == [(), (1,), (0, 1), (1, 1)]
-    assert len(polys_of_degree_less_than(field(3), 2)) == 9
+    assert [p.coeffs for p in graded_polys(field(2), 2)] == [(), (1,), (0, 1), (1, 1)]
+    for q in (2, 3, 4):
+        fq = field(q)
+        for k in range(4):
+            coeffs = [p.coeffs for p in graded_polys(fq, k)]
+            assert coeffs == sorted(coeffs, key=lambda c: (len(c), c))
+            assert len(coeffs) == q ** k == len(set(coeffs))
+        # the unbounded enumeration continues the bounded one
+        unbounded = graded_polys(fq)
+        assert [next(unbounded) for _ in range(q ** 3)] == list(graded_polys(fq, 3))
 
 
 def test_zero_denominator_rejected():
