@@ -49,6 +49,13 @@ def _check_q(q):
         raise UsageError(f"q = {q} exceeds the supported bound {MAX_Q}")
 
 
+def _check_common(args):
+    """Validate the options shared by dims, hecke and graph."""
+    _check_q(args.q)
+    if args.depth is not None and args.depth < 0:
+        raise UsageError(f"--depth must be >= 0, got {args.depth}")
+
+
 def _write(text, out):
     if out:
         with open(out, "w") as fh:
@@ -58,7 +65,7 @@ def _write(text, out):
 
 
 def cmd_dims(args):
-    _check_q(args.q)
+    _check_common(args)
     ctx = group_context(args.q, args.n)
     space = CocycleSpace(
         ctx,
@@ -105,7 +112,7 @@ def _parse_ops(ctx, specs):
 
 
 def cmd_hecke(args):
-    _check_q(args.q)
+    _check_common(args)
     ctx = group_context(args.q, args.n)
     ops = _parse_ops(ctx, args.op or ["Ut"])
     space = CocycleSpace(ctx, args.k, depth=args.depth, max_orbits=args.max_orbits)
@@ -168,7 +175,7 @@ def cmd_verify(args):
 
 
 def cmd_graph(args):
-    _check_q(args.q)
+    _check_common(args)
     ctx = group_context(args.q, args.n)
     graph = QuotientGraph(ctx, args.depth, max_orbits=args.max_orbits)
     if args.format == "dot":

@@ -133,9 +133,12 @@ class CocycleSpace:
                 f"cocycle support reaches depth {self.support_radius} of a "
                 f"depth-{self.depth} table: increase the depth"
             )
+        # dimension of the depth-(D+1) re-solve, None when not checked
+        self.next_depth_dim = None
         if check_stability:
             graph2 = QuotientGraph(ctx, self.depth + 1, max_orbits=max_orbits)
             basis2, _ = self._solve(graph2)
+            self.next_depth_dim = len(basis2)
             if len(basis2) != self.expected_dim:
                 raise StabilityError(
                     f"depth {self.depth} vs {self.depth + 1}: dimensions "
@@ -263,17 +266,15 @@ class CocycleSpace:
     def zero_vector(self):
         return tuple(self.ring.zero for _ in range(self.k - 1))
 
-    def evaluate(self, cocycle, e, strict=False):
+    def evaluate(self, cocycle, e):
         """Value of a cocycle (dict orbit-key -> tuple) at any oriented edge.
 
         Classifies the edge, transports the stored value through the
         witness with the orientation sign, and returns the zero vector
-        beyond the table (finite support), unless ``strict``.
+        beyond the table (finite support).
         """
         orbit, key, sign, delta = self.graph.classify(e)
         if orbit is None:
-            if strict:
-                raise ReachError(f"edge beyond the depth-{self.depth} table: {e}")
             return self.zero_vector()
         stored = cocycle.get(key)
         if stored is None:
@@ -350,7 +351,8 @@ class Coordinates:
             [space.basis[j].get(key, zero)[s] for j in range(d)]
             for key, s in self.row_keys
         ]
-        self.matrix_rows = rows
+        # nonzero entries only: cocycle supports are small, so the rows are sparse
+        self.sparse_rows = [[(j, ring.embed(b)) for j, b in enumerate(row) if b] for row in rows]
         # the pivot columns of the transposed rows are the first d
         # independent rows, in order
         columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(d)]
@@ -366,19 +368,17 @@ class Coordinates:
     def coords(self, values):
         """Solve for coordinates and verify every safe evaluation row."""
         ring = self.space.ring
-        comp = self.space.k - 1
         u = [
             values[self.row_keys[i][0]][self.row_keys[i][1]]
             for i in self.pivot_indices
         ]
         x = self.pivot_inverse.apply([ring.embed(v) for v in u])
-        for idx, (key, s) in enumerate(self.row_keys):
+        for (key, s), row in zip(self.row_keys, self.sparse_rows):
             want = ring.embed(values[key][s])
             got = ring.zero
-            for j, xj in enumerate(x):
-                bij = self.matrix_rows[idx][j]
-                if bij and xj:
-                    got = got + ring.embed(bij) * xj
+            for j, bij in row:
+                if x[j]:
+                    got = got + bij * x[j]
             if got != want:
                 raise ReachError(
                     f"operator image is inconsistent with the basis at row {key}, "

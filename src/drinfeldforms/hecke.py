@@ -3,9 +3,14 @@
 Operators transport along the rule (T c)(e) = sum_xi xi^{-1} . c(xi e)
 over the usual coset matrices: xi_{t,beta} for U_t, the xi_{m,beta}
 together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
-for the diamond action.  Columns are assembled per basis cocycle by
-evaluating on the safe orbit representatives and solving against the
-basis, with exact consistency checks on every safe row.
+for the diamond action.  Each transported image xi e of a safe orbit
+representative e is classified once, into a transport table that sends
+e to {orbit key: block}, the block being the orientation sign times
+act(xi^{-1}) act(delta) for the witness delta (the sign alone at weight 2)
+and blocks landing on one orbit summed.  Every basis cocycle's values on
+the safe representatives are then a sparse combination of its stored
+vectors, solved against the basis with exact consistency checks on every
+safe row; an image edge beyond the table is a ReachError.
 
 The ordinary certificate recasts ordinariness t-adically: with
 r = q^(n-1) and chi the characteristic polynomial of U_t,
@@ -22,7 +27,7 @@ the scalar exhibited rather than silently rescaling.
 """
 
 from .cocycles import Coordinates
-from .errors import UsageError
+from .errors import ReachError, UsageError
 from .linalg import KRing, Matrix, UPoly, charpoly, kernel_basis, newton_slope_zero_count
 from .rings import Poly, Residue, graded_polys, poly_is_irreducible
 from .tree import apply_edge
@@ -88,23 +93,36 @@ class HeckeEngine:
         space = self.space
         fq = self.ctx.fq
         graph = space.graph
-        comp = space.k - 1
-        # on V_2 every matrix acts as 1, so weight 2 sums plain F_q values
+        # on V_2 every matrix acts as 1, so weight 2 moves plain F_q values
+        unit = Matrix.identity(space.ring, 1)
         acts = None if space.k == 2 else [space.vk.act_of_inverse(xi) for xi in transports]
-        image_edges = []
+        # the transport table key -> {orbit key: block} does not depend on
+        # the cocycle: (T c)(rep) = sum of block . c(orbit key)
+        table = {}
         for key in self.coords.keys_needed:
             rep = graph.edge_orbits[key].rep
-            image_edges.append([apply_edge(xi, rep, fq) for xi in transports])
+            row = {}
+            for pos, xi in enumerate(transports):
+                e2 = apply_edge(xi, rep, fq)
+                orbit, key2, sign, delta = graph.classify(e2)
+                if orbit is None:
+                    raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
+                block = unit if acts is None else acts[pos] * space.vk.act(delta)
+                if sign == -1:
+                    block = -block
+                prev = row.get(key2)
+                row[key2] = block if prev is None else prev + block
+            table[key] = row
+        zero = space.zero_vector()
         cols = []
         for cocycle in space.basis:
             values = {}
-            for key, edges in zip(self.coords.keys_needed, image_edges):
-                total = [space.ring.zero] * comp
-                for pos, e2 in enumerate(edges):
-                    val = space.evaluate(cocycle, e2, strict=True)
-                    if acts is not None:
-                        val = acts[pos].apply([self.kring.embed(x) for x in val])
-                    total = [a + b for a, b in zip(total, val)]
+            for key, row in table.items():
+                total = zero
+                for key2, block in row.items():
+                    stored = cocycle.get(key2)
+                    if stored is not None:
+                        total = [a + b for a, b in zip(total, block.apply(stored))]
                 values[key] = tuple(total)
             cols.append(self.coords.coords(values))
         d = space.dim
@@ -117,7 +135,7 @@ class HeckeEngine:
     def u_t(self):
         ctx = self.ctx
         transports = [
-            ctx.xi_beta(ctx.t, Poly.constant(ctx.fq, b)).to_k() for b in ctx.fq.elements()
+            ctx.xi_beta(ctx.t, Poly.constant(ctx.fq, b)) for b in ctx.fq.elements()
         ]
         return self._assemble("Ut", transports)
 
@@ -127,8 +145,8 @@ class HeckeEngine:
             pass
         else:
             raise UsageError(f"T_m needs a monic irreducible m prime to t, got {m}")
-        transports = [ctx.xi_beta(m, beta).to_k() for beta in graded_polys(ctx.fq, int(m.degree))]
-        transports.append(ctx.xi_diamond(m).to_k())
+        transports = [ctx.xi_beta(m, beta) for beta in graded_polys(ctx.fq, int(m.degree))]
+        transports.append(ctx.xi_diamond(m))
         return self._assemble(f"Tm({m})", transports)
 
     def diamond(self, alpha):
@@ -140,7 +158,7 @@ class HeckeEngine:
             lift = alpha.truncate(ctx.n)
         if lift.vt() != 0:
             raise UsageError(f"diamond needs a unit of A_n, got {lift}")
-        eta = ctx.eta_diamond(lift).to_k()
+        eta = ctx.eta_diamond(lift)
         return self._assemble(f"Diamond({lift})", [eta])
 
 

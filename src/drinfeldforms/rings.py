@@ -582,13 +582,16 @@ def laurent_tail(x, below):
     return series.terms()
 
 
-def tail_to_ratfunc(fq, tail):
-    """Rebuild the finite Laurent polynomial sum c * t^(-exp) as an element of K."""
+def tail_to_ratfunc(fq, tail, reduce=True):
+    """Rebuild the finite Laurent polynomial sum c * t^(-exp) as an element of K.
+
+    With ``reduce=False`` the result is num / t^E with E = max(0, max exp)
+    exactly, which is what the integral tree action needs.
+    """
     if not tail:
         return RatFunc.zero(fq)
-    max_exp = max(e for e, _ in tail)
-    shift = max(0, max_exp)
-    num = Poly.zero(fq)
+    shift = max(0, max(e for e, _ in tail))
+    coeffs = [0] * (shift - min(e for e, _ in tail) + 1)
     for e, c in tail:
-        num = num + Poly.constant(fq, c).shift(shift - e)
-    return RatFunc(num, Poly.t_power(fq, shift))
+        coeffs[shift - e] = c
+    return RatFunc(Poly(fq, coeffs), Poly.t_power(fq, shift), reduce=reduce)

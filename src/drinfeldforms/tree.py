@@ -6,6 +6,12 @@ The tail stores the finitely many expansion terms of s below pi^r, so
 vertex equality is an exact tuple comparison.  The standard apartment is
 v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
 
+The action runs over A, never over K: a matrix over K is first scaled to
+one over A (a scalar moves no lattice class), the lattice matrix is
+scaled by t^L to the integral t^L (pi^r, s; 0, 1), the new r is read off
+polynomial degrees, and the new tail is the expansion of an unreduced
+quotient of polynomials, so acting by a matrix over A pays no gcd.
+
 Reduction to the apartment alternates killing the polynomial part of s by
 a translation in SL_2(A) and inverting through J = (0 -1; 1 0); each
 inversion strictly decreases r, so the walk terminates.  Orbits of
@@ -48,18 +54,6 @@ class Vertex:
     def standard(i):
         """v_i, the class of O(pi^i, 0) + O(0, 1): coordinates (-i, 0)."""
         return Vertex(-i, ())
-
-    def s_ratfunc(self, fq):
-        return tail_to_ratfunc(fq, self.tail)
-
-    def to_matrix(self, fq):
-        """(pi^r, s; 0, 1) over K."""
-        r = self.r
-        if r >= 0:
-            pir = RatFunc(Poly.one(fq), Poly.t_power(fq, r), reduce=False)
-        else:
-            pir = RatFunc.from_poly(Poly.t_power(fq, -r))
-        return Mat2(pir, self.s_ratfunc(fq), RatFunc.zero(fq), RatFunc.one(fq))
 
     def parent(self):
         """The neighbor one level up (ball of one size larger)."""
@@ -135,21 +129,44 @@ def is_adjacent(u, v):
     return below == u.tail and all(e == u.r for e in rest)
 
 
+def _integral(g):
+    """g itself over A, or the scalar multiple of g over K with denominators cleared."""
+    if not isinstance(g.a, RatFunc):
+        return g
+    den = g.a.den
+    for x in (g.b, g.c, g.d):
+        den = den * x.den.divexact(poly_gcd(den, x.den))
+    return Mat2(*(x.num * den.divexact(x.den) for x in g.entries()))
+
+
 def apply_vertex(g, v, fq):
-    """Canonical form of g applied to v; g is 2x2 over A or K, det != 0."""
-    m = g.to_k() * v.to_matrix(fq)
-    det = m.det()
+    """Canonical form of g applied to v; g is 2x2 over A or K, det != 0.
+
+    Works over A: with s = num / t^E and L = max(E, r, 0), the lattice
+    matrix t^L (pi^r, s; 0, 1) is integral, and so is its product m with g
+    (a scalar multiple of g changes no lattice class).  Then
+    r' = v_inf(det m) - 2 min(v_inf(c), v_inf(d)) comes from degrees, and s'
+    is b/d (or a/c when deg c > deg d), expanded without reduction.
+    """
+    g = _integral(g)
+    det = g.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
-    vdet = det.v_inf()
-    vc, vd = m.c.v_inf(), m.d.v_inf()
-    if vc >= vd:
-        rp = vdet - 2 * vd
-        s = m.b / m.d
+    s = tail_to_ratfunc(fq, v.tail, reduce=False)
+    big_e = s.den.degree
+    level = max(big_e, v.r, 0)
+    top = s.num.shift(level - big_e)
+    bottom = Poly.t_power(fq, level)
+    c = g.c.shift(level - v.r)
+    d = g.c * top + g.d * bottom
+    deg_det = det.degree + 2 * level - v.r
+    if c.degree <= d.degree:
+        rp = 2 * d.degree - deg_det
+        quot = RatFunc(g.a * top + g.b * bottom, d, reduce=False)
     else:
-        rp = vdet - 2 * vc
-        s = m.a / m.c
-    return Vertex(rp, laurent_tail(s, rp))
+        rp = 2 * c.degree - deg_det
+        quot = RatFunc(g.a.shift(level - v.r), c, reduce=False)
+    return Vertex(rp, laurent_tail(quot, rp))
 
 
 def apply_edge(g, e, fq):
@@ -180,9 +197,9 @@ def reduce_vertex(v, fq):
             return jmat * gamma, r
         vmin = tail[0][0]
         # 1 <= vmin < r is guaranteed by the canonical tail
-        s = tail_to_ratfunc(fq, tail)
+        s = tail_to_ratfunc(fq, tail, reduce=False)
         r = r - 2 * vmin
-        tail = laurent_tail(-s.inverse(), r)
+        tail = laurent_tail(RatFunc(-s.den, s.num, reduce=False), r)
         gamma = jmat * gamma
 
 

@@ -12,6 +12,7 @@ antisymmetry, equivariance, depth stability, commutators, orbit
 invariance under random translates).
 """
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 
@@ -216,16 +217,17 @@ def _space_item(q, n, k, seed, hecke_ms):
     rng = random.Random(seed)
     records = []
     base = f"space/q{q}n{n}k{k}"
-    # depth stability is gated inside the constructor
+    # depth stability is gated inside the constructor and recorded here
     space = CocycleSpace(ctx, k, check_stability=True)
+    depth_stable = space.next_depth_dim == space.dim
     records.append(
         {
             "id": f"{base}/dimension",
             "lemma": "cocycle-dimension",
             "params": {"q": q, "n": n, "k": k},
-            "status": space.dim == (k - 1) * ctx.dim_weight2(),
+            "status": space.dim == (k - 1) * ctx.dim_weight2() and depth_stable,
             "dim": space.dim,
-            "depth_stable": True,
+            "depth_stable": depth_stable,
         }
     )
     graph = space.graph
@@ -528,10 +530,14 @@ def paper_suite_items(qs, nmax=None, kmax=4, seed=0):
 
 
 def run_suite(items, jobs=1):
-    """Execute suite items; returns records sorted by id."""
+    """Execute suite items; returns records sorted by id.
+
+    At most min(jobs, items, CPUs) worker processes are started.
+    """
     records = []
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for recs in pool.map(run_item, items):
                 records.extend(recs)
     else:

@@ -55,6 +55,18 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_negative_depth_is_a_usage_error(capsys):
+    for argv in (
+        ("graph", "--q", "2", "--n", "2", "--depth", "-3"),
+        ("hecke", "--q", "2", "--n", "1", "--depth", "-1"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_resource_bound_exit(capsys):
     code, _ = run_cli(capsys, "graph", "--q", "2", "--n", "2", "--depth", "3", "--max-orbits", "2")
     assert code == 3

@@ -1,17 +1,20 @@
 import pytest
 
-from drinfeldforms.errors import UsageError
+from drinfeldforms.errors import ReachError, UsageError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context
 from drinfeldforms.hecke import (
+    HeckeEngine,
+    OperatorMatrix,
     diamond_label_map,
     diamond_permutation_matrix,
     nilpotency_diagnostics,
     ordinary_certificate,
     verify_freeness,
 )
-from drinfeldforms.linalg import KRing, UPoly
+from drinfeldforms.linalg import KRing, Matrix, UPoly
 from drinfeldforms.rings import Poly
+from drinfeldforms.tree import apply_edge
 
 
 def t_plus_one(q):
@@ -107,6 +110,59 @@ def test_diamond_commutes_with_hecke(q, n, k, cache):
         dia = eng.diamond(alpha)
         assert dia.commutator(ut).is_zero()
         assert dia.commutator(tm).is_zero()
+
+
+class EvaluatingEngine(HeckeEngine):
+    """The evaluate-per-cocycle assembly, kept as the oracle for the
+    transport table: every basis cocycle is evaluated afresh on every
+    transported edge."""
+
+    def _assemble(self, name, transports):
+        space = self.space
+        fq = self.ctx.fq
+        graph = space.graph
+        comp = space.k - 1
+        acts = None if space.k == 2 else [space.vk.act_of_inverse(xi) for xi in transports]
+        image_edges = []
+        for key in self.coords.keys_needed:
+            rep = graph.edge_orbits[key].rep
+            image_edges.append([apply_edge(xi, rep, fq) for xi in transports])
+        cols = []
+        for cocycle in space.basis:
+            values = {}
+            for key, edges in zip(self.coords.keys_needed, image_edges):
+                total = [space.ring.zero] * comp
+                for pos, e2 in enumerate(edges):
+                    assert graph.classify(e2)[0] is not None, "image edge beyond the table"
+                    val = space.evaluate(cocycle, e2)
+                    if acts is not None:
+                        val = acts[pos].apply([self.kring.embed(x) for x in val])
+                    total = [a + b for a, b in zip(total, val)]
+                values[key] = tuple(total)
+            cols.append(self.coords.coords(values))
+        d = space.dim
+        matrix = Matrix(self.kring, [[self.kring.embed(cols[j][i]) for j in range(d)] for i in range(d)])
+        return OperatorMatrix(name, self.ctx, self.k, matrix)
+
+
+@pytest.mark.parametrize(
+    "q,n,k", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 1, 2), (3, 1, 3), (2, 3, 2)]
+)
+def test_transport_table_matches_evaluating_oracle(q, n, k, cache):
+    eng = cache.engine(q, n, k)
+    oracle = EvaluatingEngine(cache.space(q, n, k))
+    pairs = [(eng.u_t(), oracle.u_t()), (eng.t_m(t_plus_one(q)), oracle.t_m(t_plus_one(q)))]
+    pairs += [(eng.diamond(alpha), oracle.diamond(alpha)) for alpha in eng.ctx.theta]
+    for got, want in pairs:
+        assert got.name == want.name
+        assert got.matrix == want.matrix
+
+
+def test_transport_beyond_the_table_is_a_reach_error(cache):
+    # with no safe margin the boundary orbits are transported out of the table
+    eng = HeckeEngine(cache.space(2, 1, 2), safe_margin=0)
+    with pytest.raises(ReachError, match="edge beyond the depth-5 table"):
+        eng.u_t()
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

@@ -5,7 +5,7 @@ import pytest
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly
+from drinfeldforms.rings import Poly, RatFunc, laurent_tail, tail_to_ratfunc
 from drinfeldforms.tree import (
     ApartmentStabilizer,
     Edge,
@@ -66,9 +66,75 @@ def test_action_axiom_randomized(q):
 
 def test_singular_matrix_rejected():
     fq = field(2)
-    zero = Poly.zero(fq)
-    with pytest.raises(ZeroDivisionError):
-        apply_vertex(Mat2(zero, zero, zero, zero), Vertex.standard(0), fq)
+    zero, one, t = Poly.zero(fq), Poly.one(fq), Poly.t(fq)
+    v = Vertex(2, ((0, 1), (1, 1)))
+    for g in (Mat2(zero, zero, zero, zero), Mat2(one, t, one, t)):
+        for m in (g, g.to_k()):
+            with pytest.raises(ZeroDivisionError):
+                apply_vertex(m, Vertex.standard(0), fq)
+            with pytest.raises(ZeroDivisionError):
+                apply_vertex(m, v, fq)
+
+
+def apply_vertex_over_k(g, v, fq):
+    """The action through K = F_q(t): (g (pi^r, s; 0, 1)) with reduced
+    entries, kept as the oracle for the integral apply_vertex."""
+    r = v.r
+    if r >= 0:
+        pir = RatFunc(Poly.one(fq), Poly.t_power(fq, r), reduce=False)
+    else:
+        pir = RatFunc.from_poly(Poly.t_power(fq, -r))
+    m = g.to_k() * Mat2(pir, tail_to_ratfunc(fq, v.tail), RatFunc.zero(fq), RatFunc.one(fq))
+    det = m.det()
+    if det.is_zero():
+        raise ZeroDivisionError("singular matrix acting on the tree")
+    vdet = det.v_inf()
+    vc, vd = m.c.v_inf(), m.d.v_inf()
+    if vc >= vd:
+        rp = vdet - 2 * vd
+        s = m.b / m.d
+    else:
+        rp = vdet - 2 * vc
+        s = m.a / m.c
+    return Vertex(rp, laurent_tail(s, rp))
+
+
+def rand_vertex(fq, rng):
+    """A canonical vertex with a random tail, polynomial part included."""
+    r = rng.randrange(-4, 6)
+    tail = []
+    for e in range(r - rng.randrange(0, 7), r):
+        c = rng.randrange(fq.q)
+        if c:
+            tail.append((e, c))
+    return Vertex(r, tail)
+
+
+def rand_ratfunc(fq, rng):
+    num = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, fq.q)])
+    den = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, fq.q)])
+    return RatFunc(num, den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_integral_action_matches_k_oracle(q):
+    fq = field(q)
+    rng = random.Random(q * 31)
+    one = Poly.one(fq)
+    for _ in range(120):
+        v = rand_vertex(fq, rng)
+        g = rand_word(fq, rng, steps=rng.randrange(1, 8))
+        want = apply_vertex_over_k(g, v, fq)
+        assert apply_vertex(g, v, fq) == want
+        # a K-scalar multiple moves no lattice class
+        lam = rand_ratfunc(fq, rng)
+        scaled = Mat2(*(x * lam for x in g.to_k().entries()))
+        assert apply_vertex(scaled, v, fq) == want
+        # diag(t^i, 1)-type matrices, on either side of the word
+        i = rng.randrange(0, 4)
+        for d in (Mat2.diag(Poly.t_power(fq, i), one), Mat2.diag(one, Poly.t_power(fq, i))):
+            for m in (d, d * g, g * d):
+                assert apply_vertex(m, v, fq) == apply_vertex_over_k(m, v, fq)
 
 
 def test_reduce_examples():

@@ -1,3 +1,4 @@
+from drinfeldforms import verify
 from drinfeldforms.verify import (
     congruence_suite_items,
     goss_suite_items,
@@ -35,6 +36,41 @@ def test_small_paper_suite_sequential_vs_pool():
     assert seq == par  # records are deterministic and sorted
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        RecordingPool.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_capped_by_items_and_cpus(monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    items = congruence_suite_items([2], lambda q: 2)  # 2 items
+    want = run_suite(items, jobs=1)
+    RecordingPool.seen = []
+    assert run_suite(items, jobs=10**6) == want
+    assert run_suite(items * 2, jobs=10**6) == sorted(want * 2, key=lambda r: r["id"])
+    assert run_suite(items * 2, jobs=2) == sorted(want * 2, key=lambda r: r["id"])
+    assert RecordingPool.seen == [2, 3, 2]
+    # one CPU, or an unknown count, runs in this process
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert run_suite(items, jobs=8) == want
+    assert run_suite(items, jobs=0) == want
+    assert RecordingPool.seen == [2, 3, 2]
+
+
 def test_paper_suite_contains_all_checkers():
     items = paper_suite_items([2], nmax=2, kmax=3, seed=0)
     kinds = {kind for kind, _ in items}
@@ -62,5 +98,20 @@ def test_space_item_records():
     ):
         assert lemma in by_lemma, lemma
         assert by_lemma[lemma]["status"] in (True, "diagnostic")
+    dim = by_lemma["cocycle-dimension"]
+    assert dim["depth_stable"] is True and dim["dim"] == 1
     diag = [r for r in records if r["lemma"] == "ut-tm-commutator-diagnostic"]
     assert diag and all("commutes" in r for r in diag)
+
+
+def test_depth_stable_is_computed(monkeypatch):
+    from drinfeldforms.verify import _space_item
+
+    class Unchecked(verify.CocycleSpace):
+        def __init__(self, ctx, k, check_stability=True):
+            super().__init__(ctx, k, check_stability=False)
+
+    monkeypatch.setattr(verify, "CocycleSpace", Unchecked)
+    records = _space_item(2, 1, 2, seed=5, hecke_ms=[[1, 1]])
+    dim = next(r for r in records if r["lemma"] == "cocycle-dimension")
+    assert dim["depth_stable"] is False and dim["status"] is False
