@@ -15,7 +15,8 @@ die out in characteristic p), the space becomes the exact kernel of:
 The kernel is taken over F_q for weight 2 (the action is trivial, so the
 constraints are scalar counts) and over K = F_q(t) for higher weight.  Two
 gates guard the truncation: the dimension must equal (k-1) q^(2(n-1)), and
-re-solving at depth D+1 must give the same dimension.
+re-solving at depth D+1 must give the same dimension.  Whether the re-solve
+also spans the same cocycles is recorded as ``depth_stable``.
 
 For weight 2 the basis is re-expressed in the delta basis indexed by
 A_{n-1}^2: the unique cocycle taking value 1 at one stable representative
@@ -34,6 +35,24 @@ def depth_default(n, k):
     levels past the stable core, so higher weight needs more margin.
     """
     return 2 * n + 1 + max(2, k - 1)
+
+
+def same_span(basis_a, basis_b, ring):
+    """Whether two independent lists of cocycles span the same space.
+
+    Cocycles are dicts orbit-key -> value tuple, zero off their keys.  Orbit
+    keys are canonical, so a cocycle solved at depth D and one solved at
+    depth D+1 are compared entry by entry: the spans agree exactly when
+    stacking both lists adds no rank.
+    """
+    if len(basis_a) != len(basis_b):
+        return False
+    rows = [
+        {(key, s): x for key, v in c.items() for s, x in enumerate(v) if x}
+        for c in basis_a + basis_b
+    ]
+    cols = sorted({col for row in rows for col in row})
+    return len(_reduce(rows, cols, ring)) == len(basis_a)
 
 
 class VkAction:
@@ -133,17 +152,18 @@ class CocycleSpace:
                 f"cocycle support reaches depth {self.support_radius} of a "
                 f"depth-{self.depth} table: increase the depth"
             )
-        # dimension of the depth-(D+1) re-solve, None when not checked
-        self.next_depth_dim = None
+        # the depth-(D+1) re-solve: its dimension is gated here, and whether
+        # it spans the same cocycles is kept (None when not checked)
+        self.depth_stable = None
         if check_stability:
             graph2 = QuotientGraph(ctx, self.depth + 1, max_orbits=max_orbits)
             basis2, _ = self._solve(graph2)
-            self.next_depth_dim = len(basis2)
             if len(basis2) != self.expected_dim:
                 raise StabilityError(
                     f"depth {self.depth} vs {self.depth + 1}: dimensions "
                     f"{len(basis)} vs {len(basis2)}"
                 )
+            self.depth_stable = same_span(basis, basis2, self.ring)
         self.orbit_keys = keys
         self.basis = basis
         if k == 2:

@@ -582,11 +582,12 @@ def laurent_tail(x, below):
     return series.terms()
 
 
-def tail_to_ratfunc(fq, tail, reduce=True):
+def tail_to_ratfunc(fq, tail):
     """Rebuild the finite Laurent polynomial sum c * t^(-exp) as an element of K.
 
-    With ``reduce=False`` the result is num / t^E with E = max(0, max exp)
-    exactly, which is what the integral tree action needs.
+    The result is num / t^E with E = max(0, max exp).  A canonical tail has
+    nonzero coefficients, so num has the nonzero constant term c_E whenever
+    E > 0: the fraction is already in lowest terms and no gcd is taken.
     """
     if not tail:
         return RatFunc.zero(fq)
@@ -594,4 +595,4 @@ def tail_to_ratfunc(fq, tail, reduce=True):
     coeffs = [0] * (shift - min(e for e, _ in tail) + 1)
     for e, c in tail:
         coeffs[shift - e] = c
-    return RatFunc(Poly(fq, coeffs), Poly.t_power(fq, shift), reduce=reduce)
+    return RatFunc(Poly(fq, coeffs), Poly.t_power(fq, shift), reduce=False)

@@ -152,7 +152,7 @@ def apply_vertex(g, v, fq):
     det = g.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
-    s = tail_to_ratfunc(fq, v.tail, reduce=False)
+    s = tail_to_ratfunc(fq, v.tail)
     big_e = s.den.degree
     level = max(big_e, v.r, 0)
     top = s.num.shift(level - big_e)
@@ -197,7 +197,7 @@ def reduce_vertex(v, fq):
             return jmat * gamma, r
         vmin = tail[0][0]
         # 1 <= vmin < r is guaranteed by the canonical tail
-        s = tail_to_ratfunc(fq, tail, reduce=False)
+        s = tail_to_ratfunc(fq, tail)
         r = r - 2 * vmin
         tail = laurent_tail(RatFunc(-s.den, s.num, reduce=False), r)
         gamma = jmat * gamma

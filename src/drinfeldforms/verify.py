@@ -217,9 +217,10 @@ def _space_item(q, n, k, seed, hecke_ms):
     rng = random.Random(seed)
     records = []
     base = f"space/q{q}n{n}k{k}"
-    # depth stability is gated inside the constructor and recorded here
+    # the constructor gates the depth-(D+1) dimension; the record adds
+    # whether the re-solve spans the same cocycles
     space = CocycleSpace(ctx, k, check_stability=True)
-    depth_stable = space.next_depth_dim == space.dim
+    depth_stable = space.depth_stable is True
     records.append(
         {
             "id": f"{base}/dimension",

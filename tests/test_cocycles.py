@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default
+from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default, same_span
 from drinfeldforms.errors import DimensionMismatchError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
@@ -185,4 +185,24 @@ def test_stabilizer_fixed_space(cache):
                     continue
                 vec = [kring.embed(x) for x in stored]
                 assert act.apply(vec) == vec
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 2, 2), (2, 1, 3)])
+def test_depth_stable_compares_spans(cache, q, n, k):
+    space = cache.space(q, n, k)
+    assert space.depth_stable is True
+    ring = space.ring
+    basis = space.basis
+    # a change of basis keeps the span
+    summed = {
+        key: tuple(x + y for x, y in zip(basis[0].get(key, space.zero_vector()), v))
+        for key, v in basis[1].items()
+    }
+    summed.update({key: v for key, v in basis[0].items() if key not in summed})
+    assert same_span(basis, [summed] + basis[1:], ring)
+    # a cocycle cut down to one of its orbits is no cocycle
+    assert len(basis[0]) > 1
+    key, v = next(iter(basis[0].items()))
+    assert not same_span(basis, [{key: v}] + basis[1:], ring)
+    assert not same_span(basis, basis[1:], ring)
 
