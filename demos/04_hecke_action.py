@@ -39,7 +39,7 @@ dia = engine.diamond(ctx.one + ctx.t)
 print(f"\n[<1+t>, U_t] = 0: {dia.commutator(ut).is_zero()}")
 print(f"[<1+t>, T_(t+1)] = 0: {dia.commutator(tm).is_zero()}")
 
-cert = ordinary_certificate(ut, [tm], k)
+cert = ordinary_certificate(ut, [tm])
 print("\nordinary certificate:")
 for name, ok in cert.flags.items():
     print(f"  {name}: {ok}")

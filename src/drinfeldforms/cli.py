@@ -7,9 +7,11 @@ Subcommands:
   verify  run a verification suite over a (q, n, k) grid
   graph   export the quotient graph (dot/json)
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-bound exceeded.  Outputs are deterministic for a fixed configuration and
-seed.
+Exit codes: 0 success, 1 verification failure (a wrong dimension
+included), 2 usage error, 3 resource bound exceeded (the orbit bound, or a
+truncation depth too small for the evaluation reach or the stability
+gates).  Every error ends in one line on stderr.  Outputs are
+deterministic for a fixed configuration and seed.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .cocycles import CocycleSpace
-from .errors import ReachError, ResourceBoundError, UsageError
+from .errors import DimensionMismatchError, ReachError, ResourceBoundError, StabilityError, UsageError
 from .fq import field
 from .groups import group_context
 from .hecke import HeckeEngine, ordinary_certificate
@@ -37,7 +39,12 @@ MAX_Q = 64
 
 def _env_max_orbits():
     raw = os.environ.get("DRINFELDFORMS_MAX_ORBITS")
-    return int(raw) if raw else 200000
+    if not raw:
+        return 200000
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"DRINFELDFORMS_MAX_ORBITS must be an integer, got {raw!r}") from None
 
 
 def _check_q(q):
@@ -49,11 +56,22 @@ def _check_q(q):
         raise UsageError(f"q = {q} exceeds the supported bound {MAX_Q}")
 
 
+def _at_least(option, value, low):
+    if value is not None and value < low:
+        raise UsageError(f"{option} must be >= {low}, got {value}")
+
+
 def _check_common(args):
-    """Validate the options shared by dims, hecke and graph."""
+    """Validate the options shared by dims, hecke and graph.
+
+    An unset --max-orbits takes its value from the environment here.
+    """
     _check_q(args.q)
-    if args.depth is not None and args.depth < 0:
-        raise UsageError(f"--depth must be >= 0, got {args.depth}")
+    _at_least("--n", args.n, 1)
+    _at_least("--k", getattr(args, "k", None), 2)
+    _at_least("--depth", args.depth, 0)
+    if args.max_orbits is None:
+        args.max_orbits = _env_max_orbits()
 
 
 def _write(text, out):
@@ -135,9 +153,9 @@ def cmd_hecke(args):
     if args.certify:
         if ut is None:
             ut = engine.u_t()
-        cert = ordinary_certificate(ut, heckes, args.k)
+        cert = ordinary_certificate(ut, heckes)
         payload["certificate"] = cert.to_json_dict()
-        ok = cert.valid(allow_scalar_off=(args.k > 2))
+        ok = cert.valid()
     if args.format == "json":
         text = canonical_json_dumps(payload)
     elif args.format == "csv":
@@ -154,6 +172,9 @@ def cmd_verify(args):
     qs = args.q or [2, 3]
     for q in qs:
         _check_q(q)
+    _at_least("--nmax", args.nmax, 1)
+    _at_least("--kmax", args.kmax, 2)
+    _at_least("--imax", args.imax, 1)
     if args.suite == "paper":
         items = paper_suite_items(qs, nmax=args.nmax, kmax=args.kmax, seed=args.seed)
     elif args.suite == "goss":
@@ -197,11 +218,16 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, k_default=2):
+    def common(sp):
         sp.add_argument("--q", type=int, required=True, help="field size, a prime power")
         sp.add_argument("--n", type=int, required=True, help="level exponent, n >= 1")
         sp.add_argument("--depth", type=int, default=None, help="override truncation depth")
-        sp.add_argument("--max-orbits", type=int, default=_env_max_orbits())
+        sp.add_argument(
+            "--max-orbits",
+            type=int,
+            default=None,
+            help="orbit-table bound (default $DRINFELDFORMS_MAX_ORBITS or 200000)",
+        )
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     d = sub.add_parser("dims", help="dimension and genus data")
@@ -252,6 +278,12 @@ def main(argv=None):
     except ReachError as exc:
         print(f"evaluation reach exceeded: {exc}", file=sys.stderr)
         return 3
+    except StabilityError as exc:
+        print(f"truncation unstable: {exc}", file=sys.stderr)
+        return 3
+    except DimensionMismatchError as exc:
+        print(f"dimension mismatch: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry():

@@ -12,11 +12,13 @@ die out in characteristic p), the space becomes the exact kernel of:
   * stabilizer rows (act(delta) - 1) x = 0 for the finitely many
     generators of each representative's Gamma_1(t^n)-stabilizer.
 
-The kernel is taken over F_q for weight 2 (the action is trivial, so the
-constraints are scalar counts) and over K = F_q(t) for higher weight.  Two
-gates guard the truncation: the dimension must equal (k-1) q^(2(n-1)), and
-re-solving at depth D+1 must give the same dimension.  Whether the re-solve
-also spans the same cocycles is recorded as ``depth_stable``.
+Every weight runs one code path over the ring of VkAction.  V_2 is the
+trivial 1x1 block over F_q: its stabilizer rows vanish and are dropped, and
+the harmonicity rows are signed counts.  Above weight 2 the blocks are
+(k-1)x(k-1) matrices over K = F_q(t).  Two gates guard the truncation: the
+dimension must equal (k-1) q^(2(n-1)), and re-solving at depth D+1 must
+give the same dimension.  Whether the re-solve also spans the same cocycles
+is recorded as ``depth_stable``.
 
 For weight 2 the basis is re-expressed in the delta basis indexed by
 A_{n-1}^2: the unique cocycle taking value 1 at one stable representative
@@ -61,6 +63,10 @@ class VkAction:
     substitution(g) is the matrix of P(X, Y) -> P((X, Y) g) on the
     monomial basis X^(k-2-j) Y^j of H_{k-2}; the action of g on V_k is
     substitution(g^{-1})^T, and the action of g^{-1} is substitution(g)^T.
+
+    V_2 is the trivial 1x1 representation over F_q: every group element
+    acts as one cached identity, so weight 2 runs the weight-k code path
+    with F_q values.  Above weight 2 the matrices are over K = F_q(t).
     """
 
     def __init__(self, fq, k):
@@ -68,8 +74,9 @@ class VkAction:
             raise ValueError("weight must be >= 2")
         self.fq = fq
         self.k = k
-        self.ring = KRing(fq)
+        self.ring = FqRing(fq) if k == 2 else KRing(fq)
         self._cache = {}
+        self._trivial = Matrix.identity(self.ring, 1) if self.dim == 1 else None
 
     @property
     def dim(self):
@@ -101,10 +108,14 @@ class VkAction:
 
     def act(self, g):
         """Matrix of omega -> g . omega on V_k."""
+        if self._trivial is not None:
+            return self._trivial
         return self.substitution(g.to_k().inverse_k()).transpose()
 
     def act_of_inverse(self, g):
         """Matrix of omega -> g^{-1} . omega on V_k (no inversion needed)."""
+        if self._trivial is not None:
+            return self._trivial
         return self.substitution(g).transpose()
 
 
@@ -130,11 +141,12 @@ class CocycleSpace:
         self.depth = depth if depth is not None else depth_default(ctx.n, k)
         self.expected_dim = (k - 1) * ctx.dim_weight2()
         self.vk = VkAction(ctx.fq, k)
-        if k == 2:
-            self.ring = FqRing(ctx.fq)
-        else:
-            self.ring = KRing(ctx.fq)
+        self.ring = self.vk.ring
         self.graph = QuotientGraph(ctx, self.depth, max_orbits=max_orbits)
+        # the stable representatives h_{(c,d)} J e_0, in label order
+        self.stable_keys = [
+            self.graph.seed_keys[(c.coeffs, d.coeffs)] for c, d in ctx.label_pairs()
+        ]
         basis, keys = self._solve(self.graph)
         if len(basis) != self.expected_dim:
             raise DimensionMismatchError(
@@ -188,12 +200,8 @@ class CocycleSpace:
                 orbit, key, sign, delta = graph.classify(e)
                 if orbit is None:
                     raise AssertionError("interior vertex star left the table")
-                if k == 2:
-                    coeff = ring.one if sign == 1 else -ring.one
-                    mat = [[coeff]]
-                else:
-                    m = self.vk.act(delta)
-                    mat = [[x if sign == 1 else -x for x in row] for row in m.rows]
+                m = self.vk.act(delta)
+                mat = [[x if sign == 1 else -x for x in row] for row in m.rows]
                 base = col_of[key]
                 acc = blocks.get(base)
                 if acc is None:
@@ -211,22 +219,22 @@ class CocycleSpace:
                             row[base + s] = v
                 if row:
                     rows.append(row)
-        if k > 2:
-            for key in keys:
-                orbit = graph.edge_orbits[key]
-                if orbit.stab_order == 1:
-                    continue
-                base = col_of[key]
-                for delta in graph.tree.edge_stab_generators(orbit):
-                    m = self.vk.act(delta)
-                    for r in range(comp):
-                        row = {}
-                        for s in range(comp):
-                            v = m.rows[r][s] - (ring.one if r == s else ring.zero)
-                            if v:
-                                row[base + s] = v
-                        if row:
-                            rows.append(row)
+        # stabilizer rows (act(delta) - 1) x = 0; on V_2 they vanish and are dropped
+        for key in keys:
+            orbit = graph.edge_orbits[key]
+            if orbit.stab_order == 1:
+                continue
+            base = col_of[key]
+            for delta in graph.tree.edge_stab_generators(orbit):
+                m = self.vk.act(delta)
+                for r in range(comp):
+                    row = {}
+                    for s in range(comp):
+                        v = m.rows[r][s] - (ring.one if r == s else ring.zero)
+                        if v:
+                            row[base + s] = v
+                    if row:
+                        rows.append(row)
         kernel = sparse_kernel(rows, len(keys) * comp, ring, col_order=col_order)
         basis = []
         for vec in kernel:
@@ -240,11 +248,8 @@ class CocycleSpace:
 
     # -- weight-2 delta basis ---------------------------------------------------
     def _to_delta_basis(self):
-        ctx = self.ctx
         ring = self.ring
-        stable_keys = [
-            self.graph.seed_keys[(c.coeffs, d.coeffs)] for c, d in ctx.label_pairs()
-        ]
+        stable_keys = self.stable_keys
         d = self.expected_dim
         eval_matrix = Matrix(
             ring,
@@ -299,11 +304,7 @@ class CocycleSpace:
         stored = cocycle.get(key)
         if stored is None:
             return self.zero_vector()
-        if self.k == 2:
-            v = stored[0]
-            return (v,) if sign == 1 else (-v,)
-        m = self.vk.act(delta)
-        out = m.apply([self.ring.embed(x) for x in stored])
+        out = self.vk.act(delta).apply(stored)
         if sign == -1:
             out = [-x for x in out]
         return tuple(out)
@@ -355,13 +356,12 @@ class Coordinates:
         graph = space.graph
         d = space.dim
         comp = space.k - 1
-        stable_keys = [
-            graph.seed_keys[(c.coeffs, d_.coeffs)] for c, d_ in space.ctx.label_pairs()
-        ]
+        stable_keys = space.stable_keys
+        stable = set(stable_keys)
         other = [
             key
             for key in sorted(graph.edge_orbits)
-            if key not in set(stable_keys) and graph.edge_orbits[key].depth <= safe_depth
+            if key not in stable and graph.edge_orbits[key].depth <= safe_depth
         ]
         self.row_keys = [(key, s) for key in stable_keys for s in range(comp)] + [
             (key, s) for key in other for s in range(comp)

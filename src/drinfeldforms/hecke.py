@@ -6,8 +6,8 @@ together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
 representative e is classified once, into a transport table that sends
 e to {orbit key: block}, the block being the orientation sign times
-act(xi^{-1}) act(delta) for the witness delta (the sign alone at weight 2)
-and blocks landing on one orbit summed.  Every basis cocycle's values on
+act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity on V_2) and
+blocks landing on one orbit summed.  Every basis cocycle's values on
 the safe representatives are then a sparse combination of its stored
 vectors, solved against the basis with exact consistency checks on every
 safe row; an image edge beyond the table is a ReachError.
@@ -17,13 +17,14 @@ r = q^(n-1) and chi the characteristic polynomial of U_t,
 
   (a) (X-1)^r divides chi exactly; chi_plus = chi / (X-1)^r;
   (b) chi_plus has no t-adic unit root (Newton count 0; at weight 2 the
-      stronger chi_plus = X^(d-r) is required);
+      coefficients lie in F_q, so this says chi_plus = X^(d-r));
   (c) (U_t - 1) chi_plus(U_t) = 0, so U_t is the identity on the
       slope-zero part, which is exactly the image of chi_plus(U_t);
   (d) (T - 1) chi_plus(U_t) = 0 for every requested Hecke operator.
 
-If (d) fails by a global scalar only, the flag reports "scalar-off" with
-the scalar exhibited rather than silently rescaling.
+Each Hecke flag is True exactly when (d) holds; a False flag comes with a
+note.  The theorem is that every Hecke operator is the identity on the
+ordinary part, so one acting there as any other scalar fails (d).
 """
 
 from .cocycles import Coordinates
@@ -93,9 +94,7 @@ class HeckeEngine:
         space = self.space
         fq = self.ctx.fq
         graph = space.graph
-        # on V_2 every matrix acts as 1, so weight 2 moves plain F_q values
-        unit = Matrix.identity(space.ring, 1)
-        acts = None if space.k == 2 else [space.vk.act_of_inverse(xi) for xi in transports]
+        acts = [space.vk.act_of_inverse(xi) for xi in transports]
         # the transport table key -> {orbit key: block} does not depend on
         # the cocycle: (T c)(rep) = sum of block . c(orbit key)
         table = {}
@@ -107,7 +106,7 @@ class HeckeEngine:
                 orbit, key2, sign, delta = graph.classify(e2)
                 if orbit is None:
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
-                block = unit if acts is None else acts[pos] * space.vk.act(delta)
+                block = acts[pos] * space.vk.act(delta)
                 if sign == -1:
                     block = -block
                 prev = row.get(key2)
@@ -255,16 +254,8 @@ class OrdinaryCertificate:
         self.hecke_flags = hecke_flags
         self.notes = notes
 
-    def valid(self, allow_scalar_off=False):
-        if not all(self.flags.values()):
-            return False
-        for v in self.hecke_flags.values():
-            if v is True:
-                continue
-            if allow_scalar_off and isinstance(v, dict) and "scalar_off" in v:
-                continue
-            return False
-        return True
+    def valid(self):
+        return all(self.flags.values()) and all(self.hecke_flags.values())
 
     def to_json_dict(self):
         return {
@@ -275,17 +266,14 @@ class OrdinaryCertificate:
             "charpoly": str(self.chi),
             "charpoly_nonordinary_factor": str(self.chi_plus),
             "flags": self.flags,
-            "hecke": {
-                name: (v if v is True else v) for name, v in self.hecke_flags.items()
-            },
+            "hecke": dict(self.hecke_flags),
             "notes": self.notes,
         }
 
 
-def ordinary_certificate(ut, heckes=(), k=None):
+def ordinary_certificate(ut, heckes=()):
     """Run checks (a)-(d) for a U_t matrix and a list of Hecke operators."""
     ctx = ut.ctx
-    k = k if k is not None else ut.k
     ring = ut.matrix.ring
     d = ut.size
     r = ctx.ordinary_rank()
@@ -302,58 +290,23 @@ def ordinary_certificate(ut, heckes=(), k=None):
             break
     flags = {"divisibility": ok_div}
     if ok_div:
-        if k == 2:
-            flags["positive_slope"] = chi_plus == UPoly.x_power(ring, d - r)
-            if not flags["positive_slope"]:
-                notes.append(f"weight-2 residual factor is {chi_plus}, expected X^{d - r}")
-        else:
-            try:
-                flags["positive_slope"] = newton_slope_zero_count(chi_plus) == 0
-            except ValueError as exc:
-                flags["positive_slope"] = False
-                notes.append(f"Newton count failed: {exc}")
+        try:
+            flags["positive_slope"] = newton_slope_zero_count(chi_plus) == 0
+        except ValueError as exc:
+            flags["positive_slope"] = False
+            notes.append(f"Newton count failed: {exc}")
     else:
         flags["positive_slope"] = False
     proj = chi_plus.eval_matrix(ut.matrix) if ok_div else None
     ident = Matrix.identity(ring, d)
-    if proj is not None:
-        flags["unipotence_kill"] = ((ut.matrix - ident) * proj).is_zero()
-    else:
-        flags["unipotence_kill"] = False
+    flags["unipotence_kill"] = proj is not None and ((ut.matrix - ident) * proj).is_zero()
     hecke_flags = {}
     for op in heckes:
-        if proj is None:
-            hecke_flags[op.name] = False
-            continue
-        diff = (op.matrix - ident) * proj
-        if diff.is_zero():
-            hecke_flags[op.name] = True
-            continue
-        scalar = _detect_scalar(op.matrix * proj, proj)
-        if scalar is not None:
-            hecke_flags[op.name] = {"scalar_off": str(scalar)}
-            notes.append(f"{op.name} acts on the ordinary part as the scalar {scalar}")
-        else:
-            hecke_flags[op.name] = False
-            notes.append(f"{op.name} does not act as a scalar on the ordinary part")
-    return OrdinaryCertificate(ctx, k, r, chi, chi_plus, flags, hecke_flags, notes)
-
-
-def _detect_scalar(tp, p):
-    """lambda with tp = lambda * p entrywise, or None."""
-    lam = None
-    for rp, rt in zip(p.rows, tp.rows):
-        for a, b in zip(rp, rt):
-            if not a:
-                if b:
-                    return None
-                continue
-            cand = b / a
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                return None
-    return lam
+        ok = proj is not None and ((op.matrix - ident) * proj).is_zero()
+        hecke_flags[op.name] = ok
+        if not ok:
+            notes.append(f"{op.name} is not the identity on the ordinary part")
+    return OrdinaryCertificate(ctx, ut.k, r, chi, chi_plus, flags, hecke_flags, notes)
 
 
 def nilpotency_diagnostics(ut):

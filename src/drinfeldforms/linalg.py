@@ -320,10 +320,6 @@ class UPoly:
     def x(ring):
         return UPoly(ring, [ring.zero, ring.one])
 
-    @staticmethod
-    def x_power(ring, k):
-        return UPoly(ring, [ring.zero] * k + [ring.one])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF

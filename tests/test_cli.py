@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from drinfeldforms import cli
 from drinfeldforms.cli import main
+from drinfeldforms.errors import DimensionMismatchError
 from drinfeldforms.fq import field
 from drinfeldforms.serialize import parse_poly
 from drinfeldforms.rings import Poly
@@ -65,6 +67,43 @@ def test_negative_depth_is_a_usage_error(capsys):
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+def _one_line_error(capsys, argv, code, prefix):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+def test_numeric_inputs_are_validated(capsys, monkeypatch):
+    for argv in (
+        ("dims", "--q", "2", "--n", "0"),
+        ("dims", "--q", "2", "--n", "1", "--k", "1"),
+        ("graph", "--q", "2", "--n", "-1", "--depth", "2"),
+        ("verify", "--suite", "goss", "--q", "2", "--imax", "0"),
+        ("verify", "--suite", "congruences", "--q", "2", "--nmax", "0"),
+        ("verify", "--q", "2", "--kmax", "1"),
+    ):
+        _one_line_error(capsys, argv, 2, "usage error:")
+    monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", "abc")
+    _one_line_error(capsys, ("graph", "--q", "2", "--n", "1", "--depth", "2"), 2, "usage error:")
+    # an explicit --max-orbits never reads the environment
+    assert main(["graph", "--q", "2", "--n", "1", "--depth", "2", "--max-orbits", "100"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", "2")
+    _one_line_error(capsys, ("graph", "--q", "2", "--n", "2", "--depth", "3"), 3, "resource bound")
+
+
+def test_solver_errors_exit_with_one_line(capsys, monkeypatch):
+    # a depth too small for the support gate
+    _one_line_error(capsys, ("dims", "--q", "2", "--n", "2", "--depth", "2"), 3, "truncation unstable:")
+
+    def wrong_dimension(*args, **kwargs):
+        raise DimensionMismatchError("got 3, expected 4")
+
+    monkeypatch.setattr(cli, "CocycleSpace", wrong_dimension)
+    _one_line_error(capsys, ("dims", "--q", "2", "--n", "2"), 1, "dimension mismatch:")
 
 
 def test_resource_bound_exit(capsys):

@@ -1,0 +1,48 @@
+"""Property test: every CLI input ends in a documented exit code.
+
+Inputs range over valid and invalid field sizes, levels, weights, depths
+and orbit-bound environment values.  ``main`` must return 0, 1, 2 or 3
+and never let an exception escape (an escaped exception is a traceback
+for the user).  ``--jobs`` is always 1, so no worker process starts.
+"""
+
+import contextlib
+import io
+import os
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drinfeldforms.cli import main
+
+
+def _argv(command, q, n, k, depth):
+    if command == "graph":
+        return ["graph", "--q", q, "--n", n, "--depth", depth]
+    if command in ("dims", "hecke"):
+        return [command, "--q", q, "--n", n, "--k", k, "--depth", depth]
+    suite = "goss" if command == "verify-goss" else "congruences"
+    return ["verify", "--suite", suite, "--q", q, "--nmax", n, "--kmax", k,
+            "--imax", depth, "--jobs", "1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["dims", "hecke", "graph", "verify-goss", "verify-congruences"]),
+    q=st.sampled_from([2, 3, 4, 6]),
+    n=st.integers(-1, 2),
+    k=st.integers(0, 3),
+    depth=st.integers(-3, 6),
+    max_orbits=st.sampled_from(["", "abc", "1.5", "40", "200000"]),
+)
+def test_cli_inputs_end_in_a_documented_exit_code(command, q, n, k, depth, max_orbits):
+    argv = [str(a) for a in _argv(command, q, n, k, depth)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"DRINFELDFORMS_MAX_ORBITS": max_orbits}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code != 0 and "usage:" not in err.getvalue():
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -6,7 +6,7 @@ from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default, same_s
 from drinfeldforms.errors import DimensionMismatchError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
-from drinfeldforms.linalg import KRing, Matrix
+from drinfeldforms.linalg import FqRing, KRing, Matrix
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, apply_edge
@@ -37,7 +37,11 @@ def test_vk_action_axioms():
             h = _rand_word(fq, rng)
             assert vk.act(g * h) == vk.act(g) * vk.act(h)
             if k == 2:
-                assert vk.act(g) == Matrix.identity(vk.ring, 1)
+                # V_2: one cached identity over F_q, no substitution matrices
+                assert vk.act(g) is vk.act_of_inverse(h)
+                assert vk.act(g) == Matrix.identity(FqRing(fq), 1)
+        if k == 2:
+            assert not vk._cache
 
 
 def _rand_word(fq, rng):

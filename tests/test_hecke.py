@@ -177,7 +177,7 @@ def test_certificate_q2_n2_weight2(cache):
     eng = cache.engine(2, 2, 2)
     ut = eng.u_t()
     heckes = [eng.t_m(t_plus_one(2))]
-    cert = ordinary_certificate(ut, heckes, 2)
+    cert = ordinary_certificate(ut, heckes)
     assert cert.valid()
     assert cert.r == 2
     assert cert.flags == {
@@ -193,23 +193,34 @@ def test_certificate_q2_n2_weight2(cache):
 def test_certificate_higher_weight_u_flags(cache):
     eng = cache.engine(2, 2, 3)
     ut = eng.u_t()
-    cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(2))], 3)
+    cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(2))])
     assert cert.flags["divisibility"] and cert.flags["positive_slope"] and cert.flags["unipotence_kill"]
-    assert cert.valid(allow_scalar_off=True)
+    assert cert.valid()
 
 
-def test_scalar_detection():
-    from drinfeldforms.hecke import _detect_scalar
-    from drinfeldforms.linalg import KRing, Matrix
-    from drinfeldforms.rings import RatFunc
+def test_weight2_positive_slope_is_the_newton_count():
+    # U_t = identity at d = 4 > r = 2: chi_plus = (X-1)^2 has F_q
+    # coefficients, so its unit roots are counted and the slope flag fails
+    ctx = group_context(2, 2)
+    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(KRing(ctx.fq), 4))
+    cert = ordinary_certificate(ident)
+    assert cert.flags["divisibility"] is True
+    assert cert.flags["positive_slope"] is False
+    assert not cert.valid()
 
-    fq = field(2)
-    K = KRing(fq)
-    t = RatFunc.from_poly(Poly.t(fq))
-    p = Matrix(K, [[K.one, K.zero], [K.zero, K.zero]])
-    tp = Matrix(K, [[t, K.zero], [K.zero, K.zero]])
-    assert _detect_scalar(tp, p) == t
-    assert _detect_scalar(Matrix(K, [[t, K.one], [K.zero, K.zero]]), p) is None
+
+def test_valid_rejects_a_nontrivial_scalar(cache):
+    # an operator acting on the ordinary part as the scalar t is not trivial
+    eng = cache.engine(2, 2, 2)
+    ut = eng.u_t()
+    K = ut.matrix.ring
+    t = K.embed(Poly.t(K.fq))
+    scalar = OperatorMatrix("Scalar(t)", eng.ctx, 2, Matrix.identity(K, ut.size).scale(t))
+    cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(2)), scalar])
+    assert all(cert.flags.values())
+    assert cert.hecke_flags == {"Tm(t+1)": True, "Scalar(t)": False}
+    assert cert.notes == ["Scalar(t) is not the identity on the ordinary part"]
+    assert not cert.valid()
 
 
 def test_nilpotency_diagnostics(cache):
@@ -239,7 +250,7 @@ def test_diamonds_act_nontrivially_on_ordinary_part(cache):
 
     eng = cache.engine(2, 2, 2)
     ut = eng.u_t()
-    cert = ordinary_certificate(ut, [], 2)
+    cert = ordinary_certificate(ut, [])
     proj = cert.chi_plus.eval_matrix(ut.matrix)
     dia = eng.diamond(eng.ctx.one + eng.ctx.t)
     ident = Matrix.identity(ut.matrix.ring, ut.size)
