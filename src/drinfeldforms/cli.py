@@ -25,7 +25,7 @@ from .groups import group_context
 from .hecke import HeckeEngine, ordinary_certificate
 from .rings import poly_is_irreducible
 from .serialize import canonical_json_dumps, matrix_to_csv, matrix_to_latex, parse_poly
-from .tree import QuotientGraph
+from .tree import MAX_ORBITS, QuotientGraph
 from .verify import (
     congruence_suite_items,
     goss_suite_items,
@@ -40,7 +40,7 @@ MAX_Q = 64
 def _env_max_orbits():
     raw = os.environ.get("DRINFELDFORMS_MAX_ORBITS")
     if not raw:
-        return 200000
+        return MAX_ORBITS
     try:
         return int(raw)
     except ValueError:
@@ -175,8 +175,12 @@ def cmd_verify(args):
     _at_least("--nmax", args.nmax, 1)
     _at_least("--kmax", args.kmax, 2)
     _at_least("--imax", args.imax, 1)
+    _at_least("--jobs", args.jobs, 1)
+    max_orbits = _env_max_orbits()
     if args.suite == "paper":
-        items = paper_suite_items(qs, nmax=args.nmax, kmax=args.kmax, seed=args.seed)
+        items = paper_suite_items(
+            qs, nmax=args.nmax, kmax=args.kmax, seed=args.seed, max_orbits=max_orbits
+        )
     elif args.suite == "goss":
         items = goss_suite_items(qs, imax=args.imax)
     elif args.suite == "congruences":
@@ -226,7 +230,7 @@ def build_parser():
             "--max-orbits",
             type=int,
             default=None,
-            help="orbit-table bound (default $DRINFELDFORMS_MAX_ORBITS or 200000)",
+            help=f"orbit-table bound (default $DRINFELDFORMS_MAX_ORBITS or {MAX_ORBITS})",
         )
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 

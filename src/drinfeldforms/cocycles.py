@@ -17,8 +17,9 @@ trivial 1x1 block over F_q: its stabilizer rows vanish and are dropped, and
 the harmonicity rows are signed counts.  Above weight 2 the blocks are
 (k-1)x(k-1) matrices over K = F_q(t).  Two gates guard the truncation: the
 dimension must equal (k-1) q^(2(n-1)), and re-solving at depth D+1 must
-give the same dimension.  Whether the re-solve also spans the same cocycles
-is recorded as ``depth_stable``.
+give the same dimension.  The re-solve runs on the depth-D table grown by
+one shell (``QuotientGraph.extended``), not on a second build.  Whether it
+also spans the same cocycles is recorded as ``depth_stable``.
 
 For weight 2 the basis is re-expressed in the delta basis indexed by
 A_{n-1}^2: the unique cocycle taking value 1 at one stable representative
@@ -27,7 +28,7 @@ h_{(c,d)} J e_0 and 0 at the others.
 
 from .errors import DimensionMismatchError, ReachError, StabilityError
 from .linalg import FqRing, KRing, Matrix, _reduce, inverse, sparse_kernel
-from .tree import Edge, QuotientGraph
+from .tree import MAX_ORBITS, Edge, QuotientGraph
 
 
 def depth_default(n, k):
@@ -135,7 +136,7 @@ def _form_mul(ring, form, lin):
 class CocycleSpace:
     """The solved space C^har_k(Gamma_1(t^n)) on a depth-D quotient graph."""
 
-    def __init__(self, ctx, k, depth=None, check_stability=True, max_orbits=200000):
+    def __init__(self, ctx, k, depth=None, check_stability=True, max_orbits=MAX_ORBITS):
         self.ctx = ctx
         self.k = k
         self.depth = depth if depth is not None else depth_default(ctx.n, k)
@@ -168,8 +169,7 @@ class CocycleSpace:
         # it spans the same cocycles is kept (None when not checked)
         self.depth_stable = None
         if check_stability:
-            graph2 = QuotientGraph(ctx, self.depth + 1, max_orbits=max_orbits)
-            basis2, _ = self._solve(graph2)
+            basis2, _ = self._solve(self.graph.extended())
             if len(basis2) != self.expected_dim:
                 raise StabilityError(
                     f"depth {self.depth} vs {self.depth + 1}: dimensions "

@@ -25,6 +25,8 @@ since SL_2 preserves the parity of r, an orbit never contains an edge and
 its reversal, and orientation is carried as an explicit sign.
 """
 
+import copy
+
 from .errors import ResourceBoundError
 from .mat2 import Mat2
 from .rings import (
@@ -39,6 +41,9 @@ from .rings import (
 
 POS_SIGN = 1
 NEG_SIGN = -1
+
+# default bound on the number of edge orbits in one table
+MAX_ORBITS = 200000
 
 
 class Vertex:
@@ -306,7 +311,6 @@ class EdgeOrbit:
         "depth",
         "stable",
         "label",
-        "index",
         "stab_class_elements",
         "stab_kernel_degrees",
         "stab_order",
@@ -321,25 +325,21 @@ class EdgeOrbit:
         self.depth = depth
         self.stable = None
         self.label = None
-        self.index = None
         self.stab_class_elements = None
         self.stab_kernel_degrees = None
         self.stab_order = None
 
 
 class VertexOrbit:
-    __slots__ = ("key", "j", "w0", "w0_inv", "rep", "depth", "stab_order", "stab_gens", "index")
+    __slots__ = ("key", "j", "w0", "rep", "depth", "stab_order")
 
     def __init__(self, key, j, w0, rep, depth):
         self.key = key
         self.j = j
         self.w0 = w0
-        self.w0_inv = w0.inverse_unimodular()
         self.rep = rep
         self.depth = depth
         self.stab_order = None
-        self.stab_gens = None
-        self.index = None
 
 
 class EdgeClass:
@@ -466,16 +466,11 @@ class TreeContext:
         """Fill in the Gamma_1(t^n)-stabilizer data of the orbit representative."""
         if orbit.stab_order is not None:
             return
-        n = self.n
-        w0bar = orbit.w0.mod_tn(n)
-        w0bar_inv = Mat2(w0bar.d, -w0bar.b, -w0bar.c, w0bar.a)  # adjugate = inverse
-        passing = []
-        for sb, lift in self.sbar(orbit.i):
-            conj = w0bar * sb * w0bar_inv
-            if self._is_gamma_bar(conj):
-                if not self._is_identity_bar_lift(lift):
-                    passing.append(orbit.w0 * lift * orbit.w0_inv)
-        kernel_degs = list(range(orbit.i - n + 1)) if orbit.i >= n else []
+        passing = [
+            orbit.w0 * lift * orbit.w0_inv
+            for lift in self._passing_lifts(orbit.w0, self.sbar(orbit.i))
+        ]
+        kernel_degs = self._kernel_degrees(orbit.i)
         orbit.stab_class_elements = passing
         orbit.stab_kernel_degrees = kernel_degs
         orbit.stab_order = (len(passing) + 1) * self.fq.q ** len(kernel_degs)
@@ -519,28 +514,28 @@ class TreeContext:
         Returns (class_elements, kernel_degrees): the kernel part is the
         unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
         """
-        n = self.n
-        wbar = w.mod_tn(n)
-        wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)
         w_inv = w.inverse_unimodular()
-        passing = []
-        for sb, lift in self.vertex_sbar(j):
-            conj = wbar * sb * wbar_inv
-            if self._is_gamma_bar(conj):
-                if not self._is_identity_bar_lift(lift):
-                    passing.append(w * lift * w_inv)
-        kernel = list(range(j - n + 1)) if (j >= n and j >= 1) else []
-        return passing, kernel
+        passing = [w * lift * w_inv for lift in self._passing_lifts(w, self.vertex_sbar(j))]
+        return passing, self._kernel_degrees(j)
 
     def vertex_stabilizer(self, vorbit):
-        if vorbit.stab_order is not None:
-            return
-        passing, kernel = self.vertex_stab_elements(vorbit.w0, vorbit.j)
-        vorbit.stab_gens = passing + [
-            vorbit.w0 * Mat2.translation(Poly.t_power(self.fq, self.n + j)) * vorbit.w0_inv
-            for j in kernel
+        """Set the stabilizer order of the representative; no element is formed."""
+        passing = self._passing_lifts(vorbit.w0, self.vertex_sbar(vorbit.j))
+        vorbit.stab_order = (len(passing) + 1) * self.fq.q ** len(self._kernel_degrees(vorbit.j))
+
+    def _passing_lifts(self, w, classes):
+        """Lifts of the nontrivial classes sigma_bar with w sigma_bar w^{-1} in Gamma_1(t^n)bar."""
+        wbar = w.mod_tn(self.n)
+        wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)  # adjugate = inverse
+        return [
+            lift
+            for sb, lift in classes
+            if self._is_gamma_bar(wbar * sb * wbar_inv) and not self._is_identity_bar_lift(lift)
         ]
-        vorbit.stab_order = (len(passing) + 1) * self.fq.q ** len(kernel)
+
+    def _kernel_degrees(self, i):
+        """The deg <= i - n: u(t^(n+deg)) lies in S_i and is trivial mod t^n."""
+        return list(range(i - self.n + 1))
 
     def _is_gamma_bar(self, m):
         one = Residue.one(self.fq, self.n)
@@ -555,10 +550,12 @@ class QuotientGraph:
 
     Seeded with the stable representatives h_{(c,d)} J e_0 at depth 0 and
     grown by breadth-first search over the literal tree incidence, with
-    every encountered edge canonicalized.
+    every encountered edge canonicalized.  The search goes shell by shell,
+    so :meth:`extended` grows the depth-(D+1) table from this one by one
+    more shell instead of building it again.
     """
 
-    def __init__(self, ctx, depth, max_orbits=200000):
+    def __init__(self, ctx, depth, max_orbits=MAX_ORBITS):
         self.ctx = ctx
         self.tree = TreeContext(ctx)
         self.depth = depth
@@ -566,7 +563,22 @@ class QuotientGraph:
         self.edge_orbits = {}
         self.vertex_orbits = {}
         self.seed_keys = {}
-        self._build()
+        self._grow(self._seed(), 0)
+
+    def extended(self):
+        """The depth-(D+1) table, grown from this one by one shell.
+
+        Equal to ``QuotientGraph(ctx, D + 1, max_orbits)``.  It shares the
+        tree context (so the reduction caches), the orbit objects and the
+        seed keys with this table, and copies the two orbit dicts, so this
+        table does not change.
+        """
+        graph = copy.copy(self)
+        graph.depth = self.depth + 1
+        graph.edge_orbits = dict(self.edge_orbits)
+        graph.vertex_orbits = dict(self.vertex_orbits)
+        graph._grow(self.frontier, self.depth)
+        return graph
 
     # -- construction -------------------------------------------------------
     def _register_edge(self, e, depth):
@@ -595,11 +607,12 @@ class QuotientGraph:
             return orbit, True
         return orbit, False
 
-    def _build(self):
+    def _seed(self):
+        """Register the stable seed orbits at depth 0; returns them."""
         ctx = self.ctx
         fq = ctx.fq
         jmat = Mat2.j_matrix(fq)
-        frontier = []
+        seeds = []
         for c, d in ctx.label_pairs():
             seed = apply_edge(ctx.h_matrix(c, d) * jmat, self.tree.e0, fq)
             orbit, is_new = self._register_edge(seed, 0)
@@ -609,11 +622,19 @@ class QuotientGraph:
                 )
             orbit.label = (c, d)
             self.seed_keys[(c.coeffs, d.coeffs)] = orbit.key
-            frontier.append(orbit)
-        for orbit in frontier:
+            seeds.append(orbit)
+        for orbit in seeds:
             if not orbit.stable:
                 raise AssertionError(f"seed orbit {orbit.key} is not stable")
-        depth = 0
+        return seeds
+
+    def _grow(self, frontier, depth):
+        """Search from ``frontier``, the edge orbits new at ``depth``, out to self.depth.
+
+        The vertices of the last shell are registered too, and that shell
+        is kept as ``self.frontier`` for :meth:`extended`.
+        """
+        fq = self.ctx.fq
         while frontier and depth < self.depth:
             depth += 1
             next_frontier = []
@@ -626,15 +647,10 @@ class QuotientGraph:
                         if is_new:
                             next_frontier.append(new_orbit)
             frontier = next_frontier
-        # vertices of the last shell
         for orbit in frontier:
             for v in (orbit.rep.origin, orbit.rep.terminus):
                 self._register_vertex(v, self.depth)
-        # deterministic indices
-        for idx, key in enumerate(sorted(self.edge_orbits)):
-            self.edge_orbits[key].index = idx
-        for idx, key in enumerate(sorted(self.vertex_orbits)):
-            self.vertex_orbits[key].index = idx
+        self.frontier = frontier
 
     # -- lookups ---------------------------------------------------------------
     def classify(self, e):

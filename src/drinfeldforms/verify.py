@@ -40,7 +40,7 @@ from .hecke import (
 )
 from .mat2 import Mat2
 from .rings import Poly, RatFunc, poly_is_irreducible
-from .tree import QuotientGraph, apply_edge
+from .tree import MAX_ORBITS, QuotientGraph, apply_edge
 
 
 def goss_m_list(fq):
@@ -165,9 +165,9 @@ def _cusp_item(q, n):
     ]
 
 
-def _stable_count_item(q, n):
+def _stable_count_item(q, n, max_orbits=MAX_ORBITS):
     ctx = group_context(q, n)
-    graph = QuotientGraph(ctx, depth=2)
+    graph = QuotientGraph(ctx, depth=2, max_orbits=max_orbits)
     stables = [o for o in graph.edge_orbits.values() if o.stable]
     want = ctx.dim_weight2()
     return [
@@ -210,7 +210,7 @@ def _random_gamma(ctx, rng):
     return m
 
 
-def _space_item(q, n, k, seed, hecke_ms):
+def _space_item(q, n, k, seed, hecke_ms, max_orbits=MAX_ORBITS):
     ctx = group_context(q, n)
     fq = ctx.fq
     rng = random.Random(seed)
@@ -218,7 +218,7 @@ def _space_item(q, n, k, seed, hecke_ms):
     base = f"space/q{q}n{n}k{k}"
     # the constructor gates the depth-(D+1) dimension; the record adds
     # whether the re-solve spans the same cocycles
-    space = CocycleSpace(ctx, k, check_stability=True)
+    space = CocycleSpace(ctx, k, check_stability=True, max_orbits=max_orbits)
     depth_stable = space.depth_stable is True
     records.append(
         {
@@ -491,8 +491,11 @@ def congruence_suite_items(qs, nmax_for):
     return items
 
 
-def paper_suite_items(qs, nmax=None, kmax=4, seed=0):
-    """The default verification grid: n <= 3 for q = 2, n <= 2 for q >= 3."""
+def paper_suite_items(qs, nmax=None, kmax=4, seed=0, max_orbits=MAX_ORBITS):
+    """The default verification grid: n <= 3 for q = 2, n <= 2 for q >= 3.
+
+    ``max_orbits`` bounds the orbit tables of the stable-count and space items.
+    """
 
     def nlimit(q):
         if nmax is not None:
@@ -504,7 +507,7 @@ def paper_suite_items(qs, nmax=None, kmax=4, seed=0):
     for q in qs:
         for n in range(1, nlimit(q) + 1):
             items.append(("cusps", {"q": q, "n": n}))
-            items.append(("stable-count", {"q": q, "n": n}))
+            items.append(("stable-count", {"q": q, "n": n, "max_orbits": max_orbits}))
             items.append(("freeness", {"q": q, "n": n}))
             for k in range(2, kmax + 1):
                 items.append(
@@ -516,6 +519,7 @@ def paper_suite_items(qs, nmax=None, kmax=4, seed=0):
                             "k": k,
                             "seed": seed + 1000 * q + 100 * n + k,
                             "hecke_ms": hecke_m_coeffs(q) if k == 2 else hecke_m_coeffs(q)[:1],
+                            "max_orbits": max_orbits,
                         },
                     )
                 )
@@ -528,7 +532,7 @@ def run_suite(items, jobs=1):
     At most min(jobs, items, CPUs) worker processes are started.
     """
     records = []
-    workers = min(jobs or 1, len(items), os.cpu_count() or 1)
+    workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for recs in pool.map(run_item, items):

@@ -84,6 +84,9 @@ def test_numeric_inputs_are_validated(capsys, monkeypatch):
         ("verify", "--suite", "goss", "--q", "2", "--imax", "0"),
         ("verify", "--suite", "congruences", "--q", "2", "--nmax", "0"),
         ("verify", "--q", "2", "--kmax", "1"),
+        # rejected before any suite item runs, so no worker process starts
+        ("verify", "--suite", "goss", "--q", "2", "--jobs", "0"),
+        ("verify", "--suite", "goss", "--q", "2", "--jobs", "-4"),
     ):
         _one_line_error(capsys, argv, 2, "usage error:")
     monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", "abc")
@@ -93,6 +96,16 @@ def test_numeric_inputs_are_validated(capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", "2")
     _one_line_error(capsys, ("graph", "--q", "2", "--n", "2", "--depth", "3"), 3, "resource bound")
+
+
+def test_verify_reads_the_orbit_bound_from_the_environment(capsys, monkeypatch):
+    argv = ("verify", "--suite", "paper", "--q", "2", "--nmax", "2", "--kmax", "2", "--jobs", "1")
+    # q2n2's depth-(D+1) stability table has 44 edge orbits
+    monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", "40")
+    _one_line_error(capsys, argv, 3, "resource bound exceeded:")
+    monkeypatch.delenv("DRINFELDFORMS_MAX_ORBITS")
+    assert main(list(argv)) == 0
+    capsys.readouterr()
 
 
 def test_solver_errors_exit_with_one_line(capsys, monkeypatch):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from drinfeldforms import cocycles
 from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default, same_span
-from drinfeldforms.errors import DimensionMismatchError
+from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.linalg import FqRing, KRing, Matrix
@@ -210,3 +211,31 @@ def test_depth_stable_compares_spans(cache, q, n, k):
     assert not same_span(basis, [{key: v}] + basis[1:], ring)
     assert not same_span(basis, basis[1:], ring)
 
+
+def test_one_graph_build_per_space(monkeypatch):
+    builds = []
+
+    class Counted(cocycles.QuotientGraph):
+        def __init__(self, ctx, depth, **kwargs):
+            builds.append(depth)
+            super().__init__(ctx, depth, **kwargs)
+
+        def extended(self):
+            builds.append("extended")
+            return super().extended()
+
+    monkeypatch.setattr(cocycles, "QuotientGraph", Counted)
+    ctx = group_context(2, 2)
+    assert CocycleSpace(ctx, 2).depth_stable is True
+    assert builds == [7, "extended"]
+    builds.clear()
+    CocycleSpace(ctx, 2, check_stability=False)
+    assert builds == [7]
+
+
+def test_orbit_bound_covers_the_stability_shell():
+    # 39 edge orbits at the default depth 7, 44 at depth 8
+    ctx = group_context(2, 2)
+    assert CocycleSpace(ctx, 2, check_stability=False, max_orbits=40).dim == 4
+    with pytest.raises(ResourceBoundError):
+        CocycleSpace(ctx, 2, max_orbits=40)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from drinfeldforms.cocycles import depth_default
+from drinfeldforms.errors import ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.mat2 import Mat2
@@ -228,7 +230,11 @@ def test_vertex_orbit_stabilizer_orders():
     vorbit = graph.vertex_orbits[key]
     assert vorbit.j == 1
     assert vorbit.stab_order == 4
-    gens = vorbit.stab_gens
+    passing, kernel = graph.tree.vertex_stab_elements(vorbit.w0, vorbit.j)
+    gens = passing + [
+        vorbit.w0 * Mat2.translation(Poly.t_power(ctx.fq, ctx.n + deg)) * vorbit.w0.inverse_unimodular()
+        for deg in kernel
+    ]
     assert any(
         g.a.is_one() and g.d.is_one() and g.c.is_zero() and g.b == Poly.t(ctx.fq).scale(lam)
         for g in gens
@@ -265,8 +271,34 @@ def test_graph_json_and_dot_exports():
 
 
 def test_resource_bound():
-    from drinfeldforms.errors import ResourceBoundError
-
     ctx = group_context(2, 2)
     with pytest.raises(ResourceBoundError):
         QuotientGraph(ctx, depth=3, max_orbits=3)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3)])
+def test_extended_graph_equals_a_fresh_build(q, n):
+    ctx = group_context(q, n)
+    depth = depth_default(n, 2)
+    graph = QuotientGraph(ctx, depth)
+    before = graph.to_json_dict()
+    grown = graph.extended()
+    fresh = QuotientGraph(ctx, depth + 1)
+    assert grown.depth == depth + 1
+    assert grown.to_json_dict() == fresh.to_json_dict()
+    for table in ("edge_orbits", "vertex_orbits"):
+        got, want = getattr(grown, table), getattr(fresh, table)
+        assert all(got[key].rep == want[key].rep for key in want)
+    # the depth-D table is left as it was
+    assert graph.to_json_dict() == before
+    # the count-only stabilizer order against the enumerated elements
+    for vorbit in grown.vertex_orbits.values():
+        passing, kernel = grown.tree.vertex_stab_elements(vorbit.w0, vorbit.j)
+        assert vorbit.stab_order == (len(passing) + 1) * q ** len(kernel)
+
+
+def test_extension_respects_the_orbit_bound():
+    graph = QuotientGraph(group_context(2, 2), depth=7, max_orbits=40)
+    assert len(graph.edge_orbits) == 39
+    with pytest.raises(ResourceBoundError):
+        graph.extended()  # the depth-8 shell brings the table to 44

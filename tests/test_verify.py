@@ -108,8 +108,8 @@ def test_depth_stable_is_computed(monkeypatch):
     from drinfeldforms.verify import _space_item
 
     class Unchecked(verify.CocycleSpace):
-        def __init__(self, ctx, k, check_stability=True):
-            super().__init__(ctx, k, check_stability=False)
+        def __init__(self, ctx, k, check_stability=True, **kwargs):
+            super().__init__(ctx, k, check_stability=False, **kwargs)
 
     monkeypatch.setattr(verify, "CocycleSpace", Unchecked)
     records = _space_item(2, 1, 2, seed=5, hecke_ms=[[1, 1]])
