@@ -42,9 +42,11 @@ def _env_max_orbits():
     if not raw:
         return MAX_ORBITS
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise UsageError(f"DRINFELDFORMS_MAX_ORBITS must be an integer, got {raw!r}") from None
+    _at_least("DRINFELDFORMS_MAX_ORBITS", bound, 1)
+    return bound
 
 
 def _check_q(q):
@@ -61,6 +63,12 @@ def _at_least(option, value, low):
         raise UsageError(f"{option} must be >= {low}, got {value}")
 
 
+def _check_out(out):
+    """Reject an --out path in a missing directory before any work runs."""
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise UsageError(f"cannot write --out {out}: no such directory")
+
+
 def _check_common(args):
     """Validate the options shared by dims, hecke and graph.
 
@@ -70,14 +78,19 @@ def _check_common(args):
     _at_least("--n", args.n, 1)
     _at_least("--k", getattr(args, "k", None), 2)
     _at_least("--depth", args.depth, 0)
+    _at_least("--max-orbits", args.max_orbits, 1)
+    _check_out(args.out)
     if args.max_orbits is None:
         args.max_orbits = _env_max_orbits()
 
 
 def _write(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -176,6 +189,7 @@ def cmd_verify(args):
     _at_least("--kmax", args.kmax, 2)
     _at_least("--imax", args.imax, 1)
     _at_least("--jobs", args.jobs, 1)
+    _check_out(args.out)
     max_orbits = _env_max_orbits()
     if args.suite == "paper":
         items = paper_suite_items(

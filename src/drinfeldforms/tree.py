@@ -23,6 +23,10 @@ right translate of that row.  Every classification also produces an exact
 witness in SL_2(A) transporting the stored representative to the input;
 since SL_2 preserves the parity of r, an orbit never contains an edge and
 its reversal, and orientation is carried as an explicit sign.
+
+Stabilizers, Gamma_1(t)-stability and witnesses use one comparison: the
+bottom row of w_bar sigma_bar against that of w0_bar (a witness) or of
+w_bar itself (a stabilizer class).
 """
 
 import copy
@@ -32,7 +36,6 @@ from .mat2 import Mat2
 from .rings import (
     Poly,
     RatFunc,
-    Residue,
     graded_polys,
     laurent_tail,
     poly_gcd,
@@ -312,7 +315,6 @@ class EdgeOrbit:
         "stable",
         "label",
         "stab_class_elements",
-        "stab_kernel_degrees",
         "stab_order",
     )
 
@@ -326,7 +328,6 @@ class EdgeOrbit:
         self.stable = None
         self.label = None
         self.stab_class_elements = None
-        self.stab_kernel_degrees = None
         self.stab_order = None
 
 
@@ -376,26 +377,19 @@ class TreeContext:
         self.e0 = Edge.standard(0)
 
     # -- stabilizer class enumerations -------------------------------------
-    def sbar(self, i):
-        """Mod t^n classes of the triangular apartment stabilizer S_i.
+    def sbar(self, i, level=None):
+        """Mod t^level classes (default t^n) of the apartment stabilizer S_i.
 
-        Returns a list of (sigma_bar as Mat2 over A_n, canonical lift in A),
-        cached by the effective degree cap min(i, n - 1).
+        Returns a list of (sigma_bar as Mat2 over A_level, canonical lift in
+        A), in the order of :meth:`ApartmentStabilizer.elements` and cached
+        by the effective degree cap min(i, level - 1).
         """
-        cap = min(i, self.n - 1)
-        got = self._sbar_cache.get(cap)
+        level = level or self.n
+        cap = min(i, level - 1)
+        got = self._sbar_cache.get((cap, level))
         if got is None:
-            fq, n = self.fq, self.n
-            zero = Poly.zero(fq)
-            out = []
-            for a in fq.nonzero():
-                ap = Poly.constant(fq, a)
-                ainv = Poly.constant(fq, fq.inv(a))
-                for b in graded_polys(fq, cap + 1):
-                    lift = Mat2(ap, b, zero, ainv)
-                    out.append((lift.mod_tn(n), lift))
-            self._sbar_cache[cap] = out
-            got = out
+            got = [(m.mod_tn(level), m) for m in ApartmentStabilizer(self.fq, cap).elements()]
+            self._sbar_cache[(cap, level)] = got
         return got
 
     def sl2fq(self):
@@ -466,44 +460,20 @@ class TreeContext:
         """Fill in the Gamma_1(t^n)-stabilizer data of the orbit representative."""
         if orbit.stab_order is not None:
             return
-        passing = [
-            orbit.w0 * lift * orbit.w0_inv
-            for lift in self._passing_lifts(orbit.w0, self.sbar(orbit.i))
-        ]
-        kernel_degs = self._kernel_degrees(orbit.i)
-        orbit.stab_class_elements = passing
-        orbit.stab_kernel_degrees = kernel_degs
-        orbit.stab_order = (len(passing) + 1) * self.fq.q ** len(kernel_degs)
-        # Gamma_1(t)-stability: a finite mod-t test against the constant
-        # apartment stabilizer S_0 (only i = 0 reductions can be stable)
-        if orbit.i != 0:
-            orbit.stable = False
-        else:
-            fq = self.fq
-            one, zero = Residue.one(fq, 1), Residue.zero(fq, 1)
-            wbar1 = orbit.w0.mod_tn(1)
-            wbar1_inv = Mat2(wbar1.d, -wbar1.b, -wbar1.c, wbar1.a)
-            stable = True
-            for a in fq.nonzero():
-                ap = Residue(1, Poly.constant(fq, a))
-                ainv = Residue(1, Poly.constant(fq, fq.inv(a)))
-                for b in fq.elements():
-                    if a == 1 and b == 0:
-                        continue
-                    sigma = Mat2(ap, Residue(1, Poly.constant(fq, b)), zero, ainv)
-                    conj = wbar1 * sigma * wbar1_inv
-                    if (conj.a - one).is_zero() and conj.c.is_zero() and (conj.d - one).is_zero():
-                        stable = False
-                        break
-                if not stable:
-                    break
-            orbit.stable = stable
+        passing = self._passing_lifts(orbit.w0.mod_tn(self.n), self.sbar(orbit.i))
+        orbit.stab_class_elements = [orbit.w0 * lift * orbit.w0_inv for lift in passing]
+        orbit.stab_order = self._stab_order(passing, orbit.i)
+        # Gamma_1(t)-stability is the same test at level 1 against the
+        # constant apartment stabilizer S_0 (only i = 0 reductions can be stable)
+        orbit.stable = orbit.i == 0 and not self._passing_lifts(
+            orbit.w0.mod_tn(1), self.sbar(0, level=1)
+        )
 
     def edge_stab_generators(self, orbit):
         """Exact stabilizer elements in Gamma_1(t^n) (class lifts + kernel)."""
         self.edge_stabilizer(orbit)
         gens = list(orbit.stab_class_elements)
-        for j in orbit.stab_kernel_degrees:
+        for j in self._kernel_degrees(orbit.i):
             u = Mat2.translation(Poly.t_power(self.fq, self.n + j))
             gens.append(orbit.w0 * u * orbit.w0_inv)
         return gens
@@ -515,31 +485,35 @@ class TreeContext:
         unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
         """
         w_inv = w.inverse_unimodular()
-        passing = [w * lift * w_inv for lift in self._passing_lifts(w, self.vertex_sbar(j))]
-        return passing, self._kernel_degrees(j)
+        passing = self._passing_lifts(w.mod_tn(self.n), self.vertex_sbar(j))
+        return [w * lift * w_inv for lift in passing], self._kernel_degrees(j)
 
     def vertex_stabilizer(self, vorbit):
         """Set the stabilizer order of the representative; no element is formed."""
-        passing = self._passing_lifts(vorbit.w0, self.vertex_sbar(vorbit.j))
-        vorbit.stab_order = (len(passing) + 1) * self.fq.q ** len(self._kernel_degrees(vorbit.j))
+        passing = self._passing_lifts(vorbit.w0.mod_tn(self.n), self.vertex_sbar(vorbit.j))
+        vorbit.stab_order = self._stab_order(passing, vorbit.j)
 
-    def _passing_lifts(self, w, classes):
-        """Lifts of the nontrivial classes sigma_bar with w sigma_bar w^{-1} in Gamma_1(t^n)bar."""
-        wbar = w.mod_tn(self.n)
-        wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)  # adjugate = inverse
+    def _passing_lifts(self, wbar, classes):
+        """Lifts of the nontrivial classes sigma_bar with wbar sigma_bar wbar^{-1} in Gamma_1bar.
+
+        wbar and the classes are reduced mod the same t^m.  The conjugate is
+        (1, *; 0, 1) mod t^m exactly when wbar sigma_bar has wbar's bottom
+        row: its determinant is 1, so a bottom row (0, 1) forces a = 1.
+        """
+        row = (wbar.c.poly.coeffs, wbar.d.poly.coeffs)
         return [
             lift
             for sb, lift in classes
-            if self._is_gamma_bar(wbar * sb * wbar_inv) and not self._is_identity_bar_lift(lift)
+            if self._row_key(wbar.c, wbar.d, sb) == row and not self._is_identity_bar_lift(lift)
         ]
+
+    def _stab_order(self, passing, i):
+        """|Stab| from the passing nontrivial classes and the kernel of reduction."""
+        return (len(passing) + 1) * self.fq.q ** len(self._kernel_degrees(i))
 
     def _kernel_degrees(self, i):
         """The deg <= i - n: u(t^(n+deg)) lies in S_i and is trivial mod t^n."""
         return list(range(i - self.n + 1))
-
-    def _is_gamma_bar(self, m):
-        one = Residue.one(self.fq, self.n)
-        return (m.a - one).is_zero() and m.c.is_zero() and (m.d - one).is_zero()
 
     def _is_identity_bar_lift(self, lift):
         return lift.a.is_one() and lift.b.is_zero() and lift.c.is_zero() and lift.d.is_one()

@@ -98,6 +98,30 @@ def test_numeric_inputs_are_validated(capsys, monkeypatch):
     _one_line_error(capsys, ("graph", "--q", "2", "--n", "2", "--depth", "3"), 3, "resource bound")
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (
+        ("dims", "--q", "2", "--n", "1"),
+        ("graph", "--q", "2", "--n", "1", "--depth", "2"),
+        ("verify", "--suite", "goss", "--q", "2", "--imax", "1"),
+    ):
+        _one_line_error(capsys, (*argv, "--out", str(missing)), 2, "usage error:")
+    # a path the check lets through but open() refuses: a directory
+    _one_line_error(capsys, ("dims", "--q", "2", "--n", "1", "--out", str(tmp_path)), 2, "usage error:")
+    assert not missing.parent.exists()
+
+
+def test_orbit_bound_below_one_is_a_usage_error(capsys, monkeypatch):
+    for bound in ("0", "-3"):
+        _one_line_error(
+            capsys, ("graph", "--q", "2", "--n", "1", "--max-orbits", bound), 2, "usage error:"
+        )
+    for bound in ("0", "-3"):
+        monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", bound)
+        for argv in (("dims", "--q", "2", "--n", "1"), ("verify", "--suite", "goss", "--q", "2")):
+            _one_line_error(capsys, argv, 2, "usage error:")
+
+
 def test_verify_reads_the_orbit_bound_from_the_environment(capsys, monkeypatch):
     argv = ("verify", "--suite", "paper", "--q", "2", "--nmax", "2", "--kmax", "2", "--jobs", "1")
     # q2n2's depth-(D+1) stability table has 44 edge orbits

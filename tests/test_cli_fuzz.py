@@ -34,7 +34,7 @@ def _argv(command, q, n, k, depth):
     n=st.integers(-1, 2),
     k=st.integers(0, 3),
     depth=st.integers(-3, 6),
-    max_orbits=st.sampled_from(["", "abc", "1.5", "40", "200000"]),
+    max_orbits=st.sampled_from(["", "abc", "1.5", "0", "-3", "40", "200000"]),
 )
 def test_cli_inputs_end_in_a_documented_exit_code(command, q, n, k, depth, max_orbits):
     argv = [str(a) for a in _argv(command, q, n, k, depth)]

@@ -33,6 +33,9 @@ HECKE_CONFIGS = (
 
 CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     ("graph_q2n2d5.json", ["graph", "--q", "2", "--n", "2", "--depth", "5", "--format", "json"]),
+    # q = 3 and q = 4 reach classes with a != 1, which F_2^x = {1} never does
+    ("graph_q3n2d5.json", ["graph", "--q", "3", "--n", "2", "--depth", "5", "--format", "json"]),
+    ("graph_q4n1d5.json", ["graph", "--q", "4", "--n", "1", "--depth", "5", "--format", "json"]),
     ("verify_goss_q2q3.json", ["verify", "--suite", "goss", "--q", "2", "--q", "3"]),
 ]
 

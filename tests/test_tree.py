@@ -7,11 +7,13 @@ from drinfeldforms.errors import ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly, RatFunc, laurent_tail, tail_to_ratfunc
+from drinfeldforms.rings import Poly, RatFunc, Residue, laurent_tail, tail_to_ratfunc
 from drinfeldforms.tree import (
     ApartmentStabilizer,
     Edge,
+    EdgeOrbit,
     QuotientGraph,
+    TreeContext,
     Vertex,
     apply_edge,
     apply_vertex,
@@ -302,3 +304,91 @@ def test_extension_respects_the_orbit_bound():
     assert len(graph.edge_orbits) == 39
     with pytest.raises(ResourceBoundError):
         graph.extended()  # the depth-8 shell brings the table to 44
+
+
+def _is_identity(m):
+    return m.a.is_one() and m.b.is_zero() and m.c.is_zero() and m.d.is_one()
+
+
+def passing_lifts_oracle(tree, w, classes):
+    """The full conjugate wbar sigma_bar wbar^{-1} over A_n, tested entry by
+    entry: kept as the oracle for the bottom-row test of _passing_lifts."""
+    one = Residue.one(tree.fq, tree.n)
+    wbar = w.mod_tn(tree.n)
+    wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)  # adjugate = inverse
+    out = []
+    for sb, lift in classes:
+        m = wbar * sb * wbar_inv
+        if (m.a - one).is_zero() and m.c.is_zero() and (m.d - one).is_zero() and not _is_identity(lift):
+            out.append(lift)
+    return out
+
+
+def stable_oracle(fq, orbit):
+    """Gamma_1(t)-stability by conjugating each nontrivial constant
+    (a, b; 0, a^{-1}) mod t: kept as the oracle for the level-1 row test."""
+    if orbit.i != 0:
+        return False
+    one, zero = Residue.one(fq, 1), Residue.zero(fq, 1)
+    wbar1 = orbit.w0.mod_tn(1)
+    wbar1_inv = Mat2(wbar1.d, -wbar1.b, -wbar1.c, wbar1.a)
+    for a in fq.nonzero():
+        ap = Residue(1, Poly.constant(fq, a))
+        ainv = Residue(1, Poly.constant(fq, fq.inv(a)))
+        for b in fq.elements():
+            if a == 1 and b == 0:
+                continue
+            sigma = Mat2(ap, Residue(1, Poly.constant(fq, b)), zero, ainv)
+            conj = wbar1 * sigma * wbar1_inv
+            if (conj.a - one).is_zero() and conj.c.is_zero() and (conj.d - one).is_zero():
+                return False
+    return True
+
+
+ORACLE_GRID = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
+def test_row_test_matches_the_full_conjugate(q, n):
+    ctx = group_context(q, n)
+    tree = TreeContext(ctx)
+    rng = random.Random(q * 100 + n)
+    tables = [tree.sbar(i) for i in range(n + 1)] + [tree.sl2fq()]
+    words = [rand_word(ctx.fq, rng) for _ in range(6)]
+    # words with a stabilizer: h_{(c,d)} J and its conjugates by constants
+    words += [ctx.h_matrix(c, d) * Mat2.j_matrix(ctx.fq) for c, d in ctx.label_pairs()[:3]]
+    words += [m * Mat2.j_matrix(ctx.fq) for _, m in tree.sl2fq()[:4]]
+    nonempty = 0
+    for w in words:
+        for classes in tables:
+            got = tree._passing_lifts(w.mod_tn(n), classes)
+            assert got == passing_lifts_oracle(tree, w, classes)
+            nonempty += bool(got)
+    assert nonempty  # the comparison reaches passing classes
+
+
+# building the q = 4, 5 graphs at n = 3 takes seconds; random i = 0
+# orbits cover those two below
+@pytest.mark.parametrize("q,n", [(q, n) for q, n in ORACLE_GRID if n < 3 or q < 4])
+def test_stability_matches_the_mod_t_oracle_on_graphs(q, n):
+    graph = QuotientGraph(group_context(q, n), depth=2)
+    orbits = list(graph.edge_orbits.values())
+    assert all(o.stable == stable_oracle(graph.ctx.fq, o) for o in orbits)
+    assert any(o.i == 0 and not o.stable for o in orbits)
+
+
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
+def test_stability_matches_the_mod_t_oracle_on_random_orbits(q, n):
+    ctx = group_context(q, n)
+    fq = ctx.fq
+    tree = TreeContext(ctx)
+    rng = random.Random(q * 17 + n)
+    seen = set()
+    for _ in range(40):
+        w = rand_word(fq, rng)
+        i = rng.choice((0, 0, 0, 1))
+        orbit = EdgeOrbit(None, i, w, None, None)
+        tree.edge_stabilizer(orbit)
+        assert orbit.stable == stable_oracle(fq, orbit)
+        seen.add(orbit.stable)
+    assert seen == {True, False}
