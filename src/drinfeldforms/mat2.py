@@ -97,3 +97,26 @@ class Mat2:
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
+
+
+class DeferredProduct(Mat2):
+    """The product of its factors, multiplied out the first time an entry is read.
+
+    Witnesses and stabilizer conjugates are formed for every classified
+    edge, but the trivial action on V_2 never reads them.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors):
+        self.factors = factors
+
+    def __getattr__(self, name):
+        # reached only while the entry slots are still unset
+        if name not in Mat2.__slots__:
+            raise AttributeError(name)
+        m = self.factors[0]
+        for f in self.factors[1:]:
+            m = m * f
+        self.a, self.b, self.c, self.d = m.a, m.b, m.c, m.d
+        return getattr(self, name)

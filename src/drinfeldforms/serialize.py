@@ -19,18 +19,22 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?(t)?\s*(?:\^\s*(\d+))?\s*$")
 
 
 def parse_poly(fq, text):
-    """Parse ``t^2+t+1``-style input into an element of F_q[t]."""
-    s = text.strip().replace("-", "+-")
-    if not s or s == "+-":
+    """Parse ``t^2+t+1``-style input into an element of F_q[t].
+
+    A term ``-c*t^e`` is the negative of c in F_q, also when q is not prime.
+    """
+    s = text.strip()
+    if not s or s == "-":
         raise UsageError(f"empty polynomial: {text!r}")
+    parts = re.split(r"([+-])", s)
+    terms = list(zip(["+"] + parts[1::2], parts[0::2]))
+    if not terms[0][1].strip():
+        terms = terms[1:]  # a leading sign
     coeffs = {}
-    for chunk in s.split("+"):
+    for sign, chunk in terms:
         chunk = chunk.strip()
         if not chunk:
-            continue
-        negate = chunk.startswith("-")
-        if negate:
-            chunk = chunk[1:]
+            raise UsageError(f"empty term in polynomial {text!r}")
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise UsageError(f"cannot parse polynomial term {chunk!r} in {text!r}")
@@ -41,7 +45,9 @@ def parse_poly(fq, text):
                 raise UsageError(f"exponent without variable in {chunk!r}")
         else:
             exp = int(m.group(3)) if m.group(3) is not None else 1
-        code = fq.from_int(-coef if negate else coef)
+        code = fq.from_int(coef)
+        if sign == "-":
+            code = fq.neg(code)
         coeffs[exp] = fq.add(coeffs.get(exp, 0), code)
     if not coeffs:
         return Poly.zero(fq)

@@ -13,26 +13,38 @@ polynomial degrees, and the new tail is the expansion of an unreduced
 quotient of polynomials, so acting by a matrix over A pays no gcd.
 
 Reduction to the apartment alternates killing the polynomial part of s by
-a translation in SL_2(A) and inverting through J = (0 -1; 1 0); each
-inversion strictly decreases r, so the walk terminates.  Orbits of
-Gamma_1(t^n) are canonicalized through the finite double coset
-Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
-stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is determined by
-the bottom row mod t^n, and the orbit key is the lexicographically least
-right translate of that row.  Every classification also produces an exact
-witness in SL_2(A) transporting the stored representative to the input;
-since SL_2 preserves the parity of r, an orbit never contains an edge and
-its reversal, and orientation is carried as an explicit sign.
+a translation in SL_2(A) and inverting through J = (0 -1; 1 0), each a row
+operation on the accumulated matrix; each inversion strictly decreases r,
+so the walk terminates.  Orbits of Gamma_1(t^n) are canonicalized through
+the finite double coset Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is
+the apartment stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is
+determined by the bottom row mod t^n, and the orbit key is the
+lexicographically least right translate of that row.  That translate is a
+normal form, computed coefficient by coefficient with no enumeration of
+Sbar_i: a scales the first nonzero coefficient of c to 1, and b clears the
+coefficients of d from that position on as far as its degree allows.  At
+v_0, whose stabilizer is SL_2(F_q), the key is the least of the q + 1
+normal forms of row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
 
-Stabilizers, Gamma_1(t)-stability and witnesses use one comparison: the
-bottom row of w_bar sigma_bar against that of w0_bar (a witness) or of
-w_bar itself (a stabilizer class).
+Every classification also produces an exact witness in SL_2(A)
+transporting the stored representative to the input; its lift in S_i is
+read off the two normal forms, and the product is multiplied out only
+when an entry is read (the trivial action on V_2 reads none).  Since SL_2
+preserves the parity of r, an orbit never contains an edge and its
+reversal, and orientation is carried as an explicit sign.
+
+The classes of Sbar_i fixing a bottom row are translations (1, t^s b'; 0, 1)
+in closed form; they give the edge stabilizers, the vertex stabilizers off
+v_0, and Gamma_1(t)-stability (the same test at level 1).  Only the
+SL_2(F_q) classes at v_0 are scanned, by comparing the bottom row of
+w_bar sigma_bar with that of w_bar.
 """
 
 import copy
+from itertools import islice
 
 from .errors import ResourceBoundError
-from .mat2 import Mat2
+from .mat2 import DeferredProduct, Mat2
 from .rings import (
     Poly,
     RatFunc,
@@ -181,6 +193,16 @@ def apply_edge(g, e, fq):
     return Edge(apply_vertex(g, e.origin, fq), apply_vertex(g, e.terminus, fq))
 
 
+def _translated(g, b):
+    """(1, b; 0, 1) g, by one row operation."""
+    return Mat2(g.a + b * g.c, g.b + b * g.d, g.c, g.d)
+
+
+def _inverted(g):
+    """J g = (-c, -d; a, b), by a row swap."""
+    return Mat2(-g.c, -g.d, g.a, g.b)
+
+
 def reduce_vertex(v, fq):
     """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0.
 
@@ -189,7 +211,6 @@ def reduce_vertex(v, fq):
     each inversion drops r by at least 2.
     """
     gamma = Mat2.identity_poly(fq)
-    jmat = Mat2.j_matrix(fq)
     r, tail = v.r, v.tail
     while True:
         poly_part = [(e, c) for e, c in tail if e <= 0]
@@ -197,18 +218,18 @@ def reduce_vertex(v, fq):
             b = Poly.zero(fq)
             for e, c in poly_part:
                 b = b + Poly.constant(fq, c).shift(-e)
-            gamma = Mat2.translation(-b) * gamma
+            gamma = _translated(gamma, -b)
             tail = tuple((e, c) for e, c in tail if e > 0)
         if not tail:
             if r <= 0:
                 return gamma, -r
-            return jmat * gamma, r
+            return _inverted(gamma), r
         vmin = tail[0][0]
         # 1 <= vmin < r is guaranteed by the canonical tail
         s = tail_to_ratfunc(fq, tail)
         r = r - 2 * vmin
         tail = laurent_tail(RatFunc(-s.den, s.num, reduce=False), r)
-        gamma = jmat * gamma
+        gamma = _inverted(gamma)
 
 
 def reduce_edge(e, fq):
@@ -228,9 +249,9 @@ def reduce_edge(e, fq):
         elif c:
             raise AssertionError("non-adjacent edge endpoints")
     if code:
-        gamma = Mat2.translation(-Poly.constant(fq, code).shift(j)) * gamma
+        gamma = _translated(gamma, Poly.constant(fq, fq.neg(code)).shift(j))
     if j == 0:
-        return Mat2.j_matrix(fq) * gamma, 0, POS_SIGN
+        return _inverted(gamma), 0, POS_SIGN
     return gamma, j - 1, NEG_SIGN
 
 
@@ -316,6 +337,7 @@ class EdgeOrbit:
         "label",
         "stab_class_elements",
         "stab_order",
+        "nf",
     )
 
     def __init__(self, key, i, w0, rep, depth):
@@ -329,6 +351,7 @@ class EdgeOrbit:
         self.label = None
         self.stab_class_elements = None
         self.stab_order = None
+        self.nf = None
 
 
 class VertexOrbit:
@@ -370,68 +393,72 @@ class TreeContext:
         self.ctx = ctx
         self.fq = ctx.fq
         self.n = ctx.n
-        self._sbar_cache = {}
         self._sl2fq = None
         self._classify_cache = {}
         self._vreduce_cache = {}
         self.e0 = Edge.standard(0)
 
-    # -- stabilizer class enumerations -------------------------------------
-    def sbar(self, i, level=None):
-        """Mod t^level classes (default t^n) of the apartment stabilizer S_i.
-
-        Returns a list of (sigma_bar as Mat2 over A_level, canonical lift in
-        A), in the order of :meth:`ApartmentStabilizer.elements` and cached
-        by the effective degree cap min(i, level - 1).
-        """
-        level = level or self.n
-        cap = min(i, level - 1)
-        got = self._sbar_cache.get((cap, level))
-        if got is None:
-            got = [(m.mod_tn(level), m) for m in ApartmentStabilizer(self.fq, cap).elements()]
-            self._sbar_cache[(cap, level)] = got
-        return got
-
     def sl2fq(self):
+        """SL_2(F_q) as (class mod t^n, constant lift) pairs: the classes of Stab(v_0)."""
         if self._sl2fq is None:
             self._sl2fq = [
                 (m.mod_tn(self.n), m) for m in vertex_zero_stabilizer(self.fq)
             ]
         return self._sl2fq
 
-    def vertex_sbar(self, j):
-        return self.sl2fq() if j == 0 else self.sbar(j)
-
     # -- keys ----------------------------------------------------------------
-    def _row_key(self, wbar_c, wbar_d, sigma_bar):
-        # bottom row (c, d) * sigma_bar
-        c = wbar_c * sigma_bar.a  # sigma_bar.c is 0 for triangular ones
-        if not sigma_bar.c.is_zero():
-            c = c + wbar_d * sigma_bar.c
-        d = wbar_c * sigma_bar.b + wbar_d * sigma_bar.d
-        return (c.poly.coeffs, d.poly.coeffs)
+    def _normal_form(self, c, d, i):
+        """(row, a, b): the least right translate of the bottom row (c, d) under S_i.
 
-    def edge_key(self, w, i):
-        wbar = w.mod_tn(self.n)
-        rows = [self._row_key(wbar.c, wbar.d, sb) for sb, _ in self.sbar(i)]
-        return (i, min(rows))
+        c and d are coefficient tuples, read mod t^n.  row is
+        (c, d) (a, b; 0, a^-1) mod t^n as stripped coefficient tuples, the
+        least of all such translates as tuples; b is a tuple of codes.  The
+        translate is (a c, b c + a^-1 d).  With v = v_t(c) < n, a sets the
+        coefficient of c at v to 1, the least nonzero code, and b_0, b_1, ...
+        in turn clear the coefficients v, v + 1, ... of the second entry,
+        as far as deg b <= min(i, n - 1) and t^n allow.  With c = 0 mod t^n,
+        d is a unit, a sets its constant coefficient to 1 and b does nothing.
+        """
+        fq, n = self.fq, self.n
+        mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
+        c = c[:n] + (0,) * (n - len(c))
+        d = d[:n] + (0,) * (n - len(d))
+        v = next((p for p, x in enumerate(c) if x), n)
+        if v == n:
+            a = d[0]
+            return ((), _strip([mul[inv[a]][x] for x in d])), a, ()
+        a = inv[c[v]]
+        row_d = [mul[c[v]][x] for x in d]  # a^-1 d, as a^-1 = c_v
+        b = []
+        for j in range(min(i, n - 1 - v) + 1):
+            bj = mul[a][neg[row_d[v + j]]]
+            b.append(bj)
+            if bj:
+                times = mul[bj]
+                for p in range(v + j, n):
+                    row_d[p] = add[row_d[p]][times[c[p - j]]]
+        return (_strip([mul[a][x] for x in c]), _strip(row_d)), a, tuple(b)
 
     def vertex_key(self, w, j):
-        wbar = w.mod_tn(self.n)
-        rows = [self._row_key(wbar.c, wbar.d, sb) for sb, _ in self.vertex_sbar(j)]
-        return (j, min(rows))
+        if j:
+            return (j, self._normal_form(w.c.coeffs, w.d.coeffs, j)[0])
+        # SL_2(F_q) is the union of the cosets rho Sbar_0 over
+        # rho = (1, 0; x, 1) and J, and row rho is (c + x d, d) or (d, -c)
+        rows = [(w.c + w.d.scale(x), w.d) for x in self.fq.elements()]
+        rows.append((w.d, -w.c))
+        return (0, min(self._normal_form(c.coeffs, d.coeffs, 0)[0] for c, d in rows))
 
     # -- reductions with caching ---------------------------------------------
     def reduce_edge(self, e):
+        """(key, i, sign, w, nf): w(sign * e_i) = e, and nf the normal form of w's row."""
         got = self._classify_cache.get(e)
         if got is None:
             gamma, i, sign = reduce_edge(e, self.fq)
             w = gamma.inverse_unimodular()
-            key = self.edge_key(w, i)
-            got = (key, i, sign, w)
+            nf = self._normal_form(w.c.coeffs, w.d.coeffs, i)
+            got = ((i, nf[0]), i, sign, w, nf)
             self._classify_cache[e] = got
-            rev = (key, i, -sign, w)
-            self._classify_cache[Edge(e.terminus, e.origin)] = rev
+            self._classify_cache[Edge(e.terminus, e.origin)] = (got[0], i, -sign, w, nf)
         return got
 
     def reduce_vertex(self, v):
@@ -444,38 +471,49 @@ class TreeContext:
         return got
 
     # -- witnesses -------------------------------------------------------------
-    def edge_witness(self, w, orbit):
-        """delta in Gamma_1(t^n) with delta * (orbit.w0) in w * S_i."""
-        wbar = w.mod_tn(self.n)
-        w0bar = orbit.w0.mod_tn(self.n)
-        target = (w0bar.c.poly.coeffs, w0bar.d.poly.coeffs)
-        for sb, lift in self.sbar(orbit.i):
-            if self._row_key(wbar.c, wbar.d, sb) == target:
-                delta = w * lift * orbit.w0_inv
-                return delta
-        raise AssertionError("witness search failed: edge not in claimed orbit")
+    def edge_witness(self, w, nf, orbit):
+        """delta in Gamma_1(t^n) with delta * (orbit.w0) in w * S_i, as a deferred product.
+
+        nf is the normal form of w's bottom row and orbit.nf that of w0's,
+        so the rows are taken to one row by sigma_w = (a, b; 0, a^-1) and
+        sigma_w0 = (a0, b0; 0, a0^-1), and the lift sigma_w sigma_w0^-1 =
+        (a/a0, a0 b - a b0; 0, a0/a) takes w's row to w0's.  It is the
+        first class a scan of Sbar_i (a, then b in graded_polys order) finds:
+        every other class doing so has the same a and adds to b a nonzero
+        multiple of t^(n - v), v = v_t(c), while deg b, deg b0 < n - v.
+        """
+        row, a, b = nf
+        row0, a0, b0 = orbit.nf
+        if row != row0:
+            raise AssertionError("witness search failed: edge not in claimed orbit")
+        fq = self.fq
+        mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
+        lift_b = Poly(fq, [add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0)])
+        ratio = mul[a][inv[a0]]
+        lift = Mat2(Poly.constant(fq, ratio), lift_b, Poly.zero(fq), Poly.constant(fq, inv[ratio]))
+        return DeferredProduct(w, lift, orbit.w0_inv)
 
     # -- stabilizers -------------------------------------------------------------
     def edge_stabilizer(self, orbit):
-        """Fill in the Gamma_1(t^n)-stabilizer data of the orbit representative."""
+        """Fill in the normal form and the Gamma_1(t^n)-stabilizer data of the representative."""
         if orbit.stab_order is not None:
             return
-        passing = self._passing_lifts(orbit.w0.mod_tn(self.n), self.sbar(orbit.i))
-        orbit.stab_class_elements = [orbit.w0 * lift * orbit.w0_inv for lift in passing]
-        orbit.stab_order = self._stab_order(passing, orbit.i)
+        w0 = orbit.w0
+        orbit.nf = self._normal_form(w0.c.coeffs, w0.d.coeffs, orbit.i)
+        lifts = self._stab_lifts(w0.c, orbit.i, self.n)
+        orbit.stab_class_elements = [DeferredProduct(w0, lift, orbit.w0_inv) for lift in lifts]
+        orbit.stab_order = self._stab_order(len(lifts), orbit.i)
         # Gamma_1(t)-stability is the same test at level 1 against the
         # constant apartment stabilizer S_0 (only i = 0 reductions can be stable)
-        orbit.stable = orbit.i == 0 and not self._passing_lifts(
-            orbit.w0.mod_tn(1), self.sbar(0, level=1)
-        )
+        orbit.stable = orbit.i == 0 and not self._stab_lifts(w0.c, 0, 1)
 
     def edge_stab_generators(self, orbit):
-        """Exact stabilizer elements in Gamma_1(t^n) (class lifts + kernel)."""
+        """Exact stabilizer elements in Gamma_1(t^n) (class lifts + kernel), deferred."""
         self.edge_stabilizer(orbit)
         gens = list(orbit.stab_class_elements)
         for j in self._kernel_degrees(orbit.i):
             u = Mat2.translation(Poly.t_power(self.fq, self.n + j))
-            gens.append(orbit.w0 * u * orbit.w0_inv)
+            gens.append(DeferredProduct(orbit.w0, u, orbit.w0_inv))
         return gens
 
     def vertex_stab_elements(self, w, j):
@@ -485,31 +523,58 @@ class TreeContext:
         unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
         """
         w_inv = w.inverse_unimodular()
-        passing = self._passing_lifts(w.mod_tn(self.n), self.vertex_sbar(j))
-        return [w * lift * w_inv for lift in passing], self._kernel_degrees(j)
+        lifts = self._vertex_stab_lifts(w, j)
+        return [DeferredProduct(w, lift, w_inv) for lift in lifts], self._kernel_degrees(j)
 
     def vertex_stabilizer(self, vorbit):
         """Set the stabilizer order of the representative; no element is formed."""
-        passing = self._passing_lifts(vorbit.w0.mod_tn(self.n), self.vertex_sbar(vorbit.j))
-        vorbit.stab_order = self._stab_order(passing, vorbit.j)
+        lifts = self._vertex_stab_lifts(vorbit.w0, vorbit.j)
+        vorbit.stab_order = self._stab_order(len(lifts), vorbit.j)
 
-    def _passing_lifts(self, wbar, classes):
-        """Lifts of the nontrivial classes sigma_bar with wbar sigma_bar wbar^{-1} in Gamma_1bar.
+    def _vertex_stab_lifts(self, w, j):
+        if j == 0:
+            return self._passing_lifts(w.mod_tn(self.n))
+        return self._stab_lifts(w.c, j, self.n)
 
-        wbar and the classes are reduced mod the same t^m.  The conjugate is
-        (1, *; 0, 1) mod t^m exactly when wbar sigma_bar has wbar's bottom
-        row: its determinant is 1, so a bottom row (0, 1) forces a = 1.
+    def _stab_lifts(self, c, i, level):
+        """Lifts of the nontrivial classes of Sbar_i mod t^level fixing a bottom row (c, d).
+
+        (c, d) (a, b; 0, a^-1) = (c, d) forces a = 1 (from a c = c if
+        v = v_t(c) < level, else from a^-1 d = d with d a unit) and
+        t^(level - v) | b, reading v = level when c = 0 mod t^level.  So the
+        classes are (1, t^(level - v) b'; 0, 1) with b' != 0 and
+        deg b' <= min(i, level - 1) - (level - v), in graded_polys order,
+        which is the order of the b in :meth:`ApartmentStabilizer.elements`.
+        """
+        shift = level - min(c.vt(), level)
+        free = min(i, level - 1) - shift + 1
+        return [
+            Mat2.translation(b.shift(shift)) for b in islice(graded_polys(self.fq, free), 1, None)
+        ]
+
+    def _passing_lifts(self, wbar):
+        """Lifts of the nontrivial classes of SL_2(F_q) fixing the bottom row of wbar mod t^n.
+
+        wbar sigma_bar has wbar's bottom row exactly when the conjugate
+        wbar sigma_bar wbar^{-1} is (1, *; 0, 1) mod t^n: its determinant is
+        1, so a bottom row (0, 1) forces a = 1.
         """
         row = (wbar.c.poly.coeffs, wbar.d.poly.coeffs)
         return [
             lift
-            for sb, lift in classes
+            for sb, lift in self.sl2fq()
             if self._row_key(wbar.c, wbar.d, sb) == row and not self._is_identity_bar_lift(lift)
         ]
 
-    def _stab_order(self, passing, i):
-        """|Stab| from the passing nontrivial classes and the kernel of reduction."""
-        return (len(passing) + 1) * self.fq.q ** len(self._kernel_degrees(i))
+    def _row_key(self, wbar_c, wbar_d, sigma_bar):
+        # bottom row (c, d) * sigma_bar
+        c = wbar_c * sigma_bar.a + wbar_d * sigma_bar.c
+        d = wbar_c * sigma_bar.b + wbar_d * sigma_bar.d
+        return (c.poly.coeffs, d.poly.coeffs)
+
+    def _stab_order(self, classes, i):
+        """|Stab| from the number of passing nontrivial classes and the kernel of reduction."""
+        return (classes + 1) * self.fq.q ** len(self._kernel_degrees(i))
 
     def _kernel_degrees(self, i):
         """The deg <= i - n: u(t^(n+deg)) lies in S_i and is trivial mod t^n."""
@@ -517,6 +582,14 @@ class TreeContext:
 
     def _is_identity_bar_lift(self, lift):
         return lift.a.is_one() and lift.b.is_zero() and lift.c.is_zero() and lift.d.is_one()
+
+
+def _strip(coeffs):
+    """Coefficient tuple without trailing zeros."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return tuple(coeffs[:n])
 
 
 class QuotientGraph:
@@ -556,7 +629,7 @@ class QuotientGraph:
 
     # -- construction -------------------------------------------------------
     def _register_edge(self, e, depth):
-        key, i, sign, w = self.tree.reduce_edge(e)
+        key, i, sign, w, _ = self.tree.reduce_edge(e)
         orbit = self.edge_orbits.get(key)
         if orbit is None:
             if len(self.edge_orbits) >= self.max_orbits:
@@ -629,11 +702,11 @@ class QuotientGraph:
     # -- lookups ---------------------------------------------------------------
     def classify(self, e):
         """(orbit-or-None, key, sign, witness-or-None) for an oriented edge."""
-        key, i, sign, w = self.tree.reduce_edge(e)
+        key, i, sign, w, nf = self.tree.reduce_edge(e)
         orbit = self.edge_orbits.get(key)
         if orbit is None:
             return None, key, sign, None
-        delta = self.tree.edge_witness(w, orbit)
+        delta = self.tree.edge_witness(w, nf, orbit)
         return orbit, key, sign, delta
 
     def in_edges(self, vorbit):
@@ -732,10 +805,10 @@ def classify_edge(ctx, e, graph=None):
     orbit, key, sign, delta = graph.classify(e)
     if orbit is None:
         # beyond the table: register on the fly from this edge's reduction
-        _, i, _, w = tree.reduce_edge(e)
+        _, i, _, w, nf = tree.reduce_edge(e)
         orbit = EdgeOrbit(key, i, w, apply_edge(w, Edge.standard(i), ctx.fq), None)
         tree.edge_stabilizer(orbit)
-        delta = tree.edge_witness(w, orbit)
+        delta = tree.edge_witness(w, nf, orbit)
     if orbit.stable:
         return EdgeClass(True, orbit.label, orbit.i, sign, delta, None)
     # cusp end: the fixed end of a nontrivial parabolic stabilizing one of

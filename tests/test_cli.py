@@ -32,6 +32,23 @@ def test_parse_poly():
         parse_poly(fq, "")
 
 
+@pytest.mark.parametrize("q,minus_one", [(4, 1), (9, 2)])
+def test_negative_coefficients_at_non_prime_q(capsys, q, minus_one):
+    # -c is the negative of c in F_q, not the code of the integer -c mod q
+    fq = field(q)
+    t, one = Poly.t(fq), Poly.one(fq)
+    assert parse_poly(fq, "t-1") == t + one.scale(minus_one)
+    assert parse_poly(fq, "-t^2+t") == t * t * Poly.constant(fq, minus_one) + t
+    code, out = run_cli(capsys, "hecke", "--q", str(q), "--n", "1", "--op", "Tm:t-1")
+    assert code == 0
+    assert json.loads(out)["operators"][0]["name"] == f"Tm(t+{minus_one})"
+
+
+def test_empty_polynomial_terms_are_usage_errors(capsys):
+    for spec in ("Tm:t+1+", "Tm:t++1", "Tm:t+-1", "Diamond:--t"):
+        _one_line_error(capsys, ("hecke", "--q", "2", "--n", "1", "--op", spec), 2, "usage error:")
+
+
 def test_dims_command(capsys):
     code, out = run_cli(capsys, "dims", "--q", "2", "--n", "2", "--k", "2")
     assert code == 0

@@ -8,9 +8,10 @@ from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.linalg import FqRing, KRing, Matrix
-from drinfeldforms.mat2 import Mat2
+from drinfeldforms.hecke import HeckeEngine
+from drinfeldforms.mat2 import DeferredProduct, Mat2
 from drinfeldforms.rings import Poly
-from drinfeldforms.tree import Edge, apply_edge
+from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
 
 
 def rand_gamma(ctx, rng):
@@ -239,3 +240,40 @@ def test_orbit_bound_covers_the_stability_shell():
     assert CocycleSpace(ctx, 2, check_stability=False, max_orbits=40).dim == 4
     with pytest.raises(ResourceBoundError):
         CocycleSpace(ctx, 2, max_orbits=40)
+
+
+def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
+    # V_2 never reads a witness or a stabilizer element, so building the
+    # space and U_t forms no Mat2 product inside classify or
+    # edge_stab_generators, and no deferred product is multiplied out later
+    seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0}
+    mul = Mat2.__mul__
+
+    def counting_mul(self, other):
+        seen["inside"] += bool(seen["depth"])
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    for cls, name in ((QuotientGraph, "classify"), (TreeContext, "edge_stab_generators")):
+        fn = getattr(cls, name)
+
+        def wrapped(*args, _fn=fn):
+            seen["depth"] += 1
+            seen["calls"] += 1
+            try:
+                return _fn(*args)
+            finally:
+                seen["depth"] -= 1
+
+        monkeypatch.setattr(cls, name, wrapped)
+    read = DeferredProduct.__getattr__
+
+    def counting_read(self, name):
+        seen["read"] += 1
+        return read(self, name)
+
+    monkeypatch.setattr(DeferredProduct, "__getattr__", counting_read)
+    space = CocycleSpace(group_context(2, 2), 2)
+    HeckeEngine(space).u_t()
+    assert seen["calls"] > 0
+    assert seen["inside"] == 0 and seen["read"] == 0

@@ -36,6 +36,16 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     # q = 3 and q = 4 reach classes with a != 1, which F_2^x = {1} never does
     ("graph_q3n2d5.json", ["graph", "--q", "3", "--n", "2", "--depth", "5", "--format", "json"]),
     ("graph_q4n1d5.json", ["graph", "--q", "4", "--n", "1", "--depth", "5", "--format", "json"]),
+    # q = 5 reaches stabilizer classes (1, t^s b'; 0, 1) with many b'; q3n3
+    # reaches rows with v_t(c) > 0 under a degree cap m < n - 1
+    ("graph_q5n2d4.json", ["graph", "--q", "5", "--n", "2", "--depth", "4", "--format", "json"]),
+    ("graph_q3n3d3.json", ["graph", "--q", "3", "--n", "3", "--depth", "3", "--format", "json"]),
+    # weight 3 reads the witnesses, and q = 3 gives them a != 1
+    (
+        "hecke_q3n2k3.json",
+        ["hecke", "--q", "3", "--n", "2", "--k", "3", "--op", "Ut", "--op", "Tm:t+1",
+         "--op", "Diamond:t+1", "--certify", "--format", "json"],
+    ),
     ("verify_goss_q2q3.json", ["verify", "--suite", "goss", "--q", "2", "--q", "3"]),
 ]
 

@@ -6,7 +6,8 @@ from drinfeldforms.cocycles import depth_default
 from drinfeldforms.errors import ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
-from drinfeldforms.mat2 import Mat2
+from drinfeldforms.hecke import HeckeEngine
+from drinfeldforms.mat2 import DeferredProduct, Mat2
 from drinfeldforms.rings import Poly, RatFunc, Residue, laurent_tail, tail_to_ratfunc
 from drinfeldforms.tree import (
     ApartmentStabilizer,
@@ -310,9 +311,55 @@ def _is_identity(m):
     return m.a.is_one() and m.b.is_zero() and m.c.is_zero() and m.d.is_one()
 
 
+def sbar_oracle(fq, i, level):
+    """The enumerated classes mod t^level of the apartment stabilizer S_i,
+    as (sigma_bar, lift) in the order of ApartmentStabilizer.elements():
+    kept as the oracle for the closed forms of the tree layer."""
+    cap = min(i, level - 1)
+    got = _SBAR.get((fq.q, cap, level))
+    if got is None:
+        got = [(m.mod_tn(level), m) for m in ApartmentStabilizer(fq, cap).elements()]
+        _SBAR[(fq.q, cap, level)] = got
+    return got
+
+
+_SBAR = {}
+
+
+def row_times(wbar, sb):
+    """Bottom row of wbar * sb as coefficient tuples."""
+    c = wbar.c * sb.a + wbar.d * sb.c
+    d = wbar.c * sb.b + wbar.d * sb.d
+    return (c.poly.coeffs, d.poly.coeffs)
+
+
+def scan_oracle(tree, w, classes):
+    """(least translate, passing lifts) of w's bottom row mod t^n over an
+    enumerated class list: the least right translate the keys took, and the
+    nontrivial classes keeping the row (the old _passing_lifts), kept as
+    the oracle for the normal form and the closed-form stabilizer classes."""
+    wbar = w.mod_tn(tree.n)
+    own = (wbar.c.poly.coeffs, wbar.d.poly.coeffs)
+    rows = [row_times(wbar, sb) for sb, _ in classes]
+    passing = [lift for (_, lift), row in zip(classes, rows) if row == own and not _is_identity(lift)]
+    return min(rows), passing
+
+
+def witness_oracle(tree, w, orbit):
+    """w * lift * w0^-1 for the first class of the S_i scan taking w's row
+    to w0's: kept as the oracle for the closed-form witness lift."""
+    wbar = w.mod_tn(tree.n)
+    w0bar = orbit.w0.mod_tn(tree.n)
+    target = (w0bar.c.poly.coeffs, w0bar.d.poly.coeffs)
+    for sb, lift in sbar_oracle(tree.fq, orbit.i, tree.n):
+        if row_times(wbar, sb) == target:
+            return w * lift * orbit.w0_inv
+    raise AssertionError("witness search failed")
+
+
 def passing_lifts_oracle(tree, w, classes):
     """The full conjugate wbar sigma_bar wbar^{-1} over A_n, tested entry by
-    entry: kept as the oracle for the bottom-row test of _passing_lifts."""
+    entry: kept as the oracle for the bottom-row test of the stabilizer classes."""
     one = Residue.one(tree.fq, tree.n)
     wbar = w.mod_tn(tree.n)
     wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)  # adjugate = inverse
@@ -353,23 +400,23 @@ def test_row_test_matches_the_full_conjugate(q, n):
     ctx = group_context(q, n)
     tree = TreeContext(ctx)
     rng = random.Random(q * 100 + n)
-    tables = [tree.sbar(i) for i in range(n + 1)] + [tree.sl2fq()]
     words = [rand_word(ctx.fq, rng) for _ in range(6)]
     # words with a stabilizer: h_{(c,d)} J and its conjugates by constants
     words += [ctx.h_matrix(c, d) * Mat2.j_matrix(ctx.fq) for c, d in ctx.label_pairs()[:3]]
     words += [m * Mat2.j_matrix(ctx.fq) for _, m in tree.sl2fq()[:4]]
     nonempty = 0
     for w in words:
-        for classes in tables:
-            got = tree._passing_lifts(w.mod_tn(n), classes)
-            assert got == passing_lifts_oracle(tree, w, classes)
+        for i in range(n + 1):
+            got = tree._stab_lifts(w.c, i, n)
+            assert got == passing_lifts_oracle(tree, w, sbar_oracle(ctx.fq, i, n))
             nonempty += bool(got)
+        got = tree._passing_lifts(w.mod_tn(n))
+        assert got == passing_lifts_oracle(tree, w, tree.sl2fq())
+        nonempty += bool(got)
     assert nonempty  # the comparison reaches passing classes
 
 
-# building the q = 4, 5 graphs at n = 3 takes seconds; random i = 0
-# orbits cover those two below
-@pytest.mark.parametrize("q,n", [(q, n) for q, n in ORACLE_GRID if n < 3 or q < 4])
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
 def test_stability_matches_the_mod_t_oracle_on_graphs(q, n):
     graph = QuotientGraph(group_context(q, n), depth=2)
     orbits = list(graph.edge_orbits.values())
@@ -392,3 +439,120 @@ def test_stability_matches_the_mod_t_oracle_on_random_orbits(q, n):
         assert orbit.stable == stable_oracle(fq, orbit)
         seen.add(orbit.stable)
     assert seen == {True, False}
+
+
+# every (q, n) with q^n <= 800, n <= 4, over prime and non-prime fields
+CLOSED_FORM_GRID = [
+    (q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3, 4) if q ** n <= 800
+]
+
+
+def rand_gamma1(fq, n, rng):
+    """A random element of Gamma_1(t^n): it moves no bottom row mod t^n."""
+    m = Mat2.identity_poly(fq)
+    for _ in range(3):
+        b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
+        if rng.random() < 0.5:
+            m = m * Mat2.translation(b)
+        else:
+            m = m * Mat2(Poly.one(fq), Poly.zero(fq), b.shift(n), Poly.one(fq))
+    return m
+
+
+def rand_sigma(fq, i, rng):
+    """A random element (a, b; 0, a^-1) of S_i."""
+    a = rng.randrange(1, fq.q)
+    b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(0, i + 2))])
+    return Mat2(Poly.constant(fq, a), b, Poly.zero(fq), Poly.constant(fq, fq.inv(a)))
+
+
+def closed_form_words(fq, n, rng):
+    """Random words, and (1, 0; t^k x, 1)(a, b; 0, a^-1) with v_t(c) >= k for
+    every k <= n, so c = 0 mod t^n and every partial valuation occur."""
+    words = [rand_word(fq, rng) for _ in range(2)]
+    for k in range(n + 1):
+        x = Poly(fq, [rng.randrange(1, fq.q)] + [rng.randrange(fq.q) for _ in range(rng.randrange(2))])
+        low = Mat2(Poly.one(fq), Poly.zero(fq), x.shift(k), Poly.one(fq))
+        words.append(rand_gamma1(fq, n, rng) * low * rand_sigma(fq, n, rng))
+    return words
+
+
+@pytest.mark.parametrize("q,n", CLOSED_FORM_GRID)
+def test_closed_forms_match_the_scans(q, n):
+    ctx = group_context(q, n)
+    fq = ctx.fq
+    tree = TreeContext(ctx)
+    rng = random.Random(q * 1000 + n)
+    words = closed_form_words(fq, n, rng)
+    zero_rows = with_stabilizer = 0
+    for w in words:
+        zero_rows += w.c.truncate(n).is_zero()
+        # keys: the normal form is the least translate, j = 0 included
+        assert tree.vertex_key(w, 0) == (0, scan_oracle(tree, w, tree.sl2fq())[0])
+        # i >= n - 1 all cap deg b at n - 1
+        for i in range(n):
+            least, passing = scan_oracle(tree, w, sbar_oracle(fq, i, n))
+            assert tree._normal_form(w.c.coeffs, w.d.coeffs, i)[0] == least
+            if i:
+                assert tree.vertex_key(w, i) == (i, least)
+            # stabilizer classes, order included
+            lifts = tree._stab_lifts(w.c, i, n)
+            assert lifts == passing
+            with_stabilizer += bool(lifts)
+        # witness: an orbit from w, and an edge w' = gamma w sigma in it
+        i = rng.randrange(n + 1)
+        orbit = EdgeOrbit(None, i, w, None, None)
+        tree.edge_stabilizer(orbit)
+        w2 = rand_gamma1(fq, n, rng) * w * rand_sigma(fq, i, rng)
+        nf = tree._normal_form(w2.c.coeffs, w2.d.coeffs, i)
+        assert nf[0] == orbit.nf[0]
+        delta = tree.edge_witness(w2, nf, orbit)
+        assert delta == witness_oracle(tree, w2, orbit)
+        assert is_gamma1(delta, n)
+    assert zero_rows and with_stabilizer
+
+
+def test_witness_rejects_an_edge_of_another_orbit():
+    ctx = group_context(3, 2)
+    tree = TreeContext(ctx)
+    fq = ctx.fq
+    w = Mat2.identity_poly(fq)
+    orbit = EdgeOrbit(None, 0, Mat2.j_matrix(fq), None, None)
+    tree.edge_stabilizer(orbit)
+    nf = tree._normal_form(w.c.coeffs, w.d.coeffs, 0)
+    with pytest.raises(AssertionError, match="witness search failed"):
+        tree.edge_witness(w, nf, orbit)
+
+
+def test_deferred_product_multiplies_on_first_read():
+    fq = field(3)
+    rng = random.Random(5)
+    factors = [rand_word(fq, rng) for _ in range(3)]
+    m = DeferredProduct(*factors)
+    assert isinstance(m, Mat2)
+    assert m == factors[0] * factors[1] * factors[2]
+    assert m.det().is_one() and m.factors == tuple(factors)
+    with pytest.raises(AttributeError):
+        m.nonexistent
+
+
+def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
+    # weight 3 reads every witness it transports through; q = 3 gives lifts
+    # with a != 1
+    space = cache.space(3, 2, 3)
+    tree = space.graph.tree
+    made = []
+    witness = TreeContext.edge_witness
+
+    def recording(self, w, nf, orbit):
+        delta = witness(self, w, nf, orbit)
+        made.append((w, orbit, delta))
+        return delta
+
+    monkeypatch.setattr(TreeContext, "edge_witness", recording)
+    HeckeEngine(space).u_t()
+    assert made
+    assert any(delta.factors[1].a.coeffs != (1,) for _, _, delta in made)
+    for w, orbit, delta in made:
+        assert isinstance(delta, DeferredProduct)
+        assert delta == witness_oracle(tree, w, orbit)
