@@ -44,10 +44,6 @@ class AdditivePoly:
         self.fq = fq
         self.coeffs = tuple(coeffs)
 
-    @property
-    def tau_degree(self):
-        return len(self.coeffs) - 1
-
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly.zero(self.fq)
 

@@ -348,6 +348,7 @@ class Coordinates:
     Rows are (orbit, component) evaluations on orbits of depth at most
     ``safe_depth``; the d pivot rows (stable representatives first) invert
     to give coordinates, and every other safe row is verified exactly.
+    Values and coordinates lie in the space's ring.
     """
 
     def __init__(self, space, safe_depth):
@@ -372,7 +373,7 @@ class Coordinates:
             for key, s in self.row_keys
         ]
         # nonzero entries only: cocycle supports are small, so the rows are sparse
-        self.sparse_rows = [[(j, ring.embed(b)) for j, b in enumerate(row) if b] for row in rows]
+        self.sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in rows]
         # the pivot columns of the transposed rows are the first d
         # independent rows, in order
         columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(d)]
@@ -392,9 +393,9 @@ class Coordinates:
             values[self.row_keys[i][0]][self.row_keys[i][1]]
             for i in self.pivot_indices
         ]
-        x = self.pivot_inverse.apply([ring.embed(v) for v in u])
+        x = self.pivot_inverse.apply(u)
         for (key, s), row in zip(self.row_keys, self.sparse_rows):
-            want = ring.embed(values[key][s])
+            want = values[key][s]
             got = ring.zero
             for j, bij in row:
                 if x[j]:

@@ -214,6 +214,9 @@ class FqElem:
     def __hash__(self):
         return hash((self.fq.q, self.code))
 
+    def __str__(self):
+        return str(self.code)
+
     def __repr__(self):
         return f"FqElem({self.fq.q}, {self.code})"
 

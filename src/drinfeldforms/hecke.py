@@ -10,7 +10,10 @@ act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity on V_2) and
 blocks landing on one orbit summed.  Every basis cocycle's values on
 the safe representatives are then a sparse combination of its stored
 vectors, solved against the basis with exact consistency checks on every
-safe row; an image edge beyond the table is a ReachError.
+safe row; an image edge beyond the table is a ReachError.  A matrix is
+over the space's ring, the ring its coordinates lie in: F_q at weight 2,
+so products, commutators and the certificate run over F_q there, and
+K = F_q(t) above.
 
 The ordinary certificate recasts ordinariness t-adically: with
 r = q^(n-1) and chi the characteristic polynomial of U_t,
@@ -29,13 +32,14 @@ ordinary part, so one acting there as any other scalar fails (d).
 
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
-from .linalg import KRing, Matrix, UPoly, charpoly, kernel_basis, newton_slope_zero_count
+from .linalg import Matrix, UPoly, charpoly, kernel_basis, newton_slope_zero_count
 from .rings import Poly, Residue, graded_polys, poly_is_irreducible
+from .serialize import entry_json
 from .tree import apply_edge
 
 
 class OperatorMatrix:
-    """A named operator in the chosen cocycle basis, over K."""
+    """A named operator in the chosen cocycle basis, over the space's ring."""
 
     __slots__ = ("name", "ctx", "k", "matrix")
 
@@ -67,12 +71,8 @@ class OperatorMatrix:
             "n": self.ctx.n,
             "k": self.k,
             "size": self.size,
-            "entries": [[_ratfunc_json(x) for x in row] for row in self.matrix.rows],
+            "entries": [[entry_json(x) for x in row] for row in self.matrix.rows],
         }
-
-
-def _ratfunc_json(x):
-    return {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
 
 
 class HeckeEngine:
@@ -82,7 +82,6 @@ class HeckeEngine:
         self.space = space
         self.ctx = space.ctx
         self.k = space.k
-        self.kring = KRing(space.ctx.fq)
         self.coords = Coordinates(space, max(0, space.depth - safe_margin))
         self._cache = {}
 
@@ -125,7 +124,7 @@ class HeckeEngine:
                 values[key] = tuple(total)
             cols.append(self.coords.coords(values))
         d = space.dim
-        matrix = Matrix(self.kring, [[self.kring.embed(cols[j][i]) for j in range(d)] for i in range(d)])
+        matrix = Matrix(space.ring, [[cols[j][i] for j in range(d)] for i in range(d)])
         got = OperatorMatrix(name, self.ctx, self.k, matrix)
         self._cache[name] = got
         return got
@@ -187,7 +186,7 @@ def diamond_permutation_matrix(space, a):
     if space.k != 2:
         raise UsageError("the closed form applies to weight 2 only")
     ctx = space.ctx
-    ring = KRing(ctx.fq)
+    ring = space.ring
     labels = [(c.coeffs, d.coeffs) for c, d in ctx.label_pairs()]
     index = {lbl: i for i, lbl in enumerate(labels)}
     perm = diamond_label_map(ctx, a)

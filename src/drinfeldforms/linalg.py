@@ -2,7 +2,9 @@
 
 Dense matrices are generic over a small ring adapter exposing ``zero`` and
 ``one`` elements; the elements themselves carry the arithmetic through
-operator overloading (FqElem, RatFunc, Poly all qualify).
+operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
+serves both fields: weight-2 operators, their charpolys and kernels are
+over F_q (FqRing), and weight-k ones over K (KRing).
 
 Every elimination over a field goes through one sparse Gauss-Jordan
 routine, :func:`_reduce`: the kernel the cocycle solver calls (constraint
@@ -50,8 +52,6 @@ class KRing:
             return x
         if isinstance(x, Poly):
             return RatFunc.from_poly(x)
-        if isinstance(x, FqElem):
-            return RatFunc.constant(self.fq, x.code)
         raise TypeError(f"cannot embed {type(x)!r} into K")
 
     def __eq__(self, other):
@@ -407,7 +407,7 @@ class UPoly:
             if _is_zero(c):
                 continue
             xs = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            cs = str(c.code if isinstance(c, FqElem) else c)
+            cs = str(c)
             if i > 0 and cs == "1":
                 parts.append(xs)
             elif i == 0:

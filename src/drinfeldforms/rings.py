@@ -152,9 +152,6 @@ class Poly:
                     rem[k - degd + j] = sub(rem[k - degd + j], mul(f, other.coeffs[j]))
         return Poly(fq, quo), Poly(fq, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -431,11 +428,6 @@ class RatFunc:
 
     def is_poly(self):
         return self.den.is_one()
-
-    def as_poly(self):
-        if not self.den.is_one():
-            raise ArithmeticError(f"{self} is not a polynomial")
-        return self.num
 
     def __eq__(self, other):
         return (

@@ -3,16 +3,16 @@
 The JSON schema for field data: an F_q element is one integer, its base-p
 digit packing in the fixed polynomial basis; a polynomial in t is the
 ascending list of such integers; a rational function is {"num": [...],
-"den": [...]}.  Matrices are nested row-major arrays.  CLI polynomial
-syntax is ASCII like ``t^2+t+1`` with integer coefficients reduced into
-F_q.
+"den": [...]}, and an operator entry in F_q is written as the constant
+rational function it is.  Matrices are nested row-major arrays.  CLI
+polynomial syntax is ASCII like ``t^2+t+1`` with integer coefficients
+reduced into F_q.
 """
 
 import json
 import re
 
 from .errors import UsageError
-from .fq import FqElem
 from .rings import Poly, RatFunc
 
 _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?(t)?\s*(?:\^\s*(\d+))?\s*$")
@@ -65,18 +65,15 @@ def poly_from_json(fq, data):
     return Poly(fq, [int(c) for c in data])
 
 
-def ratfunc_to_json(x):
-    return {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
-
-
-def entry_str(x):
-    if isinstance(x, FqElem):
-        return str(x.code)
-    return str(x)
+def entry_json(x):
+    """A matrix entry as a rational function; an F_q element c is c/1."""
+    if isinstance(x, RatFunc):
+        return {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
+    return {"num": [x.code] if x else [], "den": [1]}
 
 
 def matrix_to_csv(matrix):
-    lines = [",".join(f'"{entry_str(x)}"' for x in row) for row in matrix.rows]
+    lines = [",".join(f'"{x}"' for x in row) for row in matrix.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -86,7 +83,7 @@ def matrix_to_latex(matrix):
             return rf"\frac{{{_poly_tex(x.num)}}}{{{_poly_tex(x.den)}}}"
         if isinstance(x, RatFunc):
             return _poly_tex(x.num)
-        return entry_str(x)
+        return str(x)
 
     body = " \\\\\n".join(" & ".join(tex(x) for x in row) for row in matrix.rows)
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"

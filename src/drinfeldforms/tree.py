@@ -6,11 +6,11 @@ The tail stores the finitely many expansion terms of s below pi^r, so
 vertex equality is an exact tuple comparison.  The standard apartment is
 v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
 
-The action runs over A, never over K: a matrix over K is first scaled to
-one over A (a scalar moves no lattice class), the lattice matrix is
-scaled by t^L to the integral t^L (pi^r, s; 0, 1), the new r is read off
-polynomial degrees, and the new tail is the expansion of an unreduced
-quotient of polynomials, so acting by a matrix over A pays no gcd.
+The action runs over A, never over K: every matrix that acts has entries
+in A and a nonzero determinant, the lattice matrix is scaled by t^L to
+the integral t^L (pi^r, s; 0, 1), the new r is read off polynomial
+degrees, and the new tail is the expansion of an unreduced quotient of
+polynomials, so acting pays no gcd.
 
 Reduction to the apartment alternates killing the polynomial part of s by
 a translation in SL_2(A) and inverting through J = (0 -1; 1 0), each a row
@@ -149,26 +149,14 @@ def is_adjacent(u, v):
     return below == u.tail and all(e == u.r for e in rest)
 
 
-def _integral(g):
-    """g itself over A, or the scalar multiple of g over K with denominators cleared."""
-    if not isinstance(g.a, RatFunc):
-        return g
-    den = g.a.den
-    for x in (g.b, g.c, g.d):
-        den = den * x.den.divexact(poly_gcd(den, x.den))
-    return Mat2(*(x.num * den.divexact(x.den) for x in g.entries()))
-
-
 def apply_vertex(g, v, fq):
-    """Canonical form of g applied to v; g is 2x2 over A or K, det != 0.
+    """Canonical form of g applied to v; g is 2x2 over A, det != 0.
 
     Works over A: with s = num / t^E and L = max(E, r, 0), the lattice
-    matrix t^L (pi^r, s; 0, 1) is integral, and so is its product m with g
-    (a scalar multiple of g changes no lattice class).  Then
-    r' = v_inf(det m) - 2 min(v_inf(c), v_inf(d)) comes from degrees, and s'
-    is b/d (or a/c when deg c > deg d), expanded without reduction.
+    matrix t^L (pi^r, s; 0, 1) is integral, and so is its product m with g.
+    Then r' = v_inf(det m) - 2 min(v_inf(c), v_inf(d)) comes from degrees,
+    and s' is b/d (or a/c when deg c > deg d), expanded without reduction.
     """
-    g = _integral(g)
     det = g.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")

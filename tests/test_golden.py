@@ -1,10 +1,10 @@
 """Byte-for-byte golden outputs of the CLI.
 
 Each case runs ``drinfeldforms.cli.main`` with ``--out`` and compares the
-written file with the checked-in copy under ``tests/golden/``.  The files
-were recorded once and are never regenerated by the test suite: a change
-to any of them is a deliberate change of output and is explained where it
-is made.
+written file (JSON, CSV or LaTeX) with the checked-in copy under
+``tests/golden/``.  The files were recorded once and are never
+regenerated by the test suite: a change to any of them is a deliberate
+change of output and is explained where it is made.
 """
 
 from pathlib import Path
@@ -47,6 +47,11 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
          "--op", "Diamond:t+1", "--certify", "--format", "json"],
     ),
     ("verify_goss_q2q3.json", ["verify", "--suite", "goss", "--q", "2", "--q", "3"]),
+    # a d = 16 weight-2 space over F_4, in JSON and in CSV
+    ("hecke_q4n2k2.json", _hecke_case(4, 2, 2)[1]),
+    ("hecke_q4n2k2.csv", [*_hecke_case(4, 2, 2)[1][:-1], "csv"]),
+    # the weight-3 operators over K, in LaTeX
+    ("hecke_q2n2k3.tex", [*_hecke_case(2, 2, 3)[1][:-1], "latex"]),
 ]
 
 

@@ -6,6 +6,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import (
     distinct_coset_check,
     group_context,
+    in_gamma1_coset,
     is_gamma0p,
     is_gamma1,
     lift_sl2,
@@ -155,6 +156,82 @@ def test_xi_congruences(q, n):
 def test_diamond_congruence(q, n):
     rep = verify_diamond_congruence(q, n)
     assert rep["status"], rep["witness"]
+
+
+def _k_to_poly(mk):
+    """A Mat2 over K as one over A, or None if an entry is not integral."""
+    entries = []
+    for x in mk.entries():
+        if not x.is_zero() and not x.is_poly():
+            return None
+        entries.append(x.num if x.den.is_one() else Poly.zero(x.fq))
+    return Mat2(*entries)
+
+
+def in_gamma1_coset_over_k(lhs, rhs, n):
+    """The coset test through K = F_q(t), kept as the oracle for the one over A."""
+    gamma = _k_to_poly(lhs.to_k() * rhs.to_k().inverse_k())
+    return gamma is not None and gamma.det().is_one() and is_gamma1(gamma, n)
+
+
+def _rand_sl2(fq, rng, steps=4):
+    m = Mat2.identity_poly(fq)
+    for _ in range(steps):
+        b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
+        m = m * (Mat2.translation(b) if rng.random() < 0.5 else Mat2.j_matrix(fq))
+    return m
+
+
+def _rand_gamma1(fq, n, rng):
+    """A word in (1 b; 0 1) and (1 0; t^n c 1), so in Gamma_1(t^n)."""
+    one, zero, tn = Poly.one(fq), Poly.zero(fq), Poly.t_power(fq, n)
+    m = Mat2.identity_poly(fq)
+    for _ in range(3):
+        b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
+        m = m * Mat2.translation(b) * Mat2(one, zero, tn * b, one)
+    return m
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3)])
+def test_coset_test_over_a_matches_k_oracle(q, n):
+    fq = field(q)
+    rng = random.Random(q * 10 + n)
+    t, one = Poly.t(fq), Poly.one(fq)
+    # right factors of det 1, t and t^2, as in the xi congruences
+    dets = [Mat2.identity_poly(fq), Mat2.diag(one, t), Mat2.diag(t, one), Mat2.diag(t, t)]
+    seen = set()
+    for trial in range(90):
+        rhs = _rand_sl2(fq, rng) * dets[rng.randrange(len(dets))]
+        kind = trial % 3
+        if kind == 0:
+            lhs = _rand_gamma1(fq, n, rng) * rhs
+        elif kind == 1:
+            lhs = _rand_sl2(fq, rng) * rhs
+        else:
+            lhs = _rand_sl2(fq, rng) * dets[rng.randrange(len(dets))] * _rand_sl2(fq, rng)
+        got = in_gamma1_coset(lhs, rhs, n)
+        assert got == in_gamma1_coset_over_k(lhs, rhs, n)
+        integral = _k_to_poly(lhs.to_k() * rhs.to_k().inverse_k()) is not None
+        seen.add((got, integral))
+    # members, integral non-members and non-integral quotients all occur
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_coset_test_rejects_each_failure():
+    fq = field(3)
+    t, one, zero = Poly.t(fq), Poly.one(fq), Poly.zero(fq)
+    rhs = _rand_sl2(fq, random.Random(5)) * Mat2.diag(one, t)
+    # quotient (1 1/t; 0 1): not integral, though its entrywise
+    # polynomial part is the identity
+    assert not in_gamma1_coset(Mat2(one, one, zero, t), Mat2.diag(one, t), 2)
+    # integral quotients of det t and det 2
+    assert not in_gamma1_coset(Mat2.diag(t, one) * rhs, rhs, 1)
+    assert not in_gamma1_coset(Mat2.diag(Poly.constant(fq, 2), one) * rhs, rhs, 1)
+    # (1 0; t 1) has det 1 and lies in Gamma_1(t) but not in Gamma_1(t^2)
+    low = Mat2(one, zero, t, one)
+    assert in_gamma1_coset(low * rhs, rhs, 1)
+    assert not in_gamma1_coset(low * rhs, rhs, 2)
+    assert in_gamma1_coset(Mat2(one, zero, t * t, one) * rhs, rhs, 2)
 
 
 def test_theta_size():

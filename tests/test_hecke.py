@@ -1,7 +1,7 @@
 import pytest
 
 from drinfeldforms.errors import ReachError, UsageError
-from drinfeldforms.fq import field
+from drinfeldforms.fq import FqElem, field
 from drinfeldforms.groups import group_context
 from drinfeldforms.hecke import (
     HeckeEngine,
@@ -12,8 +12,8 @@ from drinfeldforms.hecke import (
     ordinary_certificate,
     verify_freeness,
 )
-from drinfeldforms.linalg import KRing, Matrix, UPoly
-from drinfeldforms.rings import Poly
+from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly
+from drinfeldforms.rings import Poly, RatFunc
 from drinfeldforms.tree import apply_edge
 
 
@@ -25,13 +25,13 @@ def t_plus_one(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_u_t_is_identity_at_level_t(q, cache):
     ut = cache.engine(q, 1, 2).u_t()
-    assert ut.size == 1 and ut.matrix.rows[0][0].is_one()
+    assert ut.size == 1 and ut.matrix.rows[0][0] == ut.matrix.ring.one
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_t_m_is_identity_at_level_t(q, cache):
     tm = cache.engine(q, 1, 2).t_m(t_plus_one(q))
-    assert tm.size == 1 and tm.matrix.rows[0][0].is_one()
+    assert tm.size == 1 and tm.matrix.rows[0][0] == tm.matrix.ring.one
 
 
 def test_u_t_charpoly_q2_n2(cache):
@@ -66,7 +66,9 @@ def test_diamond_identity_and_example(cache):
     ctx = eng.ctx
     ident = eng.diamond(ctx.one)
     assert all(
-        ident.matrix.rows[i][j].is_one() == (i == j) for i in range(4) for j in range(4)
+        (ident.matrix.rows[i][j] == ident.matrix.ring.one) == (i == j)
+        for i in range(4)
+        for j in range(4)
     )
     # alpha = 1+t sends [0,0] to [0,1] (indices in A_1 = F_2)
     lm = diamond_label_map(ctx, ctx.one)
@@ -87,7 +89,8 @@ def test_diamond_closed_form_matches_transport(q, n, cache):
         assert dia.matrix == perm
         # permutation matrices: entries 0/1, one per row/column
         for row in dia.matrix.rows:
-            assert sum(1 for x in row if x) == 1 and all((not x) or x.is_one() for x in row)
+            assert sum(1 for x in row if x) == 1
+            assert all((not x) or x == dia.matrix.ring.one for x in row)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2)])
@@ -136,12 +139,12 @@ class EvaluatingEngine(HeckeEngine):
                     assert graph.classify(e2)[0] is not None, "image edge beyond the table"
                     val = space.evaluate(cocycle, e2)
                     if acts is not None:
-                        val = acts[pos].apply([self.kring.embed(x) for x in val])
+                        val = acts[pos].apply(list(val))
                     total = [a + b for a, b in zip(total, val)]
                 values[key] = tuple(total)
             cols.append(self.coords.coords(values))
         d = space.dim
-        matrix = Matrix(self.kring, [[self.kring.embed(cols[j][i]) for j in range(d)] for i in range(d)])
+        matrix = Matrix(space.ring, [[cols[j][i] for j in range(d)] for i in range(d)])
         return OperatorMatrix(name, self.ctx, self.k, matrix)
 
 
@@ -202,7 +205,7 @@ def test_weight2_positive_slope_is_the_newton_count():
     # U_t = identity at d = 4 > r = 2: chi_plus = (X-1)^2 has F_q
     # coefficients, so its unit roots are counted and the slope flag fails
     ctx = group_context(2, 2)
-    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(KRing(ctx.fq), 4))
+    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(FqRing(ctx.fq), 4))
     cert = ordinary_certificate(ident)
     assert cert.flags["divisibility"] is True
     assert cert.flags["positive_slope"] is False
@@ -210,17 +213,19 @@ def test_weight2_positive_slope_is_the_newton_count():
 
 
 def test_valid_rejects_a_nontrivial_scalar(cache):
-    # an operator acting on the ordinary part as the scalar t is not trivial
-    eng = cache.engine(2, 2, 2)
-    ut = eng.u_t()
-    K = ut.matrix.ring
-    t = K.embed(Poly.t(K.fq))
-    scalar = OperatorMatrix("Scalar(t)", eng.ctx, 2, Matrix.identity(K, ut.size).scale(t))
-    cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(2)), scalar])
-    assert all(cert.flags.values())
-    assert cert.hecke_flags == {"Tm(t+1)": True, "Scalar(t)": False}
-    assert cert.notes == ["Scalar(t) is not the identity on the ordinary part"]
-    assert not cert.valid()
+    # an operator acting on the ordinary part as a scalar other than 1 is
+    # not trivial: t over K at weight 3, 2 = -1 over F_3 at weight 2
+    for q, k, name in ((2, 3, "Scalar(t)"), (3, 2, "Scalar(2)")):
+        eng = cache.engine(q, 2, k)
+        ut = eng.u_t()
+        ring = ut.matrix.ring
+        lam = RatFunc.from_poly(Poly.t(ring.fq)) if k > 2 else ring.fq.elem(2)
+        scalar = OperatorMatrix(name, eng.ctx, k, Matrix.identity(ring, ut.size).scale(lam))
+        cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(q)), scalar])
+        assert all(cert.flags.values())
+        assert cert.hecke_flags == {"Tm(t+1)": True, name: False}
+        assert cert.notes == [f"{name} is not the identity on the ordinary part"]
+        assert not cert.valid()
 
 
 def test_nilpotency_diagnostics(cache):
@@ -236,7 +241,7 @@ def test_nilpotency_diagnostics(cache):
     from drinfeldforms.linalg import Matrix
 
     ctx = group_context(2, 2)
-    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(KRing(ctx.fq), 4))
+    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(FqRing(ctx.fq), 4))
     diag3 = nilpotency_diagnostics(ident)
     assert diag3["nilpotent_dimension"] == 0 and diag3["nilpotency_index"] == 0
     assert diag3["status"] is False
@@ -256,3 +261,29 @@ def test_diamonds_act_nontrivially_on_ordinary_part(cache):
     ident = Matrix.identity(ut.matrix.ring, ut.size)
     assert ((ut.matrix - ident) * proj).is_zero()
     assert not ((dia.matrix - ident) * proj).is_zero()
+
+
+def _over_k(op):
+    """The operator with every F_q entry embedded into K: the weight-2 path
+    before operators were built over F_q, kept as its oracle."""
+    fq = op.ctx.fq
+    rows = [[RatFunc.constant(fq, x.code) for x in row] for row in op.matrix.rows]
+    return OperatorMatrix(op.name, op.ctx, op.k, Matrix(KRing(fq), rows))
+
+
+@pytest.mark.parametrize(
+    "q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (2, 3)]
+)
+def test_weight2_certificate_matches_the_k_path(q, n, cache):
+    eng = cache.engine(q, n, 2)
+    ut = eng.u_t()
+    assert ut.matrix.ring == eng.space.ring == FqRing(field(q))
+    assert all(isinstance(x, FqElem) for row in ut.matrix.rows for x in row)
+    # a diamond moves the ordinary part for n >= 2, so the False flag and
+    # its note are compared too
+    heckes = [eng.t_m(t_plus_one(q)), eng.diamond(eng.ctx.theta[-1])]
+    got = ordinary_certificate(ut, heckes)
+    want = ordinary_certificate(_over_k(ut), [_over_k(op) for op in heckes])
+    assert got.to_json_dict() == want.to_json_dict()
+    assert [RatFunc.constant(field(q), c.code) for c in got.chi.coeffs] == want.chi.coeffs
+    assert nilpotency_diagnostics(ut) == nilpotency_diagnostics(_over_k(ut))

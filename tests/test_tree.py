@@ -74,11 +74,10 @@ def test_singular_matrix_rejected():
     zero, one, t = Poly.zero(fq), Poly.one(fq), Poly.t(fq)
     v = Vertex(2, ((0, 1), (1, 1)))
     for g in (Mat2(zero, zero, zero, zero), Mat2(one, t, one, t)):
-        for m in (g, g.to_k()):
-            with pytest.raises(ZeroDivisionError):
-                apply_vertex(m, Vertex.standard(0), fq)
-            with pytest.raises(ZeroDivisionError):
-                apply_vertex(m, v, fq)
+        with pytest.raises(ZeroDivisionError):
+            apply_vertex(g, Vertex.standard(0), fq)
+        with pytest.raises(ZeroDivisionError):
+            apply_vertex(g, v, fq)
 
 
 def apply_vertex_over_k(g, v, fq):
@@ -115,10 +114,8 @@ def rand_vertex(fq, rng):
     return Vertex(r, tail)
 
 
-def rand_ratfunc(fq, rng):
-    num = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, fq.q)])
-    den = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, fq.q)])
-    return RatFunc(num, den)
+def rand_nonzero_poly(fq, rng):
+    return Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, fq.q)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -131,9 +128,9 @@ def test_integral_action_matches_k_oracle(q):
         g = rand_word(fq, rng, steps=rng.randrange(1, 8))
         want = apply_vertex_over_k(g, v, fq)
         assert apply_vertex(g, v, fq) == want
-        # a K-scalar multiple moves no lattice class
-        lam = rand_ratfunc(fq, rng)
-        scaled = Mat2(*(x * lam for x in g.to_k().entries()))
+        # a scalar multiple moves no lattice class
+        lam = rand_nonzero_poly(fq, rng)
+        scaled = Mat2(*(x * lam for x in g.entries()))
         assert apply_vertex(scaled, v, fq) == want
         # diag(t^i, 1)-type matrices, on either side of the word
         i = rng.randrange(0, 4)
