@@ -108,10 +108,15 @@ class VkAction:
         return got
 
     def act(self, g):
-        """Matrix of omega -> g . omega on V_k."""
+        """Matrix of omega -> g . omega on V_k, for g over A with det 1.
+
+        The inverse of such a g is its adjugate, so no inverse over K is taken.
+        """
         if self._trivial is not None:
             return self._trivial
-        return self.substitution(g.to_k().inverse_k()).transpose()
+        if not g.det().is_one():
+            raise ValueError(f"VkAction.act needs det 1 over A, got det {g.det()}")
+        return self.substitution(g.adjugate()).transpose()
 
     def act_of_inverse(self, g):
         """Matrix of omega -> g^{-1} . omega on V_k (no inversion needed)."""

@@ -108,16 +108,14 @@ class Matrix:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
             z = self.ring.zero
             out = []
-            bt = list(zip(*other.rows))
             for row in self.rows:
-                out_row = []
-                for col in bt:
-                    s = z
-                    for a, b in zip(row, col):
-                        if a and b:
-                            s = s + a * b
-                    out_row.append(s)
-                out.append(out_row)
+                acc = [z] * other.ncols
+                for a, other_row in zip(row, other.rows):
+                    if a:
+                        for j, b in enumerate(other_row):
+                            if b:
+                                acc[j] = acc[j] + a * b
+                out.append(acc)
             return Matrix(self.ring, out)
         return self.scale(other)
 

@@ -103,6 +103,8 @@ class Poly:
 
     def __neg__(self):
         fq = self.fq
+        if fq.p == 2:
+            return self  # -1 = 1, and a Poly is immutable
         neg = fq._neg
         return Poly(fq, tuple(neg[c] for c in self.coeffs), normalize=False)
 
@@ -111,15 +113,17 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(fq, (), normalize=False)
+        if len(a) > len(b):
+            a, b = b, a
         add = fq._add
         mul = fq._mul
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 row = mul[ai]
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add[out[i + j]][row[bj]]
+                for j, bj in terms:
+                    out[i + j] = add[out[i + j]][row[bj]]
         return Poly(fq, out, normalize=False)
 
     def scale(self, code):
@@ -135,22 +139,28 @@ class Poly:
         return Poly(self.fq, (0,) * k + self.coeffs, normalize=False)
 
     def __divmod__(self, other):
-        if other.is_zero():
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         fq = self.fq
+        degd = len(b) - 1
+        if len(self.coeffs) <= degd:
+            return Poly(fq, (), normalize=False), self
+        add, mul, neg = fq._add, fq._mul, fq._neg
+        by_lead = mul[fq._inv[b[-1]]]
+        # the nonzero lower coefficients of -other; the leading one cancels
+        terms = [(j, neg[bj]) for j, bj in enumerate(b[:-1]) if bj]
         rem = list(self.coeffs)
-        degd = len(other.coeffs) - 1
-        inv_lead = fq.inv(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - degd)
-        sub, mul = fq.sub, fq.mul
-        for k in range(len(rem) - 1, degd - 1, -1):
-            c = rem[k]
+        quo = [0] * (len(rem) - degd)
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + degd]
             if c:
-                f = mul(c, inv_lead)
-                quo[k - degd] = f
-                for j in range(degd + 1):
-                    rem[k - degd + j] = sub(rem[k - degd + j], mul(f, other.coeffs[j]))
-        return Poly(fq, quo), Poly(fq, rem)
+                f = by_lead[c]
+                quo[k] = f
+                row = mul[f]
+                for j, nbj in terms:
+                    rem[k + j] = add[rem[k + j]][row[nbj]]
+        return Poly(fq, quo, normalize=False), Poly(fq, rem[:degd])
 
     def __mod__(self, other):
         return divmod(self, other)[1]

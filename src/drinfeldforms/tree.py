@@ -9,13 +9,15 @@ v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
 The action runs over A, never over K: every matrix that acts has entries
 in A and a nonzero determinant, the lattice matrix is scaled by t^L to
 the integral t^L (pi^r, s; 0, 1), the new r is read off polynomial
-degrees, and the new tail is the expansion of an unreduced quotient of
-polynomials, so acting pays no gcd.
+degrees, and the new tail is read off one division of polynomials, with
+no reduction of the fraction, so acting pays no gcd.
 
-Reduction to the apartment alternates killing the polynomial part of s by
-a translation in SL_2(A) and inverting through J = (0 -1; 1 0), each a row
-operation on the accumulated matrix; each inversion strictly decreases r,
-so the walk terminates.  Orbits of Gamma_1(t^n) are canonicalized through
+Reduction to the apartment is Euclid's algorithm on an exact fraction
+num/den representing s: the quotient of one division is the polynomial
+part of s, killed by a translation in SL_2(A), and the remainder is
+inverted through J = (0 -1; 1 0), each a row operation on the accumulated
+matrix.  Each inversion strictly decreases r, so the walk terminates.
+Orbits of Gamma_1(t^n) are canonicalized through
 the finite double coset Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is
 the apartment stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is
 determined by the bottom row mod t^n, and the orbit key is the
@@ -45,14 +47,7 @@ from itertools import islice
 
 from .errors import ResourceBoundError
 from .mat2 import DeferredProduct, Mat2
-from .rings import (
-    Poly,
-    RatFunc,
-    graded_polys,
-    laurent_tail,
-    poly_gcd,
-    tail_to_ratfunc,
-)
+from .rings import Poly, graded_polys, poly_gcd, tail_to_ratfunc
 
 POS_SIGN = 1
 NEG_SIGN = -1
@@ -155,30 +150,51 @@ def apply_vertex(g, v, fq):
     Works over A: with s = num / t^E and L = max(E, r, 0), the lattice
     matrix t^L (pi^r, s; 0, 1) is integral, and so is its product m with g.
     Then r' = v_inf(det m) - 2 min(v_inf(c), v_inf(d)) comes from degrees,
-    and s' is b/d (or a/c when deg c > deg d), expanded without reduction.
+    and the tail of s' = b/d (or a/c when deg c > deg d) is read off one
+    division, with no reduction of the fraction.
     """
+    return _act(g, _det_degree(g), v, fq)
+
+
+def apply_edge(g, e, fq):
+    deg_det = _det_degree(g)
+    return Edge(_act(g, deg_det, e.origin, fq), _act(g, deg_det, e.terminus, fq))
+
+
+def _det_degree(g):
     det = g.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
+    return det.degree
+
+
+def _act(g, deg_det, v, fq):
+    """apply_vertex for a g whose determinant has degree ``deg_det``."""
     s = tail_to_ratfunc(fq, v.tail)
     big_e = s.den.degree
     level = max(big_e, v.r, 0)
     top = s.num.shift(level - big_e)
-    bottom = Poly.t_power(fq, level)
     c = g.c.shift(level - v.r)
-    d = g.c * top + g.d * bottom
-    deg_det = det.degree + 2 * level - v.r
+    d = g.c * top + g.d.shift(level)
+    deg_det += 2 * level - v.r
     if c.degree <= d.degree:
         rp = 2 * d.degree - deg_det
-        quot = RatFunc(g.a * top + g.b * bottom, d, reduce=False)
-    else:
-        rp = 2 * c.degree - deg_det
-        quot = RatFunc(g.a.shift(level - v.r), c, reduce=False)
-    return Vertex(rp, laurent_tail(quot, rp))
+        return Vertex(rp, _tail(g.a * top + g.b.shift(level), d, rp))
+    rp = 2 * c.degree - deg_det
+    return Vertex(rp, _tail(g.a.shift(level - v.r), c, rp))
 
 
-def apply_edge(g, e, fq):
-    return Edge(apply_vertex(g, e.origin, fq), apply_vertex(g, e.terminus, fq))
+def _tail(num, den, r):
+    """The canonical tail of num/den below pi^r: its expansion terms of exponent < r.
+
+    With m = max(r - 1, 0), the coefficient of t^k in the quotient of
+    num t^m by den is the coefficient of pi^(m - k) in num/den, and every
+    exponent below r is at most m.
+    """
+    m = max(r - 1, 0)
+    quo = divmod(num.shift(m), den)[0].coeffs
+    low = m + 1 - r  # the exponent m - k is below r exactly when k >= low
+    return tuple((m - k, quo[k]) for k in range(len(quo) - 1, low - 1, -1) if quo[k])
 
 
 def _translated(g, b):
@@ -194,29 +210,32 @@ def _inverted(g):
 def reduce_vertex(v, fq):
     """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0.
 
-    Alternates translations (killing expansion terms of non-positive pi
-    exponent, i.e. the polynomial part of s) and inversions through J;
-    each inversion drops r by at least 2.
+    Euclid's algorithm on s = num/den, an exact representative of the
+    tail: the polynomial part of s (the expansion terms of exponent <= 0,
+    less those in pi^r O) is killed by a translation, and the fractional
+    part rem/den, of valuation v = deg den - deg rem, is inverted through
+    J, which drops r by 2v.  The walk stops when the fractional part lies
+    in pi^r O.  Since -1/s mod pi^(r - 2v) depends only on s mod pi^r, any
+    exact representative gives the same translations.
     """
     gamma = Mat2.identity_poly(fq)
-    r, tail = v.r, v.tail
+    r = v.r
+    s = tail_to_ratfunc(fq, v.tail)
+    num, den = s.num, s.den
     while True:
-        poly_part = [(e, c) for e, c in tail if e <= 0]
-        if poly_part:
-            b = Poly.zero(fq)
-            for e, c in poly_part:
-                b = b + Poly.constant(fq, c).shift(-e)
+        quo, rem = divmod(num, den)
+        # the terms of degree < 1 - r are exponents >= r, inside pi^r O
+        low = max(1 - r, 0)
+        b = Poly(fq, (0,) * low + quo.coeffs[low:]) if low else quo
+        if b:
             gamma = _translated(gamma, -b)
-            tail = tuple((e, c) for e, c in tail if e > 0)
-        if not tail:
+        drop = den.degree - rem.degree
+        if drop >= r:
             if r <= 0:
                 return gamma, -r
             return _inverted(gamma), r
-        vmin = tail[0][0]
-        # 1 <= vmin < r is guaranteed by the canonical tail
-        s = tail_to_ratfunc(fq, tail)
-        r = r - 2 * vmin
-        tail = laurent_tail(RatFunc(-s.den, s.num, reduce=False), r)
+        r -= 2 * drop
+        num, den = -den, rem
         gamma = _inverted(gamma)
 
 

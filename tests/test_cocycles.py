@@ -46,6 +46,22 @@ def test_vk_action_axioms():
             assert not vk._cache
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_act_is_the_substitution_of_the_adjugate(q):
+    # the inverse over K is the oracle
+    fq = field(q)
+    rng = random.Random(q * 13)
+    for k in (3, 4):
+        vk = VkAction(fq, k)
+        for _ in range(10):
+            g = _rand_word(fq, rng)
+            assert vk.act(g) == vk.substitution(g.to_k().inverse_k()).transpose()
+        t, one = Poly.t(fq), Poly.one(fq)
+        for g in (Mat2.diag(t, one), Mat2.diag(t, t)):
+            with pytest.raises(ValueError):
+                vk.act(g)
+
+
 def _rand_word(fq, rng):
     m = Mat2.identity_poly(fq)
     for _ in range(4):

@@ -247,6 +247,34 @@ def test_sparse_kernel_matches_dense():
             assert all(x.is_zero() for x in m.apply(v))
 
 
+def dense_product(m, other):
+    """Every pair of entries tested, summed in k order: the oracle for Matrix.__mul__."""
+    cols = list(zip(*other.rows))
+    return [
+        [sum((a * b for a, b in zip(row, col) if a and b), m.ring.zero) for col in cols]
+        for row in m.rows
+    ]
+
+
+def _sparse_entry(ring, rng):
+    if rng.random() < 0.6:
+        return ring.zero
+    fq = ring.fq
+    if isinstance(ring, FqRing):
+        return FqElem(fq, rng.randrange(1, fq.q))
+    return RatFunc(Poly(fq, [rng.randrange(2) for _ in range(3)]), Poly(fq, [1, rng.randrange(2)]))
+
+
+def test_row_sparse_product_matches_the_dense_one():
+    rng = random.Random(5)
+    for ring in (FqRing(field(3)), FqRing(field(4)), KRing(field(2))):
+        for _ in range(30):
+            n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+            a = Matrix(ring, [[_sparse_entry(ring, rng) for _ in range(k)] for _ in range(n)])
+            b = Matrix(ring, [[_sparse_entry(ring, rng) for _ in range(m)] for _ in range(k)])
+            assert (a * b).rows == dense_product(a, b)
+
+
 def test_shape_mismatch():
     K = KRing(field(2))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from drinfeldforms.fq import field
 from drinfeldforms.rings import Poly, RatFunc, laurent_tail
+from drinfeldforms.tree import _tail
 
 
 def _draw_poly(data, fq, nonzero=False):
@@ -24,4 +25,8 @@ def test_laurent_tail_of_unreduced_fraction(data):
     h = _draw_poly(data, fq, nonzero=True)
     below = data.draw(st.integers(-6, 8))
     unreduced = RatFunc(num * h, den * h, reduce=False)
-    assert laurent_tail(unreduced, below) == laurent_tail(RatFunc(num, den), below)
+    want = laurent_tail(RatFunc(num, den), below)
+    assert laurent_tail(unreduced, below) == want
+    # the tree action reads the same tail off one division
+    assert _tail(num * h, den * h, below) == want
+    assert _tail(Poly.zero(fq), den, below) == ()

@@ -149,6 +149,63 @@ def test_reduce_examples():
     assert reduce_edge(e2t, fq)[1:] == (2, 1)
 
 
+def reduce_vertex_laurent_oracle(v, fq):
+    """The walk on truncated Laurent tails: the oracle for Euclid's walk.
+
+    Each step kills the terms of exponent <= 0 by a translation, then
+    rebuilds -1/s from the remaining tail and expands it again below the
+    new r.  Returns (gamma, j, steps).
+    """
+    gamma = Mat2.identity_poly(fq)
+    r, tail = v.r, v.tail
+    steps = 0
+    while True:
+        steps += 1
+        poly_part = [(e, c) for e, c in tail if e <= 0]
+        if poly_part:
+            b = Poly.zero(fq)
+            for e, c in poly_part:
+                b = b + Poly.constant(fq, c).shift(-e)
+            gamma = Mat2(gamma.a - b * gamma.c, gamma.b - b * gamma.d, gamma.c, gamma.d)
+            tail = tuple((e, c) for e, c in tail if e > 0)
+        if not tail:
+            if r <= 0:
+                return gamma, -r, steps
+            return Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b), r, steps
+        s = tail_to_ratfunc(fq, tail)
+        r = r - 2 * tail[0][0]
+        tail = laurent_tail(RatFunc(-s.den, s.num, reduce=False), r)
+        gamma = Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_euclid_reduction_matches_the_laurent_walk(q, monkeypatch):
+    fq = field(q)
+    rng = random.Random(q * 47)
+    divisions = []
+    divmod_poly = Poly.__divmod__
+
+    def counting(self, other):
+        divisions.append(1)
+        return divmod_poly(self, other)
+
+    polynomial_parts = 0
+    for step in range(1000):
+        v = rand_vertex(fq, rng)
+        if step % 2:
+            v = apply_vertex(rand_word(fq, rng, steps=rng.randrange(1, 9)), v, fq)
+        polynomial_parts += v.r <= 0 and bool(v.tail)
+        gamma, j, steps = reduce_vertex_laurent_oracle(v, fq)
+        divisions.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__divmod__", counting)
+            assert reduce_vertex(v, fq) == (gamma, j)
+        # one division per step: the walk stops as soon as the fractional
+        # part lies in pi^r O, where the Laurent walk finds an empty tail
+        assert len(divisions) == steps
+    assert polynomial_parts >= 100
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_reduction_terminates_and_is_correct_on_fuzzed_edges(q):
     fq = field(q)
