@@ -101,7 +101,7 @@ class Fq:
         fp = field(p)
         for code in range(p ** e):
             coeffs = _decode(code, p, e) + (1,)
-            if poly_is_irreducible(Poly(fp, coeffs, normalize=False)):
+            if poly_is_irreducible(Poly(fp, coeffs)):
                 return coeffs
         raise AssertionError("no irreducible modulus found")
 
@@ -126,6 +126,16 @@ class Fq:
                     inv[a] = b
                     break
         self._inv = inv
+        # bytes.translate tables for the packed polynomials of rings.Poly,
+        # whose bytes are codes; a byte >= q maps to 0 under neg and mul
+        pad = bytes(256 - q)
+        self.neg_bytes = bytes(self._neg) + pad
+        self.mul_bytes = [bytes(row) + pad for row in mul]
+        self.mod_p_bytes = bytes(i % p for i in range(256))
+        # over a prime field, packed sums (bytes <= 2(p - 1)) and products
+        # of operands of <= 255 // (p - 1)^2 bytes carry into no other byte
+        self.packed_sum = e == 1 and 2 * (p - 1) <= 255
+        self.kron_bits = 8 * (255 // (p - 1) ** 2) if e == 1 else 0
 
     # -- raw code arithmetic ------------------------------------------------
     def add(self, a, b):

@@ -428,21 +428,17 @@ def charpoly(matrix):
     a = matrix.rows
     coeffs = [ring.one, -a[0][0]]  # descending, for the 1x1 leading block
     for i in range(1, n):
-        row = a[i][:i]
+        # the nonzero (index, entry) pairs of a[j][:i], j <= i, read once
+        terms = [[(c, x) for c, x in enumerate(a[j][:i]) if x] for j in range(i + 1)]
+        row = terms[i]
         col = [a[j][i] for j in range(i)]
         corner = a[i][i]
         toeplitz = [ring.one, -corner]
         v = col
         for k in range(i):
-            dot = ring.zero
-            for x, y in zip(row, v):
-                if x and y:
-                    dot = dot + x * y
-            toeplitz.append(-dot)
+            toeplitz.append(-_sparse_dot(ring, row, v))
             if k < i - 1:
-                v = [
-                    _row_dot(ring, a[j][:i], v) for j in range(i)
-                ]
+                v = [_sparse_dot(ring, terms[j], v) for j in range(i)]
         new = [ring.zero] * (i + 2)
         for r in range(i + 2):
             s = ring.zero
@@ -455,10 +451,12 @@ def charpoly(matrix):
     return UPoly(ring, list(reversed(coeffs)))
 
 
-def _row_dot(ring, row, v):
+def _sparse_dot(ring, terms, v):
+    """sum x * v[c] over the nonzero (c, x) of a row, skipping zero v[c]."""
     s = ring.zero
-    for x, y in zip(row, v):
-        if x and y:
+    for c, x in terms:
+        y = v[c]
+        if y:
             s = s + x * y
     return s
 

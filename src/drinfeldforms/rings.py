@@ -1,12 +1,16 @@
 """The coefficient tower: A = F_q[t], A_n = A/(t^n), K = F_q(t), K_infinity.
 
-Polynomials are immutable ascending coefficient tuples of F_q codes with a
-nonzero leading coefficient; deg(0) is the -infinity sentinel so valuation
-arithmetic needs no special cases.  Rational functions are stored reduced
-with a monic denominator.  Laurent expansions live at the place at infinity
-with uniformizer pi = 1/t; the expansion of a rational function to any
-finite precision is exact, and v_infinity itself is read off from degrees
-without expanding.
+A polynomial is one Python int: byte i (bits 8i..8i+7) holds the F_q code
+of the coefficient of t^i, and every code fits in a byte since q <= 256.
+Zero coefficients above the degree take no bytes, so the packing is
+normalized by construction; deg(0) is the -infinity sentinel so valuation
+arithmetic needs no special cases.  Sums, products and quotients are int
+and ``bytes.translate`` operations wherever no byte slot can carry, and
+loops over the field's tables elsewhere.  Rational functions are stored
+reduced with a monic denominator.  Laurent expansions live at the place at
+infinity with uniformizer pi = 1/t; the expansion of a rational function
+to any finite precision is exact, and v_infinity itself is read off from
+degrees without expanding.
 """
 
 from itertools import product
@@ -15,80 +19,110 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+def _translate(x, table):
+    """Map every byte of the packed int x through a 256-byte table."""
+    return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table), "little")
+
+
+_new = object.__new__
+
+
+def packed(fq, x):
+    """The polynomial whose packed int is x."""
+    p = _new(Poly)
+    p.fq = fq
+    p.x = x
+    return p
+
+
 class Poly:
-    """Element of A = F_q[t]."""
+    """Element of A = F_q[t], packed into the int ``x`` (byte i: code of t^i).
 
-    __slots__ = ("fq", "coeffs")
+    ``coeffs`` decodes ``x`` to the ascending coefficient tuple.  Addition
+    is ``x ^ y`` in characteristic 2 and, over a prime field F_p with
+    p < 128 (``Fq.packed_sum``), the int sum with every byte reduced mod p.
+    Negation and scaling translate the bytes.  Over F_p a product is the
+    int product reduced mod p while the shorter factor has at most
+    255 // (p - 1)^2 coefficients (``Fq.kron_bits``), so that no byte slot
+    carries, and a division step adds a multiple of the divisor to the
+    packed remainder.  The prime powers q = 4, 8, 9, ... multiply and
+    divide through the field's tables, the odd ones add through them too,
+    and so does every product past the no-carry bound.
+    """
 
-    def __init__(self, fq, coeffs, normalize=True):
-        coeffs = tuple(coeffs)
-        if normalize:
-            n = len(coeffs)
-            while n and coeffs[n - 1] == 0:
-                n -= 1
-            coeffs = coeffs[:n]
+    __slots__ = ("fq", "x")
+
+    def __init__(self, fq, coeffs):
         self.fq = fq
-        self.coeffs = coeffs
+        self.x = int.from_bytes(bytes(coeffs), "little")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero(fq):
-        return Poly(fq, (), normalize=False)
+        return packed(fq, 0)
 
     @staticmethod
     def one(fq):
-        return Poly(fq, (1,), normalize=False)
+        return packed(fq, 1)
 
     @staticmethod
     def t(fq):
-        return Poly(fq, (0, 1), normalize=False)
+        return packed(fq, 1 << 8)
 
     @staticmethod
     def constant(fq, code):
-        return Poly(fq, (code,) if code else ())
+        return packed(fq, code)
 
     @staticmethod
     def t_power(fq, k):
-        return Poly(fq, (0,) * k + (1,), normalize=False)
+        return packed(fq, 1 << 8 * k)
 
     # -- structure --------------------------------------------------------
     @property
+    def coeffs(self):
+        """Ascending coefficient codes, with a nonzero last entry."""
+        x = self.x
+        return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        x = self.x
+        return (x.bit_length() - 1) >> 3 if x else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.x
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.x)
 
     def is_one(self):
-        return self.coeffs == (1,)
+        return self.x == 1
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.leading() == 1
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
+        x = self.x
+        return x >> ((x.bit_length() - 1) & ~7) if x else 0
 
     def constant_coeff(self):
-        return self.coeffs[0] if self.coeffs else 0
+        return self.x & 255
 
     def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return (self.x >> 8 * i) & 255 if i >= 0 else 0
 
     def vt(self):
         """t-adic valuation, +infinity for 0."""
-        if not self.coeffs:
-            return POS_INF
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError
+        x = self.x
+        return ((x & -x).bit_length() - 1) >> 3 if x else POS_INF
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         fq = self.fq
+        if fq.p == 2:
+            return packed(fq, self.x ^ other.x)
+        if fq.packed_sum:
+            return packed(fq, _translate(self.x + other.x, fq.mod_p_bytes))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -105,14 +139,17 @@ class Poly:
         fq = self.fq
         if fq.p == 2:
             return self  # -1 = 1, and a Poly is immutable
-        neg = fq._neg
-        return Poly(fq, tuple(neg[c] for c in self.coeffs), normalize=False)
+        return packed(fq, _translate(self.x, fq.neg_bytes))
 
     def __mul__(self, other):
         fq = self.fq
+        x, y = self.x, other.x
+        if not x or not y:
+            return packed(fq, 0)
+        if min(x.bit_length(), y.bit_length()) <= fq.kron_bits:
+            # no byte slot of the int product exceeds min(len) (p - 1)^2 <= 255
+            return packed(fq, _translate(x * y, fq.mod_p_bytes))
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(fq, (), normalize=False)
         if len(a) > len(b):
             a, b = b, a
         add = fq._add
@@ -124,28 +161,54 @@ class Poly:
                 row = mul[ai]
                 for j, bj in terms:
                     out[i + j] = add[out[i + j]][row[bj]]
-        return Poly(fq, out, normalize=False)
+        return Poly(fq, out)
 
     def scale(self, code):
-        if code == 0:
-            return Poly(self.fq, (), normalize=False)
-        mul = self.fq._mul[code]
-        return Poly(self.fq, tuple(mul[c] for c in self.coeffs), normalize=False)
+        if code == 1:
+            return self
+        return packed(self.fq, _translate(self.x, self.fq.mul_bytes[code]) if code else 0)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0)."""
-        if not self.coeffs:
-            return self
-        return Poly(self.fq, (0,) * k + self.coeffs, normalize=False)
+        return packed(self.fq, self.x << 8 * k)
 
     def __divmod__(self, other):
-        b = other.coeffs
-        if not b:
+        y = other.x
+        if not y:
             raise ZeroDivisionError("polynomial division by zero")
         fq = self.fq
-        degd = len(b) - 1
-        if len(self.coeffs) <= degd:
-            return Poly(fq, (), normalize=False), self
+        x = self.x
+        degd = (y.bit_length() - 1) >> 3
+        top = (x.bit_length() - 1) >> 3
+        if top < degd:
+            return packed(fq, 0), self
+        if fq.q == 2:
+            # each step clears the top byte of the remainder
+            quo = 0
+            while top >= degd:
+                k = 8 * (top - degd)
+                quo |= 1 << k
+                x ^= y << k
+                top = (x.bit_length() - 1) >> 3
+            return packed(fq, quo), packed(fq, x)
+        if fq.packed_sum:
+            # add f (-other) t^k for the top term f t^k of the quotient; as
+            # an int product f (-other) is exact and x + f (-other) t^k
+            # carries nowhere while p (p - 1) <= 255, that is p <= 13
+            mod = fq.mod_p_bytes
+            by_lead = fq._mul[fq._inv[y >> 8 * degd]]
+            neg_y = _translate(y, fq.neg_bytes)
+            mul_bytes = fq.mul_bytes if fq.p * (fq.p - 1) > 255 else None
+            quo = 0
+            while top >= degd:
+                k = 8 * (top - degd)
+                f = by_lead[x >> 8 * top]
+                quo |= f << k
+                step = f * neg_y if mul_bytes is None else _translate(neg_y, mul_bytes[f])
+                x = _translate(x + (step << k), mod)
+                top = (x.bit_length() - 1) >> 3
+            return packed(fq, quo), packed(fq, x)
+        b = other.coeffs
         add, mul, neg = fq._add, fq._mul, fq._neg
         by_lead = mul[fq._inv[b[-1]]]
         # the nonzero lower coefficients of -other; the leading one cancels
@@ -160,7 +223,7 @@ class Poly:
                 row = mul[f]
                 for j, nbj in terms:
                     rem[k + j] = add[rem[k + j]][row[nbj]]
-        return Poly(fq, quo, normalize=False), Poly(fq, rem[:degd])
+        return Poly(fq, quo), Poly(fq, rem[:degd])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -182,13 +245,14 @@ class Poly:
         return result
 
     def monic(self):
-        if not self.coeffs or self.coeffs[-1] == 1:
+        lead = self.leading()
+        if lead <= 1:
             return self
-        return self.scale(self.fq.inv(self.coeffs[-1]))
+        return self.scale(self.fq.inv(lead))
 
     def truncate(self, n):
-        """Reduce modulo t^n."""
-        return Poly(self.fq, self.coeffs[:n])
+        """Reduce modulo t^n (n >= 0)."""
+        return packed(self.fq, self.x & ((1 << 8 * n) - 1))
 
     def eval_code(self, x):
         """Evaluate at an F_q code."""
@@ -199,20 +263,21 @@ class Poly:
         return acc
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs and self.fq.q == other.fq.q
+        return isinstance(other, Poly) and self.x == other.x and self.fq.q == other.fq.q
 
     def __hash__(self):
-        return hash((self.fq.q, self.coeffs))
+        return hash((self.fq.q, self.x))
 
     def __repr__(self):
         return f"Poly({self.fq.q}, {self})"
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:
@@ -269,12 +334,12 @@ def graded_polys(fq, bound=None):
     The order is the key (len(coeffs), coeffs): graded by degree, starting
     with 0, and lexicographic within a degree with c_0 most significant.
     """
-    yield Poly(fq, (), normalize=False)
+    yield Poly.zero(fq)
     length = 1
     while bound is None or length <= bound:
         for low in product(range(fq.q), repeat=length - 1):
             for lead in range(1, fq.q):
-                yield Poly(fq, low + (lead,), normalize=False)
+                yield Poly(fq, low + (lead,))
         length += 1
 
 
@@ -285,7 +350,8 @@ class Residue:
 
     def __init__(self, n, poly, reduce=True):
         self.n = n
-        self.poly = poly.truncate(n) if reduce else poly
+        # a lift of degree < n is already the canonical one
+        self.poly = poly.truncate(n) if reduce and poly.x >> 8 * n else poly
 
     @staticmethod
     def zero(fq, n):
@@ -594,7 +660,7 @@ def tail_to_ratfunc(fq, tail):
     if not tail:
         return RatFunc.zero(fq)
     shift = max(0, max(e for e, _ in tail))
-    coeffs = [0] * (shift - min(e for e, _ in tail) + 1)
+    num = 0
     for e, c in tail:
-        coeffs[shift - e] = c
-    return RatFunc(Poly(fq, coeffs), Poly.t_power(fq, shift), reduce=False)
+        num |= c << 8 * (shift - e)
+    return RatFunc(packed(fq, num), Poly.t_power(fq, shift), reduce=False)

@@ -92,9 +92,10 @@ def matrix_to_latex(matrix):
 def _poly_tex(p):
     if p.is_zero():
         return "0"
+    coeffs = p.coeffs
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
         if i == 0:

@@ -476,8 +476,10 @@ def goss_suite_items(qs, imax=None, precision=64, lmax=3):
         fq = field(q)
         bound = q * q if imax is None else imax
         for m in goss_m_list(fq):
+            # verify_coeff_scaling needs q^deg(m) + 2 terms, 66 at q = 8
+            prec = max(precision, q ** int(m.degree) + 2)
             items.append(
-                ("goss", {"q": q, "mcoeffs": list(m.coeffs), "imax": bound, "precision": precision})
+                ("goss", {"q": q, "mcoeffs": list(m.coeffs), "imax": bound, "precision": prec})
             )
         items.append(("pullback", {"q": q, "lmax": lmax, "precision": 8}))
     return items

@@ -245,6 +245,15 @@ def test_verify_goss_cli(capsys):
     assert data["passed"] is True
 
 
+def test_verify_goss_cli_at_q8(capsys):
+    # deg(m) = 2 needs 8^2 + 2 = 66 terms of precision, above the default 64
+    code, out = run_cli(capsys, "verify", "--suite", "goss", "--q", "8")
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert any(r["id"] == "goss/q8/m(t^2+t+1)" and r["status"] is True for r in data["items"])
+
+
 def test_verify_congruences_cli(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "congruences", "--q", "2", "--nmax", "2")
     assert code == 0 and json.loads(out)["passed"] is True

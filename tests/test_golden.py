@@ -56,6 +56,11 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     _hecke_case(2, 3, 2),
     # vertices reached at depth 6 take longer Euclid chains to reduce
     ("graph_q2n4d6.json", ["graph", "--q", "2", "--n", "4", "--depth", "6", "--format", "json"]),
+    # weight-3 gcds over K at p = 7, where an int product is exact only
+    # while the shorter factor has at most 7 coefficients
+    _hecke_case(7, 1, 3),
+    # the odd-characteristic certificate above q = 3, with a diamond
+    _hecke_case(5, 2, 2),
 ]
 
 
