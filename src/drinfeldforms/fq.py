@@ -132,9 +132,8 @@ class Fq:
         self.neg_bytes = bytes(self._neg) + pad
         self.mul_bytes = [bytes(row) + pad for row in mul]
         self.mod_p_bytes = bytes(i % p for i in range(256))
-        # over a prime field, packed sums (bytes <= 2(p - 1)) and products
-        # of operands of <= 255 // (p - 1)^2 bytes carry into no other byte
-        self.packed_sum = e == 1 and 2 * (p - 1) <= 255
+        # over a prime field, int products of operands of at most
+        # 255 // (p - 1)^2 bytes carry into no other byte; this is 0 past p = 13
         self.kron_bits = 8 * (255 // (p - 1) ** 2) if e == 1 else 0
 
     # -- raw code arithmetic ------------------------------------------------

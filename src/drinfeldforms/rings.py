@@ -38,16 +38,15 @@ def packed(fq, x):
 class Poly:
     """Element of A = F_q[t], packed into the int ``x`` (byte i: code of t^i).
 
-    ``coeffs`` decodes ``x`` to the ascending coefficient tuple.  Addition
-    is ``x ^ y`` in characteristic 2 and, over a prime field F_p with
-    p < 128 (``Fq.packed_sum``), the int sum with every byte reduced mod p.
-    Negation and scaling translate the bytes.  Over F_p a product is the
-    int product reduced mod p while the shorter factor has at most
-    255 // (p - 1)^2 coefficients (``Fq.kron_bits``), so that no byte slot
-    carries, and a division step adds a multiple of the divisor to the
-    packed remainder.  The prime powers q = 4, 8, 9, ... multiply and
-    divide through the field's tables, the odd ones add through them too,
-    and so does every product past the no-carry bound.
+    ``coeffs`` decodes ``x`` to the ascending coefficient tuple.  Negation
+    and scaling translate the bytes, and addition is ``x ^ y`` in
+    characteristic 2.  Over a prime field F_p with p <= 13 (``Fq.kron_bits``
+    nonzero) a sum is the int sum with every byte reduced mod p, a product
+    is the int product reduced mod p while the shorter factor has at most
+    255 // (p - 1)^2 coefficients, so that no byte slot carries, and a
+    division step adds a multiple of the divisor to the packed remainder.
+    Every other field, and every product past the no-carry bound, goes
+    through the field's tables.
     """
 
     __slots__ = ("fq", "x")
@@ -121,7 +120,7 @@ class Poly:
         fq = self.fq
         if fq.p == 2:
             return packed(fq, self.x ^ other.x)
-        if fq.packed_sum:
+        if fq.kron_bits:
             return packed(fq, _translate(self.x + other.x, fq.mod_p_bytes))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -191,21 +190,19 @@ class Poly:
                 x ^= y << k
                 top = (x.bit_length() - 1) >> 3
             return packed(fq, quo), packed(fq, x)
-        if fq.packed_sum:
-            # add f (-other) t^k for the top term f t^k of the quotient; as
-            # an int product f (-other) is exact and x + f (-other) t^k
-            # carries nowhere while p (p - 1) <= 255, that is p <= 13
+        if fq.kron_bits:
+            # add f (-other) t^k for the top term f t^k of the quotient; its
+            # bytes are at most (p - 1)^2, so x + f (-other) t^k carries
+            # nowhere while p (p - 1) <= 255, as it is for p <= 13
             mod = fq.mod_p_bytes
             by_lead = fq._mul[fq._inv[y >> 8 * degd]]
             neg_y = _translate(y, fq.neg_bytes)
-            mul_bytes = fq.mul_bytes if fq.p * (fq.p - 1) > 255 else None
             quo = 0
             while top >= degd:
                 k = 8 * (top - degd)
                 f = by_lead[x >> 8 * top]
                 quo |= f << k
-                step = f * neg_y if mul_bytes is None else _translate(neg_y, mul_bytes[f])
-                x = _translate(x + (step << k), mod)
+                x = _translate(x + (f * neg_y << k), mod)
                 top = (x.bit_length() - 1) >> 3
             return packed(fq, quo), packed(fq, x)
         b = other.coeffs
@@ -253,6 +250,10 @@ class Poly:
     def truncate(self, n):
         """Reduce modulo t^n (n >= 0)."""
         return packed(self.fq, self.x & ((1 << 8 * n) - 1))
+
+    def high(self, n):
+        """The terms of degree >= n (n >= 0): self minus its truncation mod t^n."""
+        return packed(self.fq, self.x & -(1 << 8 * n))
 
     def eval_code(self, x):
         """Evaluate at an F_q code."""

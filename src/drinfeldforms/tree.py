@@ -47,7 +47,7 @@ from itertools import islice
 
 from .errors import ResourceBoundError
 from .mat2 import DeferredProduct, Mat2
-from .rings import Poly, graded_polys, packed, poly_gcd, tail_to_ratfunc
+from .rings import Poly, graded_polys, poly_gcd, tail_to_ratfunc
 
 POS_SIGN = 1
 NEG_SIGN = -1
@@ -192,11 +192,9 @@ def _tail(num, den, r):
     exponent below r is at most m.
     """
     m = max(r - 1, 0)
-    # the exponent m - k is below r exactly when k >= m + 1 - r
-    quo = divmod(num.shift(m), den)[0].x >> 8 * (m + 1 - r)
-    size = (quo.bit_length() + 7) >> 3
-    # byte i of the big-endian quotient has exponent r - size + i
-    return tuple((r - size + i, c) for i, c in enumerate(quo.to_bytes(size, "big")) if c)
+    quo = divmod(num.shift(m), den)[0].coeffs
+    low = m + 1 - r  # the exponent m - k is below r exactly when k >= low
+    return tuple((m - k, quo[k]) for k in range(len(quo) - 1, low - 1, -1) if quo[k])
 
 
 def _translated(g, b):
@@ -228,7 +226,7 @@ def reduce_vertex(v, fq):
         quo, rem = divmod(num, den)
         # the terms of degree < 1 - r are exponents >= r, inside pi^r O
         low = max(1 - r, 0)
-        b = packed(fq, quo.x & -(1 << 8 * low)) if low else quo
+        b = quo.high(low) if low else quo
         if b:
             gamma = _translated(gamma, -b)
         drop = den.degree - rem.degree

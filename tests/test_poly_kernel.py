@@ -188,6 +188,7 @@ def test_structure_matches_the_tuple_definitions(data):
     assert [p.coeff(i) for i in range(-1, len(c) + 2)] == [0, *c, 0, 0]
     assert p.is_monic() == (bool(c) and c[-1] == 1)
     assert p.truncate(n).coeffs == _strip(c[:n])
+    assert p.high(n).coeffs == (((0,) * n + c[n:]) if len(c) > n else ())
     assert Residue(n, p).poly.coeffs == _strip(c[:n])
     assert p.scale(code).coeffs == _strip([fq._mul[code][x] for x in c])
     assert p.shift(n).coeffs == (((0,) * n + c) if c else ())
