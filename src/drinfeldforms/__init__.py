@@ -46,7 +46,6 @@ from .linalg import (
     Matrix,
     UPoly,
     charpoly,
-    inverse,
     kernel_basis,
     newton_slope_zero_count,
     rank,

@@ -21,13 +21,16 @@ give the same dimension.  The re-solve runs on the depth-D table grown by
 one shell (``QuotientGraph.extended``), not on a second build.  Whether it
 also spans the same cocycles is recorded as ``depth_stable``.
 
-For weight 2 the basis is re-expressed in the delta basis indexed by
-A_{n-1}^2: the unique cocycle taking value 1 at one stable representative
-h_{(c,d)} J e_0 and 0 at the others.
+The solver eliminates the stable columns h_{(c,d)} J e_0 last, so they are
+its free columns and the basis it returns is the unit basis on the stable
+(orbit, component) rows: each cocycle is 1 at one of them and 0 at the
+others.  That is checked after every solve.  For weight 2 it is the delta
+basis indexed by A_{n-1}^2, put into label order: the unique cocycle taking
+value 1 at one stable representative and 0 at the others.
 """
 
 from .errors import DimensionMismatchError, ReachError, StabilityError
-from .linalg import FqRing, KRing, Matrix, _reduce, inverse, sparse_kernel
+from .linalg import FqRing, KRing, Matrix, sparse_kernel
 from .tree import MAX_ORBITS, Edge, QuotientGraph
 
 
@@ -38,24 +41,6 @@ def depth_default(n, k):
     levels past the stable core, so higher weight needs more margin.
     """
     return 2 * n + 1 + max(2, k - 1)
-
-
-def same_span(basis_a, basis_b, ring):
-    """Whether two independent lists of cocycles span the same space.
-
-    Cocycles are dicts orbit-key -> value tuple, zero off their keys.  Orbit
-    keys are canonical, so a cocycle solved at depth D and one solved at
-    depth D+1 are compared entry by entry: the spans agree exactly when
-    stacking both lists adds no rank.
-    """
-    if len(basis_a) != len(basis_b):
-        return False
-    rows = [
-        {(key, s): x for key, v in c.items() for s, x in enumerate(v) if x}
-        for c in basis_a + basis_b
-    ]
-    cols = sorted({col for row in rows for col in row})
-    return len(_reduce(rows, cols, ring)) == len(basis_a)
 
 
 class VkAction:
@@ -159,6 +144,7 @@ class CocycleSpace:
                 f"dim C^har_{k}(Gamma_1(t^{ctx.n})) at depth {self.depth}: "
                 f"got {len(basis)}, expected {self.expected_dim}"
             )
+        units = self._unit_rows(basis)
         # support gate: solutions must die out before the boundary shells,
         # otherwise the zero-beyond-D convention is corrupting values
         self.support_radius = max(
@@ -171,7 +157,9 @@ class CocycleSpace:
                 f"depth-{self.depth} table: increase the depth"
             )
         # the depth-(D+1) re-solve: its dimension is gated here, and whether
-        # it spans the same cocycles is kept (None when not checked)
+        # it spans the same cocycles is kept (None when not checked).  Both
+        # bases are unit bases on the stable rows, so the spans agree exactly
+        # when the cocycles at each unit row agree.
         self.depth_stable = None
         if check_stability:
             basis2, _ = self._solve(self.graph.extended())
@@ -180,9 +168,12 @@ class CocycleSpace:
                     f"depth {self.depth} vs {self.depth + 1}: dimensions "
                     f"{len(basis)} vs {len(basis2)}"
                 )
-            self.depth_stable = same_span(basis, basis2, self.ring)
+            units2 = self._unit_rows(basis2)
+            self.depth_stable = dict(zip(units, basis)) == dict(zip(units2, basis2))
         self.orbit_keys = keys
         self.basis = basis
+        # the stable (key, component) row at which each basis cocycle is 1
+        self.unit_rows = units
         if k == 2:
             self._to_delta_basis()
 
@@ -193,9 +184,11 @@ class CocycleSpace:
         ring = self.ring
         keys = sorted(graph.edge_orbits)
         col_of = {key: i * comp for i, key in enumerate(keys)}
-        # deepest columns first: elimination then sweeps inward along rays
+        # deepest columns first: elimination then sweeps inward along rays.
+        # The stable columns come last, so they are the free ones.
+        stable = set(self.stable_keys)
         col_order = []
-        for key in sorted(keys, key=lambda kk: (-graph.edge_orbits[kk].depth, kk)):
+        for key in sorted(keys, key=lambda kk: (kk in stable, -graph.edge_orbits[kk].depth, kk)):
             base = col_of[key]
             col_order.extend(range(base, base + comp))
         rows = []
@@ -251,36 +244,36 @@ class CocycleSpace:
             basis.append(entry)
         return basis, keys
 
+    def _unit_rows(self, basis):
+        """The stable (key, component) row at which each basis cocycle is 1.
+
+        A basis that is not the unit basis on the stable rows means that
+        evaluation there is not injective on the solved space.
+        """
+        stable = set(self.stable_keys)
+        units = []
+        for c in basis:
+            hits = [(key, s, x) for key, v in c.items() if key in stable for s, x in enumerate(v) if x]
+            if len(hits) != 1 or hits[0][2] != self.ring.one:
+                raise DimensionMismatchError(
+                    "the solved basis is not the unit basis on the stable representatives"
+                )
+            units.append(hits[0][:2])
+        if len(set(units)) != len(units):
+            raise DimensionMismatchError(
+                "two solved cocycles are 1 at the same stable representative"
+            )
+        return units
+
     # -- weight-2 delta basis ---------------------------------------------------
     def _to_delta_basis(self):
+        """Put the unit basis into label order: cocycle j is 1 at stable_keys[j]."""
         ring = self.ring
         stable_keys = self.stable_keys
         d = self.expected_dim
-        eval_matrix = Matrix(
-            ring,
-            [
-                [self.basis[j].get(key, (ring.zero,))[0] for j in range(d)]
-                for key in stable_keys
-            ],
-        )
-        try:
-            inv = inverse(eval_matrix)
-        except ArithmeticError as exc:  # would contradict the delta-basis isomorphism
-            raise DimensionMismatchError(
-                "evaluation at the stable representatives is singular"
-            ) from exc
-        new_basis = []
-        for jcol in range(d):
-            acc = {}
-            for i in range(d):
-                c = inv.rows[i][jcol]
-                if not c:
-                    continue
-                for key, vec in self.basis[i].items():
-                    cur = acc.get(key, (ring.zero,))
-                    acc[key] = (cur[0] + c * vec[0],)
-            new_basis.append({key: v for key, v in acc.items() if v[0]})
-        self.basis = new_basis
+        by_unit = dict(zip(self.unit_rows, self.basis))
+        self.basis = [by_unit[(key, 0)] for key in stable_keys]
+        self.unit_rows = [(key, 0) for key in stable_keys]
         # sanity: the delta property itself
         for j, key in enumerate(stable_keys):
             for i in range(d):
@@ -350,17 +343,15 @@ class CocycleSpace:
 class Coordinates:
     """Coordinates of value-dicts in the solved basis, with consistency.
 
-    Rows are (orbit, component) evaluations on orbits of depth at most
-    ``safe_depth``; the d pivot rows (stable representatives first) invert
-    to give coordinates, and every other safe row is verified exactly.
+    The basis is the unit basis on the stable rows, so the coordinate of
+    each cocycle is the value at its unit row.  Every (orbit, component)
+    row on orbits of depth at most ``safe_depth`` is then verified exactly.
     Values and coordinates lie in the space's ring.
     """
 
     def __init__(self, space, safe_depth):
         self.space = space
-        ring = space.ring
         graph = space.graph
-        d = space.dim
         comp = space.k - 1
         stable_keys = space.stable_keys
         stable = set(stable_keys)
@@ -369,36 +360,18 @@ class Coordinates:
             for key in sorted(graph.edge_orbits)
             if key not in stable and graph.edge_orbits[key].depth <= safe_depth
         ]
-        self.row_keys = [(key, s) for key in stable_keys for s in range(comp)] + [
-            (key, s) for key in other for s in range(comp)
-        ]
-        zero = tuple(ring.zero for _ in range(comp))
-        rows = [
-            [space.basis[j].get(key, zero)[s] for j in range(d)]
+        self.keys_needed = stable_keys + other
+        self.row_keys = [(key, s) for key in self.keys_needed for s in range(comp)]
+        # nonzero entries only: cocycle supports are small, so the rows are sparse
+        self.sparse_rows = [
+            [(j, c[key][s]) for j, c in enumerate(space.basis) if key in c and c[key][s]]
             for key, s in self.row_keys
         ]
-        # nonzero entries only: cocycle supports are small, so the rows are sparse
-        self.sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in rows]
-        # the pivot columns of the transposed rows are the first d
-        # independent rows, in order
-        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(d)]
-        pivots = sorted(_reduce(columns, range(len(rows)), ring))
-        if len(pivots) < d:
-            raise DimensionMismatchError(
-                f"evaluation rows at depth <= {safe_depth} have rank {len(pivots)} < {d}"
-            )
-        self.pivot_indices = pivots
-        self.pivot_inverse = inverse(Matrix(ring, [rows[i] for i in pivots]))
-        self.keys_needed = stable_keys + other
 
     def coords(self, values):
-        """Solve for coordinates and verify every safe evaluation row."""
+        """Read coordinates off the unit rows and verify every safe row."""
         ring = self.space.ring
-        u = [
-            values[self.row_keys[i][0]][self.row_keys[i][1]]
-            for i in self.pivot_indices
-        ]
-        x = self.pivot_inverse.apply(u)
+        x = [values[key][s] for key, s in self.space.unit_rows]
         for (key, s), row in zip(self.row_keys, self.sparse_rows):
             want = values[key][s]
             got = ring.zero
@@ -411,4 +384,3 @@ class Coordinates:
                     "component %d: truncation depth too small" % s
                 )
         return x
-

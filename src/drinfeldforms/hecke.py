@@ -9,8 +9,9 @@ e to {orbit key: block}, the block being the orientation sign times
 act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity on V_2) and
 blocks landing on one orbit summed.  Every basis cocycle's values on
 the safe representatives are then a sparse combination of its stored
-vectors, solved against the basis with exact consistency checks on every
-safe row; an image edge beyond the table is a ReachError.  A matrix is
+vectors.  Their coordinates are the values at the stable rows, where the
+basis is the unit basis, with exact consistency checks on every safe
+row; an image edge beyond the table is a ReachError.  A matrix is
 over the space's ring, the ring its coordinates lie in: F_q at weight 2,
 so products, commutators and the certificate run over F_q there, and
 K = F_q(t) above.

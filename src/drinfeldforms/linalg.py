@@ -7,10 +7,9 @@ serves both fields: weight-2 operators, their charpolys and kernels are
 over F_q (FqRing), and weight-k ones over K (KRing).
 
 Every elimination over a field goes through one sparse Gauss-Jordan
-routine, :func:`_reduce`: the kernel the cocycle solver calls (constraint
-systems over quotient graphs are tree-shaped, and ordered sparse
-elimination keeps them that way), the inverse, and the choice of
-independent evaluation rows in ``cocycles.Coordinates``.  Rank and kernel
+routine, :func:`_reduce`, behind the kernel the cocycle solver calls
+(constraint systems over quotient graphs are tree-shaped, and ordered
+sparse elimination keeps them that way).  Rank and kernel
 over an integral domain go through fraction-free Bareiss elimination
 (denominators are cleared first for K), so intermediate entries are minors
 and never grow denominators.  Characteristic polynomials use the
@@ -275,22 +274,6 @@ def _normalize_vector(ring, v):
         return v
     inv = ring.one / lead
     return [x * inv if not _is_zero(x) else x for x in v]
-
-
-def inverse(matrix):
-    """Inverse over the field, by reducing (M | I); raises if singular."""
-    n = matrix.nrows
-    if n != matrix.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    ring = matrix.ring
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.rows]
-    for i, row in enumerate(rows):
-        row[n + i] = ring.one
-    pivots = _reduce(rows, range(n), ring)
-    if len(pivots) < n:
-        raise ArithmeticError("matrix is singular")
-    z = ring.zero
-    return Matrix(ring, [[rows[pivots[c]].get(n + j, z) for j in range(n)] for c in range(n)])
 
 
 class UPoly:

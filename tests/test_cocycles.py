@@ -3,7 +3,7 @@ import random
 import pytest
 
 from drinfeldforms import cocycles
-from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default, same_span
+from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default
 from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
@@ -211,22 +211,75 @@ def test_stabilizer_fixed_space(cache):
 
 @pytest.mark.parametrize("q,n,k", [(2, 2, 2), (2, 1, 3)])
 def test_depth_stable_compares_spans(cache, q, n, k):
+    assert cache.space(q, n, k).depth_stable is True
+
+
+def test_depth_stable_detects_a_changed_resolve(monkeypatch):
+    # the depth-(D+1) basis changed at one non-stable orbit spans another space
+    solve = CocycleSpace._solve
+    calls = []
+
+    def changed(self, graph):
+        basis, keys = solve(self, graph)
+        calls.append(graph)
+        if len(calls) == 2:
+            stable = set(self.stable_keys)
+            key = next(key for key in keys if key not in basis[0] and key not in stable)
+            basis[0][key] = (self.ring.one,)
+        return basis, keys
+
+    monkeypatch.setattr(CocycleSpace, "_solve", changed)
+    space = CocycleSpace(group_context(2, 2), 2)
+    assert len(calls) == 2
+    assert space.depth_stable is False
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 2, 2), (3, 1, 3), (2, 2, 3)])
+def test_solved_basis_is_the_unit_basis_on_the_stable_rows(cache, q, n, k):
     space = cache.space(q, n, k)
-    assert space.depth_stable is True
     ring = space.ring
-    basis = space.basis
-    # a change of basis keeps the span
-    summed = {
-        key: tuple(x + y for x, y in zip(basis[0].get(key, space.zero_vector()), v))
-        for key, v in basis[1].items()
-    }
-    summed.update({key: v for key, v in basis[0].items() if key not in summed})
-    assert same_span(basis, [summed] + basis[1:], ring)
-    # a cocycle cut down to one of its orbits is no cocycle
-    assert len(basis[0]) > 1
-    key, v = next(iter(basis[0].items()))
-    assert not same_span(basis, [{key: v}] + basis[1:], ring)
-    assert not same_span(basis, basis[1:], ring)
+    stable_rows = {(key, s) for key in space.stable_keys for s in range(k - 1)}
+    assert set(space.unit_rows) == stable_rows
+    assert len(space.unit_rows) == space.dim
+    for unit, cocycle in zip(space.unit_rows, space.basis):
+        for key, s in stable_rows:
+            want = ring.one if (key, s) == unit else ring.zero
+            assert cocycle.get(key, space.zero_vector())[s] == want
+
+
+def _summed(vecs):
+    vecs[0] = [a + b for a, b in zip(vecs[0], vecs[1])]
+
+
+def _doubled(vecs):
+    vecs[0] = [x + x for x in vecs[0]]
+
+
+def _repeated(vecs):
+    vecs[0] = list(vecs[1])
+
+
+@pytest.mark.parametrize(
+    "q,k,perturb,match",
+    [
+        (2, 2, _summed, "not the unit basis"),
+        (2, 3, _summed, "not the unit basis"),
+        (3, 2, _doubled, "not the unit basis"),
+        (2, 2, _repeated, "the same stable representative"),
+    ],
+)
+def test_a_basis_off_the_unit_rows_is_rejected(monkeypatch, q, k, perturb, match):
+    # each perturbed kernel basis puts one off-identity entry at a stable row
+    kernel = cocycles.sparse_kernel
+
+    def perturbed(rows, ncols, ring, col_order=None):
+        vecs = kernel(rows, ncols, ring, col_order=col_order)
+        perturb(vecs)
+        return vecs
+
+    monkeypatch.setattr(cocycles, "sparse_kernel", perturbed)
+    with pytest.raises(DimensionMismatchError, match=match):
+        CocycleSpace(group_context(q, 2), k, check_stability=False)
 
 
 def test_one_graph_build_per_space(monkeypatch):

@@ -52,7 +52,7 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     ("hecke_q4n2k2.csv", [*_hecke_case(4, 2, 2)[1][:-1], "csv"]),
     # the weight-3 operators over K, in LaTeX
     ("hecke_q2n2k3.tex", [*_hecke_case(2, 2, 3)[1][:-1], "latex"]),
-    # the d = 8 weight-2 space of the ops-k2 benchmark workload
+    # the d = 16 weight-2 space of the ops-k2 benchmark workload
     _hecke_case(2, 3, 2),
     # vertices reached at depth 6 take longer Euclid chains to reduce
     ("graph_q2n4d6.json", ["graph", "--q", "2", "--n", "4", "--depth", "6", "--format", "json"]),

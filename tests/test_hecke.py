@@ -161,6 +161,22 @@ def test_transport_table_matches_evaluating_oracle(q, n, k, cache):
         assert got.matrix == want.matrix
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_coords_rejects_values_off_the_basis(cache, k):
+    # the values of one basis cocycle read back as a unit vector; changed at
+    # one non-stable safe row they are no combination of the basis
+    eng = cache.engine(2, 2, k)
+    space, coords = eng.space, eng.coords
+    ring = space.ring
+    values = {key: space.basis[0].get(key, space.zero_vector()) for key in coords.keys_needed}
+    assert coords.coords(values) == [ring.one] + [ring.zero] * (space.dim - 1)
+    key, s = coords.row_keys[-1]
+    assert key not in space.stable_keys
+    values[key] = tuple(x + ring.one if i == s else x for i, x in enumerate(values[key]))
+    with pytest.raises(ReachError, match="operator image is inconsistent"):
+        coords.coords(values)
+
+
 def test_transport_beyond_the_table_is_a_reach_error(cache):
     # with no safe margin the boundary orbits are transported out of the table
     eng = HeckeEngine(cache.space(2, 1, 2), safe_margin=0)

@@ -9,7 +9,6 @@ from drinfeldforms.linalg import (
     Matrix,
     UPoly,
     charpoly,
-    inverse,
     kernel_basis,
     newton_slope_zero_count,
     rank,
@@ -121,38 +120,6 @@ def rand_k_matrix(fq, rng, nrows, ncols):
         return RatFunc(num, den)
 
     return Matrix(KRing(fq), [[entry() for _ in range(ncols)] for _ in range(nrows)])
-
-
-def test_inverse():
-    fq = field(5)
-    FR = FqRing(fq)
-    rng = random.Random(1)
-    for _ in range(10):
-        m = Matrix(FR, [[FqElem(fq, rng.randrange(5)) for _ in range(3)] for _ in range(3)])
-        if rank(m) < 3:
-            with pytest.raises(ArithmeticError):
-                inverse(m)
-            continue
-        assert inverse(m) * m == Matrix.identity(FR, 3)
-    fq3 = field(3)
-    K = KRing(fq3)
-    inverted = 0
-    for _ in range(10):
-        m = rand_k_matrix(fq3, rng, 3, 3)
-        if rank(m) < 3:
-            with pytest.raises(ArithmeticError):
-                inverse(m)
-            continue
-        inverted += 1
-        assert inverse(m) * m == Matrix.identity(K, 3)
-        assert m * inverse(m) == Matrix.identity(K, 3)
-    assert inverted
-    t = RatFunc.from_poly(Poly.t(fq3))
-    singular = Matrix(K, [[K.one, t], [t, t * t]])
-    with pytest.raises(ArithmeticError):
-        inverse(singular)
-    with pytest.raises(ArithmeticError):
-        inverse(Matrix.zeros(FqRing(fq3), 2, 2))
 
 
 def test_newton_slope_zero_count_examples():

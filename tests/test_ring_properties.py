@@ -1,0 +1,77 @@
+"""Property tests for the gcd-based structure of A = F_q[t], K and A/(t^n).
+
+Over q in {2, 3, 4, 5, 9}: the extended gcd is a monic common divisor
+written as a combination, a rational function is stored reduced with a
+monic denominator whatever representation it was built from, and a residue
+mod t^n is invertible exactly when its constant term is nonzero.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drinfeldforms.fq import field
+from drinfeldforms.rings import Poly, RatFunc, Residue, poly_gcd, poly_xgcd
+
+FIELDS = st.sampled_from([2, 3, 4, 5, 9]).map(field)
+MAX_LEN = 12
+
+
+def _draw_poly(data, fq, nonzero=False):
+    coeffs = data.draw(st.lists(st.integers(0, fq.q - 1), max_size=MAX_LEN))
+    if nonzero:
+        coeffs.append(data.draw(st.integers(1, fq.q - 1)))
+    return Poly(fq, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_xgcd_is_a_monic_common_divisor_and_a_combination(data):
+    fq = data.draw(FIELDS)
+    a, b = _draw_poly(data, fq), _draw_poly(data, fq)
+    g, x, y = poly_xgcd(a, b)
+    assert a * x + b * y == g
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.is_monic()
+    assert (a % g).is_zero() and (b % g).is_zero()
+    assert g == poly_gcd(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ratfunc_is_reduced_with_a_monic_denominator(data):
+    fq = data.draw(FIELDS)
+    num = _draw_poly(data, fq)
+    den = _draw_poly(data, fq, nonzero=True)
+    m = _draw_poly(data, fq, nonzero=True)
+    r = RatFunc(num, den)
+    assert r.den.is_monic()
+    assert poly_gcd(r.num, r.den).is_one()
+    if num.is_zero():
+        assert r.den.is_one()
+    # the same fraction
+    assert r.num * den == num * r.den
+    # another representation of it is stored identically
+    other = RatFunc(num * m, den * m)
+    assert other == r
+    assert hash(other) == hash(r)
+    assert (other.num, other.den) == (r.num, r.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residue_inverse_exactly_for_units(data):
+    fq = data.draw(FIELDS)
+    n = data.draw(st.integers(1, 6))
+    u = Residue(n, _draw_poly(data, fq))
+    if u.poly.constant_coeff() == 0:
+        assert not u.is_unit()
+        with pytest.raises(ZeroDivisionError):
+            u.inverse()
+        return
+    inv = u.inverse()
+    assert u * inv == Residue.one(fq, n)
+    assert inv * u == Residue.one(fq, n)
+    assert inv.poly.degree < n
