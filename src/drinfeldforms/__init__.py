@@ -48,7 +48,6 @@ from .linalg import (
     charpoly,
     kernel_basis,
     newton_slope_zero_count,
-    rank,
 )
 from .mat2 import Mat2
 from .rings import (
@@ -64,7 +63,6 @@ from .rings import (
     vt,
 )
 from .tree import (
-    ApartmentStabilizer,
     Edge,
     EdgeClass,
     QuotientGraph,

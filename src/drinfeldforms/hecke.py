@@ -38,6 +38,10 @@ from .rings import Poly, Residue, graded_polys, poly_is_irreducible
 from .serialize import entry_json
 from .tree import apply_edge
 
+# operator images are read and checked only on orbits at least this many
+# levels inside the truncation depth: deeper images can leave the table
+SAFE_MARGIN = 4
+
 
 class OperatorMatrix:
     """A named operator in the chosen cocycle basis, over the space's ring."""
@@ -79,11 +83,11 @@ class OperatorMatrix:
 class HeckeEngine:
     """Operator assembly on a frozen CocycleSpace."""
 
-    def __init__(self, space, safe_margin=4):
+    def __init__(self, space):
         self.space = space
         self.ctx = space.ctx
         self.k = space.k
-        self.coords = Coordinates(space, max(0, space.depth - safe_margin))
+        self.coords = Coordinates(space, max(0, space.depth - SAFE_MARGIN))
         self._cache = {}
 
     # -- generic assembly --------------------------------------------------

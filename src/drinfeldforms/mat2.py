@@ -56,15 +56,6 @@ class Mat2:
         """Inverse assuming det = 1 (not rechecked here)."""
         return self.adjugate()
 
-    def inverse_k(self):
-        """Inverse over K for an invertible matrix with RatFunc entries."""
-        det = self.det()
-        if det.is_zero():
-            raise ZeroDivisionError("singular matrix")
-        inv = det.inverse()
-        adj = self.adjugate()
-        return Mat2(adj.a * inv, adj.b * inv, adj.c * inv, adj.d * inv)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

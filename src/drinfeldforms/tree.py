@@ -262,31 +262,6 @@ def reduce_edge(e, fq):
     return gamma, j - 1, NEG_SIGN
 
 
-class ApartmentStabilizer:
-    """Stab(SL_2(A), e_i) = {(a, b; 0, a^{-1}) : a in F_q^x, deg b <= i}.
-
-    For i >= 1 this is also Stab(SL_2(A), v_i); Stab(SL_2(A), v_0) is the
-    larger SL_2(F_q), handled by :func:`vertex_zero_stabilizer`.
-    """
-
-    def __init__(self, fq, i):
-        self.fq = fq
-        self.i = i
-
-    @property
-    def order(self):
-        return (self.fq.q - 1) * self.fq.q ** (self.i + 1)
-
-    def elements(self):
-        fq = self.fq
-        zero = Poly.zero(fq)
-        for a in fq.nonzero():
-            ap = Poly.constant(fq, a)
-            ainv = Poly.constant(fq, fq.inv(a))
-            for b in graded_polys(fq, self.i + 1):
-                yield Mat2(ap, b, zero, ainv)
-
-
 def vertex_zero_stabilizer(fq):
     """All of SL_2(F_q) as constant matrices."""
     out = []
@@ -551,7 +526,8 @@ class TreeContext:
         t^(level - v) | b, reading v = level when c = 0 mod t^level.  So the
         classes are (1, t^(level - v) b'; 0, 1) with b' != 0 and
         deg b' <= min(i, level - 1) - (level - v), in graded_polys order,
-        which is the order of the b in :meth:`ApartmentStabilizer.elements`.
+        which is the order of the b when Stab(SL_2(A), e_i) is enumerated as
+        (a, b; 0, a^-1) with b running over graded_polys.
         """
         shift = level - min(c.vt(), level)
         free = min(i, level - 1) - shift + 1

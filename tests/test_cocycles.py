@@ -7,11 +7,12 @@ from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default
 from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
-from drinfeldforms.linalg import FqRing, KRing, Matrix
+from drinfeldforms.linalg import FqRing, Matrix
 from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import DeferredProduct, Mat2
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
+from oracles import inverse_k
 
 
 def rand_gamma(ctx, rng):
@@ -55,7 +56,7 @@ def test_act_is_the_substitution_of_the_adjugate(q):
         vk = VkAction(fq, k)
         for _ in range(10):
             g = _rand_word(fq, rng)
-            assert vk.act(g) == vk.substitution(g.to_k().inverse_k()).transpose()
+            assert vk.act(g) == vk.substitution(inverse_k(g.to_k())).transpose()
         t, one = Poly.t(fq), Poly.one(fq)
         for g in (Mat2.diag(t, one), Mat2.diag(t, t)):
             with pytest.raises(ValueError):
@@ -132,7 +133,6 @@ def test_equivariance_randomized(q, n, k, cache):
     space = cache.space(q, n, k)
     ctx = space.ctx
     rng = random.Random(q * n * k)
-    kring = KRing(ctx.fq)
     reps = [
         space.graph.edge_orbits[key].rep
         for key in space.orbit_keys
@@ -145,12 +145,8 @@ def test_equivariance_randomized(q, n, k, cache):
         lhs = space.evaluate(cocycle, apply_edge(gamma, e, ctx.fq))
         rhs = space.evaluate(cocycle, e)
         if k > 2:
-            rhs = tuple(space.vk.act(gamma).apply([kring.embed(x) for x in rhs]))
-            lhs = tuple(kring.embed(x) for x in lhs)
-        else:
-            lhs = tuple(lhs)
-            rhs = tuple(rhs)
-        assert lhs == rhs
+            rhs = space.vk.act(gamma).apply(rhs)
+        assert tuple(lhs) == tuple(rhs)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3)])
@@ -194,7 +190,6 @@ def test_stabilizer_fixed_space(cache):
     # stored values lie in the fixed space of the representative stabilizer
     space = cache.space(2, 1, 3)
     graph = space.graph
-    kring = KRing(space.ctx.fq)
     for key in space.orbit_keys:
         orbit = graph.edge_orbits[key]
         if orbit.stab_order == 1:
@@ -205,7 +200,7 @@ def test_stabilizer_fixed_space(cache):
                 stored = cocycle.get(key)
                 if stored is None:
                     continue
-                vec = [kring.embed(x) for x in stored]
+                vec = list(stored)
                 assert act.apply(vec) == vec
 
 

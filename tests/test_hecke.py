@@ -1,5 +1,6 @@
 import pytest
 
+from drinfeldforms import hecke
 from drinfeldforms.errors import ReachError, UsageError
 from drinfeldforms.fq import FqElem, field
 from drinfeldforms.groups import group_context
@@ -177,9 +178,10 @@ def test_coords_rejects_values_off_the_basis(cache, k):
         coords.coords(values)
 
 
-def test_transport_beyond_the_table_is_a_reach_error(cache):
+def test_transport_beyond_the_table_is_a_reach_error(cache, monkeypatch):
     # with no safe margin the boundary orbits are transported out of the table
-    eng = HeckeEngine(cache.space(2, 1, 2), safe_margin=0)
+    monkeypatch.setattr(hecke, "SAFE_MARGIN", 0)
+    eng = HeckeEngine(cache.space(2, 1, 2))
     with pytest.raises(ReachError, match="edge beyond the depth-5 table"):
         eng.u_t()
 
@@ -261,6 +263,13 @@ def test_nilpotency_diagnostics(cache):
     diag3 = nilpotency_diagnostics(ident)
     assert diag3["nilpotent_dimension"] == 0 and diag3["nilpotency_index"] == 0
     assert diag3["status"] is False
+
+
+@pytest.mark.parametrize("n,dim,index", [(3, 12, 5), (4, 56, 8)])
+def test_nilpotency_diagnostics_pinned(cache, n, dim, index):
+    diag = nilpotency_diagnostics(cache.engine(2, n, 2).u_t())
+    assert (diag["nilpotent_dimension"], diag["nilpotency_index"]) == (dim, index)
+    assert diag["status"] is True
 
 
 def test_diamonds_act_nontrivially_on_ordinary_part(cache):

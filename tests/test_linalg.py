@@ -11,10 +11,10 @@ from drinfeldforms.linalg import (
     charpoly,
     kernel_basis,
     newton_slope_zero_count,
-    rank,
     sparse_kernel,
 )
 from drinfeldforms.rings import Poly, RatFunc
+from oracles import bareiss_kernel, bareiss_pivots, bareiss_rank
 
 
 def cofactor_det(rows, ring):
@@ -37,7 +37,9 @@ def test_charpoly_identity():
 
 def test_rank_zero_matrix():
     K = KRing(field(2))
-    assert rank(Matrix.zeros(K, 3, 3)) == 0
+    zero = Matrix.zeros(K, 3, 3)
+    assert bareiss_rank(zero) == 0
+    assert kernel_basis(zero) == Matrix.identity(K, 3).rows  # the unit basis
 
 
 def test_kernel_example():
@@ -104,7 +106,7 @@ def test_kernel_rank_image_random_consistency():
                 for _ in range(3)
             ],
         )
-        r = rank(m)
+        r = bareiss_rank(m)
         kb = kernel_basis(m)
         assert r + len(kb) == 4
         for v in kb:
@@ -197,7 +199,7 @@ def test_sparse_kernel_matches_dense():
             {j: x for j, x in enumerate(row) if x} for row in dense_rows
         ]
         kb_sparse = sparse_kernel(sparse_rows, ncols, FR)
-        kb_dense = kernel_basis(m)
+        kb_dense = bareiss_kernel(m)
         assert len(kb_sparse) == len(kb_dense)
         for v in kb_sparse:
             assert all(x.is_zero() for x in m.apply(v))
@@ -209,9 +211,66 @@ def test_sparse_kernel_matches_dense():
         order = list(range(ncols))
         rng.shuffle(order)
         kb_sparse = sparse_kernel(sparse_rows, ncols, m.ring, col_order=order)
-        assert len(kb_sparse) == len(kernel_basis(m)) == ncols - rank(m)
+        assert len(kb_sparse) == len(bareiss_kernel(m)) == ncols - bareiss_rank(m)
         for v in kb_sparse:
             assert all(x.is_zero() for x in m.apply(v))
+
+
+def _kernel_case(ring, rng):
+    """A random matrix up to 6x6, often of low rank, with some rows and
+    columns zeroed."""
+    nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+    if rng.random() < 0.5:
+        inner = rng.randrange(1, 4)
+        left = Matrix(ring, [[_sparse_entry(ring, rng) for _ in range(inner)] for _ in range(nrows)])
+        right = Matrix(ring, [[_sparse_entry(ring, rng) for _ in range(ncols)] for _ in range(inner)])
+        rows = (left * right).rows
+    else:
+        rows = [[_sparse_entry(ring, rng) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = {i for i in range(nrows) if rng.random() < 0.2}
+    zero_cols = {j for j in range(ncols) if rng.random() < 0.2}
+    rows = [
+        [ring.zero if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return Matrix(ring, rows)
+
+
+def _assert_kernel_of(m, kb):
+    """kb is a basis of the right kernel of m, checked against the oracle."""
+    ncols = m.ncols
+    assert len(kb) == len(bareiss_kernel(m)) == ncols - bareiss_rank(m)
+    for v in kb:
+        assert len(v) == ncols
+        assert all(not x for x in m.apply(v))
+    if kb:
+        assert bareiss_rank(Matrix(m.ring, kb)) == len(kb)
+
+
+KERNEL_RINGS = [FqRing(field(q)) for q in (2, 3, 4, 9)] + [KRing(field(3))]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["F2", "F3", "F4", "F9", "K3"])
+def test_single_elimination_kernels_match_the_bareiss_oracle(ring):
+    rng = random.Random(ring.fq.q * 7 + isinstance(ring, KRing))
+    seen_zero_row = seen_zero_col = seen_kernel = False
+    for _ in range(60):
+        m = _kernel_case(ring, rng)
+        kb = kernel_basis(m)
+        _assert_kernel_of(m, kb)
+        # each vector is 1 at its own free column and 0 at the other free ones
+        pivots = bareiss_pivots(m)
+        free = [c for c in range(m.ncols) if c not in pivots]
+        assert [[v[f] for f in free] for v in kb] == Matrix.identity(ring, len(free)).rows
+        sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+        order = list(range(m.ncols))
+        rng.shuffle(order)
+        _assert_kernel_of(m, sparse_kernel(sparse_rows, m.ncols, ring, col_order=order))
+        _assert_kernel_of(m, sparse_kernel(sparse_rows, m.ncols, ring))
+        seen_zero_row |= any(all(not x for x in row) for row in m.rows)
+        seen_zero_col |= any(all(not x for x in col) for col in zip(*m.rows))
+        seen_kernel |= bool(kb)
+    assert seen_zero_row and seen_zero_col and seen_kernel
 
 
 def dense_product(m, other):

@@ -10,7 +10,6 @@ from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import DeferredProduct, Mat2
 from drinfeldforms.rings import Poly, RatFunc, Residue, laurent_tail, tail_to_ratfunc
 from drinfeldforms.tree import (
-    ApartmentStabilizer,
     Edge,
     EdgeOrbit,
     QuotientGraph,
@@ -25,6 +24,7 @@ from drinfeldforms.tree import (
     reduce_vertex,
     vertex_zero_stabilizer,
 )
+from oracles import ApartmentStabilizer
 
 
 def rand_word(fq, rng, steps=6, maxdeg=3):
