@@ -8,10 +8,11 @@ Subcommands:
   graph   export the quotient graph (dot/json)
 
 Exit codes: 0 success, 1 verification failure (a wrong dimension
-included), 2 usage error, 3 resource bound exceeded (the orbit bound, or a
-truncation depth too small for the evaluation reach or the stability
-gates).  Every error ends in one line on stderr.  Outputs are
-deterministic for a fixed configuration and seed.
+included), 2 usage error, 3 resource bound exceeded (the orbit bound, a
+level whose q^(2(n-1)) stable orbits exceed it, or a truncation depth too
+small for the evaluation reach or the stability gates).  Every error ends
+in one line on stderr.  Outputs are deterministic for a fixed
+configuration and seed.
 """
 
 import argparse
@@ -29,6 +30,7 @@ from .tree import MAX_ORBITS, QuotientGraph
 from .verify import (
     congruence_suite_items,
     goss_suite_items,
+    paper_nmax,
     paper_suite_items,
     run_suite,
     suite_passed,
@@ -82,6 +84,24 @@ def _check_common(args):
     _check_out(args.out)
     if args.max_orbits is None:
         args.max_orbits = _env_max_orbits()
+    _check_level(args.q, args.n, args.max_orbits)
+
+
+def _check_level(q, n, max_orbits):
+    """Exit 3 before any work when the level is out of reach.
+
+    Every quotient graph is seeded with the q^(2(n-1)) stable edge orbits,
+    so a count above the orbit bound always ends in exit 3.  Checking it
+    first skips the group context, which alone lists q^(n-1) labels.  As
+    q >= 2, q^e > max_orbits once e >= bit_length(max_orbits), so no huge
+    power is formed.
+    """
+    e = 2 * (n - 1)
+    if e >= max_orbits.bit_length() or q**e > max_orbits:
+        raise ResourceBoundError(
+            f"level t^{n} over F_{q} has {q}^{e} stable edge orbits, more than the "
+            f"orbit bound {max_orbits}"
+        )
 
 
 def _write(text, out):
@@ -192,6 +212,8 @@ def cmd_verify(args):
     _check_out(args.out)
     max_orbits = _env_max_orbits()
     if args.suite == "paper":
+        for q in qs:
+            _check_level(q, paper_nmax(q, args.nmax), max_orbits)
         items = paper_suite_items(
             qs, nmax=args.nmax, kmax=args.kmax, seed=args.seed, max_orbits=max_orbits
         )

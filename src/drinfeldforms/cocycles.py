@@ -126,7 +126,7 @@ def _form_mul(ring, form, lin):
 class CocycleSpace:
     """The solved space C^har_k(Gamma_1(t^n)) on a depth-D quotient graph."""
 
-    def __init__(self, ctx, k, depth=None, check_stability=True, max_orbits=MAX_ORBITS):
+    def __init__(self, ctx, k, depth=None, max_orbits=MAX_ORBITS):
         self.ctx = ctx
         self.k = k
         self.depth = depth if depth is not None else depth_default(ctx.n, k)
@@ -157,19 +157,17 @@ class CocycleSpace:
                 f"depth-{self.depth} table: increase the depth"
             )
         # the depth-(D+1) re-solve: its dimension is gated here, and whether
-        # it spans the same cocycles is kept (None when not checked).  Both
-        # bases are unit bases on the stable rows, so the spans agree exactly
-        # when the cocycles at each unit row agree.
-        self.depth_stable = None
-        if check_stability:
-            basis2, _ = self._solve(self.graph.extended())
-            if len(basis2) != self.expected_dim:
-                raise StabilityError(
-                    f"depth {self.depth} vs {self.depth + 1}: dimensions "
-                    f"{len(basis)} vs {len(basis2)}"
-                )
-            units2 = self._unit_rows(basis2)
-            self.depth_stable = dict(zip(units, basis)) == dict(zip(units2, basis2))
+        # it spans the same cocycles is kept.  Both bases are unit bases on
+        # the stable rows, so the spans agree exactly when the cocycles at
+        # each unit row agree.
+        basis2, _ = self._solve(self.graph.extended())
+        if len(basis2) != self.expected_dim:
+            raise StabilityError(
+                f"depth {self.depth} vs {self.depth + 1}: dimensions "
+                f"{len(basis)} vs {len(basis2)}"
+            )
+        units2 = self._unit_rows(basis2)
+        self.depth_stable = dict(zip(units, basis)) == dict(zip(units2, basis2))
         self.orbit_keys = keys
         self.basis = basis
         # the stable (key, component) row at which each basis cocycle is 1

@@ -3,17 +3,28 @@
 Each suite is a list of independent items (kind, params) with primitive
 parameters; :func:`run_suite` executes them sequentially or in a process
 pool and returns records {id, lemma, params, status, ...} sorted by id.
-The ``paper`` suite aggregates every checker in the package: the
-torsion-scaling and uniformizer-pullback expansions, the coset
-congruences, cusp/genus counting, stable-orbit counts, the weight-2
-dimension and delta basis, the diamond closed form and freeness, and the
-ordinary certificates with their property gates (harmonicity,
-antisymmetry, equivariance, depth stability, commutators, orbit
-invariance under random translates).
+Every record is built by :func:`_record`.  The ``paper`` suite aggregates
+every checker in the package: the torsion-scaling and uniformizer-pullback
+expansions, the coset congruences, cusp/genus counting, stable-orbit
+counts, diamond freeness, and one ``space`` item per (q, n, k).
+
+A space item solves the cocycle space, builds U_t, the T_m and the
+diamonds of the unit group once, and runs the rows of
+:data:`SPACE_CHECKS` in order.  A row names the record, its lemma, the
+check, whether it runs at weight 2 only and which of (q, n, k, seed) its
+params carry.  A check is a function of (space, operators, seeded
+generator) returning (status, extra fields), so each can be run alone:
+dimension with depth stability, harmonicity, antisymmetry, equivariance
+and orbit invariance under random translates, the source-sum recursion,
+the delta basis, the ordinary certificate, diamond commutation, the
+diamond group action and closed form, and the nilpotent block of U_t.
+The commutators [U_t, T_m] follow as diagnostics, reported and never
+asserted.
 """
 
 import os
 import random
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 from .carlitz import (
@@ -63,18 +74,24 @@ def goss_m_list(fq):
     return out
 
 
+def _record(record_id, lemma, params, status, **extra):
+    """One suite record: {id, lemma, params, status} and any extra fields."""
+    return {"id": record_id, "lemma": lemma, "params": params, "status": status, **extra}
+
+
+def _from_report(record_id, report, *fields):
+    """The record of a checker's report, keeping the named extra fields."""
+    extra = {field: report[field] for field in fields}
+    return _record(record_id, report["lemma"], report["params"], report["status"], **extra)
+
+
 def _goss_item(q, mcoeffs, imax, precision):
     fq = field(q)
     m = Poly(fq, mcoeffs)
-    rec = {
-        "id": f"goss/q{q}/m({m})",
-        "lemma": "torsion-scaling",
-        "params": {"q": q, "m": str(m), "imax": imax},
-    }
+    record_id, params = f"goss/q{q}/m({m})", {"q": q, "m": str(m), "imax": imax}
     if not poly_is_irreducible(m):
-        rec["status"] = "skipped"
-        rec["reason"] = f"{m} is reducible over F_{q}"
-        return [rec]
+        reason = f"{m} is reducible over F_{q}"
+        return [_record(record_id, "torsion-scaling", params, "skipped", reason=reason)]
     recursion = goss_polynomials(m, imax)
     oracle = goss_polynomials_oracle(m, imax)
     agree = all(a == b for a, b in zip(recursion, oracle))
@@ -84,28 +101,21 @@ def _goss_item(q, mcoeffs, imax, precision):
         Poly.one(fq), m
     )
     cert = verify_coeff_scaling(m, imax, precision)
-    rec["status"] = bool(agree and integral and cert["status"])
-    rec["recursion_matches_oracle"] = agree
-    rec["exp_coeffs_integral"] = integral
-    rec["items"] = cert["items"]
-    return [rec]
+    status = bool(agree and integral and cert["status"])
+    return [
+        _record(
+            record_id, "torsion-scaling", params, status,
+            recursion_matches_oracle=agree, exp_coeffs_integral=integral, items=cert["items"],
+        )
+    ]
 
 
 def _pullback_item(q, lmax, precision):
     fq = field(q)
-    out = []
-    for l in range(1, lmax + 1):
-        cert = verify_uniformizer_pullback(fq, l, precision)
-        out.append(
-            {
-                "id": f"pullback/q{q}/l{l}",
-                "lemma": cert["lemma"],
-                "params": cert["params"],
-                "status": cert["status"],
-                "items": cert["items"],
-            }
-        )
-    return out
+    return [
+        _from_report(f"pullback/q{q}/l{l}", verify_uniformizer_pullback(fq, l, precision), "items")
+        for l in range(1, lmax + 1)
+    ]
 
 
 def _congruence_item(q, n):
@@ -113,28 +123,11 @@ def _congruence_item(q, n):
     dia = verify_diamond_congruence(q, n)
     cosets = distinct_coset_check(q, n)
     return [
-        {
-            "id": f"congruence/xi/q{q}n{n}",
-            "lemma": xi["lemma"],
-            "params": xi["params"],
-            "status": xi["status"],
-            "checked": xi["checked"],
-            "witness": xi["witness"],
-        },
-        {
-            "id": f"congruence/diamond/q{q}n{n}",
-            "lemma": dia["lemma"],
-            "params": dia["params"],
-            "status": dia["status"],
-            "checked": dia["checked"],
-            "witness": dia["witness"],
-        },
-        {
-            "id": f"congruence/cosets/q{q}n{n}",
-            "lemma": "distinct-coset-representatives",
-            "params": {"q": q, "n": n},
-            "status": cosets,
-        },
+        _from_report(f"congruence/xi/q{q}n{n}", xi, "checked", "witness"),
+        _from_report(f"congruence/diamond/q{q}n{n}", dia, "checked", "witness"),
+        _record(
+            f"congruence/cosets/q{q}n{n}", "distinct-coset-representatives", {"q": q, "n": n}, cosets
+        ),
     ]
 
 
@@ -152,49 +145,31 @@ def _cusp_item(q, n):
     labels = {
         (c.kind,) + tuple(p.coeffs for p in c.label) for c in cusps
     }
+    status = bool(ok_identity and widths_ok and len(labels) == h)
     return [
-        {
-            "id": f"cusps/q{q}n{n}",
-            "lemma": "cusp-count-genus",
-            "params": {"q": q, "n": n},
-            "status": bool(ok_identity and widths_ok and len(labels) == h),
-            "h": h,
-            "g": g,
-            "identity": ok_identity,
-        }
+        _record(
+            f"cusps/q{q}n{n}", "cusp-count-genus", {"q": q, "n": n}, status,
+            h=h, g=g, identity=ok_identity,
+        )
     ]
 
 
 def _stable_count_item(q, n, max_orbits=MAX_ORBITS):
     ctx = group_context(q, n)
     graph = QuotientGraph(ctx, depth=2, max_orbits=max_orbits)
-    stables = [o for o in graph.edge_orbits.values() if o.stable]
+    count = sum(1 for o in graph.edge_orbits.values() if o.stable)
     want = ctx.dim_weight2()
     return [
-        {
-            "id": f"stable-count/q{q}n{n}",
-            "lemma": "stable-orbit-count",
-            "params": {"q": q, "n": n},
-            "status": len(stables) == want,
-            "count": len(stables),
-            "expected": want,
-        }
+        _record(
+            f"stable-count/q{q}n{n}", "stable-orbit-count", {"q": q, "n": n}, count == want,
+            count=count, expected=want,
+        )
     ]
 
 
 def _freeness_item(q, n):
-    ctx = group_context(q, n)
-    rec = verify_freeness(ctx)
-    return [
-        {
-            "id": f"freeness/q{q}n{n}",
-            "lemma": rec["lemma"],
-            "params": rec["params"],
-            "status": rec["status"],
-            "orbits": rec["orbits"],
-            "orbit_sizes": rec["orbit_sizes"],
-        }
-    ]
+    report = verify_freeness(group_context(q, n))
+    return [_from_report(f"freeness/q{q}n{n}", report, "orbits", "orbit_sizes")]
 
 
 def _random_gamma(ctx, rng):
@@ -210,236 +185,189 @@ def _random_gamma(ctx, rng):
     return m
 
 
-def _space_item(q, n, k, seed, hecke_ms, max_orbits=MAX_ORBITS):
-    ctx = group_context(q, n)
-    fq = ctx.fq
-    rng = random.Random(seed)
-    records = []
-    base = f"space/q{q}n{n}k{k}"
+Operators = namedtuple("Operators", "engine ut heckes diamonds")
+
+
+def space_operators(space, hecke_ms):
+    """U_t, the T_m of the coefficient lists ``hecke_ms`` and the diamond of
+    every unit in ``ctx.theta``, from one engine (which caches by name)."""
+    engine = HeckeEngine(space)
+    ut = engine.u_t()
+    heckes = [engine.t_m(Poly(space.ctx.fq, m)) for m in hecke_ms]
+    return Operators(engine, ut, heckes, [engine.diamond(a) for a in space.ctx.theta])
+
+
+def _reps(space):
+    return [space.graph.edge_orbits[key].rep for key in space.orbit_keys]
+
+
+def _check_dimension(space, ops, rng):
     # the constructor gates the depth-(D+1) dimension; the record adds
     # whether the re-solve spans the same cocycles
-    space = CocycleSpace(ctx, k, check_stability=True, max_orbits=max_orbits)
-    depth_stable = space.depth_stable is True
-    records.append(
-        {
-            "id": f"{base}/dimension",
-            "lemma": "cocycle-dimension",
-            "params": {"q": q, "n": n, "k": k},
-            "status": space.dim == (k - 1) * ctx.dim_weight2() and depth_stable,
-            "dim": space.dim,
-            "depth_stable": depth_stable,
-        }
+    ok = space.dim == space.expected_dim and space.depth_stable
+    return ok, {"dim": space.dim, "depth_stable": space.depth_stable}
+
+
+def _check_harmonicity(space, ops, rng):
+    """Zero residual at every interior vertex orbit, for every basis cocycle."""
+    interior = space.graph.interior_vertex_orbits()
+    ok = not any(
+        any(space.harmonicity_residual(c, vorbit.rep)) for c in space.basis for vorbit in interior
     )
-    graph = space.graph
-    # harmonicity residual at every interior vertex orbit, all basis cocycles
-    interior = graph.interior_vertex_orbits()
-    harm_ok = True
-    for cocycle in space.basis:
-        for vorbit in interior:
-            if any(x for x in space.harmonicity_residual(cocycle, vorbit.rep)):
-                harm_ok = False
-                break
-        if not harm_ok:
-            break
-    records.append(
-        {
-            "id": f"{base}/harmonicity",
-            "lemma": "harmonicity-residual",
-            "params": {"q": q, "n": n, "k": k},
-            "status": harm_ok,
-            "vertex_orbits": len(interior),
-        }
+    return ok, {"vertex_orbits": len(interior)}
+
+
+def _check_antisymmetry(space, ops, rng):
+    """c(-e) = -c(e) on every orbit representative."""
+    reps = _reps(space)
+    ok = not any(
+        any(a + b for a, b in zip(space.evaluate(c, e), space.evaluate(c, e.reverse())))
+        for c in space.basis
+        for e in reps
     )
-    # antisymmetry on every representative
-    anti_ok = True
-    for cocycle in space.basis:
-        for key in space.orbit_keys:
-            rep = graph.edge_orbits[key].rep
-            plus = space.evaluate(cocycle, rep)
-            minus = space.evaluate(cocycle, rep.reverse())
-            if any(a + b for a, b in zip(plus, minus)):
-                anti_ok = False
-                break
-        if not anti_ok:
-            break
-    records.append(
-        {
-            "id": f"{base}/antisymmetry",
-            "lemma": "antisymmetry",
-            "params": {"q": q, "n": n, "k": k},
-            "status": anti_ok,
-        }
-    )
-    # equivariance on 25 random (gamma, e) pairs
-    equi_ok = True
-    reps = [graph.edge_orbits[key].rep for key in space.orbit_keys]
-    safe_reps = [
-        graph.edge_orbits[key].rep
-        for key in space.orbit_keys
-        if graph.edge_orbits[key].depth <= space.depth - 3
-    ] or reps[:4]
+    return ok, {}
+
+
+def _check_equivariance(space, ops, rng):
+    """c(gamma e) = gamma . c(e) on 25 random (gamma, e, c)."""
+    ctx = space.ctx
+    orbits = [space.graph.edge_orbits[key] for key in space.orbit_keys]
+    safe = [o.rep for o in orbits if o.depth <= space.depth - 3] or [o.rep for o in orbits[:4]]
     for _ in range(25):
         gamma = _random_gamma(ctx, rng)
-        e = safe_reps[rng.randrange(len(safe_reps))]
-        cocycle = space.basis[rng.randrange(len(space.basis))]
-        lhs = space.evaluate(cocycle, apply_edge(gamma, e, fq))
-        rhs = tuple(space.vk.act(gamma).apply(space.evaluate(cocycle, e)))
-        if lhs != rhs:
-            equi_ok = False
-            break
-    records.append(
-        {
-            "id": f"{base}/equivariance",
-            "lemma": "equivariance",
-            "params": {"q": q, "n": n, "k": k, "seed": seed},
-            "status": equi_ok,
-        }
+        e = safe[rng.randrange(len(safe))]
+        c = space.basis[rng.randrange(len(space.basis))]
+        lhs = space.evaluate(c, apply_edge(gamma, e, ctx.fq))
+        if lhs != tuple(space.vk.act(gamma).apply(space.evaluate(c, e))):
+            return False, {}
+    return True, {}
+
+
+def _check_source_sum(space, ops, rng):
+    """The predecessor sum at o(e) is c(e) on the shallow unstable orbits."""
+    graph = space.graph
+    interior = {vorbit.rep for vorbit in graph.interior_vertex_orbits()}
+    edges = [
+        e
+        for orbit in (graph.edge_orbits[key] for key in space.orbit_keys)
+        if orbit.depth <= 3 and not orbit.stable
+        for e in (orbit.rep, orbit.rep.reverse())
+        if e.origin in interior
+    ]
+    ok = all(
+        space.predecessor_sum(c, e) == space.evaluate(c, e) for c in space.basis[:4] for e in edges
     )
-    # predecessor (source-sum) consistency on shallow unstable orbits
-    src_ok = True
-    interior_vertices = {vo.rep for vo in interior}
-    for cocycle in space.basis[: min(4, len(space.basis))]:
-        for key in space.orbit_keys:
-            orbit = graph.edge_orbits[key]
-            if orbit.depth > 3 or orbit.stable:
-                continue
-            for e in (orbit.rep, orbit.rep.reverse()):
-                if e.origin not in interior_vertices:
-                    continue
-                if space.predecessor_sum(cocycle, e) != space.evaluate(cocycle, e):
-                    src_ok = False
-                    break
-            if not src_ok:
-                break
-        if not src_ok:
-            break
-    records.append(
-        {
-            "id": f"{base}/source-sum",
-            "lemma": "source-sum-recursion",
-            "params": {"q": q, "n": n, "k": k},
-            "status": src_ok,
-        }
-    )
-    # classification is constant on orbits: 50 random translates
-    cls_ok = True
+    return ok, {}
+
+
+def _check_orbit_invariance(space, ops, rng):
+    """Classification is constant on orbits: 50 random translates."""
+    graph, fq = space.graph, space.ctx.fq
+    reps = _reps(space)
     for _ in range(50):
         e = reps[rng.randrange(len(reps))]
         key0 = graph.tree.reduce_edge(e)[0]
-        gamma = _random_gamma(ctx, rng)
-        e2 = apply_edge(gamma, e, fq)
+        e2 = apply_edge(_random_gamma(space.ctx, rng), e, fq)
         orbit, key, sign, delta = graph.classify(e2)
-        if key != key0 or orbit is None:
-            cls_ok = False
-            break
-        src = orbit.rep if sign == 1 else orbit.rep.reverse()
-        if apply_edge(delta, src, fq) != e2:
-            cls_ok = False
-            break
-    records.append(
-        {
-            "id": f"{base}/orbit-invariance",
-            "lemma": "classification-orbit-invariance",
-            "params": {"q": q, "n": n, "k": k, "seed": seed},
-            "status": cls_ok,
-        }
+        if orbit is None or key != key0:
+            return False, {}
+        if apply_edge(delta, orbit.rep if sign == 1 else orbit.rep.reverse(), fq) != e2:
+            return False, {}
+    return True, {}
+
+
+def _check_delta_basis(space, ops, rng):
+    """Cocycle j is 1 at stable representative j and 0 at the others."""
+    zero, one = space.ring.zero, space.ring.one
+    ok = all(
+        c.get(key, (zero,))[0] == (one if i == j else zero)
+        for j, c in enumerate(space.basis)
+        for i, key in enumerate(space.stable_keys)
     )
-    # weight-2 extras: delta property and the diamond closed form
-    if k == 2:
-        ring = space.ring
-        delta_ok = True
-        for j, cocycle in enumerate(space.basis):
-            for i, key in enumerate(space.stable_keys):
-                want = ring.one if i == j else ring.zero
-                if cocycle.get(key, (ring.zero,))[0] != want:
-                    delta_ok = False
-        records.append(
-            {
-                "id": f"{base}/delta-basis",
-                "lemma": "delta-basis",
-                "params": {"q": q, "n": n},
-                "status": delta_ok,
-            }
-        )
-    # operators and the certificate
-    engine = HeckeEngine(space)
-    ut = engine.u_t()
-    heckes = []
-    for mcoeffs in hecke_ms:
-        m = Poly(fq, mcoeffs)
-        heckes.append(engine.t_m(m))
-    cert = ordinary_certificate(ut, heckes)
-    records.append(
-        {
-            "id": f"{base}/ordinary-certificate",
-            "lemma": "ordinary-certificate",
-            "params": {"q": q, "n": n, "k": k},
-            "status": cert.valid(),
-            "detail": cert.to_json_dict(),
-        }
+    return ok, {}
+
+
+def _check_certificate(space, ops, rng):
+    cert = ordinary_certificate(ops.ut, ops.heckes)
+    return cert.valid(), {"detail": cert.to_json_dict()}
+
+
+def _check_diamond_commutation(space, ops, rng):
+    ok = all(dia.commutator(op).is_zero() for dia in ops.diamonds for op in (ops.ut, *ops.heckes))
+    return ok, {}
+
+
+def _check_diamond_homomorphism(space, ops, rng):
+    """<a1><a2> = <a1 a2> on the full unit group ``ctx.theta``."""
+    theta = space.ctx.theta
+    matrix = {alpha.poly.coeffs: dia.matrix for alpha, dia in zip(theta, ops.diamonds)}
+    ok = all(
+        matrix[a1.poly.coeffs] * matrix[a2.poly.coeffs] == matrix[(a1 * a2).poly.coeffs]
+        for a1 in theta
+        for a2 in theta
     )
-    # diamond checks: homomorphism on the full label group, commutators
-    diamonds = [engine.diamond(alpha) for alpha in ctx.theta]
-    comm_ok = True
-    for dia in diamonds:
-        if not dia.commutator(ut).is_zero():
-            comm_ok = False
-        for tm in heckes:
-            if not dia.commutator(tm).is_zero():
-                comm_ok = False
-    records.append(
-        {
-            "id": f"{base}/diamond-commutation",
-            "lemma": "diamond-hecke-commutation",
-            "params": {"q": q, "n": n, "k": k},
-            "status": comm_ok,
-        }
+    return ok, {}
+
+
+def _check_diamond_closed_form(space, ops, rng):
+    """<1 + t a> is the permutation of the labels by a, in the delta basis."""
+    ctx = space.ctx
+    ok = all(
+        ops.engine.diamond((ctx.one + ctx.t * a).truncate(ctx.n)).matrix
+        == diamond_permutation_matrix(space, a)
+        for a in ctx.labels
     )
-    hom_ok = True
-    index = {alpha.poly.coeffs: i for i, alpha in enumerate(ctx.theta)}
-    for a1 in ctx.theta:
-        for a2 in ctx.theta:
-            prod = a1 * a2
-            lhs = diamonds[index[a1.poly.coeffs]].matrix * diamonds[index[a2.poly.coeffs]].matrix
-            rhs = diamonds[index[prod.poly.coeffs]].matrix
-            if lhs != rhs:
-                hom_ok = False
-    records.append(
-        {
-            "id": f"{base}/diamond-homomorphism",
-            "lemma": "diamond-group-action",
-            "params": {"q": q, "n": n, "k": k},
-            "status": hom_ok,
-        }
-    )
-    if k == 2:
-        match_ok = True
-        for a in ctx.labels:
-            alpha = (ctx.one + ctx.t * a).truncate(ctx.n)
-            dia = engine.diamond(alpha)
-            if dia.matrix != diamond_permutation_matrix(space, a):
-                match_ok = False
-        records.append(
-            {
-                "id": f"{base}/diamond-closed-form",
-                "lemma": "diamond-label-permutation",
-                "params": {"q": q, "n": n},
-                "status": match_ok,
-            }
-        )
-        records.append({"id": f"{base}/nilpotency", **nilpotency_diagnostics(ut)})
+    return ok, {}
+
+
+def _check_nilpotency(space, ops, rng):
+    report = nilpotency_diagnostics(ops.ut)
+    return report["status"], {
+        field: report[field] for field in ("nilpotent_dimension", "nilpotency_index", "note")
+    }
+
+
+_QN, _QNK, _SEEDED = ("q", "n"), ("q", "n", "k"), ("q", "n", "k", "seed")
+
+# (record name, lemma, check, weight 2 only, params keys), run in this order:
+# equivariance draws from the generator before orbit-invariance does.  The
+# weight-2 statements delta-basis and diamond-closed-form carry no k.
+SPACE_CHECKS = (
+    ("dimension", "cocycle-dimension", _check_dimension, False, _QNK),
+    ("harmonicity", "harmonicity-residual", _check_harmonicity, False, _QNK),
+    ("antisymmetry", "antisymmetry", _check_antisymmetry, False, _QNK),
+    ("equivariance", "equivariance", _check_equivariance, False, _SEEDED),
+    ("source-sum", "source-sum-recursion", _check_source_sum, False, _QNK),
+    ("orbit-invariance", "classification-orbit-invariance", _check_orbit_invariance, False, _SEEDED),
+    ("delta-basis", "delta-basis", _check_delta_basis, True, _QN),
+    ("ordinary-certificate", "ordinary-certificate", _check_certificate, False, _QNK),
+    ("diamond-commutation", "diamond-hecke-commutation", _check_diamond_commutation, False, _QNK),
+    ("diamond-homomorphism", "diamond-group-action", _check_diamond_homomorphism, False, _QNK),
+    ("diamond-closed-form", "diamond-label-permutation", _check_diamond_closed_form, True, _QN),
+    ("nilpotency", "nonordinary-nilpotency", _check_nilpotency, True, _QNK),
+)
+
+
+def _space_item(q, n, k, seed, hecke_ms, max_orbits=MAX_ORBITS):
+    space = CocycleSpace(group_context(q, n), k, max_orbits=max_orbits)
+    ops = space_operators(space, hecke_ms)
+    rng = random.Random(seed)
+    values = {"q": q, "n": n, "k": k, "seed": seed}
+    base = f"space/q{q}n{n}k{k}"
+    records = []
+    for name, lemma, check, weight2_only, keys in SPACE_CHECKS:
+        if k == 2 or not weight2_only:
+            status, extra = check(space, ops, rng)
+            params = {key: values[key] for key in keys}
+            records.append(_record(f"{base}/{name}", lemma, params, status, **extra))
     # diagnostic only: [U_t, T_m] is reported, never asserted
-    for tm in heckes:
-        records.append(
-            {
-                "id": f"{base}/diagnostic-ut-{tm.name}",
-                "lemma": "ut-tm-commutator-diagnostic",
-                "params": {"q": q, "n": n, "k": k},
-                "status": "diagnostic",
-                "commutes": ut.commutator(tm).is_zero(),
-            }
+    return records + [
+        _record(
+            f"{base}/diagnostic-ut-{tm.name}", "ut-tm-commutator-diagnostic",
+            {"q": q, "n": n, "k": k}, "diagnostic", commutes=ops.ut.commutator(tm).is_zero(),
         )
-    return records
+        for tm in ops.heckes
+    ]
 
 
 _RUNNERS = {
@@ -493,21 +421,22 @@ def congruence_suite_items(qs, nmax_for):
     return items
 
 
+def paper_nmax(q, nmax=None):
+    """The largest level of the paper grid: ``nmax``, else 3 for q = 2 and 2 above."""
+    if nmax is not None:
+        return nmax
+    return 3 if q == 2 else 2
+
+
 def paper_suite_items(qs, nmax=None, kmax=4, seed=0, max_orbits=MAX_ORBITS):
-    """The default verification grid: n <= 3 for q = 2, n <= 2 for q >= 3.
+    """The verification grid over n <= :func:`paper_nmax`.
 
     ``max_orbits`` bounds the orbit tables of the stable-count and space items.
     """
-
-    def nlimit(q):
-        if nmax is not None:
-            return nmax
-        return 3 if q == 2 else 2
-
     items = goss_suite_items(qs)
-    items += congruence_suite_items(qs, nlimit)
+    items += congruence_suite_items(qs, lambda q: paper_nmax(q, nmax))
     for q in qs:
-        for n in range(1, nlimit(q) + 1):
+        for n in range(1, paper_nmax(q, nmax) + 1):
             items.append(("cusps", {"q": q, "n": n}))
             items.append(("stable-count", {"q": q, "n": n, "max_orbits": max_orbits}))
             items.append(("freeness", {"q": q, "n": n}))

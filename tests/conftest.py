@@ -12,10 +12,10 @@ class EngineCache:
         self._spaces = {}
         self._engines = {}
 
-    def space(self, q, n, k, check_stability=True):
-        key = (q, n, k, check_stability)
+    def space(self, q, n, k):
+        key = (q, n, k)
         if key not in self._spaces:
-            self._spaces[key] = CocycleSpace(group_context(q, n), k, check_stability=check_stability)
+            self._spaces[key] = CocycleSpace(group_context(q, n), k)
         return self._spaces[key]
 
     def engine(self, q, n, k):

@@ -160,6 +160,42 @@ def test_solver_errors_exit_with_one_line(capsys, monkeypatch):
     _one_line_error(capsys, ("dims", "--q", "2", "--n", "2"), 1, "dimension mismatch:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--q", "2", "--n", "10", "--depth", "0"),
+        ("dims", "--q", "2", "--n", "30"),
+        ("hecke", "--q", "3", "--n", "1000000"),
+        ("graph", "--q", "2", "--n", "3", "--depth", "0", "--max-orbits", "15"),
+    ],
+)
+def test_an_oversized_level_exits_before_the_group_context(capsys, monkeypatch, argv):
+    # the q^(2(n-1)) stable orbits alone exceed the orbit bound
+    def unreachable(*args):
+        pytest.fail("the group context was built")
+
+    monkeypatch.setattr(cli, "group_context", unreachable)
+    _one_line_error(capsys, argv, 3, "resource bound exceeded:")
+
+
+def test_a_level_at_the_orbit_bound_still_runs(capsys):
+    # q2n3 has exactly 2^4 = 16 stable orbits, and a depth-0 graph no others
+    code, _ = run_cli(capsys, "graph", "--q", "2", "--n", "3", "--depth", "0", "--max-orbits", "16")
+    assert code == 0
+
+
+def test_an_oversized_paper_grid_exits_before_any_item(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a suite item ran")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    argv = ("verify", "--suite", "paper", "--q", "2", "--q", "3", "--nmax", "30")
+    _one_line_error(capsys, argv, 3, "resource bound exceeded:")
+    # the default grid reaches n = 2 at q = 3, whose 3^2 stable orbits exceed 8
+    monkeypatch.setenv("DRINFELDFORMS_MAX_ORBITS", "8")
+    _one_line_error(capsys, ("verify", "--suite", "paper", "--q", "3"), 3, "resource bound exceeded:")
+
+
 def test_resource_bound_exit(capsys):
     code, _ = run_cli(capsys, "graph", "--q", "2", "--n", "2", "--depth", "3", "--max-orbits", "2")
     assert code == 3

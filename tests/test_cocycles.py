@@ -91,9 +91,9 @@ def test_too_small_depth_is_detected():
 
     ctx = group_context(2, 2)
     with pytest.raises((DimensionMismatchError, StabilityError)):
-        CocycleSpace(ctx, 2, depth=1, check_stability=False)
+        CocycleSpace(ctx, 2, depth=1)
     with pytest.raises((DimensionMismatchError, StabilityError)):
-        CocycleSpace(ctx, 3, depth=2, check_stability=False)
+        CocycleSpace(ctx, 3, depth=2)
 
 
 def test_delta_basis_property(cache):
@@ -274,7 +274,7 @@ def test_a_basis_off_the_unit_rows_is_rejected(monkeypatch, q, k, perturb, match
 
     monkeypatch.setattr(cocycles, "sparse_kernel", perturbed)
     with pytest.raises(DimensionMismatchError, match=match):
-        CocycleSpace(group_context(q, 2), k, check_stability=False)
+        CocycleSpace(group_context(q, 2), k)
 
 
 def test_one_graph_build_per_space(monkeypatch):
@@ -293,17 +293,12 @@ def test_one_graph_build_per_space(monkeypatch):
     ctx = group_context(2, 2)
     assert CocycleSpace(ctx, 2).depth_stable is True
     assert builds == [7, "extended"]
-    builds.clear()
-    CocycleSpace(ctx, 2, check_stability=False)
-    assert builds == [7]
 
 
 def test_orbit_bound_covers_the_stability_shell():
     # 39 edge orbits at the default depth 7, 44 at depth 8
-    ctx = group_context(2, 2)
-    assert CocycleSpace(ctx, 2, check_stability=False, max_orbits=40).dim == 4
     with pytest.raises(ResourceBoundError):
-        CocycleSpace(ctx, 2, max_orbits=40)
+        CocycleSpace(group_context(2, 2), 2, max_orbits=40)
 
 
 def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):

@@ -61,6 +61,11 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     _hecke_case(7, 1, 3),
     # the odd-characteristic certificate above q = 3, with a diamond
     _hecke_case(5, 2, 2),
+    # every paper-suite record kind at weights 2 and 3
+    (
+        "verify_paper_q2q3n2k3.json",
+        ["verify", "--suite", "paper", "--q", "2", "--q", "3", "--nmax", "2", "--kmax", "3"],
+    ),
 ]
 
 

@@ -1,4 +1,10 @@
+import copy
+import random
+
+import pytest
+
 from drinfeldforms import verify
+from drinfeldforms.linalg import Matrix
 from drinfeldforms.verify import (
     congruence_suite_items,
     goss_suite_items,
@@ -105,13 +111,107 @@ def test_space_item_records():
 
 
 def test_depth_stable_is_computed(monkeypatch):
-    from drinfeldforms.verify import _space_item
+    # the depth-(D+1) basis changed at one non-stable orbit spans another space
+    solve = verify.CocycleSpace._solve
+    calls = []
 
-    class Unchecked(verify.CocycleSpace):
-        def __init__(self, ctx, k, check_stability=True, **kwargs):
-            super().__init__(ctx, k, check_stability=False, **kwargs)
+    def changed(self, graph):
+        basis, keys = solve(self, graph)
+        calls.append(graph)
+        if len(calls) == 2:
+            stable = set(self.stable_keys)
+            key = next(key for key in keys if key not in basis[0] and key not in stable)
+            basis[0][key] = (self.ring.one,)
+        return basis, keys
 
-    monkeypatch.setattr(verify, "CocycleSpace", Unchecked)
-    records = _space_item(2, 1, 2, seed=5, hecke_ms=[[1, 1]])
+    monkeypatch.setattr(verify.CocycleSpace, "_solve", changed)
+    records = verify._space_item(2, 1, 2, seed=5, hecke_ms=[[1, 1]])
     dim = next(r for r in records if r["lemma"] == "cocycle-dimension")
     assert dim["depth_stable"] is False and dim["status"] is False
+
+
+CHECKS = {name: check for name, _, check, _, _ in verify.SPACE_CHECKS}
+
+
+def _status(name, space, ops=None):
+    status, _ = CHECKS[name](space, ops, random.Random(0))
+    return status
+
+
+def _with_basis(space, basis):
+    corrupted = copy.copy(space)
+    corrupted.basis = basis
+    return corrupted
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 2, 2), (3, 1, 3), (2, 2, 3)])
+def test_a_changed_value_fails_harmonicity_and_source_sum(cache, q, n, k):
+    """One added to basis[0] at the non-stable depth-1 orbit breaks both sums.
+
+    Antisymmetry, orbit invariance and (at weight 2) equivariance still hold:
+    ``evaluate`` makes them true of any orbit-indexed dict, so on a
+    corrupted basis they test the classifier, not the cocycle.
+    """
+    space = cache.space(q, n, k)
+    graph = space.graph
+    key = next(
+        key
+        for key in space.orbit_keys
+        if graph.edge_orbits[key].depth == 1 and not graph.edge_orbits[key].stable
+    )
+    value = space.basis[0].get(key, space.zero_vector())
+    bad = dict(space.basis[0])
+    bad[key] = (value[0] + space.ring.one,) + value[1:]
+    corrupted = _with_basis(space, [bad] + space.basis[1:])
+    for name in ("harmonicity", "source-sum"):
+        assert _status(name, space) is True, name
+        assert _status(name, corrupted) is False, name
+    held = ["antisymmetry", "orbit-invariance"] + (["equivariance"] if k == 2 else [])
+    for name in held:
+        assert _status(name, corrupted) is True, name
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2)])
+def test_swapped_cocycles_fail_the_delta_basis(cache, q, n):
+    space = cache.space(q, n, 2)
+    basis = list(space.basis)
+    basis[0], basis[1] = basis[1], basis[0]
+    assert _status("delta-basis", space) is True
+    assert _status("delta-basis", _with_basis(space, basis)) is False
+
+
+def _nontrivial_diamond(ops, ctx):
+    return next(dia for alpha, dia in zip(ctx.theta, ops.diamonds) if alpha.lift() != ctx.one)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2)])
+def test_a_zero_diamond_fails_the_group_action_and_the_closed_form(cache, q, n):
+    # the identity would not do at q = 2: (1+t)^2 = 1 mod t^2, so the
+    # group action still holds; the engine caches by name, so the closed
+    # form reads the same corrupted matrix
+    space = cache.space(q, n, 2)
+    ops = verify.space_operators(space, [[1, 1]])
+    names = ("diamond-homomorphism", "diamond-closed-form")
+    for name in names:
+        assert _status(name, space, ops) is True, name
+    dia = _nontrivial_diamond(ops, space.ctx)
+    dia.matrix = Matrix.zeros(space.ring, dia.size, dia.size)
+    for name in names:
+        assert _status(name, space, ops) is False, name
+
+
+def test_a_diamond_off_the_commutant_fails_commutation(cache):
+    space = cache.space(2, 2, 2)
+    ops = verify.space_operators(space, [[1, 1]])
+    assert _status("diamond-commutation", space, ops) is True
+    ring, d = space.ring, ops.ut.size
+    # an elementary matrix E_ij that does not commute with U_t
+    units = (Matrix.zeros(ring, d, d) for _ in range(d * d))
+    for idx, unit in enumerate(units):
+        unit.rows[idx // d][idx % d] = ring.one
+        if not (unit * ops.ut.matrix - ops.ut.matrix * unit).is_zero():
+            break
+    else:
+        pytest.fail("U_t commutes with every elementary matrix")
+    _nontrivial_diamond(ops, space.ctx).matrix = unit
+    assert _status("diamond-commutation", space, ops) is False
