@@ -152,35 +152,15 @@ def goss_polynomials_oracle(m, imax):
     _require_monic_irreducible(m)
     fq = m.fq
     ring = KRing(fq)
-    e_dense = torsion_exponential(m)
+    e = USeries(ring, torsion_exponential(m), imax)
     # powers of e(w) truncated to degree imax - 1
-    powers = [[RatFunc.one(fq)]]  # e^0 = 1
+    powers = [USeries.one(ring, imax)]
     for _ in range(1, imax):
-        powers.append(_truncated_mul(powers[-1], e_dense, imax))
-    out = []
-    for i in range(1, imax + 1):
-        coeffs = [ring.zero, ring.zero]  # X^0, X^1 slots to start
-        for j in range(0, i):
-            c = powers[j][i - 1] if i - 1 < len(powers[j]) else RatFunc.zero(fq)
-            while len(coeffs) <= j + 1:
-                coeffs.append(ring.zero)
-            coeffs[j + 1] = c
-        out.append(UPoly(ring, coeffs))
-    return out
-
-
-def _truncated_mul(a, b, prec):
-    fq = a[0].fq
-    out = [RatFunc.zero(fq) for _ in range(prec)]
-    for i, x in enumerate(a[:prec]):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j >= prec:
-                break
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
+        powers.append(powers[-1] * e)
+    return [
+        UPoly(ring, [ring.zero] + [power.coeff(i - 1) for power in powers[:i]])
+        for i in range(1, imax + 1)
+    ]
 
 
 def _upoly_scale(p, c):

@@ -91,8 +91,9 @@ def _check_level(q, n, max_orbits):
     """Exit 3 before any work when the level is out of reach.
 
     Every quotient graph is seeded with the q^(2(n-1)) stable edge orbits,
-    so a count above the orbit bound always ends in exit 3.  Checking it
-    first skips the group context, which alone lists q^(n-1) labels.  As
+    so a count above the orbit bound always ends in exit 3; the
+    congruence suite walks as many label pairs.  Checking it first skips
+    the group context, which alone lists q^(n-1) labels.  As
     q >= 2, q^e > max_orbits once e >= bit_length(max_orbits), so no huge
     power is formed.
     """
@@ -221,6 +222,8 @@ def cmd_verify(args):
         items = goss_suite_items(qs, imax=args.imax)
     elif args.suite == "congruences":
         nmax = args.nmax or 3
+        for q in qs:
+            _check_level(q, nmax, max_orbits)
         items = congruence_suite_items(qs, lambda q: nmax)
     else:
         raise UsageError(f"unknown suite {args.suite!r}")

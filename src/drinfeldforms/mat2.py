@@ -1,7 +1,7 @@
 """2x2 matrices over A, A_n or K, with the handful of operations the
 group and tree code needs."""
 
-from .rings import Poly, RatFunc, Residue
+from .rings import Poly, RatFunc
 
 
 class Mat2:
@@ -46,9 +46,6 @@ class Mat2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def trace(self):
-        return self.a + self.d
-
     def adjugate(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
 
@@ -58,10 +55,6 @@ class Mat2:
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
-
-    def mod_tn(self, n):
-        """Reduce Poly entries to Residue entries mod t^n."""
-        return Mat2(Residue(n, self.a), Residue(n, self.b), Residue(n, self.c), Residue(n, self.d))
 
     def to_k(self):
         """Promote Poly entries to RatFunc entries."""

@@ -37,9 +37,10 @@ reversal, and orientation is carried as an explicit sign.
 
 The classes of Sbar_i fixing a bottom row are translations (1, t^s b'; 0, 1)
 in closed form; they give the edge stabilizers, the vertex stabilizers off
-v_0, and Gamma_1(t)-stability (the same test at level 1).  Only the
-SL_2(F_q) classes at v_0 are scanned, by comparing the bottom row of
-w_bar sigma_bar with that of w_bar.
+v_0, and Gamma_1(t)-stability (the same test at level 1).  At v_0 the
+classes of SL_2(F_q) fixing a bottom row are the q - 1 transvections
+along its constant coefficient row, or none, also in closed form, so no
+class of any stabilizer is enumerated.
 """
 
 import copy
@@ -262,25 +263,6 @@ def reduce_edge(e, fq):
     return gamma, j - 1, NEG_SIGN
 
 
-def vertex_zero_stabilizer(fq):
-    """All of SL_2(F_q) as constant matrices."""
-    out = []
-    for a in fq.elements():
-        for b in fq.elements():
-            for c in fq.elements():
-                for d in fq.elements():
-                    if fq.sub(fq.mul(a, d), fq.mul(b, c)) == 1:
-                        out.append(
-                            Mat2(
-                                Poly.constant(fq, a),
-                                Poly.constant(fq, b),
-                                Poly.constant(fq, c),
-                                Poly.constant(fq, d),
-                            )
-                        )
-    return out
-
-
 def parabolic_fixed_end(delta):
     """Fixed point on P^1(K) of a nontrivial element with trace 2.
 
@@ -375,18 +357,9 @@ class TreeContext:
         self.ctx = ctx
         self.fq = ctx.fq
         self.n = ctx.n
-        self._sl2fq = None
         self._classify_cache = {}
         self._vreduce_cache = {}
         self.e0 = Edge.standard(0)
-
-    def sl2fq(self):
-        """SL_2(F_q) as (class mod t^n, constant lift) pairs: the classes of Stab(v_0)."""
-        if self._sl2fq is None:
-            self._sl2fq = [
-                (m.mod_tn(self.n), m) for m in vertex_zero_stabilizer(self.fq)
-            ]
-        return self._sl2fq
 
     # -- keys ----------------------------------------------------------------
     def _normal_form(self, c, d, i):
@@ -515,7 +488,7 @@ class TreeContext:
 
     def _vertex_stab_lifts(self, w, j):
         if j == 0:
-            return self._passing_lifts(w.mod_tn(self.n))
+            return self._passing_lifts(w)
         return self._stab_lifts(w.c, j, self.n)
 
     def _stab_lifts(self, c, i, level):
@@ -535,25 +508,29 @@ class TreeContext:
             Mat2.translation(b.shift(shift)) for b in islice(graded_polys(self.fq, free), 1, None)
         ]
 
-    def _passing_lifts(self, wbar):
-        """Lifts of the nontrivial classes of SL_2(F_q) fixing the bottom row of wbar mod t^n.
+    def _passing_lifts(self, w):
+        """Lifts of the nontrivial classes of SL_2(F_q) fixing w's bottom row (c, d) mod t^n.
 
-        wbar sigma_bar has wbar's bottom row exactly when the conjugate
-        wbar sigma_bar wbar^{-1} is (1, *; 0, 1) mod t^n: its determinant is
-        1, so a bottom row (0, 1) forces a = 1.
+        sigma is constant, so it fixes (c, d) exactly when it fixes every
+        coefficient row (c_k, d_k), k < n.  The row is unimodular, so
+        (c_0, d_0) != 0, and the sigma != 1 fixing it are the q - 1
+        transvections 1 + lam (d_0, -c_0)^T (c_0, d_0), lam != 0, which fix
+        no row off the line of (c_0, d_0).  They come sorted by the codes
+        of (a, b, c, d), the order of a scan of SL_2(F_q).
         """
-        row = (wbar.c.poly.coeffs, wbar.d.poly.coeffs)
-        return [
-            lift
-            for sb, lift in self.sl2fq()
-            if self._row_key(wbar.c, wbar.d, sb) == row and not self._is_identity_bar_lift(lift)
-        ]
-
-    def _row_key(self, wbar_c, wbar_d, sigma_bar):
-        # bottom row (c, d) * sigma_bar
-        c = wbar_c * sigma_bar.a + wbar_d * sigma_bar.c
-        d = wbar_c * sigma_bar.b + wbar_d * sigma_bar.d
-        return (c.poly.coeffs, d.poly.coeffs)
+        fq, n = self.fq, self.n
+        mul, add, neg = fq._mul, fq._add, fq._neg
+        c = w.c.coeffs[:n] + (0,) * (n - len(w.c.coeffs))
+        d = w.d.coeffs[:n] + (0,) * (n - len(w.d.coeffs))
+        c0, d0 = c[0], d[0]
+        if any(mul[ck][d0] != mul[dk][c0] for ck, dk in zip(c, d)):
+            return []
+        cd, dd, cc = mul[c0][d0], mul[d0][d0], mul[c0][c0]
+        classes = sorted(
+            (add[1][mul[lam][cd]], mul[lam][dd], neg[mul[lam][cc]], add[1][neg[mul[lam][cd]]])
+            for lam in fq.nonzero()
+        )
+        return [Mat2(*(Poly.constant(fq, x) for x in m)) for m in classes]
 
     def _stab_order(self, classes, i):
         """|Stab| from the number of passing nontrivial classes and the kernel of reduction."""
@@ -562,9 +539,6 @@ class TreeContext:
     def _kernel_degrees(self, i):
         """The deg <= i - n: u(t^(n+deg)) lies in S_i and is trivial mod t^n."""
         return list(range(i - self.n + 1))
-
-    def _is_identity_bar_lift(self, lift):
-        return lift.a.is_one() and lift.b.is_zero() and lift.c.is_zero() and lift.d.is_one()
 
 
 def _strip(coeffs):
@@ -593,6 +567,7 @@ class QuotientGraph:
         self.edge_orbits = {}
         self.vertex_orbits = {}
         self.seed_keys = {}
+        self._interior = None
         self._grow(self._seed(), 0)
 
     def extended(self):
@@ -601,10 +576,11 @@ class QuotientGraph:
         Equal to ``QuotientGraph(ctx, D + 1, max_orbits)``.  It shares the
         tree context (so the reduction caches), the orbit objects and the
         seed keys with this table, and copies the two orbit dicts, so this
-        table does not change.
+        table does not change; its interior is listed afresh.
         """
         graph = copy.copy(self)
         graph.depth = self.depth + 1
+        graph._interior = None
         graph.edge_orbits = dict(self.edge_orbits)
         graph.vertex_orbits = dict(self.vertex_orbits)
         graph._grow(self.frontier, self.depth)
@@ -698,16 +674,20 @@ class QuotientGraph:
         return [Edge(u, v) for u in v.neighbors(self.ctx.fq)]
 
     def interior_vertex_orbits(self):
-        """Vertex orbits whose whole star classifies into the table."""
-        out = []
-        for key in sorted(self.vertex_orbits):
-            vorbit = self.vertex_orbits[key]
-            if all(
-                self.tree.reduce_edge(e)[0] in self.edge_orbits
-                for e in self.in_edges(vorbit)
-            ):
-                out.append(vorbit)
-        return out
+        """Vertex orbits whose whole star classifies into the table.
+
+        Listed once per table; every call returns the same list.
+        """
+        if self._interior is None:
+            self._interior = [
+                vorbit
+                for _, vorbit in sorted(self.vertex_orbits.items())
+                if all(
+                    self.tree.reduce_edge(e)[0] in self.edge_orbits
+                    for e in self.in_edges(vorbit)
+                )
+            ]
+        return self._interior
 
     # -- exports ---------------------------------------------------------------
     def to_json_dict(self):

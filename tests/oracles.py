@@ -7,12 +7,14 @@ None of this is used by ``drinfeldforms`` itself:
   :func:`bareiss_kernel`);
 * the inverse over K of a 2x2 matrix (:func:`inverse_k`), the oracle for
   the adjugate-based actions and the coset test over A;
-* the enumerated apartment stabilizer (:class:`ApartmentStabilizer`), the
-  oracle for the tree layer's closed-form stabilizer classes.
+* the enumerated apartment stabilizer (:class:`ApartmentStabilizer`) and
+  the enumerated SL_2(F_q) (:func:`sl2fq_classes`), with the reduction of
+  a matrix mod t^n (:func:`mod_tn`), the oracles for the tree layer's
+  closed-form stabilizer classes.
 """
 
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_gcd
+from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, poly_gcd
 
 
 def _is_zero(x):
@@ -155,7 +157,7 @@ class ApartmentStabilizer:
     """Stab(SL_2(A), e_i) = {(a, b; 0, a^{-1}) : a in F_q^x, deg b <= i}.
 
     For i >= 1 this is also Stab(SL_2(A), v_i); Stab(SL_2(A), v_0) is the
-    larger SL_2(F_q), handled by :func:`drinfeldforms.tree.vertex_zero_stabilizer`.
+    larger SL_2(F_q), enumerated by :func:`vertex_zero_stabilizer`.
     """
 
     def __init__(self, fq, i):
@@ -174,3 +176,33 @@ class ApartmentStabilizer:
             ainv = Poly.constant(fq, fq.inv(a))
             for b in graded_polys(fq, self.i + 1):
                 yield Mat2(ap, b, zero, ainv)
+
+
+def mod_tn(m, n):
+    """The Mat2 m over A with its entries reduced to Residue entries mod t^n."""
+    return Mat2(Residue(n, m.a), Residue(n, m.b), Residue(n, m.c), Residue(n, m.d))
+
+
+def vertex_zero_stabilizer(fq):
+    """All of SL_2(F_q) = Stab(SL_2(A), v_0) as constant matrices, in the
+    lexicographic order of the codes of (a, b, c, d)."""
+    out = []
+    for a in fq.elements():
+        for b in fq.elements():
+            for c in fq.elements():
+                for d in fq.elements():
+                    if fq.sub(fq.mul(a, d), fq.mul(b, c)) == 1:
+                        out.append(Mat2(*(Poly.constant(fq, x) for x in (a, b, c, d))))
+    return out
+
+
+_SL2FQ = {}
+
+
+def sl2fq_classes(fq, n):
+    """SL_2(F_q) as (class mod t^n, constant lift) pairs: the classes of
+    Stab(v_0), in the order of :func:`vertex_zero_stabilizer`."""
+    got = _SL2FQ.get((fq.q, n))
+    if got is None:
+        got = _SL2FQ[(fq.q, n)] = [(mod_tn(m, n), m) for m in vertex_zero_stabilizer(fq)]
+    return got

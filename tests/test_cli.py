@@ -196,6 +196,16 @@ def test_an_oversized_paper_grid_exits_before_any_item(capsys, monkeypatch):
     _one_line_error(capsys, ("verify", "--suite", "paper", "--q", "3"), 3, "resource bound exceeded:")
 
 
+def test_an_oversized_congruence_level_exits_before_any_item(capsys, monkeypatch):
+    # the coset checks walk the q^(2(n-1)) label pairs, 2^58 at n = 30
+    def unreachable(*args, **kwargs):
+        pytest.fail("a suite item ran")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    argv = ("verify", "--suite", "congruences", "--q", "2", "--nmax", "30")
+    _one_line_error(capsys, argv, 3, "resource bound exceeded:")
+
+
 def test_resource_bound_exit(capsys):
     code, _ = run_cli(capsys, "graph", "--q", "2", "--n", "2", "--depth", "3", "--max-orbits", "2")
     assert code == 3

@@ -15,7 +15,7 @@ from drinfeldforms.groups import (
 )
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, Residue
-from oracles import inverse_k
+from oracles import inverse_k, mod_tn
 
 
 def test_membership_examples():
@@ -49,7 +49,7 @@ def test_lift_sl2_randomized(q, n):
                 m = m * Mat2.translation(b)
             else:
                 m = m * Mat2(Poly.one(fq), Poly.zero(fq), b, Poly.one(fq))
-        mbar = m.mod_tn(n)
+        mbar = mod_tn(m, n)
         lifted = lift_sl2(mbar)
         assert lifted.det().is_one()
         for got, want in zip(lifted.entries(), m.entries()):

@@ -22,9 +22,8 @@ from drinfeldforms.tree import (
     parabolic_fixed_end,
     reduce_edge,
     reduce_vertex,
-    vertex_zero_stabilizer,
 )
-from oracles import ApartmentStabilizer
+from oracles import ApartmentStabilizer, mod_tn, sl2fq_classes, vertex_zero_stabilizer
 
 
 def rand_word(fq, rng, steps=6, maxdeg=3):
@@ -354,6 +353,17 @@ def test_extended_graph_equals_a_fresh_build(q, n):
         assert vorbit.stab_order == (len(passing) + 1) * q ** len(kernel)
 
 
+def test_interior_is_listed_once_per_table():
+    ctx = group_context(2, 2)
+    graph = QuotientGraph(ctx, 4)
+    interior = graph.interior_vertex_orbits()
+    assert graph.interior_vertex_orbits() is interior
+    # the depth-5 table is a copy of this one, but not of its listing
+    grown = graph.extended().interior_vertex_orbits()
+    assert grown is not interior and len(grown) > len(interior)
+    assert [v.key for v in grown] == [v.key for v in QuotientGraph(ctx, 5).interior_vertex_orbits()]
+
+
 def test_extension_respects_the_orbit_bound():
     graph = QuotientGraph(group_context(2, 2), depth=7, max_orbits=40)
     assert len(graph.edge_orbits) == 39
@@ -372,7 +382,7 @@ def sbar_oracle(fq, i, level):
     cap = min(i, level - 1)
     got = _SBAR.get((fq.q, cap, level))
     if got is None:
-        got = [(m.mod_tn(level), m) for m in ApartmentStabilizer(fq, cap).elements()]
+        got = [(mod_tn(m, level), m) for m in ApartmentStabilizer(fq, cap).elements()]
         _SBAR[(fq.q, cap, level)] = got
     return got
 
@@ -392,7 +402,7 @@ def scan_oracle(tree, w, classes):
     enumerated class list: the least right translate the keys took, and the
     nontrivial classes keeping the row (the old _passing_lifts), kept as
     the oracle for the normal form and the closed-form stabilizer classes."""
-    wbar = w.mod_tn(tree.n)
+    wbar = mod_tn(w, tree.n)
     own = (wbar.c.poly.coeffs, wbar.d.poly.coeffs)
     rows = [row_times(wbar, sb) for sb, _ in classes]
     passing = [lift for (_, lift), row in zip(classes, rows) if row == own and not _is_identity(lift)]
@@ -402,8 +412,8 @@ def scan_oracle(tree, w, classes):
 def witness_oracle(tree, w, orbit):
     """w * lift * w0^-1 for the first class of the S_i scan taking w's row
     to w0's: kept as the oracle for the closed-form witness lift."""
-    wbar = w.mod_tn(tree.n)
-    w0bar = orbit.w0.mod_tn(tree.n)
+    wbar = mod_tn(w, tree.n)
+    w0bar = mod_tn(orbit.w0, tree.n)
     target = (w0bar.c.poly.coeffs, w0bar.d.poly.coeffs)
     for sb, lift in sbar_oracle(tree.fq, orbit.i, tree.n):
         if row_times(wbar, sb) == target:
@@ -415,7 +425,7 @@ def passing_lifts_oracle(tree, w, classes):
     """The full conjugate wbar sigma_bar wbar^{-1} over A_n, tested entry by
     entry: kept as the oracle for the bottom-row test of the stabilizer classes."""
     one = Residue.one(tree.fq, tree.n)
-    wbar = w.mod_tn(tree.n)
+    wbar = mod_tn(w, tree.n)
     wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)  # adjugate = inverse
     out = []
     for sb, lift in classes:
@@ -431,7 +441,7 @@ def stable_oracle(fq, orbit):
     if orbit.i != 0:
         return False
     one, zero = Residue.one(fq, 1), Residue.zero(fq, 1)
-    wbar1 = orbit.w0.mod_tn(1)
+    wbar1 = mod_tn(orbit.w0, 1)
     wbar1_inv = Mat2(wbar1.d, -wbar1.b, -wbar1.c, wbar1.a)
     for a in fq.nonzero():
         ap = Residue(1, Poly.constant(fq, a))
@@ -457,15 +467,15 @@ def test_row_test_matches_the_full_conjugate(q, n):
     words = [rand_word(ctx.fq, rng) for _ in range(6)]
     # words with a stabilizer: h_{(c,d)} J and its conjugates by constants
     words += [ctx.h_matrix(c, d) * Mat2.j_matrix(ctx.fq) for c, d in ctx.label_pairs()[:3]]
-    words += [m * Mat2.j_matrix(ctx.fq) for _, m in tree.sl2fq()[:4]]
+    words += [m * Mat2.j_matrix(ctx.fq) for _, m in sl2fq_classes(ctx.fq, n)[:4]]
     nonempty = 0
     for w in words:
         for i in range(n + 1):
             got = tree._stab_lifts(w.c, i, n)
             assert got == passing_lifts_oracle(tree, w, sbar_oracle(ctx.fq, i, n))
             nonempty += bool(got)
-        got = tree._passing_lifts(w.mod_tn(n))
-        assert got == passing_lifts_oracle(tree, w, tree.sl2fq())
+        got = tree._passing_lifts(w)
+        assert got == passing_lifts_oracle(tree, w, sl2fq_classes(ctx.fq, n))
         nonempty += bool(got)
     assert nonempty  # the comparison reaches passing classes
 
@@ -531,6 +541,28 @@ def closed_form_words(fq, n, rng):
     return words
 
 
+# the grid's depth-0 graphs with at most 729 stable orbits, each built in
+# well under a second
+V0_GRAPH_GRID = [(q, n) for q, n in CLOSED_FORM_GRID if q ** (2 * (n - 1)) <= 729]
+
+
+@pytest.mark.parametrize("q,n", V0_GRAPH_GRID)
+def test_v0_classes_match_the_scan_on_graphs(q, n):
+    # the closed form against the scan of all of SL_2(F_q), element by
+    # element and in order, on every j = 0 vertex orbit representative
+    graph = QuotientGraph(group_context(q, n), depth=0)
+    classes = sl2fq_classes(graph.ctx.fq, n)
+    nonempty = 0
+    reps = [vorbit.w0 for vorbit in graph.vertex_orbits.values() if vorbit.j == 0]
+    for w in reps:
+        got = graph.tree._passing_lifts(w)
+        assert got == passing_lifts_oracle(graph.tree, w, classes)
+        nonempty += bool(got)
+    # mod t every row is constant, so a row off the line of its constant
+    # coefficient row occurs only from n = 2 on
+    assert nonempty and (n == 1 or nonempty < len(reps))
+
+
 @pytest.mark.parametrize("q,n", CLOSED_FORM_GRID)
 def test_closed_forms_match_the_scans(q, n):
     ctx = group_context(q, n)
@@ -538,11 +570,16 @@ def test_closed_forms_match_the_scans(q, n):
     tree = TreeContext(ctx)
     rng = random.Random(q * 1000 + n)
     words = closed_form_words(fq, n, rng)
+    sl2fq = sl2fq_classes(fq, n)
     zero_rows = with_stabilizer = 0
     for w in words:
         zero_rows += w.c.truncate(n).is_zero()
         # keys: the normal form is the least translate, j = 0 included
-        assert tree.vertex_key(w, 0) == (0, scan_oracle(tree, w, tree.sl2fq())[0])
+        assert tree.vertex_key(w, 0) == (0, scan_oracle(tree, w, sl2fq)[0])
+        # the transvections at v_0, order included
+        v0_lifts = tree._passing_lifts(w)
+        assert v0_lifts == passing_lifts_oracle(tree, w, sl2fq)
+        with_stabilizer += bool(v0_lifts)
         # i >= n - 1 all cap deg b at n - 1
         for i in range(n):
             least, passing = scan_oracle(tree, w, sbar_oracle(fq, i, n))
