@@ -4,7 +4,8 @@ Operators transport along the rule (T c)(e) = sum_xi xi^{-1} . c(xi e)
 over the usual coset matrices: xi_{t,beta} for U_t, the xi_{m,beta}
 together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
-representative e is classified once, into a transport table that sends
+representative e = w0(e_i) is classified once, from its matrix xi w0
+over A with no lattice coordinates formed, into a transport table that sends
 e to {orbit key: block}, the block being the orientation sign times
 act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity on V_2) and
 blocks landing on one orbit summed.  Every basis cocycle's values on
@@ -103,12 +104,12 @@ class HeckeEngine:
         # the cocycle: (T c)(rep) = sum of block . c(orbit key)
         table = {}
         for key in self.coords.keys_needed:
-            rep = graph.edge_orbits[key].rep
+            orbit = graph.edge_orbits[key]
             row = {}
             for pos, xi in enumerate(transports):
-                e2 = apply_edge(xi, rep, fq)
-                orbit, key2, sign, delta = graph.classify(e2)
-                if orbit is None:
+                found, key2, sign, delta = graph.classify_image(xi, orbit)
+                if found is None:
+                    e2 = apply_edge(xi, orbit.rep, fq)
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
                 block = acts[pos] * space.vk.act(delta)
                 if sign == -1:

@@ -24,6 +24,18 @@ def _translate(x, table):
     return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table), "little")
 
 
+# 0x01 in each of the low _ONES_BYTES bytes: the mod-2 mask of every
+# product up to that size; a longer product builds a mask of its own size
+_ONES_BYTES = 4096
+_ONES = int.from_bytes(b"\1" * _ONES_BYTES, "little")
+
+
+def _mod2(x):
+    """Every byte of the packed int x reduced mod 2: one AND with 0x01 in each byte of x."""
+    size = (x.bit_length() + 7) >> 3
+    return x & (_ONES if size <= _ONES_BYTES else int.from_bytes(b"\1" * size, "little"))
+
+
 _new = object.__new__
 
 
@@ -43,7 +55,8 @@ class Poly:
     characteristic 2.  Over a prime field F_p with p <= 13 (``Fq.kron_bits``
     nonzero) a sum is the int sum with every byte reduced mod p, a product
     is the int product reduced mod p while the shorter factor has at most
-    255 // (p - 1)^2 coefficients, so that no byte slot carries, and a
+    255 // (p - 1)^2 coefficients, so that no byte slot carries (at p = 2
+    by one AND with 0x01 in every byte), and a
     division step adds a multiple of the divisor to the packed remainder.
     Every other field, and every product past the no-carry bound, goes
     through the field's tables.
@@ -147,6 +160,8 @@ class Poly:
             return packed(fq, 0)
         if min(x.bit_length(), y.bit_length()) <= fq.kron_bits:
             # no byte slot of the int product exceeds min(len) (p - 1)^2 <= 255
+            if fq.q == 2:
+                return packed(fq, _mod2(x * y))
             return packed(fq, _translate(x * y, fq.mod_p_bytes))
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):

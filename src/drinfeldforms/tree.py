@@ -12,11 +12,18 @@ the integral t^L (pi^r, s; 0, 1), the new r is read off polynomial
 degrees, and the new tail is read off one division of polynomials, with
 no reduction of the fraction, so acting pays no gcd.
 
-Reduction to the apartment is Euclid's algorithm on an exact fraction
-num/den representing s: the quotient of one division is the polynomial
-part of s, killed by a translation in SL_2(A), and the remainder is
-inverted through J = (0 -1; 1 0), each a row operation on the accumulated
-matrix.  Each inversion strictly decreases r, so the walk terminates.
+Reduction to the apartment is Euclid's algorithm on a matrix g over A
+with g(e_i) the edge to reduce: s is b/d (or a/c) of g diag(t^i, 1), the
+quotient of one division is the polynomial part of s, killed by a
+translation in SL_2(A), and the remainder is inverted through
+J = (0 -1; 1 0), each a row operation on the accumulated gamma and on
+gamma g alike.  Each inversion strictly decreases r, so the walk
+terminates, and the terminus is then read off gamma g.  An operator
+image xi w0(e_i) is reduced from its matrix xi w0 directly.  A literal
+vertex v enters through its lattice matrix M_v = t^L (pi^r, s; 0, 1) =
+(t^(L-r), num t^(L-E); 0, t^L) over A, where s = num / t^E and
+L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at infinity, so
+the edge from v up to its parent is M_v(e_0), and its reverse -M_v(e_0).
 Orbits of Gamma_1(t^n) are canonicalized through
 the finite double coset Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is
 the apartment stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is
@@ -171,10 +178,7 @@ def _det_degree(g):
 
 def _act(g, deg_det, v, fq):
     """apply_vertex for a g whose determinant has degree ``deg_det``."""
-    s = tail_to_ratfunc(fq, v.tail)
-    big_e = s.den.degree
-    level = max(big_e, v.r, 0)
-    top = s.num.shift(level - big_e)
+    level, top = _lattice(v, fq)
     c = g.c.shift(level - v.r)
     d = g.c * top + g.d.shift(level)
     deg_det += 2 * level - v.r
@@ -183,6 +187,24 @@ def _act(g, deg_det, v, fq):
         return Vertex(rp, _tail(g.a * top + g.b.shift(level), d, rp))
     rp = 2 * c.degree - deg_det
     return Vertex(rp, _tail(g.a.shift(level - v.r), c, rp))
+
+
+def _lattice(v, fq):
+    """(L, num t^(L - E)) for s = num / t^E, the tail's exact fraction, and L = max(E, r, 0).
+
+    t^L (pi^r, s; 0, 1) = (t^(L - r), num t^(L - E); 0, t^L) is then integral.
+    """
+    s = tail_to_ratfunc(fq, v.tail)
+    big_e = s.den.degree
+    level = max(big_e, v.r, 0)
+    return level, s.num.shift(level - big_e)
+
+
+def _lattice_matrix(v, fq):
+    """(M_v, deg det M_v): M_v = t^L (pi^r, s; 0, 1) over A, so that M_v(v_0) = v."""
+    level, top = _lattice(v, fq)
+    m = Mat2(Poly.t_power(fq, level - v.r), top, Poly.zero(fq), Poly.t_power(fq, level))
+    return m, 2 * level - v.r
 
 
 def _tail(num, den, r):
@@ -208,42 +230,74 @@ def _inverted(g):
     return Mat2(-g.c, -g.d, g.a, g.b)
 
 
-def reduce_vertex(v, fq):
-    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0.
+def _euclid(g, i, deg_det, fq):
+    """(gamma, j, h): gamma in SL_2(A) with gamma g(v_i) = v_j, j >= 0, and h = gamma g.
 
-    Euclid's algorithm on s = num/den, an exact representative of the
-    tail: the polynomial part of s (the expansion terms of exponent <= 0,
-    less those in pi^r O) is killed by a translation, and the fractional
-    part rem/den, of valuation v = deg den - deg rem, is inverted through
-    J, which drops r by 2v.  The walk stops when the fractional part lies
-    in pi^r O.  Since -1/s mod pi^(r - 2v) depends only on s mod pi^r, any
-    exact representative gives the same translations.
+    g is over A with det of degree ``deg_det``, and g(v_i) is the vertex
+    of g diag(t^i, 1).  Its r and s are read off the entries as in _act:
+    s = num/den is b/d, or a/c when deg(c t^i) > deg d.  The polynomial
+    part of s (the expansion terms of exponent <= 0, less those in pi^r O)
+    is killed by a translation, and the fractional part rem/den, of
+    valuation v = deg den - deg rem, is inverted through J, which drops r
+    by 2v.  The walk stops when the fractional part lies in pi^r O.  Since
+    -1/s mod pi^(r - 2v) depends only on s mod pi^r, any matrix of the
+    vertex gives the same translations.
+
+    Each row operation is applied to gamma and to h.  From det h it
+    follows that after a step the other entry of the new bottom row has
+    degree no larger than the one s is read from, so s stays on the column
+    it starts on, and the translation leaves rem there: only the other
+    column (top, bottom) of h needs a product.
     """
+    deg_det += i
+    left = g.c.degree + i > g.d.degree
+    if left:
+        num, den, top, bottom = g.a, g.c, g.b, g.d
+        r = 2 * (g.c.degree + i) - deg_det
+    else:
+        num, den, top, bottom = g.b, g.d, g.a, g.c
+        r = 2 * g.d.degree - deg_det
     gamma = Mat2.identity_poly(fq)
-    r = v.r
-    s = tail_to_ratfunc(fq, v.tail)
-    num, den = s.num, s.den
     while True:
         quo, rem = divmod(num, den)
         # the terms of degree < 1 - r are exponents >= r, inside pi^r O
         low = max(1 - r, 0)
-        b = quo.high(low) if low else quo
-        if b:
-            gamma = _translated(gamma, -b)
+        minus = -(quo.high(low) if low else quo)
+        if minus:
+            gamma = _translated(gamma, minus)
+            top = top + minus * bottom
         drop = den.degree - rem.degree
         if drop >= r:
+            # r <= 0 whenever low > 0, and then some quotient terms stay in num
+            num = num + minus * den if low else rem
+            h = Mat2(num, top, den, bottom) if left else Mat2(top, num, bottom, den)
             if r <= 0:
-                return gamma, -r
-            return _inverted(gamma), r
+                return gamma, -r, h
+            return _inverted(gamma), r, _inverted(h)
         r -= 2 * drop
-        num, den = -den, rem
+        num, den, top, bottom = -den, rem, -bottom, top
         gamma = _inverted(gamma)
 
 
-def reduce_edge(e, fq):
-    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0."""
-    gamma, j = reduce_vertex(e.origin, fq)
-    term = apply_vertex(gamma, e.terminus, fq)
+def reduce_vertex(v, fq):
+    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0."""
+    m, deg_det = _lattice_matrix(v, fq)
+    return _euclid(m, 0, deg_det, fq)[:2]
+
+
+def reduce_image(g, i, fq):
+    """(gamma, j, sign) with gamma in SL_2(A) and gamma g(e_i) = sign * e_j, j >= 0.
+
+    g is over A with det != 0.  Euclid takes g(v_i) to v_j, and the
+    terminus h(v_{i+1}), h = gamma g, is then a neighbor of v_j.
+    """
+    return _reduce_image(g, i, _det_degree(g), fq)
+
+
+def _reduce_image(g, i, deg_det, fq):
+    """reduce_image for a g whose determinant has degree ``deg_det``."""
+    gamma, j, h = _euclid(g, i, deg_det, fq)
+    term = _act(h, deg_det, Vertex.standard(i + 1), fq)
     if term.r == -j - 1:
         if term.tail:
             raise AssertionError("non-adjacent edge endpoints")
@@ -261,6 +315,25 @@ def reduce_edge(e, fq):
     if j == 0:
         return _inverted(gamma), 0, POS_SIGN
     return gamma, j - 1, NEG_SIGN
+
+
+def reduce_edge(e, fq):
+    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0.
+
+    M_v fixes the end at infinity, so it takes e_0 = (v_0, v_1), whose
+    terminus is its origin's parent, to (v, parent of v).  An edge going
+    up is M_o(e_0) for its origin o, and one going down is -M_t(e_0) for
+    its terminus t.
+    """
+    if e.terminus == e.origin.parent():
+        v, sign = e.origin, POS_SIGN
+    elif e.origin == e.terminus.parent():
+        v, sign = e.terminus, NEG_SIGN
+    else:
+        raise AssertionError("non-adjacent edge endpoints")
+    m, deg_det = _lattice_matrix(v, fq)
+    gamma, i, image_sign = _reduce_image(m, 0, deg_det, fq)
+    return gamma, i, sign * image_sign
 
 
 def parabolic_fixed_end(delta):
@@ -403,18 +476,25 @@ class TreeContext:
         rows.append((w.d, -w.c))
         return (0, min(self._normal_form(c.coeffs, d.coeffs, 0)[0] for c, d in rows))
 
-    # -- reductions with caching ---------------------------------------------
+    # -- reductions ------------------------------------------------------------
+    def _keyed(self, gamma, i, sign):
+        """(key, i, sign, w, nf) for gamma(e) = sign * e_i: w = gamma^-1, nf its row's normal form."""
+        w = gamma.inverse_unimodular()
+        nf = self._normal_form(w.c.coeffs, w.d.coeffs, i)
+        return (i, nf[0]), i, sign, w, nf
+
     def reduce_edge(self, e):
         """(key, i, sign, w, nf): w(sign * e_i) = e, and nf the normal form of w's row."""
         got = self._classify_cache.get(e)
         if got is None:
-            gamma, i, sign = reduce_edge(e, self.fq)
-            w = gamma.inverse_unimodular()
-            nf = self._normal_form(w.c.coeffs, w.d.coeffs, i)
-            got = ((i, nf[0]), i, sign, w, nf)
+            key, i, sign, w, nf = got = self._keyed(*reduce_edge(e, self.fq))
             self._classify_cache[e] = got
-            self._classify_cache[Edge(e.terminus, e.origin)] = (got[0], i, -sign, w, nf)
+            self._classify_cache[Edge(e.terminus, e.origin)] = (key, i, -sign, w, nf)
         return got
+
+    def reduce_image(self, g, i):
+        """reduce_edge of the edge g(e_i), read off the matrix g over A, uncached."""
+        return self._keyed(*reduce_image(g, i, self.fq))
 
     def reduce_vertex(self, v):
         got = self._vreduce_cache.get(v)
@@ -661,12 +741,21 @@ class QuotientGraph:
     # -- lookups ---------------------------------------------------------------
     def classify(self, e):
         """(orbit-or-None, key, sign, witness-or-None) for an oriented edge."""
-        key, i, sign, w, nf = self.tree.reduce_edge(e)
+        return self._lookup(*self.tree.reduce_edge(e))
+
+    def classify_image(self, xi, orbit):
+        """classify(apply_edge(xi, orbit.rep)), computed from the image's matrix xi w0.
+
+        orbit.rep is w0(e_i), so its image is (xi w0)(e_i), and no lattice
+        coordinates of it are formed.
+        """
+        return self._lookup(*self.tree.reduce_image(xi * orbit.w0, orbit.i))
+
+    def _lookup(self, key, i, sign, w, nf):
         orbit = self.edge_orbits.get(key)
         if orbit is None:
             return None, key, sign, None
-        delta = self.tree.edge_witness(w, nf, orbit)
-        return orbit, key, sign, delta
+        return orbit, key, sign, self.tree.edge_witness(w, nf, orbit)
 
     def in_edges(self, vorbit):
         """The q+1 literal tree edges with terminus at the orbit representative."""

@@ -25,7 +25,6 @@ asserted.
 import os
 import random
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 from .carlitz import (
     exp_coeffs,
@@ -465,6 +464,9 @@ def run_suite(items, jobs=1):
     records = []
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        # imported only here: a run in one process loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for recs in pool.map(run_item, items):
                 records.extend(recs)

@@ -10,11 +10,15 @@ None of this is used by ``drinfeldforms`` itself:
 * the enumerated apartment stabilizer (:class:`ApartmentStabilizer`) and
   the enumerated SL_2(F_q) (:func:`sl2fq_classes`), with the reduction of
   a matrix mod t^n (:func:`mod_tn`), the oracles for the tree layer's
-  closed-form stabilizer classes.
+  closed-form stabilizer classes;
+* Euclid's walk on the exact fraction num/den of a vertex's tail
+  (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
+  the tree layer's Euclid on matrices over A.
 """
 
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, poly_gcd
+from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, poly_gcd, tail_to_ratfunc
+from drinfeldforms.tree import apply_vertex
 
 
 def _is_zero(x):
@@ -206,3 +210,56 @@ def sl2fq_classes(fq, n):
     if got is None:
         got = _SL2FQ[(fq.q, n)] = [(mod_tn(m, n), m) for m in vertex_zero_stabilizer(fq)]
     return got
+
+
+def reduce_vertex_oracle(v, fq):
+    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0.
+
+    Euclid's algorithm on s = num/den, the exact fraction of the tail: the
+    polynomial part of s (the expansion terms of exponent <= 0, less those
+    in pi^r O) is killed by a translation, and the fractional part rem/den,
+    of valuation v = deg den - deg rem, is inverted through J, which drops
+    r by 2v.  The walk stops when the fractional part lies in pi^r O.
+    """
+    gamma = Mat2.identity_poly(fq)
+    r = v.r
+    s = tail_to_ratfunc(fq, v.tail)
+    num, den = s.num, s.den
+    while True:
+        quo, rem = divmod(num, den)
+        # the terms of degree < 1 - r are exponents >= r, inside pi^r O
+        low = max(1 - r, 0)
+        b = quo.high(low) if low else quo
+        if b:
+            gamma = Mat2(gamma.a - b * gamma.c, gamma.b - b * gamma.d, gamma.c, gamma.d)
+        drop = den.degree - rem.degree
+        if drop >= r:
+            if r <= 0:
+                return gamma, -r
+            return Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b), r
+        r -= 2 * drop
+        num, den = -den, rem
+        gamma = Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b)
+
+
+def reduce_edge_oracle(e, fq):
+    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0:
+    the origin's reduction, then the terminus moved next to v_j."""
+    gamma, j = reduce_vertex_oracle(e.origin, fq)
+    term = apply_vertex(gamma, e.terminus, fq)
+    if term.r == -j - 1:
+        assert not term.tail, "non-adjacent edge endpoints"
+        return gamma, j, 1
+    assert term.r == -j + 1, "non-adjacent edge endpoints"
+    code = 0
+    for exp, c in term.tail:
+        if exp == -j:
+            code = c
+        else:
+            assert not c, "non-adjacent edge endpoints"
+    if code:
+        b = Poly.constant(fq, fq.neg(code)).shift(j)
+        gamma = Mat2(gamma.a + b * gamma.c, gamma.b + b * gamma.d, gamma.c, gamma.d)
+    if j == 0:
+        return Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b), 0, 1
+    return gamma, j - 1, -1

@@ -303,26 +303,43 @@ def test_orbit_bound_covers_the_stability_shell():
 
 def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     # V_2 never reads a witness or a stabilizer element, so building the
-    # space and U_t forms no Mat2 product inside classify or
-    # edge_stab_generators, and no deferred product is multiplied out later
-    seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0}
+    # space and U_t forms no Mat2 product inside classify, classify_image
+    # or edge_stab_generators, and no deferred product is multiplied out
+    # later.  The one product classify_image forms is xi w0, the matrix of
+    # the image itself.
+    seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0, "images": 0}
+    image_matrices = []  # (xi, w0) of each open classify_image call
     mul = Mat2.__mul__
 
     def counting_mul(self, other):
-        seen["inside"] += bool(seen["depth"])
+        pending = image_matrices[-1] if image_matrices else None
+        if pending is not None and pending[0] is self and pending[1] is other:
+            image_matrices[-1] = None
+            seen["images"] += 1
+        else:
+            seen["inside"] += bool(seen["depth"])
         return mul(self, other)
 
     monkeypatch.setattr(Mat2, "__mul__", counting_mul)
-    for cls, name in ((QuotientGraph, "classify"), (TreeContext, "edge_stab_generators")):
+    for cls, name in (
+        (QuotientGraph, "classify"),
+        (QuotientGraph, "classify_image"),
+        (TreeContext, "edge_stab_generators"),
+    ):
         fn = getattr(cls, name)
 
-        def wrapped(*args, _fn=fn):
+        def wrapped(*args, _fn=fn, _image=name == "classify_image"):
             seen["depth"] += 1
             seen["calls"] += 1
+            if _image:
+                _, xi, orbit = args
+                image_matrices.append((xi, orbit.w0))
             try:
                 return _fn(*args)
             finally:
                 seen["depth"] -= 1
+                if _image:
+                    image_matrices.pop()
 
         monkeypatch.setattr(cls, name, wrapped)
     read = DeferredProduct.__getattr__
@@ -333,6 +350,8 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
 
     monkeypatch.setattr(DeferredProduct, "__getattr__", counting_read)
     space = CocycleSpace(group_context(2, 2), 2)
-    HeckeEngine(space).u_t()
+    engine = HeckeEngine(space)
+    engine.u_t()
     assert seen["calls"] > 0
+    assert seen["images"] == len(engine.coords.keys_needed) * 2  # q transports each
     assert seen["inside"] == 0 and seen["read"] == 0

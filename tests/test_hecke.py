@@ -1,6 +1,7 @@
 import pytest
 
 from drinfeldforms import hecke
+from drinfeldforms.cocycles import depth_default
 from drinfeldforms.errors import ReachError, UsageError
 from drinfeldforms.fq import FqElem, field
 from drinfeldforms.groups import group_context
@@ -14,8 +15,8 @@ from drinfeldforms.hecke import (
     verify_freeness,
 )
 from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly
-from drinfeldforms.rings import Poly, RatFunc
-from drinfeldforms.tree import apply_edge
+from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
+from drinfeldforms.tree import QuotientGraph, apply_edge
 
 
 def t_plus_one(q):
@@ -184,6 +185,56 @@ def test_transport_beyond_the_table_is_a_reach_error(cache, monkeypatch):
     eng = HeckeEngine(cache.space(2, 1, 2))
     with pytest.raises(ReachError, match="edge beyond the depth-5 table"):
         eng.u_t()
+
+
+def image_transports(ctx):
+    """The coset matrices of U_t, T_{t+1}, the first T_m of degree 2 and every diamond."""
+    fq = ctx.fq
+    m2 = next(
+        m
+        for m in graded_polys(fq, 3)
+        if m.degree == 2 and m.is_monic() and m.vt() == 0 and poly_is_irreducible(m)
+    )
+    out = [ctx.xi_beta(ctx.t, Poly.constant(fq, b)) for b in fq.elements()]
+    for m in (ctx.t + ctx.one, m2):
+        out += [ctx.xi_beta(m, beta) for beta in graded_polys(fq, int(m.degree))]
+        out.append(ctx.xi_diamond(m))
+    out += [ctx.eta_diamond(a) for a in graded_polys(fq, ctx.n) if a.vt() == 0]
+    return out
+
+
+# the depths of weights 2, 3 and 4 (k = 2 and 3 share 2n + 3)
+IMAGE_GRID = [
+    (q, n, depth)
+    for q, n in [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2)] + [(2, 3)]
+    for depth in sorted({depth_default(n, k) for k in (2, 3, 4)})
+]
+
+
+@pytest.mark.parametrize("q,n,depth", IMAGE_GRID)
+def test_classify_image_matches_classifying_the_literal_edge(q, n, depth):
+    # orbits of the whole table, deepest first, so that boundary ones whose
+    # images leave the table come in: all of them up to 1000 images, evenly
+    # spaced beyond
+    ctx = group_context(q, n)
+    graph = QuotientGraph(ctx, depth)
+    transports = image_transports(ctx)
+    keys = sorted(graph.edge_orbits, key=lambda key: (-graph.edge_orbits[key].depth, key))
+    stride = -(-len(keys) * len(transports) // 1000)
+    found = missing = 0
+    for key in keys[::stride]:
+        orbit = graph.edge_orbits[key]
+        for xi in transports:
+            got = graph.classify_image(xi, orbit)
+            want = graph.classify(apply_edge(xi, orbit.rep, ctx.fq))
+            assert got[:3] == want[:3]
+            if got[0] is None:
+                assert want[3] is None
+                missing += 1
+            else:
+                assert got[3].entries() == want[3].entries()
+                found += 1
+    assert found and missing
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

@@ -4,6 +4,9 @@ The package ``__init__`` is exempt: its imports are the public API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,15 @@ def test_every_import_is_used(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from .rings import Poly, poly_gcd\nimport os\n\ndef f():\n    return Poly\n")
     assert set(imported_names(tree)) - used_names(tree) == {"poly_gcd", "os"}
+
+
+def test_the_cli_loads_no_process_pool():
+    # verify imports the pool inside run_suite, only when it starts workers,
+    # so a run in one process pays for no multiprocessing
+    code = (
+        "import sys, drinfeldforms.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,6 +6,8 @@ coefficient tuples with no trailing zero, combined through the field's
 ``_add``/``_mul``/``_neg``/``_inv`` tables.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,3 +220,20 @@ def test_products_at_and_past_the_no_carry_bound(p):
             assert (a * b).coeffs == want
             assert (b * a).coeffs == want
             assert divmod(a * b, b) == (a, Poly.zero(fq))
+
+
+def test_q2_product_of_a_short_and_a_long_factor():
+    """At q = 2 the no-carry product is reduced mod 2 by a mask over all its bytes.
+
+    A 255-coefficient factor is within the no-carry bound, so a product with a
+    5001-coefficient one is an int product too, and its 5255 bytes all need
+    the mask.
+    """
+    fq = field(2)
+    rng = random.Random(2)
+    short = Poly(fq, [1] * 255)
+    long_ = Poly(fq, [rng.randrange(2) for _ in range(5000)] + [1])
+    want = tuple_mul(fq, short.coeffs, long_.coeffs)
+    assert len(want) == 5255
+    assert (short * long_).coeffs == want
+    assert (long_ * short).coeffs == want

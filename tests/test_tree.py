@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from drinfeldforms import tree as tree_module
 from drinfeldforms.cocycles import depth_default
 from drinfeldforms.errors import ResourceBoundError
 from drinfeldforms.fq import field
@@ -21,9 +22,17 @@ from drinfeldforms.tree import (
     is_adjacent,
     parabolic_fixed_end,
     reduce_edge,
+    reduce_image,
     reduce_vertex,
 )
-from oracles import ApartmentStabilizer, mod_tn, sl2fq_classes, vertex_zero_stabilizer
+from oracles import (
+    ApartmentStabilizer,
+    mod_tn,
+    reduce_edge_oracle,
+    reduce_vertex_oracle,
+    sl2fq_classes,
+    vertex_zero_stabilizer,
+)
 
 
 def rand_word(fq, rng, steps=6, maxdeg=3):
@@ -203,6 +212,67 @@ def test_euclid_reduction_matches_the_laurent_walk(q, monkeypatch):
         # part lies in pi^r O, where the Laurent walk finds an empty tail
         assert len(divisions) == steps
     assert polynomial_parts >= 100
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (9, 1)])
+def test_graph_reductions_match_the_tail_fraction_oracle(q, n, monkeypatch):
+    # every literal edge and vertex a graph build reduces, at the depth the
+    # graph tests extend to
+    ctx = group_context(q, n)
+    seen = {"edges": 0, "vertices": 0, "down": 0}
+
+    def checked_edge(e, field_):
+        got = reduce_edge(e, field_)
+        assert got == reduce_edge_oracle(e, field_)
+        seen["edges"] += 1
+        seen["down"] += e.origin == e.terminus.parent()
+        return got
+
+    def checked_vertex(v, field_):
+        got = reduce_vertex(v, field_)
+        assert got == reduce_vertex_oracle(v, field_)
+        seen["vertices"] += 1
+        return got
+
+    monkeypatch.setattr(tree_module, "reduce_edge", checked_edge)
+    monkeypatch.setattr(tree_module, "reduce_vertex", checked_vertex)
+    QuotientGraph(ctx, depth_default(n, 2) + 1)
+    assert seen["edges"] and seen["vertices"] and seen["down"]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 8, 9) for n in (1, 2, 3)])
+def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
+    # gamma w with gamma in Gamma_1(t^n) and w a random word, on e_i and on
+    # each of its vertices; the matrix route also with non-unimodular
+    # scalar and diag(t^k, 1) factors
+    fq = field(q)
+    rng = random.Random(q * 53 + n)
+    one = Poly.one(fq)
+    for _ in range(40):
+        g = rand_gamma1(fq, n, rng) * rand_word(fq, rng, steps=rng.randrange(1, 8))
+        i = rng.randrange(4)
+        e = apply_edge(g, Edge.standard(i), fq)
+        want = reduce_edge_oracle(e, fq)
+        assert reduce_edge(e, fq) == want
+        assert reduce_edge(e.reverse(), fq) == reduce_edge_oracle(e.reverse(), fq)
+        assert reduce_image(g, i, fq) == want
+        for v in (e.origin, e.terminus):
+            assert reduce_vertex(v, fq) == reduce_vertex_oracle(v, fq)
+        lam = rand_nonzero_poly(fq, rng)
+        k = rng.randrange(3)
+        scaled = Mat2(*(x * lam for x in g.entries())) * Mat2.diag(Poly.t_power(fq, k), one)
+        e = apply_edge(scaled, Edge.standard(i), fq)
+        assert reduce_image(scaled, i, fq) == reduce_edge_oracle(e, fq)
+
+
+def test_reduce_edge_rejects_non_adjacent_endpoints():
+    fq = field(3)
+    for e in (
+        Edge(Vertex.standard(0), Vertex.standard(2)),
+        Edge(Vertex.standard(1), Vertex(0, ((-2, 1),))),
+    ):
+        with pytest.raises(AssertionError, match="non-adjacent"):
+            reduce_edge(e, fq)
 
 
 @pytest.mark.parametrize("q", [2, 3])

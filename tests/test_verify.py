@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import random
 
@@ -61,7 +62,8 @@ class RecordingPool:
 
 
 def test_jobs_capped_by_items_and_cpus(monkeypatch):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # run_suite imports the pool only when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     items = congruence_suite_items([2], lambda q: 2)  # 2 items
     want = run_suite(items, jobs=1)
