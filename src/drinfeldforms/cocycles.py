@@ -231,15 +231,12 @@ class CocycleSpace:
                             row[base + s] = v
                     if row:
                         rows.append(row)
-        kernel = sparse_kernel(rows, len(keys) * comp, ring, col_order=col_order)
         basis = []
-        for vec in kernel:
+        for vec in sparse_kernel(rows, len(keys) * comp, ring, col_order=col_order):
             entry = {}
-            for i, key in enumerate(keys):
-                v = tuple(vec[i * comp + s] for s in range(comp))
-                if any(x for x in v):
-                    entry[key] = v
-            basis.append(entry)
+            for col, x in vec.items():
+                entry.setdefault(keys[col // comp], [ring.zero] * comp)[col % comp] = x
+            basis.append({key: tuple(v) for key, v in entry.items()})
         return basis, keys
 
     def _unit_rows(self, basis):
@@ -265,20 +262,10 @@ class CocycleSpace:
 
     # -- weight-2 delta basis ---------------------------------------------------
     def _to_delta_basis(self):
-        """Put the unit basis into label order: cocycle j is 1 at stable_keys[j]."""
-        ring = self.ring
-        stable_keys = self.stable_keys
-        d = self.expected_dim
+        """Put the unit basis into label order: cocycle j is 1 at stable_keys[j] (_unit_rows)."""
         by_unit = dict(zip(self.unit_rows, self.basis))
-        self.basis = [by_unit[(key, 0)] for key in stable_keys]
-        self.unit_rows = [(key, 0) for key in stable_keys]
-        # sanity: the delta property itself
-        for j, key in enumerate(stable_keys):
-            for i in range(d):
-                want = ring.one if i == j else ring.zero
-                got = self.basis[i].get(key, (ring.zero,))[0]
-                if got != want:
-                    raise AssertionError("delta-basis normalization failed")
+        self.basis = [by_unit[(key, 0)] for key in self.stable_keys]
+        self.unit_rows = [(key, 0) for key in self.stable_keys]
 
     # -- evaluation ----------------------------------------------------------------
     def labels(self):
@@ -344,7 +331,7 @@ class Coordinates:
     The basis is the unit basis on the stable rows, so the coordinate of
     each cocycle is the value at its unit row.  Every (orbit, component)
     row on orbits of depth at most ``safe_depth`` is then verified exactly.
-    Values and coordinates lie in the space's ring.
+    Values and coordinates lie in the space's ring; a missing key is zero.
     """
 
     def __init__(self, space, safe_depth):
@@ -359,19 +346,21 @@ class Coordinates:
             if key not in stable and graph.edge_orbits[key].depth <= safe_depth
         ]
         self.keys_needed = stable_keys + other
-        self.row_keys = [(key, s) for key in self.keys_needed for s in range(comp)]
-        # nonzero entries only: cocycle supports are small, so the rows are sparse
-        self.sparse_rows = [
-            [(j, c[key][s]) for j, c in enumerate(space.basis) if key in c and c[key][s]]
-            for key, s in self.row_keys
-        ]
+        # safe row (key, s) -> [(j, nonzero entry of cocycle j)], filled from the supports
+        self.sparse_rows = {(key, s): [] for key in self.keys_needed for s in range(comp)}
+        for j, c in enumerate(space.basis):
+            for key, v in c.items():
+                for s, x in enumerate(v):
+                    if x and (key, s) in self.sparse_rows:
+                        self.sparse_rows[(key, s)].append((j, x))
 
     def coords(self, values):
         """Read coordinates off the unit rows and verify every safe row."""
         ring = self.space.ring
-        x = [values[key][s] for key, s in self.space.unit_rows]
-        for (key, s), row in zip(self.row_keys, self.sparse_rows):
-            want = values[key][s]
+        zero = self.space.zero_vector()
+        x = [values.get(key, zero)[s] for key, s in self.space.unit_rows]
+        for (key, s), row in self.sparse_rows.items():
+            want = values.get(key, zero)[s]
             got = ring.zero
             for j, bij in row:
                 if x[j]:

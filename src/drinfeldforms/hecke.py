@@ -5,12 +5,12 @@ over the usual coset matrices: xi_{t,beta} for U_t, the xi_{m,beta}
 together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
 representative e = w0(e_i) is classified once, from its matrix xi w0
-over A with no lattice coordinates formed, into a transport table that sends
-e to {orbit key: block}, the block being the orientation sign times
-act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity on V_2) and
-blocks landing on one orbit summed.  Every basis cocycle's values on
-the safe representatives are then a sparse combination of its stored
-vectors.  Their coordinates are the values at the stable rows, where the
+over A with no lattice coordinates formed; its block is the orientation
+sign times act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity
+on V_2).  The transport table is stored inverted, as image orbit key ->
+{safe key: summed block}, so a basis cocycle's values on the safe
+representatives are read by walking only its own support through it.
+Their coordinates are the values at the stable rows, where the
 basis is the unit basis, with exact consistency checks on every safe
 row; an image edge beyond the table is a ReachError.  A matrix is
 over the space's ring, the ring its coordinates lie in: F_q at weight 2,
@@ -100,34 +100,31 @@ class HeckeEngine:
         fq = self.ctx.fq
         graph = space.graph
         acts = [space.vk.act_of_inverse(xi) for xi in transports]
-        # the transport table key -> {orbit key: block} does not depend on
-        # the cocycle: (T c)(rep) = sum of block . c(orbit key)
+        # deg det(xi w0) = deg det xi, as w0 is in SL_2(A)
+        deg_dets = [xi.det().degree for xi in transports]
+        # (T c)(safe rep) = sum of block . c(key2): the table is key2 -> {safe key: block}
         table = {}
         for key in self.coords.keys_needed:
             orbit = graph.edge_orbits[key]
-            row = {}
-            for pos, xi in enumerate(transports):
-                found, key2, sign, delta = graph.classify_image(xi, orbit)
+            for xi, act, deg_det in zip(transports, acts, deg_dets):
+                found, key2, sign, delta = graph.classify_image(xi, orbit, deg_det)
                 if found is None:
                     e2 = apply_edge(xi, orbit.rep, fq)
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
-                block = acts[pos] * space.vk.act(delta)
+                block = act * space.vk.act(delta)
                 if sign == -1:
                     block = -block
-                prev = row.get(key2)
-                row[key2] = block if prev is None else prev + block
-            table[key] = row
-        zero = space.zero_vector()
+                row = table.setdefault(key2, {})
+                prev = row.get(key)
+                row[key] = block if prev is None else prev + block
         cols = []
         for cocycle in space.basis:
             values = {}
-            for key, row in table.items():
-                total = zero
-                for key2, block in row.items():
-                    stored = cocycle.get(key2)
-                    if stored is not None:
-                        total = [a + b for a, b in zip(total, block.apply(stored))]
-                values[key] = tuple(total)
+            for key2, stored in cocycle.items():
+                for key, block in table.get(key2, {}).items():
+                    image = block.apply(stored)
+                    prev = values.get(key)
+                    values[key] = image if prev is None else [a + b for a, b in zip(prev, image)]
             cols.append(self.coords.coords(values))
         d = space.dim
         matrix = Matrix(space.ring, [[cols[j][i] for j in range(d)] for i in range(d)])

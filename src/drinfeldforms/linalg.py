@@ -10,8 +10,10 @@ Every elimination goes through one sparse Gauss-Jordan routine,
 :func:`_reduce`, behind both the kernel the cocycle solver calls
 (constraint systems over quotient graphs are tree-shaped, and ordered
 sparse elimination keeps them that way) and the dense
-:func:`kernel_basis`.  Characteristic polynomials use the division-free
-Berkowitz algorithm.
+:func:`kernel_basis`.  Kernel vectors are read off the reduced pivot
+rows as sparse dicts {col: nonzero elem}; only :func:`kernel_basis`
+writes them out as dense lists.  Characteristic polynomials use the
+division-free Berkowitz algorithm.
 """
 
 from .fq import FqElem
@@ -160,7 +162,8 @@ def kernel_basis(matrix):
     free (non-pivot) column and 0 at the other free columns.
     """
     rows = [{c: x for c, x in enumerate(row) if x} for row in matrix.rows]
-    return _kernel(rows, matrix.ncols, matrix.ring, range(matrix.ncols))
+    zero, cols = matrix.ring.zero, range(matrix.ncols)
+    return [[v.get(c, zero) for c in cols] for v in _kernel(rows, matrix.ncols, matrix.ring, cols)]
 
 
 class UPoly:
@@ -409,7 +412,7 @@ def sparse_kernel(rows, ncols, ring, col_order=None):
 
     Elimination (:func:`_reduce`) visits columns in ``col_order`` (default
     0..ncols-1) and keeps a full reduced form, so kernel vectors read off
-    directly.
+    directly, as dicts {col: nonzero elem}, one per free column in order.
     """
     rows = [dict(r) for r in rows if r]
     return _kernel(rows, ncols, ring, range(ncols) if col_order is None else col_order)
@@ -418,18 +421,17 @@ def sparse_kernel(rows, ncols, ring, col_order=None):
 def _kernel(rows, ncols, ring, col_order):
     """The kernel of :func:`sparse_kernel`, eliminating ``rows`` in place.
 
+    A reduced pivot row holds 1 at its pivot column c and otherwise free
+    columns only: the vector of free column f is 1 at f and -x at c for
+    each pivot row holding x at f, filled in one pass over those rows.
+
     :func:`kernel_basis` calls this rather than :func:`sparse_kernel`,
     which ``perfbench/tracing.py`` counts as the cocycle solve.
     """
     pivots = _reduce(rows, col_order, ring)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        v = [ring.zero] * ncols
-        v[f] = ring.one
-        for c, p in pivots.items():
-            val = rows[p].get(f)
-            if val is not None:
-                v[c] = -val
-        basis.append(v)
-    return basis
+    basis = {f: {f: ring.one} for f in range(ncols) if f not in pivots}
+    for c, p in pivots.items():
+        for f, x in rows[p].items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())

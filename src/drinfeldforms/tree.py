@@ -492,9 +492,9 @@ class TreeContext:
             self._classify_cache[Edge(e.terminus, e.origin)] = (key, i, -sign, w, nf)
         return got
 
-    def reduce_image(self, g, i):
-        """reduce_edge of the edge g(e_i), read off the matrix g over A, uncached."""
-        return self._keyed(*reduce_image(g, i, self.fq))
+    def reduce_image(self, g, i, deg_det):
+        """reduce_edge of the edge g(e_i), read off g over A (deg det g = deg_det), uncached."""
+        return self._keyed(*_reduce_image(g, i, deg_det, self.fq))
 
     def reduce_vertex(self, v):
         got = self._vreduce_cache.get(v)
@@ -743,13 +743,13 @@ class QuotientGraph:
         """(orbit-or-None, key, sign, witness-or-None) for an oriented edge."""
         return self._lookup(*self.tree.reduce_edge(e))
 
-    def classify_image(self, xi, orbit):
+    def classify_image(self, xi, orbit, deg_det):
         """classify(apply_edge(xi, orbit.rep)), computed from the image's matrix xi w0.
 
         orbit.rep is w0(e_i), so its image is (xi w0)(e_i), and no lattice
-        coordinates of it are formed.
+        coordinates of it are formed.  ``deg_det`` = deg det xi = deg det(xi w0).
         """
-        return self._lookup(*self.tree.reduce_image(xi * orbit.w0, orbit.i))
+        return self._lookup(*self.tree.reduce_image(xi * orbit.w0, orbit.i, deg_det))
 
     def _lookup(self, key, i, sign, w, nf):
         orbit = self.edge_orbits.get(key)

@@ -49,27 +49,26 @@ from .hecke import (
     verify_freeness,
 )
 from .mat2 import Mat2
-from .rings import Poly, RatFunc, poly_is_irreducible
+from .rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from .tree import MAX_ORBITS, QuotientGraph, apply_edge
 
 
 def goss_m_list(fq):
     """The degree <= 2 test moduli: t, t+1, t^2+t+1.
 
-    A reducible t^2+t+1 (it factors as (t-1)^2 when 3 = 0) stays in the
-    list so the suite records it as skipped, and a degree-2 irreducible
-    substitute is appended to keep the coverage.
+    A reducible t^2+t+1 (it splits when F_q holds a cube root of unity
+    other than 1, and is (t-1)^2 when 3 = 0) stays in the list so the
+    suite records it as skipped, and the first monic irreducible quadratic
+    of :func:`graded_polys` is appended to keep the coverage.
     """
     t, one = Poly.t(fq), Poly.one(fq)
-    out = [t, t + one]
     deg2 = t * t + t + one
-    out.append(deg2)
+    out = [t, t + one, deg2]
     if not poly_is_irreducible(deg2):
-        for cands in ([1, 0, 1], [2, 0, 1], [1, 1, 1], [2, 1, 1], [1, 2, 1], [2, 2, 1]):
-            cand = Poly(fq, [fq.from_int(c) for c in cands])
-            if poly_is_irreducible(cand):
-                out.append(cand)
-                break
+        out.append(next(
+            m for m in graded_polys(fq, 3)
+            if m.degree == 2 and m.is_monic() and poly_is_irreducible(m)
+        ))
     return out
 
 

@@ -242,16 +242,20 @@ def test_solved_basis_is_the_unit_basis_on_the_stable_rows(cache, q, n, k):
             assert cocycle.get(key, space.zero_vector())[s] == want
 
 
+# perturbations of sparse_kernel's vectors, dicts {col: nonzero elem}
 def _summed(vecs):
-    vecs[0] = [a + b for a, b in zip(vecs[0], vecs[1])]
+    total = dict(vecs[0])
+    for c, x in vecs[1].items():
+        total[c] = total[c] + x if c in total else x
+    vecs[0] = total
 
 
 def _doubled(vecs):
-    vecs[0] = [x + x for x in vecs[0]]
+    vecs[0] = {c: x + x for c, x in vecs[0].items()}
 
 
 def _repeated(vecs):
-    vecs[0] = list(vecs[1])
+    vecs[0] = dict(vecs[1])
 
 
 @pytest.mark.parametrize(
@@ -332,7 +336,7 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
             seen["depth"] += 1
             seen["calls"] += 1
             if _image:
-                _, xi, orbit = args
+                _, xi, orbit, _ = args
                 image_matrices.append((xi, orbit.w0))
             try:
                 return _fn(*args)

@@ -172,9 +172,31 @@ def test_coords_rejects_values_off_the_basis(cache, k):
     ring = space.ring
     values = {key: space.basis[0].get(key, space.zero_vector()) for key in coords.keys_needed}
     assert coords.coords(values) == [ring.one] + [ring.zero] * (space.dim - 1)
-    key, s = coords.row_keys[-1]
+    key, s = list(coords.sparse_rows)[-1]
     assert key not in space.stable_keys
     values[key] = tuple(x + ring.one if i == s else x for i, x in enumerate(values[key]))
+    with pytest.raises(ReachError, match="operator image is inconsistent"):
+        coords.coords(values)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_coords_read_missing_keys_as_zero_and_check_them(cache, k):
+    # the values of basis cocycle 0 on its own support only: every other
+    # safe key is missing, reads as zero and is still checked
+    eng = cache.engine(2, 2, k)
+    space, coords = eng.space, eng.coords
+    ring = space.ring
+    safe = set(coords.keys_needed)
+    first = space.basis[0]
+    values = {key: v for key, v in first.items() if key in safe}
+    assert coords.coords(values) == [ring.one] + [ring.zero] * (space.dim - 1)
+    # values side only: a safe key off the support, where the basis is zero
+    off = next(key for key in coords.keys_needed if key not in first)
+    with pytest.raises(ReachError, match="operator image is inconsistent"):
+        coords.coords({**values, off: (ring.one,) * (k - 1)})
+    # basis side only: a safe key of the support left out of the values
+    inside = next(key for key in values if key not in space.stable_keys)
+    del values[inside]
     with pytest.raises(ReachError, match="operator image is inconsistent"):
         coords.coords(values)
 
@@ -225,7 +247,7 @@ def test_classify_image_matches_classifying_the_literal_edge(q, n, depth):
     for key in keys[::stride]:
         orbit = graph.edge_orbits[key]
         for xi in transports:
-            got = graph.classify_image(xi, orbit)
+            got = graph.classify_image(xi, orbit, xi.det().degree)
             want = graph.classify(apply_edge(xi, orbit.rep, ctx.fq))
             assert got[:3] == want[:3]
             if got[0] is None:

@@ -187,6 +187,11 @@ def test_newton_count_against_hull_oracle():
         assert newton_slope_zero_count(f) == hull_zero_slopes(vals)
 
 
+def _dense(vecs, ncols, ring):
+    """sparse_kernel's dict vectors written out as dense lists."""
+    return [[v.get(c, ring.zero) for c in range(ncols)] for v in vecs]
+
+
 def test_sparse_kernel_matches_dense():
     fq = field(2)
     FR = FqRing(fq)
@@ -198,7 +203,7 @@ def test_sparse_kernel_matches_dense():
         sparse_rows = [
             {j: x for j, x in enumerate(row) if x} for row in dense_rows
         ]
-        kb_sparse = sparse_kernel(sparse_rows, ncols, FR)
+        kb_sparse = _dense(sparse_kernel(sparse_rows, ncols, FR), ncols, FR)
         kb_dense = bareiss_kernel(m)
         assert len(kb_sparse) == len(kb_dense)
         for v in kb_sparse:
@@ -210,7 +215,7 @@ def test_sparse_kernel_matches_dense():
         sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
         order = list(range(ncols))
         rng.shuffle(order)
-        kb_sparse = sparse_kernel(sparse_rows, ncols, m.ring, col_order=order)
+        kb_sparse = _dense(sparse_kernel(sparse_rows, ncols, m.ring, col_order=order), ncols, m.ring)
         assert len(kb_sparse) == len(bareiss_kernel(m)) == ncols - bareiss_rank(m)
         for v in kb_sparse:
             assert all(x.is_zero() for x in m.apply(v))
@@ -265,12 +270,27 @@ def test_single_elimination_kernels_match_the_bareiss_oracle(ring):
         sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
         order = list(range(m.ncols))
         rng.shuffle(order)
-        _assert_kernel_of(m, sparse_kernel(sparse_rows, m.ncols, ring, col_order=order))
-        _assert_kernel_of(m, sparse_kernel(sparse_rows, m.ncols, ring))
+        kb_ordered = sparse_kernel(sparse_rows, m.ncols, ring, col_order=order)
+        _assert_kernel_of(m, _dense(kb_ordered, m.ncols, ring))
+        _assert_kernel_of(m, _dense(sparse_kernel(sparse_rows, m.ncols, ring), m.ncols, ring))
         seen_zero_row |= any(all(not x for x in row) for row in m.rows)
         seen_zero_col |= any(all(not x for x in col) for col in zip(*m.rows))
         seen_kernel |= bool(kb)
     assert seen_zero_row and seen_zero_col and seen_kernel
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["F2", "F3", "F4", "F9", "K3"])
+def test_sparse_kernel_vectors_hold_no_zero_and_densify_to_kernel_basis(ring):
+    rng = random.Random(ring.fq.q * 11 + isinstance(ring, KRing))
+    seen_fill = False
+    for _ in range(60):
+        m = _kernel_case(ring, rng)
+        sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+        kb = sparse_kernel(sparse_rows, m.ncols, ring)
+        assert all(x for v in kb for x in v.values())
+        assert _dense(kb, m.ncols, ring) == kernel_basis(m)
+        seen_fill |= any(len(v) > 1 for v in kb)
+    assert seen_fill
 
 
 def dense_product(m, other):

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from drinfeldforms import verify
+from drinfeldforms.fq import field
 from drinfeldforms.linalg import Matrix
+from drinfeldforms.rings import poly_is_irreducible
 from drinfeldforms.verify import (
     congruence_suite_items,
     goss_suite_items,
@@ -23,6 +25,14 @@ def test_goss_suite_records_reducible_skip():
     assert "reducible" in skipped[0]["reason"]
     # the degree-2 substitute ran and passed
     assert any(r["id"] == "goss/q3/m(t^2+1)" and r["status"] is True for r in records)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_goss_moduli_hold_an_irreducible_of_degree_two(q):
+    # every quadratic with coefficients in F_3 splits over F_9, so the
+    # substitute must be enumerated over F_q itself
+    moduli = verify.goss_m_list(field(q))
+    assert any(m.degree == 2 and m.is_monic() and poly_is_irreducible(m) for m in moduli)
 
 
 def test_congruence_suite():
