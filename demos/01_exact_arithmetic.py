@@ -1,16 +1,7 @@
 """A tour of the exact coefficient tower: F_q, A = F_q[t], K = F_q(t), and
-Laurent expansions at the place at infinity (uniformizer pi = 1/t)."""
+valuations at the place at infinity (uniformizer pi = 1/t)."""
 
-from drinfeldforms import (
-    Poly,
-    RatFunc,
-    Residue,
-    bar_vt,
-    field,
-    laurent_expand,
-    newton_slope_zero_count,
-    vt,
-)
+from drinfeldforms import Poly, RatFunc, Residue, field, newton_slope_zero_count
 from drinfeldforms.linalg import KRing, UPoly
 
 fq = field(4)
@@ -23,17 +14,16 @@ t = Poly.t(fq)
 one = Poly.one(fq)
 
 p = t ** 3 + t.scale(2) + one
-print(f"\nin F_3[t]:  p = {p}, degree {p.degree}, v_t(p) = {vt(p)}")
+print(f"\nin F_3[t]:  p = {p}, degree {p.degree}, v_t(p) = {p.vt()}")
 print(f"deg(0) sentinel: {Poly.zero(fq).degree}")
 
 x = RatFunc(t ** 3, one + t)
-print(f"\nv_t(t^3/(1+t)) = {vt(x)}")
-print(f"bar_vt of the class of t+t^2 in A/(t^2), cap 2: {bar_vt(Residue(2, t + t * t))}")
+print(f"\nv_t(t^3/(1+t)) = {x.vt()}")
+print(f"bar_vt of the class of t+t^2 in A/(t^2), cap 2: {Residue(2, t + t * t).bar_vt()}")
 
-print("\nLaurent expansions at infinity:")
-for rf, prec in ((RatFunc(one, t - one), 5), (RatFunc(t * t + one, t), 4)):
-    series = laurent_expand(rf, prec)
-    print(f"  {rf} = {series}")
+print("\nvaluations at infinity, v_inf = deg(den) - deg(num):")
+for rf in (RatFunc(one, t - one), RatFunc(t * t + one, t)):
+    print(f"  v_inf({rf}) = {rf.v_inf()}")
 
 ring = KRing(fq)
 xx = UPoly.x(ring)

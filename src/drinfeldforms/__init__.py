@@ -46,21 +46,16 @@ from .linalg import (
     Matrix,
     UPoly,
     charpoly,
-    kernel_basis,
     newton_slope_zero_count,
 )
 from .mat2 import Mat2
 from .rings import (
-    Laurent,
     Poly,
     RatFunc,
     Residue,
-    bar_vt,
-    laurent_expand,
     poly_gcd,
     poly_is_irreducible,
     poly_xgcd,
-    vt,
 )
 from .tree import (
     Edge,

@@ -268,9 +268,6 @@ class CocycleSpace:
         self.unit_rows = [(key, 0) for key in self.stable_keys]
 
     # -- evaluation ----------------------------------------------------------------
-    def labels(self):
-        return self.ctx.label_pairs()
-
     def zero_vector(self):
         return tuple(self.ring.zero for _ in range(self.k - 1))
 
@@ -315,10 +312,6 @@ class CocycleSpace:
             val = self.evaluate(cocycle, Edge(u, v))
             total = [a + b for a, b in zip(total, val)]
         return tuple(total)
-
-    def stable_rep_edge(self, c, d):
-        key = self.graph.seed_keys[(c.coeffs, d.coeffs)]
-        return self.graph.edge_orbits[key].rep
 
     @property
     def dim(self):

@@ -34,7 +34,7 @@ ordinary part, so one acting there as any other scalar fails (d).
 
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
-from .linalg import Matrix, UPoly, charpoly, kernel_basis, newton_slope_zero_count
+from .linalg import Matrix, UPoly, _reduce, charpoly, newton_slope_zero_count
 from .rings import Poly, Residue, graded_polys, poly_is_irreducible
 from .serialize import entry_json
 from .tree import apply_edge
@@ -58,11 +58,6 @@ class OperatorMatrix:
     @property
     def size(self):
         return self.matrix.nrows
-
-    def __mul__(self, other):
-        return OperatorMatrix(
-            f"{self.name}*{other.name}", self.ctx, self.k, self.matrix * other.matrix
-        )
 
     def commutator(self, other):
         return self.matrix * other.matrix - other.matrix * self.matrix
@@ -317,22 +312,37 @@ def nilpotency_diagnostics(ut):
     The square-vanishing subspace of cuspforms is not modeled directly
     (that would need cusp expansions); the nilpotent block of U_t
     computed here is the indirect witness that U_t kills it eventually.
-    The status holds when that block has dimension d - r and nilpotency
-    index at most d - r.
+
+    The data is read off the image chain: U is applied, through its
+    nonzero columns, to an echelon basis of im U^(j-1), and the images
+    are re-eliminated, so rank U^j is their number of pivots.  The chain
+    stops when the rank repeats or at j = d - r.  Ranks never increase and
+    stay fixed once they repeat, so ker U^(d-r) has dimension d minus the
+    last rank, and U^j kills it exactly when rank U^j reaches that rank:
+    the nilpotency index is the first such j.  The status holds when the
+    block has dimension d - r and nilpotency index at most d - r.
     """
     ctx = ut.ctx
+    matrix = ut.matrix
+    ring = matrix.ring
     d = ut.size
     r = ctx.ordinary_rank()
-    power = ut.matrix ** max(d - r, 0)
-    basis = kernel_basis(power) if d - r > 0 else []
-    dim_nilp = len(basis)
-    index = 0
-    vecs = [list(v) for v in basis]
-    while vecs and any(any(x for x in v) for v in vecs):
-        index += 1
-        vecs = [ut.matrix.apply(v) for v in vecs]
-        if index > d:
-            raise AssertionError("nilpotency index exceeded the space dimension")
+    cols = [{} for _ in range(d)]
+    for i, row in enumerate(matrix.rows):
+        for c, a in enumerate(row):
+            if a:
+                cols[c][i] = a
+    basis = [{i: ring.one} for i in range(d)]
+    ranks = [d]
+    for _ in range(d - r):
+        images = [image for image in (_sparse_apply(cols, v) for v in basis) if image]
+        pivots = _reduce(images, range(d), ring)
+        basis = [images[p] for p in pivots.values()]
+        ranks.append(len(basis))
+        if ranks[-1] == ranks[-2]:
+            break
+    dim_nilp = d - ranks[-1]
+    index = ranks.index(ranks[-1])
     return {
         "lemma": "nonordinary-nilpotency",
         "params": {"q": ctx.q, "n": ctx.n, "k": ut.k},
@@ -344,3 +354,13 @@ def nilpotency_diagnostics(ut):
             "the nilpotent block of U_t is its indirect witness"
         ),
     }
+
+
+def _sparse_apply(cols, v):
+    """M v for M given by its columns and v by its nonzero entries, both {index: elem}."""
+    out = {}
+    for c, x in v.items():
+        for i, a in cols[c].items():
+            s = out.get(i)
+            out[i] = a * x if s is None else s + a * x
+    return {i: s for i, s in out.items() if s}

@@ -9,11 +9,10 @@ over F_q (FqRing), and weight-k ones over K (KRing).
 Every elimination goes through one sparse Gauss-Jordan routine,
 :func:`_reduce`, behind both the kernel the cocycle solver calls
 (constraint systems over quotient graphs are tree-shaped, and ordered
-sparse elimination keeps them that way) and the dense
-:func:`kernel_basis`.  Kernel vectors are read off the reduced pivot
-rows as sparse dicts {col: nonzero elem}; only :func:`kernel_basis`
-writes them out as dense lists.  Characteristic polynomials use the
-division-free Berkowitz algorithm.
+sparse elimination keeps them that way) and the image chain of
+``hecke.nilpotency_diagnostics``.  Kernel vectors are read off the
+reduced pivot rows as sparse dicts {col: nonzero elem}.  Characteristic
+polynomials use the division-free Berkowitz algorithm.
 """
 
 from .fq import FqElem
@@ -114,18 +113,6 @@ class Matrix:
     def __neg__(self):
         return Matrix(self.ring, [[-a for a in row] for row in self.rows])
 
-    def __pow__(self, n):
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        result = Matrix.identity(self.ring, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def transpose(self):
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)])
 
@@ -152,18 +139,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in row) for row in self.rows)
         return f"Matrix[{body}]"
-
-
-def kernel_basis(matrix):
-    """Basis of the right kernel {v : M v = 0}, vectors over the field.
-
-    The dense rows are eliminated as sparse ones by :func:`_reduce`,
-    columns in the order 0..ncols-1; each basis vector is 1 at its own
-    free (non-pivot) column and 0 at the other free columns.
-    """
-    rows = [{c: x for c, x in enumerate(row) if x} for row in matrix.rows]
-    zero, cols = matrix.ring.zero, range(matrix.ncols)
-    return [[v.get(c, zero) for c in cols] for v in _kernel(rows, matrix.ncols, matrix.ring, cols)]
 
 
 class UPoly:
@@ -413,22 +388,12 @@ def sparse_kernel(rows, ncols, ring, col_order=None):
     Elimination (:func:`_reduce`) visits columns in ``col_order`` (default
     0..ncols-1) and keeps a full reduced form, so kernel vectors read off
     directly, as dicts {col: nonzero elem}, one per free column in order.
-    """
-    rows = [dict(r) for r in rows if r]
-    return _kernel(rows, ncols, ring, range(ncols) if col_order is None else col_order)
-
-
-def _kernel(rows, ncols, ring, col_order):
-    """The kernel of :func:`sparse_kernel`, eliminating ``rows`` in place.
-
     A reduced pivot row holds 1 at its pivot column c and otherwise free
     columns only: the vector of free column f is 1 at f and -x at c for
     each pivot row holding x at f, filled in one pass over those rows.
-
-    :func:`kernel_basis` calls this rather than :func:`sparse_kernel`,
-    which ``perfbench/tracing.py`` counts as the cocycle solve.
     """
-    pivots = _reduce(rows, col_order, ring)
+    rows = [dict(r) for r in rows if r]
+    pivots = _reduce(rows, range(ncols) if col_order is None else col_order, ring)
     basis = {f: {f: ring.one} for f in range(ncols) if f not in pivots}
     for c, p in pivots.items():
         for f, x in rows[p].items():

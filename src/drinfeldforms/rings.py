@@ -7,10 +7,9 @@ normalized by construction; deg(0) is the -infinity sentinel so valuation
 arithmetic needs no special cases.  Sums, products and quotients are int
 and ``bytes.translate`` operations wherever no byte slot can carry, and
 loops over the field's tables elsewhere.  Rational functions are stored
-reduced with a monic denominator.  Laurent expansions live at the place at
-infinity with uniformizer pi = 1/t; the expansion of a rational function
-to any finite precision is exact, and v_infinity itself is read off from
-degrees without expanding.
+reduced with a monic denominator.  At the place at infinity, with
+uniformizer pi = 1/t, v_infinity is read off from degrees, and a finite
+tail sum c * pi^e is rebuilt as an element of K without a gcd.
 """
 
 from itertools import product
@@ -540,134 +539,8 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-def vt(x):
-    """t-adic order of vanishing at t = 0 for Poly or RatFunc input."""
-    if isinstance(x, Poly):
-        return x.vt()
-    if isinstance(x, RatFunc):
-        return x.vt()
-    raise TypeError(f"vt expects Poly or RatFunc, got {type(x)!r}")
-
-
-def bar_vt(c):
-    """Capped valuation of a residue class (independent of the lift)."""
-    return c.bar_vt()
-
-
-class Laurent:
-    """Truncated expansion at infinity: sum coeffs[i] * pi^(lead+i), pi = 1/t.
-
-    ``coeffs`` holds exactly ``precision`` known terms; the first is nonzero
-    unless the series is identically zero to this precision.
-    """
-
-    __slots__ = ("fq", "lead", "coeffs")
-
-    def __init__(self, fq, lead, coeffs):
-        coeffs = tuple(coeffs)
-        # strip leading zeros into the exponent so the invariant holds
-        while coeffs and coeffs[0] == 0:
-            lead += 1
-            coeffs = coeffs[1:]
-        self.fq = fq
-        self.lead = lead if coeffs else 0
-        self.coeffs = coeffs
-
-    @property
-    def precision(self):
-        return len(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, exp):
-        i = exp - self.lead
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def terms(self):
-        return tuple((self.lead + i, c) for i, c in enumerate(self.coeffs) if c)
-
-    def mul(self, other):
-        """Product, truncated to the honestly shared precision."""
-        if self.is_zero() or other.is_zero():
-            return Laurent(self.fq, 0, ())
-        prec = min(self.precision, other.precision)
-        fq = self.fq
-        out = [0] * prec
-        for i, a in enumerate(self.coeffs[:prec]):
-            if a:
-                for j, b in enumerate(other.coeffs[:prec]):
-                    if b and i + j < prec:
-                        out[i + j] = fq.add(out[i + j], fq.mul(a, b))
-        return Laurent(fq, self.lead + other.lead, out)
-
-    def is_one_to_precision(self):
-        return self.lead == 0 and bool(self.coeffs) and self.coeffs[0] == 1 and all(
-            c == 0 for c in self.coeffs[1:]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Laurent)
-            and self.lead == other.lead
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.lead, self.coeffs))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Laurent(0)"
-        ts = " + ".join(f"{c}*pi^{self.lead + i}" for i, c in enumerate(self.coeffs) if c)
-        return f"Laurent({ts})"
-
-
-def laurent_expand(x, precision):
-    """Exact expansion of x in K at infinity to ``precision`` terms.
-
-    The leading exponent is deg(den) - deg(num).  Both reversed numerator
-    and denominator have nonzero constant term, so a plain power-series
-    division in pi produces the expansion.
-    """
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    fq = x.fq
-    if x.is_zero():
-        return Laurent(fq, 0, ())
-    num, den = x.num, x.den
-    lead = den.degree - num.degree
-    rn = tuple(reversed(num.coeffs))
-    rd = tuple(reversed(den.coeffs))
-    out = []
-    acc = list(rn[:precision]) + [0] * max(0, precision - len(rn))
-    inv0 = fq.inv(rd[0])
-    for i in range(precision):
-        c = fq.mul(acc[i], inv0)
-        out.append(c)
-        if c:
-            for j in range(1, min(len(rd), precision - i)):
-                acc[i + j] = fq.sub(acc[i + j], fq.mul(c, rd[j]))
-    return Laurent(fq, lead, out)
-
-
-def laurent_tail(x, below):
-    """Terms of the expansion of x with exponent < ``below``, as a tuple.
-
-    This is the canonical representative of x modulo pi^below * O.
-    """
-    if x.is_zero():
-        return ()
-    v = x.v_inf()
-    n_terms = below - v
-    if n_terms <= 0:
-        return ()
-    series = laurent_expand(x, n_terms)
-    return series.terms()
-
-
 def tail_to_ratfunc(fq, tail):
-    """Rebuild the finite Laurent polynomial sum c * t^(-exp) as an element of K.
+    """Rebuild the finite tail sum c * t^(-exp) as an element of K.
 
     The result is num / t^E with E = max(0, max exp).  A canonical tail has
     nonzero coefficients, so num has the nonzero constant term c_E whenever

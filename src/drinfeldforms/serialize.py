@@ -57,14 +57,6 @@ def parse_poly(fq, text):
     return Poly(fq, out)
 
 
-def poly_to_json(p):
-    return list(p.coeffs)
-
-
-def poly_from_json(fq, data):
-    return Poly(fq, [int(c) for c in data])
-
-
 def entry_json(x):
     """A matrix entry as a rational function; an F_q element c is c/1."""
     if isinstance(x, RatFunc):

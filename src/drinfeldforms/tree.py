@@ -142,16 +142,6 @@ class Edge:
         return f"Edge({self.origin} -> {self.terminus})"
 
 
-def is_adjacent(u, v):
-    if u.r == v.r + 1:
-        u, v = v, u
-    if v.r != u.r + 1:
-        return False
-    below = tuple((e, c) for e, c in v.tail if e < u.r)
-    rest = tuple(e for e, _ in v.tail if e >= u.r)
-    return below == u.tail and all(e == u.r for e in rest)
-
-
 def apply_vertex(g, v, fq):
     """Canonical form of g applied to v; g is 2x2 over A, det != 0.
 
@@ -285,17 +275,13 @@ def reduce_vertex(v, fq):
     return _euclid(m, 0, deg_det, fq)[:2]
 
 
-def reduce_image(g, i, fq):
+def _reduce_image(g, i, deg_det, fq):
     """(gamma, j, sign) with gamma in SL_2(A) and gamma g(e_i) = sign * e_j, j >= 0.
 
-    g is over A with det != 0.  Euclid takes g(v_i) to v_j, and the
-    terminus h(v_{i+1}), h = gamma g, is then a neighbor of v_j.
+    g is over A with det != 0 of degree ``deg_det``.  Euclid takes g(v_i)
+    to v_j, and the terminus h(v_{i+1}), h = gamma g, is then a neighbor
+    of v_j.
     """
-    return _reduce_image(g, i, _det_degree(g), fq)
-
-
-def _reduce_image(g, i, deg_det, fq):
-    """reduce_image for a g whose determinant has degree ``deg_det``."""
     gamma, j, h = _euclid(g, i, deg_det, fq)
     term = _act(h, deg_det, Vertex.standard(i + 1), fq)
     if term.r == -j - 1:

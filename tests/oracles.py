@@ -13,9 +13,16 @@ None of this is used by ``drinfeldforms`` itself:
   closed-form stabilizer classes;
 * Euclid's walk on the exact fraction num/den of a vertex's tail
   (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
-  the tree layer's Euclid on matrices over A.
+  the tree layer's Euclid on matrices over A;
+* truncated Laurent expansions at infinity (:class:`Laurent`,
+  :func:`laurent_expand`, :func:`laurent_tail`), the oracle for the tree
+  layer's tails and for ``tail_to_ratfunc``;
+* U_t^(d-r) by repeated squaring and its kernel by Bareiss
+  (:func:`nilpotency_oracle`), the oracle for the image chain of
+  ``hecke.nilpotency_diagnostics``.
 """
 
+from drinfeldforms.linalg import Matrix
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, poly_gcd, tail_to_ratfunc
 from drinfeldforms.tree import apply_vertex
@@ -263,3 +270,152 @@ def reduce_edge_oracle(e, fq):
     if j == 0:
         return Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b), 0, 1
     return gamma, j - 1, -1
+
+
+class Laurent:
+    """Truncated expansion at infinity: sum coeffs[i] * pi^(lead+i), pi = 1/t.
+
+    ``coeffs`` holds exactly ``precision`` known terms; the first is nonzero
+    unless the series is identically zero to this precision.
+    """
+
+    __slots__ = ("fq", "lead", "coeffs")
+
+    def __init__(self, fq, lead, coeffs):
+        coeffs = tuple(coeffs)
+        # strip leading zeros into the exponent so the invariant holds
+        while coeffs and coeffs[0] == 0:
+            lead += 1
+            coeffs = coeffs[1:]
+        self.fq = fq
+        self.lead = lead if coeffs else 0
+        self.coeffs = coeffs
+
+    @property
+    def precision(self):
+        return len(self.coeffs)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def coeff(self, exp):
+        i = exp - self.lead
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def terms(self):
+        return tuple((self.lead + i, c) for i, c in enumerate(self.coeffs) if c)
+
+    def mul(self, other):
+        """Product, truncated to the honestly shared precision."""
+        if self.is_zero() or other.is_zero():
+            return Laurent(self.fq, 0, ())
+        prec = min(self.precision, other.precision)
+        fq = self.fq
+        out = [0] * prec
+        for i, a in enumerate(self.coeffs[:prec]):
+            if a:
+                for j, b in enumerate(other.coeffs[:prec]):
+                    if b and i + j < prec:
+                        out[i + j] = fq.add(out[i + j], fq.mul(a, b))
+        return Laurent(fq, self.lead + other.lead, out)
+
+    def is_one_to_precision(self):
+        return self.lead == 0 and bool(self.coeffs) and self.coeffs[0] == 1 and all(
+            c == 0 for c in self.coeffs[1:]
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Laurent)
+            and self.lead == other.lead
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.lead, self.coeffs))
+
+    def __repr__(self):
+        if self.is_zero():
+            return "Laurent(0)"
+        ts = " + ".join(f"{c}*pi^{self.lead + i}" for i, c in enumerate(self.coeffs) if c)
+        return f"Laurent({ts})"
+
+
+def laurent_expand(x, precision):
+    """Exact expansion of x in K at infinity to ``precision`` terms.
+
+    The leading exponent is deg(den) - deg(num).  Both reversed numerator
+    and denominator have nonzero constant term, so a plain power-series
+    division in pi produces the expansion.
+    """
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    fq = x.fq
+    if x.is_zero():
+        return Laurent(fq, 0, ())
+    num, den = x.num, x.den
+    lead = den.degree - num.degree
+    rn = tuple(reversed(num.coeffs))
+    rd = tuple(reversed(den.coeffs))
+    out = []
+    acc = list(rn[:precision]) + [0] * max(0, precision - len(rn))
+    inv0 = fq.inv(rd[0])
+    for i in range(precision):
+        c = fq.mul(acc[i], inv0)
+        out.append(c)
+        if c:
+            for j in range(1, min(len(rd), precision - i)):
+                acc[i + j] = fq.sub(acc[i + j], fq.mul(c, rd[j]))
+    return Laurent(fq, lead, out)
+
+
+def laurent_tail(x, below):
+    """Terms of the expansion of x with exponent < ``below``, as a tuple.
+
+    This is the canonical representative of x modulo pi^below * O.
+    """
+    if x.is_zero():
+        return ()
+    v = x.v_inf()
+    n_terms = below - v
+    if n_terms <= 0:
+        return ()
+    series = laurent_expand(x, n_terms)
+    return series.terms()
+
+
+def nilpotency_oracle(ut):
+    """The nonordinary-nilpotency record from U_t^(d-r) and its kernel.
+
+    The power is formed by dense repeated squaring and its kernel by
+    Bareiss; the index is the number of applications of U_t that take a
+    basis of that kernel to zero.
+    """
+    ctx = ut.ctx
+    matrix = ut.matrix
+    d = ut.size
+    r = ctx.ordinary_rank()
+    n = max(d - r, 0)
+    power, base = Matrix.identity(matrix.ring, d), matrix
+    while n:
+        if n & 1:
+            power = power * base
+        base = base * base
+        n >>= 1
+    vecs = bareiss_kernel(power) if d - r > 0 else []
+    dim_nilp = len(vecs)
+    index = 0
+    while any(any(x for x in v) for v in vecs):
+        index += 1
+        vecs = [matrix.apply(v) for v in vecs]
+    return {
+        "lemma": "nonordinary-nilpotency",
+        "params": {"q": ctx.q, "n": ctx.n, "k": ut.k},
+        "status": dim_nilp == d - r and index <= d - r,
+        "nilpotent_dimension": dim_nilp,
+        "nilpotency_index": index,
+        "note": (
+            "the doubly-cusp-vanishing subspace is not computed at this scale; "
+            "the nilpotent block of U_t is its indirect witness"
+        ),
+    }

@@ -313,16 +313,16 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_json_schema_roundtrip():
-    from drinfeldforms.serialize import entry_json, poly_from_json, poly_to_json
+    from drinfeldforms.serialize import entry_json
     from drinfeldforms.rings import RatFunc
 
     fq = field(3)
     p = parse_poly(fq, "2*t^3+t+1")
-    assert poly_from_json(fq, poly_to_json(p)) == p
     x = RatFunc(p, Poly.t(fq))
     data = entry_json(x)
-    assert poly_from_json(fq, data["num"]) == x.num
-    assert poly_from_json(fq, data["den"]) == x.den
+    assert data == {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
+    assert Poly(fq, data["num"]) == x.num == p
+    assert Poly(fq, data["den"]) == x.den
     # an F_q entry is written as the constant rational function it is
     for c in fq.elements():
         assert entry_json(fq.elem(c)) == entry_json(RatFunc.constant(fq, c))

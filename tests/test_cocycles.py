@@ -99,9 +99,9 @@ def test_too_small_depth_is_detected():
 def test_delta_basis_property(cache):
     space = cache.space(2, 2, 2)
     ring = space.ring
-    labels = space.labels()
-    for j, (c, d) in enumerate(labels):
-        rep = space.stable_rep_edge(c, d)
+    graph = space.graph
+    for j, (c, d) in enumerate(space.ctx.label_pairs()):
+        rep = graph.edge_orbits[graph.seed_keys[(c.coeffs, d.coeffs)]].rep
         for i, cocycle in enumerate(space.basis):
             val = space.evaluate(cocycle, rep)[0]
             assert val == (ring.one if i == j else ring.zero)
@@ -122,7 +122,7 @@ def test_weight2_invariance_under_group(cache):
     ctx = space.ctx
     rng = random.Random(3)
     c = space.basis[0]
-    base = space.stable_rep_edge(*space.labels()[0])
+    base = space.graph.edge_orbits[space.stable_keys[0]].rep
     for _ in range(10):
         gamma = rand_gamma(ctx, rng)
         assert space.evaluate(c, apply_edge(gamma, base, ctx.fq)) == space.evaluate(c, base)

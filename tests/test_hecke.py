@@ -17,6 +17,7 @@ from drinfeldforms.hecke import (
 from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
+from oracles import nilpotency_oracle
 
 
 def t_plus_one(q):
@@ -338,11 +339,67 @@ def test_nilpotency_diagnostics(cache):
     assert diag3["status"] is False
 
 
-@pytest.mark.parametrize("n,dim,index", [(3, 12, 5), (4, 56, 8)])
+@pytest.mark.parametrize("n,dim,index", [(3, 12, 5), (4, 56, 8), (5, 240, 13)])
 def test_nilpotency_diagnostics_pinned(cache, n, dim, index):
     diag = nilpotency_diagnostics(cache.engine(2, n, 2).u_t())
     assert (diag["nilpotent_dimension"], diag["nilpotency_index"]) == (dim, index)
     assert diag["status"] is True
+
+
+@pytest.mark.parametrize(
+    "q,n", [(q, n) for q in (2, 3, 4, 5, 7) for n in (1, 2)] + [(2, 3), (3, 3)]
+)
+def test_image_chain_matches_the_power_and_kernel_oracle(q, n, cache):
+    ut = cache.engine(q, n, 2).u_t()
+    assert nilpotency_diagnostics(ut) == nilpotency_oracle(ut)
+
+
+def _block_diagonal(fq, blocks):
+    """A weight-2 U_t over F_q from square blocks of 0/1 codes."""
+    d = sum(len(b) for b in blocks)
+    rows = [[FqElem(fq, 0)] * d for _ in range(d)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, code in enumerate(row):
+                rows[at + i][at + j] = FqElem(fq, code)
+        at += len(block)
+    return rows
+
+
+def _jordan(size):
+    """The nilpotent Jordan block of the given size: 1 just above the diagonal."""
+    return [[int(j == i + 1) for j in range(size)] for i in range(size)]
+
+
+def _identity(size):
+    return [[int(i == j) for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize(
+    "blocks,want",
+    [
+        # U = I: no nilpotent part, reached at j = 0
+        ([_identity(4)], (0, 0, False)),
+        # U = 0: all of the space dies at the first step
+        ([[[0] * 4 for _ in range(4)]], (4, 1, False)),
+        # one Jordan block of size d - r: the chain runs all d - r steps
+        ([_jordan(4), _identity(2)], (4, 4, True)),
+        # two blocks of size 2: the rank repeats before j = d - r
+        ([_jordan(2), _jordan(2), _identity(2)], (4, 2, True)),
+        # d - r = 0 and d - r < 0: no step is taken
+        ([_identity(2)], (0, 0, True)),
+        ([[[0]]], (0, 0, False)),
+    ],
+    ids=["identity", "zero", "jordan-d-minus-r", "two-jordan", "d-equals-r", "d-below-r"],
+)
+def test_image_chain_on_hand_made_matrices(blocks, want):
+    ctx = group_context(2, 2)  # r = 2
+    rows = _block_diagonal(ctx.fq, blocks)
+    ut = OperatorMatrix("Ut", ctx, 2, Matrix(FqRing(ctx.fq), rows))
+    diag = nilpotency_diagnostics(ut)
+    assert (diag["nilpotent_dimension"], diag["nilpotency_index"], diag["status"]) == want
+    assert diag == nilpotency_oracle(ut) == nilpotency_diagnostics(_over_k(ut))
 
 
 def test_diamonds_act_nontrivially_on_ordinary_part(cache):

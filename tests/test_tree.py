@@ -9,7 +9,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import DeferredProduct, Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue, laurent_tail, tail_to_ratfunc
+from drinfeldforms.rings import Poly, RatFunc, Residue, tail_to_ratfunc
 from drinfeldforms.tree import (
     Edge,
     EdgeOrbit,
@@ -18,15 +18,15 @@ from drinfeldforms.tree import (
     Vertex,
     apply_edge,
     apply_vertex,
+    _reduce_image,
     classify_edge,
-    is_adjacent,
     parabolic_fixed_end,
     reduce_edge,
-    reduce_image,
     reduce_vertex,
 )
 from oracles import (
     ApartmentStabilizer,
+    laurent_tail,
     mod_tn,
     reduce_edge_oracle,
     reduce_vertex_oracle,
@@ -61,7 +61,7 @@ def test_adjacency_and_neighbors():
     v = Vertex.standard(2)
     nbrs = v.neighbors(fq)
     assert len(nbrs) == 4  # q + 1
-    assert all(is_adjacent(v, u) for u in nbrs)
+    assert all(u.parent() == v or v.parent() == u for u in nbrs)
     assert len(set(nbrs)) == 4
     child = v.child(2)
     assert child.parent() == v
@@ -255,14 +255,14 @@ def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
         want = reduce_edge_oracle(e, fq)
         assert reduce_edge(e, fq) == want
         assert reduce_edge(e.reverse(), fq) == reduce_edge_oracle(e.reverse(), fq)
-        assert reduce_image(g, i, fq) == want
+        assert _reduce_image(g, i, g.det().degree, fq) == want
         for v in (e.origin, e.terminus):
             assert reduce_vertex(v, fq) == reduce_vertex_oracle(v, fq)
         lam = rand_nonzero_poly(fq, rng)
         k = rng.randrange(3)
         scaled = Mat2(*(x * lam for x in g.entries())) * Mat2.diag(Poly.t_power(fq, k), one)
         e = apply_edge(scaled, Edge.standard(i), fq)
-        assert reduce_image(scaled, i, fq) == reduce_edge_oracle(e, fq)
+        assert _reduce_image(scaled, i, scaled.det().degree, fq) == reduce_edge_oracle(e, fq)
 
 
 def test_reduce_edge_rejects_non_adjacent_endpoints():
