@@ -339,28 +339,38 @@ class Coordinates:
             if key not in stable and graph.edge_orbits[key].depth <= safe_depth
         ]
         self.keys_needed = stable_keys + other
-        # safe row (key, s) -> [(j, nonzero entry of cocycle j)], filled from the supports
-        self.sparse_rows = {(key, s): [] for key in self.keys_needed for s in range(comp)}
-        for j, c in enumerate(space.basis):
-            for key, v in c.items():
-                for s, x in enumerate(v):
-                    if x and (key, s) in self.sparse_rows:
-                        self.sparse_rows[(key, s)].append((j, x))
+        # safe row (key, s) -> its position in safe-row order
+        rows = [(key, s) for key in self.keys_needed for s in range(comp)]
+        self.sparse_rows = {row: pos for pos, row in enumerate(rows)}
+        # cocycle j -> [((key, s), nonzero entry)], read off its support
+        self.columns = [
+            [((key, s), x) for key, v in c.items() for s, x in enumerate(v) if x] for c in space.basis
+        ]
 
     def coords(self, values):
-        """Read coordinates off the unit rows and verify every safe row."""
+        """Read coordinates off the unit rows and verify every safe row.
+
+        basis x coordinates, summed over the supports of the cocycles with a
+        nonzero coordinate, must equal the values on every safe row either
+        side reaches; a safe row neither side reaches is zero on both.
+        """
         ring = self.space.ring
         zero = self.space.zero_vector()
         x = [values.get(key, zero)[s] for key, s in self.space.unit_rows]
-        for (key, s), row in self.sparse_rows.items():
-            want = values.get(key, zero)[s]
-            got = ring.zero
-            for j, bij in row:
-                if x[j]:
-                    got = got + bij * x[j]
-            if got != want:
-                raise ReachError(
-                    f"operator image is inconsistent with the basis at row {key}, "
-                    "component %d: truncation depth too small" % s
-                )
+        got = {}
+        for xj, column in zip(x, self.columns):
+            if xj:
+                for row, bij in column:
+                    got[row] = got.get(row, ring.zero) + bij * xj
+        reached = {(key, s) for key, v in values.items() for s, want in enumerate(v) if want}
+        bad = [
+            row for row in reached.union(got) & self.sparse_rows.keys()
+            if got.get(row, ring.zero) != values.get(row[0], zero)[row[1]]
+        ]
+        if bad:
+            key, s = min(bad, key=self.sparse_rows.__getitem__)
+            raise ReachError(
+                f"operator image is inconsistent with the basis at row {key}, "
+                "component %d: truncation depth too small" % s
+            )
         return x

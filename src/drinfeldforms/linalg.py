@@ -89,14 +89,15 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
             z = self.ring.zero
+            # each right row's nonzero (j, b), read once per product
+            other_terms = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
             out = []
             for row in self.rows:
                 acc = [z] * other.ncols
-                for a, other_row in zip(row, other.rows):
+                for a, terms in zip(row, other_terms):
                     if a:
-                        for j, b in enumerate(other_row):
-                            if b:
-                                acc[j] = acc[j] + a * b
+                        for j, b in terms:
+                            acc[j] = acc[j] + a * b
                 out.append(acc)
             return Matrix(self.ring, out)
         return self.scale(other)
@@ -121,11 +122,13 @@ class Matrix:
 
     def apply(self, vec):
         z = self.ring.zero
+        terms = [(i, x) for i, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
             s = z
-            for a, x in zip(row, vec):
-                if a and x:
+            for i, x in terms:
+                a = row[i]
+                if a:
                     s = s + a * x
             out.append(s)
         return out

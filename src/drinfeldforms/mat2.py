@@ -1,7 +1,7 @@
 """2x2 matrices over A, A_n or K, with the handful of operations the
 group and tree code needs."""
 
-from .rings import Poly, RatFunc
+from .rings import Poly, RatFunc, int_add, int_mul, int_neg, packed
 
 
 class Mat2:
@@ -103,4 +103,38 @@ class DeferredProduct(Mat2):
         for f in self.factors[1:]:
             m = m * f
         self.a, self.b, self.c, self.d = m.a, m.b, m.c, m.d
+        return getattr(self, name)
+
+
+class RowOps(Mat2):
+    """gamma, the row operations ``ops`` applied to the identity, or adj(gamma) if ``inverted``.
+
+    Each op multiplies on the left: a packed b != 0 by (1, b; 0, 1), and 0
+    by J.  The entries are replayed on packed ints the first time one is read.
+    """
+
+    __slots__ = ("fq", "ops", "inverted")
+
+    def __init__(self, fq, ops, inverted=False):
+        self.fq = fq
+        self.ops = ops
+        self.inverted = inverted
+
+    def inverse_unimodular(self):
+        return RowOps(self.fq, self.ops, not self.inverted)
+
+    def __getattr__(self, name):
+        # reached only while the entry slots are still unset
+        if name not in Mat2.__slots__:
+            raise AttributeError(name)
+        fq = self.fq
+        a, b, c, d = 1, 0, 0, 1
+        for op in self.ops:
+            if op:
+                a, b = int_add(fq, a, int_mul(fq, op, c)), int_add(fq, b, int_mul(fq, op, d))
+            else:
+                a, b, c, d = int_neg(fq, c), int_neg(fq, d), a, b
+        if self.inverted:
+            a, b, c, d = d, int_neg(fq, b), int_neg(fq, c), a
+        self.a, self.b, self.c, self.d = (packed(fq, x) for x in (a, b, c, d))
         return getattr(self, name)

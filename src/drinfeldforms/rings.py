@@ -6,10 +6,13 @@ Zero coefficients above the degree take no bytes, so the packing is
 normalized by construction; deg(0) is the -infinity sentinel so valuation
 arithmetic needs no special cases.  Sums, products and quotients are int
 and ``bytes.translate`` operations wherever no byte slot can carry, and
-loops over the field's tables elsewhere.  Rational functions are stored
-reduced with a monic denominator.  At the place at infinity, with
-uniformizer pi = 1/t, v_infinity is read off from degrees, and a finite
-tail sum c * pi^e is rebuilt as an element of K without a gcd.
+loops over the field's tables elsewhere.  They are the functions
+``int_add``, ``int_neg``, ``int_mul`` and ``int_divmod`` of (fq, x, y) on
+packed ints: Poly's own operators wrap them, and a loop that runs many
+steps on packed ints (the tree walk) calls them directly, so each
+operation has one implementation.  Rational functions are stored reduced
+with a monic denominator.  At the place at infinity, with uniformizer
+pi = 1/t, v_infinity is read off from degrees.
 """
 
 from itertools import product
@@ -35,6 +38,105 @@ def _mod2(x):
     return x & (_ONES if size <= _ONES_BYTES else int.from_bytes(b"\1" * size, "little"))
 
 
+def _codes(x):
+    """The bytes of the packed int x: its coefficient codes, ascending."""
+    return x.to_bytes((x.bit_length() + 7) >> 3, "little")
+
+
+def int_add(fq, x, y):
+    """The packed sum of the polynomials packed in x and y."""
+    if fq.p == 2:
+        return x ^ y
+    if fq.kron_bits:
+        return _translate(x + y, fq.mod_p_bytes)
+    a, b = _codes(x), _codes(y)
+    if len(a) < len(b):
+        a, b = b, a
+    add = fq._add
+    out = bytearray(a)
+    for i, c in enumerate(b):
+        out[i] = add[out[i]][c]
+    return int.from_bytes(out, "little")
+
+
+def int_neg(fq, x):
+    """The packed negative of the polynomial packed in x."""
+    return x if fq.p == 2 else _translate(x, fq.neg_bytes)
+
+
+def int_mul(fq, x, y):
+    """The packed product of the polynomials packed in x and y."""
+    if not x or not y:
+        return 0
+    if min(x.bit_length(), y.bit_length()) <= fq.kron_bits:
+        # no byte slot of the int product exceeds min(len) (p - 1)^2 <= 255
+        if fq.q == 2:
+            return _mod2(x * y)
+        return _translate(x * y, fq.mod_p_bytes)
+    a, b = _codes(x), _codes(y)
+    if len(a) > len(b):
+        a, b = b, a
+    add, mul = fq._add, fq._mul
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    out = bytearray(len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            row = mul[ai]
+            for j, bj in terms:
+                out[i + j] = add[out[i + j]][row[bj]]
+    return int.from_bytes(out, "little")
+
+
+def int_divmod(fq, x, y):
+    """(quotient, remainder) of the polynomials packed in x and y, packed."""
+    if not y:
+        raise ZeroDivisionError("polynomial division by zero")
+    degd = (y.bit_length() - 1) >> 3
+    top = (x.bit_length() - 1) >> 3
+    if top < degd:
+        return 0, x
+    if fq.q == 2:
+        # each step clears the top byte of the remainder
+        quo = 0
+        while top >= degd:
+            k = 8 * (top - degd)
+            quo |= 1 << k
+            x ^= y << k
+            top = (x.bit_length() - 1) >> 3
+        return quo, x
+    if fq.kron_bits:
+        # add f (-y) t^k for the top term f t^k of the quotient; its
+        # bytes are at most (p - 1)^2, so x + f (-y) t^k carries
+        # nowhere while p (p - 1) <= 255, as it is for p <= 13
+        mod = fq.mod_p_bytes
+        by_lead = fq._mul[fq._inv[y >> 8 * degd]]
+        neg_y = _translate(y, fq.neg_bytes)
+        quo = 0
+        while top >= degd:
+            k = 8 * (top - degd)
+            f = by_lead[x >> 8 * top]
+            quo |= f << k
+            x = _translate(x + (f * neg_y << k), mod)
+            top = (x.bit_length() - 1) >> 3
+        return quo, x
+    b = _codes(y)
+    add, mul, neg = fq._add, fq._mul, fq._neg
+    by_lead = mul[fq._inv[b[-1]]]
+    # the nonzero lower coefficients of -y; the leading one cancels
+    terms = [(j, neg[bj]) for j, bj in enumerate(b[:-1]) if bj]
+    rem = bytearray(_codes(x))
+    quo = bytearray(len(rem) - degd)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + degd]
+        if c:
+            f = by_lead[c]
+            quo[k] = f
+            row = mul[f]
+            for j, nbj in terms:
+                rem[k + j] = add[rem[k + j]][row[nbj]]
+    return int.from_bytes(quo, "little"), int.from_bytes(rem[:degd], "little")
+
+
 _new = object.__new__
 
 
@@ -49,8 +151,8 @@ def packed(fq, x):
 class Poly:
     """Element of A = F_q[t], packed into the int ``x`` (byte i: code of t^i).
 
-    ``coeffs`` decodes ``x`` to the ascending coefficient tuple.  Negation
-    and scaling translate the bytes, and addition is ``x ^ y`` in
+    ``coeffs`` decodes ``x``, and the operators wrap the int kernels above.
+    Negation and scaling translate the bytes, and addition is ``x ^ y`` in
     characteristic 2.  Over a prime field F_p with p <= 13 (``Fq.kron_bits``
     nonzero) a sum is the int sum with every byte reduced mod p, a product
     is the int product reduced mod p while the shorter factor has at most
@@ -92,8 +194,7 @@ class Poly:
     @property
     def coeffs(self):
         """Ascending coefficient codes, with a nonzero last entry."""
-        x = self.x
-        return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
+        return tuple(_codes(self.x))
 
     @property
     def degree(self):
@@ -129,52 +230,16 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        fq = self.fq
-        if fq.p == 2:
-            return packed(fq, self.x ^ other.x)
-        if fq.kron_bits:
-            return packed(fq, _translate(self.x + other.x, fq.mod_p_bytes))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = fq._add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add[out[i]][c]
-        return Poly(fq, out)
+        return packed(self.fq, int_add(self.fq, self.x, other.x))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        fq = self.fq
-        if fq.p == 2:
-            return self  # -1 = 1, and a Poly is immutable
-        return packed(fq, _translate(self.x, fq.neg_bytes))
+        return packed(self.fq, int_neg(self.fq, self.x))
 
     def __mul__(self, other):
-        fq = self.fq
-        x, y = self.x, other.x
-        if not x or not y:
-            return packed(fq, 0)
-        if min(x.bit_length(), y.bit_length()) <= fq.kron_bits:
-            # no byte slot of the int product exceeds min(len) (p - 1)^2 <= 255
-            if fq.q == 2:
-                return packed(fq, _mod2(x * y))
-            return packed(fq, _translate(x * y, fq.mod_p_bytes))
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        add = fq._add
-        mul = fq._mul
-        terms = [(j, bj) for j, bj in enumerate(b) if bj]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                row = mul[ai]
-                for j, bj in terms:
-                    out[i + j] = add[out[i + j]][row[bj]]
-        return Poly(fq, out)
+        return packed(self.fq, int_mul(self.fq, self.x, other.x))
 
     def scale(self, code):
         if code == 1:
@@ -186,55 +251,8 @@ class Poly:
         return packed(self.fq, self.x << 8 * k)
 
     def __divmod__(self, other):
-        y = other.x
-        if not y:
-            raise ZeroDivisionError("polynomial division by zero")
-        fq = self.fq
-        x = self.x
-        degd = (y.bit_length() - 1) >> 3
-        top = (x.bit_length() - 1) >> 3
-        if top < degd:
-            return packed(fq, 0), self
-        if fq.q == 2:
-            # each step clears the top byte of the remainder
-            quo = 0
-            while top >= degd:
-                k = 8 * (top - degd)
-                quo |= 1 << k
-                x ^= y << k
-                top = (x.bit_length() - 1) >> 3
-            return packed(fq, quo), packed(fq, x)
-        if fq.kron_bits:
-            # add f (-other) t^k for the top term f t^k of the quotient; its
-            # bytes are at most (p - 1)^2, so x + f (-other) t^k carries
-            # nowhere while p (p - 1) <= 255, as it is for p <= 13
-            mod = fq.mod_p_bytes
-            by_lead = fq._mul[fq._inv[y >> 8 * degd]]
-            neg_y = _translate(y, fq.neg_bytes)
-            quo = 0
-            while top >= degd:
-                k = 8 * (top - degd)
-                f = by_lead[x >> 8 * top]
-                quo |= f << k
-                x = _translate(x + (f * neg_y << k), mod)
-                top = (x.bit_length() - 1) >> 3
-            return packed(fq, quo), packed(fq, x)
-        b = other.coeffs
-        add, mul, neg = fq._add, fq._mul, fq._neg
-        by_lead = mul[fq._inv[b[-1]]]
-        # the nonzero lower coefficients of -other; the leading one cancels
-        terms = [(j, neg[bj]) for j, bj in enumerate(b[:-1]) if bj]
-        rem = list(self.coeffs)
-        quo = [0] * (len(rem) - degd)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + degd]
-            if c:
-                f = by_lead[c]
-                quo[k] = f
-                row = mul[f]
-                for j, nbj in terms:
-                    rem[k + j] = add[rem[k + j]][row[nbj]]
-        return Poly(fq, quo), Poly(fq, rem[:degd])
+        quo, rem = int_divmod(self.fq, self.x, other.x)
+        return packed(self.fq, quo), packed(self.fq, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -264,10 +282,6 @@ class Poly:
     def truncate(self, n):
         """Reduce modulo t^n (n >= 0)."""
         return packed(self.fq, self.x & ((1 << 8 * n) - 1))
-
-    def high(self, n):
-        """The terms of degree >= n (n >= 0): self minus its truncation mod t^n."""
-        return packed(self.fq, self.x & -(1 << 8 * n))
 
     def eval_code(self, x):
         """Evaluate at an F_q code."""
@@ -304,9 +318,10 @@ class Poly:
 
 
 def poly_gcd(a, b):
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    fq, x, y = a.fq, a.x, b.x
+    while y:
+        x, y = y, int_divmod(fq, x, y)[1]
+    return packed(fq, x).monic()
 
 
 def poly_xgcd(a, b):
@@ -538,18 +553,3 @@ class RatFunc:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
-
-def tail_to_ratfunc(fq, tail):
-    """Rebuild the finite tail sum c * t^(-exp) as an element of K.
-
-    The result is num / t^E with E = max(0, max exp).  A canonical tail has
-    nonzero coefficients, so num has the nonzero constant term c_E whenever
-    E > 0: the fraction is already in lowest terms and no gcd is taken.
-    """
-    if not tail:
-        return RatFunc.zero(fq)
-    shift = max(0, max(e for e, _ in tail))
-    num = 0
-    for e, c in tail:
-        num |= c << 8 * (shift - e)
-    return RatFunc(packed(fq, num), Poly.t_power(fq, shift), reduce=False)

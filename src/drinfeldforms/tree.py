@@ -8,37 +8,45 @@ v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
 
 The action runs over A, never over K: every matrix that acts has entries
 in A and a nonzero determinant, the lattice matrix is scaled by t^L to
-the integral t^L (pi^r, s; 0, 1), the new r is read off polynomial
-degrees, and the new tail is read off one division of polynomials, with
-no reduction of the fraction, so acting pays no gcd.
+the integral t^L (pi^r, s; 0, 1), whose entry s t^L is read off the tail
+as one packed int, the new r is read off polynomial degrees, and the new
+tail is read off one division of polynomials, with no reduction of the
+fraction, so acting pays no gcd.
 
 Reduction to the apartment is Euclid's algorithm on a matrix g over A
-with g(e_i) the edge to reduce: s is b/d (or a/c) of g diag(t^i, 1), the
+with g(e_i) the edge to reduce, run on the packed ints of its entries with
+no Poly built in the loop: s is b/d (or a/c) of g diag(t^i, 1), the
 quotient of one division is the polynomial part of s, killed by a
 translation in SL_2(A), and the remainder is inverted through
-J = (0 -1; 1 0), each a row operation on the accumulated gamma and on
-gamma g alike.  Each inversion strictly decreases r, so the walk
-terminates, and the terminus is then read off gamma g.  An operator
-image xi w0(e_i) is reduced from its matrix xi w0 directly.  A literal
-vertex v enters through its lattice matrix M_v = t^L (pi^r, s; 0, 1) =
-(t^(L-r), num t^(L-E); 0, t^L) over A, where s = num / t^E and
-L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at infinity, so
-the edge from v up to its parent is M_v(e_0), and its reverse -M_v(e_0).
-Orbits of Gamma_1(t^n) are canonicalized through
-the finite double coset Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is
-the apartment stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is
-determined by the bottom row mod t^n, and the orbit key is the
-lexicographically least right translate of that row.  That translate is a
-normal form, computed coefficient by coefficient with no enumeration of
-Sbar_i: a scales the first nonzero coefficient of c to 1, and b clears the
-coefficients of d from that position on as far as its degree allows.  At
-v_0, whose stabilizer is SL_2(F_q), the key is the least of the q + 1
-normal forms of row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
+J = (0 -1; 1 0).  Each inversion strictly decreases r, so the walk
+terminates.  gamma is kept as its row operations alone; an edge's walk
+also applies them to the other column of gamma g, and the terminus
+(gamma g)(v_(i+1)) is read off its degrees and one division.  An operator
+image xi w0(e_i) is reduced from xi w0, multiplied out on packed ints.
+A literal vertex v enters through its lattice matrix
+M_v = t^L (pi^r, s; 0, 1) = (t^(L-r), num t^(L-E); 0, t^L) over A, where
+s = num / t^E and L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at
+infinity, so the edge from v up to its parent is M_v(e_0), and its
+reverse -M_v(e_0).
+
+Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
+Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
+stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is determined by the
+bottom row mod t^n, and the orbit key is the lexicographically least right
+translate of that row.  That translate is a normal form, computed
+coefficient by coefficient with no enumeration of Sbar_i: a scales the
+first nonzero coefficient of c to 1, and b clears the coefficients of d
+from that position on as far as its degree allows.  At v_0, whose
+stabilizer is SL_2(F_q), the key is the least of the q + 1 normal forms of
+row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
 
 Every classification also produces an exact witness in SL_2(A)
-transporting the stored representative to the input; its lift in S_i is
-read off the two normal forms, and the product is multiplied out only
-when an entry is read (the trivial action on V_2 reads none).  Since SL_2
+transporting the stored representative to the input: w = gamma^-1 =
+adj gamma, a RowOps replayed only when an entry is read, times its lift in
+S_i, read off the two normal forms.  The key reads w's bottom row (-c, a)
+mod t^n alone, replayed from gamma's first column (a, c) mod t^n, and the
+product is multiplied out only when an entry is read (the trivial action
+on V_2 reads none).  Since SL_2
 preserves the parity of r, an orbit never contains an edge and its
 reversal, and orientation is carried as an explicit sign.
 
@@ -54,8 +62,8 @@ import copy
 from itertools import islice
 
 from .errors import ResourceBoundError
-from .mat2 import DeferredProduct, Mat2
-from .rings import Poly, graded_polys, poly_gcd, tail_to_ratfunc
+from .mat2 import DeferredProduct, Mat2, RowOps
+from .rings import NEG_INF, Poly, graded_polys, int_add, int_divmod, int_mul, int_neg, packed, poly_gcd
 
 POS_SIGN = 1
 NEG_SIGN = -1
@@ -168,7 +176,8 @@ def _det_degree(g):
 
 def _act(g, deg_det, v, fq):
     """apply_vertex for a g whose determinant has degree ``deg_det``."""
-    level, top = _lattice(v, fq)
+    level, top = _lattice(v)
+    top = packed(fq, top)
     c = g.c.shift(level - v.r)
     d = g.c * top + g.d.shift(level)
     deg_det += 2 * level - v.r
@@ -179,22 +188,24 @@ def _act(g, deg_det, v, fq):
     return Vertex(rp, _tail(g.a.shift(level - v.r), c, rp))
 
 
-def _lattice(v, fq):
+def _lattice(v):
     """(L, num t^(L - E)) for s = num / t^E, the tail's exact fraction, and L = max(E, r, 0).
 
-    t^L (pi^r, s; 0, 1) = (t^(L - r), num t^(L - E); 0, t^L) is then integral.
+    t^L (pi^r, s; 0, 1) = (t^(L - r), num t^(L - E); 0, t^L) is then
+    integral; num t^(L - E) is packed, with c t^(L - e) for each c pi^e.
     """
-    s = tail_to_ratfunc(fq, v.tail)
-    big_e = s.den.degree
+    big_e = max(0, max(e for e, _ in v.tail)) if v.tail else 0
     level = max(big_e, v.r, 0)
-    return level, s.num.shift(level - big_e)
+    top = 0
+    for e, c in v.tail:
+        top |= c << 8 * (level - e)
+    return level, top
 
 
-def _lattice_matrix(v, fq):
-    """(M_v, deg det M_v): M_v = t^L (pi^r, s; 0, 1) over A, so that M_v(v_0) = v."""
-    level, top = _lattice(v, fq)
-    m = Mat2(Poly.t_power(fq, level - v.r), top, Poly.zero(fq), Poly.t_power(fq, level))
-    return m, 2 * level - v.r
+def _lattice_matrix(v):
+    """(M_v, deg det M_v): M_v = t^L (pi^r, s; 0, 1) over A, packed, so that M_v(v_0) = v."""
+    level, top = _lattice(v)
+    return (1 << 8 * (level - v.r), top, 0, 1 << 8 * level), 2 * level - v.r
 
 
 def _tail(num, den, r):
@@ -210,101 +221,110 @@ def _tail(num, den, r):
     return tuple((m - k, quo[k]) for k in range(len(quo) - 1, low - 1, -1) if quo[k])
 
 
-def _translated(g, b):
-    """(1, b; 0, 1) g, by one row operation."""
-    return Mat2(g.a + b * g.c, g.b + b * g.d, g.c, g.d)
+def _packed_product(g, h, fq):
+    """The entries of g h, packed, for g and h over A."""
+    cols = ((h.a.x, h.c.x), (h.b.x, h.d.x))
+    return tuple(
+        int_add(fq, int_mul(fq, x.x, hx), int_mul(fq, y.x, hy))
+        for x, y in ((g.a, g.b), (g.c, g.d))
+        for hx, hy in cols
+    )
 
 
-def _inverted(g):
-    """J g = (-c, -d; a, b), by a row swap."""
-    return Mat2(-g.c, -g.d, g.a, g.b)
+def _deg(x):
+    """The degree of the polynomial packed in x."""
+    return (x.bit_length() - 1) >> 3 if x else NEG_INF
 
 
-def _euclid(g, i, deg_det, fq):
-    """(gamma, j, h): gamma in SL_2(A) with gamma g(v_i) = v_j, j >= 0, and h = gamma g.
+def _euclid(g, i, deg_det, fq, track=True):
+    """(ops, j, h): gamma g(v_i) = v_j, j >= 0, for gamma the product of the row operations ops.
 
-    g is over A with det of degree ``deg_det``, and g(v_i) is the vertex
-    of g diag(t^i, 1).  Its r and s are read off the entries as in _act:
-    s = num/den is b/d, or a/c when deg(c t^i) > deg d.  The polynomial
-    part of s (the expansion terms of exponent <= 0, less those in pi^r O)
-    is killed by a translation, and the fractional part rem/den, of
-    valuation v = deg den - deg rem, is inverted through J, which drops r
-    by 2v.  The walk stops when the fractional part lies in pi^r O.  Since
-    -1/s mod pi^(r - 2v) depends only on s mod pi^r, any matrix of the
-    vertex gives the same translations.
+    g = (a, b, c, d) is packed over A, with det of degree ``deg_det``, and
+    g(v_i) is the vertex of g diag(t^i, 1).  Its r and s are read off the
+    entries as in _act: s = num/den is b/d, or a/c when deg(c t^i) > deg d.
+    The polynomial part of s (the expansion terms of exponent <= 0, less
+    those in pi^r O) is killed by a translation, and the fractional part
+    rem/den, of valuation v = deg den - deg rem, is inverted through J,
+    which drops r by 2v.  The walk stops when the fractional part lies in
+    pi^r O.  Since -1/s mod pi^(r - 2v) depends only on s mod pi^r, any
+    matrix of the vertex gives the same translations.  ops are as in RowOps.
 
-    Each row operation is applied to gamma and to h.  From det h it
-    follows that after a step the other entry of the new bottom row has
-    degree no larger than the one s is read from, so s stays on the column
-    it starts on, and the translation leaves rem there: only the other
-    column (top, bottom) of h needs a product.
+    With ``track`` they are applied to g too, and h = gamma g is returned
+    packed (else None).  From det h it follows that after a step the other
+    entry of the new bottom row has degree no larger than the one s is read
+    from, so s stays on its column, and the translation leaves rem there:
+    only the other column (top, bottom) of h needs a product.
     """
+    a, b, c, d = g
     deg_det += i
-    left = g.c.degree + i > g.d.degree
-    if left:
-        num, den, top, bottom = g.a, g.c, g.b, g.d
-        r = 2 * (g.c.degree + i) - deg_det
-    else:
-        num, den, top, bottom = g.b, g.d, g.a, g.c
-        r = 2 * g.d.degree - deg_det
-    gamma = Mat2.identity_poly(fq)
+    left = _deg(c) + i > _deg(d)
+    num, den, top, bottom = (a, c, b, d) if left else (b, d, a, c)
+    r = 2 * max(_deg(c) + i, _deg(d)) - deg_det
+    ops = []
     while True:
-        quo, rem = divmod(num, den)
+        quo, rem = int_divmod(fq, num, den)
         # the terms of degree < 1 - r are exponents >= r, inside pi^r O
         low = max(1 - r, 0)
-        minus = -(quo.high(low) if low else quo)
+        minus = int_neg(fq, quo & -(1 << 8 * low))
         if minus:
-            gamma = _translated(gamma, minus)
-            top = top + minus * bottom
-        drop = den.degree - rem.degree
+            ops.append(minus)
+            if track:
+                top = int_add(fq, top, int_mul(fq, minus, bottom))
+        drop = _deg(den) - _deg(rem)
         if drop >= r:
+            if r > 0:
+                ops.append(0)
+            if not track:
+                return ops, abs(r), None
             # r <= 0 whenever low > 0, and then some quotient terms stay in num
-            num = num + minus * den if low else rem
-            h = Mat2(num, top, den, bottom) if left else Mat2(top, num, bottom, den)
-            if r <= 0:
-                return gamma, -r, h
-            return _inverted(gamma), r, _inverted(h)
+            num = int_add(fq, num, int_mul(fq, minus, den)) if low else rem
+            h = (num, top, den, bottom) if left else (top, num, bottom, den)
+            if r > 0:
+                h = (int_neg(fq, h[2]), int_neg(fq, h[3]), h[0], h[1])
+            return ops, abs(r), h
         r -= 2 * drop
-        num, den, top, bottom = -den, rem, -bottom, top
-        gamma = _inverted(gamma)
+        num, den = int_neg(fq, den), rem
+        if track:
+            top, bottom = int_neg(fq, bottom), top
+        ops.append(0)
 
 
 def reduce_vertex(v, fq):
-    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0."""
-    m, deg_det = _lattice_matrix(v, fq)
-    return _euclid(m, 0, deg_det, fq)[:2]
+    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0; gamma is a RowOps."""
+    g, deg_det = _lattice_matrix(v)
+    ops, j, _ = _euclid(g, 0, deg_det, fq, track=False)
+    return RowOps(fq, ops), j
 
 
 def _reduce_image(g, i, deg_det, fq):
     """(gamma, j, sign) with gamma in SL_2(A) and gamma g(e_i) = sign * e_j, j >= 0.
 
-    g is over A with det != 0 of degree ``deg_det``.  Euclid takes g(v_i)
-    to v_j, and the terminus h(v_{i+1}), h = gamma g, is then a neighbor
-    of v_j.
+    g = (a, b, c, d) is packed over A with det != 0 of degree ``deg_det``,
+    and gamma is a RowOps.  Euclid takes g(v_i) to v_j, and the terminus,
+    the vertex of h diag(t^(i+1), 1) for h = gamma g, is a neighbor of v_j:
+    r = -j - 1 (v_(j+1)) or -j + 1, read off degrees as in _act, and at
+    those r <= 1 its tail is the terms of degree >= 1 - r of one quotient,
+    none for v_(j+1) and at most c t^j for the child of v_j of digit c.
     """
-    gamma, j, h = _euclid(g, i, deg_det, fq)
-    term = _act(h, deg_det, Vertex.standard(i + 1), fq)
-    if term.r == -j - 1:
-        if term.tail:
-            raise AssertionError("non-adjacent edge endpoints")
-        return gamma, j, POS_SIGN
-    if term.r != -j + 1:
+    ops, j, (a, b, c, d) = _euclid(g, i, deg_det, fq)
+    r = 2 * max(_deg(c) + i + 1, _deg(d)) - deg_det - i - 1
+    num, den = (a, c) if _deg(c) + i + 1 > _deg(d) else (b, d)
+    up = r == -j - 1
+    code = int_divmod(fq, num, den)[0] >> 8 * (j + 2 if up else j)
+    if (code if up else code >> 8) or not (up or r == -j + 1):
         raise AssertionError("non-adjacent edge endpoints")
-    code = 0
-    for exp, c in term.tail:
-        if exp == -j:
-            code = c
-        elif c:
-            raise AssertionError("non-adjacent edge endpoints")
+    if up:
+        return RowOps(fq, ops), j, POS_SIGN
     if code:
-        gamma = _translated(gamma, Poly.constant(fq, fq.neg(code)).shift(j))
+        ops.append(int_neg(fq, code) << 8 * j)
     if j == 0:
-        return _inverted(gamma), 0, POS_SIGN
-    return gamma, j - 1, NEG_SIGN
+        ops.append(0)
+        return RowOps(fq, ops), 0, POS_SIGN
+    return RowOps(fq, ops), j - 1, NEG_SIGN
 
 
 def reduce_edge(e, fq):
-    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0.
+    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0; gamma is a RowOps.
 
     M_v fixes the end at infinity, so it takes e_0 = (v_0, v_1), whose
     terminus is its origin's parent, to (v, parent of v).  An edge going
@@ -317,8 +337,8 @@ def reduce_edge(e, fq):
         v, sign = e.terminus, NEG_SIGN
     else:
         raise AssertionError("non-adjacent edge endpoints")
-    m, deg_det = _lattice_matrix(v, fq)
-    gamma, i, image_sign = _reduce_image(m, 0, deg_det, fq)
+    g, deg_det = _lattice_matrix(v)
+    gamma, i, image_sign = _reduce_image(g, 0, deg_det, fq)
     return gamma, i, sign * image_sign
 
 
@@ -418,13 +438,14 @@ class TreeContext:
         self.n = ctx.n
         self._classify_cache = {}
         self._vreduce_cache = {}
+        self._mask = (1 << 8 * self.n) - 1
         self.e0 = Edge.standard(0)
 
     # -- keys ----------------------------------------------------------------
     def _normal_form(self, c, d, i):
         """(row, a, b): the least right translate of the bottom row (c, d) under S_i.
 
-        c and d are coefficient tuples, read mod t^n.  row is
+        c and d are packed polynomials of degree < n.  row is
         (c, d) (a, b; 0, a^-1) mod t^n as stripped coefficient tuples, the
         least of all such translates as tuples; b is a tuple of codes.  The
         translate is (a c, b c + a^-1 d).  With v = v_t(c) < n, a sets the
@@ -435,8 +456,8 @@ class TreeContext:
         """
         fq, n = self.fq, self.n
         mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
-        c = c[:n] + (0,) * (n - len(c))
-        d = d[:n] + (0,) * (n - len(d))
+        c = c.to_bytes(n, "little")
+        d = d.to_bytes(n, "little")
         v = next((p for p, x in enumerate(c) if x), n)
         if v == n:
             a = d[0]
@@ -453,41 +474,52 @@ class TreeContext:
                     row_d[p] = add[row_d[p]][times[c[p - j]]]
         return (_strip([mul[a][x] for x in c]), _strip(row_d)), a, tuple(b)
 
-    def vertex_key(self, w, j):
+    def vertex_key(self, c, d, j):
+        """The key of w(v_j) for w with bottom row (c, d) mod t^n, packed."""
         if j:
-            return (j, self._normal_form(w.c.coeffs, w.d.coeffs, j)[0])
+            return (j, self._normal_form(c, d, j)[0])
         # SL_2(F_q) is the union of the cosets rho Sbar_0 over
         # rho = (1, 0; x, 1) and J, and row rho is (c + x d, d) or (d, -c)
-        rows = [(w.c + w.d.scale(x), w.d) for x in self.fq.elements()]
-        rows.append((w.d, -w.c))
-        return (0, min(self._normal_form(c.coeffs, d.coeffs, 0)[0] for c, d in rows))
+        fq = self.fq
+        rows = [(int_add(fq, c, int_mul(fq, x, d)), d) for x in fq.elements()]
+        rows.append((d, int_neg(fq, c)))
+        return (0, min(self._normal_form(rc, rd, 0)[0] for rc, rd in rows))
+
+    def _row(self, w):
+        """The bottom row of w mod t^n, packed."""
+        return w.c.x & self._mask, w.d.x & self._mask
+
+    def _inverse_row(self, gamma):
+        """adj gamma's bottom row (-c, a) mod t^n, replaying only gamma's first column (a, c) mod t^n."""
+        fq, mask = self.fq, self._mask
+        a, c = 1, 0
+        for op in gamma.ops:
+            if op:
+                a = int_add(fq, a, int_mul(fq, op & mask, c)) & mask
+            else:
+                a, c = int_neg(fq, c), a
+        return int_neg(fq, c), a
 
     # -- reductions ------------------------------------------------------------
-    def _keyed(self, gamma, i, sign):
+    def keyed(self, gamma, i, sign):
         """(key, i, sign, w, nf) for gamma(e) = sign * e_i: w = gamma^-1, nf its row's normal form."""
-        w = gamma.inverse_unimodular()
-        nf = self._normal_form(w.c.coeffs, w.d.coeffs, i)
-        return (i, nf[0]), i, sign, w, nf
+        nf = self._normal_form(*self._inverse_row(gamma), i)
+        return (i, nf[0]), i, sign, gamma.inverse_unimodular(), nf
 
     def reduce_edge(self, e):
         """(key, i, sign, w, nf): w(sign * e_i) = e, and nf the normal form of w's row."""
         got = self._classify_cache.get(e)
         if got is None:
-            key, i, sign, w, nf = got = self._keyed(*reduce_edge(e, self.fq))
+            key, i, sign, w, nf = got = self.keyed(*reduce_edge(e, self.fq))
             self._classify_cache[e] = got
             self._classify_cache[Edge(e.terminus, e.origin)] = (key, i, -sign, w, nf)
         return got
-
-    def reduce_image(self, g, i, deg_det):
-        """reduce_edge of the edge g(e_i), read off g over A (deg det g = deg_det), uncached."""
-        return self._keyed(*_reduce_image(g, i, deg_det, self.fq))
 
     def reduce_vertex(self, v):
         got = self._vreduce_cache.get(v)
         if got is None:
             gamma, j = reduce_vertex(v, self.fq)
-            w = gamma.inverse_unimodular()
-            got = (self.vertex_key(w, j), j, w)
+            got = (self.vertex_key(*self._inverse_row(gamma), j), j, gamma.inverse_unimodular())
             self._vreduce_cache[v] = got
         return got
 
@@ -520,7 +552,7 @@ class TreeContext:
         if orbit.stab_order is not None:
             return
         w0 = orbit.w0
-        orbit.nf = self._normal_form(w0.c.coeffs, w0.d.coeffs, orbit.i)
+        orbit.nf = self._normal_form(*self._row(w0), orbit.i)
         lifts = self._stab_lifts(w0.c, orbit.i, self.n)
         orbit.stab_class_elements = [DeferredProduct(w0, lift, orbit.w0_inv) for lift in lifts]
         orbit.stab_order = self._stab_order(len(lifts), orbit.i)
@@ -586,8 +618,7 @@ class TreeContext:
         """
         fq, n = self.fq, self.n
         mul, add, neg = fq._mul, fq._add, fq._neg
-        c = w.c.coeffs[:n] + (0,) * (n - len(w.c.coeffs))
-        d = w.d.coeffs[:n] + (0,) * (n - len(w.d.coeffs))
+        c, d = (x.to_bytes(n, "little") for x in self._row(w))
         c0, d0 = c[0], d[0]
         if any(mul[ck][d0] != mul[dk][c0] for ck, dk in zip(c, d)):
             return []
@@ -733,9 +764,11 @@ class QuotientGraph:
         """classify(apply_edge(xi, orbit.rep)), computed from the image's matrix xi w0.
 
         orbit.rep is w0(e_i), so its image is (xi w0)(e_i), and no lattice
-        coordinates of it are formed.  ``deg_det`` = deg det xi = deg det(xi w0).
+        coordinates of it are formed: xi w0 is multiplied out on packed ints.
+        ``deg_det`` = deg det xi = deg det(xi w0).
         """
-        return self._lookup(*self.tree.reduce_image(xi * orbit.w0, orbit.i, deg_det))
+        g = _packed_product(xi, orbit.w0, self.ctx.fq)
+        return self._lookup(*self.tree.keyed(*_reduce_image(g, orbit.i, deg_det, self.ctx.fq)))
 
     def _lookup(self, key, i, sign, w, nf):
         orbit = self.edge_orbits.get(key)

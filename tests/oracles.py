@@ -16,7 +16,8 @@ None of this is used by ``drinfeldforms`` itself:
   the tree layer's Euclid on matrices over A;
 * truncated Laurent expansions at infinity (:class:`Laurent`,
   :func:`laurent_expand`, :func:`laurent_tail`), the oracle for the tree
-  layer's tails and for ``tail_to_ratfunc``;
+  layer's tails and for :func:`tail_to_ratfunc`, the exact fraction of a
+  tail, which the other oracles start from;
 * U_t^(d-r) by repeated squaring and its kernel by Bareiss
   (:func:`nilpotency_oracle`), the oracle for the image chain of
   ``hecke.nilpotency_diagnostics``.
@@ -24,7 +25,7 @@ None of this is used by ``drinfeldforms`` itself:
 
 from drinfeldforms.linalg import Matrix
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, poly_gcd, tail_to_ratfunc
+from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, packed, poly_gcd
 from drinfeldforms.tree import apply_vertex
 
 
@@ -219,6 +220,22 @@ def sl2fq_classes(fq, n):
     return got
 
 
+def tail_to_ratfunc(fq, tail):
+    """Rebuild the finite tail sum c * t^(-exp) as an element of K.
+
+    The result is num / t^E with E = max(0, max exp).  A canonical tail has
+    nonzero coefficients, so num has the nonzero constant term c_E whenever
+    E > 0: the fraction is already in lowest terms and no gcd is taken.
+    """
+    if not tail:
+        return RatFunc.zero(fq)
+    shift = max(0, max(e for e, _ in tail))
+    num = 0
+    for e, c in tail:
+        num |= c << 8 * (shift - e)
+    return RatFunc(packed(fq, num), Poly.t_power(fq, shift), reduce=False)
+
+
 def reduce_vertex_oracle(v, fq):
     """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0.
 
@@ -236,7 +253,7 @@ def reduce_vertex_oracle(v, fq):
         quo, rem = divmod(num, den)
         # the terms of degree < 1 - r are exponents >= r, inside pi^r O
         low = max(1 - r, 0)
-        b = quo.high(low) if low else quo
+        b = quo - quo.truncate(low)
         if b:
             gamma = Mat2(gamma.a - b * gamma.c, gamma.b - b * gamma.d, gamma.c, gamma.d)
         drop = den.degree - rem.degree

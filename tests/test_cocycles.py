@@ -9,7 +9,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.linalg import FqRing, Matrix
 from drinfeldforms.hecke import HeckeEngine
-from drinfeldforms.mat2 import DeferredProduct, Mat2
+from drinfeldforms.mat2 import DeferredProduct, Mat2, RowOps
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
 from oracles import inverse_k
@@ -309,19 +309,16 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     # V_2 never reads a witness or a stabilizer element, so building the
     # space and U_t forms no Mat2 product inside classify, classify_image
     # or edge_stab_generators, and no deferred product is multiplied out
-    # later.  The one product classify_image forms is xi w0, the matrix of
-    # the image itself.
+    # later.  classify_image multiplies xi w0 out on packed ints, so it forms
+    # no Mat2 product either.  A witness w from a reduction is kept as its
+    # row operations (RowOps), and none made inside those calls is replayed,
+    # then or later.
     seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0, "images": 0}
-    image_matrices = []  # (xi, w0) of each open classify_image call
+    made = []  # the RowOps formed inside the calls, kept alive so their ids stay theirs
     mul = Mat2.__mul__
 
     def counting_mul(self, other):
-        pending = image_matrices[-1] if image_matrices else None
-        if pending is not None and pending[0] is self and pending[1] is other:
-            image_matrices[-1] = None
-            seen["images"] += 1
-        else:
-            seen["inside"] += bool(seen["depth"])
+        seen["inside"] += bool(seen["depth"])
         return mul(self, other)
 
     monkeypatch.setattr(Mat2, "__mul__", counting_mul)
@@ -335,15 +332,11 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
         def wrapped(*args, _fn=fn, _image=name == "classify_image"):
             seen["depth"] += 1
             seen["calls"] += 1
-            if _image:
-                _, xi, orbit, _ = args
-                image_matrices.append((xi, orbit.w0))
+            seen["images"] += _image
             try:
                 return _fn(*args)
             finally:
                 seen["depth"] -= 1
-                if _image:
-                    image_matrices.pop()
 
         monkeypatch.setattr(cls, name, wrapped)
     read = DeferredProduct.__getattr__
@@ -353,9 +346,23 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
         return read(self, name)
 
     monkeypatch.setattr(DeferredProduct, "__getattr__", counting_read)
+    init, replay = RowOps.__init__, RowOps.__getattr__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        if seen["depth"]:
+            made.append(self)
+
+    def counting_replay(self, name):
+        seen["read"] += bool(seen["depth"]) or any(self is m for m in made)
+        return replay(self, name)
+
+    monkeypatch.setattr(RowOps, "__init__", recording_init)
+    monkeypatch.setattr(RowOps, "__getattr__", counting_replay)
     space = CocycleSpace(group_context(2, 2), 2)
     engine = HeckeEngine(space)
     engine.u_t()
     assert seen["calls"] > 0
     assert seen["images"] == len(engine.coords.keys_needed) * 2  # q transports each
+    assert len(made) >= seen["images"]
     assert seen["inside"] == 0 and seen["read"] == 0

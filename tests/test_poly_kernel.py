@@ -13,7 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldforms.fq import field
-from drinfeldforms.rings import NEG_INF, POS_INF, Poly, Residue, packed
+from drinfeldforms.rings import (
+    NEG_INF,
+    POS_INF,
+    Poly,
+    Residue,
+    int_add,
+    int_divmod,
+    int_mul,
+    int_neg,
+    packed,
+)
 
 QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 131]
 FIELDS = st.sampled_from(QS).map(field)
@@ -190,7 +200,6 @@ def test_structure_matches_the_tuple_definitions(data):
     assert [p.coeff(i) for i in range(-1, len(c) + 2)] == [0, *c, 0, 0]
     assert p.is_monic() == (bool(c) and c[-1] == 1)
     assert p.truncate(n).coeffs == _strip(c[:n])
-    assert p.high(n).coeffs == (((0,) * n + c[n:]) if len(c) > n else ())
     assert Residue(n, p).poly.coeffs == _strip(c[:n])
     assert p.scale(code).coeffs == _strip([fq._mul[code][x] for x in c])
     assert p.shift(n).coeffs == (((0,) * n + c) if c else ())
@@ -237,3 +246,47 @@ def test_q2_product_of_a_short_and_a_long_factor():
     assert len(want) == 5255
     assert (short * long_).coeffs == want
     assert (long_ * short).coeffs == want
+
+
+KERNEL_QS = [2, 3, 4, 5, 7, 8, 9, 13, 16, 25]
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_int_kernels_match_the_tuple_kernels_and_poly(q):
+    """The packed-int kernels against the tuple oracles, and Poly's operators against them.
+
+    Operand lengths run over zero, degree 0 (a constant divisor) and, over
+    a prime field, the no-carry bound of the int product and past it, with
+    random and all-(q - 1) coefficients (the latter put the most into each
+    byte slot of an int product).
+    """
+    fq = field(q)
+    rng = random.Random(q)
+    bound = fq.kron_bits // 8
+    lengths = [0, 1, 2, 5, 17] + ([bound, bound + 1, bound + 3] if bound else [])
+
+    def draws(length):
+        if not length:
+            return [()]
+        low = [rng.randrange(q) for _ in range(length - 1)]
+        return [tuple(low) + (rng.randrange(1, q),), (q - 1,) * length]
+
+    for la in lengths:
+        for lb in lengths:
+            for a in draws(la):
+                for b in draws(lb):
+                    x, y = Poly(fq, a).x, Poly(fq, b).x
+                    assert int_add(fq, x, y) == Poly(fq, tuple_add(fq, a, b)).x
+                    assert int_neg(fq, x) == Poly(fq, [fq._neg[c] for c in a]).x
+                    assert int_mul(fq, x, y) == Poly(fq, tuple_mul(fq, a, b)).x
+                    assert (Poly(fq, a) + Poly(fq, b)).x == int_add(fq, x, y)
+                    assert (-Poly(fq, a)).x == int_neg(fq, x)
+                    assert (Poly(fq, a) * Poly(fq, b)).x == int_mul(fq, x, y)
+                    if not b:
+                        with pytest.raises(ZeroDivisionError):
+                            int_divmod(fq, x, y)
+                        continue
+                    quo, rem = tuple_divmod(fq, a, b)
+                    assert int_divmod(fq, x, y) == (Poly(fq, quo).x, Poly(fq, rem).x)
+                    got = divmod(Poly(fq, a), Poly(fq, b))
+                    assert (got[0].x, got[1].x) == int_divmod(fq, x, y)

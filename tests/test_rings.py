@@ -13,9 +13,8 @@ from drinfeldforms.rings import (
     poly_gcd,
     poly_is_irreducible,
     poly_xgcd,
-    tail_to_ratfunc,
 )
-from oracles import laurent_expand, laurent_tail
+from oracles import laurent_expand, laurent_tail, tail_to_ratfunc
 
 
 def rand_poly(fq, rng, maxlen=5, nonzero=False):

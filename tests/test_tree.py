@@ -9,7 +9,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import DeferredProduct, Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue, tail_to_ratfunc
+from drinfeldforms.rings import Poly, RatFunc, Residue
 from drinfeldforms.tree import (
     Edge,
     EdgeOrbit,
@@ -31,8 +31,14 @@ from oracles import (
     reduce_edge_oracle,
     reduce_vertex_oracle,
     sl2fq_classes,
+    tail_to_ratfunc,
     vertex_zero_stabilizer,
 )
+
+
+def packed_entries(g):
+    """The entries of a Mat2 over A as packed ints, as the tree walk takes them."""
+    return tuple(x.x for x in g.entries())
 
 
 def rand_word(fq, rng, steps=6, maxdeg=3):
@@ -191,11 +197,11 @@ def test_euclid_reduction_matches_the_laurent_walk(q, monkeypatch):
     fq = field(q)
     rng = random.Random(q * 47)
     divisions = []
-    divmod_poly = Poly.__divmod__
+    divmod_packed = tree_module.int_divmod
 
-    def counting(self, other):
+    def counting(field_, x, y):
         divisions.append(1)
-        return divmod_poly(self, other)
+        return divmod_packed(field_, x, y)
 
     polynomial_parts = 0
     for step in range(1000):
@@ -206,7 +212,7 @@ def test_euclid_reduction_matches_the_laurent_walk(q, monkeypatch):
         gamma, j, steps = reduce_vertex_laurent_oracle(v, fq)
         divisions.clear()
         with monkeypatch.context() as m:
-            m.setattr(Poly, "__divmod__", counting)
+            m.setattr(tree_module, "int_divmod", counting)
             assert reduce_vertex(v, fq) == (gamma, j)
         # one division per step: the walk stops as soon as the fractional
         # part lies in pi^r O, where the Laurent walk finds an empty tail
@@ -255,14 +261,21 @@ def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
         want = reduce_edge_oracle(e, fq)
         assert reduce_edge(e, fq) == want
         assert reduce_edge(e.reverse(), fq) == reduce_edge_oracle(e.reverse(), fq)
-        assert _reduce_image(g, i, g.det().degree, fq) == want
+        got = _reduce_image(packed_entries(g), i, g.det().degree, fq)
+        assert got == want
+        # each replay, of gamma or of the witness gamma^-1, starts afresh
+        assert got[0].inverse_unimodular() == want[0].adjugate()
         for v in (e.origin, e.terminus):
-            assert reduce_vertex(v, fq) == reduce_vertex_oracle(v, fq)
+            gamma, j = reduce_vertex(v, fq)
+            want_v = reduce_vertex_oracle(v, fq)
+            assert (gamma.inverse_unimodular(), j) == (want_v[0].adjugate(), want_v[1])
+            assert (gamma, j) == want_v
         lam = rand_nonzero_poly(fq, rng)
         k = rng.randrange(3)
         scaled = Mat2(*(x * lam for x in g.entries())) * Mat2.diag(Poly.t_power(fq, k), one)
         e = apply_edge(scaled, Edge.standard(i), fq)
-        assert _reduce_image(scaled, i, scaled.det().degree, fq) == reduce_edge_oracle(e, fq)
+        got = _reduce_image(packed_entries(scaled), i, scaled.det().degree, fq)
+        assert got == reduce_edge_oracle(e, fq)
 
 
 def test_reduce_edge_rejects_non_adjacent_endpoints():
@@ -645,7 +658,7 @@ def test_closed_forms_match_the_scans(q, n):
     for w in words:
         zero_rows += w.c.truncate(n).is_zero()
         # keys: the normal form is the least translate, j = 0 included
-        assert tree.vertex_key(w, 0) == (0, scan_oracle(tree, w, sl2fq)[0])
+        assert tree.vertex_key(*tree._row(w), 0) == (0, scan_oracle(tree, w, sl2fq)[0])
         # the transvections at v_0, order included
         v0_lifts = tree._passing_lifts(w)
         assert v0_lifts == passing_lifts_oracle(tree, w, sl2fq)
@@ -653,9 +666,9 @@ def test_closed_forms_match_the_scans(q, n):
         # i >= n - 1 all cap deg b at n - 1
         for i in range(n):
             least, passing = scan_oracle(tree, w, sbar_oracle(fq, i, n))
-            assert tree._normal_form(w.c.coeffs, w.d.coeffs, i)[0] == least
+            assert tree._normal_form(*tree._row(w), i)[0] == least
             if i:
-                assert tree.vertex_key(w, i) == (i, least)
+                assert tree.vertex_key(*tree._row(w), i) == (i, least)
             # stabilizer classes, order included
             lifts = tree._stab_lifts(w.c, i, n)
             assert lifts == passing
@@ -665,7 +678,7 @@ def test_closed_forms_match_the_scans(q, n):
         orbit = EdgeOrbit(None, i, w, None, None)
         tree.edge_stabilizer(orbit)
         w2 = rand_gamma1(fq, n, rng) * w * rand_sigma(fq, i, rng)
-        nf = tree._normal_form(w2.c.coeffs, w2.d.coeffs, i)
+        nf = tree._normal_form(*tree._row(w2), i)
         assert nf[0] == orbit.nf[0]
         delta = tree.edge_witness(w2, nf, orbit)
         assert delta == witness_oracle(tree, w2, orbit)
@@ -680,7 +693,7 @@ def test_witness_rejects_an_edge_of_another_orbit():
     w = Mat2.identity_poly(fq)
     orbit = EdgeOrbit(None, 0, Mat2.j_matrix(fq), None, None)
     tree.edge_stabilizer(orbit)
-    nf = tree._normal_form(w.c.coeffs, w.d.coeffs, 0)
+    nf = tree._normal_form(*tree._row(w), 0)
     with pytest.raises(AssertionError, match="witness search failed"):
         tree.edge_witness(w, nf, orbit)
 
