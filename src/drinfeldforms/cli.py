@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure (a wrong dimension
 included), 2 usage error, 3 resource bound exceeded (the orbit bound, a
-level whose q^(2(n-1)) stable orbits exceed it, or a truncation depth too
-small for the evaluation reach or the stability gates).  Every error ends
+level whose q^(2(n-1)) stable orbits exceed it, a T_m whose q^deg(m)
+transports per orbit exceed it, or a truncation depth too small for the
+evaluation reach or the stability gates).  Every error ends
 in one line on stderr.  Outputs are deterministic for a fixed
 configuration and seed.
 """
@@ -23,9 +24,8 @@ from .cocycles import CocycleSpace
 from .errors import DimensionMismatchError, ReachError, ResourceBoundError, StabilityError, UsageError
 from .fq import field
 from .groups import group_context
-from .hecke import HeckeEngine, ordinary_certificate
-from .rings import poly_is_irreducible
-from .serialize import canonical_json_dumps, matrix_to_csv, matrix_to_latex, parse_poly
+from .hecke import HeckeEngine, check_operator_argument, ordinary_certificate
+from .serialize import canonical_json_dumps, matrix_to_csv, matrix_to_latex, parse_terms, poly_from_terms
 from .tree import MAX_ORBITS, QuotientGraph
 from .verify import (
     congruence_suite_items,
@@ -93,16 +93,19 @@ def _check_level(q, n, max_orbits):
     Every quotient graph is seeded with the q^(2(n-1)) stable edge orbits,
     so a count above the orbit bound always ends in exit 3; the
     congruence suite walks as many label pairs.  Checking it first skips
-    the group context, which alone lists q^(n-1) labels.  As
-    q >= 2, q^e > max_orbits once e >= bit_length(max_orbits), so no huge
-    power is formed.
+    the group context, which alone lists q^(n-1) labels.
     """
     e = 2 * (n - 1)
-    if e >= max_orbits.bit_length() or q**e > max_orbits:
+    if _exceeds(q, e, max_orbits):
         raise ResourceBoundError(
             f"level t^{n} over F_{q} has {q}^{e} stable edge orbits, more than the "
             f"orbit bound {max_orbits}"
         )
+
+
+def _exceeds(q, e, bound):
+    """q^e > bound; as q >= 2, that holds once e >= bit_length(bound), so no huge power is formed."""
+    return e >= bound.bit_length() or q**e > bound
 
 
 def _write(text, out):
@@ -140,7 +143,13 @@ def cmd_dims(args):
     return 0 if space.dim == expected else 1
 
 
-def _parse_ops(ctx, specs):
+def _parse_ops(fq, n, max_orbits, specs):
+    """The --op specs as (kind, argument), checked before the group context is built.
+
+    A diamond argument is reduced mod t^n as it is parsed, and a T_m with
+    more than the orbit bound of transports q^deg(m) per orbit exits 3, so
+    no polynomial of a huge degree is formed.
+    """
     ops = []
     for spec in specs:
         if spec == "Ut":
@@ -149,24 +158,26 @@ def _parse_ops(ctx, specs):
         if ":" not in spec:
             raise UsageError(f"bad operator spec {spec!r}: expected Ut, Tm:<poly>, Diamond:<poly>")
         kind, _, arg = spec.partition(":")
-        p = parse_poly(ctx.fq, arg)
-        if kind == "Tm":
-            if not (p.is_monic() and poly_is_irreducible(p) and p.vt() == 0):
-                raise UsageError(f"Tm needs a monic irreducible polynomial prime to t, got {p}")
-            ops.append(("Tm", p))
-        elif kind == "Diamond":
-            if p.vt() != 0:
-                raise UsageError(f"Diamond needs a unit of A_n, got {p}")
-            ops.append(("Diamond", p))
-        else:
+        if kind not in ("Tm", "Diamond"):
             raise UsageError(f"unknown operator kind {kind!r}")
+        terms = parse_terms(fq, arg)
+        if kind == "Diamond":
+            terms = {e: c for e, c in terms.items() if e < n}
+        elif _exceeds(fq.q, max(terms, default=0), max_orbits):
+            raise ResourceBoundError(
+                f"T_m of degree {max(terms)} has {fq.q}^{max(terms)} transports per orbit, "
+                f"more than the orbit bound {max_orbits}"
+            )
+        p = poly_from_terms(fq, terms)
+        check_operator_argument(kind, p)
+        ops.append((kind, p))
     return ops
 
 
 def cmd_hecke(args):
     _check_common(args)
+    ops = _parse_ops(field(args.q), args.n, args.max_orbits, args.op or ["Ut"])
     ctx = group_context(args.q, args.n)
-    ops = _parse_ops(ctx, args.op or ["Ut"])
     space = CocycleSpace(ctx, args.k, depth=args.depth, max_orbits=args.max_orbits)
     engine = HeckeEngine(space)
     built = []

@@ -137,10 +137,7 @@ class HeckeEngine:
 
     def t_m(self, m):
         ctx = self.ctx
-        if m.vt() == 0 and poly_is_irreducible(m) and m.is_monic():
-            pass
-        else:
-            raise UsageError(f"T_m needs a monic irreducible m prime to t, got {m}")
+        check_operator_argument("Tm", m)
         transports = [ctx.xi_beta(m, beta) for beta in graded_polys(ctx.fq, int(m.degree))]
         transports.append(ctx.xi_diamond(m))
         return self._assemble(f"Tm({m})", transports)
@@ -152,10 +149,21 @@ class HeckeEngine:
             lift = alpha.lift()
         else:
             lift = alpha.truncate(ctx.n)
-        if lift.vt() != 0:
-            raise UsageError(f"diamond needs a unit of A_n, got {lift}")
+        check_operator_argument("Diamond", lift)
         eta = ctx.eta_diamond(lift)
         return self._assemble(f"Diamond({lift})", [eta])
+
+
+def check_operator_argument(kind, p):
+    """Raise UsageError unless p is an argument of the operator ``kind``.
+
+    T_m ("Tm") takes m monic irreducible and prime to t, and the diamond
+    operator ("Diamond") a unit of A_n, given by a lift prime to t.
+    """
+    if kind == "Tm" and not (p.is_monic() and p.vt() == 0 and poly_is_irreducible(p)):
+        raise UsageError(f"Tm needs a monic irreducible polynomial prime to t, got {p}")
+    if kind == "Diamond" and p.vt() != 0:
+        raise UsageError(f"Diamond needs a unit of A_n, got {p}")
 
 
 # -- weight-2 closed form for the diamond action ------------------------------

@@ -83,58 +83,54 @@ class Mat2:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-class DeferredProduct(Mat2):
-    """The product of its factors, multiplied out the first time an entry is read.
+class Deferred(Mat2):
+    """The Mat2 make(*args), its entries filled in the first time one is read.
 
     Witnesses and stabilizer conjugates are formed for every classified
     edge, but the trivial action on V_2 never reads them.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("make", "args")
 
-    def __init__(self, *factors):
-        self.factors = factors
+    def __init__(self, make, *args):
+        self.make = make
+        self.args = args
 
     def __getattr__(self, name):
         # reached only while the entry slots are still unset
         if name not in Mat2.__slots__:
             raise AttributeError(name)
-        m = self.factors[0]
-        for f in self.factors[1:]:
-            m = m * f
+        m = self.make(*self.args)
         self.a, self.b, self.c, self.d = m.a, m.b, m.c, m.d
         return getattr(self, name)
 
 
-class RowOps(Mat2):
+class RowOps(Deferred):
     """gamma, the row operations ``ops`` applied to the identity, or adj(gamma) if ``inverted``.
 
     Each op multiplies on the left: a packed b != 0 by (1, b; 0, 1), and 0
     by J.  The entries are replayed on packed ints the first time one is read.
     """
 
-    __slots__ = ("fq", "ops", "inverted")
+    __slots__ = ()
 
     def __init__(self, fq, ops, inverted=False):
-        self.fq = fq
-        self.ops = ops
-        self.inverted = inverted
+        self.make = _replay
+        self.args = (fq, ops, inverted)
 
     def inverse_unimodular(self):
-        return RowOps(self.fq, self.ops, not self.inverted)
+        fq, ops, inverted = self.args
+        return RowOps(fq, ops, not inverted)
 
-    def __getattr__(self, name):
-        # reached only while the entry slots are still unset
-        if name not in Mat2.__slots__:
-            raise AttributeError(name)
-        fq = self.fq
-        a, b, c, d = 1, 0, 0, 1
-        for op in self.ops:
-            if op:
-                a, b = int_add(fq, a, int_mul(fq, op, c)), int_add(fq, b, int_mul(fq, op, d))
-            else:
-                a, b, c, d = int_neg(fq, c), int_neg(fq, d), a, b
-        if self.inverted:
-            a, b, c, d = d, int_neg(fq, b), int_neg(fq, c), a
-        self.a, self.b, self.c, self.d = (packed(fq, x) for x in (a, b, c, d))
-        return getattr(self, name)
+
+def _replay(fq, ops, inverted):
+    """The Mat2 of RowOps(fq, ops, inverted), replayed on packed ints."""
+    a, b, c, d = 1, 0, 0, 1
+    for op in ops:
+        if op:
+            a, b = int_add(fq, a, int_mul(fq, op, c)), int_add(fq, b, int_mul(fq, op, d))
+        else:
+            a, b, c, d = int_neg(fq, c), int_neg(fq, d), a, b
+    if inverted:
+        a, b, c, d = d, int_neg(fq, b), int_neg(fq, c), a
+    return Mat2(*(packed(fq, x) for x in (a, b, c, d)))

@@ -19,9 +19,23 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?(t)?\s*(?:\^\s*(\d+))?\s*$")
 
 
 def parse_poly(fq, text):
-    """Parse ``t^2+t+1``-style input into an element of F_q[t].
+    """Parse ``t^2+t+1``-style input into an element of F_q[t]."""
+    return poly_from_terms(fq, parse_terms(fq, text))
+
+
+def poly_from_terms(fq, terms):
+    out = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        out[e] = c
+    return Poly(fq, out)
+
+
+def parse_terms(fq, text):
+    """The nonzero terms {exponent: code} of ``t^2+t+1``-style input over F_q.
 
     A term ``-c*t^e`` is the negative of c in F_q, also when q is not prime.
+    No list as long as the degree is formed, so a caller can bound the
+    degree before it builds the polynomial.
     """
     s = text.strip()
     if not s or s == "-":
@@ -38,23 +52,18 @@ def parse_poly(fq, text):
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise UsageError(f"cannot parse polynomial term {chunk!r} in {text!r}")
-        coef = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
-            exp = 0
-            if m.group(3) is not None:
-                raise UsageError(f"exponent without variable in {chunk!r}")
-        else:
-            exp = int(m.group(3)) if m.group(3) is not None else 1
+        if m.group(2) is None and m.group(3) is not None:
+            raise UsageError(f"exponent without variable in {chunk!r}")
+        try:
+            coef = int(m.group(1) or 1)
+            exp = int(m.group(3) or 1) if m.group(2) else 0
+        except ValueError:  # more digits than int() converts
+            raise UsageError("a coefficient or exponent has too many digits") from None
         code = fq.from_int(coef)
         if sign == "-":
             code = fq.neg(code)
         coeffs[exp] = fq.add(coeffs.get(exp, 0), code)
-    if not coeffs:
-        return Poly.zero(fq)
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return Poly(fq, out)
+    return {e: c for e, c in coeffs.items() if c}
 
 
 def entry_json(x):

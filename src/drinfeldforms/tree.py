@@ -40,15 +40,15 @@ from that position on as far as its degree allows.  At v_0, whose
 stabilizer is SL_2(F_q), the key is the least of the q + 1 normal forms of
 row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
 
-Every classification also produces an exact witness in SL_2(A)
-transporting the stored representative to the input: w = gamma^-1 =
-adj gamma, a RowOps replayed only when an entry is read, times its lift in
-S_i, read off the two normal forms.  The key reads w's bottom row (-c, a)
-mod t^n alone, replayed from gamma's first column (a, c) mod t^n, and the
-product is multiplied out only when an entry is read (the trivial action
-on V_2 reads none).  Since SL_2
-preserves the parity of r, an orbit never contains an edge and its
-reversal, and orientation is carried as an explicit sign.
+Every classification also produces an exact witness in Gamma_1(t^n)
+transporting the stored representative to the input: w = gamma^-1 (a
+RowOps) times its lift in S_i, read off the two normal forms, times
+w0^-1, a Deferred built only when an entry is read (V_2 reads none).
+The key reads w's bottom row (-c, a) mod t^n alone, replayed from
+gamma's first column (a, c) mod t^n.  An orbit's representative is the
+edge (w0(e_i) = +-e) or vertex (w0(v_j) = v) the search found it by.
+Since SL_2 preserves the parity of r, an orbit never contains an edge and
+its reversal, and orientation is carried as an explicit sign.
 
 The classes of Sbar_i fixing a bottom row are translations (1, t^s b'; 0, 1)
 in closed form; they give the edge stabilizers, the vertex stabilizers off
@@ -62,7 +62,7 @@ import copy
 from itertools import islice
 
 from .errors import ResourceBoundError
-from .mat2 import DeferredProduct, Mat2, RowOps
+from .mat2 import Deferred, Mat2, RowOps
 from .rings import NEG_INF, Poly, graded_polys, int_add, int_divmod, int_mul, int_neg, packed, poly_gcd
 
 POS_SIGN = 1
@@ -439,7 +439,6 @@ class TreeContext:
         self._classify_cache = {}
         self._vreduce_cache = {}
         self._mask = (1 << 8 * self.n) - 1
-        self.e0 = Edge.standard(0)
 
     # -- keys ----------------------------------------------------------------
     def _normal_form(self, c, d, i):
@@ -493,7 +492,7 @@ class TreeContext:
         """adj gamma's bottom row (-c, a) mod t^n, replaying only gamma's first column (a, c) mod t^n."""
         fq, mask = self.fq, self._mask
         a, c = 1, 0
-        for op in gamma.ops:
+        for op in gamma.args[1]:  # gamma's ops
             if op:
                 a = int_add(fq, a, int_mul(fq, op & mask, c)) & mask
             else:
@@ -525,7 +524,7 @@ class TreeContext:
 
     # -- witnesses -------------------------------------------------------------
     def edge_witness(self, w, nf, orbit):
-        """delta in Gamma_1(t^n) with delta * (orbit.w0) in w * S_i, as a deferred product.
+        """delta in Gamma_1(t^n) with delta * (orbit.w0) in w * S_i, multiplied out.
 
         nf is the normal form of w's bottom row and orbit.nf that of w0's,
         so the rows are taken to one row by sigma_w = (a, b; 0, a^-1) and
@@ -544,17 +543,26 @@ class TreeContext:
         lift_b = Poly(fq, [add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0)])
         ratio = mul[a][inv[a0]]
         lift = Mat2(Poly.constant(fq, ratio), lift_b, Poly.zero(fq), Poly.constant(fq, inv[ratio]))
-        return DeferredProduct(w, lift, orbit.w0_inv)
+        return w * lift * orbit.w0_inv
 
     # -- stabilizers -------------------------------------------------------------
+    def edge_orbit(self, e, key, i, sign, w, depth):
+        """The orbit of e, reduced to (key, i, sign, w): w(e_i) = sign * e is its representative.
+
+        The key is read off w's row replayed mod t^n, and orbit.nf off all of w.
+        """
+        orbit = EdgeOrbit(key, i, w, e if sign == POS_SIGN else e.reverse(), depth)
+        self.edge_stabilizer(orbit)
+        if orbit.nf[0] != key[1]:
+            raise AssertionError(f"orbit key {key} disagrees with its representative's row")
+        return orbit
+
     def edge_stabilizer(self, orbit):
         """Fill in the normal form and the Gamma_1(t^n)-stabilizer data of the representative."""
-        if orbit.stab_order is not None:
-            return
         w0 = orbit.w0
         orbit.nf = self._normal_form(*self._row(w0), orbit.i)
         lifts = self._stab_lifts(w0.c, orbit.i, self.n)
-        orbit.stab_class_elements = [DeferredProduct(w0, lift, orbit.w0_inv) for lift in lifts]
+        orbit.stab_class_elements = _conjugates(w0, lifts, orbit.w0_inv)
         orbit.stab_order = self._stab_order(len(lifts), orbit.i)
         # Gamma_1(t)-stability is the same test at level 1 against the
         # constant apartment stabilizer S_0 (only i = 0 reductions can be stable)
@@ -562,22 +570,18 @@ class TreeContext:
 
     def edge_stab_generators(self, orbit):
         """Exact stabilizer elements in Gamma_1(t^n) (class lifts + kernel), deferred."""
-        self.edge_stabilizer(orbit)
-        gens = list(orbit.stab_class_elements)
-        for j in self._kernel_degrees(orbit.i):
-            u = Mat2.translation(Poly.t_power(self.fq, self.n + j))
-            gens.append(DeferredProduct(orbit.w0, u, orbit.w0_inv))
-        return gens
+        kernel = _conjugates(orbit.w0, self._kernel_lifts(orbit.i), orbit.w0_inv)
+        return orbit.stab_class_elements + kernel
 
     def vertex_stab_elements(self, w, j):
         """Nontrivial Gamma_1(t^n)-stabilizer elements of the vertex w(v_j).
 
-        Returns (class_elements, kernel_degrees): the kernel part is the
-        unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
+        Returns (class_elements, kernel_elements), deferred: the kernel part
+        is the unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
         """
         w_inv = w.inverse_unimodular()
-        lifts = self._vertex_stab_lifts(w, j)
-        return [DeferredProduct(w, lift, w_inv) for lift in lifts], self._kernel_degrees(j)
+        classes = _conjugates(w, self._vertex_stab_lifts(w, j), w_inv)
+        return classes, _conjugates(w, self._kernel_lifts(j), w_inv)
 
     def vertex_stabilizer(self, vorbit):
         """Set the stabilizer order of the representative; no element is formed."""
@@ -631,11 +635,20 @@ class TreeContext:
 
     def _stab_order(self, classes, i):
         """|Stab| from the number of passing nontrivial classes and the kernel of reduction."""
-        return (classes + 1) * self.fq.q ** len(self._kernel_degrees(i))
+        return (classes + 1) * self.fq.q ** max(i - self.n + 1, 0)
 
-    def _kernel_degrees(self, i):
-        """The deg <= i - n: u(t^(n+deg)) lies in S_i and is trivial mod t^n."""
-        return list(range(i - self.n + 1))
+    def _kernel_lifts(self, i):
+        """u(t^(n+deg)) for deg <= i - n: they lie in S_i and are trivial mod t^n."""
+        return [Mat2.translation(Poly.t_power(self.fq, self.n + deg)) for deg in range(i - self.n + 1)]
+
+
+def _conjugate(w, sigma, w_inv):
+    return w * sigma * w_inv
+
+
+def _conjugates(w, sigmas, w_inv):
+    """w sigma w^-1 for each sigma, each multiplied out when an entry is first read."""
+    return [Deferred(_conjugate, w, sigma, w_inv) for sigma in sigmas]
 
 
 def _strip(coeffs):
@@ -692,10 +705,8 @@ class QuotientGraph:
                 raise ResourceBoundError(
                     f"edge orbit table exceeded {self.max_orbits} entries"
                 )
-            rep = apply_edge(w, Edge.standard(i), self.ctx.fq)
-            orbit = EdgeOrbit(key, i, w, rep, depth)
+            orbit = self.tree.edge_orbit(e, key, i, sign, w, depth)
             self.edge_orbits[key] = orbit
-            self.tree.edge_stabilizer(orbit)
             return orbit, True
         return orbit, False
 
@@ -703,8 +714,8 @@ class QuotientGraph:
         key, j, w = self.tree.reduce_vertex(v)
         orbit = self.vertex_orbits.get(key)
         if orbit is None:
-            rep = apply_vertex(w, Vertex.standard(j), self.ctx.fq)
-            orbit = VertexOrbit(key, j, w, rep, depth)
+            # w(v_j) = v
+            orbit = VertexOrbit(key, j, w, v, depth)
             self.vertex_orbits[key] = orbit
             self.tree.vertex_stabilizer(orbit)
             return orbit, True
@@ -717,18 +728,17 @@ class QuotientGraph:
         jmat = Mat2.j_matrix(fq)
         seeds = []
         for c, d in ctx.label_pairs():
-            seed = apply_edge(ctx.h_matrix(c, d) * jmat, self.tree.e0, fq)
+            seed = apply_edge(ctx.h_matrix(c, d) * jmat, Edge.standard(0), fq)
             orbit, is_new = self._register_edge(seed, 0)
             if not is_new:
                 raise AssertionError(
                     f"stable seeds collide: ({c},{d}) repeats orbit {orbit.key}"
                 )
+            if not orbit.stable:
+                raise AssertionError(f"seed orbit {orbit.key} is not stable")
             orbit.label = (c, d)
             self.seed_keys[(c.coeffs, d.coeffs)] = orbit.key
             seeds.append(orbit)
-        for orbit in seeds:
-            if not orbit.stable:
-                raise AssertionError(f"seed orbit {orbit.key} is not stable")
         return seeds
 
     def _grow(self, frontier, depth):
@@ -774,7 +784,7 @@ class QuotientGraph:
         orbit = self.edge_orbits.get(key)
         if orbit is None:
             return None, key, sign, None
-        return orbit, key, sign, self.tree.edge_witness(w, nf, orbit)
+        return orbit, key, sign, Deferred(self.tree.edge_witness, w, nf, orbit)
 
     def in_edges(self, vorbit):
         """The q+1 literal tree edges with terminus at the orbit representative."""
@@ -875,11 +885,10 @@ def classify_edge(ctx, e, graph=None):
     tree = graph.tree
     orbit, key, sign, delta = graph.classify(e)
     if orbit is None:
-        # beyond the table: register on the fly from this edge's reduction
+        # beyond the table: an orbit on the fly from this edge's reduction
         _, i, _, w, nf = tree.reduce_edge(e)
-        orbit = EdgeOrbit(key, i, w, apply_edge(w, Edge.standard(i), ctx.fq), None)
-        tree.edge_stabilizer(orbit)
-        delta = tree.edge_witness(w, nf, orbit)
+        orbit = tree.edge_orbit(e, key, i, sign, w, None)
+        delta = Deferred(tree.edge_witness, w, nf, orbit)
     if orbit.stable:
         return EdgeClass(True, orbit.label, orbit.i, sign, delta, None)
     # cusp end: the fixed end of a nontrivial parabolic stabilizing one of
@@ -888,13 +897,8 @@ def classify_edge(ctx, e, graph=None):
     for v in (e.origin, e.terminus):
         _, j, w = tree.reduce_vertex(v)
         passing, kernel = tree.vertex_stab_elements(w, j)
-        elt = None
-        if passing:
-            elt = passing[0]
-        elif kernel:
-            elt = w * Mat2.translation(Poly.t_power(ctx.fq, ctx.n + kernel[0])) * w.inverse_unimodular()
-        if elt is not None:
-            end = parabolic_fixed_end(elt)
+        if passing or kernel:
+            end = parabolic_fixed_end((passing or kernel)[0])
             break
     return EdgeClass(False, None, orbit.i, sign, delta, end)
 

@@ -178,6 +178,38 @@ def test_an_oversized_level_exits_before_the_group_context(capsys, monkeypatch, 
     _one_line_error(capsys, argv, 3, "resource bound exceeded:")
 
 
+@pytest.mark.parametrize(
+    "spec,code,prefix",
+    [
+        ("Tm:t^99999999999", 3, "resource bound exceeded:"),
+        ("Tm:t^99999999999+t+1", 3, "resource bound exceeded:"),
+        ("Diamond:t^99999999999", 2, "usage error:"),
+        ("Tm:t^" + "9" * 5000, 2, "usage error:"),
+    ],
+)
+def test_a_huge_operator_exponent_exits_before_the_group_context(capsys, monkeypatch, spec, code, prefix):
+    # a T_m of degree d has q^d transports per orbit, beyond the orbit
+    # bound here, and a diamond argument is read mod t^n, here 0
+    def unreachable(*args):
+        pytest.fail("the group context was built")
+
+    monkeypatch.setattr(cli, "group_context", unreachable)
+    _one_line_error(capsys, ("hecke", "--q", "2", "--n", "1", "--op", spec), code, prefix)
+
+
+def test_operator_arguments_are_read_mod_t_n_and_bounded_by_degree(capsys):
+    # t^99999999999 + 1 is 1 mod t^2, and 2 t^99999999999 vanishes over F_2
+    code, out = run_cli(capsys, "hecke", "--q", "2", "--n", "2", "--op", "Diamond:t^99999999999+1")
+    assert code == 0 and json.loads(out)["operators"][0]["name"] == "Diamond(1)"
+    code, out = run_cli(capsys, "hecke", "--q", "2", "--n", "1", "--op", "Tm:2*t^99999999999+t+1")
+    assert code == 0 and json.loads(out)["operators"][0]["name"] == "Tm(t+1)"
+    # 2^2 transports per orbit are over a bound of 3 but not of 4, where
+    # t^2 fails as reducible
+    argv = ("hecke", "--q", "2", "--n", "1", "--op", "Tm:t^2", "--max-orbits")
+    _one_line_error(capsys, argv + ("3",), 3, "resource bound exceeded:")
+    _one_line_error(capsys, argv + ("4",), 2, "usage error: Tm needs")
+
+
 def test_a_level_at_the_orbit_bound_still_runs(capsys):
     # q2n3 has exactly 2^4 = 16 stable orbits, and a depth-0 graph no others
     code, _ = run_cli(capsys, "graph", "--q", "2", "--n", "3", "--depth", "0", "--max-orbits", "16")

@@ -1,7 +1,8 @@
 """Property test: every CLI input ends in a documented exit code.
 
-Inputs range over valid and invalid field sizes, levels, weights, depths
-and orbit-bound environment values.  ``main`` must return 0, 1, 2 or 3
+Inputs range over valid and invalid field sizes, levels, weights, depths,
+orbit-bound environment values and, for ``hecke``, operator arguments
+with small and huge exponents.  ``main`` must return 0, 1, 2 or 3
 and never let an exception escape (an escaped exception is a traceback
 for the user).  ``--jobs`` is always 1, so no worker process starts.
 """
@@ -17,11 +18,14 @@ from hypothesis import strategies as st
 from drinfeldforms.cli import main
 
 
-def _argv(command, q, n, k, depth):
+def _argv(command, q, n, k, depth, op):
     if command == "graph":
         return ["graph", "--q", q, "--n", n, "--depth", depth]
-    if command in ("dims", "hecke"):
+    if command == "dims":
         return [command, "--q", q, "--n", n, "--k", k, "--depth", depth]
+    if command == "hecke":
+        kind, exp = op
+        return [command, "--q", q, "--n", n, "--k", k, "--depth", depth, "--op", f"{kind}:t^{exp}+1"]
     suite = "goss" if command == "verify-goss" else "congruences"
     return ["verify", "--suite", suite, "--q", q, "--nmax", n, "--kmax", k,
             "--imax", depth, "--jobs", "1"]
@@ -35,9 +39,13 @@ def _argv(command, q, n, k, depth):
     k=st.integers(0, 3),
     depth=st.integers(-3, 6),
     max_orbits=st.sampled_from(["", "abc", "1.5", "0", "-3", "40", "200000"]),
+    op=st.tuples(
+        st.sampled_from(["Tm", "Diamond"]),
+        st.one_of(st.integers(0, 3), st.integers(10**10, 10**12)),
+    ),
 )
-def test_cli_inputs_end_in_a_documented_exit_code(command, q, n, k, depth, max_orbits):
-    argv = [str(a) for a in _argv(command, q, n, k, depth)]
+def test_cli_inputs_end_in_a_documented_exit_code(command, q, n, k, depth, max_orbits, op):
+    argv = [str(a) for a in _argv(command, q, n, k, depth, op)]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"DRINFELDFORMS_MAX_ORBITS": max_orbits}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

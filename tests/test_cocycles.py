@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from drinfeldforms import cocycles
+from drinfeldforms import cocycles, tree
 from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default
 from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.linalg import FqRing, Matrix
 from drinfeldforms.hecke import HeckeEngine
-from drinfeldforms.mat2 import DeferredProduct, Mat2, RowOps
+from drinfeldforms.mat2 import Deferred, Mat2, RowOps
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
 from oracles import inverse_k
@@ -309,11 +309,14 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     # V_2 never reads a witness or a stabilizer element, so building the
     # space and U_t forms no Mat2 product inside classify, classify_image
     # or edge_stab_generators, and no deferred product is multiplied out
-    # later.  classify_image multiplies xi w0 out on packed ints, so it forms
-    # no Mat2 product either.  A witness w from a reduction is kept as its
-    # row operations (RowOps), and none made inside those calls is replayed,
-    # then or later.
-    seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0, "images": 0}
+    # later: edge_witness is never called.  classify_image multiplies xi w0
+    # out on packed ints, so it forms no Mat2 product either.  A witness w
+    # from a reduction is kept as its row operations (RowOps), and none made
+    # inside those calls is replayed, then or later.  Every orbit
+    # representative is the edge or vertex the search found, so the graph
+    # acts only to form its seeds h J e_0, one per label pair.
+    seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0, "images": 0, "witness": 0}
+    acted = {"apply_edge": [], "apply_vertex": []}
     made = []  # the RowOps formed inside the calls, kept alive so their ids stay theirs
     mul = Mat2.__mul__
 
@@ -339,30 +342,43 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
                 seen["depth"] -= 1
 
         monkeypatch.setattr(cls, name, wrapped)
-    read = DeferredProduct.__getattr__
+    witness = TreeContext.edge_witness
 
-    def counting_read(self, name):
-        seen["read"] += 1
-        return read(self, name)
+    def counting_witness(*args):
+        seen["witness"] += 1
+        return witness(*args)
 
-    monkeypatch.setattr(DeferredProduct, "__getattr__", counting_read)
-    init, replay = RowOps.__init__, RowOps.__getattr__
+    monkeypatch.setattr(TreeContext, "edge_witness", counting_witness)
+    for name, calls in acted.items():
+
+        def recording_act(g, x, fq, _fn=getattr(tree, name), _calls=calls):
+            _calls.append(x)
+            return _fn(g, x, fq)
+
+        monkeypatch.setattr(tree, name, recording_act)
+    init, read = RowOps.__init__, Deferred.__getattr__
 
     def recording_init(self, *args):
         init(self, *args)
         if seen["depth"]:
             made.append(self)
 
-    def counting_replay(self, name):
-        seen["read"] += bool(seen["depth"]) or any(self is m for m in made)
-        return replay(self, name)
+    def counting_read(self, name):
+        # a witness or a conjugate is never read; a RowOps is, outside the
+        # calls, unless it was made inside them
+        if type(self) is not RowOps or seen["depth"] or any(self is m for m in made):
+            seen["read"] += 1
+        return read(self, name)
 
     monkeypatch.setattr(RowOps, "__init__", recording_init)
-    monkeypatch.setattr(RowOps, "__getattr__", counting_replay)
-    space = CocycleSpace(group_context(2, 2), 2)
+    monkeypatch.setattr(Deferred, "__getattr__", counting_read)
+    ctx = group_context(2, 2)
+    space = CocycleSpace(ctx, 2)
     engine = HeckeEngine(space)
     engine.u_t()
     assert seen["calls"] > 0
     assert seen["images"] == len(engine.coords.keys_needed) * 2  # q transports each
     assert len(made) >= seen["images"]
-    assert seen["inside"] == 0 and seen["read"] == 0
+    assert seen["inside"] == 0 and seen["read"] == 0 and seen["witness"] == 0
+    assert acted["apply_edge"] == [Edge.standard(0)] * len(ctx.label_pairs())
+    assert acted["apply_vertex"] == []

@@ -8,8 +8,8 @@ from drinfeldforms.errors import ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import HeckeEngine
-from drinfeldforms.mat2 import DeferredProduct, Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue
+from drinfeldforms.mat2 import Deferred, Mat2
+from drinfeldforms.rings import Poly, RatFunc, Residue, int_add
 from drinfeldforms.tree import (
     Edge,
     EdgeOrbit,
@@ -370,10 +370,8 @@ def test_vertex_orbit_stabilizer_orders():
     assert vorbit.j == 1
     assert vorbit.stab_order == 4
     passing, kernel = graph.tree.vertex_stab_elements(vorbit.w0, vorbit.j)
-    gens = passing + [
-        vorbit.w0 * Mat2.translation(Poly.t_power(ctx.fq, ctx.n + deg)) * vorbit.w0.inverse_unimodular()
-        for deg in kernel
-    ]
+    gens = passing + kernel
+    assert all(is_gamma1(g, ctx.n) and apply_vertex(g, vorbit.rep, ctx.fq) == vorbit.rep for g in gens)
     assert any(
         g.a.is_one() and g.d.is_one() and g.c.is_zero() and g.b == Poly.t(ctx.fq).scale(lam)
         for g in gens
@@ -434,6 +432,37 @@ def test_extended_graph_equals_a_fresh_build(q, n):
     for vorbit in grown.vertex_orbits.values():
         passing, kernel = grown.tree.vertex_stab_elements(vorbit.w0, vorbit.j)
         assert vorbit.stab_order == (len(passing) + 1) * q ** len(kernel)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (7, 1), (7, 2)]
+)
+def test_representatives_are_w0_of_the_standard_edge_and_vertex(q, n):
+    # a representative is the edge or vertex the search found its orbit by,
+    # not formed by acting; acting with w0 on e_i or v_j gives it back
+    ctx = group_context(q, n)
+    graph = QuotientGraph(ctx, 2)
+    for table in (graph, graph.extended()):
+        for orbit in table.edge_orbits.values():
+            assert orbit.rep == apply_edge(orbit.w0, Edge.standard(orbit.i), ctx.fq)
+        for vorbit in table.vertex_orbits.values():
+            assert vorbit.rep == apply_vertex(vorbit.w0, Vertex.standard(vorbit.j), ctx.fq)
+
+
+@pytest.mark.parametrize("side", ["_inverse_row", "_row"])
+def test_registration_checks_the_key_against_the_representative_row(monkeypatch, side):
+    # the key comes from gamma's first column replayed mod t^n, and the
+    # orbit's normal form from all of w0; corrupting either is caught once
+    # per orbit, before any witness is read
+    real = getattr(TreeContext, side)
+
+    def corrupted(self, w):
+        c, d = real(self, w)
+        return int_add(self.fq, c, d), d
+
+    monkeypatch.setattr(TreeContext, side, corrupted)
+    with pytest.raises(AssertionError, match="disagrees with its representative's row"):
+        QuotientGraph(group_context(2, 2), depth=1)
 
 
 def test_interior_is_listed_once_per_table():
@@ -702,31 +731,46 @@ def test_deferred_product_multiplies_on_first_read():
     fq = field(3)
     rng = random.Random(5)
     factors = [rand_word(fq, rng) for _ in range(3)]
-    m = DeferredProduct(*factors)
-    assert isinstance(m, Mat2)
+    calls = []
+
+    def product(*fs):
+        calls.append(fs)
+        return fs[0] * fs[1] * fs[2]
+
+    m = Deferred(product, *factors)
+    assert isinstance(m, Mat2) and not calls
     assert m == factors[0] * factors[1] * factors[2]
-    assert m.det().is_one() and m.factors == tuple(factors)
+    assert m.det().is_one() and m.args == tuple(factors)
+    assert calls == [tuple(factors)]  # made once, on the first read
     with pytest.raises(AttributeError):
         m.nonexistent
 
 
 def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
-    # weight 3 reads every witness it transports through; q = 3 gives lifts
-    # with a != 1
+    # weight 3 reads every witness it transports through, each built once
+    # when first read; q = 3 gives lifts with a != 1, where w's normal form
+    # scales by another a than w0's
     space = cache.space(3, 2, 3)
     tree = space.graph.tree
-    made = []
-    witness = TreeContext.edge_witness
+    made, built = [], []
+    classify_image, witness = QuotientGraph.classify_image, TreeContext.edge_witness
 
-    def recording(self, w, nf, orbit):
-        delta = witness(self, w, nf, orbit)
-        made.append((w, orbit, delta))
-        return delta
+    def recording_image(self, *args):
+        got = classify_image(self, *args)
+        made.append(got[3])
+        return got
 
-    monkeypatch.setattr(TreeContext, "edge_witness", recording)
+    def recording_witness(self, w, nf, orbit):
+        built.append(w)
+        return witness(self, w, nf, orbit)
+
+    monkeypatch.setattr(QuotientGraph, "classify_image", recording_image)
+    monkeypatch.setattr(TreeContext, "edge_witness", recording_witness)
     HeckeEngine(space).u_t()
-    assert made
-    assert any(delta.factors[1].a.coeffs != (1,) for _, _, delta in made)
-    for w, orbit, delta in made:
-        assert isinstance(delta, DeferredProduct)
+    assert made and len(built) == len(made)
+    assert any(nf[1] != orbit.nf[1] for _, nf, orbit in (delta.args for delta in made))
+    for delta in made:
+        assert isinstance(delta, Deferred)
+        w, nf, orbit = delta.args
         assert delta == witness_oracle(tree, w, orbit)
+    assert len(built) == len(made)  # the comparisons read entries already filled in
