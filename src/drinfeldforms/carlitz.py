@@ -23,13 +23,15 @@ together with the one-level pullback
 
     t*u / (1 + t^l * beta * zeta * u)  in  t*u*A[beta, zeta][[u]],
 
-whose geometric expansion is carried out in the polynomial ring with beta
-and zeta as formal symbols.
+whose geometric expansion is carried out in the polynomial ring
+A[beta, zeta] (:class:`SymPoly`) with beta and zeta as formal symbols.
+Every u-series here is a ``linalg.UPoly`` truncated to its precision:
+the oracle's powers of e(w), and the two expansions, each a power of u
+times a ``series_inverse`` of its denominator.
 """
 
 from .linalg import KRing, UPoly
 from .rings import Poly, RatFunc, poly_is_irreducible
-from .series import SymPoly, SymRing, USeries
 
 
 class AdditivePoly:
@@ -152,11 +154,11 @@ def goss_polynomials_oracle(m, imax):
     _require_monic_irreducible(m)
     fq = m.fq
     ring = KRing(fq)
-    e = USeries(ring, torsion_exponential(m), imax)
+    e = UPoly(ring, torsion_exponential(m)).truncate(imax)
     # powers of e(w) truncated to degree imax - 1
-    powers = [USeries.one(ring, imax)]
+    powers = [UPoly.one(ring)]
     for _ in range(1, imax):
-        powers.append(powers[-1] * e)
+        powers.append((powers[-1] * e).truncate(imax))
     return [
         UPoly(ring, [ring.zero] + [power.coeff(i - 1) for power in powers[:i]])
         for i in range(1, imax + 1)
@@ -209,17 +211,16 @@ def verify_coeff_scaling(m, imax, precision):
             break
 
     # (3) u(mz) = u^{q^r} / (1 + c_{r-1} u^{q^r-q^{r-1}} + ... + m u^{q^r-1})
+    # to precision: u^{q^r} times the inverse of the denominator mod
+    # u^(precision - q^r)
     phi = carlitz_phi(m)
     ring = KRing(fq)
-    den = USeries.one(ring, precision)
     qr = q ** r
+    den = [ring.one] + [ring.zero] * (qr - 1)
     for j in range(0, r):
-        cj = phi.coeff(j)  # c_0 = m
-        if not cj.is_zero():
-            den = den + USeries.u_power(ring, qr - q ** j, precision) * USeries(
-                ring, [RatFunc.from_poly(cj)], precision
-            )
-    series = den.inverse().shift(qr)
+        den[qr - q ** j] = RatFunc.from_poly(phi.coeff(j))  # c_0 = m
+    inverse = UPoly(ring, den).series_inverse(precision - qr)
+    series = UPoly(ring, [ring.zero] * qr + inverse.coeffs)
     order = series.order()
     item3 = order is not None and order >= 2
     coeffs_in_a = all(c.is_zero() or c.is_poly() for c in series.coeffs)
@@ -250,6 +251,101 @@ def _substitute_scaled(g, c):
     return UPoly(g.ring, out)
 
 
+class SymPoly:
+    """Element of A[beta, zeta]: dict {(beta_exp, zeta_exp): Poly}."""
+
+    __slots__ = ("fq", "terms")
+
+    def __init__(self, fq, terms=None):
+        self.fq = fq
+        self.terms = {}
+        if terms:
+            for key, p in terms.items():
+                if not p.is_zero():
+                    self.terms[key] = p
+
+    @staticmethod
+    def from_poly(p):
+        return SymPoly(p.fq, {(0, 0): p})
+
+    @staticmethod
+    def symbol(fq, name):
+        key = (1, 0) if name == "beta" else (0, 1)
+        return SymPoly(fq, {key: Poly.one(fq)})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, p in other.terms.items():
+            q = out.get(key)
+            s = p if q is None else p + q
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return SymPoly(self.fq, out)
+
+    def __neg__(self):
+        return SymPoly(self.fq, {k: -p for k, p in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for (i1, j1), p in self.terms.items():
+            for (i2, j2), q in other.terms.items():
+                key = (i1 + i2, j1 + j2)
+                prod = p * q
+                cur = out.get(key)
+                s = prod if cur is None else cur + prod
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return SymPoly(self.fq, out)
+
+    def inverse(self):
+        """Inverse of a unit constant (a single degree-0 monomial in A^x)."""
+        if list(self.terms.keys()) != [(0, 0)]:
+            raise ZeroDivisionError("only scalar constants are invertible in A[beta, zeta]")
+        p = self.terms[(0, 0)]
+        if p.degree != 0:
+            raise ZeroDivisionError(f"{p} is not a unit of A")
+        return SymPoly(self.fq, {(0, 0): Poly.constant(self.fq, self.fq.inv(p.constant_coeff()))})
+
+    def substitute_beta_zero(self):
+        """Set beta = 0 (drop every monomial with a positive beta exponent)."""
+        return SymPoly(self.fq, {k: p for k, p in self.terms.items() if k[0] == 0})
+
+    def coefficients_in_A(self):
+        """True: every monomial coefficient is an honest element of A."""
+        return all(isinstance(p, Poly) for p in self.terms.values())
+
+    def __eq__(self, other):
+        return isinstance(other, SymPoly) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for (i, j), p in sorted(self.terms.items()):
+            sym = ""
+            if i:
+                sym += f"*beta^{i}" if i > 1 else "*beta"
+            if j:
+                sym += f"*zeta^{j}" if j > 1 else "*zeta"
+            parts.append(f"({p}){sym}")
+        return " + ".join(parts)
+
+
+class SymRing:
+    """Adapter handing out SymPoly constants, for UPoly over A[beta, zeta]."""
+
+    def __init__(self, fq):
+        self.zero = SymPoly(fq)
+        self.one = SymPoly.from_poly(Poly.one(fq))
+
+
 def verify_uniformizer_pullback(fq, l, precision):
     """Certificate for the one-level uniformizer pullback expansion.
 
@@ -263,17 +359,18 @@ def verify_uniformizer_pullback(fq, l, precision):
     if precision < 2:
         raise ValueError("precision must be >= 2")
     ring = SymRing(fq)
-    t = Poly.t(fq)
+    t = SymPoly.from_poly(Poly.t(fq))
     beta = SymPoly.symbol(fq, "beta")
     zeta = SymPoly.symbol(fq, "zeta")
     tl_beta_zeta = SymPoly.from_poly(Poly.t_power(fq, l)) * beta * zeta
-    den = USeries.one(ring, precision) + USeries(ring, [ring.zero, tl_beta_zeta], precision)
-    series = USeries(ring, [ring.zero, SymPoly.from_poly(t)], precision) * den.inverse()
+    tu = UPoly(ring, [ring.zero, t])
+    # to precision: t*u times the inverse of the denominator mod u^(precision - 1)
+    series = tu * UPoly(ring, [ring.one, tl_beta_zeta]).series_inverse(precision - 1)
     order = series.order()
-    lead_ok = order == 1 and series.coeff(1) == SymPoly.from_poly(t)
+    lead_ok = order == 1 and series.coeff(1) == t
     in_ring = all(c.coefficients_in_A() for c in series.coeffs)
-    beta_zero = USeries(ring, [c.substitute_beta_zero() for c in series.coeffs], precision)
-    beta_zero_ok = beta_zero == USeries(ring, [ring.zero, SymPoly.from_poly(t)], precision)
+    beta_zero = UPoly(ring, [c.substitute_beta_zero() for c in series.coeffs])
+    beta_zero_ok = beta_zero == tu
     status = bool(lead_ok and in_ring and beta_zero_ok)
     return {
         "lemma": "uniformizer-pullback",

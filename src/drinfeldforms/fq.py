@@ -7,7 +7,9 @@ is the lexicographically smallest monic irreducible of degree e over F_p,
 chosen once per q, so codes are a stable encoding for serialization.
 
 All operations are table driven (q is small in every intended use), and a
-field object is created at most once per q via :func:`field`.
+field object is created at most once per q via :func:`field`.  A prime
+field's tables are the integers mod p; an extension field's are sums and
+products of ``rings.Poly`` over F_p, a product reduced mod the modulus.
 """
 
 from functools import lru_cache
@@ -39,26 +41,6 @@ def _factor_prime_power(q):
                 raise ValueError(f"{q} is not a prime power")
             return p, e
     raise ValueError(f"{q} is not a prime power")
-
-
-def _fp_poly_mulmod(a, b, modulus, p):
-    """Multiply coefficient tuples a, b over F_p modulo a monic modulus."""
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce modulo the monic modulus
-    for k in range(len(prod) - 1, e - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(e + 1):
-                prod[k - e + j] = (prod[k - e + j] - c * modulus[j]) % p
-    while len(prod) < e:
-        prod.append(0)
-    return tuple(prod[:e])
 
 
 def _decode(code, p, e):
@@ -107,25 +89,23 @@ class Fq:
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
-        vecs = [_decode(c, p, e) for c in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            va = vecs[a]
-            for b in range(q):
-                vb = vecs[b]
-                add[a][b] = _encode(tuple((x + y) % p for x, y in zip(va, vb)), p)
-                mul[a][b] = _encode(_fp_poly_mulmod(va, vb, self.modulus, p), p)
+        if e == 1:
+            add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            mul = [[a * b % p for b in range(q)] for a in range(q)]
+            neg = [-a % p for a in range(q)]
+        else:
+            from .rings import Poly  # rings imports this module
+
+            fp = field(p)
+            modulus = Poly(fp, self.modulus)
+            elems = [Poly(fp, _decode(c, p, e)) for c in range(q)]
+            add = [[_encode((a + b).coeffs, p) for b in elems] for a in elems]
+            mul = [[_encode((a * b % modulus).coeffs, p) for b in elems] for a in elems]
+            neg = [_encode((-a).coeffs, p) for a in elems]
         self._add = add
         self._mul = mul
-        self._neg = [_encode(tuple((-x) % p for x in vecs[a]), p) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        self._neg = neg
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
         # bytes.translate tables for the packed polynomials of rings.Poly,
         # whose bytes are codes; a byte >= q maps to 0 under neg and mul
         pad = bytes(256 - q)

@@ -6,6 +6,12 @@ operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
 serves both fields: weight-2 operators, their charpolys and kernels are
 over F_q (FqRing), and weight-k ones over K (KRing).
 
+UPoly, the dense univariate polynomial, is both the charpoly's type and
+the truncated u-series of ``carlitz``: a series to precision n is a
+UPoly cut by :meth:`UPoly.truncate` after each product, and
+:meth:`UPoly.series_inverse` inverts one with a unit constant term mod
+X^n, over any ring whose elements have ``inverse()``.
+
 Every elimination goes through one sparse Gauss-Jordan routine,
 :func:`_reduce`, behind both the kernel the cocycle solver calls
 (constraint systems over quotient graphs are tree-shaped, and ordered
@@ -145,7 +151,7 @@ class Matrix:
 
 
 class UPoly:
-    """Dense univariate polynomial over a field adapter (variable X)."""
+    """Dense univariate polynomial over a ring adapter (variable X)."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -229,6 +235,33 @@ class UPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k - dd + j] = rem[k - dd + j] - f * b
         return UPoly(self.ring, quo), UPoly(self.ring, rem)
+
+    def truncate(self, n):
+        """The terms of degree < n: the polynomial mod X^n."""
+        return UPoly(self.ring, self.coeffs[:n])
+
+    def order(self):
+        """The least degree of a nonzero term; None for 0."""
+        return next((i for i, c in enumerate(self.coeffs) if c), None)
+
+    def series_inverse(self, n):
+        """The inverse mod X^n of a polynomial with unit constant term.
+
+        Its coefficients g_k solve sum_{j <= min(k, deg)} f_j g_(k-j) = 0
+        for 0 < k < n, with g_0 = f_0^(-1).
+        """
+        f = self.coeffs
+        if not self.coeff(0):
+            raise ZeroDivisionError("series inverse of a polynomial with zero constant term")
+        inv0 = f[0].inverse()
+        out = [inv0]
+        for k in range(1, n):
+            s = self.ring.zero
+            for j in range(1, min(k, len(f) - 1) + 1):
+                if f[j] and out[k - j]:
+                    s = s + f[j] * out[k - j]
+            out.append(-(inv0 * s))
+        return UPoly(self.ring, out[:n])
 
     def eval_matrix(self, m):
         """Horner evaluation at a square Matrix over the same field."""

@@ -396,18 +396,25 @@ def hecke_m_coeffs(q):
     return out
 
 
-def goss_suite_items(qs, imax=None, precision=64, lmax=3):
+# the goss items' least series precision; the pullback items' levels
+# l <= PULLBACK_LMAX and their precision
+GOSS_PRECISION = 64
+PULLBACK_LMAX = 3
+PULLBACK_PRECISION = 8
+
+
+def goss_suite_items(qs, imax=None):
     items = []
     for q in qs:
         fq = field(q)
         bound = q * q if imax is None else imax
         for m in goss_m_list(fq):
             # verify_coeff_scaling needs q^deg(m) + 2 terms, 66 at q = 8
-            prec = max(precision, q ** int(m.degree) + 2)
+            prec = max(GOSS_PRECISION, q ** int(m.degree) + 2)
             items.append(
                 ("goss", {"q": q, "mcoeffs": list(m.coeffs), "imax": bound, "precision": prec})
             )
-        items.append(("pullback", {"q": q, "lmax": lmax, "precision": 8}))
+        items.append(("pullback", {"q": q, "lmax": PULLBACK_LMAX, "precision": PULLBACK_PRECISION}))
     return items
 
 

@@ -20,9 +20,13 @@ None of this is used by ``drinfeldforms`` itself:
   tail, which the other oracles start from;
 * U_t^(d-r) by repeated squaring and its kernel by Bareiss
   (:func:`nilpotency_oracle`), the oracle for the image chain of
-  ``hecke.nilpotency_diagnostics``.
+  ``hecke.nilpotency_diagnostics``;
+* products of coefficient tuples over F_p reduced mod the field modulus
+  (:func:`fp_poly_mulmod`, :func:`field_tables`), the oracle for the
+  extension-field tables that ``fq`` builds on ``rings.Poly``.
 """
 
+from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.linalg import Matrix
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, packed, poly_gcd
@@ -436,3 +440,34 @@ def nilpotency_oracle(ut):
             "the nilpotent block of U_t is its indirect witness"
         ),
     }
+
+
+def fp_poly_mulmod(a, b, modulus, p):
+    """Multiply coefficient tuples a, b over F_p modulo a monic modulus."""
+    e = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    # reduce modulo the monic modulus
+    for k in range(len(prod) - 1, e - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j in range(e + 1):
+                prod[k - e + j] = (prod[k - e + j] - c * modulus[j]) % p
+    while len(prod) < e:
+        prod.append(0)
+    return tuple(prod[:e])
+
+
+def field_tables(fq):
+    """F_q's addition, multiplication and negation tables on codes, from
+    coefficient tuples and :func:`fp_poly_mulmod`."""
+    p, e = fq.p, fq.e
+    vecs = [_decode(c, p, e) for c in range(fq.q)]
+    add = [[_encode([(x + y) % p for x, y in zip(va, vb)], p) for vb in vecs] for va in vecs]
+    mul = [[_encode(fp_poly_mulmod(va, vb, fq.modulus, p), p) for vb in vecs] for va in vecs]
+    neg = [_encode([-x % p for x in va], p) for va in vecs]
+    return add, mul, neg

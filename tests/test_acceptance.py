@@ -132,7 +132,7 @@ def test_criterion_7_congruence_suite():
 
 def test_criterion_8_carlitz_goss_suite():
     t0 = time.perf_counter()
-    records = run_suite(goss_suite_items([2, 3], precision=64, lmax=3))
+    records = run_suite(goss_suite_items([2, 3]))
     assert suite_passed(records)
     skips = [r for r in records if r["status"] == "skipped"]
     assert len(skips) == 1 and skips[0]["params"]["q"] == 3  # t^2+t+1 = (t-1)^2 over F_3

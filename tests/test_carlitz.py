@@ -3,6 +3,8 @@ import random
 import pytest
 
 from drinfeldforms.carlitz import (
+    SymPoly,
+    SymRing,
     carlitz_phi,
     exp_coeffs,
     goss_polynomials,
@@ -146,14 +148,12 @@ def test_uniformizer_pullback(q, l):
 def test_uniformizer_pullback_leading_terms():
     # l = 1, q = 3: t*u - t^2 beta zeta u^2 + t^3 beta^2 zeta^2 u^3 - ...
     fq = field(3)
-    from drinfeldforms.series import SymPoly, SymRing, USeries
-
     ring = SymRing(fq)
     t = Poly.t(fq)
     beta = SymPoly.symbol(fq, "beta")
     zeta = SymPoly.symbol(fq, "zeta")
-    den = USeries.one(ring, 4) + USeries(ring, [ring.zero, SymPoly.from_poly(t) * beta * zeta], 4)
-    series = USeries(ring, [ring.zero, SymPoly.from_poly(t)], 4) * den.inverse()
+    den = UPoly(ring, [ring.one, SymPoly.from_poly(t) * beta * zeta])
+    series = (UPoly(ring, [ring.zero, SymPoly.from_poly(t)]) * den.series_inverse(4)).truncate(4)
     assert series.coeff(1) == SymPoly.from_poly(t)
     assert series.coeff(2) == -(SymPoly.from_poly(t * t) * beta * zeta)
     assert series.coeff(3) == SymPoly.from_poly(t * t * t) * beta * beta * zeta * zeta
@@ -162,13 +162,29 @@ def test_uniformizer_pullback_leading_terms():
 def test_torsion_pullback_expansion_coefficients():
     # m = t, q = 2: u(tz) = u^2/(1 + t u) = u^2 + t u^3 + t^2 u^4 + ...
     fq = field(2)
-    from drinfeldforms.linalg import KRing
-    from drinfeldforms.series import USeries
-
     ring = KRing(fq)
     t = RatFunc.from_poly(Poly.t(fq))
-    den = USeries.one(ring, 6) + USeries(ring, [ring.zero, t], 6)
-    series = den.inverse().shift(2)
+    den = UPoly(ring, [ring.one, t])
+    series = (UPoly(ring, [ring.zero, ring.zero, ring.one]) * den.series_inverse(6)).truncate(6)
     assert series.order() == 2
     for j in range(2, 6):
         assert series.coeff(j) == t ** (j - 2)
+
+
+def test_pullback_reports_the_expansion_to_its_precision():
+    # q = 2, l = 1: t*u + t^2 beta zeta u^2 + t^3 beta^2 zeta^2 u^3 + ...
+    fq = field(2)
+    t = Poly.t(fq)
+    rep = verify_uniformizer_pullback(fq, 1, 3)
+    assert rep["status"], rep
+    assert rep["sample_terms"] == ["0", repr(SymPoly.from_poly(t)), "(t^2)*beta*zeta"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_scaling_series_starts_at_q_to_the_degree(q):
+    # u(mz) for m = t + 1 of degree 1: u^q / (1 + m u^(q - 1))
+    fq = field(q)
+    m = Poly.t(fq) + Poly.one(fq)
+    rep = verify_coeff_scaling(m, 2, q + 2)
+    assert rep["status"], rep
+    assert rep["pullback_order"] == q

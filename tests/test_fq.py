@@ -3,6 +3,7 @@ import random
 import pytest
 
 from drinfeldforms.fq import Fq, FqElem, field
+from oracles import field_tables
 
 
 def test_prime_power_factorization():
@@ -73,3 +74,13 @@ def test_from_int_reduces():
     fq = field(3)
     assert fq.from_int(5) == 2
     assert fq.from_int(-1) == 2
+
+
+NON_PRIME_QS = [4, 8, 16, 32, 64, 128, 256, 9, 27, 81, 243, 25, 125, 49, 121, 169]
+
+
+@pytest.mark.parametrize("q", NON_PRIME_QS)
+def test_extension_field_tables_match_the_tuple_oracle(q):
+    fq = field(q)
+    assert (fq._add, fq._mul, fq._neg) == field_tables(fq)
+    assert all(fq._mul[a][fq._inv[a]] == 1 for a in fq.nonzero())

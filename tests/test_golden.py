@@ -47,6 +47,9 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
          "--op", "Diamond:t+1", "--certify", "--format", "json"],
     ),
     ("verify_goss_q2q3.json", ["verify", "--suite", "goss", "--q", "2", "--q", "3"]),
+    # the goss items over F_4, F_8 and F_9: extension-field tables, and a
+    # scaling series inverted to 66 terms at q = 8 and 83 at q = 9
+    ("verify_goss_q4q8q9.json", ["verify", "--suite", "goss", "--q", "4", "--q", "8", "--q", "9"]),
     # a d = 16 weight-2 space over F_4, in JSON and in CSV
     ("hecke_q4n2k2.json", _hecke_case(4, 2, 2)[1]),
     ("hecke_q4n2k2.csv", [*_hecke_case(4, 2, 2)[1][:-1], "csv"]),

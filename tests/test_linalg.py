@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from drinfeldforms.carlitz import SymPoly, SymRing
 from drinfeldforms.fq import FqElem, field
 from drinfeldforms.linalg import (
     FqRing,
@@ -339,3 +340,68 @@ def test_shape_mismatch():
         Matrix.identity(K, 2) * Matrix.identity(K, 3)
     with pytest.raises(ValueError):
         Matrix(K, [[K.one], [K.one, K.zero]])
+
+
+def _series_rings():
+    f3, f4 = field(3), field(4)
+    sym = SymRing(f3)
+    t = SymPoly.from_poly(Poly.t(f3))
+    beta, zeta = SymPoly.symbol(f3, "beta"), SymPoly.symbol(f3, "zeta")
+
+    def sym_coeff(rng):
+        return rng.choice([sym.zero, sym.one, t, t * beta, beta * zeta, -(t * t * zeta)])
+
+    def k_coeff(rng):
+        return RatFunc(Poly(f3, [rng.randrange(3) for _ in range(3)]), Poly(f3, [rng.randrange(1, 3), 1]))
+
+    return [
+        (FqRing(f4), lambda rng: FqElem(f4, rng.randrange(4)), FqElem(f4, 3)),
+        (KRing(f3), k_coeff, RatFunc(Poly.one(f3), Poly(f3, [1, 1]))),
+        (sym, sym_coeff, -sym.one),
+    ]
+
+
+@pytest.mark.parametrize("ring,coeff,unit", _series_rings(), ids=["F4", "K3", "A3[beta,zeta]"])
+def test_series_inverse_times_f_is_one_mod_x_n(ring, coeff, unit):
+    rng = random.Random(23)
+    one = UPoly.one(ring)
+    for deg, n in [(0, 1), (0, 5), (2, 6), (5, 3), (6, 6), (3, 1)]:
+        coeffs = [unit] + [coeff(rng) for _ in range(deg)]
+        while not coeffs[-1]:
+            coeffs[-1] = coeff(rng)
+        f = UPoly(ring, coeffs)
+        assert f.degree == deg
+        g = f.series_inverse(n)
+        assert g.degree < n
+        assert (f * g).truncate(n) == one
+        assert (g * f).truncate(n) == one
+    # deg f = 0: the inverse of the constant, and mod X^0 every series is 0
+    assert UPoly(ring, [unit]).series_inverse(4) == UPoly(ring, [unit.inverse()])
+    assert UPoly(ring, [unit]).series_inverse(0) == UPoly.zero(ring)
+
+
+def test_series_inverse_needs_a_unit_constant_term():
+    K = KRing(field(2))
+    with pytest.raises(ZeroDivisionError):
+        UPoly(K, [K.zero, K.one]).series_inverse(3)
+    with pytest.raises(ZeroDivisionError):
+        UPoly.zero(K).series_inverse(3)
+    sym = SymRing(field(2))
+    # t is not a unit of A, so 1/(t + X) has no expansion in A[beta, zeta][[X]]
+    with pytest.raises(ZeroDivisionError):
+        UPoly(sym, [SymPoly.from_poly(Poly.t(field(2))), sym.one]).series_inverse(2)
+
+
+def test_truncate_and_order():
+    fq = field(3)
+    F = FqRing(fq)
+    one, two = FqElem(fq, 1), FqElem(fq, 2)
+    f = UPoly(F, [F.zero, F.zero, one, F.zero, two])
+    assert f.order() == 2
+    assert f.truncate(5) == f and f.truncate(9) == f
+    assert f.truncate(4) == UPoly(F, [F.zero, F.zero, one])
+    # the terms below degree 2 are all zero
+    assert f.truncate(2) == UPoly.zero(F) and f.truncate(0) == UPoly.zero(F)
+    assert UPoly.zero(F).order() is None
+    assert UPoly.zero(F).truncate(3) == UPoly.zero(F)
+    assert UPoly.one(F).order() == 0
