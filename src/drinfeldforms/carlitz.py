@@ -304,22 +304,19 @@ class SymPoly:
                     out[key] = s
         return SymPoly(self.fq, out)
 
+    def is_unit(self):
+        """True for a unit of A[beta, zeta]: a nonzero constant of F_q."""
+        return list(self.terms) == [(0, 0)] and self.terms[(0, 0)].degree == 0
+
     def inverse(self):
-        """Inverse of a unit constant (a single degree-0 monomial in A^x)."""
-        if list(self.terms.keys()) != [(0, 0)]:
-            raise ZeroDivisionError("only scalar constants are invertible in A[beta, zeta]")
-        p = self.terms[(0, 0)]
-        if p.degree != 0:
-            raise ZeroDivisionError(f"{p} is not a unit of A")
-        return SymPoly(self.fq, {(0, 0): Poly.constant(self.fq, self.fq.inv(p.constant_coeff()))})
+        if not self.is_unit():
+            raise ZeroDivisionError(f"{self!r} is not a unit of A[beta, zeta]")
+        c = self.terms[(0, 0)].constant_coeff()
+        return SymPoly(self.fq, {(0, 0): Poly.constant(self.fq, self.fq.inv(c))})
 
     def substitute_beta_zero(self):
         """Set beta = 0 (drop every monomial with a positive beta exponent)."""
         return SymPoly(self.fq, {k: p for k, p in self.terms.items() if k[0] == 0})
-
-    def coefficients_in_A(self):
-        """True: every monomial coefficient is an honest element of A."""
-        return all(isinstance(p, Poly) for p in self.terms.values())
 
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.terms == other.terms
@@ -346,13 +343,14 @@ class SymRing:
         self.one = SymPoly.from_poly(Poly.one(fq))
 
 
-def verify_uniformizer_pullback(fq, l, precision):
+def verify_uniformizer_pullback(fq, l, precision, constant=None):
     """Certificate for the one-level uniformizer pullback expansion.
 
-    Expands t*u / (1 + t^l * beta * zeta * u) as a u-series over
-    A[beta, zeta] and certifies: order exactly 1, leading coefficient t,
-    and every coefficient an honest polynomial in beta, zeta over A.
-    Specializing beta = 0 must collapse the series to t*u exactly.
+    Expands t*u / (c + t^l * beta * zeta * u), c = ``constant`` (a Poly,
+    1 by default), as a u-series over A[beta, zeta] and certifies: order
+    exactly 1, leading coefficient t, and every coefficient in A[beta, zeta],
+    that is, c a unit of A; otherwise there is no series and every item is
+    false.  Specializing beta = 0 must collapse the series to t*u exactly.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -364,13 +362,15 @@ def verify_uniformizer_pullback(fq, l, precision):
     zeta = SymPoly.symbol(fq, "zeta")
     tl_beta_zeta = SymPoly.from_poly(Poly.t_power(fq, l)) * beta * zeta
     tu = UPoly(ring, [ring.zero, t])
-    # to precision: t*u times the inverse of the denominator mod u^(precision - 1)
-    series = tu * UPoly(ring, [ring.one, tl_beta_zeta]).series_inverse(precision - 1)
-    order = series.order()
-    lead_ok = order == 1 and series.coeff(1) == t
-    in_ring = all(c.coefficients_in_A() for c in series.coeffs)
-    beta_zero = UPoly(ring, [c.substitute_beta_zero() for c in series.coeffs])
-    beta_zero_ok = beta_zero == tu
+    c = ring.one if constant is None else SymPoly.from_poly(constant)
+    in_ring = c.is_unit()
+    # to precision: t*u times the inverse of the denominator mod u^(precision - 1);
+    # without a unit c there is none, and the zero series fails the other items
+    series = UPoly.zero(ring)
+    if in_ring:
+        series = tu * UPoly(ring, [c, tl_beta_zeta]).series_inverse(precision - 1)
+    lead_ok = series.order() == 1 and series.coeff(1) == t
+    beta_zero_ok = UPoly(ring, [x.substitute_beta_zero() for x in series.coeffs]) == tu
     status = bool(lead_ok and in_ring and beta_zero_ok)
     return {
         "lemma": "uniformizer-pullback",

@@ -272,46 +272,43 @@ class CocycleSpace:
         return tuple(self.ring.zero for _ in range(self.k - 1))
 
     def evaluate(self, cocycle, e):
-        """Value of a cocycle (dict orbit-key -> tuple) at any oriented edge.
+        """Value of one cocycle (dict orbit-key -> tuple) at an oriented edge; checks
+        reading several use :meth:`values`, which classifies each edge once for all."""
+        return self.values(e, [cocycle])[0]
 
-        Classifies the edge, transports the stored value through the
-        witness with the orientation sign, and returns the zero vector
-        beyond the table (finite support).
-        """
+    def values(self, e, cocycles):
+        """Each cocycle's value at one oriented edge, classified once: its stored value
+        through the witness with the orientation sign, or zero off its support or the table."""
         orbit, key, sign, delta = self.graph.classify(e)
-        if orbit is None:
-            return self.zero_vector()
-        stored = cocycle.get(key)
-        if stored is None:
-            return self.zero_vector()
-        out = self.vk.act(delta).apply(stored)
-        if sign == -1:
-            out = [-x for x in out]
-        return tuple(out)
+        zero = self.zero_vector()
+        stored = [None if orbit is None else c.get(key) for c in cocycles]
+        act = self.vk.act(delta) if any(v is not None for v in stored) else None
+        return [
+            zero if v is None else tuple(x if sign == 1 else -x for x in act.apply(v)) for v in stored
+        ]
 
-    def predecessor_sum(self, cocycle, e):
-        """Sum of values over the q edges feeding o(e) other than -e.
+    def _sum_values(self, edges, cocycles):
+        """The sum over ``edges`` of each cocycle's values, one vector per cocycle."""
+        totals = [self.zero_vector()] * len(cocycles)
+        for f in edges:
+            for j, v in enumerate(self.values(f, cocycles)):
+                # zero terms are skipped: a RatFunc sum takes a gcd even with 0
+                if any(v):
+                    totals[j] = tuple(a + b if a else b for a, b in zip(totals[j], v))
+        return totals
+
+    def predecessor_sum(self, e, cocycles):
+        """For each cocycle, the sum of its values over the q edges feeding o(e) other than -e.
 
         Harmonicity at o(e) makes this equal to the value at e; asserting
         the equality is the executable form of the source-sum identity.
         """
-        total = list(self.zero_vector())
-        rev = e.reverse()
-        for u in e.origin.neighbors(self.ctx.fq):
-            f = Edge(u, e.origin)
-            if f == rev:
-                continue
-            val = self.evaluate(cocycle, f)
-            total = [a + b for a, b in zip(total, val)]
-        return tuple(total)
+        edges = [Edge(u, e.origin) for u in e.origin.neighbors(self.ctx.fq) if u != e.terminus]
+        return self._sum_values(edges, cocycles)
 
-    def harmonicity_residual(self, cocycle, v):
-        """Sum of the cocycle over the edges into a literal tree vertex."""
-        total = list(self.zero_vector())
-        for u in v.neighbors(self.ctx.fq):
-            val = self.evaluate(cocycle, Edge(u, v))
-            total = [a + b for a, b in zip(total, val)]
-        return tuple(total)
+    def harmonicity_residual(self, v):
+        """For each basis cocycle, its sum over the edges into a literal tree vertex."""
+        return self._sum_values([Edge(u, v) for u in v.neighbors(self.ctx.fq)], self.basis)
 
     @property
     def dim(self):

@@ -18,8 +18,9 @@ dimension with depth stability, harmonicity, antisymmetry, equivariance
 and orbit invariance under random translates, the source-sum recursion,
 the delta basis, the ordinary certificate, diamond commutation, the
 diamond group action and closed form, and the nilpotent block of U_t.
-The commutators [U_t, T_m] follow as diagnostics, reported and never
-asserted.
+A check reading cocycles on literal tree edges classifies each edge once
+for all the cocycles it reads.  The commutators [U_t, T_m] follow as
+diagnostics, reported and never asserted.
 """
 
 import os
@@ -38,6 +39,7 @@ from .fq import field
 from .groups import (
     distinct_coset_check,
     group_context,
+    is_gamma1,
     verify_diamond_congruence,
     verify_xi_congruences,
 )
@@ -171,16 +173,18 @@ def _freeness_item(q, n):
 
 
 def _random_gamma(ctx, rng):
-    """A random word in Gamma_1(t^n) from upper and t^n-lower unipotents."""
+    """A random word in Gamma_1(t^n) from upper and t^n-lower unipotents,
+    each factor (1, x; 0, 1) or (1, 0; x t^n, 1) applied as a column operation."""
     fq = ctx.fq
-    m = Mat2.identity_poly(fq)
+    a, b, c, d = Poly.one(fq), Poly.zero(fq), Poly.zero(fq), Poly.one(fq)
     for _ in range(4):
-        b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
+        x = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         if rng.random() < 0.5:
-            m = m * Mat2.translation(b)
+            b, d = b + a * x, d + c * x
         else:
-            m = m * Mat2(Poly.one(fq), Poly.zero(fq), b.shift(ctx.n), Poly.one(fq))
-    return m
+            y = x.shift(ctx.n)
+            a, c = a + b * y, c + d * y
+    return Mat2(a, b, c, d)
 
 
 Operators = namedtuple("Operators", "engine ut heckes diamonds")
@@ -209,19 +213,16 @@ def _check_dimension(space, ops, rng):
 def _check_harmonicity(space, ops, rng):
     """Zero residual at every interior vertex orbit, for every basis cocycle."""
     interior = space.graph.interior_vertex_orbits()
-    ok = not any(
-        any(space.harmonicity_residual(c, vorbit.rep)) for c in space.basis for vorbit in interior
-    )
+    ok = not any(any(v) for vorbit in interior for v in space.harmonicity_residual(vorbit.rep))
     return ok, {"vertex_orbits": len(interior)}
 
 
 def _check_antisymmetry(space, ops, rng):
     """c(-e) = -c(e) on every orbit representative."""
-    reps = _reps(space)
     ok = not any(
-        any(a + b for a, b in zip(space.evaluate(c, e), space.evaluate(c, e.reverse())))
-        for c in space.basis
-        for e in reps
+        any(a != -b for a, b in zip(plus, minus))
+        for e in _reps(space)
+        for plus, minus in zip(space.values(e, space.basis), space.values(e.reverse(), space.basis))
     )
     return ok, {}
 
@@ -252,14 +253,14 @@ def _check_source_sum(space, ops, rng):
         for e in (orbit.rep, orbit.rep.reverse())
         if e.origin in interior
     ]
-    ok = all(
-        space.predecessor_sum(c, e) == space.evaluate(c, e) for c in space.basis[:4] for e in edges
-    )
+    basis = space.basis[:4]
+    ok = all(space.predecessor_sum(e, basis) == space.values(e, basis) for e in edges)
     return ok, {}
 
 
 def _check_orbit_invariance(space, ops, rng):
-    """Classification is constant on orbits: 50 random translates."""
+    """Classification is constant on orbits: 50 random translates, each
+    reached from its representative by a witness in Gamma_1(t^n)."""
     graph, fq = space.graph, space.ctx.fq
     reps = _reps(space)
     for _ in range(50):
@@ -270,6 +271,8 @@ def _check_orbit_invariance(space, ops, rng):
         if orbit is None or key != key0:
             return False, {}
         if apply_edge(delta, orbit.rep if sign == 1 else orbit.rep.reverse(), fq) != e2:
+            return False, {}
+        if not is_gamma1(delta, space.ctx.n):
             return False, {}
     return True, {}
 

@@ -23,7 +23,13 @@ None of this is used by ``drinfeldforms`` itself:
   ``hecke.nilpotency_diagnostics``;
 * products of coefficient tuples over F_p reduced mod the field modulus
   (:func:`fp_poly_mulmod`, :func:`field_tables`), the oracle for the
-  extension-field tables that ``fq`` builds on ``rings.Poly``.
+  extension-field tables that ``fq`` builds on ``rings.Poly``;
+* one cocycle's value at one edge, classified for that cocycle alone
+  (:func:`evaluate_oracle`), the oracle for ``CocycleSpace.values``,
+  which classifies each edge once for several cocycles;
+* the random word in Gamma_1(t^n) as four full Mat2 products
+  (:func:`random_gamma_oracle`), the oracle for the column operations of
+  ``verify._random_gamma``.
 """
 
 from drinfeldforms.fq import _decode, _encode
@@ -471,3 +477,28 @@ def field_tables(fq):
     mul = [[_encode(fp_poly_mulmod(va, vb, fq.modulus, p), p) for vb in vecs] for va in vecs]
     neg = [_encode([-x % p for x in va], p) for va in vecs]
     return add, mul, neg
+
+
+def evaluate_oracle(space, cocycle, e):
+    """A cocycle's value at an oriented edge: its stored value transported
+    through the witness, with the orientation sign; zero off the table and
+    off its support."""
+    orbit, key, sign, delta = space.graph.classify(e)
+    stored = None if orbit is None else cocycle.get(key)
+    if stored is None:
+        return space.zero_vector()
+    out = space.vk.act(delta).apply(stored)
+    return tuple(out if sign == 1 else [-x for x in out])
+
+
+def random_gamma_oracle(ctx, rng):
+    """The random word of ``verify._random_gamma``, each factor a Mat2 product."""
+    fq = ctx.fq
+    m = Mat2.identity_poly(fq)
+    for _ in range(4):
+        b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
+        if rng.random() < 0.5:
+            m = m * Mat2.translation(b)
+        else:
+            m = m * Mat2(Poly.one(fq), Poly.zero(fq), b.shift(ctx.n), Poly.one(fq))
+    return m

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from drinfeldforms import verify
 from drinfeldforms.carlitz import (
     SymPoly,
     SymRing,
@@ -13,6 +15,7 @@ from drinfeldforms.carlitz import (
     verify_coeff_scaling,
     verify_uniformizer_pullback,
 )
+from drinfeldforms.cli import main
 from drinfeldforms.fq import field
 from drinfeldforms.linalg import KRing, UPoly
 from drinfeldforms.rings import Poly, RatFunc
@@ -143,6 +146,44 @@ def test_coeff_scaling_precision_guard():
 def test_uniformizer_pullback(q, l):
     rep = verify_uniformizer_pullback(field(q), l, 6)
     assert rep["status"], rep
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_non_unit_constant_leaves_the_ring(q):
+    # 1/(t + t beta zeta u) has no expansion over A[beta, zeta]: the item
+    # reads false instead of raising in series_inverse
+    fq = field(q)
+    rep = verify_uniformizer_pullback(fq, 1, 6, constant=Poly.t(fq))
+    assert rep["items"]["coefficients-in-ring"] is False
+    assert rep["status"] is False
+    unit = verify_uniformizer_pullback(fq, 1, 6, constant=Poly.one(fq))
+    assert unit == verify_uniformizer_pullback(fq, 1, 6)
+    assert unit["items"]["coefficients-in-ring"] is True
+
+
+def test_a_non_unit_constant_fails_the_goss_run(monkeypatch, tmp_path):
+    def pullback(fq, l, precision):
+        return verify_uniformizer_pullback(fq, l, precision, constant=Poly.t(fq))
+
+    out = tmp_path / "goss.json"
+    assert main(["verify", "--suite", "goss", "--q", "2", "--jobs", "1", "--out", str(out)]) == 0
+    monkeypatch.setattr(verify, "verify_uniformizer_pullback", pullback)
+    assert main(["verify", "--suite", "goss", "--q", "2", "--jobs", "1", "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["items"]
+    failed = [r["id"] for r in records if r["status"] is False]
+    assert failed == ["pullback/q2/l1", "pullback/q2/l2", "pullback/q2/l3"]
+    assert all(not r["items"]["coefficients-in-ring"] for r in records if r["id"] in failed)
+
+
+def test_symbolic_units_are_the_nonzero_constants():
+    fq = field(3)
+    t, beta = Poly.t(fq), SymPoly.symbol(fq, "beta")
+    two = SymPoly.from_poly(Poly.constant(fq, 2))
+    assert two.is_unit() and two * two.inverse() == SymPoly.from_poly(Poly.one(fq))
+    for x in (SymPoly(fq), SymPoly.from_poly(t), beta, two + beta):
+        assert not x.is_unit()
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
 
 
 def test_uniformizer_pullback_leading_terms():

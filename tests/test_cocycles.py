@@ -12,7 +12,7 @@ from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import Deferred, Mat2, RowOps
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
-from oracles import inverse_k
+from oracles import evaluate_oracle, inverse_k
 
 
 def rand_gamma(ctx, rng):
@@ -152,9 +152,11 @@ def test_equivariance_randomized(q, n, k, cache):
 @pytest.mark.parametrize("q,n,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3)])
 def test_harmonicity_residual_zero_everywhere(q, n, k, cache):
     space = cache.space(q, n, k)
-    for cocycle in space.basis:
-        for vorbit in space.graph.interior_vertex_orbits():
-            assert not any(space.harmonicity_residual(cocycle, vorbit.rep))
+    for vorbit in space.graph.interior_vertex_orbits():
+        residuals = space.harmonicity_residual(vorbit.rep)
+        assert len(residuals) == space.dim
+        for residual in residuals:
+            assert not any(residual)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 1, 2), (2, 2, 2), (3, 1, 3)])
@@ -170,10 +172,39 @@ def test_source_sum_recursion(q, n, k, cache):
         for e in (orbit.rep, orbit.rep.reverse()):
             if e.origin not in interior:
                 continue
-            for cocycle in space.basis:
-                assert space.predecessor_sum(cocycle, e) == space.evaluate(cocycle, e)
+            sums = space.predecessor_sum(e, space.basis)
+            assert len(sums) == space.dim
+            for cocycle, total in zip(space.basis, sums):
+                assert total == space.evaluate(cocycle, e)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)])
+def test_values_agree_with_one_cocycle_at_a_time(q, n, k, cache):
+    # on representatives, their reversals, the literal in-edges of interior
+    # vertices and an edge beyond the table
+    space = cache.space(q, n, k)
+    graph = space.graph
+    reps = [graph.edge_orbits[key].rep for key in space.orbit_keys]
+    edges = reps + [e.reverse() for e in reps]
+    for vorbit in graph.interior_vertex_orbits():
+        edges += graph.in_edges(vorbit)
+    beyond = Edge.standard(space.depth)
+    assert graph.classify(beyond)[0] is None
+    edges.append(beyond)
+    nonzero = 0
+    for e in edges:
+        got = space.values(e, space.basis)
+        assert got == [space.evaluate(c, e) for c in space.basis]
+        assert got == [evaluate_oracle(space, c, e) for c in space.basis]
+        nonzero += sum(1 for v in got if any(v))
+    assert nonzero > 0
+    assert space.values(beyond, space.basis) == [space.zero_vector()] * space.dim
+    # a subset in another order reads the same values
+    some = space.basis[::-1][:2]
+    for e in reps:
+        assert space.values(e, some) == [evaluate_oracle(space, c, e) for c in some]
 
 
 def test_antisymmetry_everywhere(cache):

@@ -1,12 +1,14 @@
 import concurrent.futures
 import copy
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from drinfeldforms import verify
+from drinfeldforms import tree, verify
 from drinfeldforms.fq import field
 from drinfeldforms.linalg import Matrix
+from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import poly_is_irreducible
 from drinfeldforms.verify import (
     congruence_suite_items,
@@ -15,6 +17,7 @@ from drinfeldforms.verify import (
     run_suite,
     suite_passed,
 )
+from oracles import random_gamma_oracle
 
 
 def test_goss_suite_records_reducible_skip():
@@ -156,6 +159,15 @@ def _with_basis(space, basis):
     return corrupted
 
 
+def _with_classify(space, mutate):
+    """A copy of space whose graph classifies e as mutate(*classify(e))."""
+    corrupted = copy.copy(space)
+    corrupted.graph = copy.copy(space.graph)
+    classify = space.graph.classify
+    corrupted.graph.classify = lambda e: mutate(*classify(e))
+    return corrupted
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 2, 2), (3, 1, 3), (2, 2, 3)])
 def test_a_changed_value_fails_harmonicity_and_source_sum(cache, q, n, k):
     """One added to basis[0] at the non-stable depth-1 orbit breaks both sums.
@@ -181,6 +193,54 @@ def test_a_changed_value_fails_harmonicity_and_source_sum(cache, q, n, k):
     held = ["antisymmetry", "orbit-invariance"] + (["equivariance"] if k == 2 else [])
     for name in held:
         assert _status(name, corrupted) is True, name
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_an_orientation_blind_classifier_fails_antisymmetry(cache, q, n, k):
+    """Every edge read with sign +1, so c(-e) = c(e).
+
+    In characteristic 2 that is still -c(e), so the mutation shows at q = 3.
+    """
+    space = cache.space(q, n, k)
+    corrupted = _with_classify(space, lambda orbit, key, sign, delta: (orbit, key, 1, delta))
+    assert _status("antisymmetry", space) is True
+    assert _status("antisymmetry", corrupted) is False
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (3, 2)])
+def test_a_witness_without_its_lift_fails_orbit_invariance(cache, monkeypatch, q, n):
+    """delta = w w0^-1 without the S_i lift still carries the representative
+    to the edge, but it leaves Gamma_1(t^n)."""
+    space = cache.space(q, n, 2)
+    assert _status("orbit-invariance", space) is True
+    monkeypatch.setattr(tree.TreeContext, "edge_witness", lambda self, w, nf, orbit: w * orbit.w0_inv)
+    assert _status("orbit-invariance", space) is False
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
+def test_an_untransported_value_fails_equivariance_at_weight_3(cache, q, n):
+    """Every witness read as the identity: c(gamma e) is the stored value,
+    not gamma . c(e).
+
+    On V_2 every element acts trivially, so at weight 2 the same mutation
+    leaves equivariance true.
+    """
+    for k, want in ((3, False), (2, True)):
+        space = cache.space(q, n, k)
+        identity = Mat2.identity_poly(space.ctx.fq)
+        corrupted = _with_classify(space, lambda orbit, key, sign, delta: (orbit, key, sign, identity))
+        assert _status("equivariance", space) is True
+        assert _status("equivariance", corrupted) is want, k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_gamma_is_the_product_of_its_factors(q, n):
+    ctx = SimpleNamespace(fq=field(q), n=n)
+    for seed in range(200):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert verify._random_gamma(ctx, rng) == random_gamma_oracle(ctx, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2)])
