@@ -24,12 +24,14 @@ from .rings import (
 def is_gamma1(gamma, n):
     """Exact test gamma = (1 *; 0 1) mod t^n, for gamma in SL_2(A)."""
     _require_unimodular(gamma)
-    tn = Poly.t_power(gamma.a.fq, n)
+    return _unipotent_mod(gamma, n)
+
+
+def _unipotent_mod(gamma, n):
+    """gamma = (1 *; 0 1) mod t^n: the low n bytes of a - 1, c and d - 1 are zero."""
     one = Poly.one(gamma.a.fq)
-    return (
-        ((gamma.a - one) % tn).is_zero()
-        and (gamma.c % tn).is_zero()
-        and ((gamma.d - one) % tn).is_zero()
+    return not (
+        (gamma.a - one).truncate(n) or gamma.c.truncate(n) or (gamma.d - one).truncate(n)
     )
 
 
@@ -267,7 +269,7 @@ def in_gamma1_coset(lhs, rhs, n):
             return False
         entries.append(quo)
     gamma = Mat2(*entries)
-    return gamma.det().is_one() and is_gamma1(gamma, n)
+    return gamma.det().is_one() and _unipotent_mod(gamma, n)
 
 
 def verify_xi_congruences(q, n):

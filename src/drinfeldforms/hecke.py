@@ -30,12 +30,29 @@ r = q^(n-1) and chi the characteristic polynomial of U_t,
 Each Hecke flag is True exactly when (d) holds; a False flag comes with a
 note.  The theorem is that every Hecke operator is the identity on the
 ordinary part, so one acting there as any other scalar fails (d).
+
+Over F_q (weight 2) the checks run on U's Fitting image im U^N, of
+dimension s, found by :func:`image_chain` with an echelon basis B and the
+s x s restriction U|im, which is invertible.  U is nilpotent on
+ker U^N, so chi = X^(d-s) charpoly(U|im), and Berkowitz runs at s x s;
+(a) and (b) are read off chi as above.  With g = charpoly(U|im) /
+(X-1)^r, chi_plus = X^(d-s) g, and U^(d-s) maps the space onto im U^N,
+where it is invertible, so chi_plus(U) has the image of B g(U|im).  Hence
+
+  (c) holds exactly when (U|im - 1) g(U|im) = 0, and
+  (d) holds exactly when (T - 1) y = 0 for y = B times each column of
+      g(U|im), by sparse mat-vecs on packed rows.
+
+These are equivalences: every flag, a false one included, is the one the
+projector chi_plus(U_t) on the whole space gives.  Over K (weight >= 3)
+the checks still form that projector.
 """
 
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
-from .linalg import Matrix, UPoly, _reduce, charpoly, newton_slope_zero_count
-from .rings import Poly, Residue, graded_polys, poly_is_irreducible
+from .fq import FqElem
+from .linalg import FqRing, Matrix, UPoly, charpoly, newton_slope_zero_count
+from .rings import Poly, Residue, graded_polys, int_add, int_mul, poly_is_irreducible
 from .serialize import entry_json
 from .tree import apply_edge
 
@@ -277,13 +294,24 @@ class OrdinaryCertificate:
 
 
 def ordinary_certificate(ut, heckes=()):
-    """Run checks (a)-(d) for a U_t matrix and a list of Hecke operators."""
+    """Run checks (a)-(d) for a U_t matrix and a list of Hecke operators.
+
+    Over F_q the checks run on U's Fitting image (:func:`image_chain`);
+    over K on the projector chi_plus(U_t) of the whole space.
+    """
     ctx = ut.ctx
     ring = ut.matrix.ring
     d = ut.size
     r = ctx.ordinary_rank()
     notes = []
-    chi = charpoly(ut.matrix)
+    fitting = isinstance(ring, FqRing)
+    if fitting:
+        # U is nilpotent on ker U^N, of dimension d - s
+        _, basis, u_im = image_chain(ut.matrix)
+        s = len(basis)
+        chi = UPoly(ring, [ring.zero] * (d - s) + charpoly(u_im).coeffs)
+    else:
+        chi = charpoly(ut.matrix)
     x_minus_1 = UPoly(ring, [-ring.one, ring.one])
     chi_plus = chi
     ok_div = True
@@ -302,12 +330,32 @@ def ordinary_certificate(ut, heckes=()):
             notes.append(f"Newton count failed: {exc}")
     else:
         flags["positive_slope"] = False
-    proj = chi_plus.eval_matrix(ut.matrix) if ok_div else None
-    ident = Matrix.identity(ring, d)
-    flags["unipotence_kill"] = proj is not None and ((ut.matrix - ident) * proj).is_zero()
+    unipotent = False
+    if ok_div and fitting:
+        # chi_plus = X^(d-s) g, and U^(d-s) maps the space onto im U^N,
+        # where U is invertible: chi_plus(U) has the image of B g(U|im)
+        g = UPoly(ring, chi_plus.coeffs[d - s :])
+        proj = g.eval_matrix(u_im)
+        unipotent = ((u_im - Matrix.identity(ring, s)) * proj).is_zero()
+        fq = ring.fq
+        stable = [_combine(fq, basis, (c.code for c in col)) for col in proj.transpose().rows]
+
+        def fixes(op):
+            cols = _packed_columns(op.matrix)
+            return all(_apply(fq, cols, y) == y for y in stable)
+
+    elif ok_div:
+        proj = chi_plus.eval_matrix(ut.matrix)
+        ident = Matrix.identity(ring, d)
+        unipotent = ((ut.matrix - ident) * proj).is_zero()
+
+        def fixes(op):
+            return ((op.matrix - ident) * proj).is_zero()
+
+    flags["unipotence_kill"] = unipotent
     hecke_flags = {}
     for op in heckes:
-        ok = proj is not None and ((op.matrix - ident) * proj).is_zero()
+        ok = ok_div and fixes(op)
         hecke_flags[op.name] = ok
         if not ok:
             notes.append(f"{op.name} is not the identity on the ordinary part")
@@ -321,34 +369,17 @@ def nilpotency_diagnostics(ut):
     (that would need cusp expansions); the nilpotent block of U_t
     computed here is the indirect witness that U_t kills it eventually.
 
-    The data is read off the image chain: U is applied, through its
-    nonzero columns, to an echelon basis of im U^(j-1), and the images
-    are re-eliminated, so rank U^j is their number of pivots.  The chain
-    stops when the rank repeats or at j = d - r.  Ranks never increase and
-    stay fixed once they repeat, so ker U^(d-r) has dimension d minus the
-    last rank, and U^j kills it exactly when rank U^j reaches that rank:
-    the nilpotency index is the first such j.  The status holds when the
-    block has dimension d - r and nilpotency index at most d - r.
+    The data is read off the ranks of :func:`image_chain`, cut at
+    j = d - r.  Ranks never increase and stay fixed once they repeat, so
+    ker U^(d-r) has dimension d minus the last rank kept, and U^j kills it
+    exactly when rank U^j reaches that rank: the nilpotency index is the
+    first such j.  The status holds when the block has dimension d - r and
+    nilpotency index at most d - r.
     """
     ctx = ut.ctx
-    matrix = ut.matrix
-    ring = matrix.ring
     d = ut.size
     r = ctx.ordinary_rank()
-    cols = [{} for _ in range(d)]
-    for i, row in enumerate(matrix.rows):
-        for c, a in enumerate(row):
-            if a:
-                cols[c][i] = a
-    basis = [{i: ring.one} for i in range(d)]
-    ranks = [d]
-    for _ in range(d - r):
-        images = [image for image in (_sparse_apply(cols, v) for v in basis) if image]
-        pivots = _reduce(images, range(d), ring)
-        basis = [images[p] for p in pivots.values()]
-        ranks.append(len(basis))
-        if ranks[-1] == ranks[-2]:
-            break
+    ranks = image_chain(ut.matrix)[0][: max(d - r, 0) + 1]
     dim_nilp = d - ranks[-1]
     index = ranks.index(ranks[-1])
     return {
@@ -364,11 +395,86 @@ def nilpotency_diagnostics(ut):
     }
 
 
-def _sparse_apply(cols, v):
-    """M v for M given by its columns and v by its nonzero entries, both {index: elem}."""
-    out = {}
-    for c, x in v.items():
-        for i, a in cols[c].items():
-            s = out.get(i)
-            out[i] = a * x if s is None else s + a * x
-    return {i: s for i, s in out.items() if s}
+# -- the image chain on packed rows ------------------------------------------
+#
+# A vector of length d over F_q is one packed int, as a polynomial in
+# rings.Poly: byte i holds the code of coordinate i.  Row operations are
+# rings.int_add and int_mul by a constant (XOR alone at q = 2).
+
+
+def image_chain(matrix):
+    """U's image chain, run until the rank repeats, for a square Matrix U over F_q.
+
+    U is applied to an echelon basis of im U^(j-1), and the images are
+    re-eliminated into an echelon basis of im U^j.  The ranks never
+    increase, and once rank U^N = rank U^(N+1) every later image is
+    im U^N, the Fitting image, on which U is invertible.
+
+    Returns (ranks, basis, restriction): ranks[j] = rank U^j up to the
+    first repeat; an echelon basis of im U^N as packed ints, each with
+    code 1 at its own leading byte and the leading bytes distinct; and
+    U|im, the s x s Matrix of U on that basis (s = len(basis)).
+    """
+    ring = matrix.ring
+    fq = ring.fq
+    cols = _packed_columns(matrix)
+    echelon = {i: 1 << 8 * i for i in range(matrix.nrows)}
+    ranks = [len(echelon)]
+    while True:
+        images = [_apply(fq, cols, v) for v in echelon.values()]
+        nxt = {}
+        for w in images:
+            w, _ = _eliminate(fq, nxt, w)
+            if w:
+                top = (w.bit_length() - 1) >> 3
+                c = w >> 8 * top
+                nxt[top] = w if c == 1 else int_mul(fq, w, fq.inv(c))
+        ranks.append(len(nxt))
+        if ranks[-1] == ranks[-2]:
+            break
+        echelon = nxt
+    # U b_j lies in span(basis): its coordinates are the multiples cleared
+    position = {top: i for i, top in enumerate(echelon)}
+    rows = [[ring.zero] * len(echelon) for _ in echelon]
+    for j, w in enumerate(images):
+        for top, c in _eliminate(fq, echelon, w)[1]:
+            rows[position[top]][j] = FqElem(fq, c)
+    return ranks, list(echelon.values()), Matrix(ring, rows)
+
+
+def _packed_columns(matrix):
+    """The columns of a Matrix over F_q, each as one packed int."""
+    return [int.from_bytes(bytes(a.code for a in col), "little") for col in zip(*matrix.rows)]
+
+
+def _apply(fq, cols, v):
+    """M v for M given by its packed columns and v packed."""
+    return _combine(fq, cols, v.to_bytes((v.bit_length() + 7) >> 3, "little"))
+
+
+def _combine(fq, vectors, codes):
+    """sum c_k v_k for packed vectors v_k and F_q codes c_k."""
+    out = 0
+    for v, c in zip(vectors, codes):
+        if c:
+            out = int_add(fq, out, v if c == 1 else int_mul(fq, v, c))
+    return out
+
+
+def _eliminate(fq, echelon, w):
+    """(w less multiples of the echelon rows, the multiples as (leading byte, code)).
+
+    ``echelon`` maps each row's leading byte to the row, whose code there
+    is 1; w's leading byte is cleared while it leads a row.
+    """
+    cleared = []
+    while w:
+        top = (w.bit_length() - 1) >> 3
+        row = echelon.get(top)
+        if row is None:
+            break
+        c = w >> 8 * top
+        cleared.append((top, c))
+        neg = fq.neg(c)
+        w = int_add(fq, w, row if neg == 1 else int_mul(fq, row, neg))
+    return w, cleared

@@ -12,13 +12,13 @@ UPoly cut by :meth:`UPoly.truncate` after each product, and
 :meth:`UPoly.series_inverse` inverts one with a unit constant term mod
 X^n, over any ring whose elements have ``inverse()``.
 
-Every elimination goes through one sparse Gauss-Jordan routine,
-:func:`_reduce`, behind both the kernel the cocycle solver calls
-(constraint systems over quotient graphs are tree-shaped, and ordered
-sparse elimination keeps them that way) and the image chain of
-``hecke.nilpotency_diagnostics``.  Kernel vectors are read off the
-reduced pivot rows as sparse dicts {col: nonzero elem}.  Characteristic
-polynomials use the division-free Berkowitz algorithm.
+Every kernel the cocycle solver takes goes through one sparse
+Gauss-Jordan routine, :func:`_reduce` (constraint systems over quotient
+graphs are tree-shaped, and ordered sparse elimination keeps them that
+way).  Kernel vectors are read off the reduced pivot rows as sparse
+dicts {col: nonzero elem}.  ``hecke.image_chain`` eliminates on packed
+rows instead.  Characteristic polynomials use the division-free
+Berkowitz algorithm.
 """
 
 from .fq import FqElem
@@ -127,16 +127,18 @@ class Matrix:
         return all(_is_zero(a) for row in self.rows for a in row)
 
     def apply(self, vec):
+        """M vec, each row's sum started at its first nonzero term: over K a
+        sum with 0 would still take a gcd."""
         z = self.ring.zero
         terms = [(i, x) for i, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
-            s = z
+            s = None
             for i, x in terms:
                 a = row[i]
                 if a:
-                    s = s + a * x
-            out.append(s)
+                    s = a * x if s is None else s + a * x
+            out.append(z if s is None else s)
         return out
 
     def __eq__(self, other):

@@ -169,10 +169,23 @@ def _k_to_poly(mk):
     return Mat2(*entries)
 
 
+def is_gamma1_by_division(gamma, n):
+    """gamma = (1 *; 0 1) mod t^n by three remainders mod t^n: the oracle
+    for the byte mask of ``is_gamma1``."""
+    tn = Poly.t_power(gamma.a.fq, n)
+    one = Poly.one(gamma.a.fq)
+    return (
+        gamma.det().is_one()
+        and ((gamma.a - one) % tn).is_zero()
+        and (gamma.c % tn).is_zero()
+        and ((gamma.d - one) % tn).is_zero()
+    )
+
+
 def in_gamma1_coset_over_k(lhs, rhs, n):
     """The coset test through K = F_q(t), kept as the oracle for the one over A."""
     gamma = _k_to_poly(lhs.to_k() * inverse_k(rhs.to_k()))
-    return gamma is not None and gamma.det().is_one() and is_gamma1(gamma, n)
+    return gamma is not None and is_gamma1_by_division(gamma, n)
 
 
 def _rand_sl2(fq, rng, steps=4):
@@ -191,6 +204,28 @@ def _rand_gamma1(fq, n, rng):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         m = m * Mat2.translation(b) * Mat2(one, zero, tn * b, one)
     return m
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 3), (2, 4)])
+def test_is_gamma1_matches_division(q, n):
+    fq = field(q)
+    rng = random.Random(q * 10 + n)
+    one, zero = Poly.one(fq), Poly.zero(fq)
+    near = [Mat2(one, zero, Poly.t_power(fq, n - 1), one)]  # in Gamma_1(t^(n-1)) only
+    if q > 2:
+        c = Poly.constant(fq, 2)
+        near.append(Mat2(c, zero, zero, Poly.constant(fq, fq.inv(2))))  # in Gamma_0(t^n) only
+    seen = set()
+    for trial in range(60):
+        gamma = _rand_gamma1(fq, n, rng)
+        if trial % 3 == 1:
+            gamma = gamma * near[rng.randrange(len(near))] * _rand_gamma1(fq, n, rng)
+        elif trial % 3 == 2:
+            gamma = _rand_sl2(fq, rng)
+        got = is_gamma1(gamma, n)
+        assert got == is_gamma1_by_division(gamma, n)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3)])

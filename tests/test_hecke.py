@@ -10,14 +10,15 @@ from drinfeldforms.hecke import (
     OperatorMatrix,
     diamond_label_map,
     diamond_permutation_matrix,
+    image_chain,
     nilpotency_diagnostics,
     ordinary_certificate,
     verify_freeness,
 )
-from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly
+from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly, charpoly
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
-from oracles import nilpotency_oracle
+from oracles import bareiss_rank, nilpotency_oracle
 
 
 def t_plus_one(q):
@@ -390,8 +391,11 @@ def _identity(size):
         # d - r = 0 and d - r < 0: no step is taken
         ([_identity(2)], (0, 0, True)),
         ([[[0]]], (0, 0, False)),
+        # s = 0 < r: the ranks 4, 3, 2, 1, 0 are still falling at j = d - r,
+        # where the record reads them
+        ([_jordan(4)], (2, 2, True)),
     ],
-    ids=["identity", "zero", "jordan-d-minus-r", "two-jordan", "d-equals-r", "d-below-r"],
+    ids=["identity", "zero", "jordan-d-minus-r", "two-jordan", "d-equals-r", "d-below-r", "s-below-r"],
 )
 def test_image_chain_on_hand_made_matrices(blocks, want):
     ctx = group_context(2, 2)  # r = 2
@@ -399,7 +403,53 @@ def test_image_chain_on_hand_made_matrices(blocks, want):
     ut = OperatorMatrix("Ut", ctx, 2, Matrix(FqRing(ctx.fq), rows))
     diag = nilpotency_diagnostics(ut)
     assert (diag["nilpotent_dimension"], diag["nilpotency_index"], diag["status"]) == want
-    assert diag == nilpotency_oracle(ut) == nilpotency_diagnostics(_over_k(ut))
+    assert diag == nilpotency_oracle(ut) == nilpotency_oracle(_over_k(ut))
+
+
+def _unpack(fq, v, d):
+    """A packed vector of length d as a list of FqElem."""
+    return [FqElem(fq, c) for c in v.to_bytes(d, "little")]
+
+
+def _chain_cases():
+    ctx = group_context(2, 2)
+    for blocks in ([_jordan(4)], [_jordan(4), _identity(2)], [[[1, 1], [0, 1]], _jordan(3)]):
+        yield Matrix(FqRing(ctx.fq), _block_diagonal(ctx.fq, blocks))
+
+
+@pytest.mark.parametrize(
+    "qn", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (2, 3), "hand-made"], ids=str
+)
+def test_image_chain_matches_dense_powers(qn, cache):
+    matrices = list(_chain_cases()) if qn == "hand-made" else [cache.engine(*qn, 2).u_t().matrix]
+    for u in matrices:
+        fq = u.ring.fq
+        d = u.nrows
+        ranks, basis, u_im = image_chain(u)
+        power = Matrix.identity(u.ring, d)
+        for j, rank in enumerate(ranks):
+            assert rank == bareiss_rank(power), (j, ranks)
+            power = power * u
+        # the chain ends at the first repeat, on a basis of im U^N
+        assert ranks[-1] == ranks[-2] and len(set(ranks)) == len(ranks) - 1
+        assert len(basis) == ranks[-1] == u_im.nrows
+        tops = [(b.bit_length() - 1) >> 3 for b in basis]
+        assert len(set(tops)) == len(basis)
+        assert all(b >> 8 * top == 1 for b, top in zip(basis, tops))
+        # U B = B U|im, and U is invertible on im U^N
+        vecs = [_unpack(fq, b, d) for b in basis]
+        for j, v in enumerate(vecs):
+            want = [FqElem(fq, 0)] * d
+            for i, w in enumerate(vecs):
+                want = [a + u_im.rows[i][j] * x for a, x in zip(want, w)]
+            assert u.apply(v) == want
+        assert charpoly(u_im).coeff(0)
+
+
+def test_image_chain_pinned_at_q2_n5(cache):
+    ranks, basis, u_im = image_chain(cache.engine(2, 5, 2).u_t().matrix)
+    assert ranks == [256, 192, 128, 96, 70, 52, 41, 34, 30, 26, 22, 20, 18, 16, 16]
+    assert len(basis) == 16 and u_im == Matrix.identity(u_im.ring, 16)
 
 
 def test_diamonds_act_nontrivially_on_ordinary_part(cache):
@@ -427,7 +477,7 @@ def _over_k(op):
 
 
 @pytest.mark.parametrize(
-    "q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (2, 3)]
+    "q,n", [(q, n) for q in (2, 3, 4, 5, 7) for n in (1, 2)] + [(2, 3), (3, 3)]
 )
 def test_weight2_certificate_matches_the_k_path(q, n, cache):
     eng = cache.engine(q, n, 2)
@@ -441,4 +491,52 @@ def test_weight2_certificate_matches_the_k_path(q, n, cache):
     want = ordinary_certificate(_over_k(ut), [_over_k(op) for op in heckes])
     assert got.to_json_dict() == want.to_json_dict()
     assert [RatFunc.constant(field(q), c.code) for c in got.chi.coeffs] == want.chi.coeffs
-    assert nilpotency_diagnostics(ut) == nilpotency_diagnostics(_over_k(ut))
+    assert nilpotency_diagnostics(ut) == nilpotency_oracle(_over_k(ut))
+
+
+def _hand_made(q, n, name, blocks, moves=()):
+    """An operator over F_q from diagonal blocks of codes, plus 1 at each (row, col) of ``moves``."""
+    ctx = group_context(q, n)
+    rows = _block_diagonal(ctx.fq, blocks)
+    for i, j in moves:
+        rows[i][j] = rows[i][j] + FqElem(ctx.fq, 1)
+    return OperatorMatrix(name, ctx, 2, Matrix(FqRing(ctx.fq), rows))
+
+
+# (q, n, U's blocks, each T's moves off I, flags, Hecke flags); r = q^(n-1)
+HAND_MADE_CERTIFICATES = {
+    # s = r, but U is not the identity on one vector of the chain's basis:
+    # the second of two, the first of three, the third of three
+    "unipotent-q2": (2, 2, [[[1, 1], [0, 1]], _jordan(2)], [], (True, True, False), []),
+    "unipotent-first": (3, 2, [[[1, 0, 0], [0, 1, 0], [1, 0, 1]]], [], (True, True, False), []),
+    "unipotent-last": (
+        3, 2, [[[1, 0, 0], [0, 1, 1], [0, 0, 1]], _jordan(2)], [], (True, True, False), [],
+    ),
+    # s = 4 > r = 2 and s = 0 < r
+    "s-above-r": (2, 2, [_identity(4)], [], (True, False, True), []),
+    "s-below-r": (2, 2, [_jordan(4)], [[(1, 0)]], (False, False, False), [False]),
+    # s = r, and T is not the identity on one stable vector, either one;
+    # moving a nilpotent vector onto a stable one is allowed
+    "t-moves-one": (
+        2, 2, [_identity(2), _jordan(2)], [[(1, 0)], [(0, 1)], [(0, 2)], [(2, 0)]],
+        (True, True, True), [False, False, True, False],
+    ),
+    # s = 2 > r = 1 with g = X - 2, so G = g(U|im) is not the identity
+    "g-not-one": (
+        3, 1, [[[1, 0], [0, 2]], _jordan(2)], [[], [(1, 1)], [(1, 0)], [(0, 1)]],
+        (True, False, True), [True, True, False, True],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HAND_MADE_CERTIFICATES)
+def test_weight2_certificate_on_hand_made_matrices(case):
+    q, n, blocks, moves, flags, hecke_flags = HAND_MADE_CERTIFICATES[case]
+    ut = _hand_made(q, n, "Ut", blocks)
+    d = ut.size
+    heckes = [_hand_made(q, n, f"T{i}", [_identity(d)], m) for i, m in enumerate(moves)]
+    got = ordinary_certificate(ut, heckes)
+    want = ordinary_certificate(_over_k(ut), [_over_k(op) for op in heckes])
+    assert got.to_json_dict() == want.to_json_dict()
+    assert tuple(got.flags.values()) == flags
+    assert list(got.hecke_flags.values()) == hecke_flags

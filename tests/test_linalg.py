@@ -334,6 +334,22 @@ def test_row_sparse_product_matches_the_dense_one():
             assert (a * b).rows == dense_product(a, b)
 
 
+def test_apply_matches_the_sum_from_zero():
+    # each row's sum starts at its first nonzero term, not at 0; the
+    # values are those of summing every term onto the ring's zero
+    rng = random.Random(9)
+    for ring in (FqRing(field(3)), FqRing(field(4)), KRing(field(2)), KRing(field(3))):
+        seen_zero_row = False
+        for _ in range(30):
+            n, k = rng.randrange(1, 6), rng.randrange(1, 6)
+            m = Matrix(ring, [[_sparse_entry(ring, rng) for _ in range(k)] for _ in range(n)])
+            vec = [_sparse_entry(ring, rng) for _ in range(k)]
+            want = [sum((a * x for a, x in zip(row, vec)), ring.zero) for row in m.rows]
+            assert m.apply(vec) == want
+            seen_zero_row |= any(not x for x in want)
+        assert seen_zero_row
+
+
 def test_shape_mismatch():
     K = KRing(field(2))
     with pytest.raises(ValueError):
