@@ -31,7 +31,7 @@ Each Hecke flag is True exactly when (d) holds; a False flag comes with a
 note.  The theorem is that every Hecke operator is the identity on the
 ordinary part, so one acting there as any other scalar fails (d).
 
-Over F_q (weight 2) the checks run on U's Fitting image im U^N, of
+Over either ring the checks run on U's Fitting image im U^N, of
 dimension s, found by :func:`image_chain` with an echelon basis B and the
 s x s restriction U|im, which is invertible.  U is nilpotent on
 ker U^N, so chi = X^(d-s) charpoly(U|im), and Berkowitz runs at s x s;
@@ -41,18 +41,17 @@ where it is invertible, so chi_plus(U) has the image of B g(U|im).  Hence
 
   (c) holds exactly when (U|im - 1) g(U|im) = 0, and
   (d) holds exactly when (T - 1) y = 0 for y = B times each column of
-      g(U|im), by sparse mat-vecs on packed rows.
+      g(U|im), by mat-vecs on the ring's vectors.
 
 These are equivalences: every flag, a false one included, is the one the
-projector chi_plus(U_t) on the whole space gives.  Over K (weight >= 3)
-the checks still form that projector.
+projector chi_plus(U_t) on the whole space gives, and that projector is
+never formed.
 """
 
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
-from .fq import FqElem
-from .linalg import FqRing, Matrix, UPoly, charpoly, newton_slope_zero_count
-from .rings import Poly, Residue, graded_polys, int_add, int_mul, poly_is_irreducible
+from .linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
+from .rings import Poly, Residue, graded_polys, poly_is_irreducible
 from .serialize import entry_json
 from .tree import apply_edge
 
@@ -83,13 +82,15 @@ class OperatorMatrix:
         return charpoly(self.matrix)
 
     def to_json_dict(self):
+        rows = self.matrix.rows
+        values = {x: entry_json(x) for x in {x for row in rows for x in row}}  # one per distinct entry
         return {
             "name": self.name,
             "q": self.ctx.q,
             "n": self.ctx.n,
             "k": self.k,
             "size": self.size,
-            "entries": [[entry_json(x) for x in row] for row in self.matrix.rows],
+            "entries": [[values[x] for x in row] for row in rows],
         }
 
 
@@ -294,24 +295,16 @@ class OrdinaryCertificate:
 
 
 def ordinary_certificate(ut, heckes=()):
-    """Run checks (a)-(d) for a U_t matrix and a list of Hecke operators.
-
-    Over F_q the checks run on U's Fitting image (:func:`image_chain`);
-    over K on the projector chi_plus(U_t) of the whole space.
-    """
+    """Run checks (a)-(d) for a U_t matrix and Hecke operators on U's Fitting image."""
     ctx = ut.ctx
     ring = ut.matrix.ring
     d = ut.size
     r = ctx.ordinary_rank()
     notes = []
-    fitting = isinstance(ring, FqRing)
-    if fitting:
-        # U is nilpotent on ker U^N, of dimension d - s
-        _, basis, u_im = image_chain(ut.matrix)
-        s = len(basis)
-        chi = UPoly(ring, [ring.zero] * (d - s) + charpoly(u_im).coeffs)
-    else:
-        chi = charpoly(ut.matrix)
+    # U is nilpotent on ker U^N, of dimension d - s
+    _, basis, u_im = image_chain(ut.matrix)
+    s = len(basis)
+    chi = UPoly(ring, [ring.zero] * (d - s) + charpoly(u_im).coeffs)
     x_minus_1 = UPoly(ring, [-ring.one, ring.one])
     chi_plus = chi
     ok_div = True
@@ -331,31 +324,18 @@ def ordinary_certificate(ut, heckes=()):
     else:
         flags["positive_slope"] = False
     unipotent = False
-    if ok_div and fitting:
+    if ok_div:
         # chi_plus = X^(d-s) g, and U^(d-s) maps the space onto im U^N,
         # where U is invertible: chi_plus(U) has the image of B g(U|im)
         g = UPoly(ring, chi_plus.coeffs[d - s :])
         proj = g.eval_matrix(u_im)
         unipotent = ((u_im - Matrix.identity(ring, s)) * proj).is_zero()
-        fq = ring.fq
-        stable = [_combine(fq, basis, (c.code for c in col)) for col in proj.transpose().rows]
-
-        def fixes(op):
-            cols = _packed_columns(op.matrix)
-            return all(_apply(fq, cols, y) == y for y in stable)
-
-    elif ok_div:
-        proj = chi_plus.eval_matrix(ut.matrix)
-        ident = Matrix.identity(ring, d)
-        unipotent = ((ut.matrix - ident) * proj).is_zero()
-
-        def fixes(op):
-            return ((op.matrix - ident) * proj).is_zero()
-
+        stable = [_combine(ring, zip(col, basis)) for col in proj.transpose().rows]
     flags["unipotence_kill"] = unipotent
     hecke_flags = {}
     for op in heckes:
-        ok = ok_div and fixes(op)
+        cols = _columns(op.matrix)
+        ok = ok_div and all(_apply(ring, cols, y) == y for y in stable)
         hecke_flags[op.name] = ok
         if not ok:
             notes.append(f"{op.name} is not the identity on the ordinary part")
@@ -395,15 +375,14 @@ def nilpotency_diagnostics(ut):
     }
 
 
-# -- the image chain on packed rows ------------------------------------------
+# -- the image chain on the ring's vectors ------------------------------------
 #
-# A vector of length d over F_q is one packed int, as a polynomial in
-# rings.Poly: byte i holds the code of coordinate i.  Row operations are
-# rings.int_add and int_mul by a constant (XOR alone at q = 2).
+# A vector is in its ring adapter's format (linalg): a packed int over F_q,
+# a dict over K.  Its leading coordinate is its highest nonzero one.
 
 
 def image_chain(matrix):
-    """U's image chain, run until the rank repeats, for a square Matrix U over F_q.
+    """U's image chain, run until the rank repeats, for a square Matrix U.
 
     U is applied to an echelon basis of im U^(j-1), and the images are
     re-eliminated into an echelon basis of im U^j.  The ranks never
@@ -411,24 +390,22 @@ def image_chain(matrix):
     im U^N, the Fitting image, on which U is invertible.
 
     Returns (ranks, basis, restriction): ranks[j] = rank U^j up to the
-    first repeat; an echelon basis of im U^N as packed ints, each with
-    code 1 at its own leading byte and the leading bytes distinct; and
-    U|im, the s x s Matrix of U on that basis (s = len(basis)).
+    first repeat; an echelon basis of im U^N, each vector 1 at its own
+    leading coordinate and the leading coordinates distinct; and U|im,
+    the s x s Matrix of U on that basis (s = len(basis)).
     """
     ring = matrix.ring
-    fq = ring.fq
-    cols = _packed_columns(matrix)
-    echelon = {i: 1 << 8 * i for i in range(matrix.nrows)}
+    cols = _columns(matrix)
+    echelon = {i: ring.vector([ring.zero] * i + [ring.one]) for i in range(matrix.nrows)}
     ranks = [len(echelon)]
     while True:
-        images = [_apply(fq, cols, v) for v in echelon.values()]
+        images = [_apply(ring, cols, v) for v in echelon.values()]
         nxt = {}
         for w in images:
-            w, _ = _eliminate(fq, nxt, w)
+            w, _ = _eliminate(ring, nxt, w)
             if w:
-                top = (w.bit_length() - 1) >> 3
-                c = w >> 8 * top
-                nxt[top] = w if c == 1 else int_mul(fq, w, fq.inv(c))
+                top, c = ring.lead(w)
+                nxt[top] = w if c == ring.one else ring.axpy(ring.vector(()), c.inverse(), w)
         ranks.append(len(nxt))
         if ranks[-1] == ranks[-2]:
             break
@@ -437,44 +414,42 @@ def image_chain(matrix):
     position = {top: i for i, top in enumerate(echelon)}
     rows = [[ring.zero] * len(echelon) for _ in echelon]
     for j, w in enumerate(images):
-        for top, c in _eliminate(fq, echelon, w)[1]:
-            rows[position[top]][j] = FqElem(fq, c)
+        for top, c in _eliminate(ring, echelon, w)[1]:
+            rows[position[top]][j] = c
     return ranks, list(echelon.values()), Matrix(ring, rows)
 
 
-def _packed_columns(matrix):
-    """The columns of a Matrix over F_q, each as one packed int."""
-    return [int.from_bytes(bytes(a.code for a in col), "little") for col in zip(*matrix.rows)]
+def _columns(matrix):
+    """The columns of a Matrix, each as a vector of its ring."""
+    return [matrix.ring.vector(col) for col in zip(*matrix.rows)]
 
 
-def _apply(fq, cols, v):
-    """M v for M given by its packed columns and v packed."""
-    return _combine(fq, cols, v.to_bytes((v.bit_length() + 7) >> 3, "little"))
+def _apply(ring, cols, v):
+    """M v for M given by its columns."""
+    return _combine(ring, ((c, cols[i]) for i, c in ring.terms(v)))
 
 
-def _combine(fq, vectors, codes):
-    """sum c_k v_k for packed vectors v_k and F_q codes c_k."""
-    out = 0
-    for v, c in zip(vectors, codes):
+def _combine(ring, terms):
+    """sum c v over the (c, v) of ``terms`` with c nonzero."""
+    out = ring.vector(())
+    for c, v in terms:
         if c:
-            out = int_add(fq, out, v if c == 1 else int_mul(fq, v, c))
+            out = ring.axpy(out, c, v)
     return out
 
 
-def _eliminate(fq, echelon, w):
-    """(w less multiples of the echelon rows, the multiples as (leading byte, code)).
+def _eliminate(ring, echelon, w):
+    """(w less multiples of the echelon rows, the multiples as (leading coordinate, entry)).
 
-    ``echelon`` maps each row's leading byte to the row, whose code there
-    is 1; w's leading byte is cleared while it leads a row.
+    ``echelon`` maps each row's leading coordinate to the row, whose entry
+    there is 1; w's leading coordinate is cleared while it leads a row.
     """
     cleared = []
     while w:
-        top = (w.bit_length() - 1) >> 3
+        top, c = ring.lead(w)
         row = echelon.get(top)
         if row is None:
             break
-        c = w >> 8 * top
         cleared.append((top, c))
-        neg = fq.neg(c)
-        w = int_add(fq, w, row if neg == 1 else int_mul(fq, row, neg))
+        w = ring.axpy(w, -c, row)
     return w, cleared

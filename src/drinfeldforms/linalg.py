@@ -4,7 +4,10 @@ Dense matrices are generic over a small ring adapter exposing ``zero`` and
 ``one`` elements; the elements themselves carry the arithmetic through
 operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
 serves both fields: weight-2 operators, their charpolys and kernels are
-over F_q (FqRing), and weight-k ones over K (KRing).
+over F_q (FqRing), and weight-k ones over K (KRing).  The adapters also
+own the vector format of ``hecke.image_chain``, one packed int over F_q
+and a dict over K: ``vector``, ``terms``, ``lead`` (the highest nonzero
+coordinate and its entry) and ``axpy`` (w + c v, a new vector).
 
 UPoly, the dense univariate polynomial, is both the charpoly's type and
 the truncated u-series of ``carlitz``: a series to precision n is a
@@ -16,22 +19,36 @@ Every kernel the cocycle solver takes goes through one sparse
 Gauss-Jordan routine, :func:`_reduce` (constraint systems over quotient
 graphs are tree-shaped, and ordered sparse elimination keeps them that
 way).  Kernel vectors are read off the reduced pivot rows as sparse
-dicts {col: nonzero elem}.  ``hecke.image_chain`` eliminates on packed
-rows instead.  Characteristic polynomials use the division-free
+dicts {col: nonzero elem}.  ``hecke.image_chain`` eliminates on the
+adapters' vectors instead.  Characteristic polynomials use the division-free
 Berkowitz algorithm.
 """
 
 from .fq import FqElem
-from .rings import NEG_INF, POS_INF, RatFunc
+from .rings import NEG_INF, POS_INF, RatFunc, int_add, int_mul
 
 
 class FqRing:
-    """Adapter handing out FqElem constants."""
+    """Adapter handing out FqElem constants; a vector is a packed int, byte i holding coordinate i."""
 
     def __init__(self, fq):
         self.fq = fq
         self.zero = FqElem(fq, 0)
         self.one = FqElem(fq, 1)
+
+    def vector(self, entries):
+        return int.from_bytes(bytes(a.code for a in entries), "little")
+
+    def terms(self, v):
+        return ((i, FqElem(self.fq, c)) for i, c in enumerate(v.to_bytes((v.bit_length() + 7) >> 3, "little")) if c)
+
+    def lead(self, v):
+        top = (v.bit_length() - 1) >> 3
+        return top, FqElem(self.fq, v >> 8 * top)
+
+    def axpy(self, w, c, v):
+        v = v if c.code == 1 else int_mul(self.fq, v, c.code)
+        return int_add(self.fq, w, v) if w else v
 
     def __eq__(self, other):
         return isinstance(other, FqRing) and other.fq.q == self.fq.q
@@ -41,12 +58,30 @@ class FqRing:
 
 
 class KRing:
-    """Adapter handing out RatFunc constants over F_q(t)."""
+    """Adapter handing out RatFunc constants over F_q(t); a vector is a dict {coordinate: nonzero RatFunc}."""
 
     def __init__(self, fq):
         self.fq = fq
         self.zero = RatFunc.zero(fq)
         self.one = RatFunc.one(fq)
+
+    def vector(self, entries):
+        return {i: x for i, x in enumerate(entries) if x}
+
+    def terms(self, v):
+        return v.items()
+
+    def lead(self, v):
+        top = max(v)
+        return top, v[top]
+
+    def axpy(self, w, c, v):
+        out = dict(w)
+        for i, x in v.items():
+            y = out.pop(i) + c * x if i in out else c * x
+            if y:
+                out[i] = y
+        return out
 
     def __eq__(self, other):
         return isinstance(other, KRing) and other.fq.q == self.fq.q

@@ -21,6 +21,9 @@ None of this is used by ``drinfeldforms`` itself:
 * U_t^(d-r) by repeated squaring and its kernel by Bareiss
   (:func:`nilpotency_oracle`), the oracle for the image chain of
   ``hecke.nilpotency_diagnostics``;
+* the certificate from the projector chi_plus(U_t) on the whole space
+  (:func:`projector_certificate_oracle`), the oracle for
+  ``hecke.ordinary_certificate``, which works on U_t's Fitting image;
 * products of coefficient tuples over F_p reduced mod the field modulus
   (:func:`fp_poly_mulmod`, :func:`field_tables`), the oracle for the
   extension-field tables that ``fq`` builds on ``rings.Poly``;
@@ -33,7 +36,8 @@ None of this is used by ``drinfeldforms`` itself:
 """
 
 from drinfeldforms.fq import _decode, _encode
-from drinfeldforms.linalg import Matrix
+from drinfeldforms.hecke import OrdinaryCertificate
+from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, packed, poly_gcd
 from drinfeldforms.tree import apply_vertex
@@ -446,6 +450,56 @@ def nilpotency_oracle(ut):
             "the nilpotent block of U_t is its indirect witness"
         ),
     }
+
+
+def projector_certificate_oracle(ut, heckes=()):
+    """Checks (a)-(d) with chi = charpoly(U_t) and the projector chi_plus(U_t).
+
+    Berkowitz runs on the whole d x d matrix, and (c) and (d) are read off
+    the d x d products (U_t - 1) chi_plus(U_t) and (T - 1) chi_plus(U_t),
+    over whichever ring U_t is over.
+    """
+    ctx = ut.ctx
+    ring = ut.matrix.ring
+    d = ut.size
+    r = ctx.ordinary_rank()
+    notes = []
+    chi = charpoly(ut.matrix)
+    x_minus_1 = UPoly(ring, [-ring.one, ring.one])
+    chi_plus = chi
+    ok_div = True
+    for _ in range(r):
+        chi_plus, rem = divmod(chi_plus, x_minus_1)
+        if not rem.is_zero():
+            ok_div = False
+            notes.append("(X-1)^r does not divide the characteristic polynomial")
+            break
+    flags = {"divisibility": ok_div}
+    if ok_div:
+        try:
+            flags["positive_slope"] = newton_slope_zero_count(chi_plus) == 0
+        except ValueError as exc:
+            flags["positive_slope"] = False
+            notes.append(f"Newton count failed: {exc}")
+    else:
+        flags["positive_slope"] = False
+    unipotent = False
+    if ok_div:
+        proj = chi_plus.eval_matrix(ut.matrix)
+        ident = Matrix.identity(ring, d)
+        unipotent = ((ut.matrix - ident) * proj).is_zero()
+
+        def fixes(op):
+            return ((op.matrix - ident) * proj).is_zero()
+
+    flags["unipotence_kill"] = unipotent
+    hecke_flags = {}
+    for op in heckes:
+        ok = ok_div and fixes(op)
+        hecke_flags[op.name] = ok
+        if not ok:
+            notes.append(f"{op.name} is not the identity on the ordinary part")
+    return OrdinaryCertificate(ctx, ut.k, r, chi, chi_plus, flags, hecke_flags, notes)
 
 
 def fp_poly_mulmod(a, b, modulus, p):

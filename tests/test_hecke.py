@@ -18,7 +18,7 @@ from drinfeldforms.hecke import (
 from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly, charpoly
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
-from oracles import bareiss_rank, nilpotency_oracle
+from oracles import bareiss_rank, nilpotency_oracle, projector_certificate_oracle
 
 
 def t_plus_one(q):
@@ -403,43 +403,63 @@ def test_image_chain_on_hand_made_matrices(blocks, want):
     ut = OperatorMatrix("Ut", ctx, 2, Matrix(FqRing(ctx.fq), rows))
     diag = nilpotency_diagnostics(ut)
     assert (diag["nilpotent_dimension"], diag["nilpotency_index"], diag["status"]) == want
+    assert diag == nilpotency_diagnostics(_over_k(ut))
     assert diag == nilpotency_oracle(ut) == nilpotency_oracle(_over_k(ut))
 
 
-def _unpack(fq, v, d):
-    """A packed vector of length d as a list of FqElem."""
-    return [FqElem(fq, c) for c in v.to_bytes(d, "little")]
+@pytest.mark.parametrize("q,n,k", [(2, 2, 3), (3, 1, 4), (2, 2, 4)])
+def test_nilpotency_diagnostics_over_k_matches_the_oracle(q, n, k, cache):
+    ut = cache.engine(q, n, k).u_t()
+    assert isinstance(ut.matrix.ring, KRing)
+    assert nilpotency_diagnostics(ut) == nilpotency_oracle(ut)
+
+
+def _dense(ring, v, d):
+    """A vector in its ring adapter's format as a list of d entries."""
+    if isinstance(ring, FqRing):
+        return [FqElem(ring.fq, c) for c in v.to_bytes(d, "little")]
+    return [v.get(i, ring.zero) for i in range(d)]
 
 
 def _chain_cases():
     ctx = group_context(2, 2)
     for blocks in ([_jordan(4)], [_jordan(4), _identity(2)], [[[1, 1], [0, 1]], _jordan(3)]):
-        yield Matrix(FqRing(ctx.fq), _block_diagonal(ctx.fq, blocks))
+        u = Matrix(FqRing(ctx.fq), _block_diagonal(ctx.fq, blocks))
+        yield u
+        yield _over_k(OperatorMatrix("Ut", ctx, 2, u)).matrix
 
 
 @pytest.mark.parametrize(
-    "qn", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (2, 3), "hand-made"], ids=str
+    "qn",
+    [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (2, 3), "hand-made", (2, 2, 3), (3, 1, 4), (2, 2, 4)],
+    ids=str,
 )
 def test_image_chain_matches_dense_powers(qn, cache):
-    matrices = list(_chain_cases()) if qn == "hand-made" else [cache.engine(*qn, 2).u_t().matrix]
+    if qn == "hand-made":
+        matrices = list(_chain_cases())
+    else:
+        q, n, k = qn if len(qn) == 3 else (*qn, 2)
+        matrices = [cache.engine(q, n, k).u_t().matrix]
     for u in matrices:
-        fq = u.ring.fq
+        ring = u.ring
         d = u.nrows
         ranks, basis, u_im = image_chain(u)
-        power = Matrix.identity(u.ring, d)
+        power = Matrix.identity(ring, d)
         for j, rank in enumerate(ranks):
             assert rank == bareiss_rank(power), (j, ranks)
             power = power * u
         # the chain ends at the first repeat, on a basis of im U^N
         assert ranks[-1] == ranks[-2] and len(set(ranks)) == len(ranks) - 1
         assert len(basis) == ranks[-1] == u_im.nrows
-        tops = [(b.bit_length() - 1) >> 3 for b in basis]
+        # each basis vector is 1 at its highest nonzero coordinate, and
+        # those coordinates are distinct
+        vecs = [_dense(ring, b, d) for b in basis]
+        tops = [max(i for i, x in enumerate(v) if x) for v in vecs]
         assert len(set(tops)) == len(basis)
-        assert all(b >> 8 * top == 1 for b, top in zip(basis, tops))
+        assert all(v[top] == ring.one for v, top in zip(vecs, tops))
         # U B = B U|im, and U is invertible on im U^N
-        vecs = [_unpack(fq, b, d) for b in basis]
         for j, v in enumerate(vecs):
-            want = [FqElem(fq, 0)] * d
+            want = [ring.zero] * d
             for i, w in enumerate(vecs):
                 want = [a + u_im.rows[i][j] * x for a, x in zip(want, w)]
             assert u.apply(v) == want
@@ -488,10 +508,23 @@ def test_weight2_certificate_matches_the_k_path(q, n, cache):
     # its note are compared too
     heckes = [eng.t_m(t_plus_one(q)), eng.diamond(eng.ctx.theta[-1])]
     got = ordinary_certificate(ut, heckes)
-    want = ordinary_certificate(_over_k(ut), [_over_k(op) for op in heckes])
-    assert got.to_json_dict() == want.to_json_dict()
+    over_k = _over_k(ut), [_over_k(op) for op in heckes]
+    want = projector_certificate_oracle(*over_k)
+    assert got.to_json_dict() == ordinary_certificate(*over_k).to_json_dict() == want.to_json_dict()
     assert [RatFunc.constant(field(q), c.code) for c in got.chi.coeffs] == want.chi.coeffs
     assert nilpotency_diagnostics(ut) == nilpotency_oracle(_over_k(ut))
+
+
+@pytest.mark.parametrize(
+    "q,n,k", [(q, n, k) for k in (3, 4) for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))]
+)
+def test_weight_k_certificate_matches_the_projector_oracle(q, n, k, cache):
+    eng = cache.engine(q, n, k)
+    ut = eng.u_t()
+    assert ut.matrix.ring == KRing(field(q))
+    heckes = [eng.t_m(t_plus_one(q)), eng.diamond(eng.ctx.theta[-1])]
+    got = ordinary_certificate(ut, heckes)
+    assert got.to_json_dict() == projector_certificate_oracle(ut, heckes).to_json_dict()
 
 
 def _hand_made(q, n, name, blocks, moves=()):
@@ -535,8 +568,46 @@ def test_weight2_certificate_on_hand_made_matrices(case):
     ut = _hand_made(q, n, "Ut", blocks)
     d = ut.size
     heckes = [_hand_made(q, n, f"T{i}", [_identity(d)], m) for i, m in enumerate(moves)]
+    # the same matrices over F_q and embedded into K
+    certs = []
+    for u, ts in ((ut, heckes), (_over_k(ut), [_over_k(op) for op in heckes])):
+        got = ordinary_certificate(u, ts)
+        assert got.to_json_dict() == projector_certificate_oracle(u, ts).to_json_dict()
+        assert tuple(got.flags.values()) == flags
+        assert list(got.hecke_flags.values()) == hecke_flags
+        certs.append(got.to_json_dict())
+    assert certs[0] == certs[1]
+
+
+_T = RatFunc.from_poly(Poly.t(field(2)))
+
+# (q, n, U's blocks, U's entries then set over K, each T's moves off I,
+# flags, Hecke flags, notes); r = q^(n-1)
+K_HAND_MADE_CERTIFICATES = {
+    # a Jordan block at eigenvalue t, a unit of K: s = 4 > r = 2, and
+    # g = (X - t)^2 has no t-adic unit root
+    "eigenvalue-t": (
+        2, 2, [_identity(4), _jordan(2)], {(2, 2): _T, (3, 3): _T, (2, 3): RatFunc.one(field(2))},
+        [[(2, 0)], [(0, 2)]], (True, True, True), [False, True],
+        ["T0 is not the identity on the ordinary part"],
+    ),
+    # 1/t on the diagonal: chi_plus = X^2 (X - 1/t) is not t-integral
+    "t-in-a-denominator": (
+        2, 2, [_identity(3), _jordan(2)], {(2, 2): _T.inverse()}, [[]], (True, False, True), [True],
+        ["Newton count failed: non-integral coefficient (negative t-adic valuation)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", K_HAND_MADE_CERTIFICATES)
+def test_k_certificate_on_hand_made_matrices(case):
+    q, n, blocks, entries, moves, flags, hecke_flags, notes = K_HAND_MADE_CERTIFICATES[case]
+    ut = _over_k(_hand_made(q, n, "Ut", blocks))
+    for (i, j), x in entries.items():
+        ut.matrix.rows[i][j] = x
+    heckes = [_over_k(_hand_made(q, n, f"T{i}", [_identity(ut.size)], m)) for i, m in enumerate(moves)]
     got = ordinary_certificate(ut, heckes)
-    want = ordinary_certificate(_over_k(ut), [_over_k(op) for op in heckes])
-    assert got.to_json_dict() == want.to_json_dict()
+    assert got.to_json_dict() == projector_certificate_oracle(ut, heckes).to_json_dict()
     assert tuple(got.flags.values()) == flags
     assert list(got.hecke_flags.values()) == hecke_flags
+    assert got.notes == notes

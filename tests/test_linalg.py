@@ -350,6 +350,41 @@ def test_apply_matches_the_sum_from_zero():
         assert seen_zero_row
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [FqRing(field(2)), FqRing(field(3)), FqRing(field(4)), KRing(field(2)), KRing(field(3))],
+    ids=["F2", "F3", "F4", "K2", "K3"],
+)
+def test_vector_adapters_match_dense_lists(ring):
+    # vector, terms, lead and axpy against the same operations on lists:
+    # no zero entry is ever kept, the lead is the highest nonzero
+    # coordinate, and axpy leaves its inputs as they were
+    rng = random.Random(31)
+
+    def dense(v, d):
+        out = [ring.zero] * d
+        for i, x in ring.terms(v):
+            assert x and not out[i]
+            out[i] = x
+        return out
+
+    assert not ring.vector(()) and not ring.vector([ring.zero] * 3)
+    for _ in range(40):
+        d = rng.randrange(1, 9)
+        a = [_sparse_entry(ring, rng) for _ in range(d)]
+        b = [_sparse_entry(ring, rng) for _ in range(d)]
+        c = _sparse_entry(ring, rng) or ring.one
+        w, v = ring.vector(a), ring.vector(b)
+        assert dense(w, d) == a and dense(v, d) == b
+        if any(a):
+            top = max(i for i, x in enumerate(a) if x)
+            assert ring.lead(w) == (top, a[top])
+        got = ring.axpy(w, c, v)
+        assert dense(got, d) == [x + c * y for x, y in zip(a, b)]
+        assert dense(w, d) == a and dense(v, d) == b
+        assert not ring.axpy(v, -ring.one, v) and ring.axpy(v, -ring.one, v) == ring.vector(())
+
+
 def test_shape_mismatch():
     K = KRing(field(2))
     with pytest.raises(ValueError):
