@@ -204,9 +204,9 @@ def cmd_hecke(args):
     if args.format == "json":
         text = canonical_json_dumps(payload)
     elif args.format == "csv":
-        text = "".join(f"# {op.name}\n" + matrix_to_csv(op.matrix) for op in built)
+        text = "".join(f"# {op.name}\n" + matrix_to_csv(op.rows()) for op in built)
     elif args.format == "latex":
-        text = "".join(f"% {op.name}\n" + matrix_to_latex(op.matrix) for op in built)
+        text = "".join(f"% {op.name}\n" + matrix_to_latex(op.rows()) for op in built)
     else:
         raise UsageError(f"unsupported hecke output format {args.format!r}")
     _write(text, args.out)

@@ -12,10 +12,11 @@ on V_2).  The transport table is stored inverted, as image orbit key ->
 representatives are read by walking only its own support through it.
 Their coordinates are the values at the stable rows, where the
 basis is the unit basis, with exact consistency checks on every safe
-row; an image edge beyond the table is a ReachError.  A matrix is
-over the space's ring, the ring its coordinates lie in: F_q at weight 2,
-so products, commutators and the certificate run over F_q there, and
-K = F_q(t) above.
+row; an image edge beyond the table is a ReachError.  An operator is
+kept as its columns, each a vector of the space's ring, the ring its
+coordinates lie in: F_q at weight 2, so commutators and the certificate
+run over F_q there, and K = F_q(t) above.  Only the serializers read the
+dense rows.
 
 The ordinary certificate recasts ordinariness t-adically: with
 r = q^(n-1) and chi the characteristic polynomial of U_t,
@@ -61,28 +62,44 @@ SAFE_MARGIN = 4
 
 
 class OperatorMatrix:
-    """A named operator in the chosen cocycle basis, over the space's ring."""
+    """A named operator in the chosen cocycle basis, over the space's ring.
 
-    __slots__ = ("name", "ctx", "k", "matrix")
+    Column j, the image of basis cocycle j, is a vector of the ring
+    adapter (linalg).  ``chain`` keeps :func:`image_chain` once it has run.
+    """
 
-    def __init__(self, name, ctx, k, matrix):
+    __slots__ = ("name", "ctx", "k", "ring", "cols", "chain")
+
+    def __init__(self, name, ctx, k, ring, cols):
         self.name = name
         self.ctx = ctx
         self.k = k
-        self.matrix = matrix
+        self.ring = ring
+        self.cols = cols
+        self.chain = None
 
     @property
     def size(self):
-        return self.matrix.nrows
+        return len(self.cols)
 
-    def commutator(self, other):
-        return self.matrix * other.matrix - other.matrix * self.matrix
+    def apply(self, v):
+        """M v for a vector v of the ring."""
+        return _combine(self.ring, ((c, self.cols[i]) for i, c in self.ring.terms(v)))
 
-    def charpoly(self):
-        return charpoly(self.matrix)
+    def commutes(self, other):
+        """Whether self other = other self, column by column."""
+        return all(self.apply(b) == other.apply(a) for a, b in zip(self.cols, other.cols))
+
+    def rows(self):
+        """The dense rows, the one d x d view of the operator (for the serializers)."""
+        rows = [[self.ring.zero] * self.size for _ in self.cols]
+        for j, col in enumerate(self.cols):
+            for i, x in self.ring.terms(col):
+                rows[i][j] = x
+        return rows
 
     def to_json_dict(self):
-        rows = self.matrix.rows
+        rows = self.rows()
         values = {x: entry_json(x) for x in {x for row in rows for x in row}}  # one per distinct entry
         return {
             "name": self.name,
@@ -138,10 +155,8 @@ class HeckeEngine:
                     image = block.apply(stored)
                     prev = values.get(key)
                     values[key] = image if prev is None else [a + b for a, b in zip(prev, image)]
-            cols.append(self.coords.coords(values))
-        d = space.dim
-        matrix = Matrix(space.ring, [[cols[j][i] for j in range(d)] for i in range(d)])
-        got = OperatorMatrix(name, self.ctx, self.k, matrix)
+            cols.append(space.ring.vector(self.coords.coords(values)))
+        got = OperatorMatrix(name, self.ctx, self.k, space.ring, cols)
         self._cache[name] = got
         return got
 
@@ -206,7 +221,7 @@ def diamond_label_map(ctx, a):
 
 
 def diamond_permutation_matrix(space, a):
-    """The closed-form diamond matrix on the weight-2 delta basis."""
+    """The columns of the closed-form diamond matrix on the weight-2 delta basis."""
     if space.k != 2:
         raise UsageError("the closed form applies to weight 2 only")
     ctx = space.ctx
@@ -214,11 +229,7 @@ def diamond_permutation_matrix(space, a):
     labels = [(c.coeffs, d.coeffs) for c, d in ctx.label_pairs()]
     index = {lbl: i for i, lbl in enumerate(labels)}
     perm = diamond_label_map(ctx, a)
-    d = len(labels)
-    rows = [[ring.zero] * d for _ in range(d)]
-    for j, lbl in enumerate(labels):
-        rows[index[perm[lbl]]][j] = ring.one
-    return Matrix(ring, rows)
+    return [ring.vector([ring.zero] * index[perm[lbl]] + [ring.one]) for lbl in labels]
 
 
 def verify_freeness(ctx):
@@ -295,14 +306,14 @@ class OrdinaryCertificate:
 
 
 def ordinary_certificate(ut, heckes=()):
-    """Run checks (a)-(d) for a U_t matrix and Hecke operators on U's Fitting image."""
+    """Run checks (a)-(d) for a U_t operator and Hecke operators on U's Fitting image."""
     ctx = ut.ctx
-    ring = ut.matrix.ring
+    ring = ut.ring
     d = ut.size
     r = ctx.ordinary_rank()
     notes = []
     # U is nilpotent on ker U^N, of dimension d - s
-    _, basis, u_im = image_chain(ut.matrix)
+    _, basis, u_im = image_chain(ut)
     s = len(basis)
     chi = UPoly(ring, [ring.zero] * (d - s) + charpoly(u_im).coeffs)
     x_minus_1 = UPoly(ring, [-ring.one, ring.one])
@@ -334,8 +345,7 @@ def ordinary_certificate(ut, heckes=()):
     flags["unipotence_kill"] = unipotent
     hecke_flags = {}
     for op in heckes:
-        cols = _columns(op.matrix)
-        ok = ok_div and all(_apply(ring, cols, y) == y for y in stable)
+        ok = ok_div and all(op.apply(y) == y for y in stable)
         hecke_flags[op.name] = ok
         if not ok:
             notes.append(f"{op.name} is not the identity on the ordinary part")
@@ -359,7 +369,7 @@ def nilpotency_diagnostics(ut):
     ctx = ut.ctx
     d = ut.size
     r = ctx.ordinary_rank()
-    ranks = image_chain(ut.matrix)[0][: max(d - r, 0) + 1]
+    ranks = image_chain(ut)[0][: max(d - r, 0) + 1]
     dim_nilp = d - ranks[-1]
     index = ranks.index(ranks[-1])
     return {
@@ -381,8 +391,8 @@ def nilpotency_diagnostics(ut):
 # a dict over K.  Its leading coordinate is its highest nonzero one.
 
 
-def image_chain(matrix):
-    """U's image chain, run until the rank repeats, for a square Matrix U.
+def image_chain(op):
+    """U's image chain, run until the rank repeats, for an operator U.
 
     U is applied to an echelon basis of im U^(j-1), and the images are
     re-eliminated into an echelon basis of im U^j.  The ranks never
@@ -392,14 +402,16 @@ def image_chain(matrix):
     Returns (ranks, basis, restriction): ranks[j] = rank U^j up to the
     first repeat; an echelon basis of im U^N, each vector 1 at its own
     leading coordinate and the leading coordinates distinct; and U|im,
-    the s x s Matrix of U on that basis (s = len(basis)).
+    the s x s Matrix of U on that basis (s = len(basis)).  The chain runs
+    once per operator and is kept in ``op.chain``.
     """
-    ring = matrix.ring
-    cols = _columns(matrix)
-    echelon = {i: ring.vector([ring.zero] * i + [ring.one]) for i in range(matrix.nrows)}
+    if op.chain is not None:
+        return op.chain
+    ring = op.ring
+    echelon = {i: ring.vector([ring.zero] * i + [ring.one]) for i in range(op.size)}
     ranks = [len(echelon)]
     while True:
-        images = [_apply(ring, cols, v) for v in echelon.values()]
+        images = [op.apply(v) for v in echelon.values()]
         nxt = {}
         for w in images:
             w, _ = _eliminate(ring, nxt, w)
@@ -416,17 +428,8 @@ def image_chain(matrix):
     for j, w in enumerate(images):
         for top, c in _eliminate(ring, echelon, w)[1]:
             rows[position[top]][j] = c
-    return ranks, list(echelon.values()), Matrix(ring, rows)
-
-
-def _columns(matrix):
-    """The columns of a Matrix, each as a vector of its ring."""
-    return [matrix.ring.vector(col) for col in zip(*matrix.rows)]
-
-
-def _apply(ring, cols, v):
-    """M v for M given by its columns."""
-    return _combine(ring, ((c, cols[i]) for i, c in ring.terms(v)))
+    op.chain = ranks, list(echelon.values()), Matrix(ring, rows)
+    return op.chain
 
 
 def _combine(ring, terms):

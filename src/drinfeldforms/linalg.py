@@ -3,11 +3,12 @@
 Dense matrices are generic over a small ring adapter exposing ``zero`` and
 ``one`` elements; the elements themselves carry the arithmetic through
 operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
-serves both fields: weight-2 operators, their charpolys and kernels are
-over F_q (FqRing), and weight-k ones over K (KRing).  The adapters also
-own the vector format of ``hecke.image_chain``, one packed int over F_q
-and a dict over K: ``vector``, ``terms``, ``lead`` (the highest nonzero
-coordinate and its entry) and ``axpy`` (w + c v, a new vector).
+serves both fields: weight-2 operators and their kernels are over F_q
+(FqRing), and weight-k ones over K (KRing).  The adapters also own the
+vector format of an operator's columns and of ``hecke.image_chain``, one
+packed int over F_q and a dict over K: ``vector``, ``terms``, ``lead``
+(the highest nonzero coordinate and its entry) and ``axpy`` (w + c v, a
+new vector).
 
 UPoly, the dense univariate polynomial, is both the charpoly's type and
 the truncated u-series of ``carlitz``: a series to precision n is a
@@ -178,9 +179,6 @@ class Matrix:
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in row) for row in self.rows)

@@ -73,12 +73,12 @@ def entry_json(x):
     return {"num": [x.code] if x else [], "den": [1]}
 
 
-def matrix_to_csv(matrix):
-    lines = [",".join(f'"{x}"' for x in row) for row in matrix.rows]
+def matrix_to_csv(rows):
+    lines = [",".join(f'"{x}"' for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_latex(matrix):
+def matrix_to_latex(rows):
     def tex(x):
         if isinstance(x, RatFunc) and not x.den.is_one():
             return rf"\frac{{{_poly_tex(x.num)}}}{{{_poly_tex(x.den)}}}"
@@ -86,7 +86,7 @@ def matrix_to_latex(matrix):
             return _poly_tex(x.num)
         return str(x)
 
-    body = " \\\\\n".join(" & ".join(tex(x) for x in row) for row in matrix.rows)
+    body = " \\\\\n".join(" & ".join(tex(x) for x in row) for row in rows)
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
 
 

@@ -32,11 +32,14 @@ None of this is used by ``drinfeldforms`` itself:
   which classifies each edge once for several cocycles;
 * the random word in Gamma_1(t^n) as four full Mat2 products
   (:func:`random_gamma_oracle`), the oracle for the column operations of
-  ``verify._random_gamma``.
+  ``verify._random_gamma``;
+* an operator built from a dense Matrix (:func:`operator`) and its dense
+  Matrix (:func:`dense`), which the oracles and the hand-made operators
+  go through: the engine keeps an operator only as its columns.
 """
 
 from drinfeldforms.fq import _decode, _encode
-from drinfeldforms.hecke import OrdinaryCertificate
+from drinfeldforms.hecke import OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, packed, poly_gcd
@@ -423,7 +426,7 @@ def nilpotency_oracle(ut):
     basis of that kernel to zero.
     """
     ctx = ut.ctx
-    matrix = ut.matrix
+    matrix = dense(ut)
     d = ut.size
     r = ctx.ordinary_rank()
     n = max(d - r, 0)
@@ -460,11 +463,12 @@ def projector_certificate_oracle(ut, heckes=()):
     over whichever ring U_t is over.
     """
     ctx = ut.ctx
-    ring = ut.matrix.ring
+    ring = ut.ring
     d = ut.size
     r = ctx.ordinary_rank()
     notes = []
-    chi = charpoly(ut.matrix)
+    u = dense(ut)
+    chi = charpoly(u)
     x_minus_1 = UPoly(ring, [-ring.one, ring.one])
     chi_plus = chi
     ok_div = True
@@ -485,12 +489,12 @@ def projector_certificate_oracle(ut, heckes=()):
         flags["positive_slope"] = False
     unipotent = False
     if ok_div:
-        proj = chi_plus.eval_matrix(ut.matrix)
+        proj = chi_plus.eval_matrix(u)
         ident = Matrix.identity(ring, d)
-        unipotent = ((ut.matrix - ident) * proj).is_zero()
+        unipotent = ((u - ident) * proj).is_zero()
 
         def fixes(op):
-            return ((op.matrix - ident) * proj).is_zero()
+            return ((dense(op) - ident) * proj).is_zero()
 
     flags["unipotence_kill"] = unipotent
     hecke_flags = {}
@@ -556,3 +560,14 @@ def random_gamma_oracle(ctx, rng):
         else:
             m = m * Mat2(Poly.one(fq), Poly.zero(fq), b.shift(ctx.n), Poly.one(fq))
     return m
+
+
+def operator(name, ctx, k, matrix):
+    """The OperatorMatrix whose columns are those of a dense Matrix."""
+    ring = matrix.ring
+    return OperatorMatrix(name, ctx, k, ring, [ring.vector(col) for col in zip(*matrix.rows)])
+
+
+def dense(op):
+    """An operator's dense Matrix, from its rows."""
+    return Matrix(op.ring, op.rows())

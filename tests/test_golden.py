@@ -53,6 +53,8 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     # a d = 16 weight-2 space over F_4, in JSON and in CSV
     ("hecke_q4n2k2.json", _hecke_case(4, 2, 2)[1]),
     ("hecke_q4n2k2.csv", [*_hecke_case(4, 2, 2)[1][:-1], "csv"]),
+    # the weight-3 operators over K, in CSV: the dense rows of dict columns
+    ("hecke_q3n1k3.csv", [*_hecke_case(3, 1, 3)[1][:-1], "csv"]),
     # the weight-3 operators over K, in LaTeX
     ("hecke_q2n2k3.tex", [*_hecke_case(2, 2, 3)[1][:-1], "latex"]),
     # the d = 16 weight-2 space of the ops-k2 benchmark workload

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from drinfeldforms import hecke
@@ -7,7 +9,6 @@ from drinfeldforms.fq import FqElem, field
 from drinfeldforms.groups import group_context
 from drinfeldforms.hecke import (
     HeckeEngine,
-    OperatorMatrix,
     diamond_label_map,
     diamond_permutation_matrix,
     image_chain,
@@ -18,7 +19,7 @@ from drinfeldforms.hecke import (
 from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly, charpoly
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
-from oracles import bareiss_rank, nilpotency_oracle, projector_certificate_oracle
+from oracles import bareiss_rank, dense, nilpotency_oracle, operator, projector_certificate_oracle
 
 
 def t_plus_one(q):
@@ -29,20 +30,20 @@ def t_plus_one(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_u_t_is_identity_at_level_t(q, cache):
     ut = cache.engine(q, 1, 2).u_t()
-    assert ut.size == 1 and ut.matrix.rows[0][0] == ut.matrix.ring.one
+    assert ut.size == 1 and ut.rows()[0][0] == ut.ring.one
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_t_m_is_identity_at_level_t(q, cache):
     tm = cache.engine(q, 1, 2).t_m(t_plus_one(q))
-    assert tm.size == 1 and tm.matrix.rows[0][0] == tm.matrix.ring.one
+    assert tm.size == 1 and tm.rows()[0][0] == tm.ring.one
 
 
 def test_u_t_charpoly_q2_n2(cache):
     eng = cache.engine(2, 2, 2)
     ut = eng.u_t()
-    chi = ut.charpoly()
-    ring = ut.matrix.ring
+    chi = charpoly(dense(ut))
+    ring = ut.ring
     x = UPoly.x(ring)
     one = UPoly.one(ring)
     assert chi == (x ** 2) * (x - one) ** 2
@@ -52,8 +53,9 @@ def test_u_t_linear(cache):
     # U_t of the zero cocycle is zero: columns of a linear map
     eng = cache.engine(2, 2, 2)
     ut = eng.u_t()
-    zero_vec = [ut.matrix.ring.zero] * ut.size
-    assert ut.matrix.apply(zero_vec) == zero_vec
+    zero_vec = [ut.ring.zero] * ut.size
+    assert dense(ut).apply(zero_vec) == zero_vec
+    assert ut.apply(ut.ring.vector(zero_vec)) == ut.ring.vector(())
 
 
 def test_t_m_rejects_bad_m(cache):
@@ -70,7 +72,7 @@ def test_diamond_identity_and_example(cache):
     ctx = eng.ctx
     ident = eng.diamond(ctx.one)
     assert all(
-        (ident.matrix.rows[i][j] == ident.matrix.ring.one) == (i == j)
+        (ident.rows()[i][j] == ident.ring.one) == (i == j)
         for i in range(4)
         for j in range(4)
     )
@@ -90,18 +92,18 @@ def test_diamond_closed_form_matches_transport(q, n, cache):
         alpha = (ctx.one + ctx.t * a).truncate(n)
         dia = eng.diamond(alpha)
         perm = diamond_permutation_matrix(space, a)
-        assert dia.matrix == perm
+        assert dia.cols == perm
         # permutation matrices: entries 0/1, one per row/column
-        for row in dia.matrix.rows:
+        for row in dia.rows():
             assert sum(1 for x in row if x) == 1
-            assert all((not x) or x == dia.matrix.ring.one for x in row)
+            assert all((not x) or x == dia.ring.one for x in row)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2)])
 def test_diamond_group_homomorphism(q, n, cache):
     eng = cache.engine(q, n, 2)
     ctx = eng.ctx
-    mats = {alpha.poly.coeffs: eng.diamond(alpha).matrix for alpha in ctx.theta}
+    mats = {alpha.poly.coeffs: dense(eng.diamond(alpha)) for alpha in ctx.theta}
     for a1 in ctx.theta:
         for a2 in ctx.theta:
             assert mats[a1.poly.coeffs] * mats[a2.poly.coeffs] == mats[(a1 * a2).poly.coeffs]
@@ -115,8 +117,55 @@ def test_diamond_commutes_with_hecke(q, n, k, cache):
     tm = eng.t_m(t_plus_one(q))
     for alpha in ctx.theta:
         dia = eng.diamond(alpha)
-        assert dia.commutator(ut).is_zero()
-        assert dia.commutator(tm).is_zero()
+        assert dia.commutes(ut)
+        assert dia.commutes(tm)
+
+
+# the (q, n, k) of the hecke goldens: F_q at weight 2, K above
+GOLDEN_GRID = [
+    (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 2), (5, 2, 2),
+    (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (7, 1, 3), (2, 1, 4), (2, 2, 4),
+]
+
+
+def _check_against_dense(a, b, rng):
+    """apply, commutes and composition of the columns against dense Matrix products."""
+    ring, d = a.ring, a.size
+    da, db = dense(a), dense(b)
+    assert operator(a.name, a.ctx, a.k, da).cols == a.cols
+    entries = [x for row in da.rows + db.rows for x in row] + [ring.zero, ring.one]
+    v = [entries[rng.randrange(len(entries))] for _ in range(d)]
+    assert a.apply(ring.vector(v)) == ring.vector(da.apply(v))
+    assert [a.apply(col) for col in b.cols] == operator("AB", a.ctx, a.k, da * db).cols
+    assert a.commutes(b) == b.commutes(a) == (da * db == db * da)
+
+
+@pytest.mark.parametrize("q,n,k", GOLDEN_GRID)
+def test_columns_match_dense_products(q, n, k, cache):
+    eng = cache.engine(q, n, k)
+    ops = [eng.u_t(), eng.t_m(t_plus_one(q))] + [eng.diamond(alpha) for alpha in eng.ctx.theta]
+    ring = eng.space.ring
+    assert all(op.ring == ring and len(op.cols) == eng.space.dim for op in ops)
+    rng = random.Random(q * 100 + n * 10 + k)
+    for a in ops:
+        for b in ops:
+            _check_against_dense(a, b, rng)
+
+
+def test_a_hand_made_pair_over_k_does_not_commute():
+    # A = (1, t; 0, 1) and B = (1, 0; 1, 1): AB = (1 + t, t; 1, 1), BA = (1, t; 1, 1 + t)
+    ctx = group_context(2, 1)
+    fq = ctx.fq
+    one, zero, t = RatFunc.one(fq), RatFunc.zero(fq), RatFunc.from_poly(Poly.t(fq))
+    a = operator("A", ctx, 3, Matrix(KRing(fq), [[one, t], [zero, one]]))
+    b = operator("B", ctx, 3, Matrix(KRing(fq), [[one, zero], [one, one]]))
+    assert not a.commutes(b) and not b.commutes(a)
+    assert a.commutes(a) and b.commutes(b)
+    assert [a.apply(col) for col in b.cols] == [{0: one + t, 1: one}, {0: t, 1: one}]
+    assert [b.apply(col) for col in a.cols] == [{0: one, 1: one}, {0: t, 1: one + t}]
+    rng = random.Random(0)
+    for x, y in ((a, b), (b, a), (a, a)):
+        _check_against_dense(x, y, rng)
 
 
 class EvaluatingEngine(HeckeEngine):
@@ -149,7 +198,7 @@ class EvaluatingEngine(HeckeEngine):
             cols.append(self.coords.coords(values))
         d = space.dim
         matrix = Matrix(space.ring, [[cols[j][i] for j in range(d)] for i in range(d)])
-        return OperatorMatrix(name, self.ctx, self.k, matrix)
+        return operator(name, self.ctx, self.k, matrix)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +211,7 @@ def test_transport_table_matches_evaluating_oracle(q, n, k, cache):
     pairs += [(eng.diamond(alpha), oracle.diamond(alpha)) for alpha in eng.ctx.theta]
     for got, want in pairs:
         assert got.name == want.name
-        assert got.matrix == want.matrix
+        assert got.cols == want.cols
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -298,7 +347,7 @@ def test_weight2_positive_slope_is_the_newton_count():
     # U_t = identity at d = 4 > r = 2: chi_plus = (X-1)^2 has F_q
     # coefficients, so its unit roots are counted and the slope flag fails
     ctx = group_context(2, 2)
-    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(FqRing(ctx.fq), 4))
+    ident = operator("Ut", ctx, 2, Matrix.identity(FqRing(ctx.fq), 4))
     cert = ordinary_certificate(ident)
     assert cert.flags["divisibility"] is True
     assert cert.flags["positive_slope"] is False
@@ -311,9 +360,9 @@ def test_valid_rejects_a_nontrivial_scalar(cache):
     for q, k, name in ((2, 3, "Scalar(t)"), (3, 2, "Scalar(2)")):
         eng = cache.engine(q, 2, k)
         ut = eng.u_t()
-        ring = ut.matrix.ring
+        ring = ut.ring
         lam = RatFunc.from_poly(Poly.t(ring.fq)) if k > 2 else ring.fq.elem(2)
-        scalar = OperatorMatrix(name, eng.ctx, k, Matrix.identity(ring, ut.size).scale(lam))
+        scalar = operator(name, eng.ctx, k, Matrix.identity(ring, ut.size).scale(lam))
         cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(q)), scalar])
         assert all(cert.flags.values())
         assert cert.hecke_flags == {"Tm(t+1)": True, name: False}
@@ -330,11 +379,8 @@ def test_nilpotency_diagnostics(cache):
     assert diag2["status"] is True
     assert "not computed" in diag2["note"]
     # U_t = identity at d = 4 > r = 2 has no nilpotent part at all
-    from drinfeldforms.hecke import OperatorMatrix
-    from drinfeldforms.linalg import Matrix
-
     ctx = group_context(2, 2)
-    ident = OperatorMatrix("Ut", ctx, 2, Matrix.identity(FqRing(ctx.fq), 4))
+    ident = operator("Ut", ctx, 2, Matrix.identity(FqRing(ctx.fq), 4))
     diag3 = nilpotency_diagnostics(ident)
     assert diag3["nilpotent_dimension"] == 0 and diag3["nilpotency_index"] == 0
     assert diag3["status"] is False
@@ -400,7 +446,7 @@ def _identity(size):
 def test_image_chain_on_hand_made_matrices(blocks, want):
     ctx = group_context(2, 2)  # r = 2
     rows = _block_diagonal(ctx.fq, blocks)
-    ut = OperatorMatrix("Ut", ctx, 2, Matrix(FqRing(ctx.fq), rows))
+    ut = operator("Ut", ctx, 2, Matrix(FqRing(ctx.fq), rows))
     diag = nilpotency_diagnostics(ut)
     assert (diag["nilpotent_dimension"], diag["nilpotency_index"], diag["status"]) == want
     assert diag == nilpotency_diagnostics(_over_k(ut))
@@ -410,7 +456,7 @@ def test_image_chain_on_hand_made_matrices(blocks, want):
 @pytest.mark.parametrize("q,n,k", [(2, 2, 3), (3, 1, 4), (2, 2, 4)])
 def test_nilpotency_diagnostics_over_k_matches_the_oracle(q, n, k, cache):
     ut = cache.engine(q, n, k).u_t()
-    assert isinstance(ut.matrix.ring, KRing)
+    assert isinstance(ut.ring, KRing)
     assert nilpotency_diagnostics(ut) == nilpotency_oracle(ut)
 
 
@@ -424,9 +470,9 @@ def _dense(ring, v, d):
 def _chain_cases():
     ctx = group_context(2, 2)
     for blocks in ([_jordan(4)], [_jordan(4), _identity(2)], [[[1, 1], [0, 1]], _jordan(3)]):
-        u = Matrix(FqRing(ctx.fq), _block_diagonal(ctx.fq, blocks))
-        yield u
-        yield _over_k(OperatorMatrix("Ut", ctx, 2, u)).matrix
+        ut = operator("Ut", ctx, 2, Matrix(FqRing(ctx.fq), _block_diagonal(ctx.fq, blocks)))
+        yield ut
+        yield _over_k(ut)
 
 
 @pytest.mark.parametrize(
@@ -436,14 +482,15 @@ def _chain_cases():
 )
 def test_image_chain_matches_dense_powers(qn, cache):
     if qn == "hand-made":
-        matrices = list(_chain_cases())
+        operators = list(_chain_cases())
     else:
         q, n, k = qn if len(qn) == 3 else (*qn, 2)
-        matrices = [cache.engine(q, n, k).u_t().matrix]
-    for u in matrices:
+        operators = [cache.engine(q, n, k).u_t()]
+    for ut in operators:
+        u = dense(ut)
         ring = u.ring
         d = u.nrows
-        ranks, basis, u_im = image_chain(u)
+        ranks, basis, u_im = image_chain(ut)
         power = Matrix.identity(ring, d)
         for j, rank in enumerate(ranks):
             assert rank == bareiss_rank(power), (j, ranks)
@@ -467,7 +514,7 @@ def test_image_chain_matches_dense_powers(qn, cache):
 
 
 def test_image_chain_pinned_at_q2_n5(cache):
-    ranks, basis, u_im = image_chain(cache.engine(2, 5, 2).u_t().matrix)
+    ranks, basis, u_im = image_chain(cache.engine(2, 5, 2).u_t())
     assert ranks == [256, 192, 128, 96, 70, 52, 41, 34, 30, 26, 22, 20, 18, 16, 16]
     assert len(basis) == 16 and u_im == Matrix.identity(u_im.ring, 16)
 
@@ -476,24 +523,22 @@ def test_diamonds_act_nontrivially_on_ordinary_part(cache):
     # diamonds are deliberately excluded from the certificate's Hecke list:
     # for n >= 2 the group 1 + tA_n moves the ordinary part (its fixed part
     # there is one-dimensional, below the rank q^(n-1))
-    from drinfeldforms.linalg import Matrix
-
     eng = cache.engine(2, 2, 2)
     ut = eng.u_t()
     cert = ordinary_certificate(ut, [])
-    proj = cert.chi_plus.eval_matrix(ut.matrix)
+    proj = cert.chi_plus.eval_matrix(dense(ut))
     dia = eng.diamond(eng.ctx.one + eng.ctx.t)
-    ident = Matrix.identity(ut.matrix.ring, ut.size)
-    assert ((ut.matrix - ident) * proj).is_zero()
-    assert not ((dia.matrix - ident) * proj).is_zero()
+    ident = Matrix.identity(ut.ring, ut.size)
+    assert ((dense(ut) - ident) * proj).is_zero()
+    assert not ((dense(dia) - ident) * proj).is_zero()
 
 
 def _over_k(op):
     """The operator with every F_q entry embedded into K: the weight-2 path
     before operators were built over F_q, kept as its oracle."""
     fq = op.ctx.fq
-    rows = [[RatFunc.constant(fq, x.code) for x in row] for row in op.matrix.rows]
-    return OperatorMatrix(op.name, op.ctx, op.k, Matrix(KRing(fq), rows))
+    rows = [[RatFunc.constant(fq, x.code) for x in row] for row in op.rows()]
+    return operator(op.name, op.ctx, op.k, Matrix(KRing(fq), rows))
 
 
 @pytest.mark.parametrize(
@@ -502,8 +547,8 @@ def _over_k(op):
 def test_weight2_certificate_matches_the_k_path(q, n, cache):
     eng = cache.engine(q, n, 2)
     ut = eng.u_t()
-    assert ut.matrix.ring == eng.space.ring == FqRing(field(q))
-    assert all(isinstance(x, FqElem) for row in ut.matrix.rows for x in row)
+    assert ut.ring == eng.space.ring == FqRing(field(q))
+    assert all(isinstance(x, FqElem) for row in ut.rows() for x in row)
     # a diamond moves the ordinary part for n >= 2, so the False flag and
     # its note are compared too
     heckes = [eng.t_m(t_plus_one(q)), eng.diamond(eng.ctx.theta[-1])]
@@ -521,7 +566,7 @@ def test_weight2_certificate_matches_the_k_path(q, n, cache):
 def test_weight_k_certificate_matches_the_projector_oracle(q, n, k, cache):
     eng = cache.engine(q, n, k)
     ut = eng.u_t()
-    assert ut.matrix.ring == KRing(field(q))
+    assert ut.ring == KRing(field(q))
     heckes = [eng.t_m(t_plus_one(q)), eng.diamond(eng.ctx.theta[-1])]
     got = ordinary_certificate(ut, heckes)
     assert got.to_json_dict() == projector_certificate_oracle(ut, heckes).to_json_dict()
@@ -533,7 +578,7 @@ def _hand_made(q, n, name, blocks, moves=()):
     rows = _block_diagonal(ctx.fq, blocks)
     for i, j in moves:
         rows[i][j] = rows[i][j] + FqElem(ctx.fq, 1)
-    return OperatorMatrix(name, ctx, 2, Matrix(FqRing(ctx.fq), rows))
+    return operator(name, ctx, 2, Matrix(FqRing(ctx.fq), rows))
 
 
 # (q, n, U's blocks, each T's moves off I, flags, Hecke flags); r = q^(n-1)
@@ -602,9 +647,11 @@ K_HAND_MADE_CERTIFICATES = {
 @pytest.mark.parametrize("case", K_HAND_MADE_CERTIFICATES)
 def test_k_certificate_on_hand_made_matrices(case):
     q, n, blocks, entries, moves, flags, hecke_flags, notes = K_HAND_MADE_CERTIFICATES[case]
-    ut = _over_k(_hand_made(q, n, "Ut", blocks))
+    base = _over_k(_hand_made(q, n, "Ut", blocks))
+    u = dense(base)
     for (i, j), x in entries.items():
-        ut.matrix.rows[i][j] = x
+        u.rows[i][j] = x
+    ut = operator("Ut", base.ctx, base.k, u)
     heckes = [_over_k(_hand_made(q, n, f"T{i}", [_identity(ut.size)], m)) for i, m in enumerate(moves)]
     got = ordinary_certificate(ut, heckes)
     assert got.to_json_dict() == projector_certificate_oracle(ut, heckes).to_json_dict()

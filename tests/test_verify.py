@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from drinfeldforms import tree, verify
+from drinfeldforms import hecke, tree, verify
 from drinfeldforms.fq import field
 from drinfeldforms.linalg import Matrix
 from drinfeldforms.mat2 import Mat2
@@ -17,7 +17,7 @@ from drinfeldforms.verify import (
     run_suite,
     suite_passed,
 )
-from oracles import random_gamma_oracle
+from oracles import dense, operator, random_gamma_oracle
 
 
 def test_goss_suite_records_reducible_skip():
@@ -267,23 +267,74 @@ def test_a_zero_diamond_fails_the_group_action_and_the_closed_form(cache, q, n):
     for name in names:
         assert _status(name, space, ops) is True, name
     dia = _nontrivial_diamond(ops, space.ctx)
-    dia.matrix = Matrix.zeros(space.ring, dia.size, dia.size)
+    dia.cols = operator(dia.name, dia.ctx, dia.k, Matrix.zeros(space.ring, dia.size, dia.size)).cols
     for name in names:
         assert _status(name, space, ops) is False, name
+
+
+def _off_the_commutant(ut):
+    """The columns of an elementary matrix E_ij that does not commute with U_t."""
+    ring, d = ut.ring, ut.size
+    units = (Matrix.zeros(ring, d, d) for _ in range(d * d))
+    for idx, unit in enumerate(units):
+        unit.rows[idx // d][idx % d] = ring.one
+        if not (unit * dense(ut) - dense(ut) * unit).is_zero():
+            return operator("E", ut.ctx, ut.k, unit).cols
+    pytest.fail("U_t commutes with every elementary matrix")
 
 
 def test_a_diamond_off_the_commutant_fails_commutation(cache):
     space = cache.space(2, 2, 2)
     ops = verify.space_operators(space, [[1, 1]])
     assert _status("diamond-commutation", space, ops) is True
-    ring, d = space.ring, ops.ut.size
-    # an elementary matrix E_ij that does not commute with U_t
-    units = (Matrix.zeros(ring, d, d) for _ in range(d * d))
-    for idx, unit in enumerate(units):
-        unit.rows[idx // d][idx % d] = ring.one
-        if not (unit * ops.ut.matrix - ops.ut.matrix * unit).is_zero():
-            break
-    else:
-        pytest.fail("U_t commutes with every elementary matrix")
-    _nontrivial_diamond(ops, space.ctx).matrix = unit
+    _nontrivial_diamond(ops, space.ctx).cols = _off_the_commutant(ops.ut)
     assert _status("diamond-commutation", space, ops) is False
+
+
+def test_a_diamond_off_the_commutant_fails_commutation_at_weight_3(cache):
+    # over K: the columns are dicts, and E_ij has entry 1 = RatFunc.one
+    space = cache.space(2, 2, 3)
+    ops = verify.space_operators(space, [[1, 1]])
+    assert _status("diamond-commutation", space, ops) is True
+    _nontrivial_diamond(ops, space.ctx).cols = _off_the_commutant(ops.ut)
+    assert _status("diamond-commutation", space, ops) is False
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_tm_off_the_commutant_reads_commutes_false(monkeypatch, k):
+    # the [U_t, T_m] diagnostic record reads the commutator: true on the
+    # engine's T_(t+1), false once T_(t+1) is replaced by an E_ij that
+    # does not commute with U_t; the record stays a diagnostic either way
+    def record(records):
+        (rec,) = [r for r in records if r["lemma"] == "ut-tm-commutator-diagnostic"]
+        return rec
+
+    assert record(verify._space_item(2, 2, k, 0, [[1, 1]]))["commutes"] is True
+    build = verify.space_operators
+
+    def corrupted(space, hecke_ms):
+        ops = build(space, hecke_ms)
+        ops.heckes[0].cols = _off_the_commutant(ops.ut)
+        return ops
+
+    monkeypatch.setattr(verify, "space_operators", corrupted)
+    rec = record(verify._space_item(2, 2, k, 0, [[1, 1]]))
+    assert rec["commutes"] is False and rec["status"] == "diagnostic"
+
+
+def test_a_weight2_space_item_runs_the_image_chain_once(monkeypatch):
+    # the certificate and the nilpotency record both read U_t's image
+    # chain; the second reads the chain the first kept on the operator
+    chain = hecke.image_chain
+    got = []
+
+    def recording(op):
+        got.append((op, chain(op)))
+        return got[-1][1]
+
+    monkeypatch.setattr(hecke, "image_chain", recording)
+    verify._space_item(2, 3, 2, 0, [[1, 1]])
+    assert len(got) == 2
+    (ut, first), (again, second) = got
+    assert again is ut and ut.name == "Ut"
+    assert second is first is ut.chain
