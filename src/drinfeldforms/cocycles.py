@@ -192,8 +192,7 @@ class CocycleSpace:
         rows = []
         for vorbit in graph.interior_vertex_orbits():
             blocks = {}
-            for e in graph.in_edges(vorbit):
-                orbit, key, sign, delta = graph.classify(e)
+            for orbit, key, sign, delta in graph.star(vorbit):
                 if orbit is None:
                     raise AssertionError("interior vertex star left the table")
                 m = self.vk.act(delta)

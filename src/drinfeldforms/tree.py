@@ -6,56 +6,53 @@ The tail stores the finitely many expansion terms of s below pi^r, so
 vertex equality is an exact tuple comparison.  The standard apartment is
 v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
 
-The action runs over A, never over K: every matrix that acts has entries
-in A and a nonzero determinant, the lattice matrix is scaled by t^L to
-the integral t^L (pi^r, s; 0, 1), whose entry s t^L is read off the tail
-as one packed int, the new r is read off polynomial degrees, and the new
-tail is read off one division of polynomials, with no reduction of the
-fraction, so acting pays no gcd.
+The quotient graph is grown in group coordinates.  SL_2(A) acts with the
+ray v_0, v_1, ... as quotient, so each orbit keeps a w0 in SL_2(A), and
+its representative w0(e_i) or w0(v_j) is formed only when read.  The
+q + 1 edges into w(v_j) are sign * (w sigma)(e_i) for a fixed star table:
+-e_j (sigma = 1), u(x t^j)(e_(j-1)) for j >= 1 and u(x) J (-e_0) at j = 0,
+x in F_q.  Each is keyed from the bottom row of w sigma mod t^n, read off
+w's row with no product over A; w0 = w sigma is formed over A only for a
+new orbit, whose full row must give the same key.
 
-Reduction to the apartment is Euclid's algorithm on a matrix g over A
-with g(e_i) the edge to reduce, run on the packed ints of its entries with
-no Poly built in the loop: s is b/d (or a/c) of g diag(t^i, 1), the
-quotient of one division is the polynomial part of s, killed by a
-translation in SL_2(A), and the remainder is inverted through
-J = (0 -1; 1 0).  Each inversion strictly decreases r, so the walk
-terminates.  gamma is kept as its row operations alone; an edge's walk
-also applies them to the other column of gamma g, and the terminus
-(gamma g)(v_(i+1)) is read off its degrees and one division.  An operator
-image xi w0(e_i) is reduced from xi w0, multiplied out on packed ints.
-A literal vertex v enters through its lattice matrix
-M_v = t^L (pi^r, s; 0, 1) = (t^(L-r), num t^(L-E); 0, t^L) over A, where
-s = num / t^E and L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at
-infinity, so the edge from v up to its parent is M_v(e_0), and its
-reverse -M_v(e_0).
+A literal edge or vertex (classify, verify's checks) is acted on over A,
+never over K: the lattice matrix is scaled by t^L to the integral
+t^L (pi^r, s; 0, 1), r is read off polynomial degrees, and the tail off
+one division, with no reduction of the fraction, so acting pays no gcd.
+It is reduced to the apartment by Euclid's algorithm on a matrix g over A
+with g(e_i) the edge, run on packed ints: s is b/d (or a/c) of
+g diag(t^i, 1), the polynomial part of s is killed by a translation in
+SL_2(A), and the rest is inverted through J = (0 -1; 1 0), which
+strictly decreases r.  gamma is kept as its row operations; an edge's walk
+applies them to the other column of gamma g too, and the terminus is read
+off its degrees and one division.  A literal vertex v enters through
+M_v = t^L (pi^r, s; 0, 1) over A, where s = num / t^E and
+L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at infinity, so the
+edge from v up to its parent is M_v(e_0).  An operator image xi w0(e_i) is
+reduced from xi w0, multiplied out on packed ints.
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
 stabilizer (a b; 0 a^{-1}), deg b <= i: the left coset is determined by the
-bottom row mod t^n, and the orbit key is the lexicographically least right
-translate of that row.  That translate is a normal form, computed
-coefficient by coefficient with no enumeration of Sbar_i: a scales the
-first nonzero coefficient of c to 1, and b clears the coefficients of d
-from that position on as far as its degree allows.  At v_0, whose
-stabilizer is SL_2(F_q), the key is the least of the q + 1 normal forms of
-row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
+bottom row mod t^n, and the orbit key is its least right translate, a
+normal form computed coefficient by coefficient (memoized per row): a
+scales the first nonzero coefficient of c to 1, and b clears the
+coefficients of d from there on as far as its degree allows.  At v_0,
+whose stabilizer is SL_2(F_q), the key is the least of the q + 1 normal
+forms of row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
 
-Every classification also produces an exact witness in Gamma_1(t^n)
-transporting the stored representative to the input: w = gamma^-1 (a
-RowOps) times its lift in S_i, read off the two normal forms, times
-w0^-1, a Deferred built only when an entry is read (V_2 reads none).
-The key reads w's bottom row (-c, a) mod t^n alone, replayed from
-gamma's first column (a, c) mod t^n.  An orbit's representative is the
-edge (w0(e_i) = +-e) or vertex (w0(v_j) = v) the search found it by.
-Since SL_2 preserves the parity of r, an orbit never contains an edge and
-its reversal, and orientation is carried as an explicit sign.
+A classification also gives an exact witness in Gamma_1(t^n) taking the
+representative to the input: w (w(e_i) = +-e) times its lift in S_i, read
+off the two normal forms, times w0^-1, a Deferred built only when an
+entry is read (V_2 reads none).  SL_2 preserves the parity of r, so an
+orbit never contains an edge and its reversal, and orientation is carried
+as an explicit sign.
 
 The classes of Sbar_i fixing a bottom row are translations (1, t^s b'; 0, 1)
-in closed form; they give the edge stabilizers, the vertex stabilizers off
-v_0, and Gamma_1(t)-stability (the same test at level 1).  At v_0 the
-classes of SL_2(F_q) fixing a bottom row are the q - 1 transvections
-along its constant coefficient row, or none, also in closed form, so no
-class of any stabilizer is enumerated.
+in closed form, and so is their number; they give the edge stabilizers,
+the vertex stabilizers off v_0, and Gamma_1(t)-stability (the same test at
+level 1).  At v_0 they are the q - 1 transvections along the constant
+coefficient row, or none, so no class of any stabilizer is enumerated.
 """
 
 import copy
@@ -367,46 +364,50 @@ def parabolic_fixed_end(delta):
 
 
 class EdgeOrbit:
-    """One Gamma_1(t^n)-orbit of oriented edges (up to sign)."""
+    """One Gamma_1(t^n)-orbit of oriented edges (up to sign), represented by w0(e_i)."""
 
-    __slots__ = (
-        "key",
-        "i",
-        "w0",
-        "w0_inv",
-        "rep",
-        "depth",
-        "stable",
-        "label",
-        "stab_class_elements",
-        "stab_order",
-        "nf",
-    )
+    __slots__ = ("key", "i", "w0", "w0_inv", "_rep", "depth", "stable", "label", "stab_order", "nf")
 
-    def __init__(self, key, i, w0, rep, depth):
+    def __init__(self, key, i, w0, depth):
         self.key = key
         self.i = i
         self.w0 = w0
         self.w0_inv = w0.inverse_unimodular()
-        self.rep = rep
+        self._rep = None
         self.depth = depth
         self.stable = None
         self.label = None
-        self.stab_class_elements = None
         self.stab_order = None
         self.nf = None
 
+    @property
+    def rep(self):
+        """The literal edge w0(e_i), formed on first read."""
+        if self._rep is None:
+            self._rep = apply_edge(self.w0, Edge.standard(self.i), self.w0.a.fq)
+        return self._rep
+
 
 class VertexOrbit:
-    __slots__ = ("key", "j", "w0", "rep", "depth", "stab_order")
+    """One Gamma_1(t^n)-orbit of vertices, represented by w0(v_j)."""
 
-    def __init__(self, key, j, w0, rep, depth):
+    __slots__ = ("key", "j", "w0", "_rep", "depth", "stab_order", "star")
+
+    def __init__(self, key, j, w0, depth, star):
         self.key = key
         self.j = j
         self.w0 = w0
-        self.rep = rep
+        self._rep = None
         self.depth = depth
         self.stab_order = None
+        self.star = star  # TreeContext.star(w0, j): it does not depend on the table
+
+    @property
+    def rep(self):
+        """The literal vertex w0(v_j), formed on first read."""
+        if self._rep is None:
+            self._rep = apply_vertex(self.w0, Vertex.standard(self.j), self.w0.a.fq)
+        return self._rep
 
 
 class EdgeClass:
@@ -437,12 +438,24 @@ class TreeContext:
         self.fq = ctx.fq
         self.n = ctx.n
         self._classify_cache = {}
-        self._vreduce_cache = {}
+        self._nf_cache = {}
+        self._sigma_cache = {}
         self._mask = (1 << 8 * self.n) - 1
 
     # -- keys ----------------------------------------------------------------
     def _normal_form(self, c, d, i):
         """(row, a, b): the least right translate of the bottom row (c, d) under S_i.
+
+        Memoized on (c, d, min(i, n - 1)), all it depends on.
+        """
+        memo = (c, d, min(i, self.n - 1))
+        got = self._nf_cache.get(memo)
+        if got is None:
+            got = self._nf_cache[memo] = self._least_translate(*memo)
+        return got
+
+    def _least_translate(self, c, d, cap):
+        """_normal_form of (c, d) under S_i, cap = min(i, n - 1).
 
         c and d are packed polynomials of degree < n.  row is
         (c, d) (a, b; 0, a^-1) mod t^n as stripped coefficient tuples, the
@@ -450,8 +463,8 @@ class TreeContext:
         translate is (a c, b c + a^-1 d).  With v = v_t(c) < n, a sets the
         coefficient of c at v to 1, the least nonzero code, and b_0, b_1, ...
         in turn clear the coefficients v, v + 1, ... of the second entry,
-        as far as deg b <= min(i, n - 1) and t^n allow.  With c = 0 mod t^n,
-        d is a unit, a sets its constant coefficient to 1 and b does nothing.
+        as far as deg b <= cap and t^n allow.  With c = 0 mod t^n, d is a
+        unit, a sets its constant coefficient to 1 and b does nothing.
         """
         fq, n = self.fq, self.n
         mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
@@ -464,7 +477,7 @@ class TreeContext:
         a = inv[c[v]]
         row_d = [mul[c[v]][x] for x in d]  # a^-1 d, as a^-1 = c_v
         b = []
-        for j in range(min(i, n - 1 - v) + 1):
+        for j in range(min(cap, n - 1 - v) + 1):
             bj = mul[a][neg[row_d[v + j]]]
             b.append(bj)
             if bj:
@@ -483,6 +496,46 @@ class TreeContext:
         rows = [(int_add(fq, c, int_mul(fq, x, d)), d) for x in fq.elements()]
         rows.append((d, int_neg(fq, c)))
         return (0, min(self._normal_form(rc, rd, 0)[0] for rc, rd in rows))
+
+    def star(self, w, j):
+        """[(key, i, sign, sigma, nf)] for the q + 1 edges into w(v_j), in Vertex.neighbors order.
+
+        Each edge is sign * (w sigma)(e_i), and nf is the normal form of the
+        bottom row of w sigma mod t^n, read off w's row by _star_rows.
+        """
+        out = []
+        for (sigma, i, sign), row in zip(self._star_sigmas(j), self._star_rows(*self._row(w), j)):
+            nf = self._normal_form(*row, i)
+            out.append(((i, nf[0]), i, sign, sigma, nf))
+        return out
+
+    def _star_sigmas(self, j):
+        """(sigma, i, sign) for the edges sign * sigma(e_i) into v_j, in Vertex.neighbors order.
+
+        The parent edge is -e_j.  For j >= 1 the child of digit x is
+        u(x t^j)(v_(j-1)), and u(x t^j) fixes v_j, so its edge is
+        u(x t^j)(e_(j-1)); at j = 0 it is u(x) J (v_1), with edge u(x) J (-e_0).
+        """
+        got = self._sigma_cache.get(j)
+        if got is None:
+            fq = self.fq
+            u = [Mat2.translation(Poly.constant(fq, x).shift(j)) for x in fq.elements()]
+            children = [(s, j - 1, POS_SIGN) for s in u] if j else [(s * Mat2.j_matrix(fq), 0, NEG_SIGN) for s in u]
+            got = self._sigma_cache[j] = [(Mat2.identity_poly(fq), j, NEG_SIGN)] + children
+        return got
+
+    def _star_rows(self, c, d, j):
+        """The bottom rows mod t^n of w sigma over _star_sigmas(j), from w's row (c, d) with no product over A.
+
+        They are (c, d) for the parent edge, and for the child of digit x,
+        (c, d + x t^j c) when j >= 1 and (x c + d, -c) at j = 0.
+        """
+        fq, mask = self.fq, self._mask
+        if j:
+            children = [(c, int_add(fq, d, int_mul(fq, x, c << 8 * j)) & mask) for x in fq.elements()]
+        else:
+            children = [(int_add(fq, int_mul(fq, x, c), d), int_neg(fq, c)) for x in fq.elements()]
+        return [(c, d)] + children
 
     def _row(self, w):
         """The bottom row of w mod t^n, packed."""
@@ -515,12 +568,9 @@ class TreeContext:
         return got
 
     def reduce_vertex(self, v):
-        got = self._vreduce_cache.get(v)
-        if got is None:
-            gamma, j = reduce_vertex(v, self.fq)
-            got = (self.vertex_key(*self._inverse_row(gamma), j), j, gamma.inverse_unimodular())
-            self._vreduce_cache[v] = got
-        return got
+        """(key, j, w): w(v_j) = v."""
+        gamma, j = reduce_vertex(v, self.fq)
+        return self.vertex_key(*self._inverse_row(gamma), j), j, gamma.inverse_unimodular()
 
     # -- witnesses -------------------------------------------------------------
     def edge_witness(self, w, nf, orbit):
@@ -546,12 +596,12 @@ class TreeContext:
         return w * lift * orbit.w0_inv
 
     # -- stabilizers -------------------------------------------------------------
-    def edge_orbit(self, e, key, i, sign, w, depth):
-        """The orbit of e, reduced to (key, i, sign, w): w(e_i) = sign * e is its representative.
+    def edge_orbit(self, key, i, w0, depth):
+        """The orbit of key with representative w0(e_i).
 
-        The key is read off w's row replayed mod t^n, and orbit.nf off all of w.
+        The key is read off a row mod t^n, and orbit.nf off all of w0.
         """
-        orbit = EdgeOrbit(key, i, w, e if sign == POS_SIGN else e.reverse(), depth)
+        orbit = EdgeOrbit(key, i, w0, depth)
         self.edge_stabilizer(orbit)
         if orbit.nf[0] != key[1]:
             raise AssertionError(f"orbit key {key} disagrees with its representative's row")
@@ -559,19 +609,17 @@ class TreeContext:
 
     def edge_stabilizer(self, orbit):
         """Fill in the normal form and the Gamma_1(t^n)-stabilizer data of the representative."""
-        w0 = orbit.w0
-        orbit.nf = self._normal_form(*self._row(w0), orbit.i)
-        lifts = self._stab_lifts(w0.c, orbit.i, self.n)
-        orbit.stab_class_elements = _conjugates(w0, lifts, orbit.w0_inv)
-        orbit.stab_order = self._stab_order(len(lifts), orbit.i)
+        w0, i = orbit.w0, orbit.i
+        orbit.nf = self._normal_form(*self._row(w0), i)
+        orbit.stab_order = self._stab_order(self._stab_count(w0.c, i, self.n), i)
         # Gamma_1(t)-stability is the same test at level 1 against the
         # constant apartment stabilizer S_0 (only i = 0 reductions can be stable)
-        orbit.stable = orbit.i == 0 and not self._stab_lifts(w0.c, 0, 1)
+        orbit.stable = i == 0 and not self._stab_count(w0.c, 0, 1)
 
     def edge_stab_generators(self, orbit):
         """Exact stabilizer elements in Gamma_1(t^n) (class lifts + kernel), deferred."""
-        kernel = _conjugates(orbit.w0, self._kernel_lifts(orbit.i), orbit.w0_inv)
-        return orbit.stab_class_elements + kernel
+        lifts = self._stab_lifts(orbit.w0.c, orbit.i, self.n) + self._kernel_lifts(orbit.i)
+        return _conjugates(orbit.w0, lifts, orbit.w0_inv)
 
     def vertex_stab_elements(self, w, j):
         """Nontrivial Gamma_1(t^n)-stabilizer elements of the vertex w(v_j).
@@ -580,35 +628,43 @@ class TreeContext:
         is the unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
         """
         w_inv = w.inverse_unimodular()
-        classes = _conjugates(w, self._vertex_stab_lifts(w, j), w_inv)
-        return classes, _conjugates(w, self._kernel_lifts(j), w_inv)
+        lifts = self._passing_lifts(w) if j == 0 else self._stab_lifts(w.c, j, self.n)
+        return _conjugates(w, lifts, w_inv), _conjugates(w, self._kernel_lifts(j), w_inv)
 
     def vertex_stabilizer(self, vorbit):
         """Set the stabilizer order of the representative; no element is formed."""
-        lifts = self._vertex_stab_lifts(vorbit.w0, vorbit.j)
-        vorbit.stab_order = self._stab_order(len(lifts), vorbit.j)
+        w, j = vorbit.w0, vorbit.j
+        classes = self._stab_count(w.c, j, self.n) if j else (self.fq.q - 1 if self._v0_line(w) else 0)
+        vorbit.stab_order = self._stab_order(classes, j)
 
-    def _vertex_stab_lifts(self, w, j):
-        if j == 0:
-            return self._passing_lifts(w)
-        return self._stab_lifts(w.c, j, self.n)
-
-    def _stab_lifts(self, c, i, level):
-        """Lifts of the nontrivial classes of Sbar_i mod t^level fixing a bottom row (c, d).
+    def _stab_shape(self, c, i, level):
+        """(shift, free): the classes of Sbar_i mod t^level fixing a bottom row (c, d) are (1, t^shift b'; 0, 1), deg b' < free.
 
         (c, d) (a, b; 0, a^-1) = (c, d) forces a = 1 (from a c = c if
         v = v_t(c) < level, else from a^-1 d = d with d a unit) and
-        t^(level - v) | b, reading v = level when c = 0 mod t^level.  So the
-        classes are (1, t^(level - v) b'; 0, 1) with b' != 0 and
-        deg b' <= min(i, level - 1) - (level - v), in graded_polys order,
-        which is the order of the b when Stab(SL_2(A), e_i) is enumerated as
-        (a, b; 0, a^-1) with b running over graded_polys.
+        t^(level - v) | b, reading v = level when c = 0 mod t^level; so
+        shift = level - v, b' != 0 and deg b' <= min(i, level - 1) - shift.
         """
         shift = level - min(c.vt(), level)
-        free = min(i, level - 1) - shift + 1
-        return [
-            Mat2.translation(b.shift(shift)) for b in islice(graded_polys(self.fq, free), 1, None)
-        ]
+        return shift, min(i, level - 1) - shift + 1
+
+    def _stab_count(self, c, i, level):
+        """The number of those classes: q^free - 1, or 0 when free <= 0."""
+        return self.fq.q ** max(self._stab_shape(c, i, level)[1], 0) - 1
+
+    def _stab_lifts(self, c, i, level):
+        """Lifts of those classes, in graded_polys order: the order of the b when
+        Stab(SL_2(A), e_i) is enumerated as (a, b; 0, a^-1), b over graded_polys."""
+        shift, free = self._stab_shape(c, i, level)
+        return [Mat2.translation(b.shift(shift)) for b in islice(graded_polys(self.fq, free), 1, None)]
+
+    def _v0_line(self, w):
+        """(c_0, d_0) if every coefficient row (c_k, d_k) of w's row mod t^n is on its line, else None."""
+        mul = self.fq._mul
+        c, d = (x.to_bytes(self.n, "little") for x in self._row(w))
+        if any(mul[ck][d[0]] != mul[dk][c[0]] for ck, dk in zip(c, d)):
+            return None
+        return c[0], d[0]
 
     def _passing_lifts(self, w):
         """Lifts of the nontrivial classes of SL_2(F_q) fixing w's bottom row (c, d) mod t^n.
@@ -617,15 +673,15 @@ class TreeContext:
         coefficient row (c_k, d_k), k < n.  The row is unimodular, so
         (c_0, d_0) != 0, and the sigma != 1 fixing it are the q - 1
         transvections 1 + lam (d_0, -c_0)^T (c_0, d_0), lam != 0, which fix
-        no row off the line of (c_0, d_0).  They come sorted by the codes
-        of (a, b, c, d), the order of a scan of SL_2(F_q).
+        no row off the line of (c_0, d_0) (_v0_line).  They come sorted by
+        the codes of (a, b, c, d), the order of a scan of SL_2(F_q).
         """
-        fq, n = self.fq, self.n
-        mul, add, neg = fq._mul, fq._add, fq._neg
-        c, d = (x.to_bytes(n, "little") for x in self._row(w))
-        c0, d0 = c[0], d[0]
-        if any(mul[ck][d0] != mul[dk][c0] for ck, dk in zip(c, d)):
+        line = self._v0_line(w)
+        if line is None:
             return []
+        fq = self.fq
+        mul, add, neg = fq._mul, fq._add, fq._neg
+        c0, d0 = line
         cd, dd, cc = mul[c0][d0], mul[d0][d0], mul[c0][c0]
         classes = sorted(
             (add[1][mul[lam][cd]], mul[lam][dd], neg[mul[lam][cc]], add[1][neg[mul[lam][cd]]])
@@ -663,10 +719,12 @@ class QuotientGraph:
     """Depth-truncated table of Gamma_1(t^n)-orbits of edges and vertices.
 
     Seeded with the stable representatives h_{(c,d)} J e_0 at depth 0 and
-    grown by breadth-first search over the literal tree incidence, with
-    every encountered edge canonicalized.  The search goes shell by shell,
-    so :meth:`extended` grows the depth-(D+1) table from this one by one
-    more shell instead of building it again.
+    grown breadth-first in group coordinates: each orbit keeps w0 in
+    SL_2(A), and the star of each new vertex orbit is keyed from its bottom
+    row mod t^n (TreeContext.star), so the build forms no literal edge or
+    vertex.  The search goes shell by shell, so :meth:`extended` grows the
+    depth-(D+1) table from this one by one more shell instead of building
+    it again.
     """
 
     def __init__(self, ctx, depth, max_orbits=MAX_ORBITS):
@@ -697,43 +755,33 @@ class QuotientGraph:
         return graph
 
     # -- construction -------------------------------------------------------
-    def _register_edge(self, e, depth):
-        key, i, sign, w, _ = self.tree.reduce_edge(e)
-        orbit = self.edge_orbits.get(key)
-        if orbit is None:
-            if len(self.edge_orbits) >= self.max_orbits:
-                raise ResourceBoundError(
-                    f"edge orbit table exceeded {self.max_orbits} entries"
-                )
-            orbit = self.tree.edge_orbit(e, key, i, sign, w, depth)
-            self.edge_orbits[key] = orbit
-            return orbit, True
-        return orbit, False
+    def _new_edge(self, key, i, w0, depth):
+        """Register the orbit of a key not in the table, with representative w0(e_i)."""
+        if len(self.edge_orbits) >= self.max_orbits:
+            raise ResourceBoundError(f"edge orbit table exceeded {self.max_orbits} entries")
+        orbit = self.edge_orbits[key] = self.tree.edge_orbit(key, i, w0, depth)
+        return orbit
 
-    def _register_vertex(self, v, depth):
-        key, j, w = self.tree.reduce_vertex(v)
-        orbit = self.vertex_orbits.get(key)
-        if orbit is None:
-            # w(v_j) = v
-            orbit = VertexOrbit(key, j, w, v, depth)
-            self.vertex_orbits[key] = orbit
-            self.tree.vertex_stabilizer(orbit)
-            return orbit, True
-        return orbit, False
+    def _register_vertex(self, w, j, depth):
+        """The orbit of w(v_j), registered with representative w(v_j) if new."""
+        key = self.tree.vertex_key(*self.tree._row(w), j)
+        vorbit = self.vertex_orbits.get(key)
+        if vorbit is None:
+            vorbit = self.vertex_orbits[key] = VertexOrbit(key, j, w, depth, self.tree.star(w, j))
+            self.tree.vertex_stabilizer(vorbit)
+        return vorbit
 
     def _seed(self):
         """Register the stable seed orbits at depth 0; returns them."""
-        ctx = self.ctx
-        fq = ctx.fq
-        jmat = Mat2.j_matrix(fq)
+        ctx, tree = self.ctx, self.tree
+        jmat = Mat2.j_matrix(ctx.fq)
         seeds = []
         for c, d in ctx.label_pairs():
-            seed = apply_edge(ctx.h_matrix(c, d) * jmat, Edge.standard(0), fq)
-            orbit, is_new = self._register_edge(seed, 0)
-            if not is_new:
-                raise AssertionError(
-                    f"stable seeds collide: ({c},{d}) repeats orbit {orbit.key}"
-                )
+            w = ctx.h_matrix(c, d) * jmat
+            key = (0, tree._normal_form(*tree._row(w), 0)[0])
+            if key in self.edge_orbits:
+                raise AssertionError(f"stable seeds collide: ({c},{d}) repeats orbit {key}")
+            orbit = self._new_edge(key, 0, w, 0)
             if not orbit.stable:
                 raise AssertionError(f"seed orbit {orbit.key} is not stable")
             orbit.label = (c, d)
@@ -744,25 +792,25 @@ class QuotientGraph:
     def _grow(self, frontier, depth):
         """Search from ``frontier``, the edge orbits new at ``depth``, out to self.depth.
 
-        The vertices of the last shell are registered too, and that shell
-        is kept as ``self.frontier`` for :meth:`extended`.
+        Each endpoint's star is read from its vertex orbit's representative
+        w (the star of any vertex of the orbit meets the same edge orbits),
+        and a new edge orbit takes w0 = w sigma, formed over A.  The
+        vertices of the last shell are registered too, and that shell is
+        kept as ``self.frontier`` for :meth:`extended`.
         """
-        fq = self.ctx.fq
         while frontier and depth < self.depth:
             depth += 1
             next_frontier = []
             for orbit in frontier:
-                for v in (orbit.rep.origin, orbit.rep.terminus):
-                    self._register_vertex(v, depth - 1)
-                    for u in v.neighbors(fq):
-                        e = Edge(u, v)
-                        new_orbit, is_new = self._register_edge(e, depth)
-                        if is_new:
-                            next_frontier.append(new_orbit)
+                for j in (orbit.i, orbit.i + 1):
+                    vorbit = self._register_vertex(orbit.w0, j, depth - 1)
+                    for key, i, _, sigma, _ in vorbit.star:
+                        if key not in self.edge_orbits:
+                            next_frontier.append(self._new_edge(key, i, vorbit.w0 * sigma, depth))
             frontier = next_frontier
         for orbit in frontier:
-            for v in (orbit.rep.origin, orbit.rep.terminus):
-                self._register_vertex(v, self.depth)
+            for j in (orbit.i, orbit.i + 1):
+                self._register_vertex(orbit.w0, j, self.depth)
         self.frontier = frontier
 
     # -- lookups ---------------------------------------------------------------
@@ -786,10 +834,16 @@ class QuotientGraph:
             return None, key, sign, None
         return orbit, key, sign, Deferred(self.tree.edge_witness, w, nf, orbit)
 
-    def in_edges(self, vorbit):
-        """The q+1 literal tree edges with terminus at the orbit representative."""
-        v = vorbit.rep
-        return [Edge(u, v) for u in v.neighbors(self.ctx.fq)]
+    def star(self, vorbit):
+        """classify of each of the q + 1 edges into vorbit.rep, in TreeContext.star order.
+
+        The keys are read off the representative's row, and each witness
+        is deferred with the product w0 sigma it reads.
+        """
+        return [
+            self._lookup(key, i, sign, Deferred(Mat2.__mul__, vorbit.w0, sigma), nf)
+            for key, i, sign, sigma, nf in vorbit.star
+        ]
 
     def interior_vertex_orbits(self):
         """Vertex orbits whose whole star classifies into the table.
@@ -800,10 +854,7 @@ class QuotientGraph:
             self._interior = [
                 vorbit
                 for _, vorbit in sorted(self.vertex_orbits.items())
-                if all(
-                    self.tree.reduce_edge(e)[0] in self.edge_orbits
-                    for e in self.in_edges(vorbit)
-                )
+                if all(key in self.edge_orbits for key, *_ in vorbit.star)
             ]
         return self._interior
 
@@ -812,6 +863,7 @@ class QuotientGraph:
         edges = []
         for key in sorted(self.edge_orbits):
             o = self.edge_orbits[key]
+            row = self.tree._row(o.w0)  # rep = w0(e_i) runs from w0(v_i) to w0(v_(i+1))
             edges.append(
                 {
                     "key": _key_json(key),
@@ -821,8 +873,8 @@ class QuotientGraph:
                     if o.label
                     else None,
                     "stab_order": o.stab_order,
-                    "origin": _key_json(self.tree.reduce_vertex(o.rep.origin)[0]),
-                    "terminus": _key_json(self.tree.reduce_vertex(o.rep.terminus)[0]),
+                    "origin": _key_json(self.tree.vertex_key(*row, o.i)),
+                    "terminus": _key_json(self.tree.vertex_key(*row, o.i + 1)),
                 }
             )
         vertices = []
@@ -886,8 +938,9 @@ def classify_edge(ctx, e, graph=None):
     orbit, key, sign, delta = graph.classify(e)
     if orbit is None:
         # beyond the table: an orbit on the fly from this edge's reduction
+        # w(sign * e_i) = e
         _, i, _, w, nf = tree.reduce_edge(e)
-        orbit = tree.edge_orbit(e, key, i, sign, w, None)
+        orbit = tree.edge_orbit(key, i, w, None)
         delta = Deferred(tree.edge_witness, w, nf, orbit)
     if orbit.stable:
         return EdgeClass(True, orbit.label, orbit.i, sign, delta, None)

@@ -61,6 +61,10 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     _hecke_case(2, 3, 2),
     # vertices reached at depth 6 take longer Euclid chains to reduce
     ("graph_q2n4d6.json", ["graph", "--q", "2", "--n", "4", "--depth", "6", "--format", "json"]),
+    # the star of v_0, entered through (x, -1; 1, 0), over non-prime fields
+    # at n = 2: F_4 codes, and F_9 codes where -1 != 1
+    ("graph_q4n2d5.json", ["graph", "--q", "4", "--n", "2", "--depth", "5", "--format", "json"]),
+    ("graph_q9n2d3.json", ["graph", "--q", "9", "--n", "2", "--depth", "3", "--format", "json"]),
     # weight-3 gcds over K at p = 7, where an int product is exact only
     # while the shorter factor has at most 7 coefficients
     _hecke_case(7, 1, 3),

@@ -16,6 +16,7 @@ from drinfeldforms.tree import (
     QuotientGraph,
     TreeContext,
     Vertex,
+    VertexOrbit,
     apply_edge,
     apply_vertex,
     _reduce_image,
@@ -220,30 +221,41 @@ def test_euclid_reduction_matches_the_laurent_walk(q, monkeypatch):
     assert polynomial_parts >= 100
 
 
+def oracle_edge_key(tree, e):
+    """(key, i, sign) of a literal edge from the tail-fraction oracle: its
+    reduction gamma(e) = sign * e_i, keyed by the row of gamma^-1."""
+    gamma, i, sign = reduce_edge_oracle(e, tree.fq)
+    return (i, tree._normal_form(*tree._row(gamma.adjugate()), i)[0]), i, sign
+
+
+def oracle_vertex_key(tree, v):
+    """(key, j) of a literal vertex from the tail-fraction oracle."""
+    gamma, j = reduce_vertex_oracle(v, tree.fq)
+    return tree.vertex_key(*tree._row(gamma.adjugate()), j), j
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (9, 1)])
-def test_graph_reductions_match_the_tail_fraction_oracle(q, n, monkeypatch):
-    # every literal edge and vertex a graph build reduces, at the depth the
-    # graph tests extend to
+def test_graph_reductions_match_the_tail_fraction_oracle(q, n):
+    # every star a graph build keys, at the depth the graph tests extend
+    # to: the edges sign * (w sigma)(e_i) are exactly the literal edges into
+    # w(v_j), and the literal oracle reduces each to the key, index and
+    # sign read off the row
     ctx = group_context(q, n)
-    seen = {"edges": 0, "vertices": 0, "down": 0}
-
-    def checked_edge(e, field_):
-        got = reduce_edge(e, field_)
-        assert got == reduce_edge_oracle(e, field_)
-        seen["edges"] += 1
-        seen["down"] += e.origin == e.terminus.parent()
-        return got
-
-    def checked_vertex(v, field_):
-        got = reduce_vertex(v, field_)
-        assert got == reduce_vertex_oracle(v, field_)
-        seen["vertices"] += 1
-        return got
-
-    monkeypatch.setattr(tree_module, "reduce_edge", checked_edge)
-    monkeypatch.setattr(tree_module, "reduce_vertex", checked_vertex)
-    QuotientGraph(ctx, depth_default(n, 2) + 1)
-    assert seen["edges"] and seen["vertices"] and seen["down"]
+    fq = ctx.fq
+    graph = QuotientGraph(ctx, depth_default(n, 2) + 1)
+    tree = graph.tree
+    assert {vorbit.j for vorbit in graph.vertex_orbits.values()} >= {0, 1, n + 1}
+    for vorbit in graph.vertex_orbits.values():
+        w, j = vorbit.w0, vorbit.j
+        v = apply_vertex(w, Vertex.standard(j), fq)
+        edges = []
+        for key, i, sign, sigma, _ in vorbit.star:
+            e = apply_edge(w * sigma, Edge.standard(i), fq)
+            e = e if sign == 1 else e.reverse()
+            assert oracle_edge_key(tree, e) == (key, i, sign)
+            edges.append(e)
+        assert len(edges) == q + 1
+        assert set(edges) == {Edge(u, v) for u in v.neighbors(fq)}
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 8, 9) for n in (1, 2, 3)])
@@ -438,31 +450,108 @@ def test_extended_graph_equals_a_fresh_build(q, n):
     "q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (7, 1), (7, 2)]
 )
 def test_representatives_are_w0_of_the_standard_edge_and_vertex(q, n):
-    # a representative is the edge or vertex the search found its orbit by,
-    # not formed by acting; acting with w0 on e_i or v_j gives it back
+    # a representative is w0(e_i) or w0(v_j), formed when first read; the
+    # literal oracle reduces it back to its orbit's key and index, with sign +1
     ctx = group_context(q, n)
     graph = QuotientGraph(ctx, 2)
     for table in (graph, graph.extended()):
         for orbit in table.edge_orbits.values():
-            assert orbit.rep == apply_edge(orbit.w0, Edge.standard(orbit.i), ctx.fq)
+            assert oracle_edge_key(table.tree, orbit.rep) == (orbit.key, orbit.i, 1)
         for vorbit in table.vertex_orbits.values():
-            assert vorbit.rep == apply_vertex(vorbit.w0, Vertex.standard(vorbit.j), ctx.fq)
+            assert oracle_vertex_key(table.tree, vorbit.rep) == (vorbit.key, vorbit.j)
 
 
-@pytest.mark.parametrize("side", ["_inverse_row", "_row"])
-def test_registration_checks_the_key_against_the_representative_row(monkeypatch, side):
-    # the key comes from gamma's first column replayed mod t^n, and the
-    # orbit's normal form from all of w0; corrupting either is caught once
-    # per orbit, before any witness is read
+def _build_depth_1(ctx):
+    QuotientGraph(ctx, depth=1)
+
+
+def _classify_beyond_the_table(ctx):
+    # a literal edge off a depth-1 table gets an orbit on the fly
+    classify_edge(ctx, Edge.standard(5), QuotientGraph(ctx, depth=1))
+
+
+@pytest.mark.parametrize(
+    "side,run",
+    [
+        ("_inverse_row", _classify_beyond_the_table),
+        ("_row", _build_depth_1),
+        ("_star_rows", _build_depth_1),
+    ],
+    ids=["_inverse_row", "_row", "_star_rows"],
+)
+def test_registration_checks_the_key_against_the_representative_row(monkeypatch, side, run):
+    # a build reads each key off the star's row arithmetic mod t^n, and a
+    # literal classification off gamma's first column replayed mod t^n,
+    # while the orbit's normal form comes from the row of all of w0;
+    # corrupting any of them is caught once per new orbit, before any
+    # witness is read
+    ctx = group_context(2, 2)
+    run(ctx)  # the uncorrupted run passes
     real = getattr(TreeContext, side)
 
-    def corrupted(self, w):
-        c, d = real(self, w)
-        return int_add(self.fq, c, d), d
+    def corrupted(self, *args):
+        # (c, d) -> (c + d, d) on the one row, or on every row of a star
+        got = real(self, *args)
+        rows = [(int_add(self.fq, c, d), d) for c, d in (got if side == "_star_rows" else [got])]
+        return rows if side == "_star_rows" else rows[0]
 
     monkeypatch.setattr(TreeContext, side, corrupted)
     with pytest.raises(AssertionError, match="disagrees with its representative's row"):
-        QuotientGraph(group_context(2, 2), depth=1)
+        run(ctx)
+
+
+def test_a_graph_build_forms_no_literal_edge_or_vertex(monkeypatch):
+    # seeds, shells, extended() and the interior listings run in group
+    # coordinates: no tree action, no literal reduction and no Euclid walk
+    def forbidden(*args):
+        raise AssertionError("a graph build acted on or reduced a literal edge or vertex")
+
+    for name in ("apply_edge", "apply_vertex", "reduce_edge", "reduce_vertex", "_euclid"):
+        monkeypatch.setattr(tree_module, name, forbidden)
+    for q, n in [(2, 2), (3, 2), (4, 1), (2, 3), (9, 1)]:
+        graph = QuotientGraph(group_context(q, n), depth_default(n, 2))
+        assert graph.interior_vertex_orbits()
+        assert graph.extended().interior_vertex_orbits()
+
+
+class _Unread:
+    def __get__(self, obj, cls=None):
+        raise AssertionError("a representative was read")
+
+
+def test_graph_export_reads_no_representative(monkeypatch):
+    # the endpoint keys of an edge orbit are the vertex keys of w0's row
+    # at i and i + 1, so neither export forms a literal edge or vertex
+    graph = QuotientGraph(group_context(3, 2), 4)
+    monkeypatch.setattr(EdgeOrbit, "rep", _Unread())
+    monkeypatch.setattr(VertexOrbit, "rep", _Unread())
+    data = graph.to_json_dict()
+    graph.to_dot()
+    assert len(data["edge_orbits"]) == len(graph.edge_orbits)
+
+
+# the (q, n, depth) of the graph goldens
+GOLDEN_GRAPHS = [(2, 2, 5), (3, 2, 5), (4, 1, 5), (5, 2, 4), (3, 3, 3), (2, 4, 6), (4, 2, 5), (9, 2, 3)]
+
+
+@pytest.mark.parametrize("q,n,depth", GOLDEN_GRAPHS)
+def test_stabilizer_counts_match_the_lists(q, n, depth):
+    # the closed-form class counts against the lists of lifts that the
+    # stabilizer rows and the cusp ends read
+    graph = QuotientGraph(group_context(q, n), depth)
+    tree = graph.tree
+    for orbit in graph.edge_orbits.values():
+        c, i = orbit.w0.c, orbit.i
+        lifts = tree._stab_lifts(c, i, n)
+        assert tree._stab_count(c, i, n) == len(lifts)
+        assert orbit.stab_order == (len(lifts) + 1) * q ** len(tree._kernel_lifts(i))
+        assert len(tree.edge_stab_generators(orbit)) == len(lifts) + len(tree._kernel_lifts(i))
+        assert tree._stab_count(c, 0, 1) == len(tree._stab_lifts(c, 0, 1))
+        assert orbit.stable == (i == 0 and not tree._stab_lifts(c, 0, 1))
+    for vorbit in graph.vertex_orbits.values():
+        passing, kernel = tree.vertex_stab_elements(vorbit.w0, vorbit.j)
+        assert vorbit.stab_order == (len(passing) + 1) * q ** len(kernel)
+    assert any(o.stab_order > 1 for o in graph.edge_orbits.values())
 
 
 def test_interior_is_listed_once_per_table():
@@ -610,7 +699,7 @@ def test_stability_matches_the_mod_t_oracle_on_random_orbits(q, n):
     for _ in range(40):
         w = rand_word(fq, rng)
         i = rng.choice((0, 0, 0, 1))
-        orbit = EdgeOrbit(None, i, w, None, None)
+        orbit = EdgeOrbit(None, i, w, None)
         tree.edge_stabilizer(orbit)
         assert orbit.stable == stable_oracle(fq, orbit)
         seen.add(orbit.stable)
@@ -704,7 +793,7 @@ def test_closed_forms_match_the_scans(q, n):
             with_stabilizer += bool(lifts)
         # witness: an orbit from w, and an edge w' = gamma w sigma in it
         i = rng.randrange(n + 1)
-        orbit = EdgeOrbit(None, i, w, None, None)
+        orbit = EdgeOrbit(None, i, w, None)
         tree.edge_stabilizer(orbit)
         w2 = rand_gamma1(fq, n, rng) * w * rand_sigma(fq, i, rng)
         nf = tree._normal_form(*tree._row(w2), i)
@@ -720,7 +809,7 @@ def test_witness_rejects_an_edge_of_another_orbit():
     tree = TreeContext(ctx)
     fq = ctx.fq
     w = Mat2.identity_poly(fq)
-    orbit = EdgeOrbit(None, 0, Mat2.j_matrix(fq), None, None)
+    orbit = EdgeOrbit(None, 0, Mat2.j_matrix(fq), None)
     tree.edge_stabilizer(orbit)
     nf = tree._normal_form(*tree._row(w), 0)
     with pytest.raises(AssertionError, match="witness search failed"):
