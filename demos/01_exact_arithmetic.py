@@ -1,7 +1,7 @@
-"""A tour of the exact coefficient tower: F_q, A = F_q[t], K = F_q(t), and
-valuations at the place at infinity (uniformizer pi = 1/t)."""
+"""A tour of the exact coefficient tower: F_q, A = F_q[t], A_n = A/(t^n),
+K = F_q(t), and valuations at the place at infinity (uniformizer pi = 1/t)."""
 
-from drinfeldforms import Poly, RatFunc, Residue, field, newton_slope_zero_count
+from drinfeldforms import Poly, RatFunc, field, newton_slope_zero_count
 from drinfeldforms.linalg import KRing, UPoly
 
 fq = field(4)
@@ -19,11 +19,15 @@ print(f"deg(0) sentinel: {Poly.zero(fq).degree}")
 
 x = RatFunc(t ** 3, one + t)
 print(f"\nv_t(t^3/(1+t)) = {x.vt()}")
-print(f"bar_vt of the class of t+t^2 in A/(t^2), cap 2: {Residue(2, t + t * t).bar_vt()}")
+# a class of A_n is its lift of degree < n, a Poly; products are truncated
+u = one + t
+print(f"the class of t+t^3 in A/(t^2): {(t + t ** 3).truncate(2)}")
+print(f"v_t of the class of t+t^2 in A/(t^2), cap 2: {min((t + t * t).truncate(2).vt(), 2)}")
+print(f"(1+t)^-1 mod t^3 = {u.inverse_mod(3)}, check: {(u * u.inverse_mod(3)).truncate(3)}")
 
 print("\nvaluations at infinity, v_inf = deg(den) - deg(num):")
 for rf in (RatFunc(one, t - one), RatFunc(t * t + one, t)):
-    print(f"  v_inf({rf}) = {rf.v_inf()}")
+    print(f"  v_inf({rf}) = {rf.den.degree - rf.num.degree}")
 
 ring = KRing(fq)
 xx = UPoly.x(ring)

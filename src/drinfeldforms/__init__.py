@@ -52,7 +52,6 @@ from .mat2 import Mat2
 from .rings import (
     Poly,
     RatFunc,
-    Residue,
     poly_gcd,
     poly_is_irreducible,
     poly_xgcd,

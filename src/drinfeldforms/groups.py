@@ -6,19 +6,18 @@ h_{(c,d)} of Gamma_1(t^n) \\ Gamma_1(t), the auxiliary Hecke matrices
 xi_{m,beta} / xi_{m,diamond} / eta_{a,diamond}, cusp enumeration with
 widths, the genus and dimension formulas, and executable checks of the
 coset congruences that drive the Hecke computation at the cusps.
+
+A class of A_n = A/(t^n) is held as its lift of degree < n, a Poly: sums
+stay such lifts, products are cut back with ``truncate(n)`` and units are
+inverted with ``inverse_mod(n)``.  A_0 is the zero ring, so at n = 1 the
+labels A_{n-1} are the one class 0 with no special case.
 """
 
 from functools import lru_cache
 
 from .fq import field
 from .mat2 import Mat2
-from .rings import (
-    Poly,
-    Residue,
-    graded_polys,
-    poly_gcd,
-    poly_xgcd,
-)
+from .rings import Poly, graded_polys, poly_gcd, poly_xgcd
 
 
 def is_gamma1(gamma, n):
@@ -54,31 +53,29 @@ def _require_unimodular(gamma):
         raise ValueError(f"matrix has det {gamma.det()}, expected 1")
 
 
-def lift_sl2(gbar):
+def lift_sl2(gbar, n):
     """Deterministic lift of gbar in SL_2(A_n) to SL_2(A).
 
-    The bottom row is lifted to a coprime pair congruent to the input row
-    (adding t^n * z with z enumerated degree-first); the top row comes from
-    an extended gcd and is corrected by lambda * (bottom row) to match the
-    required congruence, with lambda the canonical degree < n representative.
+    gbar is a Mat2 over A read modulo t^n: each entry stands for its class,
+    whose lift of degree < n is taken.  The bottom row is lifted to a
+    coprime pair congruent to the input row (adding t^n * z with z
+    enumerated degree-first); the top row comes from an extended gcd and is
+    corrected by lambda * (bottom row) to match the required congruence,
+    with lambda the canonical degree < n representative.
     """
-    n = gbar.a.n
-    fq = gbar.a.poly.fq
-    det = gbar.det()
-    if not (det - Residue.one(fq, n)).is_zero():
-        raise ValueError(f"matrix has det {det.poly} != 1 mod t^{n}")
+    fq = gbar.a.fq
+    det = gbar.det().truncate(n)
+    if not det.is_one():
+        raise ValueError(f"matrix has det {det} != 1 mod t^{n}")
     tn = Poly.t_power(fq, n)
-    c0, d0 = gbar.c.lift(), gbar.d.lift()
-    if d0.is_zero():
-        d0 = tn
-    if poly_gcd(c0, d0).is_one():
-        c, d = c0, d0
-    else:
+    abar, bbar, cbar, dbar = (x.truncate(n) for x in gbar.entries())
+    c, d = cbar, dbar or tn
+    if not poly_gcd(c, d).is_one():
         c = None
         for z in graded_polys(fq):
-            cand = c0 + tn * z
-            if not cand.is_zero() and poly_gcd(cand, d0).is_one():
-                c, d = cand, d0
+            cand = cbar + tn * z
+            if not cand.is_zero() and poly_gcd(cand, d).is_one():
+                c = cand
                 break
         if c is None:  # pragma: no cover - the search always terminates
             raise AssertionError("no coprime lift found")
@@ -87,7 +84,6 @@ def lift_sl2(gbar):
         raise AssertionError("bottom row not coprime after adjustment")
     a1, b1 = x, y  # a1*d - b1*c = 1
     # congruence defect (abar - a1, bbar - b1) is a multiple of (c, d) mod t^n
-    abar, bbar = gbar.a.lift(), gbar.b.lift()
     gg, u, v = poly_xgcd(c, d)
     # u*c + v*d = 1 over A, so also mod t^n
     lam = (u * (abar - a1) + v * (bbar - b1)) % tn
@@ -96,7 +92,7 @@ def lift_sl2(gbar):
     out = Mat2(a, b, c, d)
     if not out.det().is_one():
         raise AssertionError("lift has wrong determinant")
-    for got, want in ((a, abar), (b, bbar), (c, gbar.c.lift()), (d, gbar.d.lift())):
+    for got, want in ((a, abar), (b, bbar), (c, cbar), (d, dbar)):
         if not ((got - want) % tn).is_zero():
             raise AssertionError("lift has wrong reduction")
     return out
@@ -114,9 +110,8 @@ class GroupContext:
         self.t = Poly.t(self.fq)
         self.one = Poly.one(self.fq)
         self.labels = list(graded_polys(self.fq, n - 1))  # A_{n-1}
-        self.theta = [
-            Residue(n, self.one + self.t * a) for a in self.labels
-        ]  # 1 + t*A_n, order q^(n-1)
+        # 1 + tA_n, order q^(n-1), by the lifts 1 + ta of degree < n
+        self.theta = [self.one + self.t * a for a in self.labels]
         self._h_cache = {}
         self._eta_cache = {}
 
@@ -126,22 +121,16 @@ class GroupContext:
 
     # -- h matrices ----------------------------------------------------------
     def h_bar(self, c, d):
-        """(1/(1+td), 0; tc, 1+td) in SL_2(A_n), for c, d in A_{n-1}."""
-        n, fq = self.n, self.fq
-        upd = Residue(n, self.one + self.t * d)
-        return Mat2(
-            upd.inverse(),
-            Residue.zero(fq, n),
-            Residue(n, self.t * c),
-            upd,
-        )
+        """(1/(1+td), 0; tc, 1+td) in SL_2(A_n), for c, d in A_{n-1}, by lifts of degree < n."""
+        upd = self.one + self.t * d
+        return Mat2(upd.inverse_mod(self.n), Poly.zero(self.fq), self.t * c, upd)
 
     def h_matrix(self, c, d):
         """The chosen lift of h_bar(c, d) in Gamma_1(t); memoized and exact."""
         key = (c.coeffs, d.coeffs)
         got = self._h_cache.get(key)
         if got is None:
-            got = lift_sl2(self.h_bar(c, d))
+            got = lift_sl2(self.h_bar(c, d), self.n)
             if not is_gamma1(got, 1):
                 raise AssertionError("h-matrix lift left Gamma_1(t)")
             self._h_cache[key] = got
@@ -161,18 +150,12 @@ class GroupContext:
         """
         if a.vt() != 0:
             raise ValueError(f"{a} is not prime to t")
-        abar = Residue(self.n, a)
-        key = abar.poly.coeffs
+        abar = a.truncate(self.n)
+        key = abar.coeffs
         got = self._eta_cache.get(key)
         if got is None:
-            got = lift_sl2(
-                Mat2(
-                    abar.inverse(),
-                    Residue.zero(self.fq, self.n),
-                    Residue.zero(self.fq, self.n),
-                    abar,
-                )
-            )
+            zero = Poly.zero(self.fq)
+            got = lift_sl2(Mat2(abar.inverse_mod(self.n), zero, zero, abar), self.n)
             self._eta_cache[key] = got
         return got
 
@@ -188,7 +171,7 @@ class GroupContext:
         out = []
         nm1 = self.n - 1
         for c in self.labels:
-            m = Residue(nm1, c).bar_vt() if nm1 > 0 else 0
+            m = min(c.vt(), nm1)
             # classes of d modulo c*A_{n-1} = t^m * A_{n-1}: reps of degree < m
             for d in graded_polys(self.fq, m):
                 out.append(CuspRecord("infinity", (c, d), nm1 - m))
@@ -288,11 +271,7 @@ def verify_xi_congruences(q, n):
     jmat = Mat2.j_matrix(fq)
     failures = []
     checked = 0
-
-    def red(p):
-        # reduce a polynomial to its canonical A_{n-1} representative
-        return p.truncate(n - 1) if n > 1 else Poly.zero(fq)
-
+    nm1 = n - 1
     for beta_code in fq.elements():
         beta = Poly.constant(fq, beta_code)
         xi = ctx.xi_beta(t, beta)
@@ -300,7 +279,7 @@ def verify_xi_congruences(q, n):
             for d in ctx.labels:
                 xih = xi * ctx.h_matrix(c, d)
                 # (1)
-                rhs = ctx.h_matrix(red(t * c), red(d - beta * c)) * xi
+                rhs = ctx.h_matrix((t * c).truncate(nm1), (d - beta * c).truncate(nm1)) * xi
                 checked += 1
                 if not in_gamma1_coset(xih, rhs, n):
                     failures.append({"item": 1, "beta": str(beta), "c": str(c), "d": str(d)})
@@ -308,14 +287,16 @@ def verify_xi_congruences(q, n):
                     # (2)
                     binv = Poly.constant(fq, fq.inv(beta_code))
                     rhs = (
-                        ctx.h_matrix(red(binv * (one + t * d)), red(d - beta * c))
+                        ctx.h_matrix(
+                            (binv * (one + t * d)).truncate(nm1), (d - beta * c).truncate(nm1)
+                        )
                         * Mat2.diag(one, t)
                         * Mat2(beta, -one, zero, binv)
                     )
                     item = 2
                 else:
                     # (3)
-                    rhs = ctx.h_matrix(red(t * c), d) * jmat * Mat2.diag(t, one)
+                    rhs = ctx.h_matrix((t * c).truncate(nm1), d) * jmat * Mat2.diag(t, one)
                     item = 3
                 checked += 1
                 if not in_gamma1_coset(xih * jmat, rhs, n):
@@ -335,18 +316,16 @@ def verify_diamond_congruence(q, n):
     Each membership is decided over A by :func:`in_gamma1_coset`.
     """
     ctx = group_context(q, n)
-    fq, t, one = ctx.fq, ctx.t, ctx.one
-
-    def red(p):
-        return p.truncate(n - 1) if n > 1 else Poly.zero(fq)
-
+    t, one, nm1 = ctx.t, ctx.one, n - 1
     failures = []
     checked = 0
     for a in ctx.labels:
         eta = ctx.eta_diamond((one + t * a).truncate(n))
         for c in ctx.labels:
             for d in ctx.labels:
-                rhs = ctx.h_matrix(red((one + t * a) * c), red(a + d + t * a * d))
+                rhs = ctx.h_matrix(
+                    ((one + t * a) * c).truncate(nm1), (a + d + t * a * d).truncate(nm1)
+                )
                 checked += 1
                 if not in_gamma1_coset(eta * ctx.h_matrix(c, d), rhs, n):
                     failures.append({"a": str(a), "c": str(c), "d": str(d)})

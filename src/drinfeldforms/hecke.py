@@ -52,7 +52,7 @@ never formed.
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
 from .linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
-from .rings import Poly, Residue, graded_polys, poly_is_irreducible
+from .rings import Poly, graded_polys, poly_is_irreducible
 from .serialize import entry_json
 from .tree import apply_edge
 
@@ -176,14 +176,10 @@ class HeckeEngine:
         return self._assemble(f"Tm({m})", transports)
 
     def diamond(self, alpha):
-        """Diamond operator of a unit alpha of A_n (Residue or Poly lift)."""
-        ctx = self.ctx
-        if isinstance(alpha, Residue):
-            lift = alpha.lift()
-        else:
-            lift = alpha.truncate(ctx.n)
+        """Diamond operator of a unit alpha of A_n, given by any lift to A."""
+        lift = alpha.truncate(self.ctx.n)
         check_operator_argument("Diamond", lift)
-        eta = ctx.eta_diamond(lift)
+        eta = self.ctx.eta_diamond(lift)
         return self._assemble(f"Diamond({lift})", [eta])
 
 
@@ -205,18 +201,16 @@ def check_operator_argument(kind, p):
 def diamond_label_map(ctx, a):
     """The index permutation (c, d) -> ((1+ta)^{-1} c, (1+ta)^{-1} (d-a)).
 
-    Arithmetic happens in A_{n-1}; for n = 1 the label set is a point.
+    Arithmetic happens in A_{n-1}, on lifts of degree < n - 1; for n = 1
+    that is the zero ring A_0, and the label set is the point (0, 0).
     """
-    if ctx.n == 1:
-        z = ctx.labels[0]
-        return {(z.coeffs, z.coeffs): (z.coeffs, z.coeffs)}
     nm1 = ctx.n - 1
-    alpha_inv = Residue(nm1, ctx.one + ctx.t * a).inverse()
+    alpha_inv = (ctx.one + ctx.t * a).inverse_mod(nm1)
     out = {}
     for c, d in ctx.label_pairs():
-        c2 = alpha_inv * Residue(nm1, c)
-        d2 = alpha_inv * Residue(nm1, d - a)
-        out[(c.coeffs, d.coeffs)] = (c2.lift().coeffs, d2.lift().coeffs)
+        c2 = (alpha_inv * c).truncate(nm1)
+        d2 = (alpha_inv * (d - a)).truncate(nm1)
+        out[(c.coeffs, d.coeffs)] = (c2.coeffs, d2.coeffs)
     return out
 
 

@@ -1,11 +1,12 @@
-"""2x2 matrices over A, A_n or K, with the handful of operations the
-group and tree code needs."""
+"""2x2 matrices over A or K, with the handful of operations the group and
+tree code needs.  A matrix over A_n is one over A whose entries are read
+modulo t^n (see :func:`groups.lift_sl2`)."""
 
 from .rings import Poly, RatFunc, int_add, int_mul, int_neg, packed
 
 
 class Mat2:
-    """Row-major 2x2 matrix; entries share one ring (Poly, Residue, RatFunc)."""
+    """Row-major 2x2 matrix; entries share one ring (Poly or RatFunc)."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -32,7 +33,7 @@ class Mat2:
 
     @staticmethod
     def diag(a, d):
-        zero = Poly.zero(a.fq) if isinstance(a, Poly) else a - a
+        zero = Poly.zero(a.fq)
         return Mat2(a, zero, zero, d)
 
     def __mul__(self, other):

@@ -10,9 +10,11 @@ loops over the field's tables elsewhere.  They are the functions
 ``int_add``, ``int_neg``, ``int_mul`` and ``int_divmod`` of (fq, x, y) on
 packed ints: Poly's own operators wrap them, and a loop that runs many
 steps on packed ints (the tree walk) calls them directly, so each
-operation has one implementation.  Rational functions are stored reduced
+operation has one implementation.  A class of A_n is its lift of degree
+< n, a plain Poly: a product is cut back with ``truncate(n)`` and a unit
+inverted with ``inverse_mod(n)``.  Rational functions are stored reduced
 with a monic denominator.  At the place at infinity, with uniformizer
-pi = 1/t, v_infinity is read off from degrees.
+pi = 1/t, v_infinity(num/den) = deg den - deg num is read off the degrees.
 """
 
 from itertools import product
@@ -280,8 +282,15 @@ class Poly:
         return self.scale(self.fq.inv(lead))
 
     def truncate(self, n):
-        """Reduce modulo t^n (n >= 0)."""
+        """Reduce modulo t^n (n >= 0): the lift of degree < n of the class in A_n."""
         return packed(self.fq, self.x & ((1 << 8 * n) - 1))
+
+    def inverse_mod(self, n):
+        """The inverse modulo t^n, truncated; ZeroDivisionError unless it is a unit of A_n."""
+        g, x, _ = poly_xgcd(self, Poly.t_power(self.fq, n))
+        if not g.is_one():
+            raise ZeroDivisionError(f"{self} is not a unit mod t^{n}")
+        return x.truncate(n)
 
     def eval_code(self, x):
         """Evaluate at an F_q code."""
@@ -373,69 +382,6 @@ def graded_polys(fq, bound=None):
         length += 1
 
 
-class Residue:
-    """Class in A_n = A/(t^n), stored by its canonical degree < n lift."""
-
-    __slots__ = ("n", "poly")
-
-    def __init__(self, n, poly, reduce=True):
-        self.n = n
-        # a lift of degree < n is already the canonical one
-        self.poly = poly.truncate(n) if reduce and poly.x >> 8 * n else poly
-
-    @staticmethod
-    def zero(fq, n):
-        return Residue(n, Poly.zero(fq), reduce=False)
-
-    @staticmethod
-    def one(fq, n):
-        return Residue(n, Poly.one(fq), reduce=False)
-
-    def __add__(self, other):
-        return Residue(self.n, self.poly + other.poly, reduce=False)
-
-    def __sub__(self, other):
-        return Residue(self.n, self.poly - other.poly, reduce=False)
-
-    def __neg__(self):
-        return Residue(self.n, -self.poly, reduce=False)
-
-    def __mul__(self, other):
-        return Residue(self.n, self.poly * other.poly)
-
-    def is_unit(self):
-        return self.poly.constant_coeff() != 0
-
-    def inverse(self):
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self.poly} is not a unit mod t^{self.n}")
-        fq = self.poly.fq
-        g, x, _ = poly_xgcd(self.poly, Poly.t_power(fq, self.n))
-        if not g.is_one():
-            raise AssertionError("xgcd of a unit must be 1")
-        return Residue(self.n, x)
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def lift(self):
-        return self.poly
-
-    def bar_vt(self):
-        """min(v_t(any lift), n): the capped t-adic valuation of the class."""
-        v = self.poly.vt()
-        return self.n if v is POS_INF else min(v, self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, Residue) and self.n == other.n and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.n, self.poly))
-
-    def __repr__(self):
-        return f"Residue(t^{self.n}, {self.poly})"
-
-
 class RatFunc:
     """Element of K = F_q(t), reduced with monic denominator."""
 
@@ -471,10 +417,6 @@ class RatFunc:
     def one(fq):
         return RatFunc(Poly.one(fq), Poly.one(fq), reduce=False)
 
-    @staticmethod
-    def constant(fq, code):
-        return RatFunc(Poly.constant(fq, code), Poly.one(fq), reduce=False)
-
     @property
     def fq(self):
         return self.num.fq
@@ -508,29 +450,11 @@ class RatFunc:
     def inverse(self):
         return RatFunc(self.den, self.num)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RatFunc.one(self.fq)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def vt(self):
         """t-adic valuation v_t, normalized v_t(t) = 1; +infinity for 0."""
         if self.num.is_zero():
             return POS_INF
         return self.num.vt() - self.den.vt()
-
-    def v_inf(self):
-        """Valuation at infinity in pi = 1/t: deg(den) - deg(num)."""
-        if self.num.is_zero():
-            return POS_INF
-        return self.den.degree - self.num.degree
 
     def is_poly(self):
         return self.den.is_one()

@@ -233,7 +233,7 @@ def _deg(x):
     return (x.bit_length() - 1) >> 3 if x else NEG_INF
 
 
-def _euclid(g, i, deg_det, fq, track=True):
+def _euclid(g, i, deg_det, fq):
     """(ops, j, h): gamma g(v_i) = v_j, j >= 0, for gamma the product of the row operations ops.
 
     g = (a, b, c, d) is packed over A, with det of degree ``deg_det``, and
@@ -246,11 +246,11 @@ def _euclid(g, i, deg_det, fq, track=True):
     pi^r O.  Since -1/s mod pi^(r - 2v) depends only on s mod pi^r, any
     matrix of the vertex gives the same translations.  ops are as in RowOps.
 
-    With ``track`` they are applied to g too, and h = gamma g is returned
-    packed (else None).  From det h it follows that after a step the other
-    entry of the new bottom row has degree no larger than the one s is read
-    from, so s stays on its column, and the translation leaves rem there:
-    only the other column (top, bottom) of h needs a product.
+    They are applied to g too, and h = gamma g is returned packed.  From
+    det h it follows that after a step the other entry of the new bottom
+    row has degree no larger than the one s is read from, so s stays on its
+    column, and the translation leaves rem there: only the other column
+    (top, bottom) of h needs a product.
     """
     a, b, c, d = g
     deg_det += i
@@ -265,14 +265,11 @@ def _euclid(g, i, deg_det, fq, track=True):
         minus = int_neg(fq, quo & -(1 << 8 * low))
         if minus:
             ops.append(minus)
-            if track:
-                top = int_add(fq, top, int_mul(fq, minus, bottom))
+            top = int_add(fq, top, int_mul(fq, minus, bottom))
         drop = _deg(den) - _deg(rem)
         if drop >= r:
             if r > 0:
                 ops.append(0)
-            if not track:
-                return ops, abs(r), None
             # r <= 0 whenever low > 0, and then some quotient terms stay in num
             num = int_add(fq, num, int_mul(fq, minus, den)) if low else rem
             h = (num, top, den, bottom) if left else (top, num, bottom, den)
@@ -281,15 +278,14 @@ def _euclid(g, i, deg_det, fq, track=True):
             return ops, abs(r), h
         r -= 2 * drop
         num, den = int_neg(fq, den), rem
-        if track:
-            top, bottom = int_neg(fq, bottom), top
+        top, bottom = int_neg(fq, bottom), top
         ops.append(0)
 
 
 def reduce_vertex(v, fq):
     """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0; gamma is a RowOps."""
     g, deg_det = _lattice_matrix(v)
-    ops, j, _ = _euclid(g, 0, deg_det, fq, track=False)
+    ops, j, _ = _euclid(g, 0, deg_det, fq)
     return RowOps(fq, ops), j
 
 

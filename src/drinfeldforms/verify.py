@@ -228,13 +228,26 @@ def _check_antisymmetry(space, ops, rng):
 
 
 def _check_equivariance(space, ops, rng):
-    """c(gamma e) = gamma . c(e) on 25 random (gamma, e, c)."""
+    """c(gamma e) = gamma . c(e) on 25 random (gamma, e, c).
+
+    Each e is an orbit representative moved by the fixed word
+    gamma_0 = (1 1; 0 1)(1 0; t^n 1) of Gamma_1(t^n).  At a representative
+    the witness of gamma e is gamma itself, so the two sides would agree
+    for any map in place of the action; off it they agree only when the
+    action composes as gamma . (gamma_0 . v) = (gamma gamma_0) . v.
+    """
     ctx = space.ctx
+    tn = ctx.one.shift(ctx.n)
+    gamma0 = Mat2(ctx.one + tn, ctx.one, tn, ctx.one)
     orbits = [space.graph.edge_orbits[key] for key in space.orbit_keys]
-    safe = [o.rep for o in orbits if o.depth <= space.depth - 3] or [o.rep for o in orbits[:4]]
+    safe = [o for o in orbits if o.depth <= space.depth - 3] or orbits[:4]
+    moved = {}
     for _ in range(25):
         gamma = _random_gamma(ctx, rng)
-        e = safe[rng.randrange(len(safe))]
+        i = rng.randrange(len(safe))
+        if i not in moved:
+            moved[i] = apply_edge(gamma0, safe[i].rep, ctx.fq)
+        e = moved[i]
         c = space.basis[rng.randrange(len(space.basis))]
         lhs = space.evaluate(c, apply_edge(gamma, e, ctx.fq))
         if lhs != tuple(space.vk.act(gamma).apply(space.evaluate(c, e))):
@@ -300,10 +313,10 @@ def _check_diamond_commutation(space, ops, rng):
 
 def _check_diamond_homomorphism(space, ops, rng):
     """<a1><a2> = <a1 a2> on the full unit group ``ctx.theta``."""
-    theta = space.ctx.theta
-    cols = {alpha.poly.coeffs: dia.cols for alpha, dia in zip(theta, ops.diamonds)}
+    theta, n = space.ctx.theta, space.ctx.n
+    cols = {alpha.coeffs: dia.cols for alpha, dia in zip(theta, ops.diamonds)}
     ok = all(
-        [d1.apply(v) for v in d2.cols] == cols[(a1 * a2).poly.coeffs]
+        [d1.apply(v) for v in d2.cols] == cols[(a1 * a2).truncate(n).coeffs]
         for a1, d1 in zip(theta, ops.diamonds)
         for a2, d2 in zip(theta, ops.diamonds)
     )

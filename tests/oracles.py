@@ -15,9 +15,9 @@ None of this is used by ``drinfeldforms`` itself:
   (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
   the tree layer's Euclid on matrices over A;
 * truncated Laurent expansions at infinity (:class:`Laurent`,
-  :func:`laurent_expand`, :func:`laurent_tail`), the oracle for the tree
-  layer's tails and for :func:`tail_to_ratfunc`, the exact fraction of a
-  tail, which the other oracles start from;
+  :func:`laurent_expand`, :func:`laurent_tail`, :func:`v_inf`), the oracle
+  for the tree layer's tails and for :func:`tail_to_ratfunc`, the exact
+  fraction of a tail, which the other oracles start from;
 * U_t^(d-r) by repeated squaring and its kernel by Bareiss
   (:func:`nilpotency_oracle`), the oracle for the image chain of
   ``hecke.nilpotency_diagnostics``;
@@ -42,7 +42,7 @@ from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.hecke import OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue, graded_polys, packed, poly_gcd
+from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
 from drinfeldforms.tree import apply_vertex
 
 
@@ -208,8 +208,8 @@ class ApartmentStabilizer:
 
 
 def mod_tn(m, n):
-    """The Mat2 m over A with its entries reduced to Residue entries mod t^n."""
-    return Mat2(Residue(n, m.a), Residue(n, m.b), Residue(n, m.c), Residue(n, m.d))
+    """The Mat2 m over A with each entry truncated to its lift of degree < n."""
+    return Mat2(*(x.truncate(n) for x in m.entries()))
 
 
 def vertex_zero_stabilizer(fq):
@@ -403,6 +403,11 @@ def laurent_expand(x, precision):
     return Laurent(fq, lead, out)
 
 
+def v_inf(x):
+    """The valuation of a RatFunc at infinity in pi = 1/t: deg den - deg num, +infinity for 0."""
+    return POS_INF if x.is_zero() else x.den.degree - x.num.degree
+
+
 def laurent_tail(x, below):
     """Terms of the expansion of x with exponent < ``below``, as a tuple.
 
@@ -410,7 +415,7 @@ def laurent_tail(x, below):
     """
     if x.is_zero():
         return ()
-    v = x.v_inf()
+    v = v_inf(x)
     n_terms = below - v
     if n_terms <= 0:
         return ()

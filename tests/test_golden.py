@@ -70,6 +70,9 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     _hecke_case(7, 1, 3),
     # the odd-characteristic certificate above q = 3, with a diamond
     _hecke_case(5, 2, 2),
+    # lift_sl2, h_bar and eta_diamond over F_4 at n = 2, read through the
+    # weight-3 witnesses
+    _hecke_case(4, 2, 3),
     # every paper-suite record kind at weights 2 and 3
     (
         "verify_paper_q2q3n2k3.json",

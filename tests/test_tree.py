@@ -9,7 +9,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import Deferred, Mat2
-from drinfeldforms.rings import Poly, RatFunc, Residue, int_add
+from drinfeldforms.rings import Poly, RatFunc, int_add
 from drinfeldforms.tree import (
     Edge,
     EdgeOrbit,
@@ -33,6 +33,7 @@ from oracles import (
     reduce_vertex_oracle,
     sl2fq_classes,
     tail_to_ratfunc,
+    v_inf,
     vertex_zero_stabilizer,
 )
 
@@ -107,8 +108,8 @@ def apply_vertex_over_k(g, v, fq):
     det = m.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
-    vdet = det.v_inf()
-    vc, vd = m.c.v_inf(), m.d.v_inf()
+    vdet = v_inf(det)
+    vc, vd = v_inf(m.c), v_inf(m.d)
     if vc >= vd:
         rp = vdet - 2 * vd
         s = m.b / m.d
@@ -591,11 +592,11 @@ def sbar_oracle(fq, i, level):
 _SBAR = {}
 
 
-def row_times(wbar, sb):
-    """Bottom row of wbar * sb as coefficient tuples."""
-    c = wbar.c * sb.a + wbar.d * sb.c
-    d = wbar.c * sb.b + wbar.d * sb.d
-    return (c.poly.coeffs, d.poly.coeffs)
+def row_times(wbar, sb, n):
+    """Bottom row of wbar * sb mod t^n as coefficient tuples."""
+    c = (wbar.c * sb.a + wbar.d * sb.c).truncate(n)
+    d = (wbar.c * sb.b + wbar.d * sb.d).truncate(n)
+    return (c.coeffs, d.coeffs)
 
 
 def scan_oracle(tree, w, classes):
@@ -604,8 +605,8 @@ def scan_oracle(tree, w, classes):
     nontrivial classes keeping the row (the old _passing_lifts), kept as
     the oracle for the normal form and the closed-form stabilizer classes."""
     wbar = mod_tn(w, tree.n)
-    own = (wbar.c.poly.coeffs, wbar.d.poly.coeffs)
-    rows = [row_times(wbar, sb) for sb, _ in classes]
+    own = (wbar.c.coeffs, wbar.d.coeffs)
+    rows = [row_times(wbar, sb, tree.n) for sb, _ in classes]
     passing = [lift for (_, lift), row in zip(classes, rows) if row == own and not _is_identity(lift)]
     return min(rows), passing
 
@@ -615,9 +616,9 @@ def witness_oracle(tree, w, orbit):
     to w0's: kept as the oracle for the closed-form witness lift."""
     wbar = mod_tn(w, tree.n)
     w0bar = mod_tn(orbit.w0, tree.n)
-    target = (w0bar.c.poly.coeffs, w0bar.d.poly.coeffs)
+    target = (w0bar.c.coeffs, w0bar.d.coeffs)
     for sb, lift in sbar_oracle(tree.fq, orbit.i, tree.n):
-        if row_times(wbar, sb) == target:
+        if row_times(wbar, sb, tree.n) == target:
             return w * lift * orbit.w0_inv
     raise AssertionError("witness search failed")
 
@@ -625,13 +626,12 @@ def witness_oracle(tree, w, orbit):
 def passing_lifts_oracle(tree, w, classes):
     """The full conjugate wbar sigma_bar wbar^{-1} over A_n, tested entry by
     entry: kept as the oracle for the bottom-row test of the stabilizer classes."""
-    one = Residue.one(tree.fq, tree.n)
     wbar = mod_tn(w, tree.n)
     wbar_inv = Mat2(wbar.d, -wbar.b, -wbar.c, wbar.a)  # adjugate = inverse
     out = []
     for sb, lift in classes:
-        m = wbar * sb * wbar_inv
-        if (m.a - one).is_zero() and m.c.is_zero() and (m.d - one).is_zero() and not _is_identity(lift):
+        m = mod_tn(wbar * sb * wbar_inv, tree.n)
+        if m.a.is_one() and m.c.is_zero() and m.d.is_one() and not _is_identity(lift):
             out.append(lift)
     return out
 
@@ -641,18 +641,18 @@ def stable_oracle(fq, orbit):
     (a, b; 0, a^{-1}) mod t: kept as the oracle for the level-1 row test."""
     if orbit.i != 0:
         return False
-    one, zero = Residue.one(fq, 1), Residue.zero(fq, 1)
+    zero = Poly.zero(fq)
     wbar1 = mod_tn(orbit.w0, 1)
     wbar1_inv = Mat2(wbar1.d, -wbar1.b, -wbar1.c, wbar1.a)
     for a in fq.nonzero():
-        ap = Residue(1, Poly.constant(fq, a))
-        ainv = Residue(1, Poly.constant(fq, fq.inv(a)))
+        ap = Poly.constant(fq, a)
+        ainv = Poly.constant(fq, fq.inv(a))
         for b in fq.elements():
             if a == 1 and b == 0:
                 continue
-            sigma = Mat2(ap, Residue(1, Poly.constant(fq, b)), zero, ainv)
-            conj = wbar1 * sigma * wbar1_inv
-            if (conj.a - one).is_zero() and conj.c.is_zero() and (conj.d - one).is_zero():
+            sigma = Mat2(ap, Poly.constant(fq, b), zero, ainv)
+            conj = mod_tn(wbar1 * sigma * wbar1_inv, 1)
+            if conj.a.is_one() and conj.c.is_zero() and conj.d.is_one():
                 return False
     return True
 
