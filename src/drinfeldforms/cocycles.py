@@ -12,12 +12,12 @@ die out in characteristic p), the space becomes the exact kernel of:
   * stabilizer rows (act(delta) - 1) x = 0 for the finitely many
     generators of each representative's Gamma_1(t^n)-stabilizer.
 
-Every weight runs one code path over the ring of VkAction.  V_2 is the
-trivial 1x1 block over F_q: its stabilizer rows vanish and are dropped, and
-the harmonicity rows are signed counts.  Above weight 2 the blocks are
-(k-1)x(k-1) matrices over K = F_q(t).  Two gates guard the truncation: the
-dimension must equal (k-1) q^(2(n-1)), and re-solving at depth D+1 must
-give the same dimension.  The re-solve runs on the depth-D table grown by
+Every weight runs one code path over the blocks of VkAction.  On the
+trivial V_2 over F_q a harmonicity entry is a signed count of star edges
+mod p, and no stabilizer is lifted, as every stabilizer row vanishes.
+Above weight 2 the blocks are (k-1)x(k-1) matrices over K = F_q(t).  Two
+gates guard the truncation: the dimension must equal (k-1) q^(2(n-1)),
+and re-solving at depth D+1 must give the same dimension.  The re-solve runs on the depth-D table grown by
 one shell (``QuotientGraph.extended``), not on a second build.  Whether it
 also spans the same cocycles is recorded as ``depth_stable``.
 
@@ -30,6 +30,7 @@ value 1 at one stable representative and 0 at the others.
 """
 
 from .errors import DimensionMismatchError, ReachError, StabilityError
+from .fq import FqElem
 from .linalg import FqRing, KRing, Matrix, sparse_kernel
 from .tree import MAX_ORBITS, Edge, QuotientGraph
 
@@ -50,9 +51,11 @@ class VkAction:
     monomial basis X^(k-2-j) Y^j of H_{k-2}; the action of g on V_k is
     substitution(g^{-1})^T, and the action of g^{-1} is substitution(g)^T.
 
-    V_2 is the trivial 1x1 representation over F_q: every group element
-    acts as one cached identity, so weight 2 runs the weight-k code path
-    with F_q values.  Above weight 2 the matrices are over K = F_q(t).
+    The solve and the assembly sum :meth:`signed_block` over the images
+    meeting one column and read the sum through :meth:`summed`.  V_2 is
+    trivial over F_q: a signed block is the sign itself, with no witness
+    or transport read, and a sum is the scalar block of the count mod p.
+    Above weight 2 the blocks are (k-1)x(k-1) Matrices over K = F_q(t).
     """
 
     def __init__(self, fq, k):
@@ -62,7 +65,9 @@ class VkAction:
         self.k = k
         self.ring = FqRing(fq) if k == 2 else KRing(fq)
         self._cache = {}
-        self._trivial = Matrix.identity(self.ring, 1) if self.dim == 1 else None
+        self.trivial = self.dim == 1  # V_2, on which every stabilizer row vanishes
+        self._trivial = Matrix.identity(self.ring, 1) if self.trivial else None
+        self._counts = [ScalarBlock(FqElem(fq, c)) for c in range(fq.p)] if self.trivial else None
 
     @property
     def dim(self):
@@ -97,7 +102,7 @@ class VkAction:
 
         The inverse of such a g is its adjugate, so no inverse over K is taken.
         """
-        if self._trivial is not None:
+        if self.trivial:
             return self._trivial
         if not g.det().is_one():
             raise ValueError(f"VkAction.act needs det 1 over A, got det {g.det()}")
@@ -105,9 +110,35 @@ class VkAction:
 
     def act_of_inverse(self, g):
         """Matrix of omega -> g^{-1} . omega on V_k (no inversion needed)."""
-        if self._trivial is not None:
+        if self.trivial:
             return self._trivial
         return self.substitution(g).transpose()
+
+    def inverse_acts(self, gs):
+        """act_of_inverse(g) for each g, the left factors of :meth:`signed_block` (None on V_2)."""
+        return [None] * len(gs) if self.trivial else [self.act_of_inverse(g) for g in gs]
+
+    def signed_block(self, sign, delta, left=None):
+        """sign * left * act(delta), the block of one image with witness delta
+        (left omitted: the identity); on V_2 the integer sign."""
+        if self.trivial:
+            return sign
+        block = self.act(delta) if left is None else left * self.act(delta)
+        return -block if sign == -1 else block
+
+    def summed(self, block):
+        """The block a sum of signed blocks applies: on V_2 that of the count mod p."""
+        return self._counts[block % self.fq.p] if self.trivial else block
+
+
+class ScalarBlock:
+    """c times the identity of V_2, the summed block of a signed count c."""
+
+    def __init__(self, c):
+        self.c, self.rows = c, ((c,),)
+
+    def apply(self, vec):
+        return [self.c * x for x in vec]
 
 
 def _form_mul(ring, form, lin):
@@ -189,39 +220,30 @@ class CocycleSpace:
         for key in sorted(keys, key=lambda kk: (kk in stable, -graph.edge_orbits[kk].depth, kk)):
             base = col_of[key]
             col_order.extend(range(base, base + comp))
+        vk = self.vk
         rows = []
         for vorbit in graph.interior_vertex_orbits():
             blocks = {}
             for orbit, key, sign, delta in graph.star(vorbit):
                 if orbit is None:
                     raise AssertionError("interior vertex star left the table")
-                m = self.vk.act(delta)
-                mat = [[x if sign == 1 else -x for x in row] for row in m.rows]
+                block = vk.signed_block(sign, delta)
                 base = col_of[key]
-                acc = blocks.get(base)
-                if acc is None:
-                    blocks[base] = [row[:] for row in mat]
-                else:
-                    for r in range(comp):
-                        for s in range(comp):
-                            acc[r][s] = acc[r][s] + mat[r][s]
+                prev = blocks.get(base)
+                blocks[base] = block if prev is None else prev + block
+            blocks = [(base, vk.summed(block).rows) for base, block in blocks.items()]
             for r in range(comp):
-                row = {}
-                for base, mat in blocks.items():
-                    for s in range(comp):
-                        v = mat[r][s]
-                        if v:
-                            row[base + s] = v
+                row = {base + s: mat[r][s] for base, mat in blocks for s in range(comp) if mat[r][s]}
                 if row:
                     rows.append(row)
-        # stabilizer rows (act(delta) - 1) x = 0; on V_2 they vanish and are dropped
-        for key in keys:
+        # stabilizer rows (act(delta) - 1) x = 0; V_2 has none, so no stabilizer is lifted
+        for key in [] if vk.trivial else keys:
             orbit = graph.edge_orbits[key]
             if orbit.stab_order == 1:
                 continue
             base = col_of[key]
             for delta in graph.tree.edge_stab_generators(orbit):
-                m = self.vk.act(delta)
+                m = vk.act(delta)
                 for r in range(comp):
                     row = {}
                     for s in range(comp):

@@ -83,10 +83,10 @@ def lift_sl2(gbar, n):
     if not g.is_one():
         raise AssertionError("bottom row not coprime after adjustment")
     a1, b1 = x, y  # a1*d - b1*c = 1
-    # congruence defect (abar - a1, bbar - b1) is a multiple of (c, d) mod t^n
-    gg, u, v = poly_xgcd(c, d)
-    # u*c + v*d = 1 over A, so also mod t^n
-    lam = (u * (abar - a1) + v * (bbar - b1)) % tn
+    # congruence defect (abar - a1, bbar - b1) is a multiple of (c, d) mod t^n;
+    # u*c + v*d = 1 for (u, v) = (-b1, a1), and lambda mod t^n is the same
+    # for every such pair
+    lam = (a1 * (bbar - b1) - b1 * (abar - a1)) % tn
     a = a1 + lam * c
     b = b1 + lam * d
     out = Mat2(a, b, c, d)

@@ -6,17 +6,17 @@ together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
 representative e = w0(e_i) is classified once, from its matrix xi w0
 over A with no lattice coordinates formed; its block is the orientation
-sign times act(xi^{-1}) act(delta) for the witness delta (a 1x1 identity
-on V_2).  The transport table is stored inverted, as image orbit key ->
-{safe key: summed block}, so a basis cocycle's values on the safe
-representatives are read by walking only its own support through it.
-Their coordinates are the values at the stable rows, where the
-basis is the unit basis, with exact consistency checks on every safe
-row; an image edge beyond the table is a ReachError.  An operator is
-kept as its columns, each a vector of the space's ring, the ring its
-coordinates lie in: F_q at weight 2, so commutators and the certificate
-run over F_q there, and K = F_q(t) above.  Only the serializers read the
-dense rows.
+sign times act(xi^{-1}) act(delta) for the witness delta, and on V_2 the
+sign alone.  The transport table is stored inverted, as image orbit key
+-> {safe key: summed block}, on V_2 a signed count mod p, so a basis
+cocycle's values on the safe representatives are read by walking only
+its own support through it.  Their coordinates are the values at the
+stable rows, where the basis is the unit basis, with exact consistency
+checks on every safe row; an image edge beyond the table is a
+ReachError.  An operator is kept as its columns, each a vector of the
+space's ring, the ring its coordinates lie in: F_q at weight 2, so
+commutators and the certificate run over F_q there, and K = F_q(t)
+above.  Only the serializers read the dense rows.
 
 The ordinary certificate recasts ordinariness t-adically: with
 r = q^(n-1) and chi the characteristic polynomial of U_t,
@@ -129,7 +129,8 @@ class HeckeEngine:
         space = self.space
         fq = self.ctx.fq
         graph = space.graph
-        acts = [space.vk.act_of_inverse(xi) for xi in transports]
+        vk = space.vk
+        acts = vk.inverse_acts(transports)
         # deg det(xi w0) = deg det xi, as w0 is in SL_2(A)
         deg_dets = [xi.det().degree for xi in transports]
         # (T c)(safe rep) = sum of block . c(key2): the table is key2 -> {safe key: block}
@@ -141,12 +142,11 @@ class HeckeEngine:
                 if found is None:
                     e2 = apply_edge(xi, orbit.rep, fq)
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
-                block = act * space.vk.act(delta)
-                if sign == -1:
-                    block = -block
+                block = vk.signed_block(sign, delta, act)
                 row = table.setdefault(key2, {})
                 prev = row.get(key)
                 row[key] = block if prev is None else prev + block
+        table = {key2: {key: vk.summed(block) for key, block in row.items()} for key2, row in table.items()}
         cols = []
         for cocycle in space.basis:
             values = {}

@@ -87,8 +87,8 @@ class Mat2:
 class Deferred(Mat2):
     """The Mat2 make(*args), its entries filled in the first time one is read.
 
-    Witnesses and stabilizer conjugates are formed for every classified
-    edge, but the trivial action on V_2 never reads them.
+    Witnesses are formed for every classified edge and stabilizer
+    conjugates above weight 2; the trivial action on V_2 reads neither.
     """
 
     __slots__ = ("make", "args")

@@ -35,15 +35,22 @@ None of this is used by ``drinfeldforms`` itself:
   ``verify._random_gamma``;
 * an operator built from a dense Matrix (:func:`operator`) and its dense
   Matrix (:func:`dense`), which the oracles and the hand-made operators
-  go through: the engine keeps an operator only as its columns.
+  go through: the engine keeps an operator only as its columns;
+* the solve and the operator assembly with every block a Matrix
+  (:func:`block_solve`, :class:`BlockEngine`): act(delta) read for each
+  star edge and each image, stabilizer rows formed for every generator,
+  and the blocks negated and summed as Matrices.  At weight 2 they are
+  the oracle for the signed counts of ``CocycleSpace._solve`` and
+  ``HeckeEngine._assemble``, which form no block and lift no stabilizer.
 """
 
+from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
-from drinfeldforms.hecke import OperatorMatrix, OrdinaryCertificate
-from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
+from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
+from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
-from drinfeldforms.tree import apply_vertex
+from drinfeldforms.tree import apply_edge, apply_vertex
 
 
 def _is_zero(x):
@@ -576,3 +583,94 @@ def operator(name, ctx, k, matrix):
 def dense(op):
     """An operator's dense Matrix, from its rows."""
     return Matrix(op.ring, op.rows())
+
+
+def block_solve(space, graph):
+    """(basis, keys) of ``CocycleSpace._solve`` with every block a Matrix.
+
+    Each star edge contributes its sign times act(delta), summed entry by
+    entry per column block, and each generator delta of a nontrivial edge
+    stabilizer contributes the rows of act(delta) - 1, dropped where zero.
+    """
+    comp = space.k - 1
+    ring = space.ring
+    keys = sorted(graph.edge_orbits)
+    col_of = {key: i * comp for i, key in enumerate(keys)}
+    stable = set(space.stable_keys)
+    col_order = []
+    for key in sorted(keys, key=lambda kk: (kk in stable, -graph.edge_orbits[kk].depth, kk)):
+        base = col_of[key]
+        col_order.extend(range(base, base + comp))
+    rows = []
+    for vorbit in graph.interior_vertex_orbits():
+        blocks = {}
+        for orbit, key, sign, delta in graph.star(vorbit):
+            assert orbit is not None, "interior vertex star left the table"
+            m = space.vk.act(delta)
+            mat = [[x if sign == 1 else -x for x in row] for row in m.rows]
+            acc = blocks.get(col_of[key])
+            if acc is None:
+                blocks[col_of[key]] = [row[:] for row in mat]
+            else:
+                for r in range(comp):
+                    for s in range(comp):
+                        acc[r][s] = acc[r][s] + mat[r][s]
+        for r in range(comp):
+            row = {base + s: mat[r][s] for base, mat in blocks.items() for s in range(comp) if mat[r][s]}
+            if row:
+                rows.append(row)
+    for key in keys:
+        orbit = graph.edge_orbits[key]
+        if orbit.stab_order == 1:
+            continue
+        base = col_of[key]
+        for delta in graph.tree.edge_stab_generators(orbit):
+            m = space.vk.act(delta)
+            for r in range(comp):
+                row = {}
+                for s in range(comp):
+                    v = m.rows[r][s] - (ring.one if r == s else ring.zero)
+                    if v:
+                        row[base + s] = v
+                if row:
+                    rows.append(row)
+    basis = []
+    for vec in sparse_kernel(rows, len(keys) * comp, ring, col_order=col_order):
+        entry = {}
+        for col, x in vec.items():
+            entry.setdefault(keys[col // comp], [ring.zero] * comp)[col % comp] = x
+        basis.append({key: tuple(v) for key, v in entry.items()})
+    return basis, keys
+
+
+class BlockEngine(HeckeEngine):
+    """``HeckeEngine`` whose transport table holds Matrix blocks: each image's
+    block is act(xi^-1) act(delta), negated for a reversed edge and summed
+    as a Matrix, and the column stage applies the sums."""
+
+    def _assemble(self, name, transports):
+        space = self.space
+        graph = space.graph
+        acts = [space.vk.act_of_inverse(xi) for xi in transports]
+        table = {}
+        for key in self.coords.keys_needed:
+            orbit = graph.edge_orbits[key]
+            for xi, act in zip(transports, acts):
+                found, key2, sign, delta = graph.classify_image(xi, orbit, xi.det().degree)
+                if found is None:
+                    raise ReachError(f"edge beyond the table: {apply_edge(xi, orbit.rep, space.ctx.fq)}")
+                block = act * space.vk.act(delta)
+                if sign == -1:
+                    block = -block
+                row = table.setdefault(key2, {})
+                row[key] = row[key] + block if key in row else block
+        cols = []
+        for cocycle in space.basis:
+            values = {}
+            for key2, stored in cocycle.items():
+                for key, block in table.get(key2, {}).items():
+                    image = block.apply(stored)
+                    prev = values.get(key)
+                    values[key] = image if prev is None else [a + b for a, b in zip(prev, image)]
+            cols.append(space.ring.vector(self.coords.coords(values)))
+        return OperatorMatrix(name, self.ctx, self.k, space.ring, cols)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -412,3 +413,48 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     assert len(made) >= seen["images"]
     assert seen["inside"] == 0 and seen["read"] == 0 and seen["witness"] == 0
     assert acted == {"apply_edge": [], "apply_vertex": []}
+
+
+def test_weight2_solve_and_assembly_form_no_block_and_lift_no_stabilizer(monkeypatch):
+    # on V_2 the solve and the assembly count signed edges: building a
+    # space, U_t, T_(t+1) and a diamond multiplies no Matrix, reads no
+    # action from _solve or _assemble, and lifts no stabilizer element.  At
+    # weight 3 the stabilizer rows and blocks are still formed.
+    entered, calls, inside = Counter(), Counter(), []
+
+    def scoped(name, fn):
+        def wrapped(*args):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def counted(name, fn, anywhere):
+        def wrapped(*args):
+            calls[name] += anywhere or bool(inside)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(CocycleSpace, "_solve", scoped("_solve", CocycleSpace._solve))
+    monkeypatch.setattr(HeckeEngine, "_assemble", scoped("_assemble", HeckeEngine._assemble))
+    monkeypatch.setattr(Matrix, "__mul__", counted("Matrix.__mul__", Matrix.__mul__, True))
+    monkeypatch.setattr(VkAction, "act", counted("act", VkAction.act, False))
+    monkeypatch.setattr(VkAction, "act_of_inverse", counted("act_of_inverse", VkAction.act_of_inverse, False))
+    stab = TreeContext.edge_stab_generators
+    monkeypatch.setattr(TreeContext, "edge_stab_generators", counted("edge_stab_generators", stab, True))
+    ctx = group_context(3, 2)
+    eng = HeckeEngine(CocycleSpace(ctx, 2))
+    eng.u_t()
+    eng.t_m(Poly.t(ctx.fq) + Poly.one(ctx.fq))
+    eng.diamond(ctx.theta[-1])
+    assert entered == {"_solve": 2, "_assemble": 3}
+    assert +calls == {}
+    eng = HeckeEngine(CocycleSpace(group_context(2, 1), 3))
+    eng.u_t()
+    assert calls["edge_stab_generators"] > 0 and calls["act"] > 0
+    assert calls["act_of_inverse"] > 0 and calls["Matrix.__mul__"] > 0

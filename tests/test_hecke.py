@@ -19,7 +19,15 @@ from drinfeldforms.hecke import (
 from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly, charpoly
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
-from oracles import bareiss_rank, dense, nilpotency_oracle, operator, projector_certificate_oracle
+from oracles import (
+    BlockEngine,
+    bareiss_rank,
+    block_solve,
+    dense,
+    nilpotency_oracle,
+    operator,
+    projector_certificate_oracle,
+)
 
 
 def t_plus_one(q):
@@ -212,6 +220,23 @@ def test_transport_table_matches_evaluating_oracle(q, n, k, cache):
     for got, want in pairs:
         assert got.name == want.name
         assert got.cols == want.cols
+
+
+# every weight-2 configuration of the hecke goldens, and F_9, an odd non-prime field
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (9, 1)])
+def test_weight2_signed_counts_match_the_block_oracle(q, n, cache):
+    # the solve and the assembly count signed edges mod p; the oracle forms
+    # every Matrix block and stabilizer row, and must give the same bases
+    # at depths D and D + 1 and the same operator columns
+    space = cache.space(q, n, 2)
+    for graph in (space.graph, space.graph.extended()):
+        assert space._solve(graph) == block_solve(space, graph)
+    eng, oracle = cache.engine(q, n, 2), BlockEngine(space)
+    m, alpha = t_plus_one(q), eng.ctx.theta[-1]
+    pairs = [(eng.u_t(), oracle.u_t()), (eng.t_m(m), oracle.t_m(m))]
+    pairs.append((eng.diamond(alpha), oracle.diamond(alpha)))
+    for got, want in pairs:
+        assert got.name == want.name and got.cols == want.cols
 
 
 @pytest.mark.parametrize("k", [2, 3])
