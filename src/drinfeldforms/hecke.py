@@ -4,16 +4,17 @@ Operators transport along the rule (T c)(e) = sum_xi xi^{-1} . c(xi e)
 over the usual coset matrices: xi_{t,beta} for U_t, the xi_{m,beta}
 together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
-representative e = w0(e_i) is classified once, from its matrix xi w0
-over A with no lattice coordinates formed; its block is the orientation
-sign times act(xi^{-1}) act(delta) for the witness delta, and on V_2 the
-sign alone.  The transport table is stored inverted, as image orbit key
--> {safe key: summed block}, on V_2 a signed count mod p, so a basis
-cocycle's values on the safe representatives are read by walking only
-its own support through it.  Their coordinates are the values at the
-stable rows, where the basis is the unit basis, with exact consistency
-checks on every safe row; an image edge beyond the table is a
-ReachError.  An operator is kept as its columns, each a vector of the
+representative e = w0(e_i) is classified once, with no lattice
+coordinates formed: a seed's from its matrix xi w0 over A, any other's
+from its parent's reduced image in at most two row operations.  Its block
+is the orientation sign times act(xi^{-1}) act(delta) for the witness
+delta, and on V_2 the sign alone.  The transport table is stored
+inverted, as image orbit key -> {safe key: summed block}, on V_2 a
+signed count mod p, so a basis cocycle's values on the safe
+representatives are read by walking only its own support through it.
+Their coordinates are the values at the stable rows, where the basis is
+the unit basis, with exact consistency checks on every safe row; an
+image edge beyond the table is a ReachError.  An operator is kept as its columns, each a vector of the
 space's ring, the ring its coordinates lie in: F_q at weight 2, so
 commutators and the certificate run over F_q there, and K = F_q(t)
 above.  Only the serializers read the dense rows.
@@ -131,16 +132,13 @@ class HeckeEngine:
         graph = space.graph
         vk = space.vk
         acts = vk.inverse_acts(transports)
-        # deg det(xi w0) = deg det xi, as w0 is in SL_2(A)
-        deg_dets = [xi.det().degree for xi in transports]
+        keys = self.coords.keys_needed  # a parent is shallower, so it is safe too
         # (T c)(safe rep) = sum of block . c(key2): the table is key2 -> {safe key: block}
         table = {}
-        for key in self.coords.keys_needed:
-            orbit = graph.edge_orbits[key]
-            for xi, act, deg_det in zip(transports, acts, deg_dets):
-                found, key2, sign, delta = graph.classify_image(xi, orbit, deg_det)
+        for xi, act in zip(transports, acts):
+            for key, (found, key2, sign, delta) in zip(keys, graph.classify_images(xi, keys)):
                 if found is None:
-                    e2 = apply_edge(xi, orbit.rep, fq)
+                    e2 = apply_edge(xi, graph.edge_orbits[key].rep, fq)
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
                 block = vk.signed_block(sign, delta, act)
                 row = table.setdefault(key2, {})

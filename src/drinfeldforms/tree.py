@@ -28,8 +28,10 @@ applies them to the other column of gamma g too, and the terminus is read
 off its degrees and one division.  A literal vertex v enters through
 M_v = t^L (pi^r, s; 0, 1) over A, where s = num / t^E and
 L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at infinity, so the
-edge from v up to its parent is M_v(e_0).  An operator image xi w0(e_i) is
-reduced from xi w0, multiplied out on packed ints.
+edge from v up to its parent is M_v(e_0).  An operator image xi w0(e_i)
+is reduced from xi w0 on packed ints for a seed orbit, and for any other
+from its parent's reduced image, one star step and at most two row
+operations away (QuotientGraph.classify_images).
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
@@ -233,6 +235,16 @@ def _deg(x):
     return (x.bit_length() - 1) >> 3 if x else NEG_INF
 
 
+def _star_step(fq, c, d, j, x):
+    """The packed row (c, d) sigma for the star step sigma into v_j of digit x, the identity for x None
+    (TreeContext._star_rows)."""
+    if x is None:
+        return c, d
+    if j:
+        return c, int_add(fq, d, int_mul(fq, x, c << 8 * j))
+    return int_add(fq, int_mul(fq, x, c), d), int_neg(fq, c)
+
+
 def _euclid(g, i, deg_det, fq):
     """(ops, j, h): gamma g(v_i) = v_j, j >= 0, for gamma the product of the row operations ops.
 
@@ -290,7 +302,7 @@ def reduce_vertex(v, fq):
 
 
 def _reduce_image(g, i, deg_det, fq):
-    """(gamma, j, sign) with gamma in SL_2(A) and gamma g(e_i) = sign * e_j, j >= 0.
+    """(gamma, j, sign, h) with gamma in SL_2(A), gamma g(e_i) = sign * e_j, j >= 0, and h = gamma g packed.
 
     g = (a, b, c, d) is packed over A with det != 0 of degree ``deg_det``,
     and gamma is a RowOps.  Euclid takes g(v_i) to v_j, and the terminus,
@@ -307,13 +319,14 @@ def _reduce_image(g, i, deg_det, fq):
     if (code if up else code >> 8) or not (up or r == -j + 1):
         raise AssertionError("non-adjacent edge endpoints")
     if up:
-        return RowOps(fq, ops), j, POS_SIGN
+        return RowOps(fq, ops), j, POS_SIGN, (a, b, c, d)
     if code:
         ops.append(int_neg(fq, code) << 8 * j)
+        a, b = int_add(fq, a, int_mul(fq, ops[-1], c)), int_add(fq, b, int_mul(fq, ops[-1], d))
     if j == 0:
         ops.append(0)
-        return RowOps(fq, ops), 0, POS_SIGN
-    return RowOps(fq, ops), j - 1, NEG_SIGN
+        return RowOps(fq, ops), 0, POS_SIGN, (int_neg(fq, c), int_neg(fq, d), a, b)
+    return RowOps(fq, ops), j - 1, NEG_SIGN, (a, b, c, d)
 
 
 def reduce_edge(e, fq):
@@ -331,7 +344,7 @@ def reduce_edge(e, fq):
     else:
         raise AssertionError("non-adjacent edge endpoints")
     g, deg_det = _lattice_matrix(v)
-    gamma, i, image_sign = _reduce_image(g, 0, deg_det, fq)
+    gamma, i, image_sign, _ = _reduce_image(g, 0, deg_det, fq)
     return gamma, i, sign * image_sign
 
 
@@ -360,9 +373,12 @@ def parabolic_fixed_end(delta):
 
 
 class EdgeOrbit:
-    """One Gamma_1(t^n)-orbit of oriented edges (up to sign), represented by w0(e_i)."""
+    """One Gamma_1(t^n)-orbit of oriented edges (up to sign), represented by w0(e_i).
 
-    __slots__ = ("key", "i", "w0", "w0_inv", "_rep", "depth", "stable", "label", "stab_order", "nf")
+    A seed has parent None; any other orbit has w0 = parent.w0 sigma for the
+    star step sigma = (j, x) into parent.w0(v_j) (_star_step)."""
+
+    __slots__ = ("key", "i", "w0", "w0_inv", "_rep", "depth", "stable", "label", "stab_order", "nf", "parent", "sigma")
 
     def __init__(self, key, i, w0, depth):
         self.key = key
@@ -375,6 +391,7 @@ class EdgeOrbit:
         self.label = None
         self.stab_order = None
         self.nf = None
+        self.parent = self.sigma = None
 
     @property
     def rep(self):
@@ -385,14 +402,15 @@ class EdgeOrbit:
 
 
 class VertexOrbit:
-    """One Gamma_1(t^n)-orbit of vertices, represented by w0(v_j)."""
+    """One Gamma_1(t^n)-orbit of vertices, represented by w0(v_j) for the w0 of the edge orbit ``edge``."""
 
-    __slots__ = ("key", "j", "w0", "_rep", "depth", "stab_order", "star")
+    __slots__ = ("key", "j", "w0", "_rep", "depth", "stab_order", "star", "edge")
 
-    def __init__(self, key, j, w0, depth, star):
+    def __init__(self, key, j, edge, depth, star):
         self.key = key
         self.j = j
-        self.w0 = w0
+        self.edge = edge
+        self.w0 = edge.w0
         self._rep = None
         self.depth = depth
         self.stab_order = None
@@ -527,20 +545,17 @@ class TreeContext:
         (c, d + x t^j c) when j >= 1 and (x c + d, -c) at j = 0.
         """
         fq, mask = self.fq, self._mask
-        if j:
-            children = [(c, int_add(fq, d, int_mul(fq, x, c << 8 * j)) & mask) for x in fq.elements()]
-        else:
-            children = [(int_add(fq, int_mul(fq, x, c), d), int_neg(fq, c)) for x in fq.elements()]
-        return [(c, d)] + children
+        return [(c, d)] + [(sc, sd & mask) for sc, sd in (_star_step(fq, c, d, j, x) for x in fq.elements())]
 
     def _row(self, w):
         """The bottom row of w mod t^n, packed."""
         return w.c.x & self._mask, w.d.x & self._mask
 
-    def _inverse_row(self, gamma):
-        """adj gamma's bottom row (-c, a) mod t^n, replaying only gamma's first column (a, c) mod t^n."""
+    def _inverse_row(self, gamma, row=(0, 1)):
+        """adj(gamma g)'s bottom row (-c, a) mod t^n, replaying only the first column (a, c) of gamma g
+        from adj g's bottom row ``row`` mod t^n (g = 1 by default)."""
         fq, mask = self.fq, self._mask
-        a, c = 1, 0
+        a, c = row[1], int_neg(fq, row[0])
         for op in gamma.args[1]:  # gamma's ops
             if op:
                 a = int_add(fq, a, int_mul(fq, op & mask, c)) & mask
@@ -549,17 +564,14 @@ class TreeContext:
         return int_neg(fq, c), a
 
     # -- reductions ------------------------------------------------------------
-    def keyed(self, gamma, i, sign):
-        """(key, i, sign, w, nf) for gamma(e) = sign * e_i: w = gamma^-1, nf its row's normal form."""
-        nf = self._normal_form(*self._inverse_row(gamma), i)
-        return (i, nf[0]), i, sign, gamma.inverse_unimodular(), nf
-
     def reduce_edge(self, e):
         """(key, i, sign, w, nf): w(sign * e_i) = e, and nf the normal form of w's row."""
         got = self._classify_cache.get(e)
         if got is None:
-            key, i, sign, w, nf = got = self.keyed(*reduce_edge(e, self.fq))
-            self._classify_cache[e] = got
+            gamma, i, sign = reduce_edge(e, self.fq)
+            nf = self._normal_form(*self._inverse_row(gamma), i)
+            key, w = (i, nf[0]), gamma.inverse_unimodular()
+            got = self._classify_cache[e] = key, i, sign, w, nf
             self._classify_cache[Edge(e.terminus, e.origin)] = (key, i, -sign, w, nf)
         return got
 
@@ -751,19 +763,20 @@ class QuotientGraph:
         return graph
 
     # -- construction -------------------------------------------------------
-    def _new_edge(self, key, i, w0, depth):
+    def _new_edge(self, key, i, w0, depth, parent=None, sigma=None):
         """Register the orbit of a key not in the table, with representative w0(e_i)."""
         if len(self.edge_orbits) >= self.max_orbits:
             raise ResourceBoundError(f"edge orbit table exceeded {self.max_orbits} entries")
         orbit = self.edge_orbits[key] = self.tree.edge_orbit(key, i, w0, depth)
+        orbit.parent, orbit.sigma = parent, sigma
         return orbit
 
-    def _register_vertex(self, w, j, depth):
-        """The orbit of w(v_j), registered with representative w(v_j) if new."""
-        key = self.tree.vertex_key(*self.tree._row(w), j)
+    def _register_vertex(self, edge, j, depth):
+        """The orbit of w0(v_j) for the w0 of the edge orbit ``edge``, registered with that representative if new."""
+        key = self.tree.vertex_key(*self.tree._row(edge.w0), j)
         vorbit = self.vertex_orbits.get(key)
         if vorbit is None:
-            vorbit = self.vertex_orbits[key] = VertexOrbit(key, j, w, depth, self.tree.star(w, j))
+            vorbit = self.vertex_orbits[key] = VertexOrbit(key, j, edge, depth, self.tree.star(edge.w0, j))
             self.tree.vertex_stabilizer(vorbit)
         return vorbit
 
@@ -790,23 +803,24 @@ class QuotientGraph:
 
         Each endpoint's star is read from its vertex orbit's representative
         w (the star of any vertex of the orbit meets the same edge orbits),
-        and a new edge orbit takes w0 = w sigma, formed over A.  The
-        vertices of the last shell are registered too, and that shell is
-        kept as ``self.frontier`` for :meth:`extended`.
+        and a new edge orbit takes w0 = w sigma, formed over A, and w's
+        orbit as parent.  The vertices of the last shell are registered too,
+        and that shell is kept as ``self.frontier`` for :meth:`extended`.
         """
+        digits = (None, *self.ctx.fq.elements())  # the star steps' x, in star order
         while frontier and depth < self.depth:
             depth += 1
             next_frontier = []
             for orbit in frontier:
                 for j in (orbit.i, orbit.i + 1):
-                    vorbit = self._register_vertex(orbit.w0, j, depth - 1)
-                    for key, i, _, sigma, _ in vorbit.star:
+                    vorbit = self._register_vertex(orbit, j, depth - 1)
+                    for x, (key, i, _, sigma, _) in zip(digits, vorbit.star):
                         if key not in self.edge_orbits:
-                            next_frontier.append(self._new_edge(key, i, vorbit.w0 * sigma, depth))
+                            next_frontier.append(self._new_edge(key, i, vorbit.w0 * sigma, depth, vorbit.edge, (j, x)))
             frontier = next_frontier
         for orbit in frontier:
             for j in (orbit.i, orbit.i + 1):
-                self._register_vertex(orbit.w0, j, self.depth)
+                self._register_vertex(orbit, j, self.depth)
         self.frontier = frontier
 
     # -- lookups ---------------------------------------------------------------
@@ -814,15 +828,33 @@ class QuotientGraph:
         """(orbit-or-None, key, sign, witness-or-None) for an oriented edge."""
         return self._lookup(*self.tree.reduce_edge(e))
 
-    def classify_image(self, xi, orbit, deg_det):
-        """classify(apply_edge(xi, orbit.rep)), computed from the image's matrix xi w0.
+    def classify_images(self, xi, keys):
+        """[classify(apply_edge(xi, orbit.rep)) for the orbit of each key], with every parent in ``keys``.
 
-        orbit.rep is w0(e_i), so its image is (xi w0)(e_i), and no lattice
-        coordinates of it are formed: xi w0 is multiplied out on packed ints.
-        ``deg_det`` = deg det xi = deg det(xi w0).
+        In depth order, each image is reduced from its parent's, with no
+        lattice coordinates formed: gamma_P xi w0(P) = h_P, so gamma_P xi w0
+        = h_P sigma, and Euclid's gamma' on it gives gamma = gamma' gamma_P,
+        whose first column keys the image, and the witness gamma^-1 =
+        w_P gamma'^-1, deferred.  A seed starts from h = xi with sigma = w0.
         """
-        g = _packed_product(xi, orbit.w0, self.ctx.fq)
-        return self._lookup(*self.tree.keyed(*_reduce_image(g, orbit.i, deg_det, self.ctx.fq)))
+        fq, tree = self.ctx.fq, self.tree
+        deg_det = xi.det().degree  # = deg det(xi w0), as w0 is in SL_2(A)
+        steps, got = {}, {}
+        for orbit in sorted((self.edge_orbits[key] for key in keys), key=lambda o: o.depth):
+            if orbit.parent is None:
+                g, row, w = _packed_product(xi, orbit.w0, fq), (0, 1), None
+            elif orbit.parent.key not in steps:
+                raise AssertionError(f"orbit {orbit.key} is transported without its parent")
+            else:
+                (a, b, c, d), row, w = steps[orbit.parent.key]
+                g = (*_star_step(fq, a, b, *orbit.sigma), *_star_step(fq, c, d, *orbit.sigma))
+            gamma, i, sign, h = _reduce_image(g, orbit.i, deg_det, fq)
+            row, step = tree._inverse_row(gamma, row), gamma.inverse_unimodular()
+            w = step if w is None else Deferred(Mat2.__mul__, w, step)
+            steps[orbit.key] = h, row, w
+            nf = tree._normal_form(*row, i)
+            got[orbit.key] = self._lookup((i, nf[0]), i, sign, w, nf)
+        return [got[key] for key in keys]
 
     def _lookup(self, key, i, sign, w, nf):
         orbit = self.edge_orbits.get(key)

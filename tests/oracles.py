@@ -36,12 +36,17 @@ None of this is used by ``drinfeldforms`` itself:
 * an operator built from a dense Matrix (:func:`operator`) and its dense
   Matrix (:func:`dense`), which the oracles and the hand-made operators
   go through: the engine keeps an operator only as its columns;
+* the classification of one operator image by the full Euclid walk from
+  its matrix xi w0 (:func:`classify_image_oracle`), the oracle for
+  ``QuotientGraph.classify_images``, which reduces each image from its
+  parent's;
 * the solve and the operator assembly with every block a Matrix
   (:func:`block_solve`, :class:`BlockEngine`): act(delta) read for each
   star edge and each image, stabilizer rows formed for every generator,
-  and the blocks negated and summed as Matrices.  At weight 2 they are
-  the oracle for the signed counts of ``CocycleSpace._solve`` and
-  ``HeckeEngine._assemble``, which form no block and lift no stabilizer.
+  and the blocks negated and summed as Matrices, each image classified by
+  :func:`classify_image_oracle`.  At weight 2 they are the oracle for the
+  signed counts of ``CocycleSpace._solve`` and ``HeckeEngine._assemble``,
+  which form no block and lift no stabilizer.
 """
 
 from drinfeldforms.errors import ReachError
@@ -50,7 +55,7 @@ from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
-from drinfeldforms.tree import apply_edge, apply_vertex
+from drinfeldforms.tree import _packed_product, _reduce_image, apply_edge, apply_vertex
 
 
 def _is_zero(x):
@@ -561,6 +566,20 @@ def evaluate_oracle(space, cocycle, e):
     return tuple(out if sign == 1 else [-x for x in out])
 
 
+def classify_image_oracle(graph, xi, orbit):
+    """graph.classify(apply_edge(xi, orbit.rep)), from the image's matrix xi w0.
+
+    orbit.rep is w0(e_i), so its image is (xi w0)(e_i): xi w0 is multiplied
+    out on packed ints and walked to the apartment from scratch, with no
+    lattice coordinates formed and nothing read off another orbit's image.
+    """
+    fq, tree = graph.ctx.fq, graph.tree
+    g = _packed_product(xi, orbit.w0, fq)
+    gamma, i, sign, _ = _reduce_image(g, orbit.i, xi.det().degree, fq)
+    nf = tree._normal_form(*tree._inverse_row(gamma), i)
+    return graph._lookup((i, nf[0]), i, sign, gamma.inverse_unimodular(), nf)
+
+
 def random_gamma_oracle(ctx, rng):
     """The random word of ``verify._random_gamma``, each factor a Mat2 product."""
     fq = ctx.fq
@@ -656,7 +675,7 @@ class BlockEngine(HeckeEngine):
         for key in self.coords.keys_needed:
             orbit = graph.edge_orbits[key]
             for xi, act in zip(transports, acts):
-                found, key2, sign, delta = graph.classify_image(xi, orbit, xi.det().degree)
+                found, key2, sign, delta = classify_image_oracle(graph, xi, orbit)
                 if found is None:
                     raise ReachError(f"edge beyond the table: {apply_edge(xi, orbit.rep, space.ctx.fq)}")
                 block = act * space.vk.act(delta)

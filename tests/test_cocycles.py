@@ -1,5 +1,7 @@
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +238,35 @@ def test_stabilizer_fixed_space(cache):
                 assert act.apply(vec) == vec
 
 
+# every (q, n, k) with a weight-3 or weight-4 hecke golden
+GOLDEN_WEIGHT_K = sorted(
+    {
+        tuple(map(int, m.groups()))
+        for path in (Path(__file__).parent / "golden").glob("hecke_*")
+        if (m := re.fullmatch(r"hecke_q(\d+)n(\d+)k([34])\.\w+", path.name))
+    }
+)
+
+
+@pytest.mark.parametrize("q,n,k", GOLDEN_WEIGHT_K)
+def test_stored_values_are_invariant_under_every_stabilizer_generator(cache, q, n, k):
+    # act(delta) c(key) = c(key) for every delta of the representative's
+    # stabilizer, on every orbit of every basis cocycle's support: a witness
+    # is then only defined up to that stabilizer, and an operator image
+    # reduced from its parent's may take another one than the literal walk.
+    # At q = 2 and at q3n2k4 the supports meet 2 to 8 orbits with a
+    # nontrivial stabilizer; the other weight-3 supports meet none
+    space = cache.space(q, n, k)
+    graph = space.graph
+    for key in sorted({key for cocycle in space.basis for key in cocycle}):
+        for delta in graph.tree.edge_stab_generators(graph.edge_orbits[key]):
+            act = space.vk.act(delta)
+            for cocycle in space.basis:
+                if key in cocycle:
+                    stored = list(cocycle[key])
+                    assert act.apply(stored) == stored
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 2, 2), (2, 1, 3)])
 def test_depth_stable_compares_spans(cache, q, n, k):
     assert cache.space(q, n, k).depth_stable is True
@@ -339,10 +370,12 @@ def test_orbit_bound_covers_the_stability_shell():
 
 def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     # V_2 never reads a witness or a stabilizer element, so building the
-    # space and U_t forms no Mat2 product inside classify, classify_image
+    # space and U_t forms no Mat2 product inside classify, classify_images
     # or edge_stab_generators, and no deferred product is multiplied out
-    # later: edge_witness is never called.  classify_image multiplies xi w0
-    # out on packed ints, so it forms no Mat2 product either.  A witness w
+    # later: edge_witness is never called.  classify_images multiplies a
+    # seed's xi w0 out on packed ints, steps every other image on from its
+    # parent's there, and defers the witness chain w_P gamma'^-1, so it
+    # forms no Mat2 product either.  A witness w
     # from a reduction is kept as its row operations (RowOps), and none made
     # inside those calls is replayed, then or later.  The graph grows in
     # group coordinates and seeds from the matrices h J, and a literal
@@ -359,15 +392,15 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     monkeypatch.setattr(Mat2, "__mul__", counting_mul)
     for cls, name in (
         (QuotientGraph, "classify"),
-        (QuotientGraph, "classify_image"),
+        (QuotientGraph, "classify_images"),
         (TreeContext, "edge_stab_generators"),
     ):
         fn = getattr(cls, name)
 
-        def wrapped(*args, _fn=fn, _image=name == "classify_image"):
+        def wrapped(*args, _fn=fn, _images=name == "classify_images"):
             seen["depth"] += 1
             seen["calls"] += 1
-            seen["images"] += _image
+            seen["images"] += len(args[2]) if _images else 0
             try:
                 return _fn(*args)
             finally:

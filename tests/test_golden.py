@@ -73,6 +73,13 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
     # lift_sl2, h_bar and eta_diamond over F_4 at n = 2, read through the
     # weight-3 witnesses
     _hecke_case(4, 2, 3),
+    # the one weight-4 golden over an odd field with a diamond: V_4 blocks
+    # read through witness chains over F_3
+    (
+        "hecke_q3n2k4.json",
+        ["hecke", "--q", "3", "--n", "2", "--k", "4", "--op", "Ut", "--op", "Tm:t+1",
+         "--op", "Diamond:t+2", "--certify", "--format", "json"],
+    ),
     # every paper-suite record kind at weights 2 and 3
     (
         "verify_paper_q2q3n2k3.json",

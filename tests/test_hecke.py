@@ -3,10 +3,11 @@ import random
 import pytest
 
 from drinfeldforms import hecke
+from drinfeldforms import tree as tree_module
 from drinfeldforms.cocycles import depth_default
 from drinfeldforms.errors import ReachError, UsageError
 from drinfeldforms.fq import FqElem, field
-from drinfeldforms.groups import group_context
+from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import (
     HeckeEngine,
     diamond_label_map,
@@ -309,30 +310,98 @@ IMAGE_GRID = [
 ]
 
 
+def with_parents(graph, keys):
+    """``keys`` and every parent of theirs, as QuotientGraph.classify_images takes them."""
+    out = {}
+    for key in keys:
+        orbit = graph.edge_orbits[key]
+        while orbit is not None and orbit.key not in out:
+            out[orbit.key] = None
+            orbit = orbit.parent
+    return list(out)
+
+
 @pytest.mark.parametrize("q,n,depth", IMAGE_GRID)
 def test_classify_image_matches_classifying_the_literal_edge(q, n, depth):
     # orbits of the whole table, deepest first, so that boundary ones whose
     # images leave the table come in: all of them up to 1000 images, evenly
-    # spaced beyond
+    # spaced beyond, each reduced from its parent's image.  Key and sign are
+    # the literal ones.  The witness delta is one in Gamma_1(t^n) taking
+    # the representative to the image, so it differs from the literal
+    # classification's by an element of the representative's stabilizer
+    # (the two walks may end in different gammas), which a stored value is
+    # invariant under
     ctx = group_context(q, n)
+    fq = ctx.fq
     graph = QuotientGraph(ctx, depth)
     transports = image_transports(ctx)
     keys = sorted(graph.edge_orbits, key=lambda key: (-graph.edge_orbits[key].depth, key))
     stride = -(-len(keys) * len(transports) // 1000)
+    sample = keys[::stride]
+    transported = with_parents(graph, sample)
+    images = [dict(zip(transported, graph.classify_images(xi, transported))) for xi in transports]
     found = missing = 0
-    for key in keys[::stride]:
+    for key in sample:
         orbit = graph.edge_orbits[key]
-        for xi in transports:
-            got = graph.classify_image(xi, orbit, xi.det().degree)
-            want = graph.classify(apply_edge(xi, orbit.rep, ctx.fq))
+        for xi, image in zip(transports, images):
+            got = image[key]
+            e = apply_edge(xi, orbit.rep, fq)
+            want = graph.classify(e)
             assert got[:3] == want[:3]
             if got[0] is None:
-                assert want[3] is None
+                assert got[3] is None and want[3] is None
                 missing += 1
-            else:
-                assert got[3].entries() == want[3].entries()
-                found += 1
+                continue
+            rep2, delta = got[0].rep, got[3]
+            assert is_gamma1(delta, n)
+            assert apply_edge(delta, rep2, fq) == (e if got[2] == 1 else e.reverse())
+            assert apply_edge(want[3].inverse_unimodular() * delta, rep2, fq) == rep2
+            found += 1
     assert found and missing
+
+
+def test_classify_images_needs_every_parent():
+    # an orbit whose parent is not transported has no image to start from
+    graph = QuotientGraph(group_context(2, 2), 4)
+    orbit = next(o for o in graph.edge_orbits.values() if o.depth == 2)
+    xi = image_transports(graph.ctx)[0]
+    with pytest.raises(AssertionError, match="transported without its parent"):
+        graph.classify_images(xi, [orbit.parent.parent.key, orbit.key])
+    assert len(graph.classify_images(xi, with_parents(graph, [orbit.key]))) == 3
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
+def test_every_non_seed_image_reduces_in_two_row_operations(cache, q, n, k, monkeypatch):
+    # h_P sigma is an edge next to +-e_j, so Euclid needs at most two row
+    # operations on it; only the seeds walk from xi w0.  Calls come in
+    # depth order, seeds first
+    engine = cache.engine(q, n, k)
+    graph = engine.space.graph
+    keys = engine.coords.keys_needed
+    seeds = sum(graph.edge_orbits[key].parent is None for key in keys)
+    assert 0 < seeds < len(keys)
+    lengths = []
+    reduce_image = tree_module._reduce_image
+
+    def recording(*args):
+        got = reduce_image(*args)
+        lengths.append(len(got[0].args[1]))
+        return got
+
+    monkeypatch.setattr(tree_module, "_reduce_image", recording)
+    for xi in image_transports(graph.ctx):
+        lengths.clear()
+        graph.classify_images(xi, keys)
+        assert len(lengths) == len(keys)
+        assert max(lengths[seeds:]) <= 2
+    if (q, n) == (2, 3):
+        # U_t, T_(t+1), T_(t^2+t+1) and <t+1>: 902 images, 1.47 row
+        # operations each, where walking each from xi w0 took 6.05
+        lengths.clear()
+        ctx, fresh = graph.ctx, HeckeEngine(engine.space)
+        fresh.u_t(), fresh.t_m(ctx.t + ctx.one), fresh.t_m(ctx.t * ctx.t + ctx.t + ctx.one)
+        fresh.diamond(ctx.t + ctx.one)
+        assert len(lengths) == 902 and sum(lengths) <= 1.5 * len(lengths)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

@@ -9,7 +9,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import Deferred, Mat2
-from drinfeldforms.rings import Poly, RatFunc, int_add
+from drinfeldforms.rings import Poly, RatFunc, int_add, packed
 from drinfeldforms.tree import (
     Edge,
     EdgeOrbit,
@@ -27,6 +27,7 @@ from drinfeldforms.tree import (
 )
 from oracles import (
     ApartmentStabilizer,
+    classify_image_oracle,
     laurent_tail,
     mod_tn,
     reduce_edge_oracle,
@@ -275,7 +276,12 @@ def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
         assert reduce_edge(e, fq) == want
         assert reduce_edge(e.reverse(), fq) == reduce_edge_oracle(e.reverse(), fq)
         got = _reduce_image(packed_entries(g), i, g.det().degree, fq)
-        assert got == want
+        assert got[:3] == want
+        # h is gamma g, and takes e_i to sign * e_j
+        assert got[3] == packed_entries(want[0] * g)
+        assert apply_edge(Mat2(*(packed(fq, x) for x in got[3])), Edge.standard(i), fq) == (
+            Edge.standard(got[1]) if got[2] == 1 else Edge.standard(got[1]).reverse()
+        )
         # each replay, of gamma or of the witness gamma^-1, starts afresh
         assert got[0].inverse_unimodular() == want[0].adjugate()
         for v in (e.origin, e.terminus):
@@ -288,7 +294,8 @@ def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
         scaled = Mat2(*(x * lam for x in g.entries())) * Mat2.diag(Poly.t_power(fq, k), one)
         e = apply_edge(scaled, Edge.standard(i), fq)
         got = _reduce_image(packed_entries(scaled), i, scaled.det().degree, fq)
-        assert got == reduce_edge_oracle(e, fq)
+        assert got[:3] == reduce_edge_oracle(e, fq)
+        assert got[3] == packed_entries(got[0] * scaled)
 
 
 def test_reduce_edge_rejects_non_adjacent_endpoints():
@@ -499,6 +506,35 @@ def test_registration_checks_the_key_against_the_representative_row(monkeypatch,
     monkeypatch.setattr(TreeContext, side, corrupted)
     with pytest.raises(AssertionError, match="disagrees with its representative's row"):
         run(ctx)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 1), (2, 3)])
+def test_every_non_seed_orbit_is_one_star_step_from_its_parent(q, n):
+    # w0 = parent.w0 sigma for the recorded star step, from a vertex of the
+    # parent's representative, in the table and in its extension, whose
+    # first new shell starts from vertex orbits registered in the last
+    # shell of the table; U_t's images of the whole extension reduced from
+    # their parents' have the key and sign of the walk from xi w0
+    ctx = group_context(q, n)
+    graph = QuotientGraph(ctx, depth_default(n, 2))
+    table = graph.extended()
+    seeds = set(graph.seed_keys.values())
+    for orbit in table.edge_orbits.values():
+        if orbit.parent is None:
+            assert orbit.depth == 0 and orbit.key in seeds
+            continue
+        parent, (j, x) = orbit.parent, orbit.sigma
+        assert table.edge_orbits[parent.key] is parent and parent.depth < orbit.depth
+        assert j in (parent.i, parent.i + 1)
+        sigma, i, _ = table.tree._star_sigmas(j)[0 if x is None else x + 1]
+        assert i == orbit.i and orbit.w0 == parent.w0 * sigma
+    assert {o.depth for o in table.edge_orbits.values()} == set(range(graph.depth + 2))
+    keys = list(table.edge_orbits)
+    for b in ctx.fq.elements():
+        xi = ctx.xi_beta(ctx.t, Poly.constant(ctx.fq, b))
+        got = table.classify_images(xi, keys)
+        want = [classify_image_oracle(table, xi, table.edge_orbits[key]) for key in keys]
+        assert [g[:3] for g in got] == [w[:3] for w in want]
 
 
 def test_a_graph_build_forms_no_literal_edge_or_vertex(monkeypatch):
@@ -842,18 +878,18 @@ def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
     space = cache.space(3, 2, 3)
     tree = space.graph.tree
     made, built = [], []
-    classify_image, witness = QuotientGraph.classify_image, TreeContext.edge_witness
+    classify_images, witness = QuotientGraph.classify_images, TreeContext.edge_witness
 
-    def recording_image(self, *args):
-        got = classify_image(self, *args)
-        made.append(got[3])
+    def recording_images(self, *args):
+        got = classify_images(self, *args)
+        made.extend(image[3] for image in got)
         return got
 
     def recording_witness(self, w, nf, orbit):
         built.append(w)
         return witness(self, w, nf, orbit)
 
-    monkeypatch.setattr(QuotientGraph, "classify_image", recording_image)
+    monkeypatch.setattr(QuotientGraph, "classify_images", recording_images)
     monkeypatch.setattr(TreeContext, "edge_witness", recording_witness)
     HeckeEngine(space).u_t()
     assert made and len(built) == len(made)
