@@ -32,6 +32,7 @@ value 1 at one stable representative and 0 at the others.
 from .errors import DimensionMismatchError, ReachError, StabilityError
 from .fq import FqElem
 from .linalg import FqRing, KRing, Matrix, sparse_kernel
+from .rings import Poly, RatFunc
 from .tree import MAX_ORBITS, Edge, QuotientGraph
 
 
@@ -74,26 +75,26 @@ class VkAction:
         return self.k - 1
 
     def substitution(self, g):
-        g = g.to_k()
+        """The substitution matrix of g over A, formed on its Poly entries and lifted to K entry by entry."""
         key = ("S",) + tuple(g.entries())
         got = self._cache.get(key)
         if got is not None:
             return got
         m = self.k - 2
-        ring = self.ring
+        zero = Poly.zero(self.fq)
         # (X, Y) g = (a X + c Y, b X + d Y) row-vector convention
         img_x = [g.a, g.c]  # coefficients on (X, Y)
         img_y = [g.b, g.d]
         # forms of degree m represented by Y-degree coefficient lists
         cols = []
         for j in range(m + 1):
-            form = [ring.one]
+            form = [Poly.one(self.fq)]
             for _ in range(m - j):
-                form = _form_mul(ring, form, img_x)
+                form = _form_mul(zero, form, img_x)
             for _ in range(j):
-                form = _form_mul(ring, form, img_y)
+                form = _form_mul(zero, form, img_y)
             cols.append(form)
-        got = Matrix(ring, [[cols[j][l] for j in range(m + 1)] for l in range(m + 1)])
+        got = Matrix(self.ring, [[RatFunc.from_poly(cols[j][l]) for j in range(m + 1)] for l in range(m + 1)])
         self._cache[key] = got
         return got
 
@@ -141,9 +142,9 @@ class ScalarBlock:
         return [self.c * x for x in vec]
 
 
-def _form_mul(ring, form, lin):
+def _form_mul(zero, form, lin):
     """Multiply a binary form (Y-degree coefficients) by a linear form."""
-    out = [ring.zero] * (len(form) + 1)
+    out = [zero] * (len(form) + 1)
     a, b = lin  # a X + b Y
     for i, c in enumerate(form):
         if c:

@@ -2,7 +2,7 @@
 tree code needs.  A matrix over A_n is one over A whose entries are read
 modulo t^n (see :func:`groups.lift_sl2`)."""
 
-from .rings import Poly, RatFunc, int_add, int_mul, int_neg, packed
+from .rings import Poly, int_add, int_mul, int_neg, packed
 
 
 class Mat2:
@@ -56,17 +56,6 @@ class Mat2:
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
-
-    def to_k(self):
-        """Promote Poly entries to RatFunc entries."""
-        if isinstance(self.a, RatFunc):
-            return self
-        return Mat2(
-            RatFunc.from_poly(self.a),
-            RatFunc.from_poly(self.b),
-            RatFunc.from_poly(self.c),
-            RatFunc.from_poly(self.d),
-        )
 
     def __eq__(self, other):
         return (

@@ -9,11 +9,12 @@ v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
 The quotient graph is grown in group coordinates.  SL_2(A) acts with the
 ray v_0, v_1, ... as quotient, so each orbit keeps a w0 in SL_2(A), and
 its representative w0(e_i) or w0(v_j) is formed only when read.  The
-q + 1 edges into w(v_j) are sign * (w sigma)(e_i) for a fixed star table:
--e_j (sigma = 1), u(x t^j)(e_(j-1)) for j >= 1 and u(x) J (-e_0) at j = 0,
-x in F_q.  Each is keyed from the bottom row of w sigma mod t^n, read off
-w's row with no product over A; w0 = w sigma is formed over A only for a
-new orbit, whose full row must give the same key.
+q + 1 edges into w(v_j) are sign * (w sigma)(e_i) for the star steps
+sigma of digit x in F_q: -e_j (sigma = 1), u(x t^j)(e_(j-1)) for j >= 1
+and u(x) J (-e_0) at j = 0.  A step is a column operation on packed rows
+(_star_step), so each edge is keyed from the bottom row of w sigma mod
+t^n, read off w's row, and w0 = w sigma is formed by stepping both rows
+of w only for a new orbit, whose full row must give the same key.
 
 A literal edge or vertex (classify, verify's checks) is acted on over A,
 never over K: the lattice matrix is scaled by t^L to the integral
@@ -50,19 +51,20 @@ entry is read (V_2 reads none).  SL_2 preserves the parity of r, so an
 orbit never contains an edge and its reversal, and orientation is carried
 as an explicit sign.
 
-The classes of Sbar_i fixing a bottom row are translations (1, t^s b'; 0, 1)
-in closed form, and so is their number; they give the edge stabilizers,
-the vertex stabilizers off v_0, and Gamma_1(t)-stability (the same test at
-level 1).  At v_0 they are the q - 1 transvections along the constant
-coefficient row, or none, so no class of any stabilizer is enumerated.
+The Gamma_1(t^n)-stabilizer of w(e_i), and of w(v_i) for i >= 1, is
+w {u(b) : t^s | b, deg b <= i} w^-1 with s = n - min(v_t(c), n) for c the
+lower-left entry of w: one exponent range gives its order q^(i - s + 1),
+its F_p-generators, Gamma_1(t)-stability (i = 0 and c(0) != 0) and the
+cusp end w(infinity).  At v_0 it is trivial, or 1 and the q - 1
+transvections along the constant coefficient row, so no stabilizer
+element is enumerated.
 """
 
 import copy
-from itertools import islice
 
 from .errors import ResourceBoundError
 from .mat2 import Deferred, Mat2, RowOps
-from .rings import NEG_INF, Poly, graded_polys, int_add, int_divmod, int_mul, int_neg, packed, poly_gcd
+from .rings import NEG_INF, Poly, int_add, int_divmod, int_mul, int_neg, packed
 
 POS_SIGN = 1
 NEG_SIGN = -1
@@ -236,13 +238,22 @@ def _deg(x):
 
 
 def _star_step(fq, c, d, j, x):
-    """The packed row (c, d) sigma for the star step sigma into v_j of digit x, the identity for x None
-    (TreeContext._star_rows)."""
+    """The packed row (c, d) sigma for the star step sigma into v_j of digit x, the identity for x None.
+
+    sigma is u(x t^j) for j >= 1 and u(x) J at j = 0 (TreeContext.star).
+    """
     if x is None:
         return c, d
     if j:
         return c, int_add(fq, d, int_mul(fq, x, c << 8 * j))
     return int_add(fq, int_mul(fq, x, c), d), int_neg(fq, c)
+
+
+def _star_matrix(w, j, x):
+    """w sigma for the star step (j, x), each row of w stepped by _star_step."""
+    fq = w.a.fq
+    rows = (*_star_step(fq, w.a.x, w.b.x, j, x), *_star_step(fq, w.c.x, w.d.x, j, x))
+    return Mat2(*(packed(fq, y) for y in rows))
 
 
 def _euclid(g, i, deg_det, fq):
@@ -348,30 +359,6 @@ def reduce_edge(e, fq):
     return gamma, i, sign * image_sign
 
 
-def parabolic_fixed_end(delta):
-    """Fixed point on P^1(K) of a nontrivial element with trace 2.
-
-    Solves ker(delta - 1) for a column eigenvector (x : y); returned
-    normalized as a coprime pair with monic y (or ("infinity")).
-    """
-    fq = delta.a.fq
-    one = Poly.one(fq)
-    bm = delta.b
-    am1 = delta.a - one
-    if not bm.is_zero() or not am1.is_zero():
-        x, y = -bm, am1
-    else:
-        x, y = one - delta.d, delta.c
-    if x.is_zero() and y.is_zero():
-        raise ValueError("identity element has no unique fixed end")
-    if y.is_zero():
-        return "infinity"
-    g = poly_gcd(x, y)
-    x, y = x.divexact(g), y.divexact(g)
-    lead = fq.inv(y.leading())
-    return (x.scale(lead), y.scale(lead))
-
-
 class EdgeOrbit:
     """One Gamma_1(t^n)-orbit of oriented edges (up to sign), represented by w0(e_i).
 
@@ -453,7 +440,6 @@ class TreeContext:
         self.n = ctx.n
         self._classify_cache = {}
         self._nf_cache = {}
-        self._sigma_cache = {}
         self._mask = (1 << 8 * self.n) - 1
 
     # -- keys ----------------------------------------------------------------
@@ -512,34 +498,23 @@ class TreeContext:
         return (0, min(self._normal_form(rc, rd, 0)[0] for rc, rd in rows))
 
     def star(self, w, j):
-        """[(key, i, sign, sigma, nf)] for the q + 1 edges into w(v_j), in Vertex.neighbors order.
+        """[(key, i, sign, x, nf)] for the q + 1 edges into w(v_j), in Vertex.neighbors order.
 
-        Each edge is sign * (w sigma)(e_i), and nf is the normal form of the
-        bottom row of w sigma mod t^n, read off w's row by _star_rows.
+        Each edge is sign * (w sigma)(e_i) for the star step sigma into v_j
+        of digit x (_star_step): the parent edge is -e_j (x None), and the
+        child of digit x is u(x t^j)(e_(j-1)) for j >= 1 and u(x) J (-e_0)
+        at j = 0.  nf is the normal form of the bottom row of w sigma mod
+        t^n, read off w's row by _star_rows.
         """
         out = []
-        for (sigma, i, sign), row in zip(self._star_sigmas(j), self._star_rows(*self._row(w), j)):
+        for x, row in zip((None, *self.fq.elements()), self._star_rows(*self._row(w), j)):
+            i, sign = (j, NEG_SIGN) if x is None else (j - 1, POS_SIGN) if j else (0, NEG_SIGN)
             nf = self._normal_form(*row, i)
-            out.append(((i, nf[0]), i, sign, sigma, nf))
+            out.append(((i, nf[0]), i, sign, x, nf))
         return out
 
-    def _star_sigmas(self, j):
-        """(sigma, i, sign) for the edges sign * sigma(e_i) into v_j, in Vertex.neighbors order.
-
-        The parent edge is -e_j.  For j >= 1 the child of digit x is
-        u(x t^j)(v_(j-1)), and u(x t^j) fixes v_j, so its edge is
-        u(x t^j)(e_(j-1)); at j = 0 it is u(x) J (v_1), with edge u(x) J (-e_0).
-        """
-        got = self._sigma_cache.get(j)
-        if got is None:
-            fq = self.fq
-            u = [Mat2.translation(Poly.constant(fq, x).shift(j)) for x in fq.elements()]
-            children = [(s, j - 1, POS_SIGN) for s in u] if j else [(s * Mat2.j_matrix(fq), 0, NEG_SIGN) for s in u]
-            got = self._sigma_cache[j] = [(Mat2.identity_poly(fq), j, NEG_SIGN)] + children
-        return got
-
     def _star_rows(self, c, d, j):
-        """The bottom rows mod t^n of w sigma over _star_sigmas(j), from w's row (c, d) with no product over A.
+        """The bottom rows mod t^n of w sigma over the star steps into v_j, from w's row (c, d).
 
         They are (c, d) for the parent edge, and for the child of digit x,
         (c, d + x t^j c) when j >= 1 and (x c + d, -c) at j = 0.
@@ -616,103 +591,93 @@ class TreeContext:
         return orbit
 
     def edge_stabilizer(self, orbit):
-        """Fill in the normal form and the Gamma_1(t^n)-stabilizer data of the representative."""
+        """Fill in the normal form and the Gamma_1(t^n)-stabilizer data of the representative.
+
+        The stabilizer has order q^max(i - s + 1, 0) (_stab_order).  Gamma_1(t)-
+        stability is a trivial stabilizer at level 1: i = 0, and s = 1 there,
+        that is c(0) != 0.
+        """
         w0, i = orbit.w0, orbit.i
         orbit.nf = self._normal_form(*self._row(w0), i)
-        orbit.stab_order = self._stab_order(self._stab_count(w0.c, i, self.n), i)
-        # Gamma_1(t)-stability is the same test at level 1 against the
-        # constant apartment stabilizer S_0 (only i = 0 reductions can be stable)
-        orbit.stable = i == 0 and not self._stab_count(w0.c, 0, 1)
+        orbit.stab_order = self._stab_order(w0, i)
+        orbit.stable = i == 0 and w0.c.constant_coeff() != 0
 
     def edge_stab_generators(self, orbit):
-        """Exact stabilizer elements in Gamma_1(t^n) (class lifts + kernel), deferred."""
-        lifts = self._stab_lifts(orbit.w0.c, orbit.i, self.n) + self._kernel_lifts(orbit.i)
-        return _conjugates(orbit.w0, lifts, orbit.w0_inv)
+        """F_p-generators of the Gamma_1(t^n)-stabilizer of the representative w0(e_i).
 
-    def vertex_stab_elements(self, w, j):
-        """Nontrivial Gamma_1(t^n)-stabilizer elements of the vertex w(v_j).
-
-        Returns (class_elements, kernel_elements), deferred: the kernel part
-        is the unipotent family w u(t^(n+deg)) w^{-1}, always in the stabilizer.
+        They are w0 u(lam t^m) w0^-1 = 1 + lam t^m (a, c)^T (-c, a) for
+        (a, c) w0's first column, m from s to i (_shift) and lam over the
+        codes 1, p, ..., p^(e-1), an F_p-basis of F_q.
         """
-        w_inv = w.inverse_unimodular()
-        lifts = self._passing_lifts(w) if j == 0 else self._stab_lifts(w.c, j, self.n)
-        return _conjugates(w, lifts, w_inv), _conjugates(w, self._kernel_lifts(j), w_inv)
+        fq, w0 = self.fq, orbit.w0
+        one, ac, aa, cc = Poly.one(fq), w0.a * w0.c, w0.a * w0.a, -(w0.c * w0.c)
+        out = []
+        for m in range(self._shift(w0), orbit.i + 1):
+            for lam in (fq.p**k for k in range(fq.e)):
+                bac = ac.scale(lam).shift(m)
+                out.append(Mat2(one - bac, aa.scale(lam).shift(m), cc.scale(lam).shift(m), one + bac))
+        return out
 
     def vertex_stabilizer(self, vorbit):
-        """Set the stabilizer order of the representative; no element is formed."""
-        w, j = vorbit.w0, vorbit.j
-        classes = self._stab_count(w.c, j, self.n) if j else (self.fq.q - 1 if self._v0_line(w) else 0)
-        vorbit.stab_order = self._stab_order(classes, j)
+        """Set the stabilizer order of the representative w(v_j); no element is formed.
 
-    def _stab_shape(self, c, i, level):
-        """(shift, free): the classes of Sbar_i mod t^level fixing a bottom row (c, d) are (1, t^shift b'; 0, 1), deg b' < free.
-
-        (c, d) (a, b; 0, a^-1) = (c, d) forces a = 1 (from a c = c if
-        v = v_t(c) < level, else from a^-1 d = d with d a unit) and
-        t^(level - v) | b, reading v = level when c = 0 mod t^level; so
-        shift = level - v, b' != 0 and deg b' <= min(i, level - 1) - shift.
+        Off v_0 it is that of w(e_j).  At v_0, whose stabilizer in SL_2(A)
+        is SL_2(F_q), it is q when w's row is on a line (_v0_line), else 1.
         """
-        shift = level - min(c.vt(), level)
-        return shift, min(i, level - 1) - shift + 1
+        w, j = vorbit.w0, vorbit.j
+        vorbit.stab_order = self._stab_order(w, j) if j else (self.fq.q if self._v0_line(w) else 1)
 
-    def _stab_count(self, c, i, level):
-        """The number of those classes: q^free - 1, or 0 when free <= 0."""
-        return self.fq.q ** max(self._stab_shape(c, i, level)[1], 0) - 1
+    def cusp_end(self, w, j):
+        """The end fixed by the Gamma_1(t^n)-stabilizer of w(v_j), or None when it is trivial.
 
-    def _stab_lifts(self, c, i, level):
-        """Lifts of those classes, in graded_polys order: the order of the b when
-        Stab(SL_2(A), e_i) is enumerated as (a, b; 0, a^-1), b over graded_polys."""
-        shift, free = self._stab_shape(c, i, level)
-        return [Mat2.translation(b.shift(shift)) for b in islice(graded_polys(self.fq, free), 1, None)]
+        For j >= max(s, 1) each w u(b) w^-1 fixes w(infinity) = (a : c).
+        At v_0 the transvections of _v0_line fix w (d_0, -c_0)^T.  The
+        column is primitive, and is returned as (x, y) with y monic, or
+        "infinity" when y = 0.
+        """
+        if j:
+            if j < self._shift(w):
+                return None
+            x, y = w.a, w.c
+        else:
+            line = self._v0_line(w)
+            if line is None:
+                return None
+            c0, d0 = line
+            x, y = w.a.scale(d0) - w.b.scale(c0), w.c.scale(d0) - w.d.scale(c0)
+        if y.is_zero():
+            return "infinity"
+        lead = self.fq.inv(y.leading())
+        return x.scale(lead), y.scale(lead)
+
+    def _shift(self, w):
+        """s = n - min(v_t(c), n) for w's lower-left c.
+
+        (c, d) (a, b; 0, a^-1) = (c, d) mod t^n forces a = 1 (from a c = c
+        if v_t(c) < n, else from a^-1 d = d with d a unit) and t^s | b, so
+        the Gamma_1(t^n)-stabilizer of w(e_i), and of w(v_i) for i >= 1, is
+        w {u(b) : t^s | b, deg b <= i} w^-1 (Serre, Trees, II.1.6).
+        """
+        return self.n - min(w.c.vt(), self.n)
+
+    def _stab_order(self, w, i):
+        """q^max(i - s + 1, 0), the order of the Gamma_1(t^n)-stabilizer of w(e_i)."""
+        return self.fq.q ** max(i - self._shift(w) + 1, 0)
 
     def _v0_line(self, w):
-        """(c_0, d_0) if every coefficient row (c_k, d_k) of w's row mod t^n is on its line, else None."""
+        """(c_0, d_0) if every coefficient row (c_k, d_k) of w's row mod t^n is on its line, else None.
+
+        A sigma in SL_2(F_q) fixes (c, d) exactly when it fixes every
+        coefficient row.  The row is unimodular, so (c_0, d_0) != 0, and the
+        sigma != 1 fixing it are the q - 1 transvections
+        1 + lam (d_0, -c_0)^T (c_0, d_0), lam != 0, which fix no row off
+        the line of (c_0, d_0).
+        """
         mul = self.fq._mul
         c, d = (x.to_bytes(self.n, "little") for x in self._row(w))
         if any(mul[ck][d[0]] != mul[dk][c[0]] for ck, dk in zip(c, d)):
             return None
         return c[0], d[0]
-
-    def _passing_lifts(self, w):
-        """Lifts of the nontrivial classes of SL_2(F_q) fixing w's bottom row (c, d) mod t^n.
-
-        sigma is constant, so it fixes (c, d) exactly when it fixes every
-        coefficient row (c_k, d_k), k < n.  The row is unimodular, so
-        (c_0, d_0) != 0, and the sigma != 1 fixing it are the q - 1
-        transvections 1 + lam (d_0, -c_0)^T (c_0, d_0), lam != 0, which fix
-        no row off the line of (c_0, d_0) (_v0_line).  They come sorted by
-        the codes of (a, b, c, d), the order of a scan of SL_2(F_q).
-        """
-        line = self._v0_line(w)
-        if line is None:
-            return []
-        fq = self.fq
-        mul, add, neg = fq._mul, fq._add, fq._neg
-        c0, d0 = line
-        cd, dd, cc = mul[c0][d0], mul[d0][d0], mul[c0][c0]
-        classes = sorted(
-            (add[1][mul[lam][cd]], mul[lam][dd], neg[mul[lam][cc]], add[1][neg[mul[lam][cd]]])
-            for lam in fq.nonzero()
-        )
-        return [Mat2(*(Poly.constant(fq, x) for x in m)) for m in classes]
-
-    def _stab_order(self, classes, i):
-        """|Stab| from the number of passing nontrivial classes and the kernel of reduction."""
-        return (classes + 1) * self.fq.q ** max(i - self.n + 1, 0)
-
-    def _kernel_lifts(self, i):
-        """u(t^(n+deg)) for deg <= i - n: they lie in S_i and are trivial mod t^n."""
-        return [Mat2.translation(Poly.t_power(self.fq, self.n + deg)) for deg in range(i - self.n + 1)]
-
-
-def _conjugate(w, sigma, w_inv):
-    return w * sigma * w_inv
-
-
-def _conjugates(w, sigmas, w_inv):
-    """w sigma w^-1 for each sigma, each multiplied out when an entry is first read."""
-    return [Deferred(_conjugate, w, sigma, w_inv) for sigma in sigmas]
 
 
 def _strip(coeffs):
@@ -803,20 +768,21 @@ class QuotientGraph:
 
         Each endpoint's star is read from its vertex orbit's representative
         w (the star of any vertex of the orbit meets the same edge orbits),
-        and a new edge orbit takes w0 = w sigma, formed over A, and w's
-        orbit as parent.  The vertices of the last shell are registered too,
-        and that shell is kept as ``self.frontier`` for :meth:`extended`.
+        and a new edge orbit takes w0 = w sigma, both rows of w stepped on
+        packed ints (_star_matrix), and w's orbit as parent.  The vertices
+        of the last shell are registered too, and that shell is kept as
+        ``self.frontier`` for :meth:`extended`.
         """
-        digits = (None, *self.ctx.fq.elements())  # the star steps' x, in star order
         while frontier and depth < self.depth:
             depth += 1
             next_frontier = []
             for orbit in frontier:
                 for j in (orbit.i, orbit.i + 1):
                     vorbit = self._register_vertex(orbit, j, depth - 1)
-                    for x, (key, i, _, sigma, _) in zip(digits, vorbit.star):
+                    for key, i, _, x, _ in vorbit.star:
                         if key not in self.edge_orbits:
-                            next_frontier.append(self._new_edge(key, i, vorbit.w0 * sigma, depth, vorbit.edge, (j, x)))
+                            w0 = _star_matrix(vorbit.w0, j, x)
+                            next_frontier.append(self._new_edge(key, i, w0, depth, vorbit.edge, (j, x)))
             frontier = next_frontier
         for orbit in frontier:
             for j in (orbit.i, orbit.i + 1):
@@ -866,11 +832,11 @@ class QuotientGraph:
         """classify of each of the q + 1 edges into vorbit.rep, in TreeContext.star order.
 
         The keys are read off the representative's row, and each witness
-        is deferred with the product w0 sigma it reads.
+        is deferred with the star step w0 sigma it reads (_star_matrix).
         """
         return [
-            self._lookup(key, i, sign, Deferred(Mat2.__mul__, vorbit.w0, sigma), nf)
-            for key, i, sign, sigma, nf in vorbit.star
+            self._lookup(key, i, sign, Deferred(_star_matrix, vorbit.w0, vorbit.j, x), nf)
+            for key, i, sign, x, nf in vorbit.star
         ]
 
     def interior_vertex_orbits(self):
@@ -972,14 +938,13 @@ def classify_edge(ctx, e, graph=None):
         delta = Deferred(tree.edge_witness, w, nf, orbit)
     if orbit.stable:
         return EdgeClass(True, orbit.label, orbit.i, sign, delta, None)
-    # cusp end: the fixed end of a nontrivial parabolic stabilizing one of
-    # the input edge's own vertices (origin preferred)
+    # cusp end: the end fixed by the stabilizer of one of the input edge's
+    # own vertices (origin preferred)
     end = None
     for v in (e.origin, e.terminus):
         _, j, w = tree.reduce_vertex(v)
-        passing, kernel = tree.vertex_stab_elements(w, j)
-        if passing or kernel:
-            end = parabolic_fixed_end((passing or kernel)[0])
+        end = tree.cusp_end(w, j)
+        if end is not None:
             break
     return EdgeClass(False, None, orbit.i, sign, delta, end)
 

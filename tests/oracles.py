@@ -5,12 +5,21 @@ None of this is used by ``drinfeldforms`` itself:
 * fraction-free Bareiss elimination over an integral domain, the oracle for
   the sparse Gauss-Jordan kernel (:func:`bareiss_rank`,
   :func:`bareiss_kernel`);
-* the inverse over K of a 2x2 matrix (:func:`inverse_k`), the oracle for
-  the adjugate-based actions and the coset test over A;
+* the inverse over K of a 2x2 matrix (:func:`inverse_k`), with the moves
+  between A and K (:func:`to_k`, :func:`to_a`), the oracle for the
+  adjugate-based actions and the coset test over A;
 * the enumerated apartment stabilizer (:class:`ApartmentStabilizer`) and
   the enumerated SL_2(F_q) (:func:`sl2fq_classes`), with the reduction of
   a matrix mod t^n (:func:`mod_tn`), the oracles for the tree layer's
   closed-form stabilizer classes;
+* the classes of the stabilizers as lists of lifts (:func:`stab_lifts`,
+  :func:`kernel_lifts`, :func:`passing_lifts`), their conjugates
+  (:func:`vertex_stab_elements`) and the fixed end of the first one
+  (:func:`parabolic_fixed_end`, :func:`cusp_end_oracle`), the oracles for
+  the one exponent range of ``TreeContext`` (its orders, generators and
+  cusp ends);
+* the star of v_j as a table of matrices (:func:`star_sigma`), the oracle
+  for the star steps on packed rows that grow the quotient graph;
 * Euclid's walk on the exact fraction num/den of a vertex's tail
   (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
   the tree layer's Euclid on matrices over A;
@@ -55,7 +64,7 @@ from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
-from drinfeldforms.tree import _packed_product, _reduce_image, apply_edge, apply_vertex
+from drinfeldforms.tree import NEG_SIGN, POS_SIGN, _packed_product, _reduce_image, apply_edge, apply_vertex
 
 
 def _is_zero(x):
@@ -194,6 +203,21 @@ def inverse_k(m):
     return Mat2(adj.a * inv, adj.b * inv, adj.c * inv, adj.d * inv)
 
 
+def to_k(m):
+    """A Mat2 over A as one over K."""
+    return Mat2(*(RatFunc.from_poly(x) for x in m.entries()))
+
+
+def to_a(mk):
+    """A Mat2 over K as one over A, or None if an entry is not integral."""
+    entries = []
+    for x in mk.entries():
+        if not x.is_zero() and not x.is_poly():
+            return None
+        entries.append(x.num if x.den.is_one() else Poly.zero(x.fq))
+    return Mat2(*entries)
+
+
 class ApartmentStabilizer:
     """Stab(SL_2(A), e_i) = {(a, b; 0, a^{-1}) : a in F_q^x, deg b <= i}.
 
@@ -247,6 +271,107 @@ def sl2fq_classes(fq, n):
     if got is None:
         got = _SL2FQ[(fq.q, n)] = [(mod_tn(m, n), m) for m in vertex_zero_stabilizer(fq)]
     return got
+
+
+def star_sigma(fq, j, x):
+    """(sigma, i, sign) for the edge sign * sigma(e_i) into v_j of digit x (None: the parent edge).
+
+    The parent edge is -e_j.  For j >= 1 the child of digit x is
+    u(x t^j)(v_(j-1)), and u(x t^j) fixes v_j, so its edge is
+    u(x t^j)(e_(j-1)); at j = 0 it is u(x) J (v_1), with edge u(x) J (-e_0).
+    """
+    if x is None:
+        return Mat2.identity_poly(fq), j, NEG_SIGN
+    u = Mat2.translation(Poly.constant(fq, x).shift(j))
+    return (u, j - 1, POS_SIGN) if j else (u * Mat2.j_matrix(fq), 0, NEG_SIGN)
+
+
+def stab_lifts(fq, c, i, level):
+    """Lifts (1, t^shift b'; 0, 1), b' != 0 in graded_polys order, of the classes of
+    Sbar_i mod t^level fixing a bottom row (c, d).
+
+    (c, d) (a, b; 0, a^-1) = (c, d) forces a = 1 and t^(level - v) | b,
+    v = min(v_t(c), level), so shift = level - v and
+    deg b' <= min(i, level - 1) - shift.
+    """
+    shift = level - min(c.vt(), level)
+    free = min(i, level - 1) - shift + 1
+    return [Mat2.translation(b.shift(shift)) for b in list(graded_polys(fq, free))[1:]]
+
+
+def kernel_lifts(fq, n, i):
+    """u(t^(n+deg)) for deg <= i - n: they lie in S_i and are trivial mod t^n."""
+    return [Mat2.translation(Poly.t_power(fq, n + deg)) for deg in range(i - n + 1)]
+
+
+def passing_lifts(tree, w):
+    """Lifts of the nontrivial classes of SL_2(F_q) fixing w's bottom row (c, d) mod t^n.
+
+    sigma is constant, so it fixes (c, d) exactly when it fixes every
+    coefficient row (c_k, d_k), k < n.  Those sigma != 1 are the q - 1
+    transvections 1 + lam (d_0, -c_0)^T (c_0, d_0), lam != 0, when every
+    coefficient row is on the line of (c_0, d_0), and none otherwise.  They
+    come sorted by the codes of (a, b, c, d), the order of a scan of SL_2(F_q).
+    """
+    fq, n = tree.fq, tree.n
+    c, d = (x.truncate(n).coeffs for x in (w.c, w.d))
+    c, d = c + (0,) * (n - len(c)), d + (0,) * (n - len(d))
+    if any(fq.mul(ck, d[0]) != fq.mul(dk, c[0]) for ck, dk in zip(c, d)):
+        return []
+    c0, d0 = c[0], d[0]
+    cd, dd, cc = fq.mul(c0, d0), fq.mul(d0, d0), fq.mul(c0, c0)
+    classes = sorted(
+        (fq.add(1, fq.mul(lam, cd)), fq.mul(lam, dd), fq.neg(fq.mul(lam, cc)), fq.sub(1, fq.mul(lam, cd)))
+        for lam in fq.nonzero()
+    )
+    return [Mat2(*(Poly.constant(fq, x) for x in m)) for m in classes]
+
+
+def vertex_stab_elements(tree, w, j):
+    """Nontrivial Gamma_1(t^n)-stabilizer elements of the vertex w(v_j), multiplied out.
+
+    Returns (class_elements, kernel_elements): w sigma w^-1 for the lifts of
+    the classes fixing w's row, and for the unipotent kernel family
+    u(t^(n+deg)), always in the stabilizer.
+    """
+    w_inv = w.adjugate()
+    lifts = passing_lifts(tree, w) if j == 0 else stab_lifts(tree.fq, w.c, j, tree.n)
+    return [w * s * w_inv for s in lifts], [w * s * w_inv for s in kernel_lifts(tree.fq, tree.n, j)]
+
+
+def parabolic_fixed_end(delta):
+    """Fixed point on P^1(K) of a nontrivial element with trace 2.
+
+    Solves ker(delta - 1) for a column eigenvector (x : y); returned
+    normalized as a coprime pair with monic y (or ("infinity")).
+    """
+    fq = delta.a.fq
+    one = Poly.one(fq)
+    bm = delta.b
+    am1 = delta.a - one
+    if not bm.is_zero() or not am1.is_zero():
+        x, y = -bm, am1
+    else:
+        x, y = one - delta.d, delta.c
+    if x.is_zero() and y.is_zero():
+        raise ValueError("identity element has no unique fixed end")
+    if y.is_zero():
+        return "infinity"
+    g = poly_gcd(x, y)
+    x, y = x.divexact(g), y.divexact(g)
+    lead = fq.inv(y.leading())
+    return (x.scale(lead), y.scale(lead))
+
+
+def cusp_end_oracle(tree, e):
+    """The fixed end of the first nontrivial stabilizer element of e's origin, else of its
+    terminus, else None: the cusp end of an unstable edge in ``classify_edge``."""
+    for v in (e.origin, e.terminus):
+        _, j, w = tree.reduce_vertex(v)
+        passing, kernel = vertex_stab_elements(tree, w, j)
+        if passing or kernel:
+            return parabolic_fixed_end((passing or kernel)[0])
+    return None
 
 
 def tail_to_ratfunc(fq, tail):

@@ -15,7 +15,7 @@ from drinfeldforms.groups import (
 )
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly
-from oracles import inverse_k, mod_tn
+from oracles import inverse_k, mod_tn, to_a, to_k
 
 
 def test_membership_examples():
@@ -159,16 +159,6 @@ def test_diamond_congruence(q, n):
     assert rep["status"], rep["witness"]
 
 
-def _k_to_poly(mk):
-    """A Mat2 over K as one over A, or None if an entry is not integral."""
-    entries = []
-    for x in mk.entries():
-        if not x.is_zero() and not x.is_poly():
-            return None
-        entries.append(x.num if x.den.is_one() else Poly.zero(x.fq))
-    return Mat2(*entries)
-
-
 def is_gamma1_by_division(gamma, n):
     """gamma = (1 *; 0 1) mod t^n by three remainders mod t^n: the oracle
     for the byte mask of ``is_gamma1``."""
@@ -184,7 +174,7 @@ def is_gamma1_by_division(gamma, n):
 
 def in_gamma1_coset_over_k(lhs, rhs, n):
     """The coset test through K = F_q(t), kept as the oracle for the one over A."""
-    gamma = _k_to_poly(lhs.to_k() * inverse_k(rhs.to_k()))
+    gamma = to_a(to_k(lhs) * inverse_k(to_k(rhs)))
     return gamma is not None and is_gamma1_by_division(gamma, n)
 
 
@@ -247,7 +237,7 @@ def test_coset_test_over_a_matches_k_oracle(q, n):
             lhs = _rand_sl2(fq, rng) * dets[rng.randrange(len(dets))] * _rand_sl2(fq, rng)
         got = in_gamma1_coset(lhs, rhs, n)
         assert got == in_gamma1_coset_over_k(lhs, rhs, n)
-        integral = _k_to_poly(lhs.to_k() * inverse_k(rhs.to_k())) is not None
+        integral = to_a(to_k(lhs) * inverse_k(to_k(rhs))) is not None
         seen.add((got, integral))
     # members, integral non-members and non-integral quotients all occur
     assert seen == {(True, True), (False, True), (False, False)}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,20 +22,26 @@ from drinfeldforms.tree import (
     apply_vertex,
     _reduce_image,
     classify_edge,
-    parabolic_fixed_end,
     reduce_edge,
     reduce_vertex,
 )
 from oracles import (
     ApartmentStabilizer,
     classify_image_oracle,
+    cusp_end_oracle,
+    kernel_lifts,
     laurent_tail,
     mod_tn,
+    passing_lifts,
     reduce_edge_oracle,
     reduce_vertex_oracle,
     sl2fq_classes,
+    stab_lifts,
+    star_sigma,
     tail_to_ratfunc,
+    to_k,
     v_inf,
+    vertex_stab_elements,
     vertex_zero_stabilizer,
 )
 
@@ -105,7 +112,7 @@ def apply_vertex_over_k(g, v, fq):
         pir = RatFunc(Poly.one(fq), Poly.t_power(fq, r), reduce=False)
     else:
         pir = RatFunc.from_poly(Poly.t_power(fq, -r))
-    m = g.to_k() * Mat2(pir, tail_to_ratfunc(fq, v.tail), RatFunc.zero(fq), RatFunc.one(fq))
+    m = to_k(g) * Mat2(pir, tail_to_ratfunc(fq, v.tail), RatFunc.zero(fq), RatFunc.one(fq))
     det = m.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
@@ -251,7 +258,9 @@ def test_graph_reductions_match_the_tail_fraction_oracle(q, n):
         w, j = vorbit.w0, vorbit.j
         v = apply_vertex(w, Vertex.standard(j), fq)
         edges = []
-        for key, i, sign, sigma, _ in vorbit.star:
+        for key, i, sign, x, _ in vorbit.star:
+            sigma, i_table, sign_table = star_sigma(fq, j, x)
+            assert (i, sign) == (i_table, sign_table)
             e = apply_edge(w * sigma, Edge.standard(i), fq)
             e = e if sign == 1 else e.reverse()
             assert oracle_edge_key(tree, e) == (key, i, sign)
@@ -339,13 +348,40 @@ def test_apartment_stabilizer_orders_and_fixing():
         assert apply_vertex(m, Vertex.standard(0), fq) == Vertex.standard(0)
 
 
-def test_parabolic_fixed_end():
-    fq = field(2)
-    one, zero, t = Poly.one(fq), Poly.zero(fq), Poly.t(fq)
-    assert parabolic_fixed_end(Mat2(one, t, zero, one)) == "infinity"
-    low = Mat2(one, zero, t, one)
-    end = parabolic_fixed_end(low)
-    assert end != "infinity" and end[0].is_zero()  # fixes 0
+# (q, n) of the cusp-end test, with depth-0 graphs of at most 625 seeds
+CUSP_GRID = [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3) if q**n <= 125]
+
+
+def test_cusp_ends_match_the_fixed_end_of_a_stabilizer_element():
+    # the closed-form end (w(infinity) for j >= s, w (d_0, -c_0)^T on the
+    # line at j = 0) against the fixed end of the first enumerated
+    # stabilizer element, on random unstable literal edges
+    branches, ends, total = Counter(), set(), 0
+    for q, n in CUSP_GRID:
+        ctx = group_context(q, n)
+        fq = ctx.fq
+        graph = QuotientGraph(ctx, depth=0)
+        tree = graph.tree
+        rng = random.Random(q * 31 + n)
+        unstable = 0
+        while unstable < 80:
+            g = rand_gamma1(fq, n, rng) * rand_word(fq, rng, steps=rng.randrange(1, 8))
+            e = apply_edge(g, Edge.standard(rng.randrange(4)), fq)
+            cls = classify_edge(ctx, e, graph)
+            if cls.stable:
+                continue
+            unstable += 1
+            assert cls.cusp_end == cusp_end_oracle(tree, e)
+            ends.add(cls.cusp_end == "infinity" if cls.cusp_end else None)
+            for v in (e.origin, e.terminus):
+                _, j, w = tree.reduce_vertex(v)
+                if tree.cusp_end(w, j) is not None:
+                    branches["j >= s" if j else "line at j = 0"] += 1
+                    break
+        total += unstable
+    assert total >= 1000
+    assert branches["j >= s"] and branches["line at j = 0"]
+    assert ends == {None, True, False}
 
 
 @pytest.mark.parametrize("q,n,count", [(2, 1, 1), (2, 2, 4), (2, 3, 16), (3, 1, 1), (3, 2, 9)])
@@ -389,7 +425,7 @@ def test_vertex_orbit_stabilizer_orders():
     vorbit = graph.vertex_orbits[key]
     assert vorbit.j == 1
     assert vorbit.stab_order == 4
-    passing, kernel = graph.tree.vertex_stab_elements(vorbit.w0, vorbit.j)
+    passing, kernel = vertex_stab_elements(graph.tree, vorbit.w0, vorbit.j)
     gens = passing + kernel
     assert all(is_gamma1(g, ctx.n) and apply_vertex(g, vorbit.rep, ctx.fq) == vorbit.rep for g in gens)
     assert any(
@@ -450,7 +486,7 @@ def test_extended_graph_equals_a_fresh_build(q, n):
     assert graph.to_json_dict() == before
     # the count-only stabilizer order against the enumerated elements
     for vorbit in grown.vertex_orbits.values():
-        passing, kernel = grown.tree.vertex_stab_elements(vorbit.w0, vorbit.j)
+        passing, kernel = vertex_stab_elements(grown.tree, vorbit.w0, vorbit.j)
         assert vorbit.stab_order == (len(passing) + 1) * q ** len(kernel)
 
 
@@ -526,7 +562,7 @@ def test_every_non_seed_orbit_is_one_star_step_from_its_parent(q, n):
         parent, (j, x) = orbit.parent, orbit.sigma
         assert table.edge_orbits[parent.key] is parent and parent.depth < orbit.depth
         assert j in (parent.i, parent.i + 1)
-        sigma, i, _ = table.tree._star_sigmas(j)[0 if x is None else x + 1]
+        sigma, i, _ = star_sigma(ctx.fq, j, x)
         assert i == orbit.i and orbit.w0 == parent.w0 * sigma
     assert {o.depth for o in table.edge_orbits.values()} == set(range(graph.depth + 2))
     keys = list(table.edge_orbits)
@@ -539,16 +575,27 @@ def test_every_non_seed_orbit_is_one_star_step_from_its_parent(q, n):
 
 def test_a_graph_build_forms_no_literal_edge_or_vertex(monkeypatch):
     # seeds, shells, extended() and the interior listings run in group
-    # coordinates: no tree action, no literal reduction and no Euclid walk
+    # coordinates: no tree action, no literal reduction and no Euclid walk;
+    # the one Mat2 product is each seed's h J, as a new orbit's w0 is its
+    # parent's w0 stepped row by row
     def forbidden(*args):
         raise AssertionError("a graph build acted on or reduced a literal edge or vertex")
 
     for name in ("apply_edge", "apply_vertex", "reduce_edge", "reduce_vertex", "_euclid"):
         monkeypatch.setattr(tree_module, name, forbidden)
+    products, mul = [], Mat2.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
     for q, n in [(2, 2), (3, 2), (4, 1), (2, 3), (9, 1)]:
+        products.clear()
         graph = QuotientGraph(group_context(q, n), depth_default(n, 2))
         assert graph.interior_vertex_orbits()
         assert graph.extended().interior_vertex_orbits()
+        assert len(products) == len(graph.seed_keys)
 
 
 class _Unread:
@@ -573,22 +620,63 @@ GOLDEN_GRAPHS = [(2, 2, 5), (3, 2, 5), (4, 1, 5), (5, 2, 4), (3, 3, 3), (2, 4, 6
 
 @pytest.mark.parametrize("q,n,depth", GOLDEN_GRAPHS)
 def test_stabilizer_counts_match_the_lists(q, n, depth):
-    # the closed-form class counts against the lists of lifts that the
-    # stabilizer rows and the cusp ends read
+    # the closed-form orders and stability against the enumerated lists
+    # of class lifts and kernel lifts; one F_p-generator per factor p of
+    # the order
     graph = QuotientGraph(group_context(q, n), depth)
-    tree = graph.tree
+    tree, fq = graph.tree, graph.ctx.fq
     for orbit in graph.edge_orbits.values():
         c, i = orbit.w0.c, orbit.i
-        lifts = tree._stab_lifts(c, i, n)
-        assert tree._stab_count(c, i, n) == len(lifts)
-        assert orbit.stab_order == (len(lifts) + 1) * q ** len(tree._kernel_lifts(i))
-        assert len(tree.edge_stab_generators(orbit)) == len(lifts) + len(tree._kernel_lifts(i))
-        assert tree._stab_count(c, 0, 1) == len(tree._stab_lifts(c, 0, 1))
-        assert orbit.stable == (i == 0 and not tree._stab_lifts(c, 0, 1))
+        lifts = stab_lifts(fq, c, i, n)
+        assert orbit.stab_order == (len(lifts) + 1) * q ** len(kernel_lifts(fq, n, i))
+        assert fq.p ** len(tree.edge_stab_generators(orbit)) == orbit.stab_order
+        assert orbit.stable == (i == 0 and not stab_lifts(fq, c, 0, 1))
     for vorbit in graph.vertex_orbits.values():
-        passing, kernel = tree.vertex_stab_elements(vorbit.w0, vorbit.j)
+        passing, kernel = vertex_stab_elements(tree, vorbit.w0, vorbit.j)
         assert vorbit.stab_order == (len(passing) + 1) * q ** len(kernel)
     assert any(o.stab_order > 1 for o in graph.edge_orbits.values())
+
+
+def fp_rank(fq, polys):
+    """The F_p-rank of polynomials over F_q, each read as the base-p digits of its coefficient codes."""
+    p = fq.p
+    rows = [[code // p**k % p for code in b.coeffs for k in range(fq.e)] for b in polys]
+    width = max(map(len, rows), default=0)
+    rows = [row + [0] * (width - len(row)) for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 8, 9) for n in (1, 2)])
+def test_stabilizer_generators_span_the_stabilizer(q, n):
+    # each generator is delta = w0 u(b) w0^-1 in Gamma_1(t^n) with deg b <= i,
+    # so it fixes w0(e_i); the stabilizer is elementary abelian of order
+    # stab_order, and the b's span it exactly when their F_p-rank is
+    # log_p stab_order (over F_4, F_8 and F_9 the codes 1, p, ... are needed)
+    ctx = group_context(q, n)
+    graph = QuotientGraph(ctx, depth_default(n, 3))
+    nontrivial = 0
+    for orbit in graph.edge_orbits.values():
+        bs = []
+        for delta in graph.tree.edge_stab_generators(orbit):
+            assert is_gamma1(delta, n)
+            u = orbit.w0_inv * delta * orbit.w0
+            assert u.a.is_one() and u.c.is_zero() and u.d.is_one() and u.b.degree <= orbit.i
+            bs.append(u.b)
+        assert ctx.fq.p ** fp_rank(ctx.fq, bs) == orbit.stab_order
+        nontrivial += orbit.stab_order > 1
+    assert nontrivial
 
 
 def test_interior_is_listed_once_per_table():
@@ -638,7 +726,7 @@ def row_times(wbar, sb, n):
 def scan_oracle(tree, w, classes):
     """(least translate, passing lifts) of w's bottom row mod t^n over an
     enumerated class list: the least right translate the keys took, and the
-    nontrivial classes keeping the row (the old _passing_lifts), kept as
+    nontrivial classes keeping the row (as oracles.passing_lifts), kept as
     the oracle for the normal form and the closed-form stabilizer classes."""
     wbar = mod_tn(w, tree.n)
     own = (wbar.c.coeffs, wbar.d.coeffs)
@@ -708,11 +796,14 @@ def test_row_test_matches_the_full_conjugate(q, n):
     nonempty = 0
     for w in words:
         for i in range(n + 1):
-            got = tree._stab_lifts(w.c, i, n)
+            got = stab_lifts(ctx.fq, w.c, i, n)
             assert got == passing_lifts_oracle(tree, w, sbar_oracle(ctx.fq, i, n))
+            # the closed form counts the classes, with the kernel below n
+            assert len(got) + 1 == q ** max(min(i, n - 1) - tree._shift(w) + 1, 0)
             nonempty += bool(got)
-        got = tree._passing_lifts(w)
+        got = passing_lifts(tree, w)
         assert got == passing_lifts_oracle(tree, w, sl2fq_classes(ctx.fq, n))
+        assert bool(got) == (tree._v0_line(w) is not None)
         nonempty += bool(got)
     assert nonempty  # the comparison reaches passing classes
 
@@ -785,15 +876,17 @@ V0_GRAPH_GRID = [(q, n) for q, n in CLOSED_FORM_GRID if q ** (2 * (n - 1)) <= 72
 
 @pytest.mark.parametrize("q,n", V0_GRAPH_GRID)
 def test_v0_classes_match_the_scan_on_graphs(q, n):
-    # the closed form against the scan of all of SL_2(F_q), element by
-    # element and in order, on every j = 0 vertex orbit representative
+    # the transvections against the scan of all of SL_2(F_q), element by
+    # element and in order, and the closed-form order, on every j = 0
+    # vertex orbit representative
     graph = QuotientGraph(group_context(q, n), depth=0)
     classes = sl2fq_classes(graph.ctx.fq, n)
     nonempty = 0
-    reps = [vorbit.w0 for vorbit in graph.vertex_orbits.values() if vorbit.j == 0]
-    for w in reps:
-        got = graph.tree._passing_lifts(w)
-        assert got == passing_lifts_oracle(graph.tree, w, classes)
+    reps = [vorbit for vorbit in graph.vertex_orbits.values() if vorbit.j == 0]
+    for vorbit in reps:
+        got = passing_lifts(graph.tree, vorbit.w0)
+        assert got == passing_lifts_oracle(graph.tree, vorbit.w0, classes)
+        assert vorbit.stab_order == len(got) + 1
         nonempty += bool(got)
     # mod t every row is constant, so a row off the line of its constant
     # coefficient row occurs only from n = 2 on
@@ -813,9 +906,10 @@ def test_closed_forms_match_the_scans(q, n):
         zero_rows += w.c.truncate(n).is_zero()
         # keys: the normal form is the least translate, j = 0 included
         assert tree.vertex_key(*tree._row(w), 0) == (0, scan_oracle(tree, w, sl2fq)[0])
-        # the transvections at v_0, order included
-        v0_lifts = tree._passing_lifts(w)
+        # the transvections at v_0, order included, and the line test
+        v0_lifts = passing_lifts(tree, w)
         assert v0_lifts == passing_lifts_oracle(tree, w, sl2fq)
+        assert bool(v0_lifts) == (tree._v0_line(w) is not None)
         with_stabilizer += bool(v0_lifts)
         # i >= n - 1 all cap deg b at n - 1
         for i in range(n):
@@ -823,9 +917,10 @@ def test_closed_forms_match_the_scans(q, n):
             assert tree._normal_form(*tree._row(w), i)[0] == least
             if i:
                 assert tree.vertex_key(*tree._row(w), i) == (i, least)
-            # stabilizer classes, order included
-            lifts = tree._stab_lifts(w.c, i, n)
+            # stabilizer classes, order included, and their closed-form count
+            lifts = stab_lifts(fq, w.c, i, n)
             assert lifts == passing
+            assert len(lifts) + 1 == q ** max(i - tree._shift(w) + 1, 0)
             with_stabilizer += bool(lifts)
         # witness: an orbit from w, and an edge w' = gamma w sigma in it
         i = rng.randrange(n + 1)
