@@ -55,7 +55,7 @@ class VkAction:
     The solve and the assembly sum :meth:`signed_block` over the images
     meeting one column and read the sum through :meth:`summed`.  V_2 is
     trivial over F_q: a signed block is the sign itself, with no witness
-    or transport read, and a sum is the scalar block of the count mod p.
+    or transport read, and a sum is the 1x1 block of the count mod p.
     Above weight 2 the blocks are (k-1)x(k-1) Matrices over K = F_q(t).
     """
 
@@ -68,7 +68,7 @@ class VkAction:
         self._cache = {}
         self.trivial = self.dim == 1  # V_2, on which every stabilizer row vanishes
         self._trivial = Matrix.identity(self.ring, 1) if self.trivial else None
-        self._counts = [ScalarBlock(FqElem(fq, c)) for c in range(fq.p)] if self.trivial else None
+        self._counts = [Matrix(self.ring, [[FqElem(fq, c)]]) for c in range(fq.p)] if self.trivial else None
 
     @property
     def dim(self):
@@ -130,16 +130,6 @@ class VkAction:
     def summed(self, block):
         """The block a sum of signed blocks applies: on V_2 that of the count mod p."""
         return self._counts[block % self.fq.p] if self.trivial else block
-
-
-class ScalarBlock:
-    """c times the identity of V_2, the summed block of a signed count c."""
-
-    def __init__(self, c):
-        self.c, self.rows = c, ((c,),)
-
-    def apply(self, vec):
-        return [self.c * x for x in vec]
 
 
 def _form_mul(zero, form, lin):
@@ -338,58 +328,51 @@ class CocycleSpace:
 
 
 class Coordinates:
-    """Coordinates of value-dicts in the solved basis, with consistency.
+    """Coordinates of operator images in the solved basis, with consistency.
 
-    The basis is the unit basis on the stable rows, so the coordinate of
-    each cocycle is the value at its unit row.  Every (orbit, component)
-    row on orbits of depth at most ``safe_depth`` is then verified exactly.
-    Values and coordinates lie in the space's ring; a missing key is zero.
+    An image maps safe (orbit, component) rows to vectors of the space's
+    ring: at (key, s) coordinate j is (T c_j)(key)[s] for basis cocycle
+    c_j, and a missing row is zero.  ``basis_rows`` holds the same vector
+    for the basis itself, c_j(key)[s], at every row some cocycle is
+    nonzero at, and ``row_terms`` its nonzero (j, entry) pairs.  The basis
+    is the unit basis on the stable rows, so row i of T's matrix is the
+    image at cocycle i's unit row, and every row on orbits of depth at
+    most ``safe_depth`` is then verified exactly.
     """
 
     def __init__(self, space, safe_depth):
         self.space = space
-        graph = space.graph
-        comp = space.k - 1
-        stable_keys = space.stable_keys
-        stable = set(stable_keys)
-        other = [
-            key
-            for key in sorted(graph.edge_orbits)
-            if key not in stable and graph.edge_orbits[key].depth <= safe_depth
+        orbits = space.graph.edge_orbits
+        stable = set(space.stable_keys)
+        self.keys_needed = space.stable_keys + [
+            key for key in sorted(orbits) if key not in stable and orbits[key].depth <= safe_depth
         ]
-        self.keys_needed = stable_keys + other
-        # safe row (key, s) -> its position in safe-row order
-        rows = [(key, s) for key in self.keys_needed for s in range(comp)]
-        self.sparse_rows = {row: pos for pos, row in enumerate(rows)}
-        # cocycle j -> [((key, s), nonzero entry)], read off its support
-        self.columns = [
-            [((key, s), x) for key, v in c.items() for s, x in enumerate(v) if x] for c in space.basis
-        ]
+        self.safe_rows = [(key, s) for key in self.keys_needed for s in range(space.k - 1)]
+        # read off the supports
+        self.row_terms = {}
+        for j, c in enumerate(space.basis):
+            for key, v in c.items():
+                for s, x in enumerate(v):
+                    if x:
+                        self.row_terms.setdefault((key, s), []).append((j, x))
+        self.basis_rows = {row: space.ring.from_terms(t) for row, t in self.row_terms.items()}
 
-    def coords(self, values):
-        """Read coordinates off the unit rows and verify every safe row.
+    def coords(self, image):
+        """The columns of an operator from its image, every safe row verified.
 
-        basis x coordinates, summed over the supports of the cocycles with a
-        nonzero coordinate, must equal the values on every safe row either
-        side reaches; a safe row neither side reaches is zero on both.
+        Its rows are the image at the unit rows; at each safe row the image
+        must equal the basis row's combination of them.
         """
         ring = self.space.ring
-        zero = self.space.zero_vector()
-        x = [values.get(key, zero)[s] for key, s in self.space.unit_rows]
-        got = {}
-        for xj, column in zip(x, self.columns):
-            if xj:
-                for row, bij in column:
-                    got[row] = got.get(row, ring.zero) + bij * xj
-        reached = {(key, s) for key, v in values.items() for s, want in enumerate(v) if want}
-        bad = [
-            row for row in reached.union(got) & self.sparse_rows.keys()
-            if got.get(row, ring.zero) != values.get(row[0], zero)[row[1]]
-        ]
-        if bad:
-            key, s = min(bad, key=self.sparse_rows.__getitem__)
-            raise ReachError(
-                f"operator image is inconsistent with the basis at row {key}, "
-                "component %d: truncation depth too small" % s
-            )
-        return x
+        zero = ring.vector(())
+        rows = [image.get(row, zero) for row in self.space.unit_rows]
+        for row in self.safe_rows:
+            got = zero
+            for i, c in self.row_terms.get(row, ()):
+                got = ring.axpy(got, c, rows[i])
+            if got != image.get(row, zero):
+                raise ReachError(
+                    "operator image is inconsistent with the basis at row %s, "
+                    "component %d: truncation depth too small" % row
+                )
+        return ring.transpose(rows, len(rows))

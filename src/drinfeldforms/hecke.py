@@ -8,16 +8,17 @@ representative e = w0(e_i) is classified once, with no lattice
 coordinates formed: a seed's from its matrix xi w0 over A, any other's
 from its parent's reduced image in at most two row operations.  Its block
 is the orientation sign times act(xi^{-1}) act(delta) for the witness
-delta, and on V_2 the sign alone.  The transport table is stored
-inverted, as image orbit key -> {safe key: summed block}, on V_2 a
-signed count mod p, so a basis cocycle's values on the safe
-representatives are read by walking only its own support through it.
-Their coordinates are the values at the stable rows, where the basis is
-the unit basis, with exact consistency checks on every safe row; an
-image edge beyond the table is a ReachError.  An operator is kept as its columns, each a vector of the
-space's ring, the ring its coordinates lie in: F_q at weight 2, so
-commutators and the certificate run over F_q there, and K = F_q(t)
-above.  Only the serializers read the dense rows.
+delta, and on V_2 the sign alone.  The transport table sums the blocks
+per (safe key, image key), on V_2 a signed count mod p, and all basis
+cocycles are read through it at once: a safe row's image is the blocks
+applied to the basis rows of :class:`Coordinates`, on V_2 one axpy per
+table entry, and its entries at the stable rows, where the basis is the
+unit basis, are the operator's rows.  Every safe row is checked exactly,
+once per operator; an image edge beyond the table is a ReachError.  An
+operator is kept as its columns, each a vector of the space's ring, the
+ring its coordinates lie in: F_q at weight 2, so commutators and the
+certificate run over F_q there, and K = F_q(t) above.  Only the
+serializers read the dense rows.
 
 The ordinary certificate recasts ordinariness t-adically: with
 r = q^(n-1) and chi the characteristic polynomial of U_t,
@@ -131,9 +132,10 @@ class HeckeEngine:
         fq = self.ctx.fq
         graph = space.graph
         vk = space.vk
+        ring = space.ring
         acts = vk.inverse_acts(transports)
         keys = self.coords.keys_needed  # a parent is shallower, so it is safe too
-        # (T c)(safe rep) = sum of block . c(key2): the table is key2 -> {safe key: block}
+        # (T c)(safe rep) = sum of block . c(key2): the table is (key, key2) -> summed block
         table = {}
         for xi, act in zip(transports, acts):
             for key, (found, key2, sign, delta) in zip(keys, graph.classify_images(xi, keys)):
@@ -141,20 +143,19 @@ class HeckeEngine:
                     e2 = apply_edge(xi, graph.edge_orbits[key].rep, fq)
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")
                 block = vk.signed_block(sign, delta, act)
-                row = table.setdefault(key2, {})
-                prev = row.get(key)
-                row[key] = block if prev is None else prev + block
-        table = {key2: {key: vk.summed(block) for key, block in row.items()} for key2, row in table.items()}
-        cols = []
-        for cocycle in space.basis:
-            values = {}
-            for key2, stored in cocycle.items():
-                for key, block in table.get(key2, {}).items():
-                    image = block.apply(stored)
-                    prev = values.get(key)
-                    values[key] = image if prev is None else [a + b for a, b in zip(prev, image)]
-            cols.append(space.ring.vector(self.coords.coords(values)))
-        got = OperatorMatrix(name, self.ctx, self.k, space.ring, cols)
+                prev = table.get((key, key2))
+                table[key, key2] = block if prev is None else prev + block
+        # the image at (key, r) holds (T c_j)(key)[r] = sum_s block[r][s] c_j(key2)[s] at j
+        basis_rows = self.coords.basis_rows
+        zero = ring.vector(())
+        image = {}
+        for (key, key2), block in table.items():
+            for r, entries in enumerate(vk.summed(block).rows):
+                for s, x in enumerate(entries):
+                    b = basis_rows.get((key2, s))
+                    if x and b is not None:
+                        image[key, r] = ring.axpy(image.get((key, r), zero), x, b)
+        got = OperatorMatrix(name, self.ctx, self.k, ring, self.coords.coords(image))
         self._cache[name] = got
         return got
 
@@ -221,7 +222,7 @@ def diamond_permutation_matrix(space, a):
     labels = [(c.coeffs, d.coeffs) for c, d in ctx.label_pairs()]
     index = {lbl: i for i, lbl in enumerate(labels)}
     perm = diamond_label_map(ctx, a)
-    return [ring.vector([ring.zero] * index[perm[lbl]] + [ring.one]) for lbl in labels]
+    return [ring.from_terms([(index[perm[lbl]], ring.one)]) for lbl in labels]
 
 
 def verify_freeness(ctx):
@@ -400,7 +401,7 @@ def image_chain(op):
     if op.chain is not None:
         return op.chain
     ring = op.ring
-    echelon = {i: ring.vector([ring.zero] * i + [ring.one]) for i in range(op.size)}
+    echelon = {i: ring.from_terms([(i, ring.one)]) for i in range(op.size)}
     ranks = [len(echelon)]
     while True:
         images = [op.apply(v) for v in echelon.values()]

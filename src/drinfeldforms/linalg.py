@@ -6,9 +6,10 @@ operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
 serves both fields: weight-2 operators and their kernels are over F_q
 (FqRing), and weight-k ones over K (KRing).  The adapters also own the
 vector format of an operator's columns and of ``hecke.image_chain``, one
-packed int over F_q and a dict over K: ``vector``, ``terms``, ``lead``
-(the highest nonzero coordinate and its entry) and ``axpy`` (w + c v, a
-new vector).
+packed int over F_q and a dict over K: ``vector``, ``terms`` (the nonzero
+(coordinate, entry) pairs) and ``from_terms``, ``lead`` (the highest
+nonzero coordinate and its entry), ``axpy`` (w + c v, a new vector) and
+``transpose`` (the d columns of the matrix with the given rows).
 
 UPoly, the dense univariate polynomial, is both the charpoly's type and
 the truncated u-series of ``carlitz``: a series to precision n is a
@@ -43,6 +44,9 @@ class FqRing:
     def terms(self, v):
         return ((i, FqElem(self.fq, c)) for i, c in enumerate(v.to_bytes((v.bit_length() + 7) >> 3, "little")) if c)
 
+    def from_terms(self, terms):
+        return sum(x.code << 8 * i for i, x in terms)
+
     def lead(self, v):
         top = (v.bit_length() - 1) >> 3
         return top, FqElem(self.fq, v >> 8 * top)
@@ -50,6 +54,10 @@ class FqRing:
     def axpy(self, w, c, v):
         v = v if c.code == 1 else int_mul(self.fq, v, c.code)
         return int_add(self.fq, w, v) if w else v
+
+    def transpose(self, rows, d):
+        packed = b"".join(v.to_bytes(d, "little") for v in rows)
+        return [int.from_bytes(packed[j::d], "little") for j in range(d)]
 
     def __eq__(self, other):
         return isinstance(other, FqRing) and other.fq.q == self.fq.q
@@ -72,6 +80,9 @@ class KRing:
     def terms(self, v):
         return v.items()
 
+    def from_terms(self, terms):
+        return dict(terms)
+
     def lead(self, v):
         top = max(v)
         return top, v[top]
@@ -83,6 +94,9 @@ class KRing:
             if y:
                 out[i] = y
         return out
+
+    def transpose(self, rows, d):
+        return [{i: v[j] for i, v in enumerate(rows) if j in v} for j in range(d)]
 
     def __eq__(self, other):
         return isinstance(other, KRing) and other.fq.q == self.fq.q

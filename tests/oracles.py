@@ -55,7 +55,12 @@ None of this is used by ``drinfeldforms`` itself:
   and the blocks negated and summed as Matrices, each image classified by
   :func:`classify_image_oracle`.  At weight 2 they are the oracle for the
   signed counts of ``CocycleSpace._solve`` and ``HeckeEngine._assemble``,
-  which form no block and lift no stabilizer.
+  which form no block and lift no stabilizer;
+* one cocycle's image read back in the basis on its own
+  (:func:`coords_oracle`): the values at the unit rows, checked against
+  the basis summed over the supports of the cocycles with a nonzero
+  coordinate, the oracle for ``Coordinates.coords``, which reads a whole
+  operator at once on the basis rows.
 """
 
 from drinfeldforms.errors import ReachError
@@ -816,5 +821,36 @@ class BlockEngine(HeckeEngine):
                     image = block.apply(stored)
                     prev = values.get(key)
                     values[key] = image if prev is None else [a + b for a, b in zip(prev, image)]
-            cols.append(space.ring.vector(self.coords.coords(values)))
+            cols.append(space.ring.vector(coords_oracle(self.coords, values)))
         return OperatorMatrix(name, self.ctx, self.k, space.ring, cols)
+
+
+def coords_oracle(coords, values):
+    """One cocycle's coordinates in the solved basis, from its values {key: vector}.
+
+    They are the values at the unit rows.  The basis times them, summed
+    over the supports of the cocycles with a nonzero coordinate, must
+    equal the values on every safe row of ``coords`` either side reaches,
+    a missing key reading as zero; the first bad row in safe-row order
+    is a ReachError.
+    """
+    space = coords.space
+    ring = space.ring
+    zero = space.zero_vector()
+    x = [values.get(key, zero)[s] for key, s in space.unit_rows]
+    got = {}
+    for xj, cocycle in zip(x, space.basis):
+        if xj:
+            for key, v in cocycle.items():
+                for s, bij in enumerate(v):
+                    if bij:
+                        got[key, s] = got.get((key, s), ring.zero) + bij * xj
+    reached = {(key, s) for key, v in values.items() for s, want in enumerate(v) if want}
+    for key, s in coords.safe_rows:
+        if (key, s) in reached or (key, s) in got:
+            if got.get((key, s), ring.zero) != values.get(key, zero)[s]:
+                raise ReachError(
+                    f"operator image is inconsistent with the basis at row {key}, "
+                    "component %d: truncation depth too small" % s
+                )
+    return x

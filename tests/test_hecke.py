@@ -24,6 +24,7 @@ from oracles import (
     BlockEngine,
     bareiss_rank,
     block_solve,
+    coords_oracle,
     dense,
     nilpotency_oracle,
     operator,
@@ -204,14 +205,14 @@ class EvaluatingEngine(HeckeEngine):
                         val = acts[pos].apply(list(val))
                     total = [a + b for a, b in zip(total, val)]
                 values[key] = tuple(total)
-            cols.append(self.coords.coords(values))
+            cols.append(coords_oracle(self.coords, values))
         d = space.dim
         matrix = Matrix(space.ring, [[cols[j][i] for j in range(d)] for i in range(d)])
         return operator(name, self.ctx, self.k, matrix)
 
 
 @pytest.mark.parametrize(
-    "q,n,k", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 1, 2), (3, 1, 3), (2, 3, 2)]
+    "q,n,k", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 1, 2), (3, 1, 3), (2, 3, 2), (3, 2, 2)]
 )
 def test_transport_table_matches_evaluating_oracle(q, n, k, cache):
     eng = cache.engine(q, n, k)
@@ -242,40 +243,44 @@ def test_weight2_signed_counts_match_the_block_oracle(q, n, cache):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_coords_rejects_values_off_the_basis(cache, k):
-    # the values of one basis cocycle read back as a unit vector; changed at
-    # one non-stable safe row they are no combination of the basis
+    # the identity's image is the basis rows, and reads back as the unit
+    # columns; changed at one non-stable safe row it is no operator's image
     eng = cache.engine(2, 2, k)
     space, coords = eng.space, eng.coords
     ring = space.ring
-    values = {key: space.basis[0].get(key, space.zero_vector()) for key in coords.keys_needed}
-    assert coords.coords(values) == [ring.one] + [ring.zero] * (space.dim - 1)
-    key, s = list(coords.sparse_rows)[-1]
+    units = [ring.vector([ring.zero] * j + [ring.one]) for j in range(space.dim)]
+    image = {row: v for row, v in coords.basis_rows.items() if row in coords.safe_rows}
+    assert coords.coords(image) == units
+    key, s = coords.safe_rows[-1]
     assert key not in space.stable_keys
-    values[key] = tuple(x + ring.one if i == s else x for i, x in enumerate(values[key]))
+    image[key, s] = ring.axpy(image.get((key, s), ring.vector(())), ring.one, units[0])
     with pytest.raises(ReachError, match="operator image is inconsistent"):
-        coords.coords(values)
+        coords.coords(image)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_coords_read_missing_keys_as_zero_and_check_them(cache, k):
-    # the values of basis cocycle 0 on its own support only: every other
-    # safe key is missing, reads as zero and is still checked
+    # the image of the operator sending basis cocycle 0 to itself and the
+    # others to zero, on cocycle 0's support only: every other safe row is
+    # missing, reads as zero and is still checked
     eng = cache.engine(2, 2, k)
     space, coords = eng.space, eng.coords
     ring = space.ring
     safe = set(coords.keys_needed)
     first = space.basis[0]
-    values = {key: v for key, v in first.items() if key in safe}
-    assert coords.coords(values) == [ring.one] + [ring.zero] * (space.dim - 1)
-    # values side only: a safe key off the support, where the basis is zero
-    off = next(key for key in coords.keys_needed if key not in first)
+    image = {(key, s): ring.vector([x]) for key, v in first.items() if key in safe for s, x in enumerate(v) if x}
+    zero = ring.vector(())
+    assert coords.coords(image) == [ring.vector([ring.one])] + [zero] * (space.dim - 1)
+    # image side only: a non-stable safe key off the support, where the basis is zero
+    off = next(key for key in coords.keys_needed if key not in first and key not in space.stable_keys)
     with pytest.raises(ReachError, match="operator image is inconsistent"):
-        coords.coords({**values, off: (ring.one,) * (k - 1)})
-    # basis side only: a safe key of the support left out of the values
-    inside = next(key for key in values if key not in space.stable_keys)
-    del values[inside]
+        coords.coords({**image, **{(off, s): ring.vector([ring.one]) for s in range(k - 1)}})
+    # basis side only: a safe key of the support left out of the image
+    inside = next(key for key, _ in image if key not in space.stable_keys)
+    for s in range(k - 1):
+        image.pop((inside, s), None)
     with pytest.raises(ReachError, match="operator image is inconsistent"):
-        coords.coords(values)
+        coords.coords(image)
 
 
 def test_transport_beyond_the_table_is_a_reach_error(cache, monkeypatch):

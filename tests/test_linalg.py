@@ -355,9 +355,9 @@ def test_apply_matches_the_sum_from_zero():
     ids=["F2", "F3", "F4", "K2", "K3"],
 )
 def test_vector_adapters_match_dense_lists(ring):
-    # vector, terms, lead and axpy against the same operations on lists:
-    # no zero entry is ever kept, the lead is the highest nonzero
-    # coordinate, and axpy leaves its inputs as they were
+    # vector, terms, from_terms, lead, axpy and transpose against the same
+    # operations on lists: no zero entry is ever kept, the lead is the
+    # highest nonzero coordinate, and axpy leaves its inputs as they were
     rng = random.Random(31)
 
     def dense(v, d):
@@ -382,6 +382,11 @@ def test_vector_adapters_match_dense_lists(ring):
         assert dense(got, d) == [x + c * y for x, y in zip(a, b)]
         assert dense(w, d) == a and dense(v, d) == b
         assert not ring.axpy(v, -ring.one, v) and ring.axpy(v, -ring.one, v) == ring.vector(())
+        assert ring.from_terms(ring.terms(w)) == w and ring.from_terms(()) == ring.vector(())
+        m = rng.randrange(0, 5)
+        rows = [[_sparse_entry(ring, rng) for _ in range(d)] for _ in range(m)]
+        cols = ring.transpose([ring.vector(row) for row in rows], d)
+        assert [dense(col, m) for col in cols] == [[row[j] for row in rows] for j in range(d)]
 
 
 def test_shape_mismatch():
