@@ -5,21 +5,27 @@ zero over the edges into every vertex, is odd under reversal, and is
 Gamma_1(t^n)-equivariant.  Equivariance makes it a function on edge orbits;
 with values declared zero beyond the quotient-graph depth D (orbit
 multiplicities along the cusp rays are divisible by q, so true solutions
-die out in characteristic p), the space becomes the exact kernel of:
-
-  * harmonicity rows at every vertex orbit whose full star lies in the
-    table,
-  * stabilizer rows (act(delta) - 1) x = 0 for the finitely many
-    generators of each representative's Gamma_1(t^n)-stabilizer.
+die out in characteristic p), the space becomes the exact kernel of the
+harmonicity rows at every vertex orbit whose full star lies in the table.
 
 Every weight runs one code path over the blocks of VkAction.  On the
 trivial V_2 over F_q a harmonicity entry is a signed count of star edges
-mod p, and no stabilizer is lifted, as every stabilizer row vanishes.
-Above weight 2 the blocks are (k-1)x(k-1) matrices over K = F_q(t).  Two
-gates guard the truncation: the dimension must equal (k-1) q^(2(n-1)),
-and re-solving at depth D+1 must give the same dimension.  The re-solve runs on the depth-D table grown by
-one shell (``QuotientGraph.extended``), not on a second build.  Whether it
-also spans the same cocycles is recorded as ``depth_stable``.
+mod p.  Above weight 2 the blocks are (k-1)x(k-1) matrices over
+K = F_q(t).  Two gates guard the truncation: the dimension must equal
+(k-1) q^(2(n-1)), and re-solving at depth D+1 must give the same
+dimension.  The re-solve runs on the depth-D table grown by one shell
+(``QuotientGraph.extended``), not on a second build.  Whether it also
+spans the same cocycles is recorded as ``depth_stable``.
+
+A stored value must also be fixed by the representative's
+Gamma_1(t^n)-stabilizer, and no row imposes that: the rows
+(act(delta) - 1) x = 0 for its generators are left out.  Leaving rows
+out can only enlarge the kernel, and the two gates accept only the
+expected dimension, so a system on which such a row binds ends in
+DimensionMismatchError or StabilityError; it never yields a different
+basis that passes.  The invariance of the stored values, on which a
+witness defined only up to the stabilizer relies, is thus a consequence
+of harmonicity and the gates, and the tests check it.
 
 The solver eliminates the stable columns h_{(c,d)} J e_0 last, so they are
 its free columns and the basis it returns is the unit basis on the stable
@@ -66,7 +72,7 @@ class VkAction:
         self.k = k
         self.ring = FqRing(fq) if k == 2 else KRing(fq)
         self._cache = {}
-        self.trivial = self.dim == 1  # V_2, on which every stabilizer row vanishes
+        self.trivial = self.dim == 1  # V_2, on which every element acts as the identity
         self._trivial = Matrix.identity(self.ring, 1) if self.trivial else None
         self._counts = [Matrix(self.ring, [[FqElem(fq, c)]]) for c in range(fq.p)] if self.trivial else None
 
@@ -199,8 +205,7 @@ class CocycleSpace:
 
     # -- the linear system ---------------------------------------------------
     def _solve(self, graph):
-        k = self.k
-        comp = k - 1
+        comp = self.k - 1
         ring = self.ring
         keys = sorted(graph.edge_orbits)
         col_of = {key: i * comp for i, key in enumerate(keys)}
@@ -227,22 +232,6 @@ class CocycleSpace:
                 row = {base + s: mat[r][s] for base, mat in blocks for s in range(comp) if mat[r][s]}
                 if row:
                     rows.append(row)
-        # stabilizer rows (act(delta) - 1) x = 0; V_2 has none, so no stabilizer is lifted
-        for key in [] if vk.trivial else keys:
-            orbit = graph.edge_orbits[key]
-            if orbit.stab_order == 1:
-                continue
-            base = col_of[key]
-            for delta in graph.tree.edge_stab_generators(orbit):
-                m = vk.act(delta)
-                for r in range(comp):
-                    row = {}
-                    for s in range(comp):
-                        v = m.rows[r][s] - (ring.one if r == s else ring.zero)
-                        if v:
-                            row[base + s] = v
-                    if row:
-                        rows.append(row)
         basis = []
         for vec in sparse_kernel(rows, len(keys) * comp, ring, col_order=col_order):
             entry = {}

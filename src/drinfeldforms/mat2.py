@@ -76,8 +76,8 @@ class Mat2:
 class Deferred(Mat2):
     """The Mat2 make(*args), its entries filled in the first time one is read.
 
-    Witnesses are formed for every classified edge and stabilizer
-    conjugates above weight 2; the trivial action on V_2 reads neither.
+    Witnesses are formed for every classified edge and read only above
+    weight 2; the trivial action on V_2 reads none.
     """
 
     __slots__ = ("make", "args")

@@ -54,8 +54,8 @@ as an explicit sign.
 The Gamma_1(t^n)-stabilizer of w(e_i), and of w(v_i) for i >= 1, is
 w {u(b) : t^s | b, deg b <= i} w^-1 with s = n - min(v_t(c), n) for c the
 lower-left entry of w: one exponent range gives its order q^(i - s + 1),
-its F_p-generators, Gamma_1(t)-stability (i = 0 and c(0) != 0) and the
-cusp end w(infinity).  At v_0 it is trivial, or 1 and the q - 1
+Gamma_1(t)-stability (i = 0 and c(0) != 0) and the cusp end
+w(infinity).  At v_0 it is trivial, or 1 and the q - 1
 transvections along the constant coefficient row, so no stabilizer
 element is enumerated.
 """
@@ -601,22 +601,6 @@ class TreeContext:
         orbit.nf = self._normal_form(*self._row(w0), i)
         orbit.stab_order = self._stab_order(w0, i)
         orbit.stable = i == 0 and w0.c.constant_coeff() != 0
-
-    def edge_stab_generators(self, orbit):
-        """F_p-generators of the Gamma_1(t^n)-stabilizer of the representative w0(e_i).
-
-        They are w0 u(lam t^m) w0^-1 = 1 + lam t^m (a, c)^T (-c, a) for
-        (a, c) w0's first column, m from s to i (_shift) and lam over the
-        codes 1, p, ..., p^(e-1), an F_p-basis of F_q.
-        """
-        fq, w0 = self.fq, orbit.w0
-        one, ac, aa, cc = Poly.one(fq), w0.a * w0.c, w0.a * w0.a, -(w0.c * w0.c)
-        out = []
-        for m in range(self._shift(w0), orbit.i + 1):
-            for lam in (fq.p**k for k in range(fq.e)):
-                bac = ac.scale(lam).shift(m)
-                out.append(Mat2(one - bac, aa.scale(lam).shift(m), cc.scale(lam).shift(m), one + bac))
-        return out
 
     def vertex_stabilizer(self, vorbit):
         """Set the stabilizer order of the representative w(v_j); no element is formed.

@@ -16,8 +16,10 @@ None of this is used by ``drinfeldforms`` itself:
   :func:`kernel_lifts`, :func:`passing_lifts`), their conjugates
   (:func:`vertex_stab_elements`) and the fixed end of the first one
   (:func:`parabolic_fixed_end`, :func:`cusp_end_oracle`), the oracles for
-  the one exponent range of ``TreeContext`` (its orders, generators and
-  cusp ends);
+  the one exponent range of ``TreeContext`` (its orders and cusp ends);
+* the F_p-generators of an edge stabilizer read from that exponent range
+  (:func:`edge_stab_generators`), which :func:`block_solve` and the
+  invariance tests act with: the engine forms no stabilizer element;
 * the star of v_j as a table of matrices (:func:`star_sigma`), the oracle
   for the star steps on packed rows that grow the quotient graph;
 * Euclid's walk on the exact fraction num/den of a vertex's tail
@@ -55,7 +57,8 @@ None of this is used by ``drinfeldforms`` itself:
   and the blocks negated and summed as Matrices, each image classified by
   :func:`classify_image_oracle`.  At weight 2 they are the oracle for the
   signed counts of ``CocycleSpace._solve`` and ``HeckeEngine._assemble``,
-  which form no block and lift no stabilizer;
+  which form no block; at every weight :func:`block_solve` is the oracle
+  for the solve on harmonicity rows alone;
 * one cocycle's image read back in the basis on its own
   (:func:`coords_oracle`): the values at the unit rows, checked against
   the basis summed over the supports of the cocycles with a nonzero
@@ -342,6 +345,23 @@ def vertex_stab_elements(tree, w, j):
     w_inv = w.adjugate()
     lifts = passing_lifts(tree, w) if j == 0 else stab_lifts(tree.fq, w.c, j, tree.n)
     return [w * s * w_inv for s in lifts], [w * s * w_inv for s in kernel_lifts(tree.fq, tree.n, j)]
+
+
+def edge_stab_generators(tree, orbit):
+    """F_p-generators of the Gamma_1(t^n)-stabilizer of the representative w0(e_i).
+
+    They are w0 u(lam t^m) w0^-1 = 1 + lam t^m (a, c)^T (-c, a) for
+    (a, c) w0's first column, m from s to i (``TreeContext._shift``) and
+    lam over the codes 1, p, ..., p^(e-1), an F_p-basis of F_q.
+    """
+    fq, w0 = tree.fq, orbit.w0
+    one, ac, aa, cc = Poly.one(fq), w0.a * w0.c, w0.a * w0.a, -(w0.c * w0.c)
+    out = []
+    for m in range(tree._shift(w0), orbit.i + 1):
+        for lam in (fq.p**k for k in range(fq.e)):
+            bac = ac.scale(lam).shift(m)
+            out.append(Mat2(one - bac, aa.scale(lam).shift(m), cc.scale(lam).shift(m), one + bac))
+    return out
 
 
 def parabolic_fixed_end(delta):
@@ -773,7 +793,7 @@ def block_solve(space, graph):
         if orbit.stab_order == 1:
             continue
         base = col_of[key]
-        for delta in graph.tree.edge_stab_generators(orbit):
+        for delta in edge_stab_generators(graph.tree, orbit):
             m = space.vk.act(delta)
             for r in range(comp):
                 row = {}
