@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .fq import field
 from .mat2 import Mat2
-from .rings import Poly, graded_polys, poly_gcd, poly_xgcd
+from .rings import Poly, graded_polys, int_add, int_divmod, int_inverse_mod, int_mul, int_neg, poly_gcd, poly_xgcd
 
 
 def is_gamma1(gamma, n):
@@ -165,6 +165,33 @@ class GroupContext:
         zero = Poly.zero(self.fq)
         return eta * Mat2(m, zero, zero, self.one)
 
+    def hecke_coset(self, xi, w, m):
+        """(gamma, r) with xi w = gamma r: gamma in SL_2(A), a Mat2, and r its Hecke coset representative, packed.
+
+        m = det xi, packed, is prime or 1, and w is in SL_2(A).  r is
+        (1, beta; 0, m) with deg beta < deg m, or (m, 0; 0, 1), the identity
+        when m = 1 (Serre, Trees, II.1).  The rows of xi w span r's row
+        lattice, so mod m they span the line of (0, 1) when m divides the
+        first column (a, c) of xi w, and else that of (1, beta): beta is b/a
+        mod m, or d/c when a = 0 mod m.  gamma is then (a/m, b; c/m, d) or
+        (a, (b - beta a)/m; c, (d - beta c)/m), each division exact.
+        """
+        fq = self.fq
+        x = _packed_product(xi, w, fq)
+        if m == 1:  # the diamond's eta
+            return Mat2.from_packed(fq, x), (1, 0, 0, 1)
+        a, b, c, d = x
+        (qa, ra), (qc, rc) = int_divmod(fq, a, m), int_divmod(fq, c, m)
+        if not (ra or rc):
+            return Mat2.from_packed(fq, (qa, b, qc, d)), (m, 0, 0, 1)
+        num, res = (b, ra) if ra else (d, rc)
+        beta = int_divmod(fq, int_mul(fq, num, int_inverse_mod(fq, res, m)), m)[1]
+        minus = int_neg(fq, beta)
+        (qb, rb), (qd, rd) = (int_divmod(fq, int_add(fq, y, int_mul(fq, minus, z)), m) for y, z in ((b, a), (d, c)))
+        if rb or rd:
+            raise AssertionError("xi w is not in SL_2(A) times its coset representative")
+        return Mat2.from_packed(fq, (a, qb, c, qd)), (1, beta, 0, m)
+
     # -- cusps and dimensions ---------------------------------------------
     def cusps(self):
         """Duplicate-free cusp records, infinity-type then zero-type."""
@@ -227,6 +254,16 @@ class CuspRecord:
     def __repr__(self):
         lbl = ",".join(str(p) for p in self.label)
         return f"Cusp({self.kind}; {lbl}; width t^{self.width_exponent})"
+
+
+def _packed_product(g, h, fq):
+    """The entries of g h, packed, for g and h over A."""
+    cols = ((h.a.x, h.c.x), (h.b.x, h.d.x))
+    return tuple(
+        int_add(fq, int_mul(fq, x.x, hx), int_mul(fq, y.x, hy))
+        for x, y in ((g.a, g.b), (g.c, g.d))
+        for hx, hy in cols
+    )
 
 
 @lru_cache(maxsize=None)

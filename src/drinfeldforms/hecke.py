@@ -5,8 +5,9 @@ over the usual coset matrices: xi_{t,beta} for U_t, the xi_{m,beta}
 together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
 representative e = w0(e_i) is classified once, with no lattice
-coordinates formed: a seed's from its matrix xi w0 over A, any other's
-from its parent's reduced image in at most two row operations.  Its block
+coordinates formed: a seed's from the Hecke coset representative R of
+xi w0 = g R, any other's from its parent's reduced image, each state in
+at most two row operations and once per tree context.  Its block
 is the orientation sign times act(xi^{-1}) act(delta) for the witness
 delta, and on V_2 the sign alone.  The transport table sums the blocks
 per (safe key, image key), on V_2 a signed count mod p, and all basis

@@ -36,6 +36,11 @@ class Mat2:
         zero = Poly.zero(a.fq)
         return Mat2(a, zero, zero, d)
 
+    @staticmethod
+    def from_packed(fq, entries):
+        """The Mat2 over A of the packed entries (a, b, c, d)."""
+        return Mat2(*(packed(fq, x) for x in entries))
+
     def __mul__(self, other):
         return Mat2(
             self.a * other.a + self.b * other.c,
@@ -123,4 +128,4 @@ def _replay(fq, ops, inverted):
             a, b, c, d = int_neg(fq, c), int_neg(fq, d), a, b
     if inverted:
         a, b, c, d = d, int_neg(fq, b), int_neg(fq, c), a
-    return Mat2(*(packed(fq, x) for x in (a, b, c, d)))
+    return Mat2.from_packed(fq, (a, b, c, d))

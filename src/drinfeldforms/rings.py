@@ -7,14 +7,15 @@ normalized by construction; deg(0) is the -infinity sentinel so valuation
 arithmetic needs no special cases.  Sums, products and quotients are int
 and ``bytes.translate`` operations wherever no byte slot can carry, and
 loops over the field's tables elsewhere.  They are the functions
-``int_add``, ``int_neg``, ``int_mul`` and ``int_divmod`` of (fq, x, y) on
-packed ints: Poly's own operators wrap them, and a loop that runs many
-steps on packed ints (the tree walk) calls them directly, so each
-operation has one implementation.  A class of A_n is its lift of degree
-< n, a plain Poly: a product is cut back with ``truncate(n)`` and a unit
-inverted with ``inverse_mod(n)``.  Rational functions are stored reduced
-with a monic denominator.  At the place at infinity, with uniformizer
-pi = 1/t, v_infinity(num/den) = deg den - deg num is read off the degrees.
+``int_add``, ``int_neg``, ``int_mul``, ``int_divmod`` and
+``int_inverse_mod`` of (fq, x, y) on packed ints: Poly's own operators
+wrap them, and a loop that runs many steps on packed ints (the tree walk)
+calls them directly, so each operation has one implementation.  A class
+of A_n is its lift of degree < n, a plain Poly: a product is cut back
+with ``truncate(n)`` and a unit inverted with ``inverse_mod(n)``.
+Rational functions are stored reduced with a monic denominator.  At the
+place at infinity, with uniformizer pi = 1/t, v_infinity(num/den) =
+deg den - deg num is read off the degrees.
 """
 
 from itertools import product
@@ -137,6 +138,22 @@ def int_divmod(fq, x, y):
             for j, nbj in terms:
                 rem[k + j] = add[rem[k + j]][row[nbj]]
     return int.from_bytes(quo, "little"), int.from_bytes(rem[:degd], "little")
+
+
+def int_inverse_mod(fq, x, m):
+    """The inverse of x mod m, packed and of degree < deg m, or None if x is not a unit mod m.
+
+    Euclid on (m, x mod m) keeps s with s x = r mod m for each remainder r,
+    and x is a unit exactly when the remainders reach a nonzero constant.
+    Mod m = 1, the zero ring, every class is 0, a unit.
+    """
+    if m == 1:
+        return 0
+    r0, r1, s0, s1 = m, int_divmod(fq, x, m)[1], 0, 1
+    while r1 >> 8:
+        quo, rem = int_divmod(fq, r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, int_add(fq, s0, int_neg(fq, int_mul(fq, quo, s1)))
+    return int_mul(fq, fq._inv[r1], s1) if r1 else None
 
 
 _new = object.__new__
@@ -287,10 +304,10 @@ class Poly:
 
     def inverse_mod(self, n):
         """The inverse modulo t^n, truncated; ZeroDivisionError unless it is a unit of A_n."""
-        g, x, _ = poly_xgcd(self, Poly.t_power(self.fq, n))
-        if not g.is_one():
+        inv = int_inverse_mod(self.fq, self.x, 1 << 8 * n)
+        if inv is None:
             raise ZeroDivisionError(f"{self} is not a unit mod t^{n}")
-        return x.truncate(n)
+        return packed(self.fq, inv)
 
     def eval_code(self, x):
         """Evaluate at an F_q code."""

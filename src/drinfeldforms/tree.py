@@ -30,9 +30,9 @@ off its degrees and one division.  A literal vertex v enters through
 M_v = t^L (pi^r, s; 0, 1) over A, where s = num / t^E and
 L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at infinity, so the
 edge from v up to its parent is M_v(e_0).  An operator image xi w0(e_i)
-is reduced from xi w0 on packed ints for a seed orbit, and for any other
-from its parent's reduced image, one star step and at most two row
-operations away (QuotientGraph.classify_images).
+is reduced from its parent's reduced image, one star step and at most two
+row operations away, and a seed's from the Hecke coset representative of
+xi w0, each such state once (QuotientGraph.classify_images).
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
@@ -222,16 +222,6 @@ def _tail(num, den, r):
     return tuple((m - k, quo[k]) for k in range(len(quo) - 1, low - 1, -1) if quo[k])
 
 
-def _packed_product(g, h, fq):
-    """The entries of g h, packed, for g and h over A."""
-    cols = ((h.a.x, h.c.x), (h.b.x, h.d.x))
-    return tuple(
-        int_add(fq, int_mul(fq, x.x, hx), int_mul(fq, y.x, hy))
-        for x, y in ((g.a, g.b), (g.c, g.d))
-        for hx, hy in cols
-    )
-
-
 def _deg(x):
     """The degree of the polynomial packed in x."""
     return (x.bit_length() - 1) >> 3 if x else NEG_INF
@@ -253,7 +243,7 @@ def _star_matrix(w, j, x):
     """w sigma for the star step (j, x), each row of w stepped by _star_step."""
     fq = w.a.fq
     rows = (*_star_step(fq, w.a.x, w.b.x, j, x), *_star_step(fq, w.c.x, w.d.x, j, x))
-    return Mat2(*(packed(fq, y) for y in rows))
+    return Mat2.from_packed(fq, rows)
 
 
 def _euclid(g, i, deg_det, fq):
@@ -440,6 +430,7 @@ class TreeContext:
         self.n = ctx.n
         self._classify_cache = {}
         self._nf_cache = {}
+        self._image_cache = {}
         self._mask = (1 << 8 * self.n) - 1
 
     # -- keys ----------------------------------------------------------------
@@ -521,6 +512,15 @@ class TreeContext:
         """
         fq, mask = self.fq, self._mask
         return [(c, d)] + [(sc, sd & mask) for sc, sd in (_star_step(fq, c, d, j, x) for x in fq.elements())]
+
+    def reduce_state(self, h, sigma, i, deg_det):
+        """_reduce_image(h sigma, i) and gamma^-1, memoized on (h, sigma), which fixes i (star)."""
+        got = self._image_cache.get((h, sigma))
+        if got is None:
+            g = (*_star_step(self.fq, *h[:2], *sigma), *_star_step(self.fq, *h[2:], *sigma))
+            gamma, j, sign, h2 = _reduce_image(g, i, deg_det, self.fq)
+            got = self._image_cache[h, sigma] = gamma, j, sign, h2, gamma.inverse_unimodular()
+        return got
 
     def _row(self, w):
         """The bottom row of w mod t^n, packed."""
@@ -785,22 +785,22 @@ class QuotientGraph:
         lattice coordinates formed: gamma_P xi w0(P) = h_P, so gamma_P xi w0
         = h_P sigma, and Euclid's gamma' on it gives gamma = gamma' gamma_P,
         whose first column keys the image, and the witness gamma^-1 =
-        w_P gamma'^-1, deferred.  A seed starts from h = xi with sigma = w0.
+        w_P gamma'^-1, deferred.  A seed's xi w0 is w R for its Hecke coset
+        representative R (GroupContext.hecke_coset): h = R and sigma = 1.
         """
-        fq, tree = self.ctx.fq, self.tree
-        deg_det = xi.det().degree  # = deg det(xi w0), as w0 is in SL_2(A)
+        tree = self.tree
+        det = xi.det()
         steps, got = {}, {}
         for orbit in sorted((self.edge_orbits[key] for key in keys), key=lambda o: o.depth):
             if orbit.parent is None:
-                g, row, w = _packed_product(xi, orbit.w0, fq), (0, 1), None
+                w, h = self.ctx.hecke_coset(xi, orbit.w0, det.x)
+                row, sigma = tree._row(w), (0, None)
             elif orbit.parent.key not in steps:
                 raise AssertionError(f"orbit {orbit.key} is transported without its parent")
             else:
-                (a, b, c, d), row, w = steps[orbit.parent.key]
-                g = (*_star_step(fq, a, b, *orbit.sigma), *_star_step(fq, c, d, *orbit.sigma))
-            gamma, i, sign, h = _reduce_image(g, orbit.i, deg_det, fq)
-            row, step = tree._inverse_row(gamma, row), gamma.inverse_unimodular()
-            w = step if w is None else Deferred(Mat2.__mul__, w, step)
+                (h, row, w), sigma = steps[orbit.parent.key], orbit.sigma
+            gamma, i, sign, h, step = tree.reduce_state(h, sigma, orbit.i, det.degree)
+            row, w = tree._inverse_row(gamma, row), Deferred(Mat2.__mul__, w, step)
             steps[orbit.key] = h, row, w
             nf = tree._normal_form(*row, i)
             got[orbit.key] = self._lookup((i, nf[0]), i, sign, w, nf)

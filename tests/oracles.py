@@ -50,7 +50,8 @@ None of this is used by ``drinfeldforms`` itself:
 * the classification of one operator image by the full Euclid walk from
   its matrix xi w0 (:func:`classify_image_oracle`), the oracle for
   ``QuotientGraph.classify_images``, which reduces each image from its
-  parent's;
+  parent's, and a seed's from its Hecke coset representative, once per
+  state;
 * the solve and the operator assembly with every block a Matrix
   (:func:`block_solve`, :class:`BlockEngine`): act(delta) read for each
   star edge and each image, stabilizer rows formed for every generator,
@@ -68,11 +69,12 @@ None of this is used by ``drinfeldforms`` itself:
 
 from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
+from drinfeldforms.groups import _packed_product
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
-from drinfeldforms.tree import NEG_SIGN, POS_SIGN, _packed_product, _reduce_image, apply_edge, apply_vertex
+from drinfeldforms.tree import NEG_SIGN, POS_SIGN, _reduce_image, apply_edge, apply_vertex
 
 
 def _is_zero(x):

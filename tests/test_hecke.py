@@ -20,6 +20,7 @@ from drinfeldforms.hecke import (
     verify_freeness,
 )
 from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly, charpoly
+from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
 from oracles import (
@@ -136,7 +137,7 @@ def test_diamond_commutes_with_hecke(q, n, k, cache):
 # the (q, n, k) of the hecke goldens: F_q at weight 2, K above
 GOLDEN_GRID = [
     (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 2), (5, 2, 2),
-    (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (7, 1, 3), (2, 1, 4), (2, 2, 4),
+    (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (4, 2, 3), (7, 1, 3), (2, 1, 4), (2, 2, 4), (3, 2, 4),
 ]
 
 
@@ -399,36 +400,73 @@ def test_classify_images_needs_every_parent():
 
 @pytest.mark.parametrize("q,n,k", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
 def test_every_non_seed_image_reduces_in_two_row_operations(cache, q, n, k, monkeypatch):
-    # h_P sigma is an edge next to +-e_j, so Euclid needs at most two row
-    # operations on it; only the seeds walk from xi w0.  Calls come in
-    # depth order, seeds first
+    # h_P sigma is an edge next to +-e_j, and so is R(e_0) for a seed's
+    # Hecke coset representative R, so Euclid fills every entry of the
+    # tree context's memo in at most two row operations, and it runs once
+    # per distinct state (h, sigma) over all the transports
     engine = cache.engine(q, n, k)
     graph = engine.space.graph
+    tree = graph.tree
     keys = engine.coords.keys_needed
-    seeds = sum(graph.edge_orbits[key].parent is None for key in keys)
-    assert 0 < seeds < len(keys)
-    lengths = []
-    reduce_image = tree_module._reduce_image
+    assert 0 < sum(graph.edge_orbits[key].parent is None for key in keys) < len(keys)
+    monkeypatch.setattr(tree, "_image_cache", {})
+    lengths, states = [], []
+    reduce_image, reduce_state = tree_module._reduce_image, tree_module.TreeContext.reduce_state
 
-    def recording(*args):
+    def recording_image(*args):
         got = reduce_image(*args)
         lengths.append(len(got[0].args[1]))
         return got
 
-    monkeypatch.setattr(tree_module, "_reduce_image", recording)
-    for xi in image_transports(graph.ctx):
-        lengths.clear()
+    def recording_state(self, h, sigma, *args):
+        states.append((h, sigma))
+        return reduce_state(self, h, sigma, *args)
+
+    monkeypatch.setattr(tree_module, "_reduce_image", recording_image)
+    monkeypatch.setattr(tree_module.TreeContext, "reduce_state", recording_state)
+    transports = image_transports(graph.ctx)
+    for xi in transports:
         graph.classify_images(xi, keys)
-        assert len(lengths) == len(keys)
-        assert max(lengths[seeds:]) <= 2
+    assert len(states) == len(keys) * len(transports)
+    assert len(lengths) == len(set(states)) == len(tree._image_cache) < len(states)
+    assert max(lengths) <= 2
     if (q, n) == (2, 3):
-        # U_t, T_(t+1), T_(t^2+t+1) and <t+1>: 902 images, 1.47 row
-        # operations each, where walking each from xi w0 took 6.05
-        lengths.clear()
+        # U_t, T_(t+1), T_(t^2+t+1) and <t+1> on a fresh memo: 902 images,
+        # fewer than a tenth of which reach Euclid
+        monkeypatch.setattr(tree, "_image_cache", {})
+        lengths.clear(), states.clear()
         ctx, fresh = graph.ctx, HeckeEngine(engine.space)
         fresh.u_t(), fresh.t_m(ctx.t + ctx.one), fresh.t_m(ctx.t * ctx.t + ctx.t + ctx.one)
         fresh.diamond(ctx.t + ctx.one)
-        assert len(lengths) == 902 and sum(lengths) <= 1.5 * len(lengths)
+        assert len(states) == 902
+        assert len(lengths) == len(set(states)) == len(tree._image_cache) < len(states) / 10
+        assert max(lengths) <= 2
+
+
+# the (q, n) of the hecke goldens, and two with a degree-2 T_m over non-prime fields
+SEED_GRID = sorted({(q, n) for q, n, _ in GOLDEN_GRID} | {(4, 2), (9, 2)})
+
+
+@pytest.mark.parametrize("q,n", SEED_GRID)
+def test_seed_images_are_sl2_times_their_coset_representative(q, n):
+    # xi w0 = gamma R for every seed w0 and every transport of U_t, T_(t+1),
+    # a degree-2 T_m and the diamonds: gamma in SL_2(A), and R one of the
+    # q^deg m + 1 Hecke coset representatives of det xi = m
+    ctx = group_context(q, n)
+    seeds = [orbit for orbit in QuotientGraph(ctx, 0).edge_orbits.values() if orbit.parent is None]
+    assert len(seeds) == q ** (2 * n - 2)
+    met = set()
+    for xi in image_transports(ctx):
+        m = xi.det()
+        for orbit in seeds:
+            gamma, r = ctx.hecke_coset(xi, orbit.w0, m.x)
+            r = Mat2.from_packed(ctx.fq, r)
+            assert gamma.det().is_one() and gamma * r == xi * orbit.w0
+            assert r.c.is_zero() and r.det() == m
+            assert (r.a.is_one() and r.b.degree < m.degree) or (r.a == m and r.b.is_zero())
+            met.add((m.x, r.a.x, r.b.x))
+    # the diamonds' R is the identity, and both kinds of R occur
+    assert (1, 1, 0) in met and any(a > 1 for _, a, _ in met) and any(b for _, _, b in met)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
