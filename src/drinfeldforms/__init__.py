@@ -54,7 +54,6 @@ from .rings import (
     RatFunc,
     poly_gcd,
     poly_is_irreducible,
-    poly_xgcd,
 )
 from .tree import (
     Edge,

@@ -23,14 +23,16 @@ together with the one-level pullback
 
     t*u / (1 + t^l * beta * zeta * u)  in  t*u*A[beta, zeta][[u]],
 
-whose geometric expansion is carried out in the polynomial ring
-A[beta, zeta] (:class:`SymPoly`) with beta and zeta as formal symbols.
+whose geometric expansion is carried out over A[y], y = beta*zeta: beta
+and zeta enter only through their product, so each coefficient is a
+``linalg.UPoly`` in y over A, and the expansion exists over A exactly when
+the denominator's constant term is a unit of A.
 Every u-series here is a ``linalg.UPoly`` truncated to its precision:
 the oracle's powers of e(w), and the two expansions, each a power of u
 times a ``series_inverse`` of its denominator.
 """
 
-from .linalg import KRing, UPoly
+from .linalg import ARing, KRing, UPoly, UPolyRing
 from .rings import Poly, RatFunc, poly_is_irreducible
 
 
@@ -251,126 +253,43 @@ def _substitute_scaled(g, c):
     return UPoly(g.ring, out)
 
 
-class SymPoly:
-    """Element of A[beta, zeta]: dict {(beta_exp, zeta_exp): Poly}."""
-
-    __slots__ = ("fq", "terms")
-
-    def __init__(self, fq, terms=None):
-        self.fq = fq
-        self.terms = {}
-        if terms:
-            for key, p in terms.items():
-                if not p.is_zero():
-                    self.terms[key] = p
-
-    @staticmethod
-    def from_poly(p):
-        return SymPoly(p.fq, {(0, 0): p})
-
-    @staticmethod
-    def symbol(fq, name):
-        key = (1, 0) if name == "beta" else (0, 1)
-        return SymPoly(fq, {key: Poly.one(fq)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, p in other.terms.items():
-            q = out.get(key)
-            s = p if q is None else p + q
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SymPoly(self.fq, out)
-
-    def __neg__(self):
-        return SymPoly(self.fq, {k: -p for k, p in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), p in self.terms.items():
-            for (i2, j2), q in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                prod = p * q
-                cur = out.get(key)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SymPoly(self.fq, out)
-
-    def is_unit(self):
-        """True for a unit of A[beta, zeta]: a nonzero constant of F_q."""
-        return list(self.terms) == [(0, 0)] and self.terms[(0, 0)].degree == 0
-
-    def inverse(self):
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self!r} is not a unit of A[beta, zeta]")
-        c = self.terms[(0, 0)].constant_coeff()
-        return SymPoly(self.fq, {(0, 0): Poly.constant(self.fq, self.fq.inv(c))})
-
-    def substitute_beta_zero(self):
-        """Set beta = 0 (drop every monomial with a positive beta exponent)."""
-        return SymPoly(self.fq, {k: p for k, p in self.terms.items() if k[0] == 0})
-
-    def __eq__(self, other):
-        return isinstance(other, SymPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), p in sorted(self.terms.items()):
-            sym = ""
-            if i:
-                sym += f"*beta^{i}" if i > 1 else "*beta"
-            if j:
-                sym += f"*zeta^{j}" if j > 1 else "*zeta"
-            parts.append(f"({p}){sym}")
-        return " + ".join(parts)
-
-
-class SymRing:
-    """Adapter handing out SymPoly constants, for UPoly over A[beta, zeta]."""
-
-    def __init__(self, fq):
-        self.zero = SymPoly(fq)
-        self.one = SymPoly.from_poly(Poly.one(fq))
+def _beta_zeta_str(c):
+    """c in A[y], y = beta*zeta, written as its terms (a_k)*beta^k*zeta^k, k ascending."""
+    powers = ["", "*beta*zeta"] + [f"*beta^{k}*zeta^{k}" for k in range(2, len(c.coeffs))]
+    return " + ".join(f"({a}){powers[k]}" for k, a in enumerate(c.coeffs) if a) or "0"
 
 
 def verify_uniformizer_pullback(fq, l, precision, constant=None):
     """Certificate for the one-level uniformizer pullback expansion.
 
     Expands t*u / (c + t^l * beta * zeta * u), c = ``constant`` (a Poly,
-    1 by default), as a u-series over A[beta, zeta] and certifies: order
-    exactly 1, leading coefficient t, and every coefficient in A[beta, zeta],
-    that is, c a unit of A; otherwise there is no series and every item is
-    false.  Specializing beta = 0 must collapse the series to t*u exactly.
+    1 by default), as a u-series over A[y], y = beta * zeta, and certifies:
+    order exactly 1, leading coefficient t, and every coefficient in
+    A[beta, zeta], that is, the expansion ran over A, which it does when c
+    is a unit of A; otherwise there is no series and every item is false.
+    Specializing beta = 0 must collapse the series to t*u exactly.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if precision < 2:
         raise ValueError("precision must be >= 2")
-    ring = SymRing(fq)
-    t = SymPoly.from_poly(Poly.t(fq))
-    beta = SymPoly.symbol(fq, "beta")
-    zeta = SymPoly.symbol(fq, "zeta")
-    tl_beta_zeta = SymPoly.from_poly(Poly.t_power(fq, l)) * beta * zeta
+    base = ARing(fq)
+    ring = UPolyRing(base)
+    t = UPoly(base, [Poly.t(fq)])
     tu = UPoly(ring, [ring.zero, t])
-    c = ring.one if constant is None else SymPoly.from_poly(constant)
-    in_ring = c.is_unit()
-    # to precision: t*u times the inverse of the denominator mod u^(precision - 1);
-    # without a unit c there is none, and the zero series fails the other items
-    series = UPoly.zero(ring)
-    if in_ring:
-        series = tu * UPoly(ring, [c, tl_beta_zeta]).series_inverse(precision - 1)
+    c = UPoly(base, [Poly.one(fq) if constant is None else constant])
+    tl_y = UPoly(base, [base.zero, Poly.t_power(fq, l)])
+    # to precision: t*u times the inverse of the denominator mod u^(precision - 1),
+    # which exists over A exactly when c is a unit of A; without it the zero
+    # series fails the other items
+    try:
+        series = tu * UPoly(ring, [c, tl_y]).series_inverse(precision - 1)
+        in_ring = True
+    except ZeroDivisionError:
+        series, in_ring = UPoly.zero(ring), False
     lead_ok = series.order() == 1 and series.coeff(1) == t
-    beta_zero_ok = UPoly(ring, [x.substitute_beta_zero() for x in series.coeffs]) == tu
+    # beta = 0 sends y to 0: keep each coefficient's constant term in y
+    beta_zero_ok = UPoly(ring, [x.truncate(1) for x in series.coeffs]) == tu
     status = bool(lead_ok and in_ring and beta_zero_ok)
     return {
         "lemma": "uniformizer-pullback",
@@ -381,5 +300,5 @@ def verify_uniformizer_pullback(fq, l, precision, constant=None):
             "coefficients-in-ring": bool(in_ring),
             "beta-zero-specialization": bool(beta_zero_ok),
         },
-        "sample_terms": [repr(series.coeff(i)) for i in range(min(4, precision))],
+        "sample_terms": [_beta_zeta_str(series.coeff(i)) for i in range(min(4, precision))],
     }

@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .cocycles import CocycleSpace
+from .cocycles import CocycleSpace, depth_default
 from .errors import DimensionMismatchError, ReachError, ResourceBoundError, StabilityError, UsageError
 from .fq import field
 from .groups import group_context
@@ -252,7 +252,8 @@ def cmd_verify(args):
 def cmd_graph(args):
     _check_common(args)
     ctx = group_context(args.q, args.n)
-    graph = QuotientGraph(ctx, args.depth, max_orbits=args.max_orbits)
+    depth = depth_default(args.n, 2) if args.depth is None else args.depth
+    graph = QuotientGraph(ctx, depth, max_orbits=args.max_orbits)
     if args.format == "dot":
         text = graph.to_dot()
     elif args.format == "json":

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .fq import field
 from .mat2 import Mat2
-from .rings import Poly, graded_polys, int_add, int_divmod, int_inverse_mod, int_mul, int_neg, poly_gcd, poly_xgcd
+from .rings import Poly, graded_polys, int_add, int_divmod, int_inverse_mod, int_mul, int_neg, packed
 
 
 def is_gamma1(gamma, n):
@@ -53,13 +53,28 @@ def _require_unimodular(gamma):
         raise ValueError(f"matrix has det {gamma.det()}, expected 1")
 
 
+def _bezout(c, d):
+    """(a1, b1) = (d^-1 mod c, (a1 d - 1)/c), so a1 d - b1 c = 1; None unless c, d are coprime.
+
+    c = 0 is coprime to d only for a constant d, and there (a1, b1) = (d^-1, 0).
+    """
+    fq = d.fq
+    if not c:
+        return (d.inverse(), c) if d.degree == 0 else None
+    a1 = int_inverse_mod(fq, d.x, c.x)
+    if a1 is None:
+        return None
+    a1 = packed(fq, a1)
+    return a1, (a1 * d - Poly.one(fq)).divexact(c)
+
+
 def lift_sl2(gbar, n):
     """Deterministic lift of gbar in SL_2(A_n) to SL_2(A).
 
     gbar is a Mat2 over A read modulo t^n: each entry stands for its class,
     whose lift of degree < n is taken.  The bottom row is lifted to a
     coprime pair congruent to the input row (adding t^n * z with z
-    enumerated degree-first); the top row comes from an extended gcd and is
+    enumerated degree-first); the top row is the Bezout pair of d^-1 mod c,
     corrected by lambda * (bottom row) to match the required congruence,
     with lambda the canonical degree < n representative.
     """
@@ -69,20 +84,13 @@ def lift_sl2(gbar, n):
         raise ValueError(f"matrix has det {det} != 1 mod t^{n}")
     tn = Poly.t_power(fq, n)
     abar, bbar, cbar, dbar = (x.truncate(n) for x in gbar.entries())
-    c, d = cbar, dbar or tn
-    if not poly_gcd(c, d).is_one():
-        c = None
-        for z in graded_polys(fq):
-            cand = cbar + tn * z
-            if not cand.is_zero() and poly_gcd(cand, d).is_one():
-                c = cand
-                break
-        if c is None:  # pragma: no cover - the search always terminates
-            raise AssertionError("no coprime lift found")
-    g, x, y = poly_xgcd(d, -c)
-    if not g.is_one():
-        raise AssertionError("bottom row not coprime after adjustment")
-    a1, b1 = x, y  # a1*d - b1*c = 1
+    d = dbar or tn
+    for z in graded_polys(fq):
+        c = cbar + tn * z
+        pair = _bezout(c, d)
+        if pair is not None:
+            break
+    a1, b1 = pair  # a1*d - b1*c = 1
     # congruence defect (abar - a1, bbar - b1) is a multiple of (c, d) mod t^n;
     # u*c + v*d = 1 for (u, v) = (-b1, a1), and lambda mod t^n is the same
     # for every such pair
@@ -93,7 +101,7 @@ def lift_sl2(gbar, n):
     if not out.det().is_one():
         raise AssertionError("lift has wrong determinant")
     for got, want in ((a, abar), (b, bbar), (c, cbar), (d, dbar)):
-        if not ((got - want) % tn).is_zero():
+        if (got - want).truncate(n):
             raise AssertionError("lift has wrong reduction")
     return out
 

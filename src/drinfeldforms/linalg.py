@@ -15,7 +15,8 @@ UPoly, the dense univariate polynomial, is both the charpoly's type and
 the truncated u-series of ``carlitz``: a series to precision n is a
 UPoly cut by :meth:`UPoly.truncate` after each product, and
 :meth:`UPoly.series_inverse` inverts one with a unit constant term mod
-X^n, over any ring whose elements have ``inverse()``.
+X^n, over any ring whose elements have ``inverse()``; a UPoly is one, so
+over the adapters ARing and UPolyRing a series has coefficients in A[y].
 
 Every kernel the cocycle solver takes goes through one sparse
 Gauss-Jordan routine, :func:`_reduce` (constraint systems over quotient
@@ -27,7 +28,7 @@ Berkowitz algorithm.
 """
 
 from .fq import FqElem
-from .rings import NEG_INF, POS_INF, RatFunc, int_add, int_mul
+from .rings import NEG_INF, POS_INF, Poly, RatFunc, int_add, int_mul
 
 
 class FqRing:
@@ -105,8 +106,20 @@ class KRing:
         return hash(("KRing", self.fq.q))
 
 
-def _is_zero(x):
-    return not x
+class ARing:
+    """Adapter handing out Poly constants of A = F_q[t]."""
+
+    def __init__(self, fq):
+        self.zero = Poly.zero(fq)
+        self.one = Poly.one(fq)
+
+
+class UPolyRing:
+    """Adapter handing out UPoly constants over ``ring``, for a UPoly over ring[y]."""
+
+    def __init__(self, ring):
+        self.zero = UPoly.zero(ring)
+        self.one = UPoly.one(ring)
 
 
 class Matrix:
@@ -174,7 +187,7 @@ class Matrix:
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)])
 
     def is_zero(self):
-        return all(_is_zero(a) for row in self.rows for a in row)
+        return not any(a for row in self.rows for a in row)
 
     def apply(self, vec):
         """M vec, each row's sum started at its first nonzero term: over K a
@@ -206,7 +219,7 @@ class UPoly:
 
     def __init__(self, ring, coeffs):
         coeffs = list(coeffs)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.ring = ring
         self.coeffs = coeffs
@@ -230,6 +243,9 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
 
@@ -250,14 +266,14 @@ class UPoly:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return UPoly.zero(self.ring)
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # each sum starts at its first term: over K a sum with 0 would still take a gcd
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not _is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return UPoly(self.ring, out)
+            if a:
+                for j, b in terms:
+                    out[i + j] = a * b if out[i + j] is None else out[i + j] + a * b
+        return UPoly(self.ring, [self.ring.zero if c is None else c for c in out])
 
     def __pow__(self, n):
         result = UPoly.one(self.ring)
@@ -278,7 +294,7 @@ class UPoly:
         inv_lead = self.ring.one / other.coeffs[-1]
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
-            if not _is_zero(c):
+            if c:
                 f = c * inv_lead
                 quo[k - dd] = f
                 for j, b in enumerate(other.coeffs):
@@ -293,6 +309,12 @@ class UPoly:
         """The least degree of a nonzero term; None for 0."""
         return next((i for i, c in enumerate(self.coeffs) if c), None)
 
+    def inverse(self):
+        """The inverse of a unit constant; ZeroDivisionError otherwise."""
+        if self.degree != 0:
+            raise ZeroDivisionError(f"{self} is not a unit constant")
+        return UPoly(self.ring, [self.coeffs[0].inverse()])
+
     def series_inverse(self, n):
         """The inverse mod X^n of a polynomial with unit constant term.
 
@@ -305,11 +327,11 @@ class UPoly:
         inv0 = f[0].inverse()
         out = [inv0]
         for k in range(1, n):
-            s = self.ring.zero
+            s = None  # as in __mul__, the sum starts at its first term
             for j in range(1, min(k, len(f) - 1) + 1):
                 if f[j] and out[k - j]:
-                    s = s + f[j] * out[k - j]
-            out.append(-(inv0 * s))
+                    s = f[j] * out[k - j] if s is None else s + f[j] * out[k - j]
+            out.append(self.ring.zero if s is None else -(inv0 * s))
         return UPoly(self.ring, out[:n])
 
     def eval_matrix(self, m):
@@ -318,7 +340,7 @@ class UPoly:
         acc = Matrix.zeros(self.ring, n, n)
         for c in reversed(self.coeffs):
             acc = acc * m
-            if not _is_zero(c):
+            if c:
                 acc = acc + Matrix.identity(self.ring, n).scale(c)
         return acc
 
@@ -334,7 +356,7 @@ class UPoly:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if _is_zero(c):
+            if not c:
                 continue
             xs = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
             cs = str(c)
@@ -454,7 +476,7 @@ def _reduce(rows, col_order, ring):
             for c, val in prow.items():
                 cur = srow.get(c)
                 nv = (cur - f * val) if cur is not None else -(f * val)
-                if _is_zero(nv):
+                if not nv:
                     if cur is not None:
                         del srow[c]
                         col_rows[c].discard(s)

@@ -10,9 +10,10 @@ loops over the field's tables elsewhere.  They are the functions
 ``int_add``, ``int_neg``, ``int_mul``, ``int_divmod`` and
 ``int_inverse_mod`` of (fq, x, y) on packed ints: Poly's own operators
 wrap them, and a loop that runs many steps on packed ints (the tree walk)
-calls them directly, so each operation has one implementation.  A class
-of A_n is its lift of degree < n, a plain Poly: a product is cut back
-with ``truncate(n)`` and a unit inverted with ``inverse_mod(n)``.
+calls them directly, so each operation has one implementation; the one
+for inverses and Bezout pairs modulo a polynomial is ``int_inverse_mod``.
+A class of A_n is its lift of degree < n, a plain Poly: a product is cut
+back with ``truncate(n)`` and a unit inverted with ``inverse_mod(n)``.
 Rational functions are stored reduced with a monic denominator.  At the
 place at infinity, with uniformizer pi = 1/t, v_infinity(num/den) =
 deg den - deg num is read off the degrees.
@@ -145,9 +146,9 @@ def int_inverse_mod(fq, x, m):
 
     Euclid on (m, x mod m) keeps s with s x = r mod m for each remainder r,
     and x is a unit exactly when the remainders reach a nonzero constant.
-    Mod m = 1, the zero ring, every class is 0, a unit.
+    Mod a nonzero constant m, A/(m) is the zero ring: every class is 0, a unit.
     """
-    if m == 1:
+    if 0 < m < 256:
         return 0
     r0, r1, s0, s1 = m, int_divmod(fq, x, m)[1], 0, 1
     while r1 >> 8:
@@ -302,6 +303,12 @@ class Poly:
         """Reduce modulo t^n (n >= 0): the lift of degree < n of the class in A_n."""
         return packed(self.fq, self.x & ((1 << 8 * n) - 1))
 
+    def inverse(self):
+        """The inverse in A of a unit, a nonzero constant; ZeroDivisionError otherwise."""
+        if self.degree != 0:
+            raise ZeroDivisionError(f"{self} is not a unit of A")
+        return packed(self.fq, self.fq.inv(self.x))
+
     def inverse_mod(self, n):
         """The inverse modulo t^n, truncated; ZeroDivisionError unless it is a unit of A_n."""
         inv = int_inverse_mod(self.fq, self.x, 1 << 8 * n)
@@ -348,23 +355,6 @@ def poly_gcd(a, b):
     while y:
         x, y = y, int_divmod(fq, x, y)[1]
     return packed(fq, x).monic()
-
-
-def poly_xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) monic and x*a + y*b = g."""
-    fq = a.fq
-    r0, r1 = a, b
-    x0, x1 = Poly.one(fq), Poly.zero(fq)
-    y0, y1 = Poly.zero(fq), Poly.one(fq)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0.is_zero():
-        return r0, x0, y0
-    lead_inv = fq.inv(r0.leading())
-    return r0.scale(lead_inv), x0.scale(lead_inv), y0.scale(lead_inv)
 
 
 def poly_is_irreducible(m):

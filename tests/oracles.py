@@ -64,7 +64,12 @@ None of this is used by ``drinfeldforms`` itself:
   (:func:`coords_oracle`): the values at the unit rows, checked against
   the basis summed over the supports of the cocycles with a nonzero
   coordinate, the oracle for ``Coordinates.coords``, which reads a whole
-  operator at once on the basis rows.
+  operator at once on the basis rows;
+* the extended Euclid on Polys (:func:`poly_xgcd`) and the SL_2 lift whose
+  bottom row is searched by gcds and whose top row comes from
+  ``poly_xgcd(d, -c)`` (:func:`xgcd_lift_sl2`), the oracles for
+  ``rings.int_inverse_mod`` and for ``groups.lift_sl2``, which read the
+  coprimality test and the Bezout pair off the packed inverse mod c.
 """
 
 from drinfeldforms.errors import ReachError
@@ -876,3 +881,38 @@ def coords_oracle(coords, values):
                     "component %d: truncation depth too small" % s
                 )
     return x
+
+
+def poly_xgcd(a, b):
+    """Return (g, x, y) with g = gcd(a, b) monic and x*a + y*b = g."""
+    fq = a.fq
+    r0, r1 = a, b
+    x0, x1 = Poly.one(fq), Poly.zero(fq)
+    y0, y1 = Poly.zero(fq), Poly.one(fq)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if r0.is_zero():
+        return r0, x0, y0
+    lead_inv = fq.inv(r0.leading())
+    return r0.scale(lead_inv), x0.scale(lead_inv), y0.scale(lead_inv)
+
+
+def xgcd_lift_sl2(gbar, n):
+    """The lift of gbar in SL_2(A_n) to SL_2(A) by gcds and an extended gcd.
+
+    The bottom row is (c, d) with c the first cbar + t^n z, z degree-first,
+    prime to d = dbar (t^n when dbar = 0); (a1, b1) = (x, y) of
+    poly_xgcd(d, -c), corrected by lambda (c, d), lambda of degree < n.
+    """
+    fq = gbar.a.fq
+    tn = Poly.t_power(fq, n)
+    abar, bbar, cbar, dbar = (x.truncate(n) for x in gbar.entries())
+    d = dbar or tn
+    c = next(c for c in (cbar + tn * z for z in graded_polys(fq)) if poly_gcd(c, d).is_one())
+    g, a1, b1 = poly_xgcd(d, -c)
+    assert g.is_one()
+    lam = (a1 * (bbar - b1) - b1 * (abar - a1)) % tn
+    return Mat2(a1 + lam * c, b1 + lam * d, c, d)

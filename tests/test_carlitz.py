@@ -5,8 +5,6 @@ import pytest
 
 from drinfeldforms import verify
 from drinfeldforms.carlitz import (
-    SymPoly,
-    SymRing,
     carlitz_phi,
     exp_coeffs,
     goss_polynomials,
@@ -17,7 +15,7 @@ from drinfeldforms.carlitz import (
 )
 from drinfeldforms.cli import main
 from drinfeldforms.fq import field
-from drinfeldforms.linalg import KRing, UPoly
+from drinfeldforms.linalg import ARing, KRing, UPoly, UPolyRing
 from drinfeldforms.rings import Poly, RatFunc
 
 
@@ -176,28 +174,37 @@ def test_a_non_unit_constant_fails_the_goss_run(monkeypatch, tmp_path):
 
 
 def test_symbolic_units_are_the_nonzero_constants():
+    # the units of A and of A[y], y = beta*zeta, are the nonzero constants of F_q
     fq = field(3)
-    t, beta = Poly.t(fq), SymPoly.symbol(fq, "beta")
-    two = SymPoly.from_poly(Poly.constant(fq, 2))
-    assert two.is_unit() and two * two.inverse() == SymPoly.from_poly(Poly.one(fq))
-    for x in (SymPoly(fq), SymPoly.from_poly(t), beta, two + beta):
-        assert not x.is_unit()
+    base = ARing(fq)
+    t, two = Poly.t(fq), Poly.constant(fq, 2)
+    assert two.inverse() == two and two * two.inverse() == base.one
+    y = UPoly(base, [base.zero, base.one])
+    two_ay = UPoly(base, [two])
+    assert two_ay.inverse() * two_ay == UPoly.one(base)
+    for x in (base.zero, t, t + two):
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    for x in (UPoly.zero(base), UPoly(base, [t]), y, two_ay + y):
         with pytest.raises(ZeroDivisionError):
             x.inverse()
 
 
 def test_uniformizer_pullback_leading_terms():
-    # l = 1, q = 3: t*u - t^2 beta zeta u^2 + t^3 beta^2 zeta^2 u^3 - ...
+    # l = 1, q = 3: t*u - t^2 y u^2 + t^3 y^2 u^3 - ..., y = beta*zeta
     fq = field(3)
-    ring = SymRing(fq)
+    base = ARing(fq)
+    ring = UPolyRing(base)
     t = Poly.t(fq)
-    beta = SymPoly.symbol(fq, "beta")
-    zeta = SymPoly.symbol(fq, "zeta")
-    den = UPoly(ring, [ring.one, SymPoly.from_poly(t) * beta * zeta])
-    series = (UPoly(ring, [ring.zero, SymPoly.from_poly(t)]) * den.series_inverse(4)).truncate(4)
-    assert series.coeff(1) == SymPoly.from_poly(t)
-    assert series.coeff(2) == -(SymPoly.from_poly(t * t) * beta * zeta)
-    assert series.coeff(3) == SymPoly.from_poly(t * t * t) * beta * beta * zeta * zeta
+
+    def monomial(c, k):
+        return UPoly(base, [base.zero] * k + [c])
+
+    den = UPoly(ring, [ring.one, monomial(t, 1)])
+    series = (UPoly(ring, [ring.zero, monomial(t, 0)]) * den.series_inverse(4)).truncate(4)
+    assert series.coeff(1) == monomial(t, 0)
+    assert series.coeff(2) == -monomial(t * t, 1)
+    assert series.coeff(3) == monomial(t * t * t, 2)
 
 
 def test_torsion_pullback_expansion_coefficients():
@@ -218,7 +225,11 @@ def test_pullback_reports_the_expansion_to_its_precision():
     t = Poly.t(fq)
     rep = verify_uniformizer_pullback(fq, 1, 3)
     assert rep["status"], rep
-    assert rep["sample_terms"] == ["0", repr(SymPoly.from_poly(t)), "(t^2)*beta*zeta"]
+    assert rep["sample_terms"] == ["0", f"({t})", "(t^2)*beta*zeta"]
+    # q = 3, l = 2: t*u - t^3 y u^2 + t^5 y^2 u^3 - ..., y = beta*zeta
+    rep = verify_uniformizer_pullback(field(3), 2, 8)
+    assert rep["status"], rep
+    assert rep["sample_terms"] == ["0", "(t)", "(2*t^3)*beta*zeta", "(t^5)*beta^2*zeta^2"]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -316,6 +316,16 @@ def test_graph_dot_and_json_roundtrip(capsys):
     assert canonical_json_dumps(data) == out
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_depth_defaults_to_the_weight_2_depth(capsys, fmt):
+    # without --depth, graph builds to depth_default(n, 2), 7 at n = 2
+    code, out = run_cli(capsys, "graph", "--q", "2", "--n", "2", "--format", fmt)
+    assert code == 0
+    code7, out7 = run_cli(capsys, "graph", "--q", "2", "--n", "2", "--depth", "7", "--format", fmt)
+    assert code7 == 0 and out == out7
+    assert out != run_cli(capsys, "graph", "--q", "2", "--n", "2", "--depth", "6", "--format", fmt)[1]
+
+
 def test_verify_goss_cli(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "goss", "--q", "3", "--imax", "9")
     assert code == 0

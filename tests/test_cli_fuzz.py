@@ -1,6 +1,7 @@
 """Property test: every CLI input ends in a documented exit code.
 
-Inputs range over valid and invalid field sizes, levels, weights, depths,
+Inputs range over valid and invalid field sizes, levels, weights, depths
+(an unset depth included),
 orbit-bound environment values and, for ``hecke``, operator arguments
 with small and huge exponents.  ``main`` must return 0, 1, 2 or 3
 and never let an exception escape (an escaped exception is a traceback
@@ -19,16 +20,17 @@ from drinfeldforms.cli import main
 
 
 def _argv(command, q, n, k, depth, op):
+    at_depth = [] if depth is None else ["--depth", depth]
     if command == "graph":
-        return ["graph", "--q", q, "--n", n, "--depth", depth]
+        return ["graph", "--q", q, "--n", n] + at_depth
     if command == "dims":
-        return [command, "--q", q, "--n", n, "--k", k, "--depth", depth]
+        return [command, "--q", q, "--n", n, "--k", k] + at_depth
     if command == "hecke":
         kind, exp = op
-        return [command, "--q", q, "--n", n, "--k", k, "--depth", depth, "--op", f"{kind}:t^{exp}+1"]
+        return [command, "--q", q, "--n", n, "--k", k] + at_depth + ["--op", f"{kind}:t^{exp}+1"]
     suite = "goss" if command == "verify-goss" else "congruences"
-    return ["verify", "--suite", suite, "--q", q, "--nmax", n, "--kmax", k,
-            "--imax", depth, "--jobs", "1"]
+    imax = [] if depth is None else ["--imax", depth]
+    return ["verify", "--suite", suite, "--q", q, "--nmax", n, "--kmax", k, "--jobs", "1"] + imax
 
 
 @settings(max_examples=150, deadline=None)
@@ -37,7 +39,7 @@ def _argv(command, q, n, k, depth, op):
     q=st.sampled_from([2, 3, 4, 6]),
     n=st.integers(-1, 2),
     k=st.integers(0, 3),
-    depth=st.integers(-3, 6),
+    depth=st.one_of(st.none(), st.integers(-3, 6)),
     max_orbits=st.sampled_from(["", "abc", "1.5", "0", "-3", "40", "200000"]),
     op=st.tuples(
         st.sampled_from(["Tm", "Diamond"]),

@@ -4,6 +4,8 @@ import pytest
 
 from drinfeldforms.fq import field
 from drinfeldforms.groups import (
+    GroupContext,
+    _bezout,
     distinct_coset_check,
     group_context,
     in_gamma1_coset,
@@ -14,8 +16,8 @@ from drinfeldforms.groups import (
     verify_xi_congruences,
 )
 from drinfeldforms.mat2 import Mat2
-from drinfeldforms.rings import Poly
-from oracles import inverse_k, mod_tn, to_a, to_k
+from drinfeldforms.rings import Poly, graded_polys
+from oracles import inverse_k, mod_tn, poly_xgcd, to_a, to_k, xgcd_lift_sl2
 
 
 def test_membership_examples():
@@ -54,6 +56,38 @@ def test_lift_sl2_randomized(q, n):
         assert lifted.det().is_one()
         for got, want in zip(lifted.entries(), m.entries()):
             assert ((got - want) % tn).is_zero()
+
+
+LIFT_GRID = [(2, n) for n in range(1, 6)] + [(q, n) for q in (3, 4, 5) for n in (1, 2, 3)] + [(9, 1), (9, 2)]
+
+
+@pytest.mark.parametrize("q,n", LIFT_GRID)
+def test_lift_sl2_matches_the_xgcd_oracle(q, n):
+    # every h_bar(c, d) and every diag(a^-1, a), a a unit of A_n (the eta
+    # lifts), is lifted as by gcds and an xgcd, from the same Bezout pair
+    ctx = GroupContext(q, n)
+    zero = Poly.zero(ctx.fq)
+    units = [th.scale(code) for code in range(1, q) for th in ctx.theta]
+    gbars = [ctx.h_bar(c, d) for c, d in ctx.label_pairs()]
+    gbars += [Mat2(a.inverse_mod(n), zero, zero, a) for a in units]
+    assert len(gbars) == q ** (2 * (n - 1)) + (q - 1) * q ** (n - 1)
+    for gbar in gbars:
+        got = lift_sl2(gbar, n)
+        assert got == xgcd_lift_sl2(gbar, n)
+        _, x, y = poly_xgcd(got.d, -got.c)
+        assert _bezout(got.c, got.d) == (x, y)
+
+
+@pytest.mark.parametrize("q,bound", [(2, 3), (3, 3), (4, 3), (5, 2), (9, 2)])
+def test_bezout_pair_matches_the_xgcd_oracle(q, bound):
+    # over every pair of polynomials of degree < bound: c = 0, c a nonzero
+    # constant (a1 = 0 there) and deg c >= 1, coprime to d or not
+    fq = field(q)
+    polys = list(graded_polys(fq, bound))
+    for c in polys:
+        for d in polys:
+            g, x, y = poly_xgcd(d, -c)
+            assert _bezout(c, d) == ((x, y) if g.is_one() else None)
 
 
 def test_lift_sl2_det_guard():

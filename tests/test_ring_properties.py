@@ -1,9 +1,12 @@
 """Property tests for the gcd-based structure of A = F_q[t], K and A/(t^n).
 
-Over q in {2, 3, 4, 5, 9}: the extended gcd is a monic common divisor
-written as a combination, a rational function is stored reduced with a
-monic denominator whatever representation it was built from, and a residue
-mod t^n is invertible exactly when its constant term is nonzero.
+Over q in {2, 3, 4, 5, 9}: the extended gcd (the oracle ``poly_xgcd``) is
+a monic common divisor written as a combination, a rational function is
+stored reduced with a monic denominator whatever representation it was
+built from, and a residue mod t^n is invertible exactly when its constant
+term is nonzero.  Over q in {2, 3, 4, 9} the packed inverse mod any nonzero
+m is the extended gcd's coefficient reduced mod m, and exists exactly when
+the gcd is 1.
 """
 
 import pytest
@@ -11,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldforms.fq import field
-from drinfeldforms.rings import Poly, RatFunc, poly_gcd, poly_xgcd
+from drinfeldforms.rings import Poly, RatFunc, int_inverse_mod, packed, poly_gcd
+from oracles import poly_xgcd
 
 FIELDS = st.sampled_from([2, 3, 4, 5, 9]).map(field)
 MAX_LEN = 12
@@ -37,6 +41,37 @@ def test_xgcd_is_a_monic_common_divisor_and_a_combination(data):
     assert g.is_monic()
     assert (a % g).is_zero() and (b % g).is_zero()
     assert g == poly_gcd(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_inverse_mod_a_polynomial_matches_the_xgcd_oracle(data):
+    fq = field(data.draw(st.sampled_from([2, 3, 4, 9])))
+    x = _draw_poly(data, fq)
+    # a nonzero modulus, often a constant one (A/(m) the zero ring)
+    if data.draw(st.booleans()):
+        m = _draw_poly(data, fq, nonzero=True)
+    else:
+        m = Poly.constant(fq, data.draw(st.integers(1, fq.q - 1)))
+    s = int_inverse_mod(fq, x.x, m.x)
+    g, a, _ = poly_xgcd(x, m)
+    if not g.is_one():
+        assert s is None
+        return
+    s = packed(fq, s)
+    assert s == a % m
+    assert s.degree < m.degree
+    assert (s * x - Poly.one(fq)) % m == Poly.zero(fq)
+
+
+def test_inverse_mod_a_constant_is_zero():
+    # A/(m) is the zero ring for a nonzero constant m: every class is 0, a unit
+    for q in (2, 3, 4, 9):
+        fq = field(q)
+        for code in range(1, q):
+            for x in (0, 1, 1 + (2 % q << 8), 1 << 16):
+                assert int_inverse_mod(fq, x, code) == 0
+    assert int_inverse_mod(field(3), 1 + (2 << 8), 2) == 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,9 +11,8 @@ from drinfeldforms.rings import (
     graded_polys,
     poly_gcd,
     poly_is_irreducible,
-    poly_xgcd,
 )
-from oracles import laurent_expand, laurent_tail, tail_to_ratfunc, v_inf
+from oracles import laurent_expand, laurent_tail, poly_xgcd, tail_to_ratfunc, v_inf
 
 
 def rand_poly(fq, rng, maxlen=5, nonzero=False):
