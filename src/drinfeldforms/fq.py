@@ -115,6 +115,9 @@ class Fq:
         # over a prime field, int products of operands of at most
         # 255 // (p - 1)^2 bytes carry into no other byte; this is 0 past p = 13
         self.kron_bits = 8 * (255 // (p - 1) ** 2) if e == 1 else 0
+        # and x + f y with x reduced carries nowhere while the shorter of f, y
+        # has at most (256 - p) // (p - 1)^2 bytes (at p = 2 the sum is an XOR)
+        self.axpy_bits = self.kron_bits if p == 2 else 8 * ((256 - p) // (p - 1) ** 2) if e == 1 else 0
 
     # -- raw code arithmetic ------------------------------------------------
     def add(self, a, b):

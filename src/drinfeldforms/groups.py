@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .fq import field
 from .mat2 import Mat2
-from .rings import Poly, graded_polys, int_add, int_divmod, int_inverse_mod, int_mul, int_neg, packed
+from .rings import Poly, graded_polys, int_axpy, int_divmod, int_inverse_mod, int_mul, int_neg, packed
 
 
 def is_gamma1(gamma, n):
@@ -27,11 +27,9 @@ def is_gamma1(gamma, n):
 
 
 def _unipotent_mod(gamma, n):
-    """gamma = (1 *; 0 1) mod t^n: the low n bytes of a - 1, c and d - 1 are zero."""
-    one = Poly.one(gamma.a.fq)
-    return not (
-        (gamma.a - one).truncate(n) or gamma.c.truncate(n) or (gamma.d - one).truncate(n)
-    )
+    """gamma = (1 *; 0 1) mod t^n: the low n bytes of a and d read 1, and those of c read 0."""
+    mask = (1 << 8 * n) - 1
+    return gamma.a.x & mask == 1 and not gamma.c.x & mask and gamma.d.x & mask == 1
 
 
 def is_gamma0p(gamma, n):
@@ -185,17 +183,17 @@ class GroupContext:
         (a, (b - beta a)/m; c, (d - beta c)/m), each division exact.
         """
         fq = self.fq
-        x = _packed_product(xi, w, fq)
+        x = xi * w
         if m == 1:  # the diamond's eta
-            return Mat2.from_packed(fq, x), (1, 0, 0, 1)
-        a, b, c, d = x
+            return x, (1, 0, 0, 1)
+        a, b, c, d = x.a.x, x.b.x, x.c.x, x.d.x
         (qa, ra), (qc, rc) = int_divmod(fq, a, m), int_divmod(fq, c, m)
         if not (ra or rc):
             return Mat2.from_packed(fq, (qa, b, qc, d)), (m, 0, 0, 1)
         num, res = (b, ra) if ra else (d, rc)
         beta = int_divmod(fq, int_mul(fq, num, int_inverse_mod(fq, res, m)), m)[1]
         minus = int_neg(fq, beta)
-        (qb, rb), (qd, rd) = (int_divmod(fq, int_add(fq, y, int_mul(fq, minus, z)), m) for y, z in ((b, a), (d, c)))
+        (qb, rb), (qd, rd) = (int_divmod(fq, int_axpy(fq, y, minus, z), m) for y, z in ((b, a), (d, c)))
         if rb or rd:
             raise AssertionError("xi w is not in SL_2(A) times its coset representative")
         return Mat2.from_packed(fq, (a, qb, c, qd)), (1, beta, 0, m)
@@ -262,16 +260,6 @@ class CuspRecord:
     def __repr__(self):
         lbl = ",".join(str(p) for p in self.label)
         return f"Cusp({self.kind}; {lbl}; width t^{self.width_exponent})"
-
-
-def _packed_product(g, h, fq):
-    """The entries of g h, packed, for g and h over A."""
-    cols = ((h.a.x, h.c.x), (h.b.x, h.d.x))
-    return tuple(
-        int_add(fq, int_mul(fq, x.x, hx), int_mul(fq, y.x, hy))
-        for x, y in ((g.a, g.b), (g.c, g.d))
-        for hx, hy in cols
-    )
 
 
 @lru_cache(maxsize=None)

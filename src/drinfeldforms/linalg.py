@@ -28,7 +28,7 @@ Berkowitz algorithm.
 """
 
 from .fq import FqElem
-from .rings import NEG_INF, POS_INF, Poly, RatFunc, int_add, int_mul
+from .rings import NEG_INF, POS_INF, Poly, RatFunc, int_add, int_axpy
 
 
 class FqRing:
@@ -53,8 +53,9 @@ class FqRing:
         return top, FqElem(self.fq, v >> 8 * top)
 
     def axpy(self, w, c, v):
-        v = v if c.code == 1 else int_mul(self.fq, v, c.code)
-        return int_add(self.fq, w, v) if w else v
+        if c.code == 1:
+            return int_add(self.fq, w, v) if w else v
+        return int_axpy(self.fq, w, c.code, v)
 
     def transpose(self, rows, d):
         packed = b"".join(v.to_bytes(d, "little") for v in rows)

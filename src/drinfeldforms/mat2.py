@@ -1,12 +1,13 @@
-"""2x2 matrices over A or K, with the handful of operations the group and
-tree code needs.  A matrix over A_n is one over A whose entries are read
-modulo t^n (see :func:`groups.lift_sl2`)."""
+"""2x2 matrices over A, with the handful of operations the group and tree
+code needs.  A matrix over A_n is one over A whose entries are read modulo
+t^n (see :func:`groups.lift_sl2`).  Products and determinants run on the
+packed entries through ``rings.int_axpy``."""
 
-from .rings import Poly, int_add, int_mul, int_neg, packed
+from .rings import Poly, int_axpy, int_mul, int_neg, packed
 
 
 class Mat2:
-    """Row-major 2x2 matrix; entries share one ring (Poly or RatFunc)."""
+    """Row-major 2x2 matrix over A; its entries are Polys over one field."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -39,18 +40,23 @@ class Mat2:
     @staticmethod
     def from_packed(fq, entries):
         """The Mat2 over A of the packed entries (a, b, c, d)."""
-        return Mat2(*(packed(fq, x) for x in entries))
+        a, b, c, d = entries
+        return Mat2(packed(fq, a), packed(fq, b), packed(fq, c), packed(fq, d))
 
     def __mul__(self, other):
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        fq = self.a.fq
+        a, b, c, d = self.a.x, self.b.x, self.c.x, self.d.x
+        e, f, g, h = other.a.x, other.b.x, other.c.x, other.d.x
+        return Mat2.from_packed(fq, (
+            int_axpy(fq, int_mul(fq, a, e), b, g),
+            int_axpy(fq, int_mul(fq, a, f), b, h),
+            int_axpy(fq, int_mul(fq, c, e), d, g),
+            int_axpy(fq, int_mul(fq, c, f), d, h),
+        ))
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        fq = self.a.fq
+        return packed(fq, int_axpy(fq, int_mul(fq, self.a.x, self.d.x), int_neg(fq, self.b.x), self.c.x))
 
     def adjugate(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
@@ -123,7 +129,7 @@ def _replay(fq, ops, inverted):
     a, b, c, d = 1, 0, 0, 1
     for op in ops:
         if op:
-            a, b = int_add(fq, a, int_mul(fq, op, c)), int_add(fq, b, int_mul(fq, op, d))
+            a, b = int_axpy(fq, a, op, c), int_axpy(fq, b, op, d)
         else:
             a, b, c, d = int_neg(fq, c), int_neg(fq, d), a, b
     if inverted:

@@ -7,11 +7,18 @@ normalized by construction; deg(0) is the -infinity sentinel so valuation
 arithmetic needs no special cases.  Sums, products and quotients are int
 and ``bytes.translate`` operations wherever no byte slot can carry, and
 loops over the field's tables elsewhere.  They are the functions
-``int_add``, ``int_neg``, ``int_mul``, ``int_divmod`` and
+``int_add``, ``int_neg``, ``int_mul``, ``int_axpy``, ``int_divmod`` and
 ``int_inverse_mod`` of (fq, x, y) on packed ints: Poly's own operators
-wrap them, and a loop that runs many steps on packed ints (the tree walk)
-calls them directly, so each operation has one implementation; the one
-for inverses and Bezout pairs modulo a polynomial is ``int_inverse_mod``.
+wrap them, and a loop that runs many steps on packed ints (the tree walk,
+Mat2's product) calls them directly, so each operation has one
+implementation; the one for inverses and Bezout pairs modulo a polynomial
+is ``int_inverse_mod``.  The multiply-add ``int_axpy(fq, x, f, y)`` is
+x + f y reduced once: at q = 2 an XOR of the int product then one mask,
+and over F_p one translate of the int x + f y while the shorter of f, y
+has at most (256 - p) // (p - 1)^2 coefficients (``Fq.axpy_bits``; 63 at
+p = 3, 15 at p = 5, 6 at p = 7, one below the product's own 7, 2 at
+p = 11, 1 at p = 13); past that, and over non-prime fields, it is
+``int_add`` of ``int_mul``.
 A class of A_n is its lift of degree < n, a plain Poly: a product is cut
 back with ``truncate(n)`` and a unit inverted with ``inverse_mod(n)``.
 Rational functions are stored reduced with a monic denominator.  At the
@@ -91,6 +98,17 @@ def int_mul(fq, x, y):
     return int.from_bytes(out, "little")
 
 
+def int_axpy(fq, x, f, y):
+    """The packed x + f y, int_add(fq, x, int_mul(fq, f, y)), reduced once where no byte slot can carry."""
+    if not f or not y:
+        return x
+    if min(f.bit_length(), y.bit_length()) <= fq.axpy_bits:
+        if fq.q == 2:
+            return _mod2(x ^ f * y)
+        return _translate(x + f * y, fq.mod_p_bytes)
+    return int_add(fq, x, int_mul(fq, f, y))
+
+
 def int_divmod(fq, x, y):
     """(quotient, remainder) of the polynomials packed in x and y, packed."""
     if not y:
@@ -153,7 +171,7 @@ def int_inverse_mod(fq, x, m):
     r0, r1, s0, s1 = m, int_divmod(fq, x, m)[1], 0, 1
     while r1 >> 8:
         quo, rem = int_divmod(fq, r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, int_add(fq, s0, int_neg(fq, int_mul(fq, quo, s1)))
+        r0, r1, s0, s1 = r1, rem, s1, int_axpy(fq, s0, int_neg(fq, quo), s1)
     return int_mul(fq, fq._inv[r1], s1) if r1 else None
 
 

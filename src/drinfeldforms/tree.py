@@ -17,9 +17,11 @@ t^n, read off w's row, and w0 = w sigma is formed by stepping both rows
 of w only for a new orbit, whose full row must give the same key.
 
 A literal edge or vertex (classify, verify's checks) is acted on over A,
-never over K: the lattice matrix is scaled by t^L to the integral
-t^L (pi^r, s; 0, 1), r is read off polynomial degrees, and the tail off
-one division, with no reduction of the fraction, so acting pays no gcd.
+never over K, and on packed ints: g's entries are read once, the lattice
+matrix is scaled by t^L to the integral t^L (pi^r, s; 0, 1), each entry of
+their product is one multiply-add (rings.int_axpy), r is read off degrees,
+and the tail off one division, with no reduction of the fraction, so
+acting pays no gcd and builds no Poly.
 It is reduced to the apartment by Euclid's algorithm on a matrix g over A
 with g(e_i) the edge, run on packed ints: s is b/d (or a/c) of
 g diag(t^i, 1), the polynomial part of s is killed by a translation in
@@ -64,7 +66,7 @@ import copy
 
 from .errors import ResourceBoundError
 from .mat2 import Deferred, Mat2, RowOps
-from .rings import NEG_INF, Poly, int_add, int_divmod, int_mul, int_neg, packed
+from .rings import NEG_INF, int_axpy, int_divmod, int_mul, int_neg
 
 POS_SIGN = 1
 NEG_SIGN = -1
@@ -158,35 +160,40 @@ def apply_vertex(g, v, fq):
     matrix t^L (pi^r, s; 0, 1) is integral, and so is its product m with g.
     Then r' = v_inf(det m) - 2 min(v_inf(c), v_inf(d)) comes from degrees,
     and the tail of s' = b/d (or a/c when deg c > deg d) is read off one
-    division, with no reduction of the fraction.
+    division, with no reduction of the fraction.  g's entries are read once
+    as packed ints, and the rest runs on them.
     """
-    return _act(g, _det_degree(g), v, fq)
+    g = g.a.x, g.b.x, g.c.x, g.d.x
+    return _act(g, _det_degree(g, fq), v, fq)
 
 
 def apply_edge(g, e, fq):
-    deg_det = _det_degree(g)
+    g = g.a.x, g.b.x, g.c.x, g.d.x
+    deg_det = _det_degree(g, fq)
     return Edge(_act(g, deg_det, e.origin, fq), _act(g, deg_det, e.terminus, fq))
 
 
-def _det_degree(g):
-    det = g.det()
-    if det.is_zero():
+def _det_degree(g, fq):
+    """deg det g for g = (a, b, c, d) packed."""
+    a, b, c, d = g
+    det = int_axpy(fq, int_mul(fq, a, d), int_neg(fq, b), c)
+    if not det:
         raise ZeroDivisionError("singular matrix acting on the tree")
-    return det.degree
+    return _deg(det)
 
 
 def _act(g, deg_det, v, fq):
-    """apply_vertex for a g whose determinant has degree ``deg_det``."""
+    """apply_vertex for g = (a, b, c, d) packed, whose determinant has degree ``deg_det``."""
+    a, b, c, d = g
     level, top = _lattice(v)
-    top = packed(fq, top)
-    c = g.c.shift(level - v.r)
-    d = g.c * top + g.d.shift(level)
+    # the bottom row (mc, md) of m = g t^L (pi^r, s; 0, 1)
+    mc, md = c << 8 * (level - v.r), int_axpy(fq, d << 8 * level, c, top)
     deg_det += 2 * level - v.r
-    if c.degree <= d.degree:
-        rp = 2 * d.degree - deg_det
-        return Vertex(rp, _tail(g.a * top + g.b.shift(level), d, rp))
-    rp = 2 * c.degree - deg_det
-    return Vertex(rp, _tail(g.a.shift(level - v.r), c, rp))
+    if _deg(mc) <= _deg(md):
+        rp = 2 * _deg(md) - deg_det
+        return Vertex(rp, _tail(int_axpy(fq, b << 8 * level, a, top), md, rp, fq))
+    rp = 2 * _deg(mc) - deg_det
+    return Vertex(rp, _tail(a << 8 * (level - v.r), mc, rp, fq))
 
 
 def _lattice(v):
@@ -209,15 +216,16 @@ def _lattice_matrix(v):
     return (1 << 8 * (level - v.r), top, 0, 1 << 8 * level), 2 * level - v.r
 
 
-def _tail(num, den, r):
-    """The canonical tail of num/den below pi^r: its expansion terms of exponent < r.
+def _tail(num, den, r, fq):
+    """The canonical tail of num/den below pi^r, for num and den packed: its expansion terms of exponent < r.
 
     With m = max(r - 1, 0), the coefficient of t^k in the quotient of
     num t^m by den is the coefficient of pi^(m - k) in num/den, and every
     exponent below r is at most m.
     """
     m = max(r - 1, 0)
-    quo = divmod(num.shift(m), den)[0].coeffs
+    quo = int_divmod(fq, num << 8 * m, den)[0]
+    quo = quo.to_bytes((quo.bit_length() + 7) >> 3, "little")
     low = m + 1 - r  # the exponent m - k is below r exactly when k >= low
     return tuple((m - k, quo[k]) for k in range(len(quo) - 1, low - 1, -1) if quo[k])
 
@@ -235,8 +243,8 @@ def _star_step(fq, c, d, j, x):
     if x is None:
         return c, d
     if j:
-        return c, int_add(fq, d, int_mul(fq, x, c << 8 * j))
-    return int_add(fq, int_mul(fq, x, c), d), int_neg(fq, c)
+        return c, int_axpy(fq, d, x, c << 8 * j)
+    return int_axpy(fq, d, x, c), int_neg(fq, c)
 
 
 def _star_matrix(w, j, x):
@@ -278,13 +286,13 @@ def _euclid(g, i, deg_det, fq):
         minus = int_neg(fq, quo & -(1 << 8 * low))
         if minus:
             ops.append(minus)
-            top = int_add(fq, top, int_mul(fq, minus, bottom))
+            top = int_axpy(fq, top, minus, bottom)
         drop = _deg(den) - _deg(rem)
         if drop >= r:
             if r > 0:
                 ops.append(0)
             # r <= 0 whenever low > 0, and then some quotient terms stay in num
-            num = int_add(fq, num, int_mul(fq, minus, den)) if low else rem
+            num = int_axpy(fq, num, minus, den) if low else rem
             h = (num, top, den, bottom) if left else (top, num, bottom, den)
             if r > 0:
                 h = (int_neg(fq, h[2]), int_neg(fq, h[3]), h[0], h[1])
@@ -323,7 +331,7 @@ def _reduce_image(g, i, deg_det, fq):
         return RowOps(fq, ops), j, POS_SIGN, (a, b, c, d)
     if code:
         ops.append(int_neg(fq, code) << 8 * j)
-        a, b = int_add(fq, a, int_mul(fq, ops[-1], c)), int_add(fq, b, int_mul(fq, ops[-1], d))
+        a, b = int_axpy(fq, a, ops[-1], c), int_axpy(fq, b, ops[-1], d)
     if j == 0:
         ops.append(0)
         return RowOps(fq, ops), 0, POS_SIGN, (int_neg(fq, c), int_neg(fq, d), a, b)
@@ -484,7 +492,7 @@ class TreeContext:
         # SL_2(F_q) is the union of the cosets rho Sbar_0 over
         # rho = (1, 0; x, 1) and J, and row rho is (c + x d, d) or (d, -c)
         fq = self.fq
-        rows = [(int_add(fq, c, int_mul(fq, x, d)), d) for x in fq.elements()]
+        rows = [(int_axpy(fq, c, x, d), d) for x in fq.elements()]
         rows.append((d, int_neg(fq, c)))
         return (0, min(self._normal_form(rc, rd, 0)[0] for rc, rd in rows))
 
@@ -533,7 +541,7 @@ class TreeContext:
         a, c = row[1], int_neg(fq, row[0])
         for op in gamma.args[1]:  # gamma's ops
             if op:
-                a = int_add(fq, a, int_mul(fq, op & mask, c)) & mask
+                a = int_axpy(fq, a, op & mask, c) & mask
             else:
                 a, c = int_neg(fq, c), a
         return int_neg(fq, c), a
@@ -573,9 +581,9 @@ class TreeContext:
             raise AssertionError("witness search failed: edge not in claimed orbit")
         fq = self.fq
         mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
-        lift_b = Poly(fq, [add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0)])
+        lift_b = bytes(add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0))
         ratio = mul[a][inv[a0]]
-        lift = Mat2(Poly.constant(fq, ratio), lift_b, Poly.zero(fq), Poly.constant(fq, inv[ratio]))
+        lift = Mat2.from_packed(fq, (ratio, int.from_bytes(lift_b, "little"), 0, inv[ratio]))
         return w * lift * orbit.w0_inv
 
     # -- stabilizers -------------------------------------------------------------

@@ -51,7 +51,7 @@ from .hecke import (
     verify_freeness,
 )
 from .mat2 import Mat2
-from .rings import Poly, RatFunc, graded_polys, poly_is_irreducible
+from .rings import Poly, RatFunc, graded_polys, int_axpy, poly_is_irreducible
 from .tree import MAX_ORBITS, QuotientGraph, apply_edge
 
 
@@ -174,17 +174,17 @@ def _freeness_item(q, n):
 
 def _random_gamma(ctx, rng):
     """A random word in Gamma_1(t^n) from upper and t^n-lower unipotents,
-    each factor (1, x; 0, 1) or (1, 0; x t^n, 1) applied as a column operation."""
+    each factor (1, x; 0, 1) or (1, 0; x t^n, 1) applied as a column operation on packed ints."""
     fq = ctx.fq
-    a, b, c, d = Poly.one(fq), Poly.zero(fq), Poly.zero(fq), Poly.one(fq)
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(4):
-        x = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
+        x = int.from_bytes(bytes(rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))), "little")
         if rng.random() < 0.5:
-            b, d = b + a * x, d + c * x
+            b, d = int_axpy(fq, b, a, x), int_axpy(fq, d, c, x)
         else:
-            y = x.shift(ctx.n)
-            a, c = a + b * y, c + d * y
-    return Mat2(a, b, c, d)
+            y = x << 8 * ctx.n
+            a, c = int_axpy(fq, a, b, y), int_axpy(fq, c, d, y)
+    return Mat2.from_packed(fq, (a, b, c, d))
 
 
 Operators = namedtuple("Operators", "engine ut heckes diamonds")

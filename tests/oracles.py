@@ -5,6 +5,10 @@ None of this is used by ``drinfeldforms`` itself:
 * fraction-free Bareiss elimination over an integral domain, the oracle for
   the sparse Gauss-Jordan kernel (:func:`bareiss_rank`,
   :func:`bareiss_kernel`);
+* 2x2 matrices over any ring of Polys or RatFuncs (:class:`RingMat2`),
+  multiplied entry by entry through the ring's own operators: the K
+  matrices the tests form, which ``Mat2`` (over A only) does not hold, and
+  the oracle for ``Mat2``'s product on packed ints;
 * the inverse over K of a 2x2 matrix (:func:`inverse_k`), with the moves
   between A and K (:func:`to_k`, :func:`to_a`), the oracle for the
   adjugate-based actions and the coset test over A;
@@ -41,7 +45,7 @@ None of this is used by ``drinfeldforms`` itself:
 * one cocycle's value at one edge, classified for that cocycle alone
   (:func:`evaluate_oracle`), the oracle for ``CocycleSpace.values``,
   which classifies each edge once for several cocycles;
-* the random word in Gamma_1(t^n) as four full Mat2 products
+* the random word in Gamma_1(t^n) as four full RingMat2 products
   (:func:`random_gamma_oracle`), the oracle for the column operations of
   ``verify._random_gamma``;
 * an operator built from a dense Matrix (:func:`operator`) and its dense
@@ -74,7 +78,6 @@ None of this is used by ``drinfeldforms`` itself:
 
 from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
-from drinfeldforms.groups import _packed_product
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
@@ -208,23 +211,54 @@ def _normalize_vector(ring, v):
     return [x * inv if not _is_zero(x) else x for x in v]
 
 
+class RingMat2:
+    """Row-major 2x2 matrix whose entries share one ring, Poly or RatFunc, through its operators."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __mul__(self, other):
+        return RingMat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def adjugate(self):
+        return RingMat2(self.d, -self.b, -self.c, self.a)
+
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+
+def ring_product(g, h):
+    """The Mat2 g h over A, multiplied through Poly's operators."""
+    return Mat2(*(RingMat2(*g.entries()) * RingMat2(*h.entries())).entries())
+
+
 def inverse_k(m):
-    """Inverse over K of an invertible Mat2 with RatFunc entries."""
+    """Inverse over K of an invertible RingMat2 with RatFunc entries."""
     det = m.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix")
     inv = det.inverse()
     adj = m.adjugate()
-    return Mat2(adj.a * inv, adj.b * inv, adj.c * inv, adj.d * inv)
+    return RingMat2(adj.a * inv, adj.b * inv, adj.c * inv, adj.d * inv)
 
 
 def to_k(m):
-    """A Mat2 over A as one over K."""
-    return Mat2(*(RatFunc.from_poly(x) for x in m.entries()))
+    """A Mat2 over A as a RingMat2 over K."""
+    return RingMat2(*(RatFunc.from_poly(x) for x in m.entries()))
 
 
 def to_a(mk):
-    """A Mat2 over K as one over A, or None if an entry is not integral."""
+    """A RingMat2 over K as a Mat2 over A, or None if an entry is not integral."""
     entries = []
     for x in mk.entries():
         if not x.is_zero() and not x.is_poly():
@@ -727,26 +761,26 @@ def classify_image_oracle(graph, xi, orbit):
     """graph.classify(apply_edge(xi, orbit.rep)), from the image's matrix xi w0.
 
     orbit.rep is w0(e_i), so its image is (xi w0)(e_i): xi w0 is multiplied
-    out on packed ints and walked to the apartment from scratch, with no
+    out through Poly's operators and walked to the apartment from scratch, with no
     lattice coordinates formed and nothing read off another orbit's image.
     """
     fq, tree = graph.ctx.fq, graph.tree
-    g = _packed_product(xi, orbit.w0, fq)
+    g = tuple(x.x for x in ring_product(xi, orbit.w0).entries())
     gamma, i, sign, _ = _reduce_image(g, orbit.i, xi.det().degree, fq)
     nf = tree._normal_form(*tree._inverse_row(gamma), i)
     return graph._lookup((i, nf[0]), i, sign, gamma.inverse_unimodular(), nf)
 
 
 def random_gamma_oracle(ctx, rng):
-    """The random word of ``verify._random_gamma``, each factor a Mat2 product."""
+    """The random word of ``verify._random_gamma``, each factor a product through Poly's operators."""
     fq = ctx.fq
     m = Mat2.identity_poly(fq)
     for _ in range(4):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         if rng.random() < 0.5:
-            m = m * Mat2.translation(b)
+            m = ring_product(m, Mat2.translation(b))
         else:
-            m = m * Mat2(Poly.one(fq), Poly.zero(fq), b.shift(ctx.n), Poly.one(fq))
+            m = ring_product(m, Mat2(Poly.one(fq), Poly.zero(fq), b.shift(ctx.n), Poly.one(fq)))
     return m
 
 

@@ -349,12 +349,12 @@ def test_orbit_bound_covers_the_stability_shell():
 
 def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     # V_2 never reads a witness, so building the space and U_t forms no
-    # Mat2 product inside classify or classify_images, and no deferred
+    # witness product inside classify or classify_images, and no deferred
     # product is multiplied out later: edge_witness is never called.
-    # classify_images multiplies a seed's xi w0 out on packed ints and
-    # splits off its Hecke coset representative there, steps every other
+    # classify_images multiplies each seed's xi w0 out, one Mat2 product,
+    # and splits off its Hecke coset representative, steps every other
     # image on from its parent's, and defers the witness chain
-    # w_P gamma'^-1, so it forms no Mat2 product either.  A reduced state's
+    # w_P gamma'^-1, so it forms no other Mat2 product.  A reduced state's
     # gamma is kept as its row operations (RowOps), and none made inside
     # those calls is replayed, then or later.  The graph grows in
     # group coordinates and seeds from the matrices h J, and a literal
@@ -422,7 +422,8 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     assert seen["calls"] > 0
     assert seen["images"] == len(engine.coords.keys_needed) * 2  # q transports each
     assert len(made) >= 2 * len(space.graph.tree._image_cache) > 0  # each reduced state's gamma and gamma^-1
-    assert seen["inside"] == 0 and seen["read"] == 0 and seen["witness"] == 0
+    assert seen["inside"] == 2 * len(space.stable_keys)  # xi w0 for each seed, at q transports each
+    assert seen["read"] == 0 and seen["witness"] == 0
     assert acted == {"apply_edge": [], "apply_vertex": []}
 
 

@@ -85,6 +85,13 @@ CASES = [_hecke_case(*cfg) for cfg in HECKE_CONFIGS] + [
         "verify_paper_q2q3n2k3.json",
         ["verify", "--suite", "paper", "--q", "2", "--q", "3", "--nmax", "2", "--kmax", "3"],
     ),
+    # the literal tree checks at p = 5 and p = 7 on packed ints; at p = 7 the
+    # fused multiply-add x + f y is exact only while the shorter of f, y has
+    # at most 6 coefficients, one below the 7 of the int product alone
+    (
+        "verify_paper_q5q7.json",
+        ["verify", "--suite", "paper", "--q", "5", "--q", "7", "--nmax", "2", "--kmax", "2", "--jobs", "1"],
+    ),
 ]
 
 

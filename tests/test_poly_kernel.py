@@ -13,16 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldforms.fq import field
+from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import (
     NEG_INF,
     POS_INF,
     Poly,
     int_add,
+    int_axpy,
     int_divmod,
     int_mul,
     int_neg,
     packed,
 )
+from oracles import RingMat2
 
 QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 131]
 FIELDS = st.sampled_from(QS).map(field)
@@ -229,6 +232,56 @@ def test_products_at_and_past_the_no_carry_bound(p):
             assert (a * b).coeffs == want
             assert (b * a).coeffs == want
             assert divmod(a * b, b) == (a, Poly.zero(fq))
+
+
+def _axpy_bound(p):
+    return _kron_bound(p) if p == 2 else (256 - p) // (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_multiply_adds_at_and_past_the_no_carry_bound(p):
+    """All-(p - 1) operands put (p - 1) + L (p - 1)^2 into the middle slot of x + f y, L = min(len f, len y).
+
+    At L = (256 - p) // (p - 1)^2 that is at most 255, so one reduction of
+    the int x + f y is exact; at L + 1 it carries, and the multiply-add must
+    take the table path.  At p = 7 the bound is 6, one below the product's
+    own 7 (7 * 36 + 6 = 258).  At p = 2 the sum is an XOR, which adds
+    nothing to a slot, so the bound is the product's.
+    """
+    fq = field(p)
+    bound = _axpy_bound(p)
+    assert fq.axpy_bits == 8 * bound
+    for length in (bound, bound + 1):
+        for other in (length, length + 3):
+            f, y = (p - 1,) * length, (p - 1,) * other
+            for x in ((), (p - 1,) * (length + other - 1), (p - 1,) * (length + other + 2)):
+                want = Poly(fq, tuple_add(fq, x, tuple_mul(fq, f, y))).x
+                px, pf, py = (Poly(fq, c).x for c in (x, f, y))
+                assert int_axpy(fq, px, pf, py) == want
+                assert int_axpy(fq, px, py, pf) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_axpy_matches_the_tuple_kernels(data):
+    fq = data.draw(FIELDS)
+    x, f, y = (tuple(_draw_poly(data, fq).coeffs) for _ in range(3))
+    want = Poly(fq, tuple_add(fq, x, tuple_mul(fq, f, y))).x
+    px, pf, py = (Poly(fq, c).x for c in (x, f, y))
+    assert int_axpy(fq, px, pf, py) == want == int_add(fq, px, int_mul(fq, pf, py))
+    assert int_axpy(fq, px, py, pf) == want
+    assert int_axpy(fq, px, 0, py) == int_axpy(fq, px, pf, 0) == px
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mat2_product_and_det_match_the_poly_operators(data):
+    """Mat2's product and det on packed ints through int_axpy, against Poly's + and *."""
+    fq = data.draw(FIELDS)
+    g, h = ([_draw_poly(data, fq, max_size=12) for _ in range(4)] for _ in range(2))
+    want = RingMat2(*g) * RingMat2(*h)
+    assert (Mat2(*g) * Mat2(*h)).entries() == want.entries()
+    assert Mat2(*g).det() == RingMat2(*g).det()
 
 
 def test_q2_product_of_a_short_and_a_long_factor():

@@ -27,6 +27,7 @@ from drinfeldforms.tree import (
 )
 from oracles import (
     ApartmentStabilizer,
+    RingMat2,
     classify_image_oracle,
     cusp_end_oracle,
     edge_stab_generators,
@@ -113,7 +114,7 @@ def apply_vertex_over_k(g, v, fq):
         pir = RatFunc(Poly.one(fq), Poly.t_power(fq, r), reduce=False)
     else:
         pir = RatFunc.from_poly(Poly.t_power(fq, -r))
-    m = to_k(g) * Mat2(pir, tail_to_ratfunc(fq, v.tail), RatFunc.zero(fq), RatFunc.one(fq))
+    m = to_k(g) * RingMat2(pir, tail_to_ratfunc(fq, v.tail), RatFunc.zero(fq), RatFunc.one(fq))
     det = m.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
