@@ -2,9 +2,11 @@
 
 Vertices are lattice classes in canonical coordinates (r, s mod pi^r O),
 pi = 1/t: the class of the lattice spanned by the rows (pi^r, s), (0, 1).
-The tail stores the finitely many expansion terms of s below pi^r, so
-vertex equality is an exact tuple comparison.  The standard apartment is
-v_i = (-i, 0), and e_i is the oriented edge from v_i to v_{i+1}.
+The tail, the finitely many expansion terms of s below pi^r, is one packed
+int whose byte k is the code of pi^(r - 1 - k), so the parent drops byte 0,
+a child shifts a digit in, and vertex equality compares two ints.  The
+standard apartment is v_i = (-i, 0), and e_i is the oriented edge from v_i
+to v_{i+1}.
 
 The quotient graph is grown in group coordinates.  SL_2(A) acts with the
 ray v_0, v_1, ... as quotient, so each orbit keeps a w0 in SL_2(A), and
@@ -29,12 +31,12 @@ SL_2(A), and the rest is inverted through J = (0 -1; 1 0), which
 strictly decreases r.  gamma is kept as its row operations; an edge's walk
 applies them to the other column of gamma g too, and the terminus is read
 off its degrees and one division.  A literal vertex v enters through
-M_v = t^L (pi^r, s; 0, 1) over A, where s = num / t^E and
-L = max(E, r, 0): M_v(v_0) = v, and M_v fixes the end at infinity, so the
-edge from v up to its parent is M_v(e_0).  An operator image xi w0(e_i)
-is reduced from its parent's reduced image, one star step and at most two
-row operations away, and a seed's from the Hecke coset representative of
-xi w0, each such state once (QuotientGraph.classify_images).
+M_v = t^L (pi^r, s; 0, 1) with L = max(r, 0), integral since every term
+of s has exponent below r: M_v(v_0) = v, and M_v fixes the end at
+infinity, so the edge from v up to its parent is M_v(e_0).  An operator
+image xi w0(e_i) is reduced from its parent's reduced image, one star step
+and at most two row operations away, and a seed's from the Hecke coset
+representative of xi w0, each such state once (QuotientGraph.classify_images).
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
@@ -76,29 +78,26 @@ MAX_ORBITS = 200000
 
 
 class Vertex:
-    """Canonical lattice class (r, s mod pi^r O)."""
+    """Canonical lattice class (r, s mod pi^r O); ``s`` is packed, byte k the code of pi^(r - 1 - k)."""
 
-    __slots__ = ("r", "tail")
+    __slots__ = ("r", "s")
 
-    def __init__(self, r, tail=()):
+    def __init__(self, r, s=0):
         self.r = r
-        self.tail = tuple(tail)
+        self.s = s
 
     @staticmethod
     def standard(i):
         """v_i, the class of O(pi^i, 0) + O(0, 1): coordinates (-i, 0)."""
-        return Vertex(-i, ())
+        return Vertex(-i)
 
     def parent(self):
-        """The neighbor one level up (ball of one size larger)."""
-        r = self.r - 1
-        return Vertex(r, tuple((e, c) for e, c in self.tail if e < r))
+        """The neighbor one level up (ball of one size larger): the term of pi^(r - 1) goes."""
+        return Vertex(self.r - 1, self.s >> 8)
 
     def child(self, code):
-        """The neighbor refining this ball with next digit ``code``."""
-        if code:
-            return Vertex(self.r + 1, self.tail + ((self.r, code),))
-        return Vertex(self.r + 1, self.tail)
+        """The neighbor refining this ball with next digit ``code``, the term of pi^r."""
+        return Vertex(self.r + 1, self.s << 8 | code)
 
     def neighbors(self, fq):
         out = [self.parent()]
@@ -107,19 +106,19 @@ class Vertex:
 
     def apartment_index(self):
         """i with self == v_i, or None."""
-        return -self.r if not self.tail else None
+        return None if self.s else -self.r
 
     def __eq__(self, other):
-        return isinstance(other, Vertex) and self.r == other.r and self.tail == other.tail
+        return isinstance(other, Vertex) and self.r == other.r and self.s == other.s
 
     def __hash__(self):
-        return hash((self.r, self.tail))
+        return hash((self.r, self.s))
 
     def __repr__(self):
         i = self.apartment_index()
         if i is not None:
             return f"v_{i}"
-        return f"Vertex(r={self.r}, tail={self.tail})"
+        return f"Vertex(r={self.r}, s={self.s:#x})"
 
 
 class Edge:
@@ -156,8 +155,8 @@ class Edge:
 def apply_vertex(g, v, fq):
     """Canonical form of g applied to v; g is 2x2 over A, det != 0.
 
-    Works over A: with s = num / t^E and L = max(E, r, 0), the lattice
-    matrix t^L (pi^r, s; 0, 1) is integral, and so is its product m with g.
+    Works over A: with L = max(r, 0) (_lattice), the lattice matrix
+    t^L (pi^r, s; 0, 1) is integral, and so is its product m with g.
     Then r' = v_inf(det m) - 2 min(v_inf(c), v_inf(d)) comes from degrees,
     and the tail of s' = b/d (or a/c when deg c > deg d) is read off one
     division, with no reduction of the fraction.  g's entries are read once
@@ -197,17 +196,14 @@ def _act(g, deg_det, v, fq):
 
 
 def _lattice(v):
-    """(L, num t^(L - E)) for s = num / t^E, the tail's exact fraction, and L = max(E, r, 0).
+    """(L, num t^(L - E)) for s = num / t^E, the tail's exact fraction, and L = max(r, 0).
 
     t^L (pi^r, s; 0, 1) = (t^(L - r), num t^(L - E); 0, t^L) is then
-    integral; num t^(L - E) is packed, with c t^(L - e) for each c pi^e.
+    integral: every exponent is below r, so E <= L.  Byte k of v.s, the
+    code of pi^(r - 1 - k), is the coefficient of t^(L - r + 1 + k).
     """
-    big_e = max(0, max(e for e, _ in v.tail)) if v.tail else 0
-    level = max(big_e, v.r, 0)
-    top = 0
-    for e, c in v.tail:
-        top |= c << 8 * (level - e)
-    return level, top
+    level = max(v.r, 0)
+    return level, v.s << 8 * (level - v.r + 1)
 
 
 def _lattice_matrix(v):
@@ -217,17 +213,15 @@ def _lattice_matrix(v):
 
 
 def _tail(num, den, r, fq):
-    """The canonical tail of num/den below pi^r, for num and den packed: its expansion terms of exponent < r.
+    """The canonical tail of num/den below pi^r, packed, for num and den packed.
 
     With m = max(r - 1, 0), the coefficient of t^k in the quotient of
     num t^m by den is the coefficient of pi^(m - k) in num/den, and every
-    exponent below r is at most m.
+    exponent below r is at most m: byte k of the tail, pi^(r - 1 - k), is
+    the quotient's coefficient of t^(m + 1 - r + k).
     """
     m = max(r - 1, 0)
-    quo = int_divmod(fq, num << 8 * m, den)[0]
-    quo = quo.to_bytes((quo.bit_length() + 7) >> 3, "little")
-    low = m + 1 - r  # the exponent m - k is below r exactly when k >= low
-    return tuple((m - k, quo[k]) for k in range(len(quo) - 1, low - 1, -1) if quo[k])
+    return int_divmod(fq, num << 8 * m, den)[0] >> 8 * (m + 1 - r)
 
 
 def _deg(x):

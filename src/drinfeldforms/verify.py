@@ -28,6 +28,7 @@ import random
 from collections import namedtuple
 
 from .carlitz import (
+    carlitz_phi,
     exp_coeffs,
     goss_polynomials,
     goss_polynomials_oracle,
@@ -92,15 +93,14 @@ def _goss_item(q, mcoeffs, imax, precision):
     if not poly_is_irreducible(m):
         reason = f"{m} is reducible over F_{q}"
         return [_record(record_id, "torsion-scaling", params, "skipped", reason=reason)]
-    recursion = goss_polynomials(m, imax)
-    oracle = goss_polynomials_oracle(m, imax)
+    phi = carlitz_phi(m)
+    alphas = exp_coeffs(m, phi)
+    recursion = goss_polynomials(m, imax, alphas)
+    oracle = goss_polynomials_oracle(m, imax, alphas)
     agree = all(a == b for a, b in zip(recursion, oracle))
-    alphas = exp_coeffs(m)
     r = int(m.degree)
-    integral = all(alphas[i].is_poly() for i in range(r)) and alphas[r] == RatFunc(
-        Poly.one(fq), m
-    )
-    cert = verify_coeff_scaling(m, imax, precision)
+    integral = all(alphas[i].is_poly() for i in range(r)) and alphas[r] == RatFunc(Poly.one(fq), m)
+    cert = verify_coeff_scaling(m, imax, precision, phi, recursion)
     status = bool(agree and integral and cert["status"])
     return [
         _record(

@@ -26,6 +26,12 @@ None of this is used by ``drinfeldforms`` itself:
   invariance tests act with: the engine forms no stabilizer element;
 * the star of v_j as a table of matrices (:func:`star_sigma`), the oracle
   for the star steps on packed rows that grow the quotient graph;
+* the canonical vertex with its tail as a tuple of (exponent, code) pairs
+  (:class:`TupleVertex`, :func:`tuple_tail`), with the moves to and from
+  the packed tail of ``tree.Vertex`` (:func:`vertex_tail`,
+  :func:`vertex_of_tail`), the oracle for the packed vertex's neighbors,
+  lattice matrix and tails, through which the tests write vertices by
+  their terms;
 * Euclid's walk on the exact fraction num/den of a vertex's tail
   (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
   the tree layer's Euclid on matrices over A;
@@ -82,7 +88,7 @@ from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
-from drinfeldforms.tree import NEG_SIGN, POS_SIGN, _reduce_image, apply_edge, apply_vertex
+from drinfeldforms.tree import NEG_SIGN, POS_SIGN, Vertex, _reduce_image, apply_edge, apply_vertex
 
 
 def _is_zero(x):
@@ -440,6 +446,74 @@ def cusp_end_oracle(tree, e):
     return None
 
 
+def vertex_tail(v):
+    """The tail of a ``tree.Vertex`` as (exponent, code) pairs, exponents ascending.
+
+    Byte k of the packed tail v.s is the code of pi^(r - 1 - k).
+    """
+    s = v.s.to_bytes((v.s.bit_length() + 7) >> 3, "little")
+    return tuple((v.r - 1 - k, c) for k, c in reversed(list(enumerate(s))) if c)
+
+
+def vertex_of_tail(r, tail):
+    """The ``tree.Vertex`` (r, tail) for a tail of (exponent, code) pairs, every exponent below r."""
+    assert all(e < r for e, _ in tail), "a tail term at or above pi^r"
+    return Vertex(r, sum(c << 8 * (r - 1 - e) for e, c in tail))
+
+
+class TupleVertex:
+    """Canonical lattice class (r, s mod pi^r O) with the tail a tuple of
+    (exponent, code) pairs, exponents ascending and below r, codes nonzero."""
+
+    __slots__ = ("r", "tail")
+
+    def __init__(self, r, tail=()):
+        self.r = r
+        self.tail = tuple(tail)
+
+    @staticmethod
+    def of(v):
+        return TupleVertex(v.r, vertex_tail(v))
+
+    def packed(self):
+        return vertex_of_tail(self.r, self.tail)
+
+    def parent(self):
+        r = self.r - 1
+        return TupleVertex(r, tuple((e, c) for e, c in self.tail if e < r))
+
+    def child(self, code):
+        if code:
+            return TupleVertex(self.r + 1, self.tail + ((self.r, code),))
+        return TupleVertex(self.r + 1, self.tail)
+
+    def neighbors(self, fq):
+        return [self.parent()] + [self.child(c) for c in fq.elements()]
+
+    def apartment_index(self):
+        return -self.r if not self.tail else None
+
+    def lattice(self):
+        """(L, num t^(L - E)) for s = num / t^E and L = max(E, r, 0), E = max(0, max exponent)."""
+        big_e = max(0, max(e for e, _ in self.tail)) if self.tail else 0
+        level = max(big_e, self.r, 0)
+        top = 0
+        for e, c in self.tail:
+            top |= c << 8 * (level - e)
+        return level, top
+
+    def __eq__(self, other):
+        return isinstance(other, TupleVertex) and (self.r, self.tail) == (other.r, other.tail)
+
+    def __hash__(self):
+        return hash((self.r, self.tail))
+
+
+def tuple_tail(fq, num, den, r):
+    """The tail below pi^r of num/den, for num and den packed, by :func:`laurent_tail` of the unreduced fraction."""
+    return laurent_tail(RatFunc(packed(fq, num), packed(fq, den), reduce=False), r)
+
+
 def tail_to_ratfunc(fq, tail):
     """Rebuild the finite tail sum c * t^(-exp) as an element of K.
 
@@ -467,7 +541,7 @@ def reduce_vertex_oracle(v, fq):
     """
     gamma = Mat2.identity_poly(fq)
     r = v.r
-    s = tail_to_ratfunc(fq, v.tail)
+    s = tail_to_ratfunc(fq, vertex_tail(v))
     num, den = s.num, s.den
     while True:
         quo, rem = divmod(num, den)
@@ -492,11 +566,11 @@ def reduce_edge_oracle(e, fq):
     gamma, j = reduce_vertex_oracle(e.origin, fq)
     term = apply_vertex(gamma, e.terminus, fq)
     if term.r == -j - 1:
-        assert not term.tail, "non-adjacent edge endpoints"
+        assert not term.s, "non-adjacent edge endpoints"
         return gamma, j, 1
     assert term.r == -j + 1, "non-adjacent edge endpoints"
     code = 0
-    for exp, c in term.tail:
+    for exp, c in vertex_tail(term):
         if exp == -j:
             code = c
         else:

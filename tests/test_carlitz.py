@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from drinfeldforms import verify
+from drinfeldforms import carlitz, verify
 from drinfeldforms.carlitz import (
     carlitz_phi,
     exp_coeffs,
@@ -131,6 +131,40 @@ def test_coeff_scaling_certificates(q):
         assert rep["items"]["higher-goss-scaling"]
         assert rep["items"]["pullback-order"]
         assert rep["pullback_order"] == q ** int(m.degree)
+
+
+@pytest.mark.parametrize("q,mcoeffs", [(2, [1, 1, 1]), (3, [1, 0, 1]), (4, [0, 1])])
+def test_goss_item_computes_phi_alphas_and_goss_polynomials_once(q, mcoeffs, monkeypatch):
+    # every call is counted, from the item and from inside carlitz alike
+    calls = {}
+    for name in ("carlitz_phi", "exp_coeffs", "goss_polynomials"):
+        def counted(*args, _f=getattr(carlitz, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(carlitz, name, counted)
+        # verify calls the names it imports, if it imports them
+        monkeypatch.setattr(verify, name, counted, raising=False)
+    item = next(it for it in verify.goss_suite_items([q]) if it[1].get("mcoeffs") == mcoeffs)
+    (record,) = verify.run_item(item)
+    assert record["status"] is True, record
+    assert calls == {"carlitz_phi": 1, "exp_coeffs": 1, "goss_polynomials": 1}
+
+
+def test_pullback_order_reads_false_without_a_series_over_a(monkeypatch):
+    # u(mz) is expanded over A: with no inverse of its denominator there,
+    # the sub-item and the certificate read false, and the rest still hold
+    def no_inverse(self, n):
+        raise ZeroDivisionError("no series inverse over A")
+
+    m = Poly.t(field(3)) + Poly.one(field(3))
+    monkeypatch.setattr(UPoly, "series_inverse", no_inverse)
+    rep = verify_coeff_scaling(m, 9, 64)
+    assert rep["items"] == {"linear-goss-scaling": True, "higher-goss-scaling": True, "pullback-order": False}
+    assert rep["status"] is False and rep["pullback_order"] is None
+    (record,) = verify.run_item(("goss", {"q": 3, "mcoeffs": [1, 1], "imax": 9, "precision": 64}))
+    assert record["status"] is False and record["items"]["pullback-order"] is False
+    assert record["recursion_matches_oracle"] and record["exp_coeffs_integral"]
 
 
 def test_coeff_scaling_precision_guard():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from drinfeldforms.fq import field
 from drinfeldforms.rings import Poly, RatFunc
-from drinfeldforms.tree import _tail
-from oracles import laurent_tail
+from drinfeldforms.tree import Vertex, _tail
+from oracles import laurent_tail, vertex_tail
 
 
 def _draw_poly(data, fq, nonzero=False):
@@ -28,6 +28,6 @@ def test_laurent_tail_of_unreduced_fraction(data):
     unreduced = RatFunc(num * h, den * h, reduce=False)
     want = laurent_tail(RatFunc(num, den), below)
     assert laurent_tail(unreduced, below) == want
-    # the tree action reads the same tail off one division
-    assert _tail((num * h).x, (den * h).x, below, fq) == want
-    assert _tail(0, den.x, below, fq) == ()
+    # the tree action reads the same tail off one division, packed
+    assert vertex_tail(Vertex(below, _tail((num * h).x, (den * h).x, below, fq))) == want
+    assert vertex_tail(Vertex(below, _tail(0, den.x, below, fq))) == ()

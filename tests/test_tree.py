@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldforms import tree as tree_module
 from drinfeldforms.cocycles import depth_default
@@ -20,7 +22,9 @@ from drinfeldforms.tree import (
     VertexOrbit,
     apply_edge,
     apply_vertex,
+    _lattice,
     _reduce_image,
+    _tail,
     classify_edge,
     reduce_edge,
     reduce_vertex,
@@ -28,6 +32,7 @@ from drinfeldforms.tree import (
 from oracles import (
     ApartmentStabilizer,
     RingMat2,
+    TupleVertex,
     classify_image_oracle,
     cusp_end_oracle,
     edge_stab_generators,
@@ -42,8 +47,11 @@ from oracles import (
     star_sigma,
     tail_to_ratfunc,
     to_k,
+    tuple_tail,
     v_inf,
+    vertex_of_tail,
     vertex_stab_elements,
+    vertex_tail,
     vertex_zero_stabilizer,
 )
 
@@ -85,6 +93,49 @@ def test_adjacency_and_neighbors():
     assert child.parent() == v
 
 
+def _draw_tuple_vertex(data, fq):
+    """A canonical TupleVertex with up to 9 terms below pi^r, polynomial parts (exponents <= 0) included."""
+    r = data.draw(st.integers(-6, 8))
+    codes = data.draw(st.lists(st.integers(0, fq.q - 1), max_size=9))
+    return TupleVertex(r, tuple((e, c) for e, c in zip(range(r - len(codes), r), codes) if c))
+
+
+def _draw_packed_poly(data, fq, nonzero=False):
+    low = data.draw(st.lists(st.integers(0, fq.q - 1), max_size=5))
+    top = [data.draw(st.integers(1, fq.q - 1))] if nonzero else []
+    return Poly(fq, low + top).x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_vertex_matches_the_tuple_tail_oracle(data):
+    # the packed tail against the tuple of (exponent, code) pairs: the
+    # neighbors, equality and hashing, the lattice matrix and the tail read
+    # off one division
+    fq = field(data.draw(st.sampled_from([2, 3, 4, 5, 9])))
+    tv = _draw_tuple_vertex(data, fq)
+    v = tv.packed()
+    assert TupleVertex.of(v) == tv
+    assert TupleVertex.of(v.parent()) == tv.parent()
+    code = data.draw(st.integers(0, fq.q - 1))
+    assert TupleVertex.of(v.child(code)) == tv.child(code)
+    assert v.child(code).parent() == v
+    assert v.apartment_index() == tv.apartment_index()
+    assert _lattice(v) == tv.lattice()
+    nbrs, tnbrs = v.neighbors(fq), tv.neighbors(fq)
+    assert [TupleVertex.of(u) for u in nbrs] == tnbrs
+    # v is exactly one neighbor of each neighbor, with v's hash
+    for u, tu in zip(nbrs, tnbrs):
+        assert [x == v for x in u.neighbors(fq)] == [x == tv for x in tu.neighbors(fq)]
+        assert {hash(x) for x in u.neighbors(fq) if x == v} == {hash(v)}
+    assert len(set(nbrs)) == len(set(tnbrs)) == fq.q + 1
+    tw = _draw_tuple_vertex(data, fq)
+    assert (tw.packed() == v) == (tw == tv)
+    num, den = _draw_packed_poly(data, fq), _draw_packed_poly(data, fq, nonzero=True)
+    r = data.draw(st.integers(-6, 8))
+    assert TupleVertex.of(Vertex(r, _tail(num, den, r, fq))) == TupleVertex(r, tuple_tail(fq, num, den, r))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_action_axiom_randomized(q):
     fq = field(q)
@@ -98,7 +149,7 @@ def test_action_axiom_randomized(q):
 def test_singular_matrix_rejected():
     fq = field(2)
     zero, one, t = Poly.zero(fq), Poly.one(fq), Poly.t(fq)
-    v = Vertex(2, ((0, 1), (1, 1)))
+    v = vertex_of_tail(2, ((0, 1), (1, 1)))
     for g in (Mat2(zero, zero, zero, zero), Mat2(one, t, one, t)):
         with pytest.raises(ZeroDivisionError):
             apply_vertex(g, Vertex.standard(0), fq)
@@ -114,7 +165,7 @@ def apply_vertex_over_k(g, v, fq):
         pir = RatFunc(Poly.one(fq), Poly.t_power(fq, r), reduce=False)
     else:
         pir = RatFunc.from_poly(Poly.t_power(fq, -r))
-    m = to_k(g) * RingMat2(pir, tail_to_ratfunc(fq, v.tail), RatFunc.zero(fq), RatFunc.one(fq))
+    m = to_k(g) * RingMat2(pir, tail_to_ratfunc(fq, vertex_tail(v)), RatFunc.zero(fq), RatFunc.one(fq))
     det = m.det()
     if det.is_zero():
         raise ZeroDivisionError("singular matrix acting on the tree")
@@ -126,7 +177,7 @@ def apply_vertex_over_k(g, v, fq):
     else:
         rp = vdet - 2 * vc
         s = m.a / m.c
-    return Vertex(rp, laurent_tail(s, rp))
+    return vertex_of_tail(rp, laurent_tail(s, rp))
 
 
 def rand_vertex(fq, rng):
@@ -137,7 +188,7 @@ def rand_vertex(fq, rng):
         c = rng.randrange(fq.q)
         if c:
             tail.append((e, c))
-    return Vertex(r, tail)
+    return vertex_of_tail(r, tail)
 
 
 def rand_nonzero_poly(fq, rng):
@@ -183,7 +234,7 @@ def reduce_vertex_laurent_oracle(v, fq):
     new r.  Returns (gamma, j, steps).
     """
     gamma = Mat2.identity_poly(fq)
-    r, tail = v.r, v.tail
+    r, tail = v.r, vertex_tail(v)
     steps = 0
     while True:
         steps += 1
@@ -220,7 +271,7 @@ def test_euclid_reduction_matches_the_laurent_walk(q, monkeypatch):
         v = rand_vertex(fq, rng)
         if step % 2:
             v = apply_vertex(rand_word(fq, rng, steps=rng.randrange(1, 9)), v, fq)
-        polynomial_parts += v.r <= 0 and bool(v.tail)
+        polynomial_parts += v.r <= 0 and bool(v.s)
         gamma, j, steps = reduce_vertex_laurent_oracle(v, fq)
         divisions.clear()
         with monkeypatch.context() as m:
@@ -313,7 +364,7 @@ def test_reduce_edge_rejects_non_adjacent_endpoints():
     fq = field(3)
     for e in (
         Edge(Vertex.standard(0), Vertex.standard(2)),
-        Edge(Vertex.standard(1), Vertex(0, ((-2, 1),))),
+        Edge(Vertex.standard(1), vertex_of_tail(0, ((-2, 1),))),
     ):
         with pytest.raises(AssertionError, match="non-adjacent"):
             reduce_edge(e, fq)
