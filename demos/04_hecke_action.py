@@ -32,8 +32,8 @@ m = Poly.t(fq) + Poly.one(fq)
 tm = engine.t_m(m)
 cert = ordinary_certificate(ut, [tm])
 print("\nU_t in the delta basis:")
-for row in ut.rows():
-    print("  [" + ", ".join(str(x) for x in row) + "]")
+for row in ut.text_rows(str):
+    print("  [" + ", ".join(row) + "]")
 print(f"charpoly(U_t) = {cert.chi}  (= X^2 (X-1)^2 in characteristic 2)")
 
 dia = engine.diamond(ctx.one + ctx.t)

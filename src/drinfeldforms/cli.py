@@ -24,8 +24,8 @@ from .cocycles import CocycleSpace, depth_default
 from .errors import DimensionMismatchError, ReachError, ResourceBoundError, StabilityError, UsageError
 from .fq import field
 from .groups import group_context
-from .hecke import HeckeEngine, check_operator_argument, ordinary_certificate
-from .serialize import canonical_json_dumps, matrix_to_csv, matrix_to_latex, parse_terms, poly_from_terms
+from .hecke import HeckeEngine, check_operator_argument, operator_chunks, ordinary_certificate
+from .serialize import canonical_json_dumps, parse_terms, poly_from_terms
 from .tree import MAX_ORBITS, QuotientGraph
 from .verify import (
     congruence_suite_items,
@@ -108,15 +108,22 @@ def _exceeds(q, e, bound):
     return e >= bound.bit_length() or q**e > bound
 
 
-def _write(text, out):
-    if out:
-        try:
+def _write(chunks, out):
+    """Write the strings of ``chunks`` in order to --out or stdout; an OSError is a usage error.
+
+    A failed stdout (a closed pipe) is pointed at devnull, so the flush at exit prints nothing."""
+    try:
+        if out:
             with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out:
             raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def cmd_dims(args):
@@ -139,7 +146,7 @@ def cmd_dims(args):
         "r": ctx.ordinary_rank(),
         "computed_dim": space.dim,
     }
-    _write(canonical_json_dumps(report), args.out)
+    _write([canonical_json_dumps(report)], args.out)
     return 0 if space.dim == expected else 1
 
 
@@ -180,37 +187,12 @@ def cmd_hecke(args):
     ctx = group_context(args.q, args.n)
     space = CocycleSpace(ctx, args.k, depth=args.depth, max_orbits=args.max_orbits)
     engine = HeckeEngine(space)
-    built = []
-    heckes = []
-    ut = None
-    for kind, arg in ops:
-        if kind == "Ut":
-            ut = engine.u_t()
-            built.append(ut)
-        elif kind == "Tm":
-            tm = engine.t_m(arg)
-            heckes.append(tm)
-            built.append(tm)
-        else:
-            built.append(engine.diamond(arg))
-    payload = {"operators": [op.to_json_dict() for op in built]}
-    ok = True
-    if args.certify:
-        if ut is None:
-            ut = engine.u_t()
-        cert = ordinary_certificate(ut, heckes)
-        payload["certificate"] = cert.to_json_dict()
-        ok = cert.valid()
-    if args.format == "json":
-        text = canonical_json_dumps(payload)
-    elif args.format == "csv":
-        text = "".join(f"# {op.name}\n" + matrix_to_csv(op.rows()) for op in built)
-    elif args.format == "latex":
-        text = "".join(f"% {op.name}\n" + matrix_to_latex(op.rows()) for op in built)
-    else:
-        raise UsageError(f"unsupported hecke output format {args.format!r}")
-    _write(text, args.out)
-    return 0 if ok else 1
+    make = {"Ut": lambda _: engine.u_t(), "Tm": engine.t_m, "Diamond": engine.diamond}
+    built = [make[kind](arg) for kind, arg in ops]  # the engine builds each operator once
+    heckes = [op for (kind, _), op in zip(ops, built) if kind == "Tm"]
+    cert = ordinary_certificate(engine.u_t(), heckes) if args.certify else None
+    _write(operator_chunks(args.format, built, cert), args.out)
+    return 0 if cert is None or cert.valid() else 1
 
 
 def cmd_verify(args):
@@ -245,7 +227,7 @@ def cmd_verify(args):
         "passed": ok,
         "items": records,
     }
-    _write(canonical_json_dumps(payload), args.out)
+    _write([canonical_json_dumps(payload)], args.out)
     return 0 if ok else 1
 
 
@@ -260,7 +242,7 @@ def cmd_graph(args):
         text = canonical_json_dumps(graph.to_json_dict())
     else:
         raise UsageError(f"unsupported graph output format {args.format!r}")
-    _write(text, args.out)
+    _write([text], args.out)
     return 0
 
 

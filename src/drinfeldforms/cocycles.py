@@ -14,8 +14,9 @@ mod p.  Above weight 2 the blocks are (k-1)x(k-1) matrices over
 K = F_q(t).  Two gates guard the truncation: the dimension must equal
 (k-1) q^(2(n-1)), and re-solving at depth D+1 must give the same
 dimension.  The re-solve runs on the depth-D table grown by one shell
-(``QuotientGraph.extended``), not on a second build.  Whether it also
-spans the same cocycles is recorded as ``depth_stable``.
+(``QuotientGraph.extended``), not on a second build, and reuses each
+interior vertex orbit's rows, kept in (orbit key, component) terms.
+Whether it also spans the same cocycles is recorded as ``depth_stable``.
 
 A stored value must also be fixed by the representative's
 Gamma_1(t^n)-stabilizer, and no row imposes that: the rows
@@ -166,7 +167,8 @@ class CocycleSpace:
         self.stable_keys = [
             self.graph.seed_keys[(c.coeffs, d.coeffs)] for c, d in ctx.label_pairs()
         ]
-        basis, keys = self._solve(self.graph)
+        orbit_rows = {}  # each interior vertex orbit's harmonicity rows, for both solves
+        basis, keys = self._solve(self.graph, orbit_rows)
         if len(basis) != self.expected_dim:
             raise DimensionMismatchError(
                 f"dim C^har_{k}(Gamma_1(t^{ctx.n})) at depth {self.depth}: "
@@ -188,7 +190,7 @@ class CocycleSpace:
         # it spans the same cocycles is kept.  Both bases are unit bases on
         # the stable rows, so the spans agree exactly when the cocycles at
         # each unit row agree.
-        basis2, _ = self._solve(self.graph.extended())
+        basis2, _ = self._solve(self.graph.extended(), orbit_rows)
         if len(basis2) != self.expected_dim:
             raise StabilityError(
                 f"depth {self.depth} vs {self.depth + 1}: dimensions "
@@ -204,7 +206,7 @@ class CocycleSpace:
             self._to_delta_basis()
 
     # -- the linear system ---------------------------------------------------
-    def _solve(self, graph):
+    def _solve(self, graph, orbit_rows):
         comp = self.k - 1
         ring = self.ring
         keys = sorted(graph.edge_orbits)
@@ -216,22 +218,11 @@ class CocycleSpace:
         for key in sorted(keys, key=lambda kk: (kk in stable, -graph.edge_orbits[kk].depth, kk)):
             base = col_of[key]
             col_order.extend(range(base, base + comp))
-        vk = self.vk
         rows = []
         for vorbit in graph.interior_vertex_orbits():
-            blocks = {}
-            for orbit, key, sign, delta in graph.star(vorbit):
-                if orbit is None:
-                    raise AssertionError("interior vertex star left the table")
-                block = vk.signed_block(sign, delta)
-                base = col_of[key]
-                prev = blocks.get(base)
-                blocks[base] = block if prev is None else prev + block
-            blocks = [(base, vk.summed(block).rows) for base, block in blocks.items()]
-            for r in range(comp):
-                row = {base + s: mat[r][s] for base, mat in blocks for s in range(comp) if mat[r][s]}
-                if row:
-                    rows.append(row)
+            if vorbit.key not in orbit_rows:
+                orbit_rows[vorbit.key] = self._harmonicity_rows(graph, vorbit)
+            rows.extend({col_of[key] + s: x for key, s, x in row} for row in orbit_rows[vorbit.key])
         basis = []
         for vec in sparse_kernel(rows, len(keys) * comp, ring, col_order=col_order):
             entry = {}
@@ -239,6 +230,21 @@ class CocycleSpace:
                 entry.setdefault(keys[col // comp], [ring.zero] * comp)[col % comp] = x
             basis.append({key: tuple(v) for key, v in entry.items()})
         return basis, keys
+
+    def _harmonicity_rows(self, graph, vorbit):
+        """The rows of harmonicity at an interior vertex orbit, as (orbit key, component, entry) terms."""
+        comp = self.k - 1
+        vk = self.vk
+        blocks = {}
+        for orbit, key, sign, delta in graph.star(vorbit):
+            if orbit is None:
+                raise AssertionError("interior vertex star left the table")
+            block = vk.signed_block(sign, delta)
+            prev = blocks.get(key)
+            blocks[key] = block if prev is None else prev + block
+        blocks = [(key, vk.summed(block).rows) for key, block in blocks.items()]
+        rows = ([(key, s, mat[r][s]) for key, mat in blocks for s in range(comp) if mat[r][s]] for r in range(comp))
+        return [row for row in rows if row]
 
     def _unit_rows(self, basis):
         """The stable (key, component) row at which each basis cocycle is 1.

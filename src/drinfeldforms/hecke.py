@@ -18,8 +18,8 @@ unit basis, are the operator's rows.  Every safe row is checked exactly,
 once per operator; an image edge beyond the table is a ReachError.  An
 operator is kept as its columns, each a vector of the space's ring, the
 ring its coordinates lie in: F_q at weight 2, so commutators and the
-certificate run over F_q there, and K = F_q(t) above.  Only the
-serializers read the dense rows.
+certificate run over F_q there, and K = F_q(t) above.  The writer
+(:func:`operator_chunks`) reads the rows off the columns one at a time.
 
 The ordinary certificate recasts ordinariness t-adically: with
 r = q^(n-1) and chi the characteristic polynomial of U_t,
@@ -56,7 +56,7 @@ from .cocycles import Coordinates
 from .errors import ReachError, UsageError
 from .linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
 from .rings import Poly, graded_polys, poly_is_irreducible
-from .serialize import entry_json
+from .serialize import canonical_json_dumps, matrix_chunks
 from .tree import apply_edge
 
 # operator images are read and checked only on orbits at least this many
@@ -68,10 +68,11 @@ class OperatorMatrix:
     """A named operator in the chosen cocycle basis, over the space's ring.
 
     Column j, the image of basis cocycle j, is a vector of the ring
-    adapter (linalg).  ``chain`` keeps :func:`image_chain` once it has run.
+    adapter (linalg).  ``chain`` keeps :func:`image_chain` once it has run,
+    and ``terms`` the columns' nonzero (i, entry) once :meth:`apply_all` has.
     """
 
-    __slots__ = ("name", "ctx", "k", "ring", "cols", "chain")
+    __slots__ = ("name", "ctx", "k", "ring", "cols", "chain", "terms")
 
     def __init__(self, name, ctx, k, ring, cols):
         self.name = name
@@ -80,6 +81,7 @@ class OperatorMatrix:
         self.ring = ring
         self.cols = cols
         self.chain = None
+        self.terms = None
 
     @property
     def size(self):
@@ -87,31 +89,28 @@ class OperatorMatrix:
 
     def apply(self, v):
         """M v for a vector v of the ring."""
-        return _combine(self.ring, ((c, self.cols[i]) for i, c in self.ring.terms(v)))
+        return self.apply_all([v])[0]
+
+    def apply_all(self, vectors):
+        """[M v for v in vectors], on the vectors' coordinate slices: one axpy per nonzero entry of M."""
+        ring = self.ring
+        if self.terms is None:
+            self.terms = [list(ring.terms(col)) for col in self.cols]
+        slices = ring.transpose(vectors, self.size)
+        out = [ring.vector(())] * self.size
+        for terms, s in zip(self.terms, slices):
+            if s:
+                for i, x in terms:
+                    out[i] = ring.axpy(out[i], x, s)
+        return ring.transpose(out, len(vectors))
 
     def commutes(self, other):
         """Whether self other = other self, column by column."""
-        return all(self.apply(b) == other.apply(a) for a, b in zip(self.cols, other.cols))
+        return self.apply_all(other.cols) == other.apply_all(self.cols)
 
-    def rows(self):
-        """The dense rows, the one d x d view of the operator (for the serializers)."""
-        rows = [[self.ring.zero] * self.size for _ in self.cols]
-        for j, col in enumerate(self.cols):
-            for i, x in self.ring.terms(col):
-                rows[i][j] = x
-        return rows
-
-    def to_json_dict(self):
-        rows = self.rows()
-        values = {x: entry_json(x) for x in {x for row in rows for x in row}}  # one per distinct entry
-        return {
-            "name": self.name,
-            "q": self.ctx.q,
-            "n": self.ctx.n,
-            "k": self.k,
-            "size": self.size,
-            "entries": [[values[x] for x in row] for row in rows],
-        }
+    def text_rows(self, text):
+        """The rows, read one at a time off the columns, each an iterable of text(entry)."""
+        return self.ring.text_rows(self.ring.transpose(self.cols, self.size), self.size, text)
 
 
 class HeckeEngine:
@@ -193,6 +192,26 @@ def check_operator_argument(kind, p):
         raise UsageError(f"Tm needs a monic irreducible polynomial prime to t, got {p}")
     if kind == "Diamond" and p.vt() != 0:
         raise UsageError(f"Diamond needs a unit of A_n, got {p}")
+
+
+def operator_chunks(fmt, ops, certificate=None):
+    """The operators in ``fmt`` (json, csv or latex), chunk by chunk; JSON is canonical_json_dumps
+    of the payload (the certificate if given) with each operator's "entries" spliced in."""
+    matrices = (matrix_chunks(fmt, op.text_rows) for op in ops)
+    if fmt != "json":
+        for op, chunks in zip(ops, matrices):
+            yield f"{'#' if fmt == 'csv' else '%'} {op.name}\n"
+            yield from chunks
+        return
+    heads = [{"name": op.name, "q": op.ctx.q, "n": op.ctx.n, "k": op.k, "size": op.size, "entries": "\0"} for op in ops]
+    payload = {"operators": heads}
+    if certificate is not None:
+        payload["certificate"] = certificate.to_json_dict()
+    head, *tails = canonical_json_dumps(payload).split('"\\u0000"')  # each "entries", in order
+    yield head
+    for chunks, tail in zip(matrices, tails):
+        yield from chunks
+        yield tail
 
 
 # -- weight-2 closed form for the diamond action ------------------------------
@@ -339,7 +358,7 @@ def ordinary_certificate(ut, heckes=()):
     flags["unipotence_kill"] = unipotent
     hecke_flags = {}
     for op in heckes:
-        ok = ok_div and all(op.apply(y) == y for y in stable)
+        ok = ok_div and op.apply_all(stable) == stable
         hecke_flags[op.name] = ok
         if not ok:
             notes.append(f"{op.name} is not the identity on the ordinary part")
@@ -388,8 +407,9 @@ def nilpotency_diagnostics(ut):
 def image_chain(op):
     """U's image chain, run until the rank repeats, for an operator U.
 
-    U is applied to an echelon basis of im U^(j-1), and the images are
-    re-eliminated into an echelon basis of im U^j.  The ranks never
+    U is applied to an echelon basis of im U^(j-1), all at once on its
+    coordinate slices (one axpy per entry of U, :meth:`OperatorMatrix.apply_all`),
+    and the images are re-eliminated into an echelon basis of im U^j.  The ranks never
     increase, and once rank U^N = rank U^(N+1) every later image is
     im U^N, the Fitting image, on which U is invertible.
 
@@ -405,7 +425,7 @@ def image_chain(op):
     echelon = {i: ring.from_terms([(i, ring.one)]) for i in range(op.size)}
     ranks = [len(echelon)]
     while True:
-        images = [op.apply(v) for v in echelon.values()]
+        images = op.apply_all(list(echelon.values()))
         nxt = {}
         for w in images:
             w, _ = _eliminate(ring, nxt, w)

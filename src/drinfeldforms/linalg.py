@@ -8,8 +8,9 @@ serves both fields: weight-2 operators and their kernels are over F_q
 vector format of an operator's columns and of ``hecke.image_chain``, one
 packed int over F_q and a dict over K: ``vector``, ``terms`` (the nonzero
 (coordinate, entry) pairs) and ``from_terms``, ``lead`` (the highest
-nonzero coordinate and its entry), ``axpy`` (w + c v, a new vector) and
-``transpose`` (the d columns of the matrix with the given rows).
+nonzero coordinate and its entry), ``axpy`` (w + c v, a new vector),
+``transpose`` (the d columns of the matrix with the given rows) and
+``text_rows`` (each row's d entries as text, formed once per value).
 
 UPoly, the dense univariate polynomial, is both the charpoly's type and
 the truncated u-series of ``carlitz``: a series to precision n is a
@@ -61,6 +62,10 @@ class FqRing:
         packed = b"".join(v.to_bytes(d, "little") for v in rows)
         return [int.from_bytes(packed[j::d], "little") for j in range(d)]
 
+    def text_rows(self, rows, d, text):
+        table = [text(FqElem(self.fq, c)) for c in range(self.fq.q)]  # one string per code
+        return (map(table.__getitem__, v.to_bytes(d, "little")) for v in rows)
+
     def __eq__(self, other):
         return isinstance(other, FqRing) and other.fq.q == self.fq.q
 
@@ -99,6 +104,10 @@ class KRing:
 
     def transpose(self, rows, d):
         return [{i: v[j] for i, v in enumerate(rows) if j in v} for j in range(d)]
+
+    def text_rows(self, rows, d, text):
+        table = {x: text(x) for x in {self.zero}.union(*(v.values() for v in rows))}  # one per entry
+        return ((table[v.get(j, self.zero)] for j in range(d)) for v in rows)
 
     def __eq__(self, other):
         return isinstance(other, KRing) and other.fq.q == self.fq.q

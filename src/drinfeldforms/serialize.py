@@ -73,21 +73,29 @@ def entry_json(x):
     return {"num": [x.code] if x else [], "den": [1]}
 
 
-def matrix_to_csv(rows):
-    lines = [",".join(f'"{x}"' for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def entry_tex(x):
+    if isinstance(x, RatFunc) and not x.den.is_one():
+        return rf"\frac{{{_poly_tex(x.num)}}}{{{_poly_tex(x.den)}}}"
+    if isinstance(x, RatFunc):
+        return _poly_tex(x.num)
+    return str(x)
 
 
-def matrix_to_latex(rows):
-    def tex(x):
-        if isinstance(x, RatFunc) and not x.den.is_one():
-            return rf"\frac{{{_poly_tex(x.num)}}}{{{_poly_tex(x.den)}}}"
-        if isinstance(x, RatFunc):
-            return _poly_tex(x.num)
-        return str(x)
+# per format: an entry's text; a matrix's start, row template, row separator, end, entry separator
+_FORMATS = {
+    "json": (lambda x: canonical_json_dumps(entry_json(x))[:-1], "[", "[{}]", ",", "]", ","),
+    "csv": (lambda x: f'"{x}"', "", "{}", "\n", "\n", ","),
+    "latex": (entry_tex, "\\begin{pmatrix}\n", "{}", " \\\\\n", "\n\\end{pmatrix}\n", " & "),
+}
 
-    body = " \\\\\n".join(" & ".join(tex(x) for x in row) for row in rows)
-    return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
+
+def matrix_chunks(fmt, text_rows):
+    """A matrix in ``fmt``, one chunk per row; text_rows(text) gives the rows, each an iterable of text(entry)."""
+    text, start, row, sep, end, entry_sep = _FORMATS[fmt]
+    yield start
+    for i, entries in enumerate(text_rows(text)):
+        yield (sep if i else "") + row.format(entry_sep.join(entries))
+    yield end
 
 
 def _poly_tex(p):

@@ -316,7 +316,7 @@ def _check_diamond_homomorphism(space, ops, rng):
     theta, n = space.ctx.theta, space.ctx.n
     cols = {alpha.coeffs: dia.cols for alpha, dia in zip(theta, ops.diamonds)}
     ok = all(
-        [d1.apply(v) for v in d2.cols] == cols[(a1 * a2).truncate(n).coeffs]
+        d1.apply_all(d2.cols) == cols[(a1 * a2).truncate(n).coeffs]
         for a1, d1 in zip(theta, ops.diamonds)
         for a2, d2 in zip(theta, ops.diamonds)
     )

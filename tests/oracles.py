@@ -54,9 +54,12 @@ None of this is used by ``drinfeldforms`` itself:
 * the random word in Gamma_1(t^n) as four full RingMat2 products
   (:func:`random_gamma_oracle`), the oracle for the column operations of
   ``verify._random_gamma``;
-* an operator built from a dense Matrix (:func:`operator`) and its dense
-  Matrix (:func:`dense`), which the oracles and the hand-made operators
-  go through: the engine keeps an operator only as its columns;
+* an operator built from a dense Matrix (:func:`operator`), its dense
+  rows and Matrix (:func:`dense_rows`, :func:`dense`), which the oracles
+  and the hand-made operators go through, and its JSON dict read off the
+  dense rows (:func:`operator_json`), the oracle for the streamed writer
+  ``hecke.operator_chunks``: the engine keeps an operator only as its
+  columns and forms no d x d view of it;
 * the classification of one operator image by the full Euclid walk from
   its matrix xi w0 (:func:`classify_image_oracle`), the oracle for
   ``QuotientGraph.classify_images``, which reduces each image from its
@@ -88,6 +91,7 @@ from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
+from drinfeldforms.serialize import entry_json
 from drinfeldforms.tree import NEG_SIGN, POS_SIGN, Vertex, _reduce_image, apply_edge, apply_vertex
 
 
@@ -864,9 +868,32 @@ def operator(name, ctx, k, matrix):
     return OperatorMatrix(name, ctx, k, ring, [ring.vector(col) for col in zip(*matrix.rows)])
 
 
+def dense_rows(op):
+    """An operator's dense rows, the d x d view of its columns."""
+    rows = [[op.ring.zero] * op.size for _ in op.cols]
+    for j, col in enumerate(op.cols):
+        for i, x in op.ring.terms(col):
+            rows[i][j] = x
+    return rows
+
+
 def dense(op):
     """An operator's dense Matrix, from its rows."""
-    return Matrix(op.ring, op.rows())
+    return Matrix(op.ring, dense_rows(op))
+
+
+def operator_json(op):
+    """An operator's JSON dict from its dense rows, the reference for the streamed writer."""
+    rows = dense_rows(op)
+    values = {x: entry_json(x) for x in {x for row in rows for x in row}}  # one per distinct entry
+    return {
+        "name": op.name,
+        "q": op.ctx.q,
+        "n": op.ctx.n,
+        "k": op.k,
+        "size": op.size,
+        "entries": [[values[x] for x in row] for row in rows],
+    }
 
 
 def block_solve(space, graph):

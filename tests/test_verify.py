@@ -130,8 +130,8 @@ def test_depth_stable_is_computed(monkeypatch):
     solve = verify.CocycleSpace._solve
     calls = []
 
-    def changed(self, graph):
-        basis, keys = solve(self, graph)
+    def changed(self, graph, orbit_rows):
+        basis, keys = solve(self, graph, orbit_rows)
         calls.append(graph)
         if len(calls) == 2:
             stable = set(self.stable_keys)
