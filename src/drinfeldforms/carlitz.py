@@ -30,12 +30,14 @@ the denominator's constant term is a unit of A.
 Every u-series here is a ``linalg.UPoly`` truncated to its precision:
 the oracle's powers of e(w), and the two expansions, each a power of u
 times a ``series_inverse`` of its denominator.  K = F_q(t) is kept where
-alpha_r = 1/m is a real denominator: the recursion, the oracle and G_i(mX).
+alpha_r = 1/m is a real denominator: the recursion and the oracle.  Items
+(1) and (2) are read over A off G_i's own coefficients g_j: G_1 = X, and
+for i >= 2, g_0 = g_1 = 0 and den(g_j) divides m^(j-1).
 A caller checking one m hands Phi_m, the alpha_i and the G_i down, so each
 is computed once.
 """
 
-from .linalg import ARing, KRing, UPoly, UPolyRing
+from .linalg import DictRing, KRing, UPoly
 from .rings import Poly, RatFunc, poly_is_irreducible
 
 
@@ -193,34 +195,33 @@ def verify_coeff_scaling(m, imax, precision, phi=None, gs=None):
         raise ValueError(f"precision {precision} too small: need >= q^deg(m) + 2 = {q ** r + 2}")
     phi = carlitz_phi(m) if phi is None else phi
     gs = goss_polynomials(m, imax, exp_coeffs(m, phi)) if gs is None else gs
-    mk = RatFunc.from_poly(m)
 
-    # (1) G_1(mX) = mX
-    g1m = _substitute_scaled(gs[0], mk)
-    item1 = len(g1m.coeffs) == 2 and g1m.coeffs[1] == mk and g1m.coeffs[0].is_zero()
+    # (1) G_1(mX) = mX, that is G_1 = X
+    item1 = gs[0] == UPoly.x(gs[0].ring)
 
-    # (2) G_i(mX) in m*A[X], no linear term, for 2 <= i <= imax
-    item2 = True
+    # (2) G_i(mX) in m*A[X], no linear term, for 2 <= i <= imax: with
+    # G_i = sum g_j X^j, g_0 = g_1 = 0 and every g_j m^(j-1) in A, that is
+    # den(g_j) | m^(j-1)
     item2_witness = None
     for i in range(2, imax + 1):
-        gim = _substitute_scaled(gs[i - 1], mk)
-        if not gim.coeff(1).is_zero() or not gim.coeff(0).is_zero():
-            item2 = False
+        g = gs[i - 1]
+        if g.coeff(0) or g.coeff(1):
             item2_witness = {"i": i, "reason": "nonzero constant or linear term"}
             break
-        for c in gim.coeffs:
-            scaled = c / mk
-            if not scaled.is_zero() and not scaled.is_poly():
-                item2 = False
-                item2_witness = {"i": i, "coefficient": str(c)}
+        power = m  # m^(j-1)
+        for j, c in enumerate(g.coeffs[2:], 2):
+            if c and power % c.den:
+                item2_witness = {"i": i, "coefficient": str(c * RatFunc.from_poly(m ** j))}
                 break
-        if not item2:
+            power = power * m
+        if item2_witness is not None:
             break
+    item2 = item2_witness is None
 
     # (3) u(mz) = u^{q^r} / (1 + c_{r-1} u^{q^r-q^{r-1}} + ... + m u^{q^r-1})
     # to precision over A: u^{q^r} times the inverse of the denominator mod
     # u^(precision - q^r), which exists over A when its constant term is a unit
-    ring = ARing(fq)
+    ring = DictRing(Poly.zero(fq), Poly.one(fq))  # A
     qr = q ** r
     den = [ring.one] + [ring.zero] * (qr - 1)
     for j in range(0, r):
@@ -247,16 +248,6 @@ def verify_coeff_scaling(m, imax, precision, phi=None, gs=None):
     }
 
 
-def _substitute_scaled(g, c):
-    """g(c*X) for a UPoly over K."""
-    out = []
-    power = RatFunc.one(c.fq)
-    for a in g.coeffs:
-        out.append(a * power)
-        power = power * c
-    return UPoly(g.ring, out)
-
-
 def _beta_zeta_str(c):
     """c in A[y], y = beta*zeta, written as its terms (a_k)*beta^k*zeta^k, k ascending."""
     powers = ["", "*beta*zeta"] + [f"*beta^{k}*zeta^{k}" for k in range(2, len(c.coeffs))]
@@ -277,8 +268,8 @@ def verify_uniformizer_pullback(fq, l, precision, constant=None):
         raise ValueError("l must be >= 1")
     if precision < 2:
         raise ValueError("precision must be >= 2")
-    base = ARing(fq)
-    ring = UPolyRing(base)
+    base = DictRing(Poly.zero(fq), Poly.one(fq))  # A
+    ring = DictRing(UPoly.zero(base), UPoly.one(base))  # A[y]
     t = UPoly(base, [Poly.t(fq)])
     tu = UPoly(ring, [ring.zero, t])
     c = UPoly(base, [Poly.one(fq) if constant is None else constant])

@@ -54,7 +54,7 @@ never formed.
 
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
-from .linalg import Matrix, UPoly, charpoly, newton_slope_zero_count
+from .linalg import Matrix, UPoly, charpoly, eliminate, extend_echelon, newton_slope_zero_count
 from .rings import Poly, graded_polys, poly_is_irreducible
 from .serialize import canonical_json_dumps, matrix_chunks
 from .tree import apply_edge
@@ -409,8 +409,8 @@ def image_chain(op):
 
     U is applied to an echelon basis of im U^(j-1), all at once on its
     coordinate slices (one axpy per entry of U, :meth:`OperatorMatrix.apply_all`),
-    and the images are re-eliminated into an echelon basis of im U^j.  The ranks never
-    increase, and once rank U^N = rank U^(N+1) every later image is
+    and the images are re-eliminated into an echelon basis of im U^j
+    (:func:`linalg.extend_echelon`).  The ranks never increase, and once rank U^N = rank U^(N+1) every later image is
     im U^N, the Fitting image, on which U is invertible.
 
     Returns (ranks, basis, restriction): ranks[j] = rank U^j up to the
@@ -428,19 +428,16 @@ def image_chain(op):
         images = op.apply_all(list(echelon.values()))
         nxt = {}
         for w in images:
-            w, _ = _eliminate(ring, nxt, w)
-            if w:
-                top, c = ring.lead(w)
-                nxt[top] = w if c == ring.one else ring.axpy(ring.vector(()), c.inverse(), w)
+            extend_echelon(ring, nxt, w)
         ranks.append(len(nxt))
         if ranks[-1] == ranks[-2]:
             break
         echelon = nxt
-    # U b_j lies in span(basis): its coordinates are the multiples cleared
+    # U b_j lies in span(basis): its coordinates are the multiples eliminate clears
     position = {top: i for i, top in enumerate(echelon)}
     rows = [[ring.zero] * len(echelon) for _ in echelon]
     for j, w in enumerate(images):
-        for top, c in _eliminate(ring, echelon, w)[1]:
+        for top, c in eliminate(ring, echelon, w)[1]:
             rows[position[top]][j] = c
     op.chain = ranks, list(echelon.values()), Matrix(ring, rows)
     return op.chain
@@ -454,19 +451,3 @@ def _combine(ring, terms):
             out = ring.axpy(out, c, v)
     return out
 
-
-def _eliminate(ring, echelon, w):
-    """(w less multiples of the echelon rows, the multiples as (leading coordinate, entry)).
-
-    ``echelon`` maps each row's leading coordinate to the row, whose entry
-    there is 1; w's leading coordinate is cleared while it leads a row.
-    """
-    cleared = []
-    while w:
-        top, c = ring.lead(w)
-        row = echelon.get(top)
-        if row is None:
-            break
-        cleared.append((top, c))
-        w = ring.axpy(w, -c, row)
-    return w, cleared

@@ -6,7 +6,8 @@ operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
 serves both fields: weight-2 operators and their kernels are over F_q
 (FqRing), and weight-k ones over K (KRing).  The adapters also own the
 vector format of an operator's columns and of ``hecke.image_chain``, one
-packed int over F_q and a dict over K: ``vector``, ``terms`` (the nonzero
+packed int over F_q (FqRing) and a dict over any other ring (DictRing,
+KRing's with RatFunc constants): ``vector``, ``terms`` (the nonzero
 (coordinate, entry) pairs) and ``from_terms``, ``lead`` (the highest
 nonzero coordinate and its entry), ``axpy`` (w + c v, a new vector),
 ``transpose`` (the d columns of the matrix with the given rows) and
@@ -17,19 +18,21 @@ the truncated u-series of ``carlitz``: a series to precision n is a
 UPoly cut by :meth:`UPoly.truncate` after each product, and
 :meth:`UPoly.series_inverse` inverts one with a unit constant term mod
 X^n, over any ring whose elements have ``inverse()``; a UPoly is one, so
-over the adapters ARing and UPolyRing a series has coefficients in A[y].
+over DictRings with Poly and UPoly constants a series has coefficients
+in A[y].
 
-Every kernel the cocycle solver takes goes through one sparse
-Gauss-Jordan routine, :func:`_reduce` (constraint systems over quotient
-graphs are tree-shaped, and ordered sparse elimination keeps them that
-way).  Kernel vectors are read off the reduced pivot rows as sparse
-dicts {col: nonzero elem}.  ``hecke.image_chain`` eliminates on the
-adapters' vectors instead.  Characteristic polynomials use the division-free
-Berkowitz algorithm.
+Every elimination goes through one routine, :func:`eliminate`, which
+clears a vector's leading coordinate against an echelon of rows with
+leading 1s.  ``hecke.image_chain`` runs it on the adapters' vectors, and
+:func:`sparse_kernel`, the cocycle solver's kernel, on dict vectors at
+every weight (constraint systems over quotient graphs are tree-shaped,
+and sparse rows keep them that way); kernel vectors are read off the
+reduced pivot rows as sparse dicts {col: nonzero elem}.  Characteristic
+polynomials use the division-free Berkowitz algorithm.
 """
 
 from .fq import FqElem
-from .rings import NEG_INF, POS_INF, Poly, RatFunc, int_add, int_axpy
+from .rings import NEG_INF, POS_INF, RatFunc, int_add, int_axpy
 
 
 class FqRing:
@@ -73,13 +76,12 @@ class FqRing:
         return hash(("FqRing", self.fq.q))
 
 
-class KRing:
-    """Adapter handing out RatFunc constants over F_q(t); a vector is a dict {coordinate: nonzero RatFunc}."""
+class DictRing:
+    """Adapter handing out the constants ``zero`` and ``one``; a vector is a dict {coordinate: nonzero entry}."""
 
-    def __init__(self, fq):
-        self.fq = fq
-        self.zero = RatFunc.zero(fq)
-        self.one = RatFunc.one(fq)
+    def __init__(self, zero, one):
+        self.zero = zero
+        self.one = one
 
     def vector(self, entries):
         return {i: x for i, x in enumerate(entries) if x}
@@ -110,26 +112,18 @@ class KRing:
         return ((table[v.get(j, self.zero)] for j in range(d)) for v in rows)
 
     def __eq__(self, other):
-        return isinstance(other, KRing) and other.fq.q == self.fq.q
+        return isinstance(other, DictRing) and other.one == self.one
 
     def __hash__(self):
-        return hash(("KRing", self.fq.q))
+        return hash(("DictRing", self.one))
 
 
-class ARing:
-    """Adapter handing out Poly constants of A = F_q[t]."""
+class KRing(DictRing):
+    """The dict adapter over K = F_q(t), handing out RatFunc constants."""
 
     def __init__(self, fq):
-        self.zero = Poly.zero(fq)
-        self.one = Poly.one(fq)
-
-
-class UPolyRing:
-    """Adapter handing out UPoly constants over ``ring``, for a UPoly over ring[y]."""
-
-    def __init__(self, ring):
-        self.zero = UPoly.zero(ring)
-        self.one = UPoly.one(ring)
+        super().__init__(RatFunc.zero(fq), RatFunc.one(fq))
+        self.fq = fq
 
 
 class Matrix:
@@ -450,70 +444,61 @@ def newton_slope_zero_count(f):
     return f.degree - mult
 
 
-def _reduce(rows, col_order, ring):
-    """Gauss-Jordan elimination of sparse rows over a field, in place.
+def eliminate(ring, echelon, w):
+    """(w less multiples of the echelon rows, the multiples as (leading coordinate, entry)).
 
-    ``rows`` are dicts {col: nonzero elem}.  Columns are visited in
-    ``col_order``; the pivot for a column is the sparsest row holding it
-    that is not yet a pivot row.  It is scaled to a leading 1 and cleared
-    from every other row, so the rows end in reduced echelon form.
-    Returns {pivot col: row index}.
+    ``echelon`` maps each row's leading coordinate, its highest nonzero
+    one, to the row, whose entry there is 1; w's leading coordinate is
+    cleared while it leads a row.  Vectors are in ``ring``'s format.
     """
-    col_rows = {}
-    for idx, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(idx)
-    pivots = {}
-    pivot_rows = set()
-    for col in col_order:
-        holders = col_rows.get(col)
-        if not holders:
-            continue
-        candidates = [i for i in holders if i not in pivot_rows]
-        if not candidates:
-            continue
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
-        prow = rows[p]
-        inv = ring.one / prow[col]
-        if inv != ring.one:
-            for c in list(prow):
-                prow[c] = prow[c] * inv
-        for s in list(holders):
-            if s == p:
-                continue
-            srow = rows[s]
-            f = srow[col]
-            for c, val in prow.items():
-                cur = srow.get(c)
-                nv = (cur - f * val) if cur is not None else -(f * val)
-                if not nv:
-                    if cur is not None:
-                        del srow[c]
-                        col_rows[c].discard(s)
-                else:
-                    if cur is None:
-                        col_rows.setdefault(c, set()).add(s)
-                    srow[c] = nv
-        pivots[col] = p
-        pivot_rows.add(p)
-    return pivots
+    cleared = []
+    while w:
+        top, c = ring.lead(w)
+        row = echelon.get(top)
+        if row is None:
+            break
+        cleared.append((top, c))
+        w = ring.axpy(w, -c, row)
+    return w, cleared
+
+
+def extend_echelon(ring, echelon, w):
+    """Add w, less multiples of the echelon rows, to ``echelon`` scaled to a leading 1, unless that is 0."""
+    w, _ = eliminate(ring, echelon, w)
+    if w:
+        top, c = ring.lead(w)
+        echelon[top] = w if c == ring.one else ring.axpy(ring.vector(()), c.inverse(), w)
 
 
 def sparse_kernel(rows, ncols, ring, col_order=None):
     """Kernel basis of a sparse system; rows are dicts {col: nonzero elem}.
 
-    Elimination (:func:`_reduce`) visits columns in ``col_order`` (default
-    0..ncols-1) and keeps a full reduced form, so kernel vectors read off
-    directly, as dicts {col: nonzero elem}, one per free column in order.
-    A reduced pivot row holds 1 at its pivot column c and otherwise free
-    columns only: the vector of free column f is 1 at f and -x at c for
-    each pivot row holding x at f, filled in one pass over those rows.
+    Column ``col_order[i]`` (default 0..ncols-1) is coordinate ncols-1-i, so
+    the first column visited leads: each row goes into an echelon of dict
+    vectors through :func:`extend_echelon`.  Back-substitution, lowest
+    pivot first, clears every pivot row at the other pivots; that reduced
+    echelon form is unique for the column order.  A pivot row holds 1 at
+    its pivot column c and otherwise free columns only: the kernel vector
+    of free column f, a dict {col: nonzero elem}, is 1 at f and -x at c for
+    each pivot row holding x at f.  One vector per free column, in order.
     """
-    rows = [dict(r) for r in rows if r]
-    pivots = _reduce(rows, range(ncols) if col_order is None else col_order, ring)
-    basis = {f: {f: ring.one} for f in range(ncols) if f not in pivots}
-    for c, p in pivots.items():
-        for f, x in rows[p].items():
-            if f != c:
-                basis[f][c] = -x
+    order = range(ncols) if col_order is None else col_order
+    top = ncols - 1
+    coord = {col: top - i for i, col in enumerate(order)}
+    dicts = DictRing(ring.zero, ring.one)
+    echelon = {}
+    for r in rows:
+        extend_echelon(dicts, echelon, {coord[c]: x for c, x in r.items()})
+    for p in sorted(echelon):
+        row = echelon[p]
+        # the rows below p are reduced already, so each clears one pivot
+        for c in [c for c in row if c != p and c in echelon]:
+            row = dicts.axpy(row, -row[c], echelon[c])
+        echelon[p] = row
+    basis = {f: {f: ring.one} for f in range(ncols) if coord[f] not in echelon}
+    for p in sorted(echelon, reverse=True):
+        c = order[top - p]
+        for f, x in echelon[p].items():
+            if f != p:
+                basis[order[top - f]][c] = -x
     return list(basis.values())

@@ -3,8 +3,12 @@
 None of this is used by ``drinfeldforms`` itself:
 
 * fraction-free Bareiss elimination over an integral domain, the oracle for
-  the sparse Gauss-Jordan kernel (:func:`bareiss_rank`,
-  :func:`bareiss_kernel`);
+  the sparse kernel (:func:`bareiss_rank`, :func:`bareiss_kernel`);
+* eager sparse Gauss-Jordan elimination with a column index and the
+  sparsest-row pivot (:func:`gauss_jordan_kernel`), the oracle for
+  ``linalg.sparse_kernel``, which runs ``linalg.eliminate`` and then
+  back-substitutes: for a fixed column order both reach the one reduced
+  echelon form;
 * 2x2 matrices over any ring of Polys or RatFuncs (:class:`RingMat2`),
   multiplied entry by entry through the ring's own operators: the K
   matrices the tests form, which ``Mat2`` (over A only) does not hold, and
@@ -207,6 +211,58 @@ def bareiss_kernel(matrix):
             v[c] = -s / _embed(row[c])
         basis.append(_normalize_vector(ring, v))
     return basis
+
+
+def gauss_jordan_kernel(rows, ncols, ring, col_order=None):
+    """Kernel basis of a sparse system by Gauss-Jordan elimination, as ``linalg.sparse_kernel`` returns it.
+
+    ``rows`` are dicts {col: nonzero elem}.  Columns are visited in
+    ``col_order`` (default 0..ncols-1); the pivot for a column is the
+    sparsest row holding it that is not yet a pivot row.  It is scaled to a
+    leading 1 and cleared from every other row, so the rows end in reduced
+    echelon form, and the vector of free column f is 1 at f and -x at c for
+    each pivot row c holding x at f.
+    """
+    rows = [dict(r) for r in rows if r]
+    col_rows = {}
+    for idx, r in enumerate(rows):
+        for c in r:
+            col_rows.setdefault(c, set()).add(idx)
+    pivots = {}
+    pivot_rows = set()
+    for col in range(ncols) if col_order is None else col_order:
+        candidates = [i for i in col_rows.get(col, ()) if i not in pivot_rows]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        inv = ring.one / prow[col]
+        for c in list(prow):
+            prow[c] = prow[c] * inv
+        for s in list(col_rows[col]):
+            if s == p:
+                continue
+            srow = rows[s]
+            f = srow[col]
+            for c, val in prow.items():
+                cur = srow.get(c)
+                nv = (cur - f * val) if cur is not None else -(f * val)
+                if not nv:
+                    if cur is not None:
+                        del srow[c]
+                        col_rows[c].discard(s)
+                else:
+                    if cur is None:
+                        col_rows.setdefault(c, set()).add(s)
+                    srow[c] = nv
+        pivots[col] = p
+        pivot_rows.add(p)
+    basis = {f: {f: ring.one} for f in range(ncols) if f not in pivots}
+    for c, p in pivots.items():
+        for f, x in rows[p].items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())
 
 
 def _normalize_vector(ring, v):

@@ -15,7 +15,7 @@ from drinfeldforms.carlitz import (
 )
 from drinfeldforms.cli import main
 from drinfeldforms.fq import field
-from drinfeldforms.linalg import ARing, KRing, UPoly, UPolyRing
+from drinfeldforms.linalg import DictRing, KRing, UPoly
 from drinfeldforms.rings import Poly, RatFunc
 
 
@@ -167,6 +167,38 @@ def test_pullback_order_reads_false_without_a_series_over_a(monkeypatch):
     assert record["recursion_matches_oracle"] and record["exp_coeffs_integral"]
 
 
+@pytest.mark.parametrize("q,coefficient", [(2, "t^2"), (3, "t^2+2*t+2")])
+def test_goss_scaling_items_read_false_on_hand_made_polynomials(q, coefficient):
+    # G_1 = X and, for i >= 2, g_0 = g_1 = 0 and den(g_j) | m^(j-1): each
+    # hand-made gs breaks one of these, or meets the last one exactly
+    fq = field(q)
+    K = KRing(fq)
+    m = Poly.t(fq) + Poly.one(fq)
+    gs = goss_polynomials(m, 4)
+    inv_m = RatFunc(Poly.one(fq), m)
+
+    def items(*changed):
+        hand = list(gs)
+        for i, g in changed:
+            hand[i - 1] = g
+        rep = verify_coeff_scaling(m, 4, 64, gs=hand)
+        assert rep["status"] is all(rep["items"].values()) and rep["items"]["pullback-order"]
+        return rep["items"]["linear-goss-scaling"], rep["items"]["higher-goss-scaling"], rep["witness"]
+
+    def mono(c, j):
+        return UPoly(K, [K.zero] * j + [c])
+
+    linear = {"i": 2, "reason": "nonzero constant or linear term"}
+    assert items() == (True, True, None)
+    assert items((1, mono(RatFunc.from_poly(m), 1))) == (False, True, None)
+    assert items((1, UPoly.x(K) + UPoly.one(K))) == (False, True, None)
+    assert items((2, gs[1] + UPoly.x(K))) == (True, False, linear)
+    assert items((2, gs[1] + UPoly.one(K))) == (True, False, linear)
+    assert items((2, gs[1] + mono(inv_m * inv_m, 2))) == (True, False, {"i": 2, "coefficient": coefficient})
+    assert items((3, gs[2] + mono(inv_m * inv_m, 3))) == (True, True, None)
+    assert items((4, gs[3] + mono(inv_m * inv_m * inv_m, 3))) == (True, False, {"i": 4, "coefficient": "1"})
+
+
 def test_coeff_scaling_precision_guard():
     fq = field(2)
     with pytest.raises(ValueError):
@@ -210,7 +242,7 @@ def test_a_non_unit_constant_fails_the_goss_run(monkeypatch, tmp_path):
 def test_symbolic_units_are_the_nonzero_constants():
     # the units of A and of A[y], y = beta*zeta, are the nonzero constants of F_q
     fq = field(3)
-    base = ARing(fq)
+    base = DictRing(Poly.zero(fq), Poly.one(fq))
     t, two = Poly.t(fq), Poly.constant(fq, 2)
     assert two.inverse() == two and two * two.inverse() == base.one
     y = UPoly(base, [base.zero, base.one])
@@ -227,8 +259,8 @@ def test_symbolic_units_are_the_nonzero_constants():
 def test_uniformizer_pullback_leading_terms():
     # l = 1, q = 3: t*u - t^2 y u^2 + t^3 y^2 u^3 - ..., y = beta*zeta
     fq = field(3)
-    base = ARing(fq)
-    ring = UPolyRing(base)
+    base = DictRing(Poly.zero(fq), Poly.one(fq))
+    ring = DictRing(UPoly.zero(base), UPoly.one(base))
     t = Poly.t(fq)
 
     def monomial(c, k):

@@ -13,7 +13,7 @@ from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import Deferred, Mat2, RowOps
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
-from oracles import edge_stab_generators, evaluate_oracle, inverse_k, to_a, to_k
+from oracles import edge_stab_generators, evaluate_oracle, gauss_jordan_kernel, inverse_k, to_a, to_k
 
 
 def rand_gamma(ctx, rng):
@@ -321,6 +321,31 @@ def test_a_basis_off_the_unit_rows_is_rejected(monkeypatch, q, k, perturb, match
     monkeypatch.setattr(cocycles, "sparse_kernel", perturbed)
     with pytest.raises(DimensionMismatchError, match=match):
         CocycleSpace(group_context(q, 2), k)
+
+
+# the (q, n, k) of the default paper suite: q = 2 with n <= 3, q = 3 with n <= 2, k <= 4
+DEFAULT_GRID = [(q, n, k) for q, nmax in ((2, 3), (3, 2)) for n in range(1, nmax + 1) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("q,n,k", DEFAULT_GRID)
+def test_kernel_matches_the_gauss_jordan_oracle_on_the_harmonicity_rows(cache, monkeypatch, q, n, k):
+    # the depth-D system of a solved space, through sparse_kernel and the
+    # eager Gauss-Jordan oracle: the same vectors, entries in the same order
+    space = cache.space(q, n, k)
+    kernel = cocycles.sparse_kernel
+    systems = []
+
+    def recorded(rows, ncols, ring, col_order=None):
+        systems.append((rows, ncols, ring, col_order))
+        return kernel(rows, ncols, ring, col_order=col_order)
+
+    monkeypatch.setattr(cocycles, "sparse_kernel", recorded)
+    space._solve(space.graph, {})
+    ((rows, ncols, ring, order),) = systems
+    got = kernel(rows, ncols, ring, col_order=order)
+    want = gauss_jordan_kernel(rows, ncols, ring, col_order=order)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert rows and len(got) == space.expected_dim
 
 
 def test_one_graph_build_per_space(monkeypatch):

@@ -4,12 +4,11 @@ import pytest
 
 from drinfeldforms.fq import FqElem, field
 from drinfeldforms.linalg import (
-    ARing,
+    DictRing,
     FqRing,
     KRing,
     Matrix,
     UPoly,
-    UPolyRing,
     charpoly,
     newton_slope_zero_count,
     sparse_kernel,
@@ -203,6 +202,23 @@ def test_newton_count_against_hull_oracle():
         vals.append(0)
         f = UPoly(K, coeffs)
         assert newton_slope_zero_count(f) == hull_zero_slopes(vals)
+
+
+def test_sparse_kernel_reads_its_vectors_off_pivot_rows_scaled_to_one():
+    # rows whose leads (their first columns visited) are distinct and not 1,
+    # so no row is eliminated on the way in: each vector is read off the
+    # pivot rows as scaled, 1 at its free column, then the pivots in visit order
+    f3 = field(3)
+    F = FqRing(f3)
+    one, two = FqElem(f3, 1), FqElem(f3, 2)
+    rows = [{0: two, 2: one}, {1: two, 2: two}]
+    assert [list(v.items()) for v in sparse_kernel(rows, 3, F)] == [[(2, one), (0, one), (1, two)]]
+    assert [list(v.items()) for v in sparse_kernel(rows, 3, F, col_order=[1, 0, 2])] == [[(2, one), (1, two), (0, one)]]
+    fq = field(2)
+    K = KRing(fq)
+    t = RatFunc.from_poly(Poly.t(fq))
+    assert sparse_kernel([{0: t, 1: K.one}], 2, K) == [{1: K.one, 0: -(K.one / t)}]
+    assert sparse_kernel([{0: t, 1: K.one}], 2, K, col_order=[1, 0]) == [{0: K.one, 1: -t}]
 
 
 def test_sparse_kernel_matches_dense():
@@ -401,8 +417,8 @@ def test_shape_mismatch():
 def _series_rings():
     f3, f4 = field(3), field(4)
     # A[y] over F_3: UPolys in y over A, as the pullback's coefficients are
-    base = ARing(f3)
-    ay = UPolyRing(base)
+    base = DictRing(Poly.zero(f3), Poly.one(f3))
+    ay = DictRing(UPoly.zero(base), UPoly.one(base))
     t = UPoly(base, [Poly.t(f3)])
     y = UPoly(base, [base.zero, base.one])
 
@@ -444,8 +460,8 @@ def test_series_inverse_needs_a_unit_constant_term():
         UPoly(K, [K.zero, K.one]).series_inverse(3)
     with pytest.raises(ZeroDivisionError):
         UPoly.zero(K).series_inverse(3)
-    base = ARing(field(2))
-    ay = UPolyRing(base)
+    base = DictRing(Poly.zero(field(2)), Poly.one(field(2)))
+    ay = DictRing(UPoly.zero(base), UPoly.one(base))
     # t is not a unit of A, so 1/(t + X) has no expansion in A[y][[X]],
     # nor has 1/(y + X)
     for c in (UPoly(base, [Poly.t(field(2))]), UPoly.x(base)):
