@@ -36,6 +36,8 @@ basis indexed by A_{n-1}^2, put into label order: the unique cocycle taking
 value 1 at one stable representative and 0 at the others.
 """
 
+from functools import cached_property
+
 from .errors import DimensionMismatchError, ReachError, StabilityError
 from .fq import FqElem
 from .linalg import FqRing, KRing, Matrix, sparse_kernel
@@ -133,6 +135,13 @@ class VkAction:
             return sign
         block = self.act(delta) if left is None else left * self.act(delta)
         return -block if sign == -1 else block
+
+    def transport(self, sign, delta, values):
+        """sign * act(delta) v for each value v, None kept; on V_2 the sign alone, with no Matrix formed."""
+        if not self.trivial and any(v is not None for v in values):
+            act = self.act(delta)
+            values = [v if v is None else tuple(act.apply(v)) for v in values]
+        return values if sign == 1 else [v if v is None else tuple(-x for x in v) for v in values]
 
     def summed(self, block):
         """The block a sum of signed blocks applies: on V_2 that of the count mod p."""
@@ -279,43 +288,66 @@ class CocycleSpace:
         return tuple(self.ring.zero for _ in range(self.k - 1))
 
     def evaluate(self, cocycle, e):
-        """Value of one cocycle (dict orbit-key -> tuple) at an oriented edge; checks
-        reading several use :meth:`values`, which classifies each edge once for all."""
+        """Value of one cocycle (dict orbit-key -> tuple) at an oriented edge; :meth:`values`
+        reads several, and :meth:`sum_values` sums them over edges as ring vectors."""
         return self.values(e, [cocycle])[0]
 
     def values(self, e, cocycles):
         """Each cocycle's value at one oriented edge, classified once: its stored value
         through the witness with the orientation sign, or zero off its support or the table."""
         orbit, key, sign, delta = self.graph.classify(e)
-        zero = self.zero_vector()
         stored = [None if orbit is None else c.get(key) for c in cocycles]
-        act = self.vk.act(delta) if any(v is not None for v in stored) else None
-        return [
-            zero if v is None else tuple(x if sign == 1 else -x for x in act.apply(v)) for v in stored
-        ]
+        return [self.zero_vector() if v is None else v for v in self.vk.transport(sign, delta, stored)]
 
-    def _sum_values(self, edges, cocycles):
-        """The sum over ``edges`` of each cocycle's values, one vector per cocycle."""
-        totals = [self.zero_vector()] * len(cocycles)
+    @cached_property
+    def basis_rows(self):
+        return self.rows(self.basis)
+
+    def terms(self, cocycles):
+        """{(key, s): the nonzero (j, c_j(key)[s])} over ``cocycles``, which :meth:`rows` holds as ring vectors;
+        ``basis_rows`` is the rows of the basis, formed on first read (``dims`` never reads it)."""
+        terms = {}
+        for j, c in enumerate(cocycles):
+            for key, v in c.items():
+                for s, x in enumerate(v):
+                    if x:
+                        terms.setdefault((key, s), []).append((j, x))
+        return terms
+
+    def rows(self, cocycles):
+        return {row: self.ring.from_terms(t) for row, t in self.terms(cocycles).items()}
+
+    def read_blocks(self, blocks, rows):
+        """{(tag, r): the sum of summed(block)[r][s] rows[(key, s)] over ``blocks`` {(tag, key): block}}."""
+        ring, zero, image = self.ring, self.ring.vector(()), {}
+        for (tag, key), block in blocks.items():
+            for r, entries in enumerate(self.vk.summed(block).rows):
+                for s, x in enumerate(entries):
+                    b = rows.get((key, s))
+                    if x and b is not None:
+                        image[tag, r] = ring.axpy(image.get((tag, r), zero), x, b)
+        return image
+
+    def sum_values(self, edges, rows):
+        """The sum over ``edges`` of the values of the cocycles of ``rows`` (:meth:`rows`), as k - 1 ring
+        vectors: the signed blocks of each orbit key summed, then read through its rows."""
+        comp, blocks = self.k - 1, {}
         for f in edges:
-            for j, v in enumerate(self.values(f, cocycles)):
-                # zero terms are skipped: a RatFunc sum takes a gcd even with 0
-                if any(v):
-                    totals[j] = tuple(a + b if a else b for a, b in zip(totals[j], v))
-        return totals
+            orbit, key, sign, delta = self.graph.classify(f)
+            if orbit is not None and any((key, s) in rows for s in range(comp)):
+                block = self.vk.signed_block(sign, delta)
+                blocks[0, key] = block if (0, key) not in blocks else blocks[0, key] + block
+        image = self.read_blocks(blocks, rows)
+        return [image.get((0, r), self.ring.vector(())) for r in range(comp)]
 
-    def predecessor_sum(self, e, cocycles):
-        """For each cocycle, the sum of its values over the q edges feeding o(e) other than -e.
-
-        Harmonicity at o(e) makes this equal to the value at e; asserting
-        the equality is the executable form of the source-sum identity.
-        """
-        edges = [Edge(u, e.origin) for u in e.origin.neighbors(self.ctx.fq) if u != e.terminus]
-        return self._sum_values(edges, cocycles)
+    def predecessor_sum(self, e, rows):
+        """sum_values over the q edges feeding o(e) other than -e: by harmonicity at o(e) the value at
+        e, and asserting the equality is the executable form of the source-sum identity."""
+        return self.sum_values([Edge(u, e.origin) for u in e.origin.neighbors(self.ctx.fq) if u != e.terminus], rows)
 
     def harmonicity_residual(self, v):
-        """For each basis cocycle, its sum over the edges into a literal tree vertex."""
-        return self._sum_values([Edge(u, v) for u in v.neighbors(self.ctx.fq)], self.basis)
+        """sum_values of the basis over the edges into a literal tree vertex."""
+        return self.sum_values([Edge(u, v) for u in v.neighbors(self.ctx.fq)], self.basis_rows)
 
     @property
     def dim(self):
@@ -343,14 +375,7 @@ class Coordinates:
             key for key in sorted(orbits) if key not in stable and orbits[key].depth <= safe_depth
         ]
         self.safe_rows = [(key, s) for key in self.keys_needed for s in range(space.k - 1)]
-        # read off the supports
-        self.row_terms = {}
-        for j, c in enumerate(space.basis):
-            for key, v in c.items():
-                for s, x in enumerate(v):
-                    if x:
-                        self.row_terms.setdefault((key, s), []).append((j, x))
-        self.basis_rows = {row: space.ring.from_terms(t) for row, t in self.row_terms.items()}
+        self.row_terms, self.basis_rows = space.terms(space.basis), space.basis_rows
 
     def coords(self, image):
         """The columns of an operator from its image, every safe row verified.

@@ -146,15 +146,7 @@ class HeckeEngine:
                 prev = table.get((key, key2))
                 table[key, key2] = block if prev is None else prev + block
         # the image at (key, r) holds (T c_j)(key)[r] = sum_s block[r][s] c_j(key2)[s] at j
-        basis_rows = self.coords.basis_rows
-        zero = ring.vector(())
-        image = {}
-        for (key, key2), block in table.items():
-            for r, entries in enumerate(vk.summed(block).rows):
-                for s, x in enumerate(entries):
-                    b = basis_rows.get((key2, s))
-                    if x and b is not None:
-                        image[key, r] = ring.axpy(image.get((key, r), zero), x, b)
+        image = space.read_blocks(table, self.coords.basis_rows)
         got = OperatorMatrix(name, self.ctx, self.k, ring, self.coords.coords(image))
         self._cache[name] = got
         return got

@@ -448,12 +448,14 @@ def eliminate(ring, echelon, w):
     """(w less multiples of the echelon rows, the multiples as (leading coordinate, entry)).
 
     ``echelon`` maps each row's leading coordinate, its highest nonzero
-    one, to the row, whose entry there is 1; w's leading coordinate is
-    cleared while it leads a row.  Vectors are in ``ring``'s format.
+    one, to the row, whose entry there is 1 (a lead that survives raises);
+    w's leading coordinate is cleared while it leads a row.  Vectors are in ``ring``'s format.
     """
     cleared = []
     while w:
         top, c = ring.lead(w)
+        if cleared and cleared[-1][0] == top:
+            raise AssertionError(f"echelon row at coordinate {top} does not lead with 1")
         row = echelon.get(top)
         if row is None:
             break

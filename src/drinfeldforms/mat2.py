@@ -18,11 +18,6 @@ class Mat2:
         self.d = d
 
     @staticmethod
-    def identity_poly(fq):
-        one, zero = Poly.one(fq), Poly.zero(fq)
-        return Mat2(one, zero, zero, one)
-
-    @staticmethod
     def j_matrix(fq):
         one, zero = Poly.one(fq), Poly.zero(fq)
         return Mat2(zero, -one, one, zero)
@@ -44,15 +39,7 @@ class Mat2:
         return Mat2(packed(fq, a), packed(fq, b), packed(fq, c), packed(fq, d))
 
     def __mul__(self, other):
-        fq = self.a.fq
-        a, b, c, d = self.a.x, self.b.x, self.c.x, self.d.x
-        e, f, g, h = other.a.x, other.b.x, other.c.x, other.d.x
-        return Mat2.from_packed(fq, (
-            int_axpy(fq, int_mul(fq, a, e), b, g),
-            int_axpy(fq, int_mul(fq, a, f), b, h),
-            int_axpy(fq, int_mul(fq, c, e), d, g),
-            int_axpy(fq, int_mul(fq, c, f), d, h),
-        ))
+        return Mat2.from_packed(self.a.fq, packed_product(self.a.fq, (self.a.x, self.b.x, self.c.x, self.d.x), other))
 
     def det(self):
         fq = self.a.fq
@@ -82,6 +69,17 @@ class Mat2:
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
+
+
+def packed_product(fq, x, other):
+    """The packed entries of m other, for x = (a, b, c, d) the packed entries of m."""
+    (a, b, c, d), (e, f, g, h) = x, (other.a.x, other.b.x, other.c.x, other.d.x)
+    return (
+        int_axpy(fq, int_mul(fq, a, e), b, g),
+        int_axpy(fq, int_mul(fq, a, f), b, h),
+        int_axpy(fq, int_mul(fq, c, e), d, g),
+        int_axpy(fq, int_mul(fq, c, f), d, h),
+    )
 
 
 class Deferred(Mat2):

@@ -18,11 +18,6 @@ from .rings import Poly, RatFunc
 _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?(t)?\s*(?:\^\s*(\d+))?\s*$")
 
 
-def parse_poly(fq, text):
-    """Parse ``t^2+t+1``-style input into an element of F_q[t]."""
-    return poly_from_terms(fq, parse_terms(fq, text))
-
-
 def poly_from_terms(fq, terms):
     out = [0] * (max(terms, default=-1) + 1)
     for e, c in terms.items():

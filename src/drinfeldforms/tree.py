@@ -20,23 +20,22 @@ of w only for a new orbit, whose full row must give the same key.
 
 A literal edge or vertex (classify, verify's checks) is acted on over A,
 never over K, and on packed ints: g's entries are read once, the lattice
-matrix is scaled by t^L to the integral t^L (pi^r, s; 0, 1), each entry of
-their product is one multiply-add (rings.int_axpy), r is read off degrees,
-and the tail off one division, with no reduction of the fraction, so
-acting pays no gcd and builds no Poly.
-It is reduced to the apartment by Euclid's algorithm on a matrix g over A
-with g(e_i) the edge, run on packed ints: s is b/d (or a/c) of
-g diag(t^i, 1), the polynomial part of s is killed by a translation in
-SL_2(A), and the rest is inverted through J = (0 -1; 1 0), which
-strictly decreases r.  gamma is kept as its row operations; an edge's walk
-applies them to the other column of gamma g too, and the terminus is read
-off its degrees and one division.  A literal vertex v enters through
-M_v = t^L (pi^r, s; 0, 1) with L = max(r, 0), integral since every term
-of s has exponent below r: M_v(v_0) = v, and M_v fixes the end at
-infinity, so the edge from v up to its parent is M_v(e_0).  An operator
-image xi w0(e_i) is reduced from its parent's reduced image, one star step
-and at most two row operations away, and a seed's from the Hecke coset
-representative of xi w0, each such state once (QuotientGraph.classify_images).
+matrix is scaled by t^L to the integral M_v = t^L (pi^r, s; 0, 1) =
+(t^(L - r), top; 0, t^L), L = max(r, 0), each entry of their product is
+one multiply-add (rings.int_axpy), r is read off degrees, and the tail off
+one division, with no reduction of the fraction.  M_v(v_0) = v and M_v
+fixes the end at infinity, so an edge is +-M_v(e_0) for its lower vertex
+v, and its image takes one tail: the other end is the parent.  It is
+reduced to the apartment by Euclid's algorithm on a matrix g over A with
+g(e_i) the edge, run on packed ints: s is b/d (or a/c) of g diag(t^i, 1),
+the polynomial part of s is killed by a translation in SL_2(A), and the
+rest is inverted through J = (0 -1; 1 0), which strictly decreases r; the
+terminus is read off degrees and one division.  A literal edge or vertex
+enters as M_v, and gamma, gamma^-1 and the key row are read off Euclid's
+last matrix h = gamma M_v, as det M_v = t^(2L - r).  An operator image
+xi w0(e_i) is reduced from its parent's reduced image, one star step and
+at most two row operations (a RowOps) away, and a seed's from the Hecke
+coset representative of xi w0, each such state once (classify_images).
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
@@ -67,7 +66,7 @@ element is enumerated.
 import copy
 
 from .errors import ResourceBoundError
-from .mat2 import Deferred, Mat2, RowOps
+from .mat2 import Deferred, Mat2, RowOps, packed_product
 from .rings import NEG_INF, int_axpy, int_divmod, int_mul, int_neg
 
 POS_SIGN = 1
@@ -100,9 +99,7 @@ class Vertex:
         return Vertex(self.r + 1, self.s << 8 | code)
 
     def neighbors(self, fq):
-        out = [self.parent()]
-        out.extend(self.child(c) for c in fq.elements())
-        return out
+        return [self.parent(), *(self.child(c) for c in fq.elements())]
 
     def apartment_index(self):
         """i with self == v_i, or None."""
@@ -167,9 +164,18 @@ def apply_vertex(g, v, fq):
 
 
 def apply_edge(g, e, fq):
+    """g(e) for e joining a vertex to its parent, as g(e) does: both ends take _act's degree step,
+    and only the one of larger r' its tail step, the other being its parent (AssertionError off edges)."""
+    o, t = e.origin, e.terminus
+    adjacent = t.r == o.r - 1 and t.s == o.s >> 8 or o.r == t.r - 1 and o.s == t.s >> 8
     g = g.a.x, g.b.x, g.c.x, g.d.x
     deg_det = _det_degree(g, fq)
-    return Edge(_act(g, deg_det, e.origin, fq), _act(g, deg_det, e.terminus, fq))
+    at_o, at_t = _act_degree(g, deg_det, o, fq), _act_degree(g, deg_det, t, fq)
+    if not adjacent or abs(at_o[0] - at_t[0]) != 1:
+        raise AssertionError("non-adjacent edge endpoints")
+    up = at_o[0] > at_t[0]  # the image goes up, from its lower end
+    low = _act_tail(g, o, *at_o, fq) if up else _act_tail(g, t, *at_t, fq)
+    return Edge(low, low.parent()) if up else Edge(low.parent(), low)
 
 
 def _det_degree(g, fq):
@@ -183,16 +189,23 @@ def _det_degree(g, fq):
 
 def _act(g, deg_det, v, fq):
     """apply_vertex for g = (a, b, c, d) packed, whose determinant has degree ``deg_det``."""
-    a, b, c, d = g
+    return _act_tail(g, v, *_act_degree(g, deg_det, v, fq), fq)
+
+
+def _act_degree(g, deg_det, v, fq):
+    """(r', left, den) of g(v) with no division: s' = num/den has den = mc if left, else md."""
     level, top = _lattice(v)
     # the bottom row (mc, md) of m = g t^L (pi^r, s; 0, 1)
-    mc, md = c << 8 * (level - v.r), int_axpy(fq, d << 8 * level, c, top)
-    deg_det += 2 * level - v.r
-    if _deg(mc) <= _deg(md):
-        rp = 2 * _deg(md) - deg_det
-        return Vertex(rp, _tail(int_axpy(fq, b << 8 * level, a, top), md, rp, fq))
-    rp = 2 * _deg(mc) - deg_det
-    return Vertex(rp, _tail(a << 8 * (level - v.r), mc, rp, fq))
+    mc, md = g[2] << 8 * (level - v.r), int_axpy(fq, g[3] << 8 * level, g[2], top)
+    left = _deg(mc) > _deg(md)
+    return 2 * _deg(mc if left else md) - deg_det - 2 * level + v.r, left, mc if left else md
+
+
+def _act_tail(g, v, rp, left, den, fq):
+    """g(v) from _act_degree's (r', left, den): num is ma or mb, and the tail one division."""
+    level, top = _lattice(v)
+    num = g[0] << 8 * (level - v.r) if left else int_axpy(fq, g[1] << 8 * level, g[0], top)
+    return Vertex(rp, _tail(num, den, rp, fq))
 
 
 def _lattice(v):
@@ -298,10 +311,19 @@ def _euclid(g, i, deg_det, fq):
 
 
 def reduce_vertex(v, fq):
-    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0; gamma is a RowOps."""
+    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0; gamma is read off h = gamma M_v (_unlattice)."""
     g, deg_det = _lattice_matrix(v)
-    ops, j, _ = _euclid(g, 0, deg_det, fq)
-    return RowOps(fq, ops), j
+    _, j, h = _euclid(g, 0, deg_det, fq)
+    return Deferred(_unlattice, fq, h, v, False), j
+
+
+def _unlattice(fq, h, v, inverse):
+    """gamma = h adj(M_v) / t^(2L - r) for h = gamma M_v, or gamma^-1 = adj(gamma) if ``inverse``: with
+    M_v = (t^(L - r), top; 0, t^L), top h_a and top h_c are its only products, and the divisions exact shifts."""
+    level, top = _lattice(v)
+    k, top, (a, b, c, d) = 8 * (level - v.r), int_neg(fq, top), h
+    b, d = int_axpy(fq, b << k, top, a) >> k + 8 * level, int_axpy(fq, d << k, top, c) >> k + 8 * level
+    return Mat2.from_packed(fq, (d, int_neg(fq, b), int_neg(fq, c) >> k, a >> k) if inverse else (a >> k, b, c >> k, d))
 
 
 def _reduce_image(g, i, deg_det, fq):
@@ -333,7 +355,7 @@ def _reduce_image(g, i, deg_det, fq):
 
 
 def reduce_edge(e, fq):
-    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0; gamma is a RowOps.
+    """(gamma, i, sign) with gamma in SL_2(A), gamma(e) = sign * e_i, i >= 0; gamma is read off h = gamma M_v.
 
     M_v fixes the end at infinity, so it takes e_0 = (v_0, v_1), whose
     terminus is its origin's parent, to (v, parent of v).  An edge going
@@ -347,8 +369,8 @@ def reduce_edge(e, fq):
     else:
         raise AssertionError("non-adjacent edge endpoints")
     g, deg_det = _lattice_matrix(v)
-    gamma, i, image_sign, _ = _reduce_image(g, 0, deg_det, fq)
-    return gamma, i, sign * image_sign
+    _, i, image_sign, h = _reduce_image(g, 0, deg_det, fq)
+    return Deferred(_unlattice, fq, h, v, False), i, sign * image_sign
 
 
 class EdgeOrbit:
@@ -528,9 +550,9 @@ class TreeContext:
         """The bottom row of w mod t^n, packed."""
         return w.c.x & self._mask, w.d.x & self._mask
 
-    def _inverse_row(self, gamma, row=(0, 1)):
+    def _inverse_row(self, gamma, row):
         """adj(gamma g)'s bottom row (-c, a) mod t^n, replaying only the first column (a, c) of gamma g
-        from adj g's bottom row ``row`` mod t^n (g = 1 by default)."""
+        from adj g's bottom row ``row`` mod t^n."""
         fq, mask = self.fq, self._mask
         a, c = row[1], int_neg(fq, row[0])
         for op in gamma.args[1]:  # gamma's ops
@@ -540,14 +562,19 @@ class TreeContext:
                 a, c = int_neg(fq, c), a
         return int_neg(fq, c), a
 
+    def _lattice_row(self, gamma):
+        """gamma^-1's bottom row mod t^n for gamma read off h = gamma M_v: (-h_c, h_a) / t^(L - r) (_unlattice)."""
+        fq, (a, _, c, _), v, _ = gamma.args
+        return int_neg(fq, c >> 8 * max(-v.r, 0) & self._mask), a >> 8 * max(-v.r, 0) & self._mask
+
     # -- reductions ------------------------------------------------------------
     def reduce_edge(self, e):
         """(key, i, sign, w, nf): w(sign * e_i) = e, and nf the normal form of w's row."""
         got = self._classify_cache.get(e)
         if got is None:
             gamma, i, sign = reduce_edge(e, self.fq)
-            nf = self._normal_form(*self._inverse_row(gamma), i)
-            key, w = (i, nf[0]), gamma.inverse_unimodular()
+            nf = self._normal_form(*self._lattice_row(gamma), i)
+            key, w = (i, nf[0]), Deferred(_unlattice, *gamma.args[:3], True)
             got = self._classify_cache[e] = key, i, sign, w, nf
             self._classify_cache[Edge(e.terminus, e.origin)] = (key, i, -sign, w, nf)
         return got
@@ -555,11 +582,11 @@ class TreeContext:
     def reduce_vertex(self, v):
         """(key, j, w): w(v_j) = v."""
         gamma, j = reduce_vertex(v, self.fq)
-        return self.vertex_key(*self._inverse_row(gamma), j), j, gamma.inverse_unimodular()
+        return self.vertex_key(*self._lattice_row(gamma), j), j, Deferred(_unlattice, *gamma.args[:3], True)
 
     # -- witnesses -------------------------------------------------------------
     def edge_witness(self, w, nf, orbit):
-        """delta in Gamma_1(t^n) with delta * (orbit.w0) in w * S_i, multiplied out.
+        """delta = w lift w0^-1 in Gamma_1(t^n), with delta * (orbit.w0) in w * S_i, one packed product.
 
         nf is the normal form of w's bottom row and orbit.nf that of w0's,
         so the rows are taken to one row by sigma_w = (a, b; 0, a^-1) and
@@ -575,10 +602,15 @@ class TreeContext:
             raise AssertionError("witness search failed: edge not in claimed orbit")
         fq = self.fq
         mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
-        lift_b = bytes(add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0))
+        lift_b = int.from_bytes(bytes(add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0)), "little")
         ratio = mul[a][inv[a0]]
-        lift = Mat2.from_packed(fq, (ratio, int.from_bytes(lift_b, "little"), 0, inv[ratio]))
-        return w * lift * orbit.w0_inv
+        wa, wb, wc, wd = w.a.x, w.b.x, w.c.x, w.d.x
+        if ratio != 1:
+            wb, wd = int_mul(fq, inv[ratio], wb), int_mul(fq, inv[ratio], wd)
+        wb, wd = int_axpy(fq, wb, lift_b, wa), int_axpy(fq, wd, lift_b, wc)
+        if ratio != 1:
+            wa, wc = int_mul(fq, ratio, wa), int_mul(fq, ratio, wc)
+        return Mat2.from_packed(fq, packed_product(fq, (wa, wb, wc, wd), orbit.w0_inv))
 
     # -- stabilizers -------------------------------------------------------------
     def edge_orbit(self, key, i, w0, depth):

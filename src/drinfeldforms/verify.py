@@ -213,17 +213,13 @@ def _check_dimension(space, ops, rng):
 def _check_harmonicity(space, ops, rng):
     """Zero residual at every interior vertex orbit, for every basis cocycle."""
     interior = space.graph.interior_vertex_orbits()
-    ok = not any(any(v) for vorbit in interior for v in space.harmonicity_residual(vorbit.rep))
+    ok = not any(any(space.harmonicity_residual(vorbit.rep)) for vorbit in interior)
     return ok, {"vertex_orbits": len(interior)}
 
 
 def _check_antisymmetry(space, ops, rng):
     """c(-e) = -c(e) on every orbit representative."""
-    ok = not any(
-        any(a != -b for a, b in zip(plus, minus))
-        for e in _reps(space)
-        for plus, minus in zip(space.values(e, space.basis), space.values(e.reverse(), space.basis))
-    )
+    ok = not any(any(space.sum_values([e, e.reverse()], space.basis_rows)) for e in _reps(space))
     return ok, {}
 
 
@@ -266,8 +262,8 @@ def _check_source_sum(space, ops, rng):
         for e in (orbit.rep, orbit.rep.reverse())
         if e.origin in interior
     ]
-    basis = space.basis[:4]
-    ok = all(space.predecessor_sum(e, basis) == space.values(e, basis) for e in edges)
+    rows = space.rows(space.basis[:4])
+    ok = all(space.predecessor_sum(e, rows) == space.sum_values([e], rows) for e in edges)
     return ok, {}
 
 

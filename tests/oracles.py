@@ -39,6 +39,14 @@ None of this is used by ``drinfeldforms`` itself:
 * Euclid's walk on the exact fraction num/den of a vertex's tail
   (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
   the tree layer's Euclid on matrices over A;
+* a literal edge acted on with a full tail division at both endpoints
+  (:func:`apply_edge_two_acts`), its reductions with gamma kept as Euclid's
+  row operations and replayed, keys included (:func:`reduce_vertex_replay`,
+  :func:`reduce_edge_replay`, :func:`literal_edge_replay`,
+  :func:`literal_vertex_replay`), and the witness as three Mat2 multiplied
+  out (:func:`edge_witness_product`), the oracles for ``apply_edge``'s one
+  tail step, for gamma and its key read off Euclid's last matrix, and for
+  the fused witness product;
 * truncated Laurent expansions at infinity (:class:`Laurent`,
   :func:`laurent_expand`, :func:`laurent_tail`, :func:`v_inf`), the oracle
   for the tree layer's tails and for :func:`tail_to_ratfunc`, the exact
@@ -86,17 +94,31 @@ None of this is used by ``drinfeldforms`` itself:
   bottom row is searched by gcds and whose top row comes from
   ``poly_xgcd(d, -c)`` (:func:`xgcd_lift_sl2`), the oracles for
   ``rings.int_inverse_mod`` and for ``groups.lift_sl2``, which read the
-  coprimality test and the Bezout pair off the packed inverse mod c.
+  coprimality test and the Bezout pair off the packed inverse mod c;
+* the identity over A (:func:`identity_poly`) and the CLI's polynomial
+  parser as one call (:func:`parse_poly`), which only the tests use.
 """
 
 from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
-from drinfeldforms.mat2 import Mat2
+from drinfeldforms.mat2 import Mat2, RowOps
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
-from drinfeldforms.serialize import entry_json
-from drinfeldforms.tree import NEG_SIGN, POS_SIGN, Vertex, _reduce_image, apply_edge, apply_vertex
+from drinfeldforms.serialize import entry_json, parse_terms, poly_from_terms
+from drinfeldforms.tree import (
+    NEG_SIGN,
+    POS_SIGN,
+    Edge,
+    Vertex,
+    _act,
+    _det_degree,
+    _euclid,
+    _lattice_matrix,
+    _reduce_image,
+    apply_edge,
+    apply_vertex,
+)
 
 
 def _is_zero(x):
@@ -396,7 +418,7 @@ def star_sigma(fq, j, x):
     u(x t^j)(e_(j-1)); at j = 0 it is u(x) J (v_1), with edge u(x) J (-e_0).
     """
     if x is None:
-        return Mat2.identity_poly(fq), j, NEG_SIGN
+        return identity_poly(fq), j, NEG_SIGN
     u = Mat2.translation(Poly.constant(fq, x).shift(j))
     return (u, j - 1, POS_SIGN) if j else (u * Mat2.j_matrix(fq), 0, NEG_SIGN)
 
@@ -599,7 +621,7 @@ def reduce_vertex_oracle(v, fq):
     of valuation v = deg den - deg rem, is inverted through J, which drops
     r by 2v.  The walk stops when the fractional part lies in pi^r O.
     """
-    gamma = Mat2.identity_poly(fq)
+    gamma = identity_poly(fq)
     r = v.r
     s = tail_to_ratfunc(fq, vertex_tail(v))
     num, den = s.num, s.den
@@ -641,6 +663,67 @@ def reduce_edge_oracle(e, fq):
     if j == 0:
         return Mat2(-gamma.c, -gamma.d, gamma.a, gamma.b), 0, 1
     return gamma, j - 1, -1
+
+
+def apply_edge_two_acts(g, e, fq):
+    """g(e) with each endpoint acted on in full, tail division included (``tree._act``)."""
+    g = tuple(x.x for x in g.entries())
+    deg_det = _det_degree(g, fq)
+    return Edge(_act(g, deg_det, e.origin, fq), _act(g, deg_det, e.terminus, fq))
+
+
+def reduce_vertex_replay(v, fq):
+    """``tree.reduce_vertex`` with gamma kept as Euclid's row operations, replayed when read."""
+    g, deg_det = _lattice_matrix(v)
+    ops, j, _ = _euclid(g, 0, deg_det, fq)
+    return RowOps(fq, ops), j
+
+
+def reduce_edge_replay(e, fq):
+    """``tree.reduce_edge`` with gamma kept as the row operations of ``_reduce_image``, replayed when read."""
+    if e.terminus == e.origin.parent():
+        v, sign = e.origin, POS_SIGN
+    elif e.origin == e.terminus.parent():
+        v, sign = e.terminus, NEG_SIGN
+    else:
+        raise AssertionError("non-adjacent edge endpoints")
+    g, deg_det = _lattice_matrix(v)
+    gamma, i, image_sign, _ = _reduce_image(g, 0, deg_det, fq)
+    return gamma, i, sign * image_sign
+
+
+def literal_edge_replay(tree, e):
+    """``TreeContext.reduce_edge`` by replay: the key off gamma's first column replayed mod t^n, w = gamma^-1."""
+    gamma, i, sign = reduce_edge_replay(e, tree.fq)
+    nf = tree._normal_form(*tree._inverse_row(gamma, (0, 1)), i)
+    return (i, nf[0]), i, sign, gamma.inverse_unimodular(), nf
+
+
+def literal_vertex_replay(tree, v):
+    """``TreeContext.reduce_vertex`` by replay, as :func:`literal_edge_replay`."""
+    gamma, j = reduce_vertex_replay(v, tree.fq)
+    return tree.vertex_key(*tree._inverse_row(gamma, (0, 1)), j), j, gamma.inverse_unimodular()
+
+
+def edge_witness_product(tree, w, nf, orbit):
+    """``TreeContext.edge_witness`` as w * lift * w0^-1, the lift formed as a Mat2 and both products multiplied out."""
+    (_, a, b), (_, a0, b0) = nf, orbit.nf
+    fq = tree.fq
+    mul, add, neg, inv = fq._mul, fq._add, fq._neg, fq._inv
+    lift_b = bytes(add[mul[a0][x]][neg[mul[a][y]]] for x, y in zip(b, b0))
+    ratio = mul[a][inv[a0]]
+    lift = Mat2.from_packed(fq, (ratio, int.from_bytes(lift_b, "little"), 0, inv[ratio]))
+    return w * lift * orbit.w0_inv
+
+
+def identity_poly(fq):
+    """The identity Mat2 over A."""
+    return Mat2(Poly.one(fq), Poly.zero(fq), Poly.zero(fq), Poly.one(fq))
+
+
+def parse_poly(fq, text):
+    """Parse ``t^2+t+1``-style input into an element of F_q[t], as the CLI reads it."""
+    return poly_from_terms(fq, parse_terms(fq, text))
 
 
 class Laurent:
@@ -901,14 +984,14 @@ def classify_image_oracle(graph, xi, orbit):
     fq, tree = graph.ctx.fq, graph.tree
     g = tuple(x.x for x in ring_product(xi, orbit.w0).entries())
     gamma, i, sign, _ = _reduce_image(g, orbit.i, xi.det().degree, fq)
-    nf = tree._normal_form(*tree._inverse_row(gamma), i)
+    nf = tree._normal_form(*tree._inverse_row(gamma, (0, 1)), i)
     return graph._lookup((i, nf[0]), i, sign, gamma.inverse_unimodular(), nf)
 
 
 def random_gamma_oracle(ctx, rng):
     """The random word of ``verify._random_gamma``, each factor a product through Poly's operators."""
     fq = ctx.fq
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(4):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         if rng.random() < 0.5:

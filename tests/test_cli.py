@@ -6,8 +6,8 @@ from drinfeldforms import cli
 from drinfeldforms.cli import main
 from drinfeldforms.errors import DimensionMismatchError
 from drinfeldforms.fq import field
-from drinfeldforms.serialize import parse_poly
 from drinfeldforms.rings import Poly
+from oracles import parse_poly
 
 
 def run_cli(capsys, *argv):

@@ -13,12 +13,12 @@ from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import Deferred, Mat2, RowOps
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
-from oracles import edge_stab_generators, evaluate_oracle, gauss_jordan_kernel, inverse_k, to_a, to_k
+from oracles import edge_stab_generators, evaluate_oracle, gauss_jordan_kernel, identity_poly, inverse_k, to_a, to_k
 
 
 def rand_gamma(ctx, rng):
     fq = ctx.fq
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(4):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         if rng.random() < 0.5:
@@ -34,7 +34,7 @@ def test_vk_action_axioms():
     rng = random.Random(12)
     for k in (2, 3, 4):
         vk = VkAction(fq, k)
-        ident = Mat2.identity_poly(fq)
+        ident = identity_poly(fq)
         assert vk.act(ident) == Matrix.identity(vk.ring, k - 1)
         for _ in range(8):
             g = _rand_word(fq, rng)
@@ -65,7 +65,7 @@ def test_act_is_the_substitution_of_the_adjugate(q):
 
 
 def _rand_word(fq, rng):
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(4):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         m = m * (Mat2.translation(b) if rng.random() < 0.5 else Mat2.j_matrix(fq))
@@ -152,12 +152,12 @@ def test_equivariance_randomized(q, n, k, cache):
 
 @pytest.mark.parametrize("q,n,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3)])
 def test_harmonicity_residual_zero_everywhere(q, n, k, cache):
+    # one ring vector per component, coordinate j that of basis cocycle j
     space = cache.space(q, n, k)
     for vorbit in space.graph.interior_vertex_orbits():
         residuals = space.harmonicity_residual(vorbit.rep)
-        assert len(residuals) == space.dim
-        for residual in residuals:
-            assert not any(residual)
+        assert len(residuals) == k - 1
+        assert not any(residuals)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 1, 2), (2, 2, 2), (3, 1, 3)])
@@ -173,12 +173,44 @@ def test_source_sum_recursion(q, n, k, cache):
         for e in (orbit.rep, orbit.rep.reverse()):
             if e.origin not in interior:
                 continue
-            sums = space.predecessor_sum(e, space.basis)
-            assert len(sums) == space.dim
-            for cocycle, total in zip(space.basis, sums):
-                assert total == space.evaluate(cocycle, e)
+            sums = space.predecessor_sum(e, space.basis_rows)
+            assert len(sums) == k - 1
+            assert per_cocycle(space, sums) == [space.evaluate(c, e) for c in space.basis]
             checked += 1
     assert checked > 0
+
+
+def per_cocycle(space, vectors, count=None):
+    """The k - 1 ring vectors of sum_values read back as one value tuple per cocycle (``count``: the basis)."""
+    terms = [dict(space.ring.terms(v)) for v in vectors]
+    return [tuple(t.get(j, space.ring.zero) for t in terms) for j in range(space.dim if count is None else count)]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 2, 2), (3, 1, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3)])
+def test_sum_values_matches_the_oracle_values_summed_cocycle_by_cocycle(q, n, k, cache):
+    # sum_values reads every cocycle at once as ring vectors from the signed
+    # blocks summed per orbit key; the oracle transports each cocycle's value
+    # through the witness edge by edge and adds the tuples.  On the stars of
+    # interior vertices, on each representative with its reversal (zero by
+    # antisymmetry), and on a subset of the basis in another order
+    space = cache.space(q, n, k)
+    graph = space.graph
+    reps = [graph.edge_orbits[key].rep for key in space.orbit_keys]
+    groups = [[Edge(u, vo.rep) for u in vo.rep.neighbors(graph.ctx.fq)] for vo in graph.interior_vertex_orbits()]
+    groups += [[e] for e in reps] + [[e, e.reverse()] for e in reps] + [[Edge.standard(space.depth)]]
+    some = space.basis[::-1][:3]
+    nonzero = 0
+    for edges in groups:
+        for cocycles, rows in ((space.basis, space.basis_rows), (some, space.rows(some))):
+            want = []
+            for c in cocycles:
+                values = [evaluate_oracle(space, c, f) for f in edges]
+                want.append(tuple(sum(column, space.ring.zero) for column in zip(*values)))
+            got = space.sum_values(edges, rows)
+            assert len(got) == k - 1
+            assert per_cocycle(space, got, len(cocycles)) == want
+            nonzero += any(got)
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)])

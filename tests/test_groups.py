@@ -17,13 +17,13 @@ from drinfeldforms.groups import (
 )
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, graded_polys
-from oracles import inverse_k, mod_tn, poly_xgcd, to_a, to_k, xgcd_lift_sl2
+from oracles import identity_poly, inverse_k, mod_tn, poly_xgcd, to_a, to_k, xgcd_lift_sl2
 
 
 def test_membership_examples():
     fq = field(2)
     t, one, zero = Poly.t(fq), Poly.one(fq), Poly.zero(fq)
-    ident = Mat2.identity_poly(fq)
+    ident = identity_poly(fq)
     for n in (1, 2, 3):
         assert is_gamma1(ident, n)
     assert is_gamma1(Mat2(one, one, zero, one), 2)
@@ -44,7 +44,7 @@ def test_lift_sl2_randomized(q, n):
     tn = Poly.t_power(fq, n)
     for _ in range(25):
         # random SL_2(A_n) element built from unipotents and units
-        m = Mat2.identity_poly(fq)
+        m = identity_poly(fq)
         for _ in range(4):
             b = Poly(fq, [rng.randrange(q) for _ in range(rng.randrange(1, n + 1))])
             if rng.random() < 0.5:
@@ -130,7 +130,7 @@ def test_xi_eta_examples():
     with pytest.raises(ValueError):
         ctx.xi_beta(t, t)  # deg beta must be < deg m
     eta = ctx.eta_diamond(one)
-    assert eta == Mat2.identity_poly(fq)
+    assert eta == identity_poly(fq)
     xd = ctx.xi_diamond(t + one)
     assert xd.det() == t + one
     # eta has the required congruence column mod t^n
@@ -213,7 +213,7 @@ def in_gamma1_coset_over_k(lhs, rhs, n):
 
 
 def _rand_sl2(fq, rng, steps=4):
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(steps):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         m = m * (Mat2.translation(b) if rng.random() < 0.5 else Mat2.j_matrix(fq))
@@ -223,7 +223,7 @@ def _rand_sl2(fq, rng, steps=4):
 def _rand_gamma1(fq, n, rng):
     """A word in (1 b; 0 1) and (1 0; t^n c 1), so in Gamma_1(t^n)."""
     one, zero, tn = Poly.one(fq), Poly.zero(fq), Poly.t_power(fq, n)
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(3):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         m = m * Mat2.translation(b) * Mat2(one, zero, tn * b, one)
@@ -258,7 +258,7 @@ def test_coset_test_over_a_matches_k_oracle(q, n):
     rng = random.Random(q * 10 + n)
     t, one = Poly.t(fq), Poly.one(fq)
     # right factors of det 1, t and t^2, as in the xi congruences
-    dets = [Mat2.identity_poly(fq), Mat2.diag(one, t), Mat2.diag(t, one), Mat2.diag(t, t)]
+    dets = [identity_poly(fq), Mat2.diag(one, t), Mat2.diag(t, one), Mat2.diag(t, t)]
     seen = set()
     for trial in range(90):
         rhs = _rand_sl2(fq, rng) * dets[rng.randrange(len(dets))]

@@ -10,6 +10,7 @@ from drinfeldforms.linalg import (
     Matrix,
     UPoly,
     charpoly,
+    eliminate,
     newton_slope_zero_count,
     sparse_kernel,
 )
@@ -219,6 +220,20 @@ def test_sparse_kernel_reads_its_vectors_off_pivot_rows_scaled_to_one():
     t = RatFunc.from_poly(Poly.t(fq))
     assert sparse_kernel([{0: t, 1: K.one}], 2, K) == [{1: K.one, 0: -(K.one / t)}]
     assert sparse_kernel([{0: t, 1: K.one}], 2, K, col_order=[1, 0]) == [{0: K.one, 1: -t}]
+
+
+def test_eliminate_raises_on_an_echelon_row_not_leading_with_1():
+    # a row leading with 2 leaves the lead of w - c row at c (1 - 2) != 0,
+    # which eliminate would clear again and again; it raises instead
+    f3 = field(3)
+    F = FqRing(f3)
+    one, two = FqElem(f3, 1), FqElem(f3, 2)
+    with pytest.raises(AssertionError, match="at coordinate 1 does not lead with 1"):
+        eliminate(F, {1: F.vector([one, two])}, F.vector([F.zero, one]))
+    K = KRing(f3)
+    t = RatFunc.from_poly(Poly.t(f3))
+    with pytest.raises(AssertionError, match="at coordinate 1 does not lead with 1"):
+        eliminate(K, {1: {0: t, 1: K.one + K.one}}, {0: K.one, 1: t})
 
 
 def test_sparse_kernel_matches_dense():

@@ -33,15 +33,22 @@ from oracles import (
     ApartmentStabilizer,
     RingMat2,
     TupleVertex,
+    apply_edge_two_acts,
     classify_image_oracle,
     cusp_end_oracle,
     edge_stab_generators,
+    edge_witness_product,
+    identity_poly,
     kernel_lifts,
     laurent_tail,
+    literal_edge_replay,
+    literal_vertex_replay,
     mod_tn,
     passing_lifts,
     reduce_edge_oracle,
+    reduce_edge_replay,
     reduce_vertex_oracle,
+    reduce_vertex_replay,
     sl2fq_classes,
     stab_lifts,
     star_sigma,
@@ -62,7 +69,7 @@ def packed_entries(g):
 
 
 def rand_word(fq, rng, steps=6, maxdeg=3):
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(steps):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, maxdeg + 1))])
         m = m * (Mat2.translation(b) if rng.random() < 0.5 else Mat2.j_matrix(fq))
@@ -233,7 +240,7 @@ def reduce_vertex_laurent_oracle(v, fq):
     rebuilds -1/s from the remaining tail and expands it again below the
     new r.  Returns (gamma, j, steps).
     """
-    gamma = Mat2.identity_poly(fq)
+    gamma = identity_poly(fq)
     r, tail = v.r, vertex_tail(v)
     steps = 0
     while True:
@@ -358,6 +365,62 @@ def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
         got = _reduce_image(packed_entries(scaled), i, scaled.det().degree, fq)
         assert got[:3] == reduce_edge_oracle(e, fq)
         assert got[3] == packed_entries(got[0] * scaled)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3)])
+def test_literal_edges_match_the_two_act_and_replay_oracles(q, n):
+    # apply_edge's one tail step against both endpoints acted on in full;
+    # gamma, gamma^-1 and the key rows read off Euclid's last matrix against
+    # the replayed row operations; and the fused witness against w * lift *
+    # w0^-1 multiplied out.  Words move the standard edges, and Gamma_1(t^n)
+    # elements the orbit representatives, whose images keep their orbit
+    ctx = group_context(q, n)
+    fq = ctx.fq
+    graph = QuotientGraph(ctx, 2)
+    tree = graph.tree
+    orbits = sorted(graph.edge_orbits.values(), key=lambda o: o.key)
+    rng = random.Random(q * 71 + n)
+    scaled = 0
+    for _ in range(20):
+        orbit = orbits[rng.randrange(len(orbits))]
+        moves = [
+            (rand_word(fq, rng, steps=rng.randrange(1, 8)), Edge.standard(rng.randrange(4))),
+            (rand_gamma1(fq, n, rng), orbit.rep),
+        ]
+        for g, e in moves:
+            image = apply_edge(g, e, fq)
+            assert image == apply_edge_two_acts(g, e, fq)
+            assert apply_edge(g, e.reverse(), fq) == image.reverse()
+            for f in (image, image.reverse()):
+                gamma, i, sign = reduce_edge(f, fq)
+                want = reduce_edge_replay(f, fq)
+                assert (i, sign) == want[1:]
+                assert gamma == want[0] and gamma.inverse_unimodular() == want[0].inverse_unimodular()
+                got, want = tree.reduce_edge(f), literal_edge_replay(tree, f)
+                assert got[:3] == want[:3] and got[4] == want[4] and got[3] == want[3]
+            for v in (image.origin, image.terminus):
+                gamma, j = reduce_vertex(v, fq)
+                want = reduce_vertex_replay(v, fq)
+                assert (gamma, j) == want and gamma.inverse_unimodular() == want[0].inverse_unimodular()
+                assert tree.reduce_vertex(v) == literal_vertex_replay(tree, v)
+            classified, _, _, delta = graph.classify(image)
+            if classified is not None:
+                w, nf, _ = delta.args
+                assert delta == edge_witness_product(tree, w, nf, classified)
+                scaled += nf[1] != classified.nf[1]
+        assert graph.classify(image)[::2] == (orbit, 1)
+        # and on a w whose row is w0's moved by a random element of S_i
+        w = rand_gamma1(fq, n, rng) * orbit.w0 * rand_sigma(fq, orbit.i, rng)
+        nf = tree._normal_form(*tree._row(w), orbit.i)
+        assert tree.edge_witness(w, nf, orbit) == edge_witness_product(tree, w, nf, orbit)
+        scaled += nf[1] != orbit.nf[1]
+    assert scaled or q == 2
+
+
+def test_apply_edge_rejects_non_adjacent_endpoints():
+    fq = field(3)
+    with pytest.raises(AssertionError, match="non-adjacent edge endpoints"):
+        apply_edge(Mat2.j_matrix(fq), Edge(Vertex.standard(0), Vertex.standard(2)), fq)
 
 
 def test_reduce_edge_rejects_non_adjacent_endpoints():
@@ -570,15 +633,15 @@ def _classify_beyond_the_table(ctx):
 @pytest.mark.parametrize(
     "side,run",
     [
-        ("_inverse_row", _classify_beyond_the_table),
+        ("_lattice_row", _classify_beyond_the_table),
         ("_row", _build_depth_1),
         ("_star_rows", _build_depth_1),
     ],
-    ids=["_inverse_row", "_row", "_star_rows"],
+    ids=["_lattice_row", "_row", "_star_rows"],
 )
 def test_registration_checks_the_key_against_the_representative_row(monkeypatch, side, run):
     # a build reads each key off the star's row arithmetic mod t^n, and a
-    # literal classification off gamma's first column replayed mod t^n,
+    # literal classification off Euclid's last matrix h = gamma M_v mod t^n,
     # while the orbit's normal form comes from the row of all of w0;
     # corrupting any of them is caught once per new orbit, before any
     # witness is read
@@ -894,7 +957,7 @@ CLOSED_FORM_GRID = [
 
 def rand_gamma1(fq, n, rng):
     """A random element of Gamma_1(t^n): it moves no bottom row mod t^n."""
-    m = Mat2.identity_poly(fq)
+    m = identity_poly(fq)
     for _ in range(3):
         b = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))])
         if rng.random() < 0.5:
@@ -992,7 +1055,7 @@ def test_witness_rejects_an_edge_of_another_orbit():
     ctx = group_context(3, 2)
     tree = TreeContext(ctx)
     fq = ctx.fq
-    w = Mat2.identity_poly(fq)
+    w = identity_poly(fq)
     orbit = EdgeOrbit(None, 0, Mat2.j_matrix(fq), None)
     tree.edge_stabilizer(orbit)
     nf = tree._normal_form(*tree._row(w), 0)

@@ -17,7 +17,7 @@ from drinfeldforms.verify import (
     run_suite,
     suite_passed,
 )
-from oracles import dense, operator, random_gamma_oracle
+from oracles import dense, identity_poly, operator, random_gamma_oracle
 
 
 def test_goss_suite_records_reducible_skip():
@@ -154,8 +154,9 @@ def _status(name, space, ops=None):
 
 
 def _with_basis(space, basis):
+    """A copy of space with another basis, and the ring-vector rows the checks read off it."""
     corrupted = copy.copy(space)
-    corrupted.basis = basis
+    corrupted.basis, corrupted.basis_rows = basis, space.rows(basis)
     return corrupted
 
 
@@ -227,7 +228,7 @@ def test_an_untransported_value_fails_equivariance_at_weight_3(cache, q, n):
     """
     for k, want in ((3, False), (2, True)):
         space = cache.space(q, n, k)
-        identity = Mat2.identity_poly(space.ctx.fq)
+        identity = identity_poly(space.ctx.fq)
         corrupted = _with_classify(space, lambda orbit, key, sign, delta: (orbit, key, sign, identity))
         assert _status("equivariance", space) is True
         assert _status("equivariance", corrupted) is want, k
