@@ -300,12 +300,16 @@ class CocycleSpace:
         return [self.zero_vector() if v is None else v for v in self.vk.transport(sign, delta, stored)]
 
     @cached_property
+    def basis_terms(self):
+        return self.terms(self.basis)
+
+    @cached_property
     def basis_rows(self):
-        return self.rows(self.basis)
+        return {row: self.ring.from_terms(t) for row, t in self.basis_terms.items()}
 
     def terms(self, cocycles):
         """{(key, s): the nonzero (j, c_j(key)[s])} over ``cocycles``, which :meth:`rows` holds as ring vectors;
-        ``basis_rows`` is the rows of the basis, formed on first read (``dims`` never reads it)."""
+        ``basis_terms`` and ``basis_rows`` are those of the basis, formed on first read (``dims`` reads neither)."""
         terms = {}
         for j, c in enumerate(cocycles):
             for key, v in c.items():
@@ -359,12 +363,12 @@ class Coordinates:
 
     An image maps safe (orbit, component) rows to vectors of the space's
     ring: at (key, s) coordinate j is (T c_j)(key)[s] for basis cocycle
-    c_j, and a missing row is zero.  ``basis_rows`` holds the same vector
-    for the basis itself, c_j(key)[s], at every row some cocycle is
-    nonzero at, and ``row_terms`` its nonzero (j, entry) pairs.  The basis
-    is the unit basis on the stable rows, so row i of T's matrix is the
-    image at cocycle i's unit row, and every row on orbits of depth at
-    most ``safe_depth`` is then verified exactly.
+    c_j, and a missing row is zero.  ``row_terms`` is the space's
+    ``basis_terms``: the nonzero (j, c_j(key)[s]) of the basis itself at
+    every row some cocycle is nonzero at.  The basis is the unit basis on
+    the stable rows, so row i of T's matrix is the image at cocycle i's
+    unit row, and every row on orbits of depth at most ``safe_depth`` is
+    then verified exactly.
     """
 
     def __init__(self, space, safe_depth):
@@ -375,7 +379,7 @@ class Coordinates:
             key for key in sorted(orbits) if key not in stable and orbits[key].depth <= safe_depth
         ]
         self.safe_rows = [(key, s) for key in self.keys_needed for s in range(space.k - 1)]
-        self.row_terms, self.basis_rows = space.terms(space.basis), space.basis_rows
+        self.row_terms = space.basis_terms
 
     def coords(self, image):
         """The columns of an operator from its image, every safe row verified.

@@ -377,6 +377,6 @@ def distinct_coset_check(q, n):
     hs = [ctx.h_matrix(c, d) for c, d in ctx.label_pairs()]
     for i, h in enumerate(hs):
         for j, hp in enumerate(hs):
-            if i < j and is_gamma1(h * hp.inverse_unimodular(), n):
+            if i < j and is_gamma1(h * hp.adjugate(), n):
                 return False
     return True

@@ -146,7 +146,7 @@ class HeckeEngine:
                 prev = table.get((key, key2))
                 table[key, key2] = block if prev is None else prev + block
         # the image at (key, r) holds (T c_j)(key)[r] = sum_s block[r][s] c_j(key2)[s] at j
-        image = space.read_blocks(table, self.coords.basis_rows)
+        image = space.read_blocks(table, space.basis_rows)
         got = OperatorMatrix(name, self.ctx, self.k, ring, self.coords.coords(image))
         self._cache[name] = got
         return got

@@ -48,10 +48,6 @@ class Mat2:
     def adjugate(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def inverse_unimodular(self):
-        """Inverse assuming det = 1 (not rechecked here)."""
-        return self.adjugate()
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -104,26 +100,13 @@ class Deferred(Mat2):
         return getattr(self, name)
 
 
-class RowOps(Deferred):
+def _replay(fq, ops, inverted):
     """gamma, the row operations ``ops`` applied to the identity, or adj(gamma) if ``inverted``.
 
     Each op multiplies on the left: a packed b != 0 by (1, b; 0, 1), and 0
-    by J.  The entries are replayed on packed ints the first time one is read.
+    by J.  The entries are replayed on packed ints, as Deferred(_replay,
+    fq, ops, inverted) does the first time one is read.
     """
-
-    __slots__ = ()
-
-    def __init__(self, fq, ops, inverted=False):
-        self.make = _replay
-        self.args = (fq, ops, inverted)
-
-    def inverse_unimodular(self):
-        fq, ops, inverted = self.args
-        return RowOps(fq, ops, not inverted)
-
-
-def _replay(fq, ops, inverted):
-    """The Mat2 of RowOps(fq, ops, inverted), replayed on packed ints."""
     a, b, c, d = 1, 0, 0, 1
     for op in ops:
         if op:

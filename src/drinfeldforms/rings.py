@@ -334,14 +334,6 @@ class Poly:
             raise ZeroDivisionError(f"{self} is not a unit mod t^{n}")
         return packed(self.fq, inv)
 
-    def eval_code(self, x):
-        """Evaluate at an F_q code."""
-        fq = self.fq
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fq.add(fq.mul(acc, x), c)
-        return acc
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.x == other.x and self.fq.q == other.fq.q
 
@@ -376,20 +368,12 @@ def poly_gcd(a, b):
 
 
 def poly_is_irreducible(m):
-    """Naive irreducibility check, adequate for the small moduli used here."""
-    fq = m.fq
+    """Trial division by the monic polynomials of degree 1 to deg m // 2, adequate for the small moduli used here."""
     d = m.degree
     if d is NEG_INF or d == 0:
         return False
-    if d == 1:
-        return True
-    for x in fq.elements():
-        if m.eval_code(x) == 0:
-            return False
-    for div in graded_polys(fq, d // 2 + 1):
-        if div.degree >= 2 and div.is_monic() and (m % div).is_zero():
-            return False
-    return True
+    divisors = (div for div in graded_polys(m.fq, d // 2 + 1) if div.degree >= 1 and div.is_monic())
+    return not any((m % div).is_zero() for div in divisors)
 
 
 def graded_polys(fq, bound=None):

@@ -34,8 +34,9 @@ terminus is read off degrees and one division.  A literal edge or vertex
 enters as M_v, and gamma, gamma^-1 and the key row are read off Euclid's
 last matrix h = gamma M_v, as det M_v = t^(2L - r).  An operator image
 xi w0(e_i) is reduced from its parent's reduced image, one star step and
-at most two row operations (a RowOps) away, and a seed's from the Hecke
-coset representative of xi w0, each such state once (classify_images).
+at most two row operations away (gamma^-1 is replayed from them when
+read, mat2._replay), and a seed's from the Hecke coset representative of
+xi w0, each such state once (classify_images).
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
@@ -66,7 +67,7 @@ element is enumerated.
 import copy
 
 from .errors import ResourceBoundError
-from .mat2 import Deferred, Mat2, RowOps, packed_product
+from .mat2 import Deferred, Mat2, _replay, packed_product
 from .rings import NEG_INF, int_axpy, int_divmod, int_mul, int_neg
 
 POS_SIGN = 1
@@ -160,11 +161,11 @@ def apply_vertex(g, v, fq):
     as packed ints, and the rest runs on them.
     """
     g = g.a.x, g.b.x, g.c.x, g.d.x
-    return _act(g, _det_degree(g, fq), v, fq)
+    return _act_tail(g, v, *_act_degree(g, _det_degree(g, fq), v, fq), fq)
 
 
 def apply_edge(g, e, fq):
-    """g(e) for e joining a vertex to its parent, as g(e) does: both ends take _act's degree step,
+    """g(e) for e joining a vertex to its parent: both ends take the degree step of apply_vertex,
     and only the one of larger r' its tail step, the other being its parent (AssertionError off edges)."""
     o, t = e.origin, e.terminus
     adjacent = t.r == o.r - 1 and t.s == o.s >> 8 or o.r == t.r - 1 and o.s == t.s >> 8
@@ -187,13 +188,8 @@ def _det_degree(g, fq):
     return _deg(det)
 
 
-def _act(g, deg_det, v, fq):
-    """apply_vertex for g = (a, b, c, d) packed, whose determinant has degree ``deg_det``."""
-    return _act_tail(g, v, *_act_degree(g, deg_det, v, fq), fq)
-
-
 def _act_degree(g, deg_det, v, fq):
-    """(r', left, den) of g(v) with no division: s' = num/den has den = mc if left, else md."""
+    """(r', left, den) of g(v) for g packed, with no division: s' = num/den has den = mc if left, else md."""
     level, top = _lattice(v)
     # the bottom row (mc, md) of m = g t^L (pi^r, s; 0, 1)
     mc, md = g[2] << 8 * (level - v.r), int_axpy(fq, g[3] << 8 * level, g[2], top)
@@ -262,17 +258,17 @@ def _star_matrix(w, j, x):
 
 
 def _euclid(g, i, deg_det, fq):
-    """(ops, j, h): gamma g(v_i) = v_j, j >= 0, for gamma the product of the row operations ops.
+    """(ops, j, h): gamma g(v_i) = v_j, j >= 0, for gamma the row operations ops (mat2._replay).
 
     g = (a, b, c, d) is packed over A, with det of degree ``deg_det``, and
     g(v_i) is the vertex of g diag(t^i, 1).  Its r and s are read off the
-    entries as in _act: s = num/den is b/d, or a/c when deg(c t^i) > deg d.
+    entries as in apply_vertex: s = num/den is b/d, or a/c when deg(c t^i) > deg d.
     The polynomial part of s (the expansion terms of exponent <= 0, less
     those in pi^r O) is killed by a translation, and the fractional part
     rem/den, of valuation v = deg den - deg rem, is inverted through J,
     which drops r by 2v.  The walk stops when the fractional part lies in
     pi^r O.  Since -1/s mod pi^(r - 2v) depends only on s mod pi^r, any
-    matrix of the vertex gives the same translations.  ops are as in RowOps.
+    matrix of the vertex gives the same translations.
 
     They are applied to g too, and h = gamma g is returned packed.  From
     det h it follows that after a step the other entry of the new bottom
@@ -327,12 +323,12 @@ def _unlattice(fq, h, v, inverse):
 
 
 def _reduce_image(g, i, deg_det, fq):
-    """(gamma, j, sign, h) with gamma in SL_2(A), gamma g(e_i) = sign * e_j, j >= 0, and h = gamma g packed.
+    """(ops, j, sign, h): gamma g(e_i) = sign * e_j, j >= 0, for gamma in SL_2(A) the row operations ops.
 
     g = (a, b, c, d) is packed over A with det != 0 of degree ``deg_det``,
-    and gamma is a RowOps.  Euclid takes g(v_i) to v_j, and the terminus,
-    the vertex of h diag(t^(i+1), 1) for h = gamma g, is a neighbor of v_j:
-    r = -j - 1 (v_(j+1)) or -j + 1, read off degrees as in _act, and at
+    and h = gamma g packed.  Euclid takes g(v_i) to v_j, and the terminus,
+    the vertex of h diag(t^(i+1), 1), is a neighbor of v_j:
+    r = -j - 1 (v_(j+1)) or -j + 1, read off degrees as in apply_vertex, and at
     those r <= 1 its tail is the terms of degree >= 1 - r of one quotient,
     none for v_(j+1) and at most c t^j for the child of v_j of digit c.
     """
@@ -344,14 +340,14 @@ def _reduce_image(g, i, deg_det, fq):
     if (code if up else code >> 8) or not (up or r == -j + 1):
         raise AssertionError("non-adjacent edge endpoints")
     if up:
-        return RowOps(fq, ops), j, POS_SIGN, (a, b, c, d)
+        return ops, j, POS_SIGN, (a, b, c, d)
     if code:
         ops.append(int_neg(fq, code) << 8 * j)
         a, b = int_axpy(fq, a, ops[-1], c), int_axpy(fq, b, ops[-1], d)
     if j == 0:
         ops.append(0)
-        return RowOps(fq, ops), 0, POS_SIGN, (int_neg(fq, c), int_neg(fq, d), a, b)
-    return RowOps(fq, ops), j - 1, NEG_SIGN, (a, b, c, d)
+        return ops, 0, POS_SIGN, (int_neg(fq, c), int_neg(fq, d), a, b)
+    return ops, j - 1, NEG_SIGN, (a, b, c, d)
 
 
 def reduce_edge(e, fq):
@@ -385,7 +381,7 @@ class EdgeOrbit:
         self.key = key
         self.i = i
         self.w0 = w0
-        self.w0_inv = w0.inverse_unimodular()
+        self.w0_inv = w0.adjugate()
         self._rep = None
         self.depth = depth
         self.stable = None
@@ -538,24 +534,24 @@ class TreeContext:
         return [(c, d)] + [(sc, sd & mask) for sc, sd in (_star_step(fq, c, d, j, x) for x in fq.elements())]
 
     def reduce_state(self, h, sigma, i, deg_det):
-        """_reduce_image(h sigma, i) and gamma^-1, memoized on (h, sigma), which fixes i (star)."""
+        """_reduce_image(h sigma, i) and gamma^-1 replayed from ops, memoized on (h, sigma), which fixes i (star)."""
         got = self._image_cache.get((h, sigma))
         if got is None:
             g = (*_star_step(self.fq, *h[:2], *sigma), *_star_step(self.fq, *h[2:], *sigma))
-            gamma, j, sign, h2 = _reduce_image(g, i, deg_det, self.fq)
-            got = self._image_cache[h, sigma] = gamma, j, sign, h2, gamma.inverse_unimodular()
+            ops, j, sign, h2 = _reduce_image(g, i, deg_det, self.fq)
+            got = self._image_cache[h, sigma] = ops, j, sign, h2, Deferred(_replay, self.fq, ops, True)
         return got
 
     def _row(self, w):
         """The bottom row of w mod t^n, packed."""
         return w.c.x & self._mask, w.d.x & self._mask
 
-    def _inverse_row(self, gamma, row):
-        """adj(gamma g)'s bottom row (-c, a) mod t^n, replaying only the first column (a, c) of gamma g
-        from adj g's bottom row ``row`` mod t^n."""
+    def _inverse_row(self, ops, row):
+        """adj(gamma g)'s bottom row (-c, a) mod t^n for gamma the row operations ``ops``, replaying only
+        the first column (a, c) of gamma g from adj g's bottom row ``row`` mod t^n."""
         fq, mask = self.fq, self._mask
         a, c = row[1], int_neg(fq, row[0])
-        for op in gamma.args[1]:  # gamma's ops
+        for op in ops:
             if op:
                 a = int_axpy(fq, a, op & mask, c) & mask
             else:
@@ -578,11 +574,6 @@ class TreeContext:
             got = self._classify_cache[e] = key, i, sign, w, nf
             self._classify_cache[Edge(e.terminus, e.origin)] = (key, i, -sign, w, nf)
         return got
-
-    def reduce_vertex(self, v):
-        """(key, j, w): w(v_j) = v."""
-        gamma, j = reduce_vertex(v, self.fq)
-        return self.vertex_key(*self._lattice_row(gamma), j), j, Deferred(_unlattice, *gamma.args[:3], True)
 
     # -- witnesses -------------------------------------------------------------
     def edge_witness(self, w, nf, orbit):
@@ -833,8 +824,8 @@ class QuotientGraph:
                 raise AssertionError(f"orbit {orbit.key} is transported without its parent")
             else:
                 (h, row, w), sigma = steps[orbit.parent.key], orbit.sigma
-            gamma, i, sign, h, step = tree.reduce_state(h, sigma, orbit.i, det.degree)
-            row, w = tree._inverse_row(gamma, row), Deferred(Mat2.__mul__, w, step)
+            ops, i, sign, h, step = tree.reduce_state(h, sigma, orbit.i, det.degree)
+            row, w = tree._inverse_row(ops, row), Deferred(Mat2.__mul__, w, step)
             steps[orbit.key] = h, row, w
             nf = tree._normal_form(*row, i)
             got[orbit.key] = self._lookup((i, nf[0]), i, sign, w, nf)
@@ -936,10 +927,9 @@ def _key_json(key):
     return {"i": head, "row": [list(row[0]), list(row[1])]}
 
 
-def _dot_name(key_json_or_key):
-    k = key_json_or_key if isinstance(key_json_or_key, dict) else _key_json(key_json_or_key)
-    row = k["row"]
-    return f"i{k['i']}|" + "|".join("".join(map(str, part)) or "0" for part in row)
+def _dot_name(k):
+    """The DOT node name of a key as _key_json gives it."""
+    return f"i{k['i']}|" + "|".join("".join(map(str, part)) or "0" for part in k["row"])
 
 
 def classify_edge(ctx, e, graph=None):
@@ -948,21 +938,20 @@ def classify_edge(ctx, e, graph=None):
         graph = QuotientGraph(ctx, depth=0)
     tree = graph.tree
     orbit, key, sign, delta = graph.classify(e)
+    # classify's memoized reduction w(sign * e_i) = e
+    _, i, _, w, nf = tree.reduce_edge(e)
     if orbit is None:
-        # beyond the table: an orbit on the fly from this edge's reduction
-        # w(sign * e_i) = e
-        _, i, _, w, nf = tree.reduce_edge(e)
+        # beyond the table: an orbit on the fly from this reduction
         orbit = tree.edge_orbit(key, i, w, None)
         delta = Deferred(tree.edge_witness, w, nf, orbit)
     if orbit.stable:
         return EdgeClass(True, orbit.label, orbit.i, sign, delta, None)
     # cusp end: the end fixed by the stabilizer of one of the input edge's
-    # own vertices (origin preferred)
+    # own vertices, origin first: w(v_i) and w(v_(i+1)), the origin w(v_i)
+    # when the sign is +1
     end = None
-    for v in (e.origin, e.terminus):
-        _, j, w = tree.reduce_vertex(v)
+    for j in (i, i + 1) if sign == POS_SIGN else (i + 1, i):
         end = tree.cusp_end(w, j)
         if end is not None:
             break
     return EdgeClass(False, None, orbit.i, sign, delta, end)
-

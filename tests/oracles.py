@@ -43,8 +43,8 @@ None of this is used by ``drinfeldforms`` itself:
   (:func:`apply_edge_two_acts`), its reductions with gamma kept as Euclid's
   row operations and replayed, keys included (:func:`reduce_vertex_replay`,
   :func:`reduce_edge_replay`, :func:`literal_edge_replay`,
-  :func:`literal_vertex_replay`), and the witness as three Mat2 multiplied
-  out (:func:`edge_witness_product`), the oracles for ``apply_edge``'s one
+  :func:`replay_inverse`), and the witness as three Mat2 multiplied out
+  (:func:`edge_witness_product`), the oracles for ``apply_edge``'s one
   tail step, for gamma and its key read off Euclid's last matrix, and for
   the fused witness product;
 * truncated Laurent expansions at infinity (:class:`Laurent`,
@@ -103,7 +103,7 @@ from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
-from drinfeldforms.mat2 import Mat2, RowOps
+from drinfeldforms.mat2 import Deferred, Mat2, _replay
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
 from drinfeldforms.serialize import entry_json, parse_terms, poly_from_terms
 from drinfeldforms.tree import (
@@ -111,13 +111,15 @@ from drinfeldforms.tree import (
     POS_SIGN,
     Edge,
     Vertex,
-    _act,
+    _act_degree,
+    _act_tail,
     _det_degree,
     _euclid,
     _lattice_matrix,
     _reduce_image,
     apply_edge,
     apply_vertex,
+    reduce_vertex,
 )
 
 
@@ -521,8 +523,8 @@ def cusp_end_oracle(tree, e):
     """The fixed end of the first nontrivial stabilizer element of e's origin, else of its
     terminus, else None: the cusp end of an unstable edge in ``classify_edge``."""
     for v in (e.origin, e.terminus):
-        _, j, w = tree.reduce_vertex(v)
-        passing, kernel = vertex_stab_elements(tree, w, j)
+        gamma, j = reduce_vertex(v, tree.fq)
+        passing, kernel = vertex_stab_elements(tree, gamma.adjugate(), j)
         if passing or kernel:
             return parabolic_fixed_end((passing or kernel)[0])
     return None
@@ -666,17 +668,23 @@ def reduce_edge_oracle(e, fq):
 
 
 def apply_edge_two_acts(g, e, fq):
-    """g(e) with each endpoint acted on in full, tail division included (``tree._act``)."""
+    """g(e) with each endpoint acted on in full: ``tree._act_degree``, then its tail division ``tree._act_tail``."""
     g = tuple(x.x for x in g.entries())
     deg_det = _det_degree(g, fq)
-    return Edge(_act(g, deg_det, e.origin, fq), _act(g, deg_det, e.terminus, fq))
+    return Edge(*(_act_tail(g, v, *_act_degree(g, deg_det, v, fq), fq) for v in (e.origin, e.terminus)))
+
+
+def replay_inverse(gamma):
+    """adj(gamma) for gamma = Deferred(_replay, fq, ops, inverted), replayed afresh from the same ops."""
+    fq, ops, inverted = gamma.args
+    return Deferred(_replay, fq, ops, not inverted)
 
 
 def reduce_vertex_replay(v, fq):
     """``tree.reduce_vertex`` with gamma kept as Euclid's row operations, replayed when read."""
     g, deg_det = _lattice_matrix(v)
     ops, j, _ = _euclid(g, 0, deg_det, fq)
-    return RowOps(fq, ops), j
+    return Deferred(_replay, fq, ops, False), j
 
 
 def reduce_edge_replay(e, fq):
@@ -688,21 +696,16 @@ def reduce_edge_replay(e, fq):
     else:
         raise AssertionError("non-adjacent edge endpoints")
     g, deg_det = _lattice_matrix(v)
-    gamma, i, image_sign, _ = _reduce_image(g, 0, deg_det, fq)
-    return gamma, i, sign * image_sign
+    ops, i, image_sign, _ = _reduce_image(g, 0, deg_det, fq)
+    return Deferred(_replay, fq, ops, False), i, sign * image_sign
 
 
 def literal_edge_replay(tree, e):
     """``TreeContext.reduce_edge`` by replay: the key off gamma's first column replayed mod t^n, w = gamma^-1."""
     gamma, i, sign = reduce_edge_replay(e, tree.fq)
-    nf = tree._normal_form(*tree._inverse_row(gamma, (0, 1)), i)
-    return (i, nf[0]), i, sign, gamma.inverse_unimodular(), nf
-
-
-def literal_vertex_replay(tree, v):
-    """``TreeContext.reduce_vertex`` by replay, as :func:`literal_edge_replay`."""
-    gamma, j = reduce_vertex_replay(v, tree.fq)
-    return tree.vertex_key(*tree._inverse_row(gamma, (0, 1)), j), j, gamma.inverse_unimodular()
+    _, ops, _ = gamma.args
+    nf = tree._normal_form(*tree._inverse_row(ops, (0, 1)), i)
+    return (i, nf[0]), i, sign, replay_inverse(gamma), nf
 
 
 def edge_witness_product(tree, w, nf, orbit):
@@ -983,9 +986,9 @@ def classify_image_oracle(graph, xi, orbit):
     """
     fq, tree = graph.ctx.fq, graph.tree
     g = tuple(x.x for x in ring_product(xi, orbit.w0).entries())
-    gamma, i, sign, _ = _reduce_image(g, orbit.i, xi.det().degree, fq)
-    nf = tree._normal_form(*tree._inverse_row(gamma, (0, 1)), i)
-    return graph._lookup((i, nf[0]), i, sign, gamma.inverse_unimodular(), nf)
+    ops, i, sign, _ = _reduce_image(g, orbit.i, xi.det().degree, fq)
+    nf = tree._normal_form(*tree._inverse_row(ops, (0, 1)), i)
+    return graph._lookup((i, nf[0]), i, sign, Deferred(_replay, fq, ops, True), nf)
 
 
 def random_gamma_oracle(ctx, rng):

@@ -10,7 +10,7 @@ from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.linalg import FqRing, Matrix
 from drinfeldforms.hecke import HeckeEngine
-from drinfeldforms.mat2 import Deferred, Mat2, RowOps
+from drinfeldforms.mat2 import Deferred, Mat2, _replay
 from drinfeldforms.rings import Poly
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
 from oracles import edge_stab_generators, evaluate_oracle, gauss_jordan_kernel, identity_poly, inverse_k, to_a, to_k
@@ -411,14 +411,15 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     # classify_images multiplies each seed's xi w0 out, one Mat2 product,
     # and splits off its Hecke coset representative, steps every other
     # image on from its parent's, and defers the witness chain
-    # w_P gamma'^-1, so it forms no other Mat2 product.  A reduced state's
-    # gamma is kept as its row operations (RowOps), and none made inside
-    # those calls is replayed, then or later.  The graph grows in
+    # w_P gamma'^-1, so it forms no other Mat2 product.  A reduced state
+    # keeps gamma' as its row operations and gamma'^-1 as a Deferred that
+    # replays them (make is _replay), and none made inside those calls is
+    # replayed, then or later.  The graph grows in
     # group coordinates and seeds from the matrices h J, and a literal
     # representative is formed only when read, so nothing acts on the tree.
     seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0, "images": 0, "witness": 0}
     acted = {"apply_edge": [], "apply_vertex": []}
-    made = []  # the RowOps formed inside the calls, kept alive so their ids stay theirs
+    made = []  # the replays formed inside the calls, kept alive so their ids stay theirs
     mul = Mat2.__mul__
 
     def counting_mul(self, other):
@@ -456,21 +457,21 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
             return _fn(g, x, fq)
 
         monkeypatch.setattr(tree, name, recording_act)
-    init, read = RowOps.__init__, Deferred.__getattr__
+    init, read = Deferred.__init__, Deferred.__getattr__
 
-    def recording_init(self, *args):
-        init(self, *args)
-        if seen["depth"]:
+    def recording_init(self, make, *args):
+        init(self, make, *args)
+        if make is _replay and seen["depth"]:
             made.append(self)
 
     def counting_read(self, name):
-        # a witness or a conjugate is never read; a RowOps is, outside the
+        # a witness or a conjugate is never read; a replay is, outside the
         # calls, unless it was made inside them
-        if type(self) is not RowOps or seen["depth"] or any(self is m for m in made):
+        if self.make is not _replay or seen["depth"] or any(self is m for m in made):
             seen["read"] += 1
         return read(self, name)
 
-    monkeypatch.setattr(RowOps, "__init__", recording_init)
+    monkeypatch.setattr(Deferred, "__init__", recording_init)
     monkeypatch.setattr(Deferred, "__getattr__", counting_read)
     ctx = group_context(2, 2)
     space = CocycleSpace(ctx, 2)
@@ -478,7 +479,7 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
     engine.u_t()
     assert seen["calls"] > 0
     assert seen["images"] == len(engine.coords.keys_needed) * 2  # q transports each
-    assert len(made) >= 2 * len(space.graph.tree._image_cache) > 0  # each reduced state's gamma and gamma^-1
+    assert len(made) == len(space.graph.tree._image_cache) > 0  # each reduced state's gamma'^-1
     assert seen["inside"] == 2 * len(space.stable_keys)  # xi w0 for each seed, at q transports each
     assert seen["read"] == 0 and seen["witness"] == 0
     assert acted == {"apply_edge": [], "apply_vertex": []}

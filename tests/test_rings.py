@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -156,6 +157,31 @@ def test_irreducibility():
     t3, one3 = Poly.t(fq3), Poly.one(fq3)
     assert not poly_is_irreducible(t3 * t3 + t3 + one3)  # (t-1)^2 over F_3
     assert poly_is_irreducible(t3 * t3 + one3)
+
+
+def _mobius(m):
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+@pytest.mark.parametrize("q,dmax", [(2, 6), (3, 4), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2)])
+def test_irreducible_counts_are_gauss_counts(q, dmax):
+    # Gauss: the monic irreducibles of degree d over F_q number
+    # (1/d) sum_{e | d} mu(d/e) q^e
+    fq = field(q)
+    for d in range(1, dmax + 1):
+        found = sum(
+            poly_is_irreducible(Poly(fq, [*low, 1]))
+            for low in itertools.product(range(q), repeat=d)
+        )
+        assert found * d == sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0), (q, d)
 
 
 def test_enumeration_order():

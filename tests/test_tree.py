@@ -11,7 +11,7 @@ from drinfeldforms.errors import ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
 from drinfeldforms.hecke import HeckeEngine
-from drinfeldforms.mat2 import Deferred, Mat2
+from drinfeldforms.mat2 import Deferred, Mat2, _replay
 from drinfeldforms.rings import Poly, RatFunc, int_add, packed
 from drinfeldforms.tree import (
     Edge,
@@ -42,13 +42,13 @@ from oracles import (
     kernel_lifts,
     laurent_tail,
     literal_edge_replay,
-    literal_vertex_replay,
     mod_tn,
     passing_lifts,
     reduce_edge_oracle,
     reduce_edge_replay,
     reduce_vertex_oracle,
     reduce_vertex_replay,
+    replay_inverse,
     sl2fq_classes,
     stab_lifts,
     star_sigma,
@@ -344,27 +344,28 @@ def test_reductions_match_the_tail_fraction_oracle_on_random_words(q, n):
         want = reduce_edge_oracle(e, fq)
         assert reduce_edge(e, fq) == want
         assert reduce_edge(e.reverse(), fq) == reduce_edge_oracle(e.reverse(), fq)
-        got = _reduce_image(packed_entries(g), i, g.det().degree, fq)
-        assert got[:3] == want
+        ops, *got = _reduce_image(packed_entries(g), i, g.det().degree, fq)
+        assert (_replay(fq, ops, False), *got[:2]) == want
         # h is gamma g, and takes e_i to sign * e_j
-        assert got[3] == packed_entries(want[0] * g)
-        assert apply_edge(Mat2(*(packed(fq, x) for x in got[3])), Edge.standard(i), fq) == (
-            Edge.standard(got[1]) if got[2] == 1 else Edge.standard(got[1]).reverse()
+        assert got[2] == packed_entries(want[0] * g)
+        assert apply_edge(Mat2(*(packed(fq, x) for x in got[2])), Edge.standard(i), fq) == (
+            Edge.standard(got[0]) if got[1] == 1 else Edge.standard(got[0]).reverse()
         )
         # each replay, of gamma or of the witness gamma^-1, starts afresh
-        assert got[0].inverse_unimodular() == want[0].adjugate()
+        assert _replay(fq, ops, True) == want[0].adjugate()
         for v in (e.origin, e.terminus):
             gamma, j = reduce_vertex(v, fq)
             want_v = reduce_vertex_oracle(v, fq)
-            assert (gamma.inverse_unimodular(), j) == (want_v[0].adjugate(), want_v[1])
+            assert (gamma.adjugate(), j) == (want_v[0].adjugate(), want_v[1])
             assert (gamma, j) == want_v
         lam = rand_nonzero_poly(fq, rng)
         k = rng.randrange(3)
         scaled = Mat2(*(x * lam for x in g.entries())) * Mat2.diag(Poly.t_power(fq, k), one)
         e = apply_edge(scaled, Edge.standard(i), fq)
-        got = _reduce_image(packed_entries(scaled), i, scaled.det().degree, fq)
-        assert got[:3] == reduce_edge_oracle(e, fq)
-        assert got[3] == packed_entries(got[0] * scaled)
+        ops, *got = _reduce_image(packed_entries(scaled), i, scaled.det().degree, fq)
+        gamma = _replay(fq, ops, False)
+        assert (gamma, *got[:2]) == reduce_edge_oracle(e, fq)
+        assert got[2] == packed_entries(gamma * scaled)
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3)])
@@ -395,14 +396,13 @@ def test_literal_edges_match_the_two_act_and_replay_oracles(q, n):
                 gamma, i, sign = reduce_edge(f, fq)
                 want = reduce_edge_replay(f, fq)
                 assert (i, sign) == want[1:]
-                assert gamma == want[0] and gamma.inverse_unimodular() == want[0].inverse_unimodular()
+                assert gamma == want[0] and gamma.adjugate() == replay_inverse(want[0])
                 got, want = tree.reduce_edge(f), literal_edge_replay(tree, f)
                 assert got[:3] == want[:3] and got[4] == want[4] and got[3] == want[3]
             for v in (image.origin, image.terminus):
                 gamma, j = reduce_vertex(v, fq)
                 want = reduce_vertex_replay(v, fq)
-                assert (gamma, j) == want and gamma.inverse_unimodular() == want[0].inverse_unimodular()
-                assert tree.reduce_vertex(v) == literal_vertex_replay(tree, v)
+                assert (gamma, j) == want and gamma.adjugate() == replay_inverse(want[0])
             classified, _, _, delta = graph.classify(image)
             if classified is not None:
                 w, nf, _ = delta.args
@@ -464,19 +464,20 @@ def test_apartment_stabilizer_orders_and_fixing():
         assert apply_vertex(m, Vertex.standard(0), fq) == Vertex.standard(0)
 
 
-# (q, n) of the cusp-end test, with depth-0 graphs of at most 625 seeds
+# (q, n) of the cusp-end test, with depth-2 graphs on at most 625 seeds
 CUSP_GRID = [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3) if q**n <= 125]
 
 
 def test_cusp_ends_match_the_fixed_end_of_a_stabilizer_element():
     # the closed-form end (w(infinity) for j >= s, w (d_0, -c_0)^T on the
     # line at j = 0) against the fixed end of the first enumerated
-    # stabilizer element, on random unstable literal edges
-    branches, ends, total = Counter(), set(), 0
+    # stabilizer element, on random unstable literal edges, both in the
+    # table, where the orbit's w0 is not the edge's own w, and beyond it
+    branches, ends, total, tabled = Counter(), set(), 0, 0
     for q, n in CUSP_GRID:
         ctx = group_context(q, n)
         fq = ctx.fq
-        graph = QuotientGraph(ctx, depth=0)
+        graph = QuotientGraph(ctx, depth=2)
         tree = graph.tree
         rng = random.Random(q * 31 + n)
         unstable = 0
@@ -487,15 +488,16 @@ def test_cusp_ends_match_the_fixed_end_of_a_stabilizer_element():
             if cls.stable:
                 continue
             unstable += 1
+            tabled += graph.classify(e)[0] is not None
             assert cls.cusp_end == cusp_end_oracle(tree, e)
             ends.add(cls.cusp_end == "infinity" if cls.cusp_end else None)
             for v in (e.origin, e.terminus):
-                _, j, w = tree.reduce_vertex(v)
-                if tree.cusp_end(w, j) is not None:
+                gamma, j = reduce_vertex(v, fq)
+                if tree.cusp_end(gamma.adjugate(), j) is not None:
                     branches["j >= s" if j else "line at j = 0"] += 1
                     break
         total += unstable
-    assert total >= 1000
+    assert total >= 1000 and 100 <= tabled <= total - 100
     assert branches["j >= s"] and branches["line at j = 0"]
     assert ends == {None, True, False}
 
@@ -537,7 +539,7 @@ def test_vertex_orbit_stabilizer_orders():
     ctx = group_context(2, 1)
     graph = QuotientGraph(ctx, depth=3)
     # the orbit of v_1 for Gamma_1(t): stabilizer of order q^2 containing (1, bt; 0, 1)
-    key, j, w = graph.tree.reduce_vertex(Vertex.standard(1))
+    key, j = oracle_vertex_key(graph.tree, Vertex.standard(1))
     vorbit = graph.vertex_orbits[key]
     assert vorbit.j == 1
     assert vorbit.stab_order == 4

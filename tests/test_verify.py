@@ -154,9 +154,9 @@ def _status(name, space, ops=None):
 
 
 def _with_basis(space, basis):
-    """A copy of space with another basis, and the ring-vector rows the checks read off it."""
+    """A copy of space with another basis, and the terms and ring-vector rows the checks read off it."""
     corrupted = copy.copy(space)
-    corrupted.basis, corrupted.basis_rows = basis, space.rows(basis)
+    corrupted.basis, corrupted.basis_terms, corrupted.basis_rows = basis, space.terms(basis), space.rows(basis)
     return corrupted
 
 
