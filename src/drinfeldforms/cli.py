@@ -7,18 +7,20 @@ Subcommands:
   verify  run a verification suite over a (q, n, k) grid
   graph   export the quotient graph (dot/json)
 
-Exit codes: 0 success, 1 verification failure (a wrong dimension
-included), 2 usage error, 3 resource bound exceeded (the orbit bound, a
-level whose q^(2(n-1)) stable orbits exceed it, a T_m whose q^deg(m)
-transports per orbit exceed it, or a truncation depth too small for the
-evaluation reach or the stability gates).  Every error ends
-in one line on stderr.  Outputs are deterministic for a fixed
-configuration and seed.
+Options are read off the table COMMANDS as ``--flag value`` or
+``--flag=value``; a flag is spelled out in full, and ``-h`` or ``--help``
+prints the help read off the same table.  Exit codes: 0 success, 1
+verification failure (a wrong dimension included), 2 usage error, 3
+resource bound exceeded (the orbit bound, a level whose q^(2(n-1)) stable
+orbits exceed it, a T_m whose q^deg(m) transports per orbit exceed it, or
+a truncation depth too small for the evaluation reach or the stability
+gates).  Every error, a malformed command line included, ends in one line
+on stderr.  Outputs are deterministic for a fixed configuration and seed.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .cocycles import CocycleSpace, depth_default
 from .errors import DimensionMismatchError, ReachError, ResourceBoundError, StabilityError, UsageError
@@ -213,13 +215,11 @@ def cmd_verify(args):
         )
     elif args.suite == "goss":
         items = goss_suite_items(qs, imax=args.imax)
-    elif args.suite == "congruences":
+    else:
         nmax = args.nmax or 3
         for q in qs:
             _check_level(q, nmax, max_orbits)
         items = congruence_suite_items(qs, lambda q: nmax)
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
     records = run_suite(items, jobs=args.jobs)
     ok = suite_passed(records)
     payload = {
@@ -236,75 +236,100 @@ def cmd_graph(args):
     ctx = group_context(args.q, args.n)
     depth = depth_default(args.n, 2) if args.depth is None else args.depth
     graph = QuotientGraph(ctx, depth, max_orbits=args.max_orbits)
-    if args.format == "dot":
-        text = graph.to_dot()
-    elif args.format == "json":
-        text = canonical_json_dumps(graph.to_json_dict())
-    else:
-        raise UsageError(f"unsupported graph output format {args.format!r}")
-    _write([text], args.out)
+    _write([graph.to_dot() if args.format == "dot" else canonical_json_dumps(graph.to_json_dict())], args.out)
     return 0
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="drinfeldforms",
-        description="Exact harmonic-cocycle computations for Drinfeld cuspform "
-        "spaces of level Gamma_1(t^n): dimensions, Hecke/diamond matrices, and "
-        "the verification suites.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+_COMMON = {
+    "--q": (int, None, "field size, a prime power"),
+    "--n": (int, None, "level exponent, n >= 1"),
+    "--depth": (int, None, "override truncation depth"),
+    "--max-orbits": (int, None, f"orbit-table bound (default $DRINFELDFORMS_MAX_ORBITS or {MAX_ORBITS})"),
+    "--out": (str, None, "output file (default stdout)"),
+}
 
-    def common(sp):
-        sp.add_argument("--q", type=int, required=True, help="field size, a prime power")
-        sp.add_argument("--n", type=int, required=True, help="level exponent, n >= 1")
-        sp.add_argument("--depth", type=int, default=None, help="override truncation depth")
-        sp.add_argument(
-            "--max-orbits",
-            type=int,
-            default=None,
-            help=f"orbit-table bound (default $DRINFELDFORMS_MAX_ORBITS or {MAX_ORBITS})",
-        )
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
+# command: (handler, summary, required flags, {flag: (kind, default, help)}).  A kind is int, str, a tuple
+# of the allowed values, bool for a bare flag, or [int] or [str] when repeatable; a flag mapped to a flag is an alias.
+COMMANDS = {
+    "dims": (cmd_dims, "dimension and genus data", ("--q", "--n"), {**_COMMON, "--k": (int, 2, "weight")}),
+    "hecke": (cmd_hecke, "operator matrices", ("--q", "--n"), {
+        **_COMMON,
+        "--k": (int, 2, "weight"),
+        "--op": ([str], None, "Ut | Tm:<poly> | Diamond:<poly>, repeatable (default Ut)"),
+        "--format": (("json", "csv", "latex"), "json", "output format"),
+        "--certify": (bool, False, "attach the ordinary certificate"),
+    }),
+    "verify": (cmd_verify, "run a verification suite", (), {
+        "--suite": (("paper", "goss", "congruences"), "paper", "the suite to run"),
+        "--q": ([int], None, "field size, repeatable (default 2 and 3)"),
+        "--nmax": (int, None, "largest level exponent"),
+        "--n": "--nmax",
+        "--kmax": (int, 4, "largest weight"),
+        "--imax": (int, None, "largest Goss index"),
+        "--seed": (int, 0, "seed of the sampled checks"),
+        "--jobs": (int, 1, "worker processes"),
+        "--out": _COMMON["--out"],
+    }),
+    "graph": (cmd_graph, "quotient graph export", ("--q", "--n"), {
+        **_COMMON, "--format": (("dot", "json"), "dot", "output format")}),
+}
 
-    d = sub.add_parser("dims", help="dimension and genus data")
-    common(d)
-    d.add_argument("--k", type=int, default=2)
-    d.set_defaults(func=cmd_dims)
 
-    h = sub.add_parser("hecke", help="operator matrices")
-    common(h)
-    h.add_argument("--k", type=int, default=2)
-    h.add_argument("--op", action="append", help="Ut | Tm:<poly> | Diamond:<poly>")
-    h.add_argument("--format", default="json", choices=["json", "csv", "latex"])
-    h.add_argument("--certify", action="store_true", help="attach the ordinary certificate")
-    h.set_defaults(func=cmd_hecke)
+def _help(name):
+    """A namespace whose handler prints the --help text of command ``name``, or of the program for None."""
+    commands = {cmd: (bool, None, row[1]) for cmd, row in COMMANDS.items()}
+    summary, required, options = COMMANDS[name][1:] if name else ("<command> --help lists its options", (), commands)
+    lines = [f"usage: drinfeldforms {name or '<command>'} [--flag value | --flag=value ...]: {summary}"]
+    for flag, spec in options.items():
+        kind, default, text = (bool, None, f"alias of {spec}") if isinstance(spec, str) else spec
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "" if kind is bool else flag[2:].upper()
+        note = " (required)" if flag in required else f" (default {default})" if default not in (None, False) else ""
+        lines.append(f"  {flag + ' ' + meta:<34}{text}{note}")
+    return SimpleNamespace(func=lambda _: _write(["\n".join(lines) + "\n"], None) or 0)
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", default="paper", choices=["paper", "goss", "congruences"])
-    v.add_argument("--q", type=int, action="append", help="repeatable; default 2 and 3")
-    v.add_argument("--nmax", "--n", type=int, default=None, dest="nmax")
-    v.add_argument("--kmax", type=int, default=4)
-    v.add_argument("--imax", type=int, default=None)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
 
-    g = sub.add_parser("graph", help="quotient graph export")
-    common(g)
-    g.add_argument("--format", default="dot", choices=["dot", "json"])
-    g.set_defaults(func=cmd_graph)
-    return p
+def parse_args(argv):
+    """The namespace of ``argv`` read against COMMANDS; a malformed argv raises UsageError.
+
+    A token starting with "-" is a value only as a negative integer; a repeated option keeps its last value.
+    """
+    name, *tokens = argv or [None]
+    if name in ("-h", "--help"):
+        return _help(None)
+    if name not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {name!r}")
+    func, _, required, options = COMMANDS[name]
+    args = {flag: spec[1] for flag, spec in options.items() if not isinstance(spec, str)}
+    while tokens:
+        token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            return _help(name)
+        flag, eq, value = token.partition("=")
+        flag = options.get(flag) if isinstance(options.get(flag), str) else flag
+        kind = options.get(flag, (None,))[0]
+        if kind is None or kind is bool and eq:
+            raise UsageError(f"{name}: unrecognized argument {token!r}")
+        if kind is not bool and not eq:
+            if not tokens or tokens[0].startswith("-") and not tokens[0][1:].isdigit():
+                raise UsageError(f"{flag} expects a value")
+            value = tokens.pop(0)
+        try:
+            parsed = True if kind is bool else int(value) if kind in (int, [int]) else value
+        except ValueError:
+            parsed = None
+        if parsed is None or isinstance(kind, tuple) and value not in kind:
+            choices = "one of " + ", ".join(kind) if isinstance(kind, tuple) else "an integer"
+            raise UsageError(f"{flag} expects {choices}, got {value!r}")
+        args[flag] = (args[flag] or []) + [parsed] if isinstance(kind, list) else parsed
+    missing = [flag for flag in required if args[flag] is None]
+    if missing:
+        raise UsageError(f"{name} needs {' and '.join(missing)}")
+    return SimpleNamespace(func=func, **{flag[2:].replace("-", "_"): value for flag, value in args.items()})
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

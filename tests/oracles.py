@@ -96,9 +96,14 @@ None of this is used by ``drinfeldforms`` itself:
   ``rings.int_inverse_mod`` and for ``groups.lift_sl2``, which read the
   coprimality test and the Bezout pair off the packed inverse mod c;
 * the identity over A (:func:`identity_poly`) and the CLI's polynomial
-  parser as one call (:func:`parse_poly`), which only the tests use.
+  parser as one call (:func:`parse_poly`), which only the tests use;
+* the CLI's former argparse parser (:func:`build_parser`), the oracle for
+  ``cli.parse_args``, which reads the option table ``cli.COMMANDS``.
 """
 
+import argparse
+
+from drinfeldforms.cli import cmd_dims, cmd_graph, cmd_hecke, cmd_verify
 from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
@@ -107,6 +112,7 @@ from drinfeldforms.mat2 import Deferred, Mat2, _replay
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
 from drinfeldforms.serialize import entry_json, parse_terms, poly_from_terms
 from drinfeldforms.tree import (
+    MAX_ORBITS,
     NEG_SIGN,
     POS_SIGN,
     Edge,
@@ -1193,3 +1199,55 @@ def xgcd_lift_sl2(gbar, n):
     assert g.is_one()
     lam = (a1 * (bbar - b1) - b1 * (abar - a1)) % tn
     return Mat2(a1 + lam * c, b1 + lam * d, c, d)
+
+
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="drinfeldforms",
+        description="Exact harmonic-cocycle computations for Drinfeld cuspform "
+        "spaces of level Gamma_1(t^n): dimensions, Hecke/diamond matrices, and "
+        "the verification suites.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--q", type=int, required=True, help="field size, a prime power")
+        sp.add_argument("--n", type=int, required=True, help="level exponent, n >= 1")
+        sp.add_argument("--depth", type=int, default=None, help="override truncation depth")
+        sp.add_argument(
+            "--max-orbits",
+            type=int,
+            default=None,
+            help=f"orbit-table bound (default $DRINFELDFORMS_MAX_ORBITS or {MAX_ORBITS})",
+        )
+        sp.add_argument("--out", default=None, help="output file (default stdout)")
+
+    d = sub.add_parser("dims", help="dimension and genus data")
+    common(d)
+    d.add_argument("--k", type=int, default=2)
+    d.set_defaults(func=cmd_dims)
+
+    h = sub.add_parser("hecke", help="operator matrices")
+    common(h)
+    h.add_argument("--k", type=int, default=2)
+    h.add_argument("--op", action="append", help="Ut | Tm:<poly> | Diamond:<poly>")
+    h.add_argument("--format", default="json", choices=["json", "csv", "latex"])
+    h.add_argument("--certify", action="store_true", help="attach the ordinary certificate")
+    h.set_defaults(func=cmd_hecke)
+
+    v = sub.add_parser("verify", help="run a verification suite")
+    v.add_argument("--suite", default="paper", choices=["paper", "goss", "congruences"])
+    v.add_argument("--q", type=int, action="append", help="repeatable; default 2 and 3")
+    v.add_argument("--nmax", "--n", type=int, default=None, dest="nmax")
+    v.add_argument("--kmax", type=int, default=4)
+    v.add_argument("--imax", type=int, default=None)
+    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--out", default=None)
+    v.set_defaults(func=cmd_verify)
+
+    g = sub.add_parser("graph", help="quotient graph export")
+    common(g)
+    g.add_argument("--format", default="dot", choices=["dot", "json"])
+    g.set_defaults(func=cmd_graph)
+    return p

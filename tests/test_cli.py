@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from drinfeldforms import cli
-from drinfeldforms.cli import main
+from drinfeldforms.cli import COMMANDS, main
 from drinfeldforms.errors import DimensionMismatchError
 from drinfeldforms.fq import field
 from drinfeldforms.rings import Poly
@@ -374,3 +378,32 @@ def test_json_schema_roundtrip():
 def test_verify_n_alias(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "congruences", "--q", "2", "--n", "2")
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_help_lists_the_commands(capsys):
+    for flag in ("-h", "--help"):
+        assert main([flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: drinfeldforms")
+        assert all(f"  {name} " in captured.out for name in COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_help_lists_every_option_of_its_row(capsys, name):
+    assert main([name, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith(f"usage: drinfeldforms {name}")
+    listed = {line.split()[0] for line in captured.out.splitlines()[1:]}
+    assert listed == set(COMMANDS[name][3])
+
+
+def test_main_imports_neither_argparse_nor_gettext():
+    # a fresh interpreter, because pytest itself imports argparse
+    code = (
+        "import os, sys; from drinfeldforms.cli import main; "
+        "rc = main(['dims', '--q', '2', '--n', '1', '--out', os.devnull]); "
+        "print(rc, 'argparse' in sys.modules, 'gettext' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr

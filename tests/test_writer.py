@@ -110,7 +110,7 @@ def test_a_closed_stdout_is_a_one_line_usage_error():
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
+    assert proc.wait(timeout=60) == 2, err
     assert err.startswith("usage error: cannot write to stdout") and err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
 
