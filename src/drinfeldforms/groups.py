@@ -16,7 +16,7 @@ labels A_{n-1} are the one class 0 with no special case.
 from functools import lru_cache
 
 from .fq import field
-from .mat2 import Mat2
+from .mat2 import Mat2, packed_product
 from .rings import Poly, graded_polys, int_axpy, int_divmod, int_inverse_mod, int_mul, int_neg, packed
 
 
@@ -172,31 +172,31 @@ class GroupContext:
         return eta * Mat2(m, zero, zero, self.one)
 
     def hecke_coset(self, xi, w, m):
-        """(gamma, r) with xi w = gamma r: gamma in SL_2(A), a Mat2, and r its Hecke coset representative, packed.
+        """(gamma, r) with xi w = gamma r: gamma in SL_2(A) and r its Hecke coset representative, both packed.
 
-        m = det xi, packed, is prime or 1, and w is in SL_2(A).  r is
-        (1, beta; 0, m) with deg beta < deg m, or (m, 0; 0, 1), the identity
-        when m = 1 (Serre, Trees, II.1).  The rows of xi w span r's row
-        lattice, so mod m they span the line of (0, 1) when m divides the
-        first column (a, c) of xi w, and else that of (1, beta): beta is b/a
-        mod m, or d/c when a = 0 mod m.  gamma is then (a/m, b; c/m, d) or
-        (a, (b - beta a)/m; c, (d - beta c)/m), each division exact.
+        xi and m = det xi, prime or 1, are packed, w is in SL_2(A), and xi w
+        is one packed product.  r is (1, beta; 0, m) with deg beta < deg m,
+        or (m, 0; 0, 1), the identity when m = 1 (Serre, Trees, II.1).  The
+        rows of xi w span r's row lattice, so mod m they span the line of
+        (0, 1) when m divides the first column (a, c) of xi w, and else that
+        of (1, beta): beta is b/a mod m, or d/c when a = 0 mod m.  gamma is
+        then (a/m, b; c/m, d) or (a, (b - beta a)/m; c, (d - beta c)/m),
+        each division exact.
         """
         fq = self.fq
-        x = xi * w
+        a, b, c, d = x = packed_product(fq, xi, w)
         if m == 1:  # the diamond's eta
             return x, (1, 0, 0, 1)
-        a, b, c, d = x.a.x, x.b.x, x.c.x, x.d.x
         (qa, ra), (qc, rc) = int_divmod(fq, a, m), int_divmod(fq, c, m)
         if not (ra or rc):
-            return Mat2.from_packed(fq, (qa, b, qc, d)), (m, 0, 0, 1)
+            return (qa, b, qc, d), (m, 0, 0, 1)
         num, res = (b, ra) if ra else (d, rc)
         beta = int_divmod(fq, int_mul(fq, num, int_inverse_mod(fq, res, m)), m)[1]
         minus = int_neg(fq, beta)
-        (qb, rb), (qd, rd) = (int_divmod(fq, int_axpy(fq, y, minus, z), m) for y, z in ((b, a), (d, c)))
+        (qb, rb), (qd, rd) = int_divmod(fq, int_axpy(fq, b, minus, a), m), int_divmod(fq, int_axpy(fq, d, minus, c), m)
         if rb or rd:
             raise AssertionError("xi w is not in SL_2(A) times its coset representative")
-        return Mat2.from_packed(fq, (a, qb, c, qd)), (1, beta, 0, m)
+        return (a, qb, c, qd), (1, beta, 0, m)
 
     # -- cusps and dimensions ---------------------------------------------
     def cusps(self):

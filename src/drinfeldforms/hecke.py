@@ -4,12 +4,13 @@ Operators transport along the rule (T c)(e) = sum_xi xi^{-1} . c(xi e)
 over the usual coset matrices: xi_{t,beta} for U_t, the xi_{m,beta}
 together with xi_{m,diamond} for T_m at m prime to t, and eta_{a,diamond}
 for the diamond action.  Each transported image xi e of a safe orbit
-representative e = w0(e_i) is classified once, with no lattice
-coordinates formed: a seed's from the Hecke coset representative R of
-xi w0 = g R, any other's from its parent's reduced image, each state in
-at most two row operations and once per tree context.  Its block
-is the orientation sign times act(xi^{-1}) act(delta) for the witness
-delta, and on V_2 the sign alone.  The transport table sums the blocks
+representative e = w0(e_i) is classified once, in one walk of all the
+operator's transports on packed ints: a seed's from the Hecke coset
+representative R of xi w0 = g R, any other's from its parent's reduced
+image, each state in at most two row operations and once per tree
+context.  Its block is the orientation sign times act(xi^{-1}) act(delta)
+for the witness delta, multiplied out from its chain only when the block
+reads it, and on V_2 the sign alone.  The transport table sums the blocks
 per (safe key, image key), on V_2 a signed count mod p, and all basis
 cocycles are read through it at once: a safe row's image is the blocks
 applied to the basis rows of :class:`Coordinates`, on V_2 one axpy per
@@ -137,8 +138,8 @@ class HeckeEngine:
         keys = self.coords.keys_needed  # a parent is shallower, so it is safe too
         # (T c)(safe rep) = sum of block . c(key2): the table is (key, key2) -> summed block
         table = {}
-        for xi, act in zip(transports, acts):
-            for key, (found, key2, sign, delta) in zip(keys, graph.classify_images(xi, keys)):
+        for xi, act, images in zip(transports, acts, graph.classify_images(transports, keys)):
+            for key, (found, key2, sign, delta) in zip(keys, images):
                 if found is None:
                     e2 = apply_edge(xi, graph.edge_orbits[key].rep, fq)
                     raise ReachError(f"edge beyond the depth-{space.depth} table: {e2}")

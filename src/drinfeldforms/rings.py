@@ -79,7 +79,7 @@ def int_mul(fq, x, y):
     """The packed product of the polynomials packed in x and y."""
     if not x or not y:
         return 0
-    if min(x.bit_length(), y.bit_length()) <= fq.kron_bits:
+    if x.bit_length() <= fq.kron_bits or y.bit_length() <= fq.kron_bits:
         # no byte slot of the int product exceeds min(len) (p - 1)^2 <= 255
         if fq.q == 2:
             return _mod2(x * y)
@@ -102,7 +102,7 @@ def int_axpy(fq, x, f, y):
     """The packed x + f y, int_add(fq, x, int_mul(fq, f, y)), reduced once where no byte slot can carry."""
     if not f or not y:
         return x
-    if min(f.bit_length(), y.bit_length()) <= fq.axpy_bits:
+    if f.bit_length() <= fq.axpy_bits or y.bit_length() <= fq.axpy_bits:
         if fq.q == 2:
             return _mod2(x ^ f * y)
         return _translate(x + f * y, fq.mod_p_bytes)

@@ -34,9 +34,10 @@ terminus is read off degrees and one division.  A literal edge or vertex
 enters as M_v, and gamma, gamma^-1 and the key row are read off Euclid's
 last matrix h = gamma M_v, as det M_v = t^(2L - r).  An operator image
 xi w0(e_i) is reduced from its parent's reduced image, one star step and
-at most two row operations away (gamma^-1 is replayed from them when
-read, mat2._replay), and a seed's from the Hecke coset representative of
-xi w0, each such state once (classify_images).
+at most two row operations away, and a seed's from the Hecke coset
+representative of xi w0, each such state once; all of an operator's
+transports walk the orbits in one depth order on packed ints
+(classify_images).
 
 Orbits of Gamma_1(t^n) are canonicalized through the finite double coset
 Gamma_1(t^n)bar \\ SL_2(A_n) / Sbar_i, where S_i is the apartment
@@ -51,9 +52,11 @@ forms of row rho over coset representatives rho of SL_2(F_q)/Sbar_0.
 A classification also gives an exact witness in Gamma_1(t^n) taking the
 representative to the input: w (w(e_i) = +-e) times its lift in S_i, read
 off the two normal forms, times w0^-1, a Deferred built only when an
-entry is read (V_2 reads none).  SL_2 preserves the parity of r, so an
-orbit never contains an edge and its reversal, and orientation is carried
-as an explicit sign.
+entry is read (V_2 reads none); an operator image's w is multiplied out
+from its chain of row operations then (chain_witness), and w0^-1 is
+formed on first read.  SL_2 preserves the parity of r, so an orbit never
+contains an edge and its reversal, and orientation is carried as an
+explicit sign.
 
 The Gamma_1(t^n)-stabilizer of w(e_i), and of w(v_i) for i >= 1, is
 w {u(b) : t^s | b, deg b <= i} w^-1 with s = n - min(v_t(c), n) for c the
@@ -381,7 +384,7 @@ class EdgeOrbit:
         self.key = key
         self.i = i
         self.w0 = w0
-        self.w0_inv = w0.adjugate()
+        self.w0_inv = Deferred(Mat2.adjugate, w0)  # read by edge_witness only
         self._rep = None
         self.depth = depth
         self.stable = None
@@ -534,29 +537,16 @@ class TreeContext:
         return [(c, d)] + [(sc, sd & mask) for sc, sd in (_star_step(fq, c, d, j, x) for x in fq.elements())]
 
     def reduce_state(self, h, sigma, i, deg_det):
-        """_reduce_image(h sigma, i) and gamma^-1 replayed from ops, memoized on (h, sigma), which fixes i (star)."""
+        """_reduce_image(h sigma, i), memoized on (h, sigma), which fixes i (star)."""
         got = self._image_cache.get((h, sigma))
         if got is None:
             g = (*_star_step(self.fq, *h[:2], *sigma), *_star_step(self.fq, *h[2:], *sigma))
-            ops, j, sign, h2 = _reduce_image(g, i, deg_det, self.fq)
-            got = self._image_cache[h, sigma] = ops, j, sign, h2, Deferred(_replay, self.fq, ops, True)
+            got = self._image_cache[h, sigma] = _reduce_image(g, i, deg_det, self.fq)
         return got
 
     def _row(self, w):
         """The bottom row of w mod t^n, packed."""
         return w.c.x & self._mask, w.d.x & self._mask
-
-    def _inverse_row(self, ops, row):
-        """adj(gamma g)'s bottom row (-c, a) mod t^n for gamma the row operations ``ops``, replaying only
-        the first column (a, c) of gamma g from adj g's bottom row ``row`` mod t^n."""
-        fq, mask = self.fq, self._mask
-        a, c = row[1], int_neg(fq, row[0])
-        for op in ops:
-            if op:
-                a = int_axpy(fq, a, op & mask, c) & mask
-            else:
-                a, c = int_neg(fq, c), a
-        return int_neg(fq, c), a
 
     def _lattice_row(self, gamma):
         """gamma^-1's bottom row mod t^n for gamma read off h = gamma M_v: (-h_c, h_a) / t^(L - r) (_unlattice)."""
@@ -576,6 +566,18 @@ class TreeContext:
         return got
 
     # -- witnesses -------------------------------------------------------------
+    def chain_witness(self, link, nf, orbit):
+        """edge_witness of w = g gamma_1'^-1 ... gamma_k'^-1 from its chain ``link`` (classify_images): (parent
+        link, ops of gamma') per step, ending in the seed's packed g (four entries); gamma'^-1 is _replay'ed."""
+        steps = []
+        while len(link) == 2:
+            link, ops = link
+            steps.append(ops)
+        w = Mat2.from_packed(self.fq, link)
+        for ops in reversed(steps):
+            w = w * _replay(self.fq, ops, True)
+        return self.edge_witness(w, nf, orbit)
+
     def edge_witness(self, w, nf, orbit):
         """delta = w lift w0^-1 in Gamma_1(t^n), with delta * (orbit.w0) in w * S_i, one packed product.
 
@@ -803,33 +805,48 @@ class QuotientGraph:
         """(orbit-or-None, key, sign, witness-or-None) for an oriented edge."""
         return self._lookup(*self.tree.reduce_edge(e))
 
-    def classify_images(self, xi, keys):
-        """[classify(apply_edge(xi, orbit.rep)) for the orbit of each key], with every parent in ``keys``.
+    def classify_images(self, transports, keys):
+        """[[classify(apply_edge(xi, orbit.rep)) for the orbit of each key] for each xi in transports],
+        with every parent in ``keys``.
 
-        In depth order, each image is reduced from its parent's, with no
-        lattice coordinates formed: gamma_P xi w0(P) = h_P, so gamma_P xi w0
-        = h_P sigma, and Euclid's gamma' on it gives gamma = gamma' gamma_P,
-        whose first column keys the image, and the witness gamma^-1 =
-        w_P gamma'^-1, deferred.  A seed's xi w0 is w R for its Hecke coset
-        representative R (GroupContext.hecke_coset): h = R and sigma = 1.
+        All transports walk the orbits in one depth order on packed ints, each image reduced
+        from its parent's under the same xi: gamma_P xi w0(P) = h_P, so gamma_P xi w0 = h_P sigma,
+        and Euclid's gamma' on it gives gamma = gamma' gamma_P, whose first column, replayed mod
+        t^n, keys the image.  The witness gamma^-1 = w_P gamma'^-1 is the link (w_P's link, ops of
+        gamma'), multiplied out only when read (chain_witness).  A seed's xi w0 is g R for its
+        Hecke coset representative R (GroupContext.hecke_coset): h = R, sigma = 1, and g ends its chain.
         """
-        tree = self.tree
-        det = xi.det()
-        steps, got = {}, {}
-        for orbit in sorted((self.edge_orbits[key] for key in keys), key=lambda o: o.depth):
+        tree, ctx, orbits = self.tree, self.ctx, self.edge_orbits
+        fq, mask, cap, nf_cache, witness = ctx.fq, tree._mask, ctx.n - 1, tree._nf_cache, tree.chain_witness
+        xis = [(xi.a.x, xi.b.x, xi.c.x, xi.d.x) for xi in transports]
+        dets = [int_axpy(fq, int_mul(fq, a, d), int_neg(fq, b), c) for a, b, c, d in xis]
+        degs = [_deg(m) for m in dets]
+        walks, images = {}, {}
+        for orbit in sorted((orbits[key] for key in keys), key=lambda o: o.depth):
             if orbit.parent is None:
-                w, h = self.ctx.hecke_coset(xi, orbit.w0, det.x)
-                row, sigma = tree._row(w), (0, None)
-            elif orbit.parent.key not in steps:
-                raise AssertionError(f"orbit {orbit.key} is transported without its parent")
+                sigma, starts = (0, None), []
+                for g, m in zip(xis, dets):
+                    gamma, h = ctx.hecke_coset(g, orbit.w0, m)
+                    starts.append((h, (gamma[2] & mask, gamma[3] & mask), gamma))
+            elif orbit.parent.key in walks:
+                sigma, starts = orbit.sigma, walks[orbit.parent.key]
             else:
-                (h, row, w), sigma = steps[orbit.parent.key], orbit.sigma
-            ops, i, sign, h, step = tree.reduce_state(h, sigma, orbit.i, det.degree)
-            row, w = tree._inverse_row(ops, row), Deferred(Mat2.__mul__, w, step)
-            steps[orbit.key] = h, row, w
-            nf = tree._normal_form(*row, i)
-            got[orbit.key] = self._lookup((i, nf[0]), i, sign, w, nf)
-        return [got[key] for key in keys]
+                raise AssertionError(f"orbit {orbit.key} is transported without its parent")
+            walk = walks[orbit.key] = []
+            got = images[orbit.key] = []
+            for (h, (c, d), link), deg_det in zip(starts, degs):
+                ops, i, sign, h = tree.reduce_state(h, sigma, orbit.i, deg_det)
+                # gamma's first column (a, c) from gamma_P's, (d, -c) for w_P's row (c, d)
+                a, c = d, int_neg(fq, c)
+                for op in ops:
+                    a, c = (int_axpy(fq, a, op & mask, c) & mask, c) if op else (int_neg(fq, c), a)
+                row, link = (int_neg(fq, c), a), (link, ops)
+                walk.append((h, row, link))
+                nf = nf_cache.get((*row, min(i, cap))) or tree._normal_form(*row, i)
+                key = (i, nf[0])
+                found = orbits.get(key)
+                got.append((found, key, sign, None if found is None else Deferred(witness, link, nf, found)))
+        return [[images[key][t] for key in keys] for t in range(len(xis))]
 
     def _lookup(self, key, i, sign, w, nf):
         orbit = self.edge_orbits.get(key)

@@ -73,10 +73,14 @@ None of this is used by ``drinfeldforms`` itself:
   ``hecke.operator_chunks``: the engine keeps an operator only as its
   columns and forms no d x d view of it;
 * the classification of one operator image by the full Euclid walk from
-  its matrix xi w0 (:func:`classify_image_oracle`), the oracle for
-  ``QuotientGraph.classify_images``, which reduces each image from its
-  parent's, and a seed's from its Hecke coset representative, once per
-  state;
+  its matrix xi w0 (:func:`classify_image_oracle`), and of one transport's
+  images each from its parent's with a Deferred witness chain per image
+  (:func:`classify_images_oracle`, with the key row replayed by
+  :func:`inverse_row`), the oracles for ``QuotientGraph.classify_images``,
+  which walks all of an operator's transports at once on packed ints,
+  reduces each image from its parent's, and a seed's from its Hecke coset
+  representative, once per state, and multiplies a witness out only when
+  it is read;
 * the solve and the operator assembly with every block a Matrix
   (:func:`block_solve`, :class:`BlockEngine`): act(delta) read for each
   star edge and each image, stabilizer rows formed for every generator,
@@ -109,7 +113,7 @@ from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
 from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Deferred, Mat2, _replay
-from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, packed, poly_gcd
+from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, int_axpy, int_neg, packed, poly_gcd
 from drinfeldforms.serialize import entry_json, parse_terms, poly_from_terms
 from drinfeldforms.tree import (
     MAX_ORBITS,
@@ -706,11 +710,25 @@ def reduce_edge_replay(e, fq):
     return Deferred(_replay, fq, ops, False), i, sign * image_sign
 
 
+def inverse_row(tree, ops, row):
+    """adj(gamma g)'s bottom row (-c, a) mod t^n for gamma the row operations ``ops``, replaying only
+    the first column (a, c) of gamma g from adj g's bottom row ``row`` mod t^n: the replay that
+    ``QuotientGraph.classify_images`` runs inline."""
+    fq, mask = tree.fq, tree._mask
+    a, c = row[1], int_neg(fq, row[0])
+    for op in ops:
+        if op:
+            a = int_axpy(fq, a, op & mask, c) & mask
+        else:
+            a, c = int_neg(fq, c), a
+    return int_neg(fq, c), a
+
+
 def literal_edge_replay(tree, e):
     """``TreeContext.reduce_edge`` by replay: the key off gamma's first column replayed mod t^n, w = gamma^-1."""
     gamma, i, sign = reduce_edge_replay(e, tree.fq)
     _, ops, _ = gamma.args
-    nf = tree._normal_form(*tree._inverse_row(ops, (0, 1)), i)
+    nf = tree._normal_form(*inverse_row(tree, ops, (0, 1)), i)
     return (i, nf[0]), i, sign, replay_inverse(gamma), nf
 
 
@@ -993,8 +1011,39 @@ def classify_image_oracle(graph, xi, orbit):
     fq, tree = graph.ctx.fq, graph.tree
     g = tuple(x.x for x in ring_product(xi, orbit.w0).entries())
     ops, i, sign, _ = _reduce_image(g, orbit.i, xi.det().degree, fq)
-    nf = tree._normal_form(*tree._inverse_row(ops, (0, 1)), i)
+    nf = tree._normal_form(*inverse_row(tree, ops, (0, 1)), i)
     return graph._lookup((i, nf[0]), i, sign, Deferred(_replay, fq, ops, True), nf)
+
+
+def classify_images_oracle(graph, xi, keys):
+    """[classify(apply_edge(xi, orbit.rep)) for the orbit of each key], with every parent in ``keys``,
+    one transport at a time and with a Deferred chain per image: the former
+    ``QuotientGraph.classify_images``, the oracle for its one packed walk over all transports.
+
+    In depth order, each image is reduced from its parent's: gamma_P xi w0(P) = h_P, so gamma_P
+    xi w0 = h_P sigma, and Euclid's gamma' on it gives gamma = gamma' gamma_P, whose first column
+    keys the image, and the witness gamma^-1 = Deferred(Mat2.__mul__, w_P, gamma'^-1), with
+    gamma'^-1 = Deferred(_replay, fq, ops, True).  A seed's xi w0 is w R for its Hecke coset
+    representative R (GroupContext.hecke_coset), w a Mat2 here: h = R and sigma = 1.
+    """
+    tree, fq = graph.tree, graph.ctx.fq
+    det = xi.det()
+    steps, got = {}, {}
+    for orbit in sorted((graph.edge_orbits[key] for key in keys), key=lambda o: o.depth):
+        if orbit.parent is None:
+            gamma, h = graph.ctx.hecke_coset(tuple(x.x for x in xi.entries()), orbit.w0, det.x)
+            w = Mat2.from_packed(fq, gamma)
+            row, sigma = tree._row(w), (0, None)
+        elif orbit.parent.key not in steps:
+            raise AssertionError(f"orbit {orbit.key} is transported without its parent")
+        else:
+            (h, row, w), sigma = steps[orbit.parent.key], orbit.sigma
+        ops, i, sign, h = tree.reduce_state(h, sigma, orbit.i, det.degree)
+        row, w = inverse_row(tree, ops, row), Deferred(Mat2.__mul__, w, Deferred(_replay, fq, ops, True))
+        steps[orbit.key] = h, row, w
+        nf = tree._normal_form(*row, i)
+        got[orbit.key] = graph._lookup((i, nf[0]), i, sign, w, nf)
+    return [got[key] for key in keys]
 
 
 def random_gamma_oracle(ctx, rng):

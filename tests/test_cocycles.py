@@ -1,9 +1,10 @@
+import functools
 import random
 from collections import Counter
 
 import pytest
 
-from drinfeldforms import cocycles, tree
+from drinfeldforms import cocycles, rings, tree
 from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default
 from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
@@ -405,51 +406,56 @@ def test_orbit_bound_covers_the_stability_shell():
 
 
 def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
-    # V_2 never reads a witness, so building the space and U_t forms no
-    # witness product inside classify or classify_images, and no deferred
-    # product is multiplied out later: edge_witness is never called.
-    # classify_images multiplies each seed's xi w0 out, one Mat2 product,
-    # and splits off its Hecke coset representative, steps every other
-    # image on from its parent's, and defers the witness chain
-    # w_P gamma'^-1, so it forms no other Mat2 product.  A reduced state
-    # keeps gamma' as its row operations and gamma'^-1 as a Deferred that
-    # replays them (make is _replay), and none made inside those calls is
-    # replayed, then or later.  The graph grows in
-    # group coordinates and seeds from the matrices h J, and a literal
-    # representative is formed only when read, so nothing acts on the tree.
-    seen = {"depth": 0, "calls": 0, "inside": 0, "read": 0, "images": 0, "witness": 0}
+    # V_2 never reads a witness, so building the q2n3 space and assembling
+    # U_t, T_(t+1), T_(t^2+t+1) and <t+1> (902 images over 11 transports,
+    # 86 reduced states) forms no witness inside classify or
+    # classify_images, and none is multiplied out later: edge_witness and
+    # chain_witness are never called, and no Deferred is ever read.
+    # classify_images runs on packed ints: a seed's xi w0 is one packed
+    # product (hecke_coset), every other image is stepped on from its
+    # parent's, and the witness of a found image is its one Deferred, over
+    # a chain of row operations, so the walk constructs no Mat2 and no
+    # Poly.  The only Mat2 products of the assembly are the two T_m's
+    # xi_diamond = eta diag(m, 1).  The graph grows in group coordinates
+    # and seeds from the matrices h J, and a literal representative is
+    # formed only when read, so nothing acts on the tree.
+    seen = Counter()
     acted = {"apply_edge": [], "apply_vertex": []}
-    made = []  # the replays formed inside the calls, kept alive so their ids stay theirs
-    mul = Mat2.__mul__
+    made = []  # the makes of the Deferreds formed inside classify_images
+    inside = []  # the lookups running: classify or classify_images
 
-    def counting_mul(self, other):
-        seen["inside"] += bool(seen["depth"])
-        return mul(self, other)
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            seen[name] += 1
+            seen[name + " inside"] += bool(inside)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+        return wrapped
+
+    monkeypatch.setattr(Mat2, "__mul__", counted("Mat2.__mul__", Mat2.__mul__))
+    monkeypatch.setattr(Mat2, "__init__", counted("Mat2.__init__", Mat2.__init__))
+    monkeypatch.setattr(Poly, "__init__", counted("Poly", Poly.__init__))
+    monkeypatch.setattr(rings, "_new", counted("Poly", rings._new))  # rings.packed's Poly
+    for name in ("edge_witness", "chain_witness"):
+        monkeypatch.setattr(TreeContext, name, counted(name, getattr(TreeContext, name)))
     for cls, name in (
         (QuotientGraph, "classify"),
         (QuotientGraph, "classify_images"),
     ):
         fn = getattr(cls, name)
 
-        def wrapped(*args, _fn=fn, _images=name == "classify_images"):
-            seen["depth"] += 1
-            seen["calls"] += 1
-            seen["images"] += len(args[2]) if _images else 0
+        def wrapped(*args, _fn=fn, _name=name):
+            inside.append(_name)
+            seen[_name] += 1
+            if _name == "classify_images":
+                seen["images"] += len(args[1]) * len(args[2])
             try:
                 return _fn(*args)
             finally:
-                seen["depth"] -= 1
+                inside.pop()
 
         monkeypatch.setattr(cls, name, wrapped)
-    witness = TreeContext.edge_witness
-
-    def counting_witness(*args):
-        seen["witness"] += 1
-        return witness(*args)
-
-    monkeypatch.setattr(TreeContext, "edge_witness", counting_witness)
     for name, calls in acted.items():
 
         def recording_act(g, x, fq, _fn=getattr(tree, name), _calls=calls):
@@ -461,27 +467,27 @@ def test_weight2_space_and_ut_multiply_out_no_witness(monkeypatch):
 
     def recording_init(self, make, *args):
         init(self, make, *args)
-        if make is _replay and seen["depth"]:
-            made.append(self)
+        if inside == ["classify_images"]:
+            made.append(make.__name__)
 
     def counting_read(self, name):
-        # a witness or a conjugate is never read; a replay is, outside the
-        # calls, unless it was made inside them
-        if self.make is not _replay or seen["depth"] or any(self is m for m in made):
-            seen["read"] += 1
+        seen["read"] += 1
         return read(self, name)
 
     monkeypatch.setattr(Deferred, "__init__", recording_init)
     monkeypatch.setattr(Deferred, "__getattr__", counting_read)
-    ctx = group_context(2, 2)
+    ctx = group_context(2, 3)
     space = CocycleSpace(ctx, 2)
     engine = HeckeEngine(space)
-    engine.u_t()
-    assert seen["calls"] > 0
-    assert seen["images"] == len(engine.coords.keys_needed) * 2  # q transports each
-    assert len(made) == len(space.graph.tree._image_cache) > 0  # each reduced state's gamma'^-1
-    assert seen["inside"] == 2 * len(space.stable_keys)  # xi w0 for each seed, at q transports each
-    assert seen["read"] == 0 and seen["witness"] == 0
+    before = seen["Mat2.__mul__"]
+    engine.u_t(), engine.t_m(ctx.t + ctx.one), engine.t_m(ctx.t * ctx.t + ctx.t + ctx.one)
+    engine.diamond(ctx.t + ctx.one)
+    assert seen["classify_images"] == 4
+    assert seen["images"] == 902 and len(space.graph.tree._image_cache) == 86
+    assert 0 < len(made) <= seen["images"] and set(made) == {"chain_witness"}  # at most one per image
+    assert seen["Mat2.__init__ inside"] == seen["Poly inside"] == seen["Mat2.__mul__ inside"] == 0
+    assert seen["Mat2.__mul__"] - before == 2  # xi_diamond(m) for each T_m
+    assert seen["read"] == seen["edge_witness"] == seen["chain_witness"] == 0
     assert acted == {"apply_edge": [], "apply_vertex": []}
 
 

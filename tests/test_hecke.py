@@ -27,6 +27,7 @@ from oracles import (
     BlockEngine,
     bareiss_rank,
     block_solve,
+    classify_images_oracle,
     coords_oracle,
     dense,
     dense_rows,
@@ -370,7 +371,7 @@ def test_classify_image_matches_classifying_the_literal_edge(q, n, depth):
     stride = -(-len(keys) * len(transports) // 1000)
     sample = keys[::stride]
     transported = with_parents(graph, sample)
-    images = [dict(zip(transported, graph.classify_images(xi, transported))) for xi in transports]
+    images = [dict(zip(transported, row)) for row in graph.classify_images(transports, transported)]
     found = missing = 0
     for key in sample:
         orbit = graph.edge_orbits[key]
@@ -391,14 +392,56 @@ def test_classify_image_matches_classifying_the_literal_edge(q, n, depth):
     assert found and missing
 
 
+def _compare_with_the_oracle(graph, transports, keys):
+    """(found, missing) images of ``keys`` under ``transports``, each equal to the per-transport
+    walk's in orbit, key and sign, and in its witness entry by entry."""
+    found = missing = 0
+    for xi, got in zip(transports, graph.classify_images(transports, keys)):
+        for g, w in zip(got, classify_images_oracle(graph, xi, keys), strict=True):
+            assert g[:3] == w[:3]
+            if g[0] is None:
+                assert g[3] is None and w[3] is None
+                missing += 1
+                continue
+            assert [x.x for x in g[3].entries()] == [x.x for x in w[3].entries()]
+            found += 1
+    return found, missing
+
+
+@pytest.mark.parametrize("q,n,depth", IMAGE_GRID)
+def test_classify_images_match_the_per_transport_walk(q, n, depth):
+    # the one walk of all transports with its witness chains of packed ints
+    # gives every image the orbit, key and sign of the walk one transport at
+    # a time with a Deferred chain per image, and the same witness matrix,
+    # not merely one in the same stabilizer coset; the orbits are sampled as
+    # in the literal test, boundary ones included, with all their parents
+    ctx = group_context(q, n)
+    graph = QuotientGraph(ctx, depth)
+    keys = sorted(graph.edge_orbits, key=lambda key: (-graph.edge_orbits[key].depth, key))
+    transports = image_transports(ctx)
+    stride = -(-len(keys) * len(transports) // 1000)
+    found, missing = _compare_with_the_oracle(graph, transports, with_parents(graph, keys[::stride]))
+    assert found and missing
+
+
+@pytest.mark.parametrize("q,n,k", [g for g in GOLDEN_GRID if g[2] > 2])
+def test_weight_k_images_match_the_per_transport_walk(cache, q, n, k):
+    # on the safe keys of the weight-3 and weight-4 goldens every image is
+    # found, and every witness the blocks read is the oracle's matrix
+    engine = cache.engine(q, n, k)
+    graph = engine.space.graph
+    found, missing = _compare_with_the_oracle(graph, image_transports(graph.ctx), engine.coords.keys_needed)
+    assert found and not missing
+
+
 def test_classify_images_needs_every_parent():
     # an orbit whose parent is not transported has no image to start from
     graph = QuotientGraph(group_context(2, 2), 4)
     orbit = next(o for o in graph.edge_orbits.values() if o.depth == 2)
     xi = image_transports(graph.ctx)[0]
     with pytest.raises(AssertionError, match="transported without its parent"):
-        graph.classify_images(xi, [orbit.parent.parent.key, orbit.key])
-    assert len(graph.classify_images(xi, with_parents(graph, [orbit.key]))) == 3
+        graph.classify_images([xi], [orbit.parent.parent.key, orbit.key])
+    assert [len(row) for row in graph.classify_images([xi], with_parents(graph, [orbit.key]))] == [3]
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
@@ -428,8 +471,7 @@ def test_every_non_seed_image_reduces_in_two_row_operations(cache, q, n, k, monk
     monkeypatch.setattr(tree_module, "_reduce_image", recording_image)
     monkeypatch.setattr(tree_module.TreeContext, "reduce_state", recording_state)
     transports = image_transports(graph.ctx)
-    for xi in transports:
-        graph.classify_images(xi, keys)
+    graph.classify_images(transports, keys)
     assert len(states) == len(keys) * len(transports)
     assert len(lengths) == len(set(states)) == len(tree._image_cache) < len(states)
     assert max(lengths) <= 2
@@ -462,8 +504,8 @@ def test_seed_images_are_sl2_times_their_coset_representative(q, n):
     for xi in image_transports(ctx):
         m = xi.det()
         for orbit in seeds:
-            gamma, r = ctx.hecke_coset(xi, orbit.w0, m.x)
-            r = Mat2.from_packed(ctx.fq, r)
+            gamma, r = ctx.hecke_coset(tuple(x.x for x in xi.entries()), orbit.w0, m.x)
+            gamma, r = Mat2.from_packed(ctx.fq, gamma), Mat2.from_packed(ctx.fq, r)
             assert gamma.det().is_one() and gamma * r == xi * orbit.w0
             assert r.c.is_zero() and r.det() == m
             assert (r.a.is_one() and r.b.degree < m.degree) or (r.a == m and r.b.is_zero())

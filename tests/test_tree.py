@@ -684,9 +684,8 @@ def test_every_non_seed_orbit_is_one_star_step_from_its_parent(q, n):
         assert i == orbit.i and orbit.w0 == parent.w0 * sigma
     assert {o.depth for o in table.edge_orbits.values()} == set(range(graph.depth + 2))
     keys = list(table.edge_orbits)
-    for b in ctx.fq.elements():
-        xi = ctx.xi_beta(ctx.t, Poly.constant(ctx.fq, b))
-        got = table.classify_images(xi, keys)
+    transports = [ctx.xi_beta(ctx.t, Poly.constant(ctx.fq, b)) for b in ctx.fq.elements()]
+    for xi, got in zip(transports, table.classify_images(transports, keys)):
         want = [classify_image_oracle(table, xi, table.edge_orbits[key]) for key in keys]
         assert [g[:3] for g in got] == [w[:3] for w in want]
 
@@ -1095,11 +1094,11 @@ def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
 
     def recording_images(self, *args):
         got = classify_images(self, *args)
-        made.extend(image[3] for image in got)
+        made.extend(image[3] for images in got for image in images)
         return got
 
     def recording_witness(self, w, nf, orbit):
-        built.append(w)
+        built.append((w, nf, orbit))
         return witness(self, w, nf, orbit)
 
     monkeypatch.setattr(QuotientGraph, "classify_images", recording_images)
@@ -1107,8 +1106,9 @@ def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
     HeckeEngine(space).u_t()
     assert made and len(built) == len(made)
     assert any(nf[1] != orbit.nf[1] for _, nf, orbit in (delta.args for delta in made))
-    for delta in made:
-        assert isinstance(delta, Deferred)
-        w, nf, orbit = delta.args
+    # each witness is read as its image comes, so in the order they were made;
+    # a witness's args are (its chain link, nf, orbit), and w the chain multiplied out
+    for delta, (w, nf, orbit) in zip(made, built):
+        assert isinstance(delta, Deferred) and delta.args[1:] == (nf, orbit)
         assert delta == witness_oracle(tree, w, orbit)
     assert len(built) == len(made)  # the comparisons read entries already filled in
