@@ -168,8 +168,7 @@ class GroupContext:
     def xi_diamond(self, m):
         """eta_{m,diamond} * diag(m, 1); det = m."""
         eta = self.eta_diamond(m)
-        zero = Poly.zero(self.fq)
-        return eta * Mat2(m, zero, zero, self.one)
+        return Mat2(eta.a * m, eta.b, eta.c * m, eta.d)
 
     def hecke_coset(self, xi, w, m):
         """(gamma, r) with xi w = gamma r: gamma in SL_2(A) and r its Hecke coset representative, both packed.

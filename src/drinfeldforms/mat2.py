@@ -81,9 +81,9 @@ def packed_product(fq, x, other):
 class Deferred(Mat2):
     """The Mat2 make(*args), its entries filled in the first time one is read.
 
-    A classified edge's witness is one, an operator image's multiplying
-    out its chain of row operations (tree.TreeContext.chain_witness); they
-    are read only above weight 2, and the trivial action on V_2 reads none.
+    Every witness is one; an operator image's multiplies out its chain of
+    row operations when read (tree.TreeContext.chain_witness).  Witnesses
+    are read only above weight 2; the trivial action on V_2 reads none.
     """
 
     __slots__ = ("make", "args")

@@ -132,7 +132,7 @@ def test_xi_eta_examples():
     eta = ctx.eta_diamond(one)
     assert eta == identity_poly(fq)
     xd = ctx.xi_diamond(t + one)
-    assert xd.det() == t + one
+    assert xd.det() == t + one and xd == ctx.eta_diamond(t + one) * Mat2.diag(t + one, one)
     # eta has the required congruence column mod t^n
     eta2 = ctx.eta_diamond(one + t)
     tn = Poly.t_power(fq, 2)
