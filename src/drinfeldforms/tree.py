@@ -53,8 +53,8 @@ A classification also gives an exact witness in Gamma_1(t^n) taking the
 representative to the input: w (w(e_i) = +-e) times its lift in S_i, read
 off the two normal forms, times w0^-1, a Deferred built only when an
 entry is read (V_2 reads none); an operator image's w is multiplied out
-from its chain of row operations then (chain_witness), and w0^-1 is
-formed on first read.  SL_2 preserves the parity of r, so an orbit never
+from its chain of row operations then, each link of an operator's walk
+once (chain_witness), and w0^-1 is formed on first read.  SL_2 preserves the parity of r, so an orbit never
 contains an edge and its reversal, and orientation is carried as an
 explicit sign.
 
@@ -566,16 +566,19 @@ class TreeContext:
         return got
 
     # -- witnesses -------------------------------------------------------------
-    def chain_witness(self, link, nf, orbit):
+    def chain_witness(self, link, nf, orbit, known):
         """edge_witness of w = g gamma_1'^-1 ... gamma_k'^-1 from its chain ``link`` (classify_images): (parent
-        link, ops of gamma') per step, ending in the seed's packed g (four entries); gamma'^-1 is _replay'ed."""
+        link, ops of gamma') per step, ending in the seed's packed g (four entries); gamma'^-1 is _replay'ed.
+        ``known`` maps id(link) to (link, w) for the links of one walk multiplied out so far, so each is
+        multiplied once; holding the link keeps its id unique."""
         steps = []
-        while len(link) == 2:
-            link, ops = link
-            steps.append(ops)
-        w = Mat2.from_packed(self.fq, link)
-        for ops in reversed(steps):
-            w = w * _replay(self.fq, ops, True)
+        while len(link) == 2 and id(link) not in known:
+            steps.append(link)
+            link = link[0]
+        w = known[id(link)][1] if len(link) == 2 else Mat2.from_packed(self.fq, link)
+        for step in reversed(steps):
+            w = w * _replay(self.fq, step[1], True)
+            known[id(step)] = step, w
         return self.edge_witness(w, nf, orbit)
 
     def edge_witness(self, w, nf, orbit):
@@ -813,11 +816,11 @@ class QuotientGraph:
         from its parent's under the same xi: gamma_P xi w0(P) = h_P, so gamma_P xi w0 = h_P sigma,
         and Euclid's gamma' on it gives gamma = gamma' gamma_P, whose first column, replayed mod
         t^n, keys the image.  The witness gamma^-1 = w_P gamma'^-1 is the link (w_P's link, ops of
-        gamma'), multiplied out only when read (chain_witness).  A seed's xi w0 is g R for its
+        gamma'), multiplied out only when read, each link once per walk (chain_witness).  A seed's xi w0 is g R for its
         Hecke coset representative R (GroupContext.hecke_coset): h = R, sigma = 1, and g ends its chain.
         """
         tree, ctx, orbits = self.tree, self.ctx, self.edge_orbits
-        fq, mask, cap, nf_cache, witness = ctx.fq, tree._mask, ctx.n - 1, tree._nf_cache, tree.chain_witness
+        fq, mask, witness, known = ctx.fq, tree._mask, tree.chain_witness, {}
         xis = [(xi.a.x, xi.b.x, xi.c.x, xi.d.x) for xi in transports]
         dets = [int_axpy(fq, int_mul(fq, a, d), int_neg(fq, b), c) for a, b, c, d in xis]
         degs = [_deg(m) for m in dets]
@@ -842,10 +845,10 @@ class QuotientGraph:
                     a, c = (int_axpy(fq, a, op & mask, c) & mask, c) if op else (int_neg(fq, c), a)
                 row, link = (int_neg(fq, c), a), (link, ops)
                 walk.append((h, row, link))
-                nf = nf_cache.get((*row, min(i, cap))) or tree._normal_form(*row, i)
+                nf = tree._normal_form(*row, i)
                 key = (i, nf[0])
                 found = orbits.get(key)
-                got.append((found, key, sign, None if found is None else Deferred(witness, link, nf, found)))
+                got.append((found, key, sign, None if found is None else Deferred(witness, link, nf, found, known)))
         return [[images[key][t] for key in keys] for t in range(len(xis))]
 
     def _lookup(self, key, i, sign, w, nf):

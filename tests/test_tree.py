@@ -1085,12 +1085,17 @@ def test_deferred_product_multiplies_on_first_read():
 
 def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
     # weight 3 reads every witness it transports through, each built once
-    # when first read; q = 3 gives lifts with a != 1, where w's normal form
-    # scales by another a than w0's
+    # when first read, and each link of the walk multiplied out once; q = 3
+    # gives lifts with a != 1, where w's normal form scales by another a
+    # than w0's
     space = cache.space(3, 2, 3)
     tree = space.graph.tree
-    made, built = [], []
+    made, built, replays = [], [], []
     classify_images, witness = QuotientGraph.classify_images, TreeContext.edge_witness
+
+    def recording_replay(*args):
+        replays.append(args)
+        return _replay(*args)
 
     def recording_images(self, *args):
         got = classify_images(self, *args)
@@ -1103,12 +1108,17 @@ def test_weight3_reads_the_witnesses_of_the_scan(cache, monkeypatch):
 
     monkeypatch.setattr(QuotientGraph, "classify_images", recording_images)
     monkeypatch.setattr(TreeContext, "edge_witness", recording_witness)
+    monkeypatch.setattr(tree_module, "_replay", recording_replay)
     HeckeEngine(space).u_t()
     assert made and len(built) == len(made)
-    assert any(nf[1] != orbit.nf[1] for _, nf, orbit in (delta.args for delta in made))
+    assert any(nf[1] != orbit.nf[1] for _, nf, orbit, _ in (delta.args for delta in made))
     # each witness is read as its image comes, so in the order they were made;
-    # a witness's args are (its chain link, nf, orbit), and w the chain multiplied out
+    # a witness's args are (its chain link, nf, orbit, the walk's multiplied-out
+    # links), and w the chain multiplied out
+    known = made[0].args[3]
     for delta, (w, nf, orbit) in zip(made, built):
-        assert isinstance(delta, Deferred) and delta.args[1:] == (nf, orbit)
+        assert isinstance(delta, Deferred) and delta.args[1:] == (nf, orbit, known)
+        assert known[id(delta.args[0])] == (delta.args[0], w)
         assert delta == witness_oracle(tree, w, orbit)
     assert len(built) == len(made)  # the comparisons read entries already filled in
+    assert len(replays) == len(known) <= len(made)  # one gamma'^-1 per link, each replayed once

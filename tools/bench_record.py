@@ -2,18 +2,20 @@
 
 Usage, from the root of a checkout (the directory that holds src/ and perfbench/):
 
-    python3 tools/bench_record.py record LABEL [--seed N] [--seconds 38]
+    python3 tools/bench_record.py record LABEL
     python3 tools/bench_record.py compare BENCH_old.json BENCH_new.json
 
 ``record`` runs perfbench/run.py, unchanged, as subprocesses: first
-``--workload all --seconds S --trace 0``, then ``--workload W --trace 1``
-for each workload.  It parses their ``# meta`` lines and result lines and
+``--workload all --seconds 38 --trace 0``, then ``--workload W --trace 1``
+for each workload, all at perfbench's default seed, so that every record
+is made the same way and any two compare.  It parses their ``# meta`` lines and result lines and
 writes BENCH_<label>.json in the current directory as canonical JSON
 (sorted keys, one-space indent, a final newline): the untraced run's meta,
 per workload the end-to-end statistics (median, quartiles, count and, for
 the scaled metrics, the raw median), the speed factor, the fail ratio, and
 the traced per-layer metrics with their run's meta.  A run that does not
-exit 0 stops the recording with its exit code, and no file is written.
+exit 0 (perfbench exits 1 on a wrong output) stops the recording with its
+exit code, and no file is written, so every record is of correct runs.
 
 ``compare`` prints, per workload and metric, the two medians and their
 relative change, and whether the new median lies outside the old one's
@@ -30,6 +32,7 @@ import subprocess
 import sys
 
 RUN = [sys.executable, "perfbench/run.py"]
+SECONDS = 38  # the time budget of the untraced run
 SCHEMA = 1
 
 _E2E = re.compile(
@@ -83,26 +86,15 @@ def parse_untraced(lines):
     return out
 
 
-def record(label, seed, seconds):
+def record(label):
     """The BENCH record of this checkout, as a dict."""
-    seed_args = ["--seed", str(seed)]
-    lines = run_bench(["--workload", "all", "--seconds", str(seconds), "--trace", "0"] + seed_args)
-    result = json.loads(lines[-1])
+    lines = run_bench(["--workload", "all", "--seconds", str(SECONDS), "--trace", "0"])
     workloads = parse_untraced(lines)
     for name, row in workloads.items():
-        traced = run_bench(["--workload", name, "--trace", "1"] + seed_args)
-        traced_result = json.loads(traced[-1])
-        row["per_layer"] = traced_result["metrics"]
+        traced = run_bench(["--workload", name, "--trace", "1"])
+        row["per_layer"] = json.loads(traced[-1])["metrics"]
         row["trace_meta"] = parse_meta(traced)
-        row["trace_correct"] = traced_result["correct"]
-    return {
-        "schema": SCHEMA,
-        "label": label,
-        "seconds": seconds,
-        "meta": parse_meta(lines),
-        "correct": result["correct"] and all(row["trace_correct"] for row in workloads.values()),
-        "workloads": workloads,
-    }
+    return {"schema": SCHEMA, "label": label, "seconds": SECONDS, "meta": parse_meta(lines), "workloads": workloads}
 
 
 def canonical(obj):
@@ -134,8 +126,6 @@ def main(argv=None):
     sub = p.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record", help="run perfbench and write BENCH_<label>.json")
     rec.add_argument("label")
-    rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument("--seconds", type=float, default=38)
     cmp_ = sub.add_parser("compare", help="compare the end-to-end medians of two BENCH files")
     cmp_.add_argument("old")
     cmp_.add_argument("new")
@@ -147,12 +137,11 @@ def main(argv=None):
         p.error("the label may hold only letters, digits, '_', '.' and '-'")
     if not os.path.isfile("perfbench/run.py"):
         p.error("run from the root of a checkout: perfbench/run.py not found")
-    data = record(args.label, args.seed, args.seconds)
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
-        fh.write(canonical(data))
+        fh.write(canonical(record(args.label)))
     print(path)
-    return 0 if data["correct"] else 1
+    return 0
 
 
 if __name__ == "__main__":
