@@ -462,7 +462,7 @@ class TreeContext:
 
         Memoized on (c, d, min(i, n - 1)), all it depends on.
         """
-        memo = (c, d, min(i, self.n - 1))
+        memo = (c, d, i if i < self.n else self.n - 1)
         got = self._nf_cache.get(memo)
         if got is None:
             got = self._nf_cache[memo] = self._least_translate(*memo)
@@ -820,7 +820,7 @@ class QuotientGraph:
         Hecke coset representative R (GroupContext.hecke_coset): h = R, sigma = 1, and g ends its chain.
         """
         tree, ctx, orbits = self.tree, self.ctx, self.edge_orbits
-        fq, mask, witness, known = ctx.fq, tree._mask, tree.chain_witness, {}
+        fq, mask, normal_form, witness, known = ctx.fq, tree._mask, tree._normal_form, tree.chain_witness, {}
         xis = [(xi.a.x, xi.b.x, xi.c.x, xi.d.x) for xi in transports]
         dets = [int_axpy(fq, int_mul(fq, a, d), int_neg(fq, b), c) for a, b, c, d in xis]
         degs = [_deg(m) for m in dets]
@@ -845,7 +845,7 @@ class QuotientGraph:
                     a, c = (int_axpy(fq, a, op & mask, c) & mask, c) if op else (int_neg(fq, c), a)
                 row, link = (int_neg(fq, c), a), (link, ops)
                 walk.append((h, row, link))
-                nf = tree._normal_form(*row, i)
+                nf = normal_form(*row, i)
                 key = (i, nf[0])
                 found = orbits.get(key)
                 got.append((found, key, sign, None if found is None else Deferred(witness, link, nf, found, known)))
