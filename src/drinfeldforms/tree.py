@@ -568,9 +568,8 @@ class TreeContext:
     # -- witnesses -------------------------------------------------------------
     def chain_witness(self, link, nf, orbit, known):
         """edge_witness of w = g gamma_1'^-1 ... gamma_k'^-1 from its chain ``link`` (classify_images): (parent
-        link, ops of gamma') per step, ending in the seed's packed g (four entries); gamma'^-1 is _replay'ed.
-        ``known`` maps id(link) to (link, w) for the links of one walk multiplied out so far, so each is
-        multiplied once; holding the link keeps its id unique."""
+        link, ops of gamma') per step, ending in the seed's packed g; gamma'^-1 is _replay'ed.  ``known`` maps
+        id(link) to (link, w) for each link of the walk multiplied out, so each is multiplied once."""
         steps = []
         while len(link) == 2 and id(link) not in known:
             steps.append(link)
