@@ -2,7 +2,7 @@
 K = F_q(t), and valuations at the place at infinity (uniformizer pi = 1/t)."""
 
 from drinfeldforms import Poly, RatFunc, field, newton_slope_zero_count
-from drinfeldforms.linalg import KRing, UPoly
+from drinfeldforms.linalg import DictRing, UPoly
 
 fq = field(4)
 print(f"F_4 = F_2[x]/(modulus), modulus coefficients {fq.modulus}")
@@ -29,7 +29,7 @@ print("\nvaluations at infinity, v_inf = deg(den) - deg(num):")
 for rf in (RatFunc(one, t - one), RatFunc(t * t + one, t)):
     print(f"  v_inf({rf}) = {rf.den.degree - rf.num.degree}")
 
-ring = KRing(fq)
+ring = DictRing(RatFunc.zero(fq), RatFunc.one(fq))  # K
 xx = UPoly.x(ring)
 f = xx * xx - UPoly(ring, [ring.zero, RatFunc.from_poly(t)]) - UPoly(ring, [RatFunc.from_poly(t ** 3)])
 print(f"\nNewton slope-zero count of X^2 - tX - t^3: {newton_slope_zero_count(f)}")

@@ -2,8 +2,8 @@
 
 The package realizes the weight-k cuspform space as Gamma_1(t^n)-
 equivariant harmonic cocycles on the Bruhat-Tits tree of SL_2(F_q((1/t))),
-entirely in exact arithmetic over F_q(t).  It computes the U_t, T_m and
-diamond operator matrices, and certifies that the ordinary subspace has
+entirely in exact arithmetic over F_q[t] and F_q(t).  It computes the U_t,
+T_m and diamond operator matrices, and certifies that the ordinary subspace has
 dimension q^(n-1) with every Hecke operator acting on it as the identity,
 together with the supporting torsion-scaling, coset-congruence, counting
 and freeness facts.
@@ -42,7 +42,6 @@ from .carlitz import (
 )
 from .linalg import (
     FqRing,
-    KRing,
     Matrix,
     UPoly,
     charpoly,

@@ -37,7 +37,7 @@ A caller checking one m hands Phi_m, the alpha_i and the G_i down, so each
 is computed once.
 """
 
-from .linalg import DictRing, KRing, UPoly
+from .linalg import DictRing, UPoly
 from .rings import Poly, RatFunc, poly_is_irreducible
 
 
@@ -135,7 +135,7 @@ def goss_polynomials(m, imax, alphas=None):
         raise ValueError("imax must be >= 1")
     fq = m.fq
     q = fq.q
-    ring = KRing(fq)
+    ring = DictRing(RatFunc.zero(fq), RatFunc.one(fq))  # K
     alphas = exp_coeffs(m) if alphas is None else alphas
     x = UPoly.x(ring)
     gs = {1: x}
@@ -160,7 +160,7 @@ def goss_polynomials_oracle(m, imax, alphas=None):
     """
     _require_monic_irreducible(m)
     fq = m.fq
-    ring = KRing(fq)
+    ring = DictRing(RatFunc.zero(fq), RatFunc.one(fq))  # K
     e = UPoly(ring, torsion_exponential(m, alphas)).truncate(imax)
     # powers of e(w) truncated to degree imax - 1
     powers = [UPoly.one(ring)]

@@ -11,7 +11,8 @@ harmonicity rows at every vertex orbit whose full star lies in the table.
 Every weight runs one code path over the blocks of VkAction.  On the
 trivial V_2 over F_q a harmonicity entry is a signed count of star edges
 mod p.  Above weight 2 the blocks are (k-1)x(k-1) matrices over
-K = F_q(t).  Two gates guard the truncation: the dimension must equal
+A = F_q[t], and so are the solve, on pivots that are units of A, and its
+basis.  Two gates guard the truncation: the dimension must equal
 (k-1) q^(2(n-1)), and re-solving at depth D+1 must give the same
 dimension.  The re-solve runs on the depth-D table grown by one shell
 (``QuotientGraph.extended``), not on a second build, and reuses each
@@ -40,8 +41,8 @@ from functools import cached_property
 
 from .errors import DimensionMismatchError, ReachError, StabilityError
 from .fq import FqElem
-from .linalg import FqRing, KRing, Matrix, sparse_kernel
-from .rings import Poly, RatFunc
+from .linalg import DictRing, FqRing, Matrix, sparse_kernel
+from .rings import Poly
 from .tree import MAX_ORBITS, Edge, QuotientGraph
 
 
@@ -65,7 +66,7 @@ class VkAction:
     meeting one column and read the sum through :meth:`summed`.  V_2 is
     trivial over F_q: a signed block is the sign itself, with no witness
     or transport read, and a sum is the 1x1 block of the count mod p.
-    Above weight 2 the blocks are (k-1)x(k-1) Matrices over K = F_q(t).
+    Above weight 2 the blocks are (k-1)x(k-1) Matrices over A = F_q[t].
     """
 
     def __init__(self, fq, k):
@@ -73,7 +74,7 @@ class VkAction:
             raise ValueError("weight must be >= 2")
         self.fq = fq
         self.k = k
-        self.ring = FqRing(fq) if k == 2 else KRing(fq)
+        self.ring = FqRing(fq) if k == 2 else DictRing(Poly.zero(fq), Poly.one(fq))
         self._cache = {}
         self.trivial = self.dim == 1  # V_2, on which every element acts as the identity
         self._trivial = Matrix.identity(self.ring, 1) if self.trivial else None
@@ -84,33 +85,33 @@ class VkAction:
         return self.k - 1
 
     def substitution(self, g):
-        """The substitution matrix of g over A, formed on its Poly entries and lifted to K entry by entry."""
+        """The substitution matrix of g, over A for g over A."""
         key = ("S",) + tuple(g.entries())
         got = self._cache.get(key)
         if got is not None:
             return got
         m = self.k - 2
-        zero = Poly.zero(self.fq)
+        zero = self.ring.zero
         # (X, Y) g = (a X + c Y, b X + d Y) row-vector convention
         img_x = [g.a, g.c]  # coefficients on (X, Y)
         img_y = [g.b, g.d]
         # forms of degree m represented by Y-degree coefficient lists
         cols = []
         for j in range(m + 1):
-            form = [Poly.one(self.fq)]
+            form = [self.ring.one]
             for _ in range(m - j):
                 form = _form_mul(zero, form, img_x)
             for _ in range(j):
                 form = _form_mul(zero, form, img_y)
             cols.append(form)
-        got = Matrix(self.ring, [[RatFunc.from_poly(cols[j][l]) for j in range(m + 1)] for l in range(m + 1)])
+        got = Matrix(self.ring, zip(*cols))
         self._cache[key] = got
         return got
 
     def act(self, g):
         """Matrix of omega -> g . omega on V_k, for g over A with det 1.
 
-        The inverse of such a g is its adjugate, so no inverse over K is taken.
+        The inverse of such a g is its adjugate, so the block stays over A.
         """
         if self.trivial:
             return self._trivial

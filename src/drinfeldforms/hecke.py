@@ -18,8 +18,9 @@ table entry, and its entries at the stable rows, where the basis is the
 unit basis, are the operator's rows.  Every safe row is checked exactly,
 once per operator; an image edge beyond the table is a ReachError.  An
 operator is kept as its columns, each a vector of the space's ring, the
-ring its coordinates lie in: F_q at weight 2, so commutators and the
-certificate run over F_q there, and K = F_q(t) above.  The writer
+ring its coordinates lie in: F_q at weight 2 and A = F_q[t] above.  The
+image chain's basis can have denominators, so the chain and check (d)
+read the columns lifted to K (:func:`over_field`).  The writer
 (:func:`operator_chunks`) reads the rows off the columns one at a time.
 
 The ordinary certificate recasts ordinariness t-adically: with
@@ -36,7 +37,7 @@ Each Hecke flag is True exactly when (d) holds; a False flag comes with a
 note.  The theorem is that every Hecke operator is the identity on the
 ordinary part, so one acting there as any other scalar fails (d).
 
-Over either ring the checks run on U's Fitting image im U^N, of
+Over either field the checks run on U's Fitting image im U^N, of
 dimension s, found by :func:`image_chain` with an echelon basis B and the
 s x s restriction U|im, which is invertible.  U is nilpotent on
 ker U^N, so chi = X^(d-s) charpoly(U|im), and Berkowitz runs at s x s;
@@ -55,8 +56,8 @@ never formed.
 
 from .cocycles import Coordinates
 from .errors import ReachError, UsageError
-from .linalg import Matrix, UPoly, charpoly, eliminate, extend_echelon, newton_slope_zero_count
-from .rings import Poly, graded_polys, poly_is_irreducible
+from .linalg import DictRing, Matrix, UPoly, charpoly, eliminate, extend_echelon, newton_slope_zero_count
+from .rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from .serialize import canonical_json_dumps, matrix_chunks
 from .tree import apply_edge
 
@@ -314,12 +315,12 @@ class OrdinaryCertificate:
 def ordinary_certificate(ut, heckes=()):
     """Run checks (a)-(d) for a U_t operator and Hecke operators on U's Fitting image."""
     ctx = ut.ctx
-    ring = ut.ring
     d = ut.size
     r = ctx.ordinary_rank()
     notes = []
     # U is nilpotent on ker U^N, of dimension d - s
     _, basis, u_im = image_chain(ut)
+    ring = u_im.ring
     s = len(basis)
     chi = UPoly(ring, [ring.zero] * (d - s) + charpoly(u_im).coeffs)
     x_minus_1 = UPoly(ring, [-ring.one, ring.one])
@@ -351,7 +352,7 @@ def ordinary_certificate(ut, heckes=()):
     flags["unipotence_kill"] = unipotent
     hecke_flags = {}
     for op in heckes:
-        ok = ok_div and op.apply_all(stable) == stable
+        ok = ok_div and over_field(op).apply_all(stable) == stable
         hecke_flags[op.name] = ok
         if not ok:
             notes.append(f"{op.name} is not the identity on the ordinary part")
@@ -397,6 +398,14 @@ def nilpotency_diagnostics(ut):
 # a dict over K.  Its leading coordinate is its highest nonzero one.
 
 
+def over_field(op):
+    """Over A, the operator with its columns lifted to K, where the chain's basis lies; over a field, itself."""
+    if not isinstance(op.ring.one, Poly):
+        return op
+    cols = [{i: RatFunc.from_poly(x) for i, x in col.items()} for col in op.cols]
+    return OperatorMatrix(op.name, op.ctx, op.k, DictRing(RatFunc.zero(op.ctx.fq), RatFunc.one(op.ctx.fq)), cols)
+
+
 def image_chain(op):
     """U's image chain, run until the rank repeats, for an operator U.
 
@@ -409,16 +418,17 @@ def image_chain(op):
     Returns (ranks, basis, restriction): ranks[j] = rank U^j up to the
     first repeat; an echelon basis of im U^N, each vector 1 at its own
     leading coordinate and the leading coordinates distinct; and U|im,
-    the s x s Matrix of U on that basis (s = len(basis)).  The chain runs
-    once per operator and is kept in ``op.chain``.
+    the s x s Matrix of U on that basis (s = len(basis)), over :func:`over_field`'s
+    field.  The chain runs once per operator and is kept in ``op.chain``.
     """
     if op.chain is not None:
         return op.chain
-    ring = op.ring
+    u = over_field(op)
+    ring = u.ring
     echelon = {i: ring.from_terms([(i, ring.one)]) for i in range(op.size)}
     ranks = [len(echelon)]
     while True:
-        images = op.apply_all(list(echelon.values()))
+        images = u.apply_all(list(echelon.values()))
         nxt = {}
         for w in images:
             extend_echelon(ring, nxt, w)

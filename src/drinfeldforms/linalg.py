@@ -1,17 +1,17 @@
-"""Exact dense and sparse linear algebra over F_q and K = F_q(t).
+"""Exact dense and sparse linear algebra over F_q, A = F_q[t] and K = F_q(t).
 
 Dense matrices are generic over a small ring adapter exposing ``zero`` and
 ``one`` elements; the elements themselves carry the arithmetic through
-operator overloading (FqElem, RatFunc, Poly all qualify).  One code path
-serves both fields: weight-2 operators and their kernels are over F_q
-(FqRing), and weight-k ones over K (KRing).  The adapters also own the
-vector format of an operator's columns and of ``hecke.image_chain``, one
-packed int over F_q (FqRing) and a dict over any other ring (DictRing,
-KRing's with RatFunc constants): ``vector``, ``terms`` (the nonzero
-(coordinate, entry) pairs) and ``from_terms``, ``lead`` (the highest
-nonzero coordinate and its entry), ``axpy`` (w + c v, a new vector),
-``transpose`` (the d columns of the matrix with the given rows) and
-``text_rows`` (each row's d entries as text, formed once per value).
+operator overloading (FqElem, Poly, RatFunc all qualify).  One code path
+serves every ring: weight-2 operators and kernels are over F_q (FqRing),
+weight-k ones over A, and the image chain above weight 2 over K.  The
+adapters also own the vector format of an operator's columns and of
+``hecke.image_chain``, one packed int over F_q (FqRing) and a dict over
+any other ring (DictRing, with its constants): ``vector``, ``terms`` (the
+nonzero (coordinate, entry) pairs) and ``from_terms``, ``lead`` (the
+highest nonzero coordinate and its entry), ``axpy`` (w + c v, a new
+vector), ``transpose`` (the d columns of the matrix with the given rows)
+and ``text_rows`` (each row's d entries as text, formed once per value).
 
 UPoly, the dense univariate polynomial, is both the charpoly's type and
 the truncated u-series of ``carlitz``: a series to precision n is a
@@ -26,13 +26,14 @@ clears a vector's leading coordinate against an echelon of rows with
 leading 1s.  ``hecke.image_chain`` runs it on the adapters' vectors, and
 :func:`sparse_kernel`, the cocycle solver's kernel, on dict vectors at
 every weight (constraint systems over quotient graphs are tree-shaped,
-and sparse rows keep them that way); kernel vectors are read off the
-reduced pivot rows as sparse dicts {col: nonzero elem}.  Characteristic
-polynomials use the division-free Berkowitz algorithm.
+and sparse rows keep them that way; over A every pivot is a unit); kernel
+vectors are read off the reduced pivot rows as sparse dicts {col: nonzero
+elem}.  Characteristic polynomials use the division-free Berkowitz algorithm.
 """
 
+from .errors import StabilityError
 from .fq import FqElem
-from .rings import NEG_INF, POS_INF, RatFunc, int_add, int_axpy
+from .rings import NEG_INF, POS_INF, int_add, int_axpy
 
 
 class FqRing:
@@ -116,14 +117,6 @@ class DictRing:
 
     def __hash__(self):
         return hash(("DictRing", self.one))
-
-
-class KRing(DictRing):
-    """The dict adapter over K = F_q(t), handing out RatFunc constants."""
-
-    def __init__(self, fq):
-        super().__init__(RatFunc.zero(fq), RatFunc.one(fq))
-        self.fq = fq
 
 
 class Matrix:
@@ -427,21 +420,10 @@ def newton_slope_zero_count(f):
     """
     if not f.is_monic():
         raise ValueError("Newton slope count requires a monic polynomial")
-    vals = []
-    for c in f.coeffs:
-        if isinstance(c, FqElem):
-            vals.append(0 if c else POS_INF)
-        else:
-            v = c.vt()
-            if v is not POS_INF and v < 0:
-                raise ValueError("non-integral coefficient (negative t-adic valuation)")
-            vals.append(v)
-    mult = 0
-    for v in vals:
-        if v == 0:
-            break
-        mult += 1
-    return f.degree - mult
+    vals = [(0 if c else POS_INF) if isinstance(c, FqElem) else c.vt() for c in f.coeffs]
+    if any(v < 0 for v in vals):
+        raise ValueError("non-integral coefficient (negative t-adic valuation)")
+    return f.degree - vals.index(0)  # the lowest coefficient that is a t-adic unit: monic f has one
 
 
 def eliminate(ring, echelon, w):
@@ -483,6 +465,7 @@ def sparse_kernel(rows, ncols, ring, col_order=None):
     its pivot column c and otherwise free columns only: the kernel vector
     of free column f, a dict {col: nonzero elem}, is 1 at f and -x at c for
     each pivot row holding x at f.  One vector per free column, in order.
+    A pivot that is not a unit (over A, a non-constant one) raises StabilityError.
     """
     order = range(ncols) if col_order is None else col_order
     top = ncols - 1
@@ -490,7 +473,12 @@ def sparse_kernel(rows, ncols, ring, col_order=None):
     dicts = DictRing(ring.zero, ring.one)
     echelon = {}
     for r in rows:
-        extend_echelon(dicts, echelon, {coord[c]: x for c, x in r.items()})
+        w = {coord[c]: x for c, x in r.items()}
+        try:
+            extend_echelon(dicts, echelon, w)
+        except ZeroDivisionError:
+            p, c = dicts.lead(eliminate(dicts, echelon, w)[0])
+            raise StabilityError(f"the kernel's pivot at column {order[top - p]} is {c}, not a unit") from None
     for p in sorted(echelon):
         row = echelon[p]
         # the rows below p are reduced already, so each clears one pivot

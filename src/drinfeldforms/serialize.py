@@ -3,8 +3,8 @@
 The JSON schema for field data: an F_q element is one integer, its base-p
 digit packing in the fixed polynomial basis; a polynomial in t is the
 ascending list of such integers; a rational function is {"num": [...],
-"den": [...]}, and an operator entry in F_q is written as the constant
-rational function it is.  Matrices are nested row-major arrays.  CLI
+"den": [...]}, and an operator entry x of F_q or of A is written as the
+rational function x/1.  Matrices are nested row-major arrays.  CLI
 polynomial syntax is ASCII like ``t^2+t+1`` with integer coefficients
 reduced into F_q.
 """
@@ -13,7 +13,7 @@ import json
 import re
 
 from .errors import UsageError
-from .rings import Poly, RatFunc
+from .rings import Poly
 
 _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?(t)?\s*(?:\^\s*(\d+))?\s*$")
 
@@ -62,18 +62,12 @@ def parse_terms(fq, text):
 
 
 def entry_json(x):
-    """A matrix entry as a rational function; an F_q element c is c/1."""
-    if isinstance(x, RatFunc):
-        return {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
-    return {"num": [x.code] if x else [], "den": [1]}
+    """A matrix entry x of F_q or of A as the rational function x/1."""
+    return {"num": list(x.coeffs) if isinstance(x, Poly) else [x.code] if x else [], "den": [1]}
 
 
 def entry_tex(x):
-    if isinstance(x, RatFunc) and not x.den.is_one():
-        return rf"\frac{{{_poly_tex(x.num)}}}{{{_poly_tex(x.den)}}}"
-    if isinstance(x, RatFunc):
-        return _poly_tex(x.num)
-    return str(x)
+    return _poly_tex(x) if isinstance(x, Poly) else str(x)
 
 
 # per format: an entry's text; a matrix's start, row template, row separator, end, entry separator

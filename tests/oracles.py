@@ -102,7 +102,10 @@ None of this is used by ``drinfeldforms`` itself:
 * the identity over A (:func:`identity_poly`) and the CLI's polynomial
   parser as one call (:func:`parse_poly`), which only the tests use;
 * the CLI's former argparse parser (:func:`build_parser`), the oracle for
-  ``cli.parse_args``, which reads the option table ``cli.COMMANDS``.
+  ``cli.parse_args``, which reads the option table ``cli.COMMANDS``;
+* the dict adapter over K (:func:`k_ring`), the ring of the tests'
+  matrices with real denominators and of the systems the oracles solve
+  over K in place of A.
 """
 
 import argparse
@@ -111,7 +114,7 @@ from drinfeldforms.cli import cmd_dims, cmd_graph, cmd_hecke, cmd_verify
 from drinfeldforms.errors import ReachError
 from drinfeldforms.fq import _decode, _encode
 from drinfeldforms.hecke import HeckeEngine, OperatorMatrix, OrdinaryCertificate
-from drinfeldforms.linalg import Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
+from drinfeldforms.linalg import DictRing, Matrix, UPoly, charpoly, newton_slope_zero_count, sparse_kernel
 from drinfeldforms.mat2 import Deferred, Mat2, _replay
 from drinfeldforms.rings import POS_INF, Poly, RatFunc, graded_polys, int_axpy, int_neg, packed, poly_gcd
 from drinfeldforms.serialize import entry_json, parse_terms, poly_from_terms
@@ -131,6 +134,11 @@ from drinfeldforms.tree import (
     apply_vertex,
     reduce_vertex,
 )
+
+
+def k_ring(fq):
+    """The dict adapter over K = F_q(t), handing out RatFunc constants."""
+    return DictRing(RatFunc.zero(fq), RatFunc.one(fq))
 
 
 def _is_zero(x):
@@ -155,12 +163,13 @@ def _clear_denominators(matrix):
     cleared = []
     for row in matrix.rows:
         if row and isinstance(row[0], RatFunc):
-            den = Poly.one(matrix.ring.fq)
+            fq = row[0].fq
+            den = Poly.one(fq)
             for a in row:
                 if not a.is_zero():
                     den = den * a.den.divexact(poly_gcd(den, a.den))
             cleared.append(
-                [a.num * den.divexact(a.den) if not a.is_zero() else Poly.zero(matrix.ring.fq) for a in row]
+                [a.num * den.divexact(a.den) if not a.is_zero() else Poly.zero(fq) for a in row]
             )
         else:
             cleared.append(list(row))

@@ -7,7 +7,7 @@ import pytest
 
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, verify_diamond_congruence, verify_xi_congruences
-from drinfeldforms.hecke import nilpotency_diagnostics, ordinary_certificate, verify_freeness
+from drinfeldforms.hecke import nilpotency_diagnostics, ordinary_certificate, over_field, verify_freeness
 from drinfeldforms.linalg import UPoly
 from drinfeldforms.rings import Poly
 from drinfeldforms.verify import _space_item, goss_suite_items, run_suite, suite_passed
@@ -97,10 +97,11 @@ def test_criterion_5_level_t_reproduction(cache):
             cert = ordinary_certificate(ut, [tm])
             assert cert.r == 1
             assert cert.valid(), cert.to_json_dict()
-            proj = cert.chi_plus.eval_matrix(dense(ut))
+            u, t = dense(over_field(ut)), dense(over_field(tm))  # over chi's field
+            proj = cert.chi_plus.eval_matrix(u)
             assert bareiss_rank(proj) == 1  # the ordinary part is one-dimensional
-            assert (dense(ut) * proj) == proj  # U_t acts as the identity on it
-            assert (dense(tm) * proj) == proj  # and so does T_m
+            assert (u * proj) == proj  # U_t acts as the identity on it
+            assert (t * proj) == proj  # and so does T_m
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     print(f"ACCEPTANCE 5 (n=1, k=2..5, q=2,3): ordinary part is [1] for U_t and T_m  [{elapsed:.2f}s] PASS")

@@ -247,6 +247,21 @@ def test_resource_bound_exit(capsys):
     assert code == 3
 
 
+def test_a_pivot_that_is_not_a_unit_of_a_exits_3(capsys, monkeypatch):
+    # every harmonicity row times t leads with a non-unit of A: the solve
+    # ends in one line naming the column, not in a traceback
+    from drinfeldforms import cocycles
+
+    kernel, t = cocycles.sparse_kernel, Poly.t(field(2))
+
+    def scaled(rows, ncols, ring, col_order=None):
+        return kernel([{c: t * x for c, x in r.items()} for r in rows], ncols, ring, col_order=col_order)
+
+    monkeypatch.setattr(cocycles, "sparse_kernel", scaled)
+    argv = ("dims", "--q", "2", "--n", "1", "--k", "3")
+    _one_line_error(capsys, argv, 3, "truncation unstable: the kernel's pivot at column")
+
+
 def test_hecke_json_and_certificate(capsys):
     code, out = run_cli(
         capsys,
@@ -360,18 +375,15 @@ def test_out_file(tmp_path, capsys):
 
 def test_json_schema_roundtrip():
     from drinfeldforms.serialize import entry_json
-    from drinfeldforms.rings import RatFunc
 
     fq = field(3)
     p = parse_poly(fq, "2*t^3+t+1")
-    x = RatFunc(p, Poly.t(fq))
-    data = entry_json(x)
-    assert data == {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
-    assert Poly(fq, data["num"]) == x.num == p
-    assert Poly(fq, data["den"]) == x.den
-    # an F_q entry is written as the constant rational function it is
+    data = entry_json(p)
+    assert data == {"num": list(p.coeffs), "den": [1]}
+    assert Poly(fq, data["num"]) == p
+    # an entry x of F_q or of A is written as the rational function x/1
     for c in fq.elements():
-        assert entry_json(fq.elem(c)) == entry_json(RatFunc.from_poly(Poly.constant(fq, c)))
+        assert entry_json(fq.elem(c)) == entry_json(Poly.constant(fq, c))
     assert entry_json(fq.elem(0)) == {"num": [], "den": [1]}
 
 

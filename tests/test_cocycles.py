@@ -9,12 +9,21 @@ from drinfeldforms.cocycles import CocycleSpace, VkAction, depth_default
 from drinfeldforms.errors import DimensionMismatchError, ResourceBoundError
 from drinfeldforms.fq import field
 from drinfeldforms.groups import group_context, is_gamma1
-from drinfeldforms.linalg import FqRing, Matrix
+from drinfeldforms.linalg import DictRing, FqRing, Matrix
 from drinfeldforms.hecke import HeckeEngine
 from drinfeldforms.mat2 import Deferred, Mat2, _replay
-from drinfeldforms.rings import Poly
+from drinfeldforms.rings import Poly, RatFunc
 from drinfeldforms.tree import Edge, QuotientGraph, TreeContext, apply_edge
-from oracles import edge_stab_generators, evaluate_oracle, gauss_jordan_kernel, identity_poly, inverse_k, to_a, to_k
+from oracles import (
+    edge_stab_generators,
+    evaluate_oracle,
+    gauss_jordan_kernel,
+    identity_poly,
+    inverse_k,
+    k_ring,
+    to_a,
+    to_k,
+)
 
 
 def rand_gamma(ctx, rng):
@@ -363,7 +372,9 @@ DEFAULT_GRID = [(q, n, k) for q, nmax in ((2, 3), (3, 2)) for n in range(1, nmax
 @pytest.mark.parametrize("q,n,k", DEFAULT_GRID)
 def test_kernel_matches_the_gauss_jordan_oracle_on_the_harmonicity_rows(cache, monkeypatch, q, n, k):
     # the depth-D system of a solved space, through sparse_kernel and the
-    # eager Gauss-Jordan oracle: the same vectors, entries in the same order
+    # eager Gauss-Jordan oracle: the same vectors, entries in the same order.
+    # Above weight 2 the system is over A and the oracle runs on it lifted
+    # to K, so every kernel entry it finds must lie in A
     space = cache.space(q, n, k)
     kernel = cocycles.sparse_kernel
     systems = []
@@ -376,6 +387,11 @@ def test_kernel_matches_the_gauss_jordan_oracle_on_the_harmonicity_rows(cache, m
     space._solve(space.graph, {})
     ((rows, ncols, ring, order),) = systems
     got = kernel(rows, ncols, ring, col_order=order)
+    if k > 2:
+        assert ring == DictRing(Poly.zero(field(q)), Poly.one(field(q)))
+        lift = RatFunc.from_poly
+        rows, ring = [{c: lift(x) for c, x in r.items()} for r in rows], k_ring(field(q))
+        got = [{c: lift(x) for c, x in v.items()} for v in got]
     want = gauss_jordan_kernel(rows, ncols, ring, col_order=order)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     assert rows and len(got) == space.expected_dim

@@ -17,9 +17,10 @@ from drinfeldforms.hecke import (
     image_chain,
     nilpotency_diagnostics,
     ordinary_certificate,
+    over_field,
     verify_freeness,
 )
-from drinfeldforms.linalg import FqRing, KRing, Matrix, UPoly, charpoly
+from drinfeldforms.linalg import DictRing, FqRing, Matrix, UPoly, charpoly
 from drinfeldforms.mat2 import Mat2
 from drinfeldforms.rings import Poly, RatFunc, graded_polys, poly_is_irreducible
 from drinfeldforms.tree import QuotientGraph, apply_edge
@@ -31,6 +32,7 @@ from oracles import (
     coords_oracle,
     dense,
     dense_rows,
+    k_ring,
     nilpotency_oracle,
     operator,
     projector_certificate_oracle,
@@ -136,7 +138,7 @@ def test_diamond_commutes_with_hecke(q, n, k, cache):
         assert dia.commutes(tm)
 
 
-# the (q, n, k) of the hecke goldens: F_q at weight 2, K above
+# the (q, n, k) of the hecke goldens: F_q at weight 2, A above
 GOLDEN_GRID = [
     (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 2), (5, 2, 2),
     (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (4, 2, 3), (7, 1, 3), (2, 1, 4), (2, 2, 4), (3, 2, 4),
@@ -172,8 +174,8 @@ def test_a_hand_made_pair_over_k_does_not_commute():
     ctx = group_context(2, 1)
     fq = ctx.fq
     one, zero, t = RatFunc.one(fq), RatFunc.zero(fq), RatFunc.from_poly(Poly.t(fq))
-    a = operator("A", ctx, 3, Matrix(KRing(fq), [[one, t], [zero, one]]))
-    b = operator("B", ctx, 3, Matrix(KRing(fq), [[one, zero], [one, one]]))
+    a = operator("A", ctx, 3, Matrix(k_ring(fq), [[one, t], [zero, one]]))
+    b = operator("B", ctx, 3, Matrix(k_ring(fq), [[one, zero], [one, one]]))
     assert not a.commutes(b) and not b.commutes(a)
     assert a.commutes(a) and b.commutes(b)
     assert [a.apply(col) for col in b.cols] == [{0: one + t, 1: one}, {0: t, 1: one}]
@@ -560,12 +562,12 @@ def test_weight2_positive_slope_is_the_newton_count():
 
 def test_valid_rejects_a_nontrivial_scalar(cache):
     # an operator acting on the ordinary part as a scalar other than 1 is
-    # not trivial: t over K at weight 3, 2 = -1 over F_3 at weight 2
+    # not trivial: t over A at weight 3, 2 = -1 over F_3 at weight 2
     for q, k, name in ((2, 3, "Scalar(t)"), (3, 2, "Scalar(2)")):
         eng = cache.engine(q, 2, k)
         ut = eng.u_t()
         ring = ut.ring
-        lam = RatFunc.from_poly(Poly.t(ring.fq)) if k > 2 else ring.fq.elem(2)
+        lam = Poly.t(field(q)) if k > 2 else field(q).elem(2)
         scalar = operator(name, eng.ctx, k, Matrix.identity(ring, ut.size).scale(lam))
         cert = ordinary_certificate(ut, [eng.t_m(t_plus_one(q)), scalar])
         assert all(cert.flags.values())
@@ -659,9 +661,10 @@ def test_image_chain_on_hand_made_matrices(blocks, want):
 
 @pytest.mark.parametrize("q,n,k", [(2, 2, 3), (3, 1, 4), (2, 2, 4)])
 def test_nilpotency_diagnostics_over_k_matches_the_oracle(q, n, k, cache):
+    # the oracle reads U_t lifted to K, where the chain runs
     ut = cache.engine(q, n, k).u_t()
-    assert isinstance(ut.ring, KRing)
-    assert nilpotency_diagnostics(ut) == nilpotency_oracle(ut)
+    assert ut.ring == DictRing(Poly.zero(field(q)), Poly.one(field(q)))
+    assert nilpotency_diagnostics(ut) == nilpotency_oracle(over_field(ut))
 
 
 def _dense(ring, v, d):
@@ -691,7 +694,7 @@ def test_image_chain_matches_dense_powers(qn, cache):
         q, n, k = qn if len(qn) == 3 else (*qn, 2)
         operators = [cache.engine(q, n, k).u_t()]
     for ut in operators:
-        u = dense(ut)
+        u = dense(over_field(ut))  # the chain's basis lies over K above weight 2
         ring = u.ring
         d = u.nrows
         ranks, basis, u_im = image_chain(ut)
@@ -742,7 +745,7 @@ def _over_k(op):
     before operators were built over F_q, kept as its oracle."""
     fq = op.ctx.fq
     rows = [[RatFunc.from_poly(Poly.constant(fq, x.code)) for x in row] for row in dense_rows(op)]
-    return operator(op.name, op.ctx, op.k, Matrix(KRing(fq), rows))
+    return operator(op.name, op.ctx, op.k, Matrix(k_ring(fq), rows))
 
 
 @pytest.mark.parametrize(
@@ -776,10 +779,14 @@ def test_weight2_certificate_matches_the_k_path(q, n, cache):
 def test_weight_k_certificate_matches_the_projector_oracle(q, n, k, cache):
     eng = cache.engine(q, n, k)
     ut = eng.u_t()
-    assert ut.ring == KRing(field(q))
+    assert ut.ring == eng.space.ring == DictRing(Poly.zero(field(q)), Poly.one(field(q)))
+    # every entry of U_t, T_(t+1) and the diamonds lies in A
+    ops = [ut, eng.t_m(t_plus_one(q))] + [eng.diamond(alpha) for alpha in eng.ctx.theta]
+    assert all(isinstance(x, Poly) for op in ops for col in op.cols for x in col.values())
     heckes = [eng.t_m(t_plus_one(q)), eng.diamond(eng.ctx.theta[-1])]
     got = ordinary_certificate(ut, heckes)
-    assert got.to_json_dict() == projector_certificate_oracle(ut, heckes).to_json_dict()
+    want = projector_certificate_oracle(over_field(ut), [over_field(op) for op in heckes])
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 def _hand_made(q, n, name, blocks, moves=()):

@@ -6,7 +6,6 @@ from drinfeldforms.fq import FqElem, field
 from drinfeldforms.linalg import (
     DictRing,
     FqRing,
-    KRing,
     Matrix,
     UPoly,
     charpoly,
@@ -14,8 +13,9 @@ from drinfeldforms.linalg import (
     newton_slope_zero_count,
     sparse_kernel,
 )
+from drinfeldforms.errors import StabilityError
 from drinfeldforms.rings import Poly, RatFunc
-from oracles import bareiss_kernel, bareiss_pivots, bareiss_rank
+from oracles import bareiss_kernel, bareiss_pivots, bareiss_rank, k_ring
 
 
 def _dense(vecs, ncols, ring):
@@ -49,13 +49,13 @@ def cofactor_det(rows, ring):
 
 
 def test_charpoly_identity():
-    K = KRing(field(2))
+    K = k_ring(field(2))
     x = UPoly.x(K)
     assert charpoly(Matrix.identity(K, 2)) == (x - UPoly.one(K)) ** 2
 
 
 def test_rank_zero_matrix():
-    K = KRing(field(2))
+    K = k_ring(field(2))
     zero = Matrix.zeros(K, 3, 3)
     assert bareiss_rank(zero) == 0
     assert dense_kernel(zero) == Matrix.identity(K, 3).rows  # the unit basis
@@ -63,7 +63,7 @@ def test_rank_zero_matrix():
 
 def test_kernel_example():
     fq = field(2)
-    K = KRing(fq)
+    K = k_ring(fq)
     t = RatFunc.from_poly(Poly.t(fq))
     m = Matrix(K, [[K.one, t], [t, t * t]])
     kb = dense_kernel(m)
@@ -101,7 +101,7 @@ def test_charpoly_against_cofactor_oracle(q):
 
 def test_charpoly_over_k_with_poly_entries():
     fq = field(3)
-    K = KRing(fq)
+    K = k_ring(fq)
     t = RatFunc.from_poly(Poly.t(fq))
     m = Matrix(K, [[t, K.one], [K.zero, t * t]])
     cp = charpoly(m)
@@ -112,7 +112,7 @@ def test_charpoly_over_k_with_poly_entries():
 
 def test_kernel_rank_image_random_consistency():
     fq = field(3)
-    K = KRing(fq)
+    K = k_ring(fq)
     rng = random.Random(6)
     for _ in range(20):
         m = Matrix(
@@ -140,12 +140,12 @@ def rand_k_matrix(fq, rng, nrows, ncols):
         den = Poly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(2))] + [1])
         return RatFunc(num, den)
 
-    return Matrix(KRing(fq), [[entry() for _ in range(ncols)] for _ in range(nrows)])
+    return Matrix(k_ring(fq), [[entry() for _ in range(ncols)] for _ in range(nrows)])
 
 
 def test_newton_slope_zero_count_examples():
     fq = field(2)
-    K = KRing(fq)
+    K = k_ring(fq)
     t = RatFunc.from_poly(Poly.t(fq))
     x = UPoly.x(K)
     one = UPoly.one(K)
@@ -163,7 +163,7 @@ def test_newton_slope_zero_count_examples():
 def test_newton_count_against_hull_oracle():
     # lower convex hull oracle on finite-valuation points
     fq = field(3)
-    K = KRing(fq)
+    K = k_ring(fq)
     rng = random.Random(8)
 
     def hull_zero_slopes(vals):
@@ -216,10 +216,16 @@ def test_sparse_kernel_reads_its_vectors_off_pivot_rows_scaled_to_one():
     assert [list(v.items()) for v in sparse_kernel(rows, 3, F)] == [[(2, one), (0, one), (1, two)]]
     assert [list(v.items()) for v in sparse_kernel(rows, 3, F, col_order=[1, 0, 2])] == [[(2, one), (1, two), (0, one)]]
     fq = field(2)
-    K = KRing(fq)
+    K = k_ring(fq)
     t = RatFunc.from_poly(Poly.t(fq))
     assert sparse_kernel([{0: t, 1: K.one}], 2, K) == [{1: K.one, 0: -(K.one / t)}]
     assert sparse_kernel([{0: t, 1: K.one}], 2, K, col_order=[1, 0]) == [{0: K.one, 1: -t}]
+    # the same rows over A: column 0 leads with t, which has no inverse in
+    # A, so no kernel vector is formed; the order that leads with 1 solves
+    A = DictRing(Poly.zero(fq), Poly.one(fq))
+    with pytest.raises(StabilityError, match="pivot at column 0 is t, not a unit"):
+        sparse_kernel([{0: Poly.t(fq), 1: A.one}], 2, A)
+    assert sparse_kernel([{0: Poly.t(fq), 1: A.one}], 2, A, col_order=[1, 0]) == [{0: A.one, 1: -Poly.t(fq)}]
 
 
 def test_eliminate_raises_on_an_echelon_row_not_leading_with_1():
@@ -230,7 +236,7 @@ def test_eliminate_raises_on_an_echelon_row_not_leading_with_1():
     one, two = FqElem(f3, 1), FqElem(f3, 2)
     with pytest.raises(AssertionError, match="at coordinate 1 does not lead with 1"):
         eliminate(F, {1: F.vector([one, two])}, F.vector([F.zero, one]))
-    K = KRing(f3)
+    K = k_ring(f3)
     t = RatFunc.from_poly(Poly.t(f3))
     with pytest.raises(AssertionError, match="at coordinate 1 does not lead with 1"):
         eliminate(K, {1: {0: t, 1: K.one + K.one}}, {0: K.one, 1: t})
@@ -296,12 +302,12 @@ def _assert_kernel_of(m, kb):
         assert bareiss_rank(Matrix(m.ring, kb)) == len(kb)
 
 
-KERNEL_RINGS = [FqRing(field(q)) for q in (2, 3, 4, 9)] + [KRing(field(3))]
+KERNEL_RINGS = [FqRing(field(q)) for q in (2, 3, 4, 9)] + [k_ring(field(3))]
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["F2", "F3", "F4", "F9", "K3"])
 def test_single_elimination_kernels_match_the_bareiss_oracle(ring):
-    rng = random.Random(ring.fq.q * 7 + isinstance(ring, KRing))
+    rng = random.Random(ring.one.fq.q * 7 + isinstance(ring, DictRing))
     seen_zero_row = seen_zero_col = seen_kernel = False
     for _ in range(60):
         m = _kernel_case(ring, rng)
@@ -325,7 +331,7 @@ def test_single_elimination_kernels_match_the_bareiss_oracle(ring):
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["F2", "F3", "F4", "F9", "K3"])
 def test_sparse_kernel_vectors_hold_no_zero_and_densify_to_kernel_basis(ring):
-    rng = random.Random(ring.fq.q * 11 + isinstance(ring, KRing))
+    rng = random.Random(ring.one.fq.q * 11 + isinstance(ring, DictRing))
     seen_fill = False
     for _ in range(60):
         m = _kernel_case(ring, rng)
@@ -349,7 +355,7 @@ def dense_product(m, other):
 def _sparse_entry(ring, rng):
     if rng.random() < 0.6:
         return ring.zero
-    fq = ring.fq
+    fq = ring.one.fq
     if isinstance(ring, FqRing):
         return FqElem(fq, rng.randrange(1, fq.q))
     return RatFunc(Poly(fq, [rng.randrange(2) for _ in range(3)]), Poly(fq, [1, rng.randrange(2)]))
@@ -357,7 +363,7 @@ def _sparse_entry(ring, rng):
 
 def test_row_sparse_product_matches_the_dense_one():
     rng = random.Random(5)
-    for ring in (FqRing(field(3)), FqRing(field(4)), KRing(field(2))):
+    for ring in (FqRing(field(3)), FqRing(field(4)), k_ring(field(2))):
         for _ in range(30):
             n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
             a = Matrix(ring, [[_sparse_entry(ring, rng) for _ in range(k)] for _ in range(n)])
@@ -369,7 +375,7 @@ def test_apply_matches_the_sum_from_zero():
     # each row's sum starts at its first nonzero term, not at 0; the
     # values are those of summing every term onto the ring's zero
     rng = random.Random(9)
-    for ring in (FqRing(field(3)), FqRing(field(4)), KRing(field(2)), KRing(field(3))):
+    for ring in (FqRing(field(3)), FqRing(field(4)), k_ring(field(2)), k_ring(field(3))):
         seen_zero_row = False
         for _ in range(30):
             n, k = rng.randrange(1, 6), rng.randrange(1, 6)
@@ -383,7 +389,7 @@ def test_apply_matches_the_sum_from_zero():
 
 @pytest.mark.parametrize(
     "ring",
-    [FqRing(field(2)), FqRing(field(3)), FqRing(field(4)), KRing(field(2)), KRing(field(3))],
+    [FqRing(field(2)), FqRing(field(3)), FqRing(field(4)), k_ring(field(2)), k_ring(field(3))],
     ids=["F2", "F3", "F4", "K2", "K3"],
 )
 def test_vector_adapters_match_dense_lists(ring):
@@ -422,7 +428,7 @@ def test_vector_adapters_match_dense_lists(ring):
 
 
 def test_shape_mismatch():
-    K = KRing(field(2))
+    K = k_ring(field(2))
     with pytest.raises(ValueError):
         Matrix.identity(K, 2) * Matrix.identity(K, 3)
     with pytest.raises(ValueError):
@@ -445,7 +451,7 @@ def _series_rings():
 
     return [
         (FqRing(f4), lambda rng: FqElem(f4, rng.randrange(4)), FqElem(f4, 3)),
-        (KRing(f3), k_coeff, RatFunc(Poly.one(f3), Poly(f3, [1, 1]))),
+        (k_ring(f3), k_coeff, RatFunc(Poly.one(f3), Poly(f3, [1, 1]))),
         (ay, ay_coeff, -ay.one),
     ]
 
@@ -470,7 +476,7 @@ def test_series_inverse_times_f_is_one_mod_x_n(ring, coeff, unit):
 
 
 def test_series_inverse_needs_a_unit_constant_term():
-    K = KRing(field(2))
+    K = k_ring(field(2))
     with pytest.raises(ZeroDivisionError):
         UPoly(K, [K.zero, K.one]).series_inverse(3)
     with pytest.raises(ZeroDivisionError):

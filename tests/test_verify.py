@@ -310,7 +310,7 @@ def test_a_diamond_off_the_commutant_fails_commutation(cache):
 
 
 def test_a_diamond_off_the_commutant_fails_commutation_at_weight_3(cache):
-    # over K: the columns are dicts, and E_ij has entry 1 = RatFunc.one
+    # over A: the columns are dicts, and E_ij has entry 1 = Poly.one
     space = cache.space(2, 2, 3)
     ops = verify.space_operators(space, [[1, 1]])
     assert _status("diamond-commutation", space, ops) is True

@@ -24,16 +24,16 @@ from drinfeldforms.cocycles import CocycleSpace
 from drinfeldforms.fq import FqElem, field
 from drinfeldforms.groups import group_context
 from drinfeldforms.hecke import operator_chunks, ordinary_certificate
-from drinfeldforms.linalg import FqRing, KRing, Matrix
+from drinfeldforms.linalg import DictRing, FqRing, Matrix
 from drinfeldforms.rings import Poly, RatFunc
 from drinfeldforms.serialize import canonical_json_dumps, entry_tex
 from drinfeldforms.tree import QuotientGraph
-from oracles import dense_rows, operator, operator_json
+from oracles import dense_rows, k_ring, operator, operator_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
-# small spaces over F_q (k = 2) and over K (k = 3, 4), prime and non-prime q
+# small spaces over F_q (k = 2) and over A (k = 3, 4), prime and non-prime q
 WRITER_GRID = [(2, 2, 2), (3, 2, 2), (4, 1, 2), (5, 1, 2), (9, 1, 2)] + [
     (2, 2, 3), (3, 1, 3), (4, 1, 3), (9, 1, 3), (2, 1, 4), (3, 1, 4)
 ]
@@ -117,13 +117,15 @@ def test_a_closed_stdout_is_a_one_line_usage_error():
 
 # -- the sliced product --------------------------------------------------------
 
-RINGS = [("F", q) for q in (2, 3, 4, 5, 9)] + [("K", q) for q in (2, 3)]
+RINGS = [("F", q) for q in (2, 3, 4, 5, 9)] + [("A", q) for q in (2, 3)] + [("K", q) for q in (2, 3)]
 
 
 def _entry(data, kind, fq):
     if kind == "F":
         return FqElem(fq, data.draw(st.integers(0, fq.q - 1)))
     num = Poly(fq, data.draw(st.lists(st.integers(0, fq.q - 1), max_size=3)))
+    if kind == "A":
+        return num
     den = Poly(fq, data.draw(st.lists(st.integers(0, fq.q - 1), max_size=2)) + [1])
     return RatFunc(num, den)
 
@@ -133,7 +135,7 @@ def _entry(data, kind, fq):
 def test_apply_all_equals_the_per_vector_products(data):
     kind, q = data.draw(st.sampled_from(RINGS))
     fq = field(q)
-    ring = FqRing(fq) if kind == "F" else KRing(fq)
+    ring = {"F": FqRing(fq), "A": DictRing(Poly.zero(fq), Poly.one(fq)), "K": k_ring(fq)}[kind]
     d = data.draw(st.integers(1, 6))
     sparse = data.draw(st.booleans())
 
