@@ -21,7 +21,8 @@ t, one = Poly.t(fq), Poly.one(fq)
 
 print("Carlitz action, coefficients on Z^[q^i]:")
 for a in (t, t * t, t * t + t + one):
-    print(f"  Phi_{a} -> {carlitz_phi(a)}")
+    terms = [f"({c})*Z^q^{i}" for i, c in enumerate(carlitz_phi(a).coeffs) if c]
+    print(f"  Phi_{a} -> {' + '.join(terms)}")
 
 m = t * t + t + one
 print(f"\nm = {m}: exponential coefficients alpha_i of m^-1 Phi_m:")

@@ -15,7 +15,6 @@ from .groups import (
     CuspRecord,
     GroupContext,
     group_context,
-    is_gamma0p,
     is_gamma1,
     lift_sl2,
     verify_diamond_congruence,
@@ -32,7 +31,6 @@ from .hecke import (
     verify_freeness,
 )
 from .carlitz import (
-    AdditivePoly,
     carlitz_phi,
     exp_coeffs,
     goss_polynomials,

@@ -1,7 +1,9 @@
 """Carlitz module polynomials, Goss polynomials, and the u-expansion checks.
 
 The Carlitz action sends t to Z -> tZ + Z^q; Phi_a is the additive
-polynomial of the action of a, stored by its coefficients on Z^(q^i).  The
+polynomial of the action of a, a ``linalg.UPoly`` over A whose coefficient
+i is that on Z^(q^i).  Additive polynomials compose by :func:`compose`,
+f o g gathering f_i g_j^(q^i) on Z^(q^(i+j)).  The
 m-torsion exponential is e(z) = m^{-1} Phi_m(z), and the Goss polynomials
 G_{i,m} express the power sums of 1/(z - lambda) over lambda in the
 m-torsion as polynomials in u = 1/e(z):
@@ -41,63 +43,34 @@ from .linalg import DictRing, UPoly
 from .rings import Poly, RatFunc, poly_is_irreducible
 
 
-class AdditivePoly:
-    """F_q-linear polynomial sum coeffs[i] * Z^(q^i), coeffs in A."""
-
-    __slots__ = ("fq", "coeffs")
-
-    def __init__(self, fq, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.fq = fq
-        self.coeffs = tuple(coeffs)
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly.zero(self.fq)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return AdditivePoly(self.fq, [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def scale(self, p):
-        return AdditivePoly(self.fq, [p * c for c in self.coeffs])
-
-    def compose(self, other):
-        """(self o other): coefficient of Z^(q^(i+j)) is self_i * other_j^(q^i)."""
-        q = self.fq.q
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        out = [Poly.zero(self.fq) for _ in range(max(n, 0))]
-        for i, fi in enumerate(self.coeffs):
-            if fi.is_zero():
-                continue
-            for j, gj in enumerate(other.coeffs):
-                if not gj.is_zero():
+def compose(f, g):
+    """f o g for additive polynomials over A: Z^(q^(i+j)) gathers f_i * g_j^(q^i)."""
+    q = f.ring.one.fq.q
+    out = [f.ring.zero] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, fi in enumerate(f.coeffs):
+        if fi:
+            for j, gj in enumerate(g.coeffs):
+                if gj:
                     out[i + j] = out[i + j] + fi * (gj ** (q ** i))
-        return AdditivePoly(self.fq, out)
-
-    def __eq__(self, other):
-        return isinstance(other, AdditivePoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        parts = [f"({c})*Z^q^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
+    return UPoly(f.ring, out)
 
 
 def carlitz_phi(a):
-    """The additive polynomial Phi_a of the Carlitz action of a in A \\ {0}."""
+    """The additive polynomial Phi_a of the Carlitz action of a in A \\ {0}: a UPoly over A
+    whose coefficient i is that of Z^(q^i)."""
     if a.is_zero():
         raise ValueError("the Carlitz action is defined for nonzero a")
     fq = a.fq
-    phi_t = AdditivePoly(fq, [Poly.t(fq), Poly.one(fq)])
+    ring = DictRing(Poly.zero(fq), Poly.one(fq))  # A
+    phi_t = UPoly(ring, [Poly.t(fq), ring.one])
     # Horner in t: Phi_{sum a_i t^i} = sum a_i Phi_t^(o i)
-    result = AdditivePoly(fq, [])
-    power = AdditivePoly(fq, [Poly.one(fq)])  # Phi_t^(o 0) = Z
+    result = UPoly.zero(ring)
+    power = UPoly.one(ring)  # Phi_t^(o 0) = Z
     for i, code in enumerate(a.coeffs):
         if i > 0:
-            power = phi_t.compose(power)
+            power = compose(phi_t, power)
         if code:
-            result = result + power.scale(Poly.constant(fq, code))
+            result = result + _upoly_scale(power, Poly.constant(fq, code))
     return result
 
 

@@ -12,9 +12,10 @@ Every weight runs one code path over the blocks of VkAction.  On the
 trivial V_2 over F_q a harmonicity entry is a signed count of star edges
 mod p.  Above weight 2 the blocks are (k-1)x(k-1) matrices over
 A = F_q[t], and so are the solve, on pivots that are units of A, and its
-basis.  Two gates guard the truncation: the dimension must equal
-(k-1) q^(2(n-1)), and re-solving at depth D+1 must give the same
-dimension.  The re-solve runs on the depth-D table grown by one shell
+basis.  A single value, ``evaluate``, is read on the same blocks: the
+stored tuple through the summed signed block of its witness.  Two gates
+guard the truncation: the dimension must equal (k-1) q^(2(n-1)), and
+re-solving at depth D+1 must give the same dimension.  The re-solve runs on the depth-D table grown by one shell
 (``QuotientGraph.extended``), not on a second build, and reuses each
 interior vertex orbit's rows, kept in (orbit key, component) terms.
 Whether it also spans the same cocycles is recorded as ``depth_stable``.
@@ -136,13 +137,6 @@ class VkAction:
             return sign
         block = self.act(delta) if left is None else left * self.act(delta)
         return -block if sign == -1 else block
-
-    def transport(self, sign, delta, values):
-        """sign * act(delta) v for each value v, None kept; on V_2 the sign alone, with no Matrix formed."""
-        if not self.trivial and any(v is not None for v in values):
-            act = self.act(delta)
-            values = [v if v is None else tuple(act.apply(v)) for v in values]
-        return values if sign == 1 else [v if v is None else tuple(-x for x in v) for v in values]
 
     def summed(self, block):
         """The block a sum of signed blocks applies: on V_2 that of the count mod p."""
@@ -289,16 +283,14 @@ class CocycleSpace:
         return tuple(self.ring.zero for _ in range(self.k - 1))
 
     def evaluate(self, cocycle, e):
-        """Value of one cocycle (dict orbit-key -> tuple) at an oriented edge; :meth:`values`
-        reads several, and :meth:`sum_values` sums them over edges as ring vectors."""
-        return self.values(e, [cocycle])[0]
-
-    def values(self, e, cocycles):
-        """Each cocycle's value at one oriented edge, classified once: its stored value
-        through the witness with the orientation sign, or zero off its support or the table."""
+        """Value of one cocycle (dict orbit-key -> tuple) at an oriented edge: its stored value through
+        the signed block of the witness, or zero off its support or the table; :meth:`sum_values`
+        sums values over edges as ring vectors."""
         orbit, key, sign, delta = self.graph.classify(e)
-        stored = [None if orbit is None else c.get(key) for c in cocycles]
-        return [self.zero_vector() if v is None else v for v in self.vk.transport(sign, delta, stored)]
+        v = None if orbit is None else cocycle.get(key)
+        if v is None:
+            return self.zero_vector()
+        return tuple(self.vk.summed(self.vk.signed_block(sign, delta)).apply(v))
 
     @cached_property
     def basis_terms(self):

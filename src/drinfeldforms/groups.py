@@ -1,8 +1,8 @@
 """Congruence subgroups of SL_2(A) at the prime t, and their bookkeeping.
 
-Provides membership tests for Gamma_1(t^n) and Gamma_0^p(t^n), a
-deterministic section of SL_2(A) -> SL_2(A_n), the coset representatives
-h_{(c,d)} of Gamma_1(t^n) \\ Gamma_1(t), the auxiliary Hecke matrices
+Provides the membership test for Gamma_1(t^n), a deterministic section
+of SL_2(A) -> SL_2(A_n), the coset representatives h_{(c,d)} of
+Gamma_1(t^n) \\ Gamma_1(t), the auxiliary Hecke matrices
 xi_{m,beta} / xi_{m,diamond} / eta_{a,diamond}, cusp enumeration with
 widths, the genus and dimension formulas, and executable checks of the
 coset congruences that drive the Hecke computation at the cusps.
@@ -30,20 +30,6 @@ def _unipotent_mod(gamma, n):
     """gamma = (1 *; 0 1) mod t^n: the low n bytes of a and d read 1, and those of c read 0."""
     mask = (1 << 8 * n) - 1
     return gamma.a.x & mask == 1 and not gamma.c.x & mask and gamma.d.x & mask == 1
-
-
-def is_gamma0p(gamma, n):
-    """Test for the t-split Borel-type group: (1+tA_n, A_n; 0, 1+tA_n) mod t^n."""
-    _require_unimodular(gamma)
-    fq = gamma.a.fq
-    t = Poly.t(fq)
-    tn = Poly.t_power(fq, n)
-    one = Poly.one(fq)
-    return (
-        ((gamma.a - one) % t).is_zero()
-        and (gamma.c % tn).is_zero()
-        and ((gamma.d - one) % t).is_zero()
-    )
 
 
 def _require_unimodular(gamma):

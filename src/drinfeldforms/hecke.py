@@ -19,8 +19,8 @@ unit basis, are the operator's rows.  Every safe row is checked exactly,
 once per operator; an image edge beyond the table is a ReachError.  An
 operator is kept as its columns, each a vector of the space's ring, the
 ring its coordinates lie in: F_q at weight 2 and A = F_q[t] above.  The
-image chain's basis can have denominators, so the chain and check (d)
-read the columns lifted to K (:func:`over_field`).  The writer
+image chain's basis can have denominators, so the chain and checks (c)
+and (d) read the columns lifted to K (:func:`over_field`).  The writer
 (:func:`operator_chunks`) reads the rows off the columns one at a time.
 
 The ordinary certificate recasts ordinariness t-adically: with
@@ -45,9 +45,10 @@ ker U^N, so chi = X^(d-s) charpoly(U|im), and Berkowitz runs at s x s;
 (X-1)^r, chi_plus = X^(d-s) g, and U^(d-s) maps the space onto im U^N,
 where it is invertible, so chi_plus(U) has the image of B g(U|im).  Hence
 
-  (c) holds exactly when (U|im - 1) g(U|im) = 0, and
-  (d) holds exactly when (T - 1) y = 0 for y = B times each column of
-      g(U|im), by mat-vecs on the ring's vectors.
+  (c) holds exactly when U y = y for each column y of B g(U|im), since
+      U B = B U|im and B has independent columns, and
+  (d) holds exactly when T y = y for the same y, both by mat-vecs on
+      the ring's vectors.
 
 These are equivalences: every flag, a false one included, is the one the
 projector chi_plus(U_t) on the whole space gives, and that projector is
@@ -88,10 +89,6 @@ class OperatorMatrix:
     @property
     def size(self):
         return len(self.cols)
-
-    def apply(self, v):
-        """M v for a vector v of the ring."""
-        return self.apply_all([v])[0]
 
     def apply_all(self, vectors):
         """[M v for v in vectors], on the vectors' coordinate slices: one axpy per nonzero entry of M."""
@@ -341,18 +338,15 @@ def ordinary_certificate(ut, heckes=()):
             notes.append(f"Newton count failed: {exc}")
     else:
         flags["positive_slope"] = False
-    unipotent = False
     if ok_div:
         # chi_plus = X^(d-s) g, and U^(d-s) maps the space onto im U^N,
         # where U is invertible: chi_plus(U) has the image of B g(U|im)
         g = UPoly(ring, chi_plus.coeffs[d - s :])
-        proj = g.eval_matrix(u_im)
-        unipotent = ((u_im - Matrix.identity(ring, s)) * proj).is_zero()
-        stable = [_combine(ring, zip(col, basis)) for col in proj.transpose().rows]
-    flags["unipotence_kill"] = unipotent
+        stable = [_combine(ring, zip(col, basis)) for col in g.eval_matrix(u_im).transpose().rows]
+    fixed = [ok_div and over_field(op).apply_all(stable) == stable for op in (ut, *heckes)]
+    flags["unipotence_kill"] = fixed[0]
     hecke_flags = {}
-    for op in heckes:
-        ok = ok_div and over_field(op).apply_all(stable) == stable
+    for op, ok in zip(heckes, fixed[1:]):
         hecke_flags[op.name] = ok
         if not ok:
             notes.append(f"{op.name} is not the identity on the ordinary part")

@@ -28,10 +28,10 @@ def test_phi_t_and_examples():
     fq = field(2)
     t, one = Poly.t(fq), Poly.one(fq)
     phi_t = carlitz_phi(t)
-    assert phi_t.coeffs == (t, one)
-    assert carlitz_phi(one).coeffs == (one,)
+    assert phi_t.coeffs == [t, one]
+    assert carlitz_phi(one).coeffs == [one]
     phi_t2 = carlitz_phi(t * t)
-    assert phi_t2.coeffs == (t * t, t + t ** fq.q, one)
+    assert phi_t2.coeffs == [t * t, t + t ** fq.q, one]
     with pytest.raises(ValueError):
         carlitz_phi(Poly.zero(fq))
 
@@ -45,8 +45,8 @@ def test_module_axiom_randomized(q):
         b = rand_poly(fq, rng, 3)
         if a.is_zero() or b.is_zero():
             continue
-        assert carlitz_phi(a * b) == carlitz_phi(a).compose(carlitz_phi(b))
-        assert carlitz_phi(a).compose(carlitz_phi(b)) == carlitz_phi(b).compose(carlitz_phi(a))
+        assert carlitz_phi(a * b) == carlitz.compose(carlitz_phi(a), carlitz_phi(b))
+        assert carlitz.compose(carlitz_phi(a), carlitz_phi(b)) == carlitz.compose(carlitz_phi(b), carlitz_phi(a))
 
 
 def irreducibles(fq, maxdeg):

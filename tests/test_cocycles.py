@@ -238,20 +238,21 @@ def test_values_agree_with_one_cocycle_at_a_time(q, n, k, cache):
     edges.append(beyond)
     nonzero = 0
     for e in edges:
-        got = space.values(e, space.basis)
-        assert got == [space.evaluate(c, e) for c in space.basis]
+        got = [space.evaluate(c, e) for c in space.basis]
         assert got == [evaluate_oracle(space, c, e) for c in space.basis]
         nonzero += sum(1 for v in got if any(v))
     assert nonzero > 0
-    assert space.values(beyond, space.basis) == [space.zero_vector()] * space.dim
+    assert [space.evaluate(c, beyond) for c in space.basis] == [space.zero_vector()] * space.dim
     # a subset in another order reads the same values
     some = space.basis[::-1][:2]
     for e in reps:
-        assert space.values(e, some) == [evaluate_oracle(space, c, e) for c in some]
+        assert [space.evaluate(c, e) for c in some] == [evaluate_oracle(space, c, e) for c in some]
 
 
-def test_antisymmetry_everywhere(cache):
-    space = cache.space(2, 2, 3)
+# at q = 2, -v = v, so only the odd q can see a lost orientation sign
+@pytest.mark.parametrize("q,n,k", [(2, 2, 3), (3, 2, 2), (3, 1, 3)])
+def test_antisymmetry_everywhere(cache, q, n, k):
+    space = cache.space(q, n, k)
     for cocycle in space.basis:
         for key in space.orbit_keys:
             rep = space.graph.edge_orbits[key].rep

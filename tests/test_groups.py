@@ -9,7 +9,6 @@ from drinfeldforms.groups import (
     distinct_coset_check,
     group_context,
     in_gamma1_coset,
-    is_gamma0p,
     is_gamma1,
     lift_sl2,
     verify_diamond_congruence,
@@ -29,10 +28,9 @@ def test_membership_examples():
     assert is_gamma1(Mat2(one, one, zero, one), 2)
     low = Mat2(one, zero, t, one)
     assert is_gamma1(low, 1) and not is_gamma1(low, 2)
-    assert is_gamma0p(low, 1) and not is_gamma0p(low, 2)
-    # diag(1+t, ...) is Gamma_0^p but not Gamma_1 at n = 2
+    # diag(1+t, ...) is not Gamma_1 at n = 2
     g = lift_sl2(Mat2(one + t, zero, zero, (one + t).inverse_mod(2)), 2)
-    assert is_gamma0p(g, 2) and not is_gamma1(g, 2)
+    assert not is_gamma1(g, 2)
     with pytest.raises(ValueError):
         is_gamma1(Mat2(t, zero, zero, one), 1)  # det != 1
 

@@ -72,7 +72,7 @@ def test_u_t_linear(cache):
     ut = eng.u_t()
     zero_vec = [ut.ring.zero] * ut.size
     assert dense(ut).apply(zero_vec) == zero_vec
-    assert ut.apply(ut.ring.vector(zero_vec)) == ut.ring.vector(())
+    assert ut.apply_all([ut.ring.vector(zero_vec)])[0] == ut.ring.vector(())
 
 
 def test_t_m_rejects_bad_m(cache):
@@ -146,14 +146,14 @@ GOLDEN_GRID = [
 
 
 def _check_against_dense(a, b, rng):
-    """apply, commutes and composition of the columns against dense Matrix products."""
+    """apply_all, commutes and composition of the columns against dense Matrix products."""
     ring, d = a.ring, a.size
     da, db = dense(a), dense(b)
     assert operator(a.name, a.ctx, a.k, da).cols == a.cols
     entries = [x for row in da.rows + db.rows for x in row] + [ring.zero, ring.one]
     v = [entries[rng.randrange(len(entries))] for _ in range(d)]
-    assert a.apply(ring.vector(v)) == ring.vector(da.apply(v))
-    assert [a.apply(col) for col in b.cols] == operator("AB", a.ctx, a.k, da * db).cols
+    assert a.apply_all([ring.vector(v)])[0] == ring.vector(da.apply(v))
+    assert [a.apply_all([col])[0] for col in b.cols] == operator("AB", a.ctx, a.k, da * db).cols
     assert a.commutes(b) == b.commutes(a) == (da * db == db * da)
 
 
@@ -178,8 +178,8 @@ def test_a_hand_made_pair_over_k_does_not_commute():
     b = operator("B", ctx, 3, Matrix(k_ring(fq), [[one, zero], [one, one]]))
     assert not a.commutes(b) and not b.commutes(a)
     assert a.commutes(a) and b.commutes(b)
-    assert [a.apply(col) for col in b.cols] == [{0: one + t, 1: one}, {0: t, 1: one}]
-    assert [b.apply(col) for col in a.cols] == [{0: one, 1: one}, {0: t, 1: one + t}]
+    assert [a.apply_all([col])[0] for col in b.cols] == [{0: one + t, 1: one}, {0: t, 1: one}]
+    assert [b.apply_all([col])[0] for col in a.cols] == [{0: one, 1: one}, {0: t, 1: one + t}]
     rng = random.Random(0)
     for x, y in ((a, b), (b, a), (a, a)):
         _check_against_dense(x, y, rng)
