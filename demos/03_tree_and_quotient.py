@@ -9,7 +9,6 @@ from drinfeldforms import (
     Vertex,
     apply_edge,
     apply_vertex,
-    classify_edge,
     field,
     group_context,
     reduce_edge,
@@ -40,8 +39,9 @@ for n in (1, 2):
         f"\nGamma_1(t^{n}) quotient to depth 3: {len(graph.edge_orbits)} edge orbits, "
         f"{len(graph.vertex_orbits)} vertex orbits, {len(stable)} stable"
     )
-    cls = classify_edge(ctx, Edge.standard(1), graph)
-    print(f"  e_1 classifies as {cls}")
+    orbit, key, sign, _ = graph.classify(Edge.standard(1))
+    kind = "stable" if orbit.stable else "unstable"
+    print(f"  e_1 classifies with sign {sign:+d}, {kind}, orbit key {key}")
 
 print("\nDOT export of the level-t quotient (stable edge in red):\n")
 print(QuotientGraph(group_context(2, 1), depth=3).to_dot())

@@ -54,14 +54,11 @@ from .rings import (
 )
 from .tree import (
     Edge,
-    EdgeClass,
     QuotientGraph,
     Vertex,
     apply_edge,
     apply_vertex,
-    classify_edge,
     reduce_edge,
-    reduce_vertex,
 )
 
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ reduced to the apartment by Euclid's algorithm on a matrix g over A with
 g(e_i) the edge, run on packed ints: s is b/d (or a/c) of g diag(t^i, 1),
 the polynomial part of s is killed by a translation in SL_2(A), and the
 rest is inverted through J = (0 -1; 1 0), which strictly decreases r; the
-terminus is read off degrees and one division.  A literal edge or vertex
-enters as M_v, and gamma, gamma^-1 and the key row are read off Euclid's
+terminus is read off degrees and one division.  A literal edge enters as
+M_v, and gamma, gamma^-1 and the key row are read off Euclid's
 last matrix h = gamma M_v, as det M_v = t^(2L - r).  An operator image
 xi w0(e_i) is reduced from its parent's reduced image, one star step and
 at most two row operations away, and a seed's from the Hecke coset
@@ -60,11 +60,10 @@ explicit sign.
 
 The Gamma_1(t^n)-stabilizer of w(e_i), and of w(v_i) for i >= 1, is
 w {u(b) : t^s | b, deg b <= i} w^-1 with s = n - min(v_t(c), n) for c the
-lower-left entry of w: one exponent range gives its order q^(i - s + 1),
-Gamma_1(t)-stability (i = 0 and c(0) != 0) and the cusp end
-w(infinity).  At v_0 it is trivial, or 1 and the q - 1
-transvections along the constant coefficient row, so no stabilizer
-element is enumerated.
+lower-left entry of w: one exponent range gives its order q^(i - s + 1)
+and Gamma_1(t)-stability (i = 0 and c(0) != 0).  At v_0 it is trivial, or
+1 and the q - 1 transvections along the constant coefficient row, so no
+stabilizer element is enumerated.
 """
 
 import copy
@@ -309,13 +308,6 @@ def _euclid(g, i, deg_det, fq):
         ops.append(0)
 
 
-def reduce_vertex(v, fq):
-    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0; gamma is read off h = gamma M_v (_unlattice)."""
-    g, deg_det = _lattice_matrix(v)
-    _, j, h = _euclid(g, 0, deg_det, fq)
-    return Deferred(_unlattice, fq, h, v, False), j
-
-
 def _unlattice(fq, h, v, inverse):
     """gamma = h adj(M_v) / t^(2L - r) for h = gamma M_v, or gamma^-1 = adj(gamma) if ``inverse``: with
     M_v = (t^(L - r), top; 0, t^L), top h_a and top h_c are its only products, and the divisions exact shifts."""
@@ -422,26 +414,6 @@ class VertexOrbit:
         if self._rep is None:
             self._rep = apply_vertex(self.w0, Vertex.standard(self.j), self.w0.a.fq)
         return self._rep
-
-
-class EdgeClass:
-    """Classification result for one oriented edge (spec-facing)."""
-
-    __slots__ = ("stable", "label", "apartment_index", "sign", "witness", "cusp_end")
-
-    def __init__(self, stable, label, apartment_index, sign, witness, cusp_end):
-        self.stable = stable
-        self.label = label
-        self.apartment_index = apartment_index
-        self.sign = sign
-        self.witness = witness
-        self.cusp_end = cusp_end
-
-    def __repr__(self):
-        if self.stable:
-            lbl = f"({self.label[0]},{self.label[1]})"
-            return f"Stable{{{lbl}, sign={self.sign:+d}}}"
-        return f"Unstable{{i={self.apartment_index}, sign={self.sign:+d}, end={self.cusp_end}}}"
 
 
 class TreeContext:
@@ -639,29 +611,6 @@ class TreeContext:
         """
         w, j = vorbit.w0, vorbit.j
         vorbit.stab_order = self._stab_order(w, j) if j else (self.fq.q if self._v0_line(w) else 1)
-
-    def cusp_end(self, w, j):
-        """The end fixed by the Gamma_1(t^n)-stabilizer of w(v_j), or None when it is trivial.
-
-        For j >= max(s, 1) each w u(b) w^-1 fixes w(infinity) = (a : c).
-        At v_0 the transvections of _v0_line fix w (d_0, -c_0)^T.  The
-        column is primitive, and is returned as (x, y) with y monic, or
-        "infinity" when y = 0.
-        """
-        if j:
-            if j < self._shift(w):
-                return None
-            x, y = w.a, w.c
-        else:
-            line = self._v0_line(w)
-            if line is None:
-                return None
-            c0, d0 = line
-            x, y = w.a.scale(d0) - w.b.scale(c0), w.c.scale(d0) - w.d.scale(c0)
-        if y.is_zero():
-            return "infinity"
-        lead = self.fq.inv(y.leading())
-        return x.scale(lead), y.scale(lead)
 
     def _shift(self, w):
         """s = n - min(v_t(c), n) for w's lower-left c.
@@ -950,27 +899,3 @@ def _dot_name(k):
     """The DOT node name of a key as _key_json gives it."""
     return f"i{k['i']}|" + "|".join("".join(map(str, part)) or "0" for part in k["row"])
 
-
-def classify_edge(ctx, e, graph=None):
-    """Spec-facing classification with stability, label, and cusp end."""
-    if graph is None:
-        graph = QuotientGraph(ctx, depth=0)
-    tree = graph.tree
-    orbit, key, sign, delta = graph.classify(e)
-    # classify's memoized reduction w(sign * e_i) = e
-    _, i, _, w, nf = tree.reduce_edge(e)
-    if orbit is None:
-        # beyond the table: an orbit on the fly from this reduction
-        orbit = tree.edge_orbit(key, i, w, None)
-        delta = Deferred(tree.edge_witness, w, nf, orbit)
-    if orbit.stable:
-        return EdgeClass(True, orbit.label, orbit.i, sign, delta, None)
-    # cusp end: the end fixed by the stabilizer of one of the input edge's
-    # own vertices, origin first: w(v_i) and w(v_(i+1)), the origin w(v_i)
-    # when the sign is +1
-    end = None
-    for j in (i, i + 1) if sign == POS_SIGN else (i + 1, i):
-        end = tree.cusp_end(w, j)
-        if end is not None:
-            break
-    return EdgeClass(False, None, orbit.i, sign, delta, end)

@@ -21,10 +21,9 @@ None of this is used by ``drinfeldforms`` itself:
   a matrix mod t^n (:func:`mod_tn`), the oracles for the tree layer's
   closed-form stabilizer classes;
 * the classes of the stabilizers as lists of lifts (:func:`stab_lifts`,
-  :func:`kernel_lifts`, :func:`passing_lifts`), their conjugates
-  (:func:`vertex_stab_elements`) and the fixed end of the first one
-  (:func:`parabolic_fixed_end`, :func:`cusp_end_oracle`), the oracles for
-  the one exponent range of ``TreeContext`` (its orders and cusp ends);
+  :func:`kernel_lifts`, :func:`passing_lifts`) and their conjugates
+  (:func:`vertex_stab_elements`), the oracles for the one exponent range
+  of ``TreeContext`` (its stabilizer orders);
 * the F_p-generators of an edge stabilizer read from that exponent range
   (:func:`edge_stab_generators`), which :func:`block_solve` and the
   invariance tests act with: the engine forms no stabilizer element;
@@ -39,6 +38,9 @@ None of this is used by ``drinfeldforms`` itself:
 * Euclid's walk on the exact fraction num/den of a vertex's tail
   (:func:`reduce_vertex_oracle`, :func:`reduce_edge_oracle`), the oracle for
   the tree layer's Euclid on matrices over A;
+* a literal vertex reduced by ``tree._euclid`` on its lattice matrix, with
+  gamma read off Euclid's last matrix (:func:`reduce_vertex`): the engine
+  reduces only edges, and the vertex-level Euclid tests go through it;
 * a literal edge acted on with a full tail division at both endpoints
   (:func:`apply_edge_two_acts`), its reductions with gamma kept as Euclid's
   row operations and replayed, keys included (:func:`reduce_vertex_replay`,
@@ -61,8 +63,9 @@ None of this is used by ``drinfeldforms`` itself:
   (:func:`fp_poly_mulmod`, :func:`field_tables`), the oracle for the
   extension-field tables that ``fq`` builds on ``rings.Poly``;
 * one cocycle's value at one edge, classified for that cocycle alone
-  (:func:`evaluate_oracle`), the oracle for ``CocycleSpace.values``,
-  which classifies each edge once for several cocycles;
+  (:func:`evaluate_oracle`), the oracle for ``CocycleSpace.evaluate``,
+  which reads one stored value through the summed signed block of its
+  witness;
 * the random word in Gamma_1(t^n) as four full RingMat2 products
   (:func:`random_gamma_oracle`), the oracle for the column operations of
   ``verify._random_gamma``;
@@ -130,9 +133,9 @@ from drinfeldforms.tree import (
     _euclid,
     _lattice_matrix,
     _reduce_image,
+    _unlattice,
     apply_edge,
     apply_vertex,
-    reduce_vertex,
 )
 
 
@@ -514,41 +517,6 @@ def edge_stab_generators(tree, orbit):
     return out
 
 
-def parabolic_fixed_end(delta):
-    """Fixed point on P^1(K) of a nontrivial element with trace 2.
-
-    Solves ker(delta - 1) for a column eigenvector (x : y); returned
-    normalized as a coprime pair with monic y (or ("infinity")).
-    """
-    fq = delta.a.fq
-    one = Poly.one(fq)
-    bm = delta.b
-    am1 = delta.a - one
-    if not bm.is_zero() or not am1.is_zero():
-        x, y = -bm, am1
-    else:
-        x, y = one - delta.d, delta.c
-    if x.is_zero() and y.is_zero():
-        raise ValueError("identity element has no unique fixed end")
-    if y.is_zero():
-        return "infinity"
-    g = poly_gcd(x, y)
-    x, y = x.divexact(g), y.divexact(g)
-    lead = fq.inv(y.leading())
-    return (x.scale(lead), y.scale(lead))
-
-
-def cusp_end_oracle(tree, e):
-    """The fixed end of the first nontrivial stabilizer element of e's origin, else of its
-    terminus, else None: the cusp end of an unstable edge in ``classify_edge``."""
-    for v in (e.origin, e.terminus):
-        gamma, j = reduce_vertex(v, tree.fq)
-        passing, kernel = vertex_stab_elements(tree, gamma.adjugate(), j)
-        if passing or kernel:
-            return parabolic_fixed_end((passing or kernel)[0])
-    return None
-
-
 def vertex_tail(v):
     """The tail of a ``tree.Vertex`` as (exponent, code) pairs, exponents ascending.
 
@@ -699,8 +667,15 @@ def replay_inverse(gamma):
     return Deferred(_replay, fq, ops, not inverted)
 
 
+def reduce_vertex(v, fq):
+    """(gamma, j) with gamma in SL_2(A) and gamma(v) = v_j, j >= 0; gamma is read off h = gamma M_v (``tree._unlattice``)."""
+    g, deg_det = _lattice_matrix(v)
+    _, j, h = _euclid(g, 0, deg_det, fq)
+    return Deferred(_unlattice, fq, h, v, False), j
+
+
 def reduce_vertex_replay(v, fq):
-    """``tree.reduce_vertex`` with gamma kept as Euclid's row operations, replayed when read."""
+    """:func:`reduce_vertex` with gamma kept as Euclid's row operations, replayed when read."""
     g, deg_det = _lattice_matrix(v)
     ops, j, _ = _euclid(g, 0, deg_det, fq)
     return Deferred(_replay, fq, ops, False), j

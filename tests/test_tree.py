@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +24,7 @@ from drinfeldforms.tree import (
     _lattice,
     _reduce_image,
     _tail,
-    classify_edge,
     reduce_edge,
-    reduce_vertex,
 )
 from oracles import (
     ApartmentStabilizer,
@@ -35,7 +32,6 @@ from oracles import (
     TupleVertex,
     apply_edge_two_acts,
     classify_image_oracle,
-    cusp_end_oracle,
     edge_stab_generators,
     edge_witness_product,
     identity_poly,
@@ -46,6 +42,7 @@ from oracles import (
     passing_lifts,
     reduce_edge_oracle,
     reduce_edge_replay,
+    reduce_vertex,
     reduce_vertex_oracle,
     reduce_vertex_replay,
     replay_inverse,
@@ -464,44 +461,6 @@ def test_apartment_stabilizer_orders_and_fixing():
         assert apply_vertex(m, Vertex.standard(0), fq) == Vertex.standard(0)
 
 
-# (q, n) of the cusp-end test, with depth-2 graphs on at most 625 seeds
-CUSP_GRID = [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3) if q**n <= 125]
-
-
-def test_cusp_ends_match_the_fixed_end_of_a_stabilizer_element():
-    # the closed-form end (w(infinity) for j >= s, w (d_0, -c_0)^T on the
-    # line at j = 0) against the fixed end of the first enumerated
-    # stabilizer element, on random unstable literal edges, both in the
-    # table, where the orbit's w0 is not the edge's own w, and beyond it
-    branches, ends, total, tabled = Counter(), set(), 0, 0
-    for q, n in CUSP_GRID:
-        ctx = group_context(q, n)
-        fq = ctx.fq
-        graph = QuotientGraph(ctx, depth=2)
-        tree = graph.tree
-        rng = random.Random(q * 31 + n)
-        unstable = 0
-        while unstable < 80:
-            g = rand_gamma1(fq, n, rng) * rand_word(fq, rng, steps=rng.randrange(1, 8))
-            e = apply_edge(g, Edge.standard(rng.randrange(4)), fq)
-            cls = classify_edge(ctx, e, graph)
-            if cls.stable:
-                continue
-            unstable += 1
-            tabled += graph.classify(e)[0] is not None
-            assert cls.cusp_end == cusp_end_oracle(tree, e)
-            ends.add(cls.cusp_end == "infinity" if cls.cusp_end else None)
-            for v in (e.origin, e.terminus):
-                gamma, j = reduce_vertex(v, fq)
-                if tree.cusp_end(gamma.adjugate(), j) is not None:
-                    branches["j >= s" if j else "line at j = 0"] += 1
-                    break
-        total += unstable
-    assert total >= 1000 and 100 <= tabled <= total - 100
-    assert branches["j >= s"] and branches["line at j = 0"]
-    assert ends == {None, True, False}
-
-
 @pytest.mark.parametrize("q,n,count", [(2, 1, 1), (2, 2, 4), (2, 3, 16), (3, 1, 1), (3, 2, 9)])
 def test_stable_orbit_counts(q, n, count, cache):
     ctx = group_context(q, n)
@@ -517,22 +476,16 @@ def test_classify_examples():
     fq = ctx.fq
     graph = QuotientGraph(ctx, depth=3)
     je0 = apply_edge(Mat2.j_matrix(fq), Edge.standard(0), fq)
-    cls = classify_edge(ctx, je0, graph)
-    assert cls.stable and cls.sign == 1 and cls.label is not None
-    assert is_gamma1(cls.witness, 1)
-    # a random Gamma_1(t^n) translate stays in the same labeled orbit
+    orbit, _, sign, delta = graph.classify(je0)
+    assert orbit.stable and sign == 1 and orbit.label is not None
+    assert is_gamma1(delta, 1)
+    # a Gamma_1(t^n) translate stays in the same labeled orbit
     gamma = Mat2.translation(Poly.t(fq))
-    cls2 = classify_edge(ctx, apply_edge(gamma, je0, fq), graph)
-    assert cls2.stable and cls2.label == cls.label and cls2.sign == 1
-    cls3 = classify_edge(ctx, Edge.standard(1), graph)
-    assert not cls3.stable and cls3.apartment_index == 1 and cls3.cusp_end == "infinity"
-    # reversal flips the sign, keeps the orbit data
-    cls4 = classify_edge(ctx, Edge.standard(1).reverse(), graph)
-    assert not cls4.stable and cls4.apartment_index == 1 and cls4.sign == -1
-    # the zero-direction ray points at the rational end 0
-    f1 = apply_edge(Mat2.j_matrix(fq), Edge.standard(1), fq)
-    cls5 = classify_edge(ctx, f1, graph)
-    assert not cls5.stable and cls5.cusp_end != "infinity" and cls5.cusp_end[0].is_zero()
+    assert graph.classify(apply_edge(gamma, je0, fq))[::2] == (orbit, 1)
+    unstable, key, sign, _ = graph.classify(Edge.standard(1))
+    assert not unstable.stable and unstable.i == 1
+    # reversal flips the sign, keeps the orbit
+    assert graph.classify(Edge.standard(1).reverse())[:3] == (unstable, key, -sign)
 
 
 def test_vertex_orbit_stabilizer_orders():
@@ -627,15 +580,17 @@ def _build_depth_1(ctx):
     QuotientGraph(ctx, depth=1)
 
 
-def _classify_beyond_the_table(ctx):
-    # a literal edge off a depth-1 table gets an orbit on the fly
-    classify_edge(ctx, Edge.standard(5), QuotientGraph(ctx, depth=1))
+def _register_beyond_the_table(ctx):
+    # a literal edge off a depth-1 table, registered as the orbit of its own reduction
+    tree = QuotientGraph(ctx, depth=1).tree
+    key, i, _, w, _ = tree.reduce_edge(Edge.standard(5))
+    tree.edge_orbit(key, i, w, None)
 
 
 @pytest.mark.parametrize(
     "side,run",
     [
-        ("_lattice_row", _classify_beyond_the_table),
+        ("_lattice_row", _register_beyond_the_table),
         ("_row", _build_depth_1),
         ("_star_rows", _build_depth_1),
     ],
@@ -698,7 +653,7 @@ def test_a_graph_build_forms_no_literal_edge_or_vertex(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a graph build acted on or reduced a literal edge or vertex")
 
-    for name in ("apply_edge", "apply_vertex", "reduce_edge", "reduce_vertex", "_euclid"):
+    for name in ("apply_edge", "apply_vertex", "reduce_edge", "_euclid"):
         monkeypatch.setattr(tree_module, name, forbidden)
     products, mul = [], Mat2.__mul__
 
